@@ -190,7 +190,7 @@ void
 sweepUsage()
 {
     std::printf(
-        "usage: sweep [options]\n"
+        "usage: sst sweep [options]\n"
         "  --profiles all|A,B,...  benchmark labels (default: all)\n"
         "  --mix LIST              heterogeneous workloads: registered\n"
         "                          mixes/pipelines (`sst list mixes`) or\n"
@@ -212,7 +212,7 @@ sweepUsage()
         "  --no-cache              disable the result cache\n"
         "  --refresh               re-run and overwrite cached results\n"
         "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "                          (see `trace record --trace-dir`)\n"
+        "                          (see `sst trace record --trace-dir`)\n"
         "  --record-dir DIR        capture .sstt traces of live jobs\n"
         "                          into DIR as the batch runs (cache\n"
         "                          hits skip capture)\n"
@@ -235,7 +235,7 @@ void
 traceUsage()
 {
     std::printf(
-        "usage: trace <record|replay|info> [options]\n"
+        "usage: sst trace <record|replay|info> [options]\n"
         "  record --profile LABEL [--threads N] (--out FILE | "
         "--trace-dir DIR)\n"
         "         [--seed-offset K] [--sched POLICY] [--sched-seed K]\n"

@@ -1,14 +1,10 @@
 /**
  * @file
- * Implementations of the experiment CLI commands, shared between the
- * unified `sst` multi-command binary and the legacy single-purpose
- * `sweep` / `trace` binaries (now thin compatibility shells). One
- * implementation per command means flags, table layout, error messages
- * and exit codes cannot drift between the entry points.
+ * Implementations of the `sst` CLI commands (dispatched by
+ * bench/sst_main.cc).
  *
  * Every *Main takes (argc, argv, first) where argv[first] is the first
- * command-specific argument — 1 when invoked standalone, 2 behind an
- * `sst <command>` dispatcher.
+ * command-specific argument (2 behind the `sst <command>` dispatcher).
  */
 
 #ifndef SST_BENCH_CLI_COMMANDS_HH
@@ -17,10 +13,10 @@
 namespace sst {
 namespace cli {
 
-/** `sweep` / `sst sweep`: flag-driven experiment grids. */
+/** `sst sweep`: flag-driven experiment grids. */
 int sweepMain(int argc, char **argv, int first);
 
-/** `trace` / `sst trace`: record / replay / info on op traces. */
+/** `sst trace`: record / replay / info on op traces. */
 int traceMain(int argc, char **argv, int first);
 
 /** `sst run --spec FILE`: execute a declarative experiment spec. */

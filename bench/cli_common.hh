@@ -1,8 +1,8 @@
 /**
  * @file
- * Small helpers shared by the bench/ command-line tools (`sweep`,
- * `trace`, ...). Header-only; CMake builds one executable per bench
- * .cc, so shared code lives here rather than in the sst library.
+ * Small helpers shared by the bench/ command-line tools (`sst` and the
+ * figure/table benches). Header-only; CMake builds one executable per
+ * bench .cc, so shared code lives here rather than in the sst library.
  */
 
 #ifndef SST_BENCH_CLI_COMMON_HH

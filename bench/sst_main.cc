@@ -8,9 +8,7 @@
  *   sst list profiles|scheds|frontends         enumerate the registries
  *   sst serve / worker / submit                persistent sweep service
  *
- * `sweep` and `trace` also exist as standalone compatibility binaries;
- * all commands share one implementation each (bench/cli_commands.cc)
- * so behaviour cannot drift between entry points. The dispatcher is
+ * The commands live in bench/cli_commands.cc. The dispatcher is
  * table-driven: usage text and the unknown-command error enumerate the
  * same table, so a new command cannot be half-registered.
  */

@@ -109,27 +109,15 @@ runMixExperiment(const SimParams &params, const WorkloadSpec &workload,
                  const ReportOptions *opts, int ncores_override)
 {
     workload.validate();
-    if (workload.isHomogeneous()) {
-        return runSpeedupExperiment(params, workload.groups[0].profile,
-                                    workload.groups[0].nthreads, opts,
-                                    ncores_override);
-    }
     std::vector<RunResult> bases;
     bases.reserve(workload.groups.size());
-    for (const WorkloadGroup &g : workload.groups)
-        bases.push_back(runSingleThreaded(params, g.profile));
+    for (int g = 0; g < workload.ngroups(); ++g)
+        bases.push_back(simulateSources(
+            params, workloadGroupBaselineSources(workload, g), 1));
     return assembleExperiment(
         workload.label(), workload.nthreads(), params,
         combineGroupBaselines(bases),
         simulateWorkload(params, workload, ncores_override), opts);
-}
-
-const RunResult &
-BaselineStore::get(const std::string &key, const SimParams &params,
-                   const BenchmarkProfile &profile)
-{
-    return get(key,
-               [&] { return runSingleThreaded(params, profile); });
 }
 
 const RunResult &

@@ -104,10 +104,11 @@ SpeedupExperiment runSpeedupExperiment(const SimParams &params,
 RunResult combineGroupBaselines(const std::vector<RunResult> &group_baselines);
 
 /**
- * Run the heterogeneous-workload experiment: per-group 1-thread
- * reference runs (summed into the mix baseline) plus the co-scheduled
- * parallel run of every group, assembled into a speedup experiment.
- * For a homogeneous spec this is runSpeedupExperiment() bit for bit.
+ * Run the experiment of any workload: per-group 1-thread reference runs
+ * of workloadGroupBaselineSources() (summed into the mix baseline) plus
+ * the co-scheduled parallel run of every group, assembled into a
+ * speedup experiment. For a homogeneous spec this is
+ * runSpeedupExperiment() bit for bit.
  * @p ncores_override places the parallel run on that many cores
  * (0 = one per thread); fewer cores oversubscribes the machine.
  */
@@ -141,13 +142,6 @@ class BaselineStore
      */
     const RunResult &get(const std::string &key,
                          const std::function<RunResult()> &compute);
-
-    /**
-     * Convenience: compute the baseline via runSingleThreaded() on the
-     * synthetic-generator frontend.
-     */
-    const RunResult &get(const std::string &key, const SimParams &params,
-                         const BenchmarkProfile &profile);
 
     /** Number of baselines actually computed (not lookups). */
     std::size_t computeCount() const;

@@ -218,13 +218,9 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
                     if (reader)
                         return replayBaseline(spec.params, *reader,
                                               group);
-                    if (workload.wdlProgram)
-                        return simulateSources(
-                            spec.params,
-                            workloadGroupBaselineSources(workload, group),
-                            1);
-                    return runSingleThreaded(
-                        spec.params, workload.groups[g].profile);
+                    return simulateSources(
+                        spec.params,
+                        workloadGroupBaselineSources(workload, group), 1);
                 };
                 if (opts.shareBaselines) {
                     group_bases.push_back(baselines.get(

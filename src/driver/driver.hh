@@ -49,7 +49,7 @@ struct DriverOptions
 
     /**
      * Capture `.sstt` op traces of live jobs into this directory as
-     * the batch runs (the `sweep --record-dir` mode). Each freshly
+     * the batch runs (the `sst sweep --record-dir` mode). Each freshly
      * executed, non-oversubscribed job writes its canonical trace file
      * (tracePathFor) via the RecordingSource shim around its parallel
      * run; baseline streams are filled by pure generation, so shared

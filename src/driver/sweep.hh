@@ -3,10 +3,9 @@
  * Declarative sweep grids for the experiment driver: a cross-product of
  * benchmark profiles x thread counts x LLC sizes (plus shared SimParams
  * overrides) expands into a flat job batch, and completed batches export
- * to CSV or JSON for plotting pipelines. The command-line `sweep` tool
- * (bench/sweep.cc) is a thin shell over this module, and the list/size
- * parsers here are what it uses for `--threads 2,4,8,16` and
- * `--llc 1M,2M,4M,8M` style arguments.
+ * to CSV or JSON for plotting pipelines. `sst sweep` is a thin shell
+ * over this module, and the list/size parsers here are what it uses for
+ * `--threads 2,4,8,16` and `--llc 1M,2M,4M,8M` style arguments.
  */
 
 #ifndef SST_DRIVER_SWEEP_HH

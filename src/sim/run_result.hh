@@ -50,11 +50,11 @@ struct RunResult
     std::vector<RegionBoundary> regions;
 
     /** Events the engine dispatched (core actions + wakes); the
-     *  denominator of event-loop throughput (bench/perf_engine). */
+     *  denominator of benchmark/'s sim.ns_per_event. */
     std::uint64_t engineEvents = 0;
 
     /** Futex-style wake events dispatched (a subset of engineEvents).
-     *  Deterministic; exact-compared by the perf gate. */
+     *  Deterministic; exact-compared by tests/test_sched.cc. */
     std::uint64_t engineWakes = 0;
 
     /** Time-slice preemptions taken by the scheduler. Deterministic. */

@@ -7,7 +7,6 @@
 #include "driver/fingerprint.hh"
 #include "sim/system.hh"
 #include "wdl/wdl.hh"
-#include "workload/thread_program.hh"
 
 namespace sst {
 
@@ -183,35 +182,17 @@ tracePathFor(const std::string &dir, const WorkloadSpec &workload,
 }
 
 void
-appendGeneratedBaseline(TraceWriter &writer,
-                        const BenchmarkProfile &profile, int group)
-{
-    // The 1-thread stream is a pure function of the profile: enumerate
-    // it directly. The bytes equal a RecordingSource capture of a live
-    // baseline run, because the simulator pulls each op exactly once.
-    ThreadProgram program(profile, 0, 1);
-    const int stream = writer.baselineStream(group);
-    for (;;) {
-        const Op op = program.nextOp();
-        writer.append(stream, op);
-        if (op.type == OpType::kEnd)
-            return;
-    }
-}
-
-void
 appendGeneratedBaseline(TraceWriter &writer, const WorkloadSpec &workload,
                         int group)
 {
-    if (!workload.wdlProgram) {
-        appendGeneratedBaseline(
-            writer,
-            workload.groups[static_cast<std::size_t>(group)].profile, group);
-        return;
-    }
-    // Same enumeration, driven by the sequential WDL interpreter.
-    const std::unique_ptr<OpSource> source =
-        workloadGroupBaselineSources(workload, group)(0, 1);
+    // The 1-thread stream is a pure function of the workload: enumerate
+    // it directly. The bytes equal a RecordingSource capture of a live
+    // baseline run, because the simulator pulls each op exactly once.
+    // The factory owns the profile its sources read, so it must outlive
+    // the source.
+    const OpSourceFactory factory =
+        workloadGroupBaselineSources(workload, group);
+    const std::unique_ptr<OpSource> source = factory(0, 1);
     const int stream = writer.baselineStream(group);
     for (;;) {
         const Op op = source->nextOp();

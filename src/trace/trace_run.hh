@@ -71,20 +71,13 @@ std::string tracePathFor(const std::string &dir,
                          std::uint64_t sched_seed = 0);
 
 /**
- * Append group @p group's 1-thread sequential reference program to
- * @p writer's corresponding baseline stream by pure generation — an op
- * stream is a deterministic function of its profile, so no simulation
- * is needed and the bytes equal what a recorded live baseline run
- * would capture. This is how `sweep --record-dir` fills baseline
- * streams without re-running baselines every job.
- */
-void appendGeneratedBaseline(TraceWriter &writer,
-                             const BenchmarkProfile &profile, int group);
-
-/**
- * Workload-aware form: profile-backed groups enumerate exactly as the
- * profile overload; WDL-backed groups enumerate the sequential program
- * compiled from the workload's IR.
+ * Append group @p group's 1-thread sequential reference program
+ * (workloadGroupBaselineSources()) to @p writer's corresponding
+ * baseline stream by pure generation — an op stream is a deterministic
+ * function of its workload, so no simulation is needed and the bytes
+ * equal what a recorded live baseline run would capture. This is how
+ * `sst sweep --record-dir` fills baseline streams without re-running
+ * baselines every job.
  */
 void appendGeneratedBaseline(TraceWriter &writer,
                              const WorkloadSpec &workload, int group);

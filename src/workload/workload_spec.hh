@@ -175,8 +175,9 @@ OpSourceFactory workloadOpSources(const WorkloadSpec &spec);
  * 1-thread baseline op-source factory for group @p group of @p spec:
  * ThreadProgram(profile, tid, nthreads) for profile-backed workloads
  * (bit-identical to the historical baselines) and the sequential WDL
- * program for WDL-backed ones. The driver and the trace recorder share
- * this so generated and recorded baselines agree.
+ * program for WDL-backed ones. Every group baseline comes from here —
+ * driver, runMixExperiment(), trace recording and generation — so
+ * generated and recorded baselines agree.
  */
 OpSourceFactory workloadGroupBaselineSources(const WorkloadSpec &spec,
                                              int group);

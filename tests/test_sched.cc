@@ -86,6 +86,32 @@ TEST(SchedGolden, OversubscribedGolden)
     EXPECT_EQ(r.totalInstructions, 8267294u);
 }
 
+TEST(SchedGolden, OversubscribedEngineCounters)
+{
+    // Cholesky at 2 threads per core: the scheduler, wake and
+    // preemption paths all hot. Every engine counter is deterministic.
+    struct Expected
+    {
+        int ncores;
+        std::uint64_t events, cycles, wakes, preemptions, heapOps;
+    };
+    constexpr Expected kExpected[] = {
+        {4, 323462, 1317383, 2409, 336, 325915},
+        {16, 423099, 1797299, 3751, 5186, 427059},
+        {64, 718325, 2723735, 5432, 38736, 724648},
+    };
+    for (const Expected &x : kExpected) {
+        SCOPED_TRACE(std::to_string(x.ncores) + " cores");
+        const RunResult r = simulate(SimParams{}, profileByLabel("cholesky"),
+                                     2 * x.ncores, x.ncores);
+        EXPECT_EQ(r.engineEvents, x.events);
+        EXPECT_EQ(r.executionTime, x.cycles);
+        EXPECT_EQ(r.engineWakes, x.wakes);
+        EXPECT_EQ(r.enginePreemptions, x.preemptions);
+        EXPECT_EQ(r.engineHeapOps, x.heapOps);
+    }
+}
+
 // ---- preemption-wait accounting (the satellite bugfix) ---------------------
 
 TEST(SchedAccounting, PreemptionWaitIsCharged)

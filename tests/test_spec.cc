@@ -435,8 +435,8 @@ TEST(Fingerprint, SpecAndFlagGridsProduceIdenticalFingerprints)
                                           "sched = round-robin\n");
     const std::vector<JobSpec> specJobs = expandGrid(specGrid(spec));
 
-    // As `sweep --profiles cholesky --threads 2,4 --sched round-robin`
-    // builds it.
+    // As `sst sweep --profiles cholesky --threads 2,4 --sched
+    // round-robin` builds it.
     SweepGrid flags;
     flags.profiles = {"cholesky"};
     flags.threads = {2, 4};

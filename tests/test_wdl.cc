@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
 #include "spec/spec.hh"
@@ -326,6 +327,19 @@ TEST(WdlTrace, RecordThenReplayIsBitIdentical)
     const SpeedupExperiment replayed = replaySpeedupTrace(params, path);
     expectSameExperiment(live, replayed);
     std::remove(path.c_str());
+}
+
+TEST(WdlDriver, MixExperimentMatchesDriverRow)
+{
+    // runMixExperiment() must simulate the program, not the placeholder
+    // profiles. Single group only: the driver folds the group index into
+    // later groups' seeds.
+    const JobSpec job = wdlJob(kPhased);
+    const std::vector<JobResult> rows =
+        runExperimentBatch({job}, DriverOptions{});
+    ASSERT_TRUE(rows[0].ok()) << rows[0].error;
+    expectSameExperiment(runMixExperiment(job.params, job.workload),
+                         rows[0].exp);
 }
 
 // ---- fingerprints ----------------------------------------------------------
