@@ -22,11 +22,14 @@ namespace sst {
 namespace {
 
 /**
- * Per-batch cache of parsed trace containers. Jobs that differ only in
- * machine parameters share one trace file; parsing (whole-file read +
- * full validation decode of every stream) should happen once per path,
- * not once per job. Parsing runs outside the lock; a racing duplicate
- * parse is harmless — the first insert wins.
+ * Per-batch share of parsed trace containers. Jobs that differ only in
+ * machine parameters share one trace file; jobs replaying a path at the
+ * same time share one parse (whole-file read + full validation decode
+ * of every stream). The cache holds readers weakly, so a trace image is
+ * freed as soon as the last job using it finishes instead of living
+ * until the batch ends. Each path parses under its own mutex: a second
+ * job waits for the first one's parse rather than repeating it, and
+ * different paths parse in parallel.
  */
 class TraceReaderCache
 {
@@ -34,21 +37,29 @@ class TraceReaderCache
     std::shared_ptr<const TraceReader>
     get(const std::string &path)
     {
+        Slot *slot = nullptr;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            auto it = readers_.find(path);
-            if (it != readers_.end())
-                return it->second;
+            slot = &slots_[path]; // node-based: stays valid
         }
-        auto reader = std::make_shared<const TraceReader>(path);
-        std::lock_guard<std::mutex> lock(mutex_);
-        return readers_.emplace(path, std::move(reader)).first->second;
+        std::lock_guard<std::mutex> lock(slot->mutex);
+        std::shared_ptr<const TraceReader> reader = slot->reader.lock();
+        if (!reader) {
+            reader = std::make_shared<const TraceReader>(path);
+            slot->reader = reader;
+        }
+        return reader;
     }
 
   private:
+    struct Slot
+    {
+        std::mutex mutex;
+        std::weak_ptr<const TraceReader> reader;
+    };
+
     std::mutex mutex_;
-    std::unordered_map<std::string, std::shared_ptr<const TraceReader>>
-        readers_;
+    std::unordered_map<std::string, Slot> slots_;
 };
 
 /**

@@ -1,24 +1,31 @@
 #include "trace_reader.hh"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 
 namespace sst {
 
 namespace {
 
+/** The file's bytes in one buffer sized to the file, filled by one
+ *  read: the image is the largest allocation a replay makes, so it is
+ *  never regrown or copied. */
 std::string
 readWholeFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw TraceError("cannot open trace file: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad())
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec)
         throw TraceError("failed reading trace file: " + path);
-    return buf.str();
+    std::string data(static_cast<std::size_t>(size), '\0');
+    if (!in.read(data.data(), static_cast<std::streamsize>(size)))
+        throw TraceError("failed reading trace file: " + path);
+    return data;
 }
 
 } // namespace

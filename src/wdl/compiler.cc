@@ -22,6 +22,7 @@
 
 #include "wdl/wdl.hh"
 #include "workload/op.hh"
+#include "workload/warmup.hh"
 
 namespace sst {
 namespace wdl {
@@ -111,6 +112,7 @@ class ProgramSource final : public OpSource
           barrierOffset_(barrier_offset), rng_(threadSeed(seed, static_cast<std::uint64_t>(local_tid)))
     {
         precomputeZipf(group_.body);
+        planWarmup();
     }
 
     Op
@@ -170,9 +172,10 @@ class ProgramSource final : public OpSource
         buf_.clear();
         cursor_ = 0;
         if (phase_ == RunPhase::kWarmup) {
-            emitWarmup();
-            phase_ = RunPhase::kBody;
-            stack_.push_back(Frame{&group_.body, 0, 1, nullptr, 0});
+            if (warmup_.fill(buf_)) {
+                phase_ = RunPhase::kBody;
+                stack_.push_back(Frame{&group_.body, 0, 1, nullptr, 0});
+            }
             return;
         }
         while (phase_ == RunPhase::kBody && buf_.size() < kRefillTarget) {
@@ -369,25 +372,22 @@ class ProgramSource final : public OpSource
      *  every lock's protected data so the RoI starts from warmed caches,
      *  then rendezvous (parallel runs) and open the RoI. */
     void
-    emitWarmup()
+    planWarmup()
     {
-        const Addr pbase = addrmap::privateBase(dataTid_);
-        for (Addr off = 0; off < group_.privateBytes; off += kLineBytes)
-            buf_.push_back(Op::load(pbase + off, 0x30000));
-        const Addr sbase = addrmap::groupSharedBase(groupIndex_);
-        for (Addr off = 0; off < group_.sharedBytes; off += kLineBytes)
-            buf_.push_back(Op::load(sbase + off, 0x30010));
-        for (const LockDecl &l : prog_->locks) {
-            for (std::uint64_t k = 0; k < l.size; ++k) {
-                const Addr base = addrmap::lockDataBase(
-                    static_cast<LockId>(static_cast<std::uint64_t>(l.firstId) + k));
-                for (Addr off = 0; off < kLockDataBytes; off += kLineBytes)
-                    buf_.push_back(Op::load(base + off, 0x30020));
-            }
-        }
+        const auto lines = [](std::uint64_t bytes) {
+            return (bytes + kLineBytes - 1) / kLineBytes;
+        };
+        warmup_.addSweep(addrmap::privateBase(dataTid_),
+                         lines(group_.privateBytes), 0x30000);
+        warmup_.addSweep(addrmap::groupSharedBase(groupIndex_),
+                         lines(group_.sharedBytes), 0x30010);
+        // A declaration's ids are consecutive and lockDataBase is linear
+        // in the id, so its locks' data regions form one sweep.
+        for (const LockDecl &l : prog_->locks)
+            warmup_.addSweep(addrmap::lockDataBase(l.firstId),
+                             l.size * lines(kLockDataBytes), 0x30020);
         if (parallel_)
-            buf_.push_back(Op::barrier(kWarmupBarrierId + barrierOffset_));
-        buf_.push_back(Op::roiBegin());
+            warmup_.setBarrier(kWarmupBarrierId + barrierOffset_);
     }
 
     std::shared_ptr<const Program> prog_;
@@ -405,6 +405,7 @@ class ProgramSource final : public OpSource
     std::vector<Frame> stack_;
     std::vector<Op> buf_;
     std::size_t cursor_ = 0;
+    WarmupStream warmup_;
     std::uint64_t memSlot_ = 0;
     RunPhase phase_ = RunPhase::kWarmup;
     bool finished_ = false;

@@ -56,6 +56,49 @@ ThreadProgram::ThreadProgram(const BenchmarkProfile &profile, ThreadId tid,
     sstAssert(tid >= 0 && tid < nthreads, "ThreadProgram tid out of range");
     for (int ph = 0; ph < prof_.barrierPhases; ++ph)
         plannedIters_ += itersInPhase(ph);
+
+    // Pre-RoI warmup, mirroring SPLASH-2/PARSEC methodology: every
+    // thread sweeps its private region once so the measured region of
+    // interest starts with warm caches (the paper's results are gathered
+    // from the parallel fraction with the same property). A barrier
+    // aligns the threads, then kRoiBegin resets the measurements.
+    const Addr pbase = addrmap::privateBase(dataTid_);
+    const std::uint64_t lines =
+        std::max<std::uint64_t>(prof_.privateBytes, kLineBytes) /
+        kLineBytes;
+    warmup_.addSweep(pbase, lines, 0x30000);
+    // Re-touch the hot window last so it is MRU when measurement
+    // starts; otherwise the LRU sweep order would leave exactly the
+    // lines the RoI uses first in line for eviction, creating an
+    // artificial inter-thread miss burst at RoI start.
+    const std::uint64_t priv_hot =
+        (prof_.privateHotBytes == 0
+             ? std::max<std::uint64_t>(prof_.privateBytes, kLineBytes)
+             : std::min<std::uint64_t>(prof_.privateHotBytes,
+                                       prof_.privateBytes)) /
+        kLineBytes;
+    if (priv_hot < lines)
+        warmup_.addSweep(pbase, priv_hot, 0x30001);
+    // Also sweep the initial shared hot window so steady-state
+    // positive interference reflects window movement, not the
+    // first-touch transient (each core's ATD must know the lines a
+    // private cache would already hold).
+    const std::uint64_t hot = std::min<std::uint64_t>(
+        prof_.sharedHotBytes, prof_.sharedBytes);
+    if (prof_.sharedFrac > 0.0)
+        warmup_.addSweep(scope_.sharedBase, hot / kLineBytes, 0x30010);
+    // Lock-protected data regions are shared too: sweep them so CS
+    // accesses do not register as first-touch positive interference.
+    // lockDataBase is linear in the lock id, so the locks' 4 KB regions
+    // form one contiguous sweep.
+    if (prof_.numLocks > 0) {
+        warmup_.addSweep(
+            addrmap::lockDataBase(scope_.lockIdOffset),
+            static_cast<std::uint64_t>(prof_.numLocks) * (4096 / kLineBytes),
+            0x30020);
+    }
+    if (parallelMode())
+        warmup_.setBarrier(kWarmupBarrierId + scope_.barrierIdOffset);
 }
 
 std::uint64_t
@@ -81,8 +124,6 @@ ThreadProgram::itersInPhase(int phase) const
     // All threads compute the same weight vector from shared hashes, so
     // the division is consistent without communication.
     double wsum = 0.0;
-    double wself = 0.0;
-    std::uint64_t assigned = 0;
     std::vector<double> w(static_cast<std::size_t>(active));
     for (int slot = 0; slot < active; ++slot) {
         const double u = signedUnit(mix64(prof_.seed, 0x5E3 + slot, phase));
@@ -90,32 +131,19 @@ ThreadProgram::itersInPhase(int phase) const
             1.0 + prof_.imbalanceSkew * u;
         wsum += w[static_cast<std::size_t>(slot)];
     }
-    wself = w[static_cast<std::size_t>(rot)];
 
     // Deterministic rounding: earlier slots take floor(share); the last
     // slot absorbs the remainder so the total is conserved exactly.
-    std::uint64_t before = 0;
-    for (int slot = 0; slot < active; ++slot) {
+    std::uint64_t others = 0;
+    for (int slot = 0; slot < active - 1; ++slot) {
         const std::uint64_t share = static_cast<std::uint64_t>(
             std::floor(phase_iters * w[static_cast<std::size_t>(slot)] /
                        wsum));
-        if (slot < rot)
-            before += share;
         if (slot == rot)
-            assigned = share;
+            return share;
+        others += share;
     }
-    if (rot == active - 1) {
-        // Recompute exact remainder for the last active slot.
-        std::uint64_t others = 0;
-        for (int slot = 0; slot < active - 1; ++slot) {
-            others += static_cast<std::uint64_t>(std::floor(
-                phase_iters * w[static_cast<std::size_t>(slot)] / wsum));
-        }
-        assigned = phase_iters - others;
-    }
-    (void)before;
-    (void)wself;
-    return assigned;
+    return phase_iters - others;
 }
 
 Op
@@ -136,63 +164,8 @@ ThreadProgram::refill()
     buf_.clear();
     cursor_ = 0;
 
-    // Pre-RoI warmup, mirroring SPLASH-2/PARSEC methodology: every
-    // thread sweeps its private region once so the measured region of
-    // interest starts with warm caches (the paper's results are gathered
-    // from the parallel fraction with the same property). A barrier
-    // aligns the threads, then kRoiBegin resets the measurements.
     if (!warmupDone_) {
-        warmupDone_ = true;
-        const std::uint64_t lines =
-            std::max<std::uint64_t>(prof_.privateBytes, kLineBytes) /
-            kLineBytes;
-        for (std::uint64_t l = 0; l < lines; ++l) {
-            buf_.push_back(Op::load(
-                addrmap::privateBase(dataTid_) + l * kLineBytes, 0x30000));
-        }
-        // Re-touch the hot window last so it is MRU when measurement
-        // starts; otherwise the LRU sweep order would leave exactly the
-        // lines the RoI uses first in line for eviction, creating an
-        // artificial inter-thread miss burst at RoI start.
-        const std::uint64_t priv_hot =
-            (prof_.privateHotBytes == 0
-                 ? std::max<std::uint64_t>(prof_.privateBytes, kLineBytes)
-                 : std::min<std::uint64_t>(prof_.privateHotBytes,
-                                           prof_.privateBytes)) /
-            kLineBytes;
-        if (priv_hot < lines) {
-            for (std::uint64_t l = 0; l < priv_hot; ++l) {
-                buf_.push_back(Op::load(
-                    addrmap::privateBase(dataTid_) + l * kLineBytes,
-                    0x30001));
-            }
-        }
-        // Also sweep the initial shared hot window so steady-state
-        // positive interference reflects window movement, not the
-        // first-touch transient (each core's ATD must know the lines a
-        // private cache would already hold).
-        const std::uint64_t hot = std::min<std::uint64_t>(
-            prof_.sharedHotBytes, prof_.sharedBytes);
-        if (prof_.sharedFrac > 0.0 && hot > 0) {
-            for (std::uint64_t l = 0; l < hot / kLineBytes; ++l) {
-                buf_.push_back(Op::load(
-                    scope_.sharedBase + l * kLineBytes, 0x30010));
-            }
-        }
-        // Lock-protected data regions are shared too: sweep them so CS
-        // accesses do not register as first-touch positive interference.
-        for (int lk = 0; lk < prof_.numLocks; ++lk) {
-            for (Addr l = 0; l < 4096 / kLineBytes; ++l) {
-                buf_.push_back(Op::load(
-                    addrmap::lockDataBase(lk + scope_.lockIdOffset) +
-                        l * kLineBytes,
-                    0x30020));
-            }
-        }
-        if (parallelMode())
-            buf_.push_back(Op::barrier(kWarmupBarrierId +
-                                       scope_.barrierIdOffset));
-        buf_.push_back(Op::roiBegin());
+        warmupDone_ = warmup_.fill(buf_);
         return;
     }
 

@@ -26,6 +26,7 @@
 #include "workload/op.hh"
 #include "workload/op_source.hh"
 #include "workload/profile.hh"
+#include "workload/warmup.hh"
 
 namespace sst {
 
@@ -111,8 +112,10 @@ class ThreadProgram : public OpSource
     ThreadId dataTid_; ///< resolved scope_.dataTid (private region base)
     Rng rng_;
 
+    /** Refilled with one warmup chunk or one iteration at a time. */
     std::vector<Op> buf_;
     std::size_t cursor_ = 0;
+    WarmupStream warmup_;
 
     int phase_ = 0;
     std::uint64_t phaseItersLeft_ = 0;

@@ -2,12 +2,23 @@
  * @file
  * Unit and property tests for the workload generator: strong-scaling
  * work conservation, sequential-program purity, warmup/RoI structure,
- * determinism, and the parallelism cap.
+ * determinism, the parallelism cap, golden op-stream hashes and a
+ * bounded heap while many programs are drained.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#if __GLIBC_PREREQ(2, 33)
+#define SST_HAVE_MALLINFO2 1
+#endif
+#endif
 
 #include "test_util.hh"
 #include "workload/thread_program.hh"
@@ -192,6 +203,89 @@ TEST(ThreadProgram, WarmupSweepsPrivateRegion)
             ++warmup_loads;
     }
     EXPECT_GE(warmup_loads, 64);
+}
+
+/** Hash of all @p nthreads streams of profile @p label, each followed
+ *  by the thread's instruction count. */
+std::uint64_t
+programHash(const char *label, int nthreads)
+{
+    const BenchmarkProfile &p = profileByLabel(label);
+    std::uint64_t h = 0;
+    for (int t = 0; t < nthreads; ++t) {
+        ThreadProgram prog(p, t, nthreads);
+        h = test::hashStream(prog, h);
+        h = test::hashMix(h, prog.instructionsEmitted());
+    }
+    return h;
+}
+
+TEST(ThreadProgram, StreamsMatchGoldenHashes)
+{
+    // Captured from the generator that built each thread's whole warmup
+    // sweep in one buffer; streaming the warmup in chunks (and any
+    // later refactor) must reproduce every op bit for bit.
+    struct Golden
+    {
+        const char *label;
+        int nthreads;
+        std::uint64_t hash;
+    };
+    const Golden golden[] = {
+        {"radix", 1, 0xb68b0b69e29d2e5eULL},
+        {"radix", 16, 0x8fa48cab8f82c180ULL},
+        {"radix", 64, 0xcdbe1f4c10a0ce8fULL},
+        {"cholesky", 1, 0xb307dbf727002e77ULL},
+        {"cholesky", 16, 0x8ed4682527f61089ULL},
+        {"cholesky", 64, 0x7194bd0e7dc9c404ULL},
+        {"canneal_small", 1, 0xd5ebeebb587e62e5ULL},
+        {"canneal_small", 16, 0x7afec8c71f941017ULL},
+        {"canneal_small", 64, 0x178ca6a1b1bae2f5ULL},
+    };
+    for (const Golden &g : golden) {
+        EXPECT_EQ(programHash(g.label, g.nthreads), g.hash)
+            << g.label << " @" << g.nthreads;
+    }
+}
+
+#ifdef SST_HAVE_MALLINFO2
+/** Bytes the process currently holds in malloc'd blocks. */
+std::size_t
+liveHeapBytes()
+{
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+}
+#endif
+
+TEST(ThreadProgram, DrainingManyProgramsKeepsTheHeapBounded)
+{
+#ifdef SST_HAVE_MALLINFO2
+    // 64 radix threads each sweep an 8 MB private region (131 K loads)
+    // before the RoI. Drained round-robin, as the simulator interleaves
+    // them, buffering whole sweeps would hold ~270 MB at once.
+    const BenchmarkProfile &p = profileByLabel("radix");
+    constexpr int kThreads = 64;
+    const std::size_t base = liveHeapBytes();
+    std::vector<std::unique_ptr<ThreadProgram>> progs;
+    for (int t = 0; t < kThreads; ++t)
+        progs.push_back(std::make_unique<ThreadProgram>(p, t, kThreads));
+    std::size_t peak = 0;
+    for (std::uint64_t round = 0;; ++round) {
+        int live = 0;
+        for (const auto &prog : progs)
+            live += prog->nextOp().type != OpType::kEnd;
+        if (round % 1024 == 0 || live == 0) {
+            const std::size_t now = liveHeapBytes();
+            peak = std::max(peak, now > base ? now - base : 0);
+        }
+        if (live == 0)
+            break;
+    }
+    EXPECT_LT(peak, std::size_t{16} << 20);
+#else
+    GTEST_SKIP() << "needs glibc mallinfo2";
+#endif
 }
 
 } // namespace

@@ -190,6 +190,42 @@ TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
     std::filesystem::remove_all(dir);
 }
 
+TEST(DriverTrace, JobsSharingOneTraceEachReplayIt)
+{
+    // Two jobs that differ only in the LLC size look up one canonical
+    // recording. Whether they hold it at the same time (2 workers) or
+    // one after the other (1 worker: the image is freed when the first
+    // job finishes and parsed again), both must replay it and match
+    // their live rows.
+    const std::string dir = freshTempDir("driver_shared");
+    const BenchmarkProfile profile = test::lockHeavyProfile();
+    recordSpeedupTrace(SimParams{}, profile, 4,
+                       tracePathFor(dir, profile, 4));
+    JobSpec small = makeJob(profile, 4);
+    JobSpec large = small;
+    large.params.cache.llcBytes *= 2;
+    const std::vector<JobSpec> specs = {small, large};
+    const std::vector<JobResult> live =
+        runExperimentBatch(specs, DriverOptions{});
+
+    for (const int jobs : {1, 2}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        DriverOptions opts;
+        opts.jobs = jobs;
+        opts.traceDir = dir;
+        BatchStats stats;
+        const std::vector<JobResult> replayed =
+            runExperimentBatch(specs, opts, &stats);
+        EXPECT_EQ(stats.traceReplays, 2u);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            ASSERT_TRUE(replayed[i].ok()) << replayed[i].error;
+            ASSERT_TRUE(live[i].ok()) << live[i].error;
+            expectSameExperiment(replayed[i].exp, live[i].exp);
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(DriverTrace, MissingTraceFallsBackToLiveGeneration)
 {
     const std::string dir = freshTempDir("driver_fallback");

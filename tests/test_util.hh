@@ -7,10 +7,40 @@
 #ifndef SST_TESTS_TEST_UTIL_HH
 #define SST_TESTS_TEST_UTIL_HH
 
+#include <cstdint>
+
+#include "workload/op_source.hh"
 #include "workload/profile.hh"
 
 namespace sst {
 namespace test {
+
+/** Fold @p v into the running order-sensitive hash @p h. */
+inline std::uint64_t
+hashMix(std::uint64_t h, std::uint64_t v)
+{
+    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 29);
+}
+
+/**
+ * Drain @p src and fold every field of every op, kEnd included, into
+ * @p h. Golden values of this hash pin op streams exactly.
+ */
+inline std::uint64_t
+hashStream(OpSource &src, std::uint64_t h)
+{
+    for (;;) {
+        const Op op = src.nextOp();
+        h = hashMix(h, static_cast<std::uint64_t>(op.type));
+        h = hashMix(h, op.count);
+        h = hashMix(h, op.addr);
+        h = hashMix(h, op.pc);
+        h = hashMix(h, static_cast<std::uint64_t>(op.id));
+        if (op.type == OpType::kEnd)
+            return h;
+    }
+}
 
 /** A tiny compute-only profile (no sync, no sharing). */
 inline BenchmarkProfile

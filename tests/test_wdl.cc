@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
 #include "spec/spec.hh"
+#include "tests/test_util.hh"
 #include "trace/trace_run.hh"
 #include "wdl/wdl.hh"
 #include "workload/op.hh"
@@ -285,6 +287,32 @@ TEST(WdlCompiler, BaselineStreamsHaveNoSyncOps)
             EXPECT_NE(op.type, OpType::kBarrier);
         }
     }
+}
+
+TEST(WdlCompiler, ContentionStreamsMatchGoldenHash)
+{
+    // examples/workloads/contention.wdl with one thread per group: each
+    // thread's warmup (2 K private lines, 4 K lock-data lines) spans many
+    // buffer refills. Captured from the compiler that built the whole
+    // warmup in one buffer; every op must stay bit-identical.
+    std::ifstream in(std::string(SST_TESTS_DATA_DIR) +
+                     "/../../examples/workloads/contention.wdl");
+    ASSERT_TRUE(in) << "cannot open contention.wdl";
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    for (std::size_t at = text.find("threads=8"); at != std::string::npos;
+         at = text.find("threads=8"))
+        text.replace(at, 9, "threads=1");
+    const WorkloadSpec spec = specFromText(text, "contention.wdl");
+    ASSERT_EQ(spec.nthreads(), 2);
+
+    std::uint64_t h = 0;
+    const OpSourceFactory parallel = workloadOpSources(spec);
+    for (int tid = 0; tid < spec.nthreads(); ++tid)
+        h = test::hashStream(*parallel(tid, spec.nthreads()), h);
+    for (int g = 0; g < spec.ngroups(); ++g)
+        h = test::hashStream(*workloadGroupBaselineSources(spec, g)(0, 1), h);
+    EXPECT_EQ(h, 0x7928c9d5ffecac0cULL);
 }
 
 // ---- driver / record / replay ----------------------------------------------
