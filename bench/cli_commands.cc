@@ -741,7 +741,8 @@ workerUsage()
         "  --cache-dir DIR         worker-side result cache (default:\n"
         "                          none — the server caches results)\n"
         "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "  --poll-ms K             idle poll interval (default: 200)\n"
+        "  --poll-ms K             retry interval after a failed lease\n"
+        "                          request (default: 200)\n"
         "  --retries K             tolerated consecutive connection\n"
         "                          failures (default: 30)\n"
         "  --verbose               log every lease and completion\n"

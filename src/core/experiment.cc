@@ -1,8 +1,5 @@
 #include "experiment.hh"
 
-#include <chrono>
-
-#include "telemetry/metrics.hh"
 #include "util/logging.hh"
 
 namespace sst {
@@ -118,61 +115,6 @@ runMixExperiment(const SimParams &params, const WorkloadSpec &workload,
         workload.label(), workload.nthreads(), params,
         combineGroupBaselines(bases),
         simulateWorkload(params, workload, ncores_override), opts);
-}
-
-const RunResult &
-BaselineStore::get(const std::string &key,
-                   const std::function<RunResult()> &compute)
-{
-    std::promise<std::shared_ptr<const RunResult>> promise;
-    std::shared_future<std::shared_ptr<const RunResult>> future;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = futures_.find(key);
-        if (it == futures_.end()) {
-            future = promise.get_future().share();
-            futures_.emplace(key, future);
-            ++computes_;
-            owner = true;
-        } else {
-            future = it->second;
-        }
-    }
-    // Contention telemetry: a non-owner whose future is not yet ready
-    // is blocked behind an in-flight compute of the same key. Sampled
-    // only (never branched on), so results are unaffected.
-    telemetry::Registry &registry = telemetry::Registry::global();
-    if (registry.enabled()) {
-        const char *outcome =
-            owner ? "compute"
-                  : future.wait_for(std::chrono::seconds(0)) ==
-                            std::future_status::ready
-                        ? "hit"
-                        : "wait";
-        registry
-            .counter("sst_driver_baseline_requests_total",
-                     {{"outcome", outcome}})
-            .inc();
-    }
-    if (owner) {
-        // Compute outside the lock so other keys proceed concurrently. A
-        // failure propagates to every waiter of the same key.
-        try {
-            promise.set_value(
-                std::make_shared<const RunResult>(compute()));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
-    return *future.get();
-}
-
-std::size_t
-BaselineStore::computeCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return computes_;
 }
 
 } // namespace sst

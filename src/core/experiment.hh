@@ -10,12 +10,7 @@
 #ifndef SST_CORE_EXPERIMENT_HH
 #define SST_CORE_EXPERIMENT_HH
 
-#include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "accounting/report.hh"
 #include "core/speedup_stack.hh"
@@ -119,40 +114,6 @@ SpeedupExperiment runMixExperiment(const SimParams &params,
 
 /** Default report options consistent with @p params. */
 ReportOptions defaultReportOptions(const SimParams &params);
-
-/**
- * Thread-safe memoization of single-threaded baseline runs, shared by
- * every job of a batch that sweeps thread counts (or any other parameter
- * the 1-thread run does not depend on). The first caller of a key
- * computes the baseline; concurrent callers of the same key block until
- * it is ready and then share the stored result. Keys are caller-defined:
- * two keys must be equal iff the baseline runs they describe are
- * identical (the driver uses a canonical fingerprint of
- * (profile, params-with-ncores-pinned-to-1)).
- */
-class BaselineStore
-{
-  public:
-    /**
-     * Return the 1-thread run for @p key, computing it (at most once
-     * per key, even under concurrency) via @p compute. The caller
-     * chooses how the baseline is produced — live generation or trace
-     * replay — which must not matter for the result (both are
-     * deterministic functions of the key's identity).
-     */
-    const RunResult &get(const std::string &key,
-                         const std::function<RunResult()> &compute);
-
-    /** Number of baselines actually computed (not lookups). */
-    std::size_t computeCount() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string,
-                       std::shared_future<std::shared_ptr<const RunResult>>>
-        futures_;
-    std::size_t computes_ = 0;
-};
 
 } // namespace sst
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "driver/baseline_store.hh"
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "serve/job_queue.hh"
@@ -129,11 +130,24 @@ class TraceRecordClaims
     std::set<std::string> claimed_;
 };
 
-/** Execute one job (validation, cache, trace replay or live runs). */
+} // namespace
+
+struct JobExecutor::Impl
+{
+    DriverOptions opts;
+    ResultCache *cache = nullptr;
+    LocalBaselineStore ownBaselines;
+    BaselineStore *baselines = &ownBaselines;
+    std::atomic<std::size_t> baselinesComputed{0};
+    TraceReaderCache traces;
+    TraceRecordClaims records;
+
+    /** Execute one job (validation, cache, trace replay or live runs). */
+    JobResult runOneJob(const JobSpec &spec, std::uint64_t job_id);
+};
+
 JobResult
-runOneJob(const DriverOptions &opts, const JobSpec &spec,
-          BaselineStore &baselines, ResultCache *cache,
-          TraceReaderCache &traces, TraceRecordClaims &records)
+JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
 {
     telemetry::Registry &registry = telemetry::Registry::global();
     telemetry::ScopedSpan jobSpan("job", "driver");
@@ -207,41 +221,68 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
                     traceMetaFor(workload, spec.params));
                 // Baseline streams are a pure function of the workload
                 // — fill them by generation so the 1-thread runs can
-                // still come from the shared BaselineStore.
+                // still come from the shared baseline store.
                 for (int g = 0; g < workload.ngroups(); ++g)
                     appendGeneratedBaseline(*writer, workload, g);
             }
         }
 
-        // Per-group 1-thread reference runs. Keys are the full
-        // canonical baseline text (not the hash) so two distinct
-        // baselines can never silently share a slot; the key is
-        // frontend-agnostic (a replayed baseline is bit-identical to a
-        // generated one) and group-agnostic (a mix group shares its
-        // baseline with homogeneous sweeps of the same profile).
-        std::vector<RunResult> group_bases;
-        group_bases.reserve(workload.groups.size());
-        {
-            telemetry::ScopedSpan baselineSpan("baseline", "driver");
-            for (std::size_t g = 0; g < workload.groups.size(); ++g) {
-                const int group = static_cast<int>(g);
-                auto compute = [&]() -> RunResult {
-                    if (reader)
-                        return replayBaseline(spec.params, *reader,
-                                              group);
-                    return simulateSources(
-                        spec.params,
-                        workloadGroupBaselineSources(workload, group), 1);
-                };
-                if (opts.shareBaselines) {
-                    group_bases.push_back(baselines.get(
-                        fingerprintWorkloadGroupBaseline(spec.params,
-                                                         workload, group)
-                            .canonical,
-                        compute));
-                } else {
-                    group_bases.push_back(compute());
-                }
+        // Per-group 1-thread reference runs, shared by claim-or-defer
+        // (driver/baseline_store.hh). Keys are the full canonical
+        // baseline text (not the hash) so two distinct baselines can
+        // never silently share a slot; the key is frontend-agnostic (a
+        // replayed baseline is bit-identical to a generated one) and
+        // group-agnostic (a mix group shares its baseline with
+        // homogeneous sweeps of the same profile).
+        const int ngroups = workload.ngroups();
+        std::vector<BaselineSlot> slots(static_cast<std::size_t>(ngroups));
+        std::vector<std::shared_ptr<const RunResult>> group_bases(
+            slots.size());
+        auto computeBaseline = [&](int g) {
+            telemetry::ScopedSpan span("baseline", "driver");
+            baselinesComputed.fetch_add(1, std::memory_order_relaxed);
+            try {
+                group_bases[g] = std::make_shared<const RunResult>(
+                    reader ? replayBaseline(spec.params, *reader, g)
+                           : simulateSources(
+                                 spec.params,
+                                 workloadGroupBaselineSources(workload, g),
+                                 1));
+            } catch (...) {
+                baselines->abandon(slots[g], std::current_exception());
+                throw;
+            }
+            baselines->publish(slots[g], group_bases[g]);
+        };
+        auto countRequest = [&registry](const char *outcome) {
+            registry
+                .counter("sst_driver_baseline_requests_total",
+                         {{"outcome", outcome}})
+                .inc();
+        };
+        // Claim every group now. Owned baselines are computed at once
+        // (other jobs may be waiting for them); baselines another job
+        // is computing are deferred past the parallel run.
+        std::vector<int> deferred;
+        for (int g = 0; g < ngroups; ++g) {
+            slots[g] = BaselineSlot{
+                job_id, g,
+                fingerprintWorkloadGroupBaseline(spec.params, workload, g)
+                    .canonical};
+            const BaselineTicket ticket = baselines->claim(slots[g]);
+            switch (ticket.claim) {
+            case BaselineTicket::Claim::kHave:
+                countRequest("hit");
+                group_bases[g] = ticket.run;
+                break;
+            case BaselineTicket::Claim::kCompute:
+                countRequest("compute");
+                computeBaseline(g);
+                break;
+            case BaselineTicket::Claim::kPending:
+                countRequest("deferred");
+                deferred.push_back(g);
+                break;
             }
         }
 
@@ -272,9 +313,29 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
             }
         }
 
+        // Collect the deferred baselines. A parallel run usually
+        // outlasts a baseline, so they are mostly ready by now; any
+        // time still spent blocked is its own span.
+        for (const int g : deferred) {
+            BaselineTicket ticket = baselines->claim(slots[g]);
+            if (ticket.claim == BaselineTicket::Claim::kPending) {
+                countRequest("wait");
+                telemetry::ScopedSpan span("baseline-wait", "driver");
+                ticket = baselines->await(slots[g]);
+            }
+            if (ticket.claim == BaselineTicket::Claim::kCompute)
+                computeBaseline(g); // the owner released its claim
+            else
+                group_bases[g] = ticket.run;
+        }
+
+        std::vector<RunResult> runs;
+        runs.reserve(group_bases.size());
+        for (const std::shared_ptr<const RunResult> &run : group_bases)
+            runs.push_back(*run);
         SpeedupExperiment exp = assembleExperiment(
             workload.label(), nthreads, spec.params,
-            combineGroupBaselines(group_bases), std::move(parallel));
+            combineGroupBaselines(runs), std::move(parallel));
         res.tracedReplay = reader != nullptr;
         if (cache) {
             telemetry::ScopedSpan storeSpan("cache-store", "driver");
@@ -289,37 +350,27 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
     return res;
 }
 
-} // namespace
-
-struct JobExecutor::Impl
-{
-    DriverOptions opts;
-    ResultCache *cache = nullptr;
-    BaselineStore baselines;
-    TraceReaderCache traces;
-    TraceRecordClaims records;
-};
-
-JobExecutor::JobExecutor(const DriverOptions &opts, ResultCache *cache)
+JobExecutor::JobExecutor(const DriverOptions &opts, ResultCache *cache,
+                         BaselineStore *baselines)
     : impl_(std::make_unique<Impl>())
 {
     impl_->opts = opts;
     impl_->cache = cache;
+    if (baselines)
+        impl_->baselines = baselines;
 }
 
 JobExecutor::~JobExecutor() = default;
 
 JobResult
-JobExecutor::run(const JobSpec &spec)
+JobExecutor::run(const JobSpec &spec, std::uint64_t job_id)
 {
     telemetry::Registry &registry = telemetry::Registry::global();
     const bool instrumented = registry.enabled();
     const auto start = instrumented
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-    JobResult res = runOneJob(impl_->opts, spec, impl_->baselines,
-                              impl_->cache, impl_->traces,
-                              impl_->records);
+    JobResult res = impl_->runOneJob(spec, job_id);
     if (instrumented) {
         const double seconds =
             std::chrono::duration<double>(
@@ -344,7 +395,7 @@ JobExecutor::run(const JobSpec &spec)
 std::size_t
 JobExecutor::baselinesComputed() const
 {
-    return impl_->baselines.computeCount();
+    return impl_->baselinesComputed.load(std::memory_order_relaxed);
 }
 
 ExperimentDriver::ExperimentDriver(DriverOptions opts)
@@ -406,7 +457,8 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
                       &unsettled](const std::string &worker) {
         serve::LeasedJob job;
         while (queue.lease(worker, 0, job)) {
-            queue.complete(job.id, worker, executor.run(job.spec));
+            queue.complete(job.id, worker,
+                           executor.run(job.spec, job.id));
             depthGauge.set(static_cast<double>(
                 unsettled.fetch_sub(1, std::memory_order_relaxed) - 1));
         }

@@ -17,6 +17,7 @@
 #define SST_DRIVER_DRIVER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "driver/job.hh"
 
 namespace sst {
+
+class BaselineStore;
 
 /** Batch execution configuration. */
 struct DriverOptions
@@ -57,12 +60,6 @@ struct DriverOptions
      * capture. Mutually exclusive with traceDir.
      */
     std::string recordDir;
-
-    /**
-     * Share 1-thread baseline runs across jobs with an equal baseline
-     * fingerprint (the experiment math reuses Ts across thread counts).
-     */
-    bool shareBaselines = true;
 };
 
 /** Aggregate counters of one runBatch() call. */
@@ -80,30 +77,36 @@ struct BatchStats
 
 /**
  * Executes single jobs: validation, result-cache lookup/store, trace
- * replay/record and the simulation runs, with 1-thread baselines,
- * parsed traces and record-path claims memoized across calls. This is
- * the execution engine runBatch() used to inline — split out so the
+ * replay/record and the simulation runs, with parsed traces and
+ * record-path claims memoized across calls and 1-thread baselines
+ * shared through a BaselineStore (driver/baseline_store.hh). The
  * in-process worker threads and external `sst worker` processes
- * (src/serve/) share one implementation. Thread-safe: concurrent run()
- * calls coordinate through the internal stores.
+ * (src/serve/) share this one implementation. Thread-safe: concurrent
+ * run() calls coordinate through the internal stores.
  */
 class JobExecutor
 {
   public:
     /**
      * @p cache may be null (memoization disabled); when set it must
-     * outlive the executor. @p opts is copied.
+     * outlive the executor. @p baselines is the store jobs claim
+     * baselines from; null gives the executor a private in-process
+     * store. A non-null store must outlive the executor. @p opts is
+     * copied.
      */
-    JobExecutor(const DriverOptions &opts, class ResultCache *cache);
+    JobExecutor(const DriverOptions &opts, class ResultCache *cache,
+                BaselineStore *baselines = nullptr);
     ~JobExecutor();
 
     /**
-     * Execute one job. Never throws: spec validation or execution
-     * errors yield a kFailed result carrying the message.
+     * Execute one job. @p job_id identifies the job to the baseline
+     * store (the queue id: baseline claims are held per job). Never
+     * throws: spec validation or execution errors yield a kFailed
+     * result carrying the message.
      */
-    JobResult run(const JobSpec &spec);
+    JobResult run(const JobSpec &spec, std::uint64_t job_id);
 
-    /** Distinct 1-thread baseline runs computed so far. */
+    /** 1-thread baseline runs this executor computed so far. */
     std::size_t baselinesComputed() const;
 
   private:

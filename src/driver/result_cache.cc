@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <unistd.h>
 
 #include "telemetry/metrics.hh"
@@ -197,6 +198,52 @@ decodeExperimentSummary(const std::string &text, SpeedupExperiment &out)
     exp.parallel.ncores = exp.nthreads;
     exp.parallel.executionTime = exp.tp;
     out = std::move(exp);
+    return true;
+}
+
+std::string
+encodeBaselineSummary(const RunResult &run)
+{
+    std::ostringstream os;
+    putU64(os, "ts", run.executionTime);
+    putU64(os, "instructions", run.totalInstructions);
+    putU64(os, "spin-instructions", run.totalSpinInstructions);
+    putU64(os, "events", run.engineEvents);
+    os << "end\n";
+    return os.str();
+}
+
+bool
+decodeBaselineSummary(const std::string &text, RunResult &out)
+{
+    // Strict: exactly the encoder's lines, in its order, digits only,
+    // and nothing after `end` — the text arrives off the wire.
+    RunResult run;
+    run.nthreads = 1;
+    run.ncores = 1;
+    const std::pair<const char *, std::uint64_t *> fields[] = {
+        {"ts", &run.executionTime},
+        {"instructions", &run.totalInstructions},
+        {"spin-instructions", &run.totalSpinInstructions},
+        {"events", &run.engineEvents},
+    };
+    std::size_t pos = 0;
+    for (const auto &[key, value] : fields) {
+        const std::string prefix = std::string(key) + ' ';
+        const std::size_t nl = text.find('\n', pos);
+        if (nl == std::string::npos ||
+            text.compare(pos, prefix.size(), prefix) != 0)
+            return false;
+        const std::string digits =
+            text.substr(pos + prefix.size(), nl - pos - prefix.size());
+        if (digits.find_first_not_of("0123456789") != std::string::npos ||
+            !toU64(digits, *value))
+            return false;
+        pos = nl + 1;
+    }
+    if (text.compare(pos, std::string::npos, "end\n") != 0)
+        return false;
+    out = std::move(run);
     return true;
 }
 

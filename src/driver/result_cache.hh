@@ -52,6 +52,22 @@ std::string encodeExperimentSummary(const SpeedupExperiment &exp);
 bool decodeExperimentSummary(const std::string &text,
                              SpeedupExperiment &out);
 
+/**
+ * Encode what experiments consume of a 1-thread baseline run — Ts,
+ * instructions, spin instructions and engine events — as `key value`
+ * lines terminated by an `end` line: the serve protocol's wire form of
+ * a shared baseline (the `baseline` / `baseline-done` verbs).
+ */
+std::string encodeBaselineSummary(const RunResult &run);
+
+/**
+ * Decode encodeBaselineSummary() text strictly: exactly its lines in
+ * its order, decimal digits only, nothing after `end`. On success
+ * @p out is a 1-thread run carrying those four fields; on failure it
+ * is untouched and false is returned.
+ */
+bool decodeBaselineSummary(const std::string &text, RunResult &out);
+
 /** On-disk result store keyed by job fingerprints. */
 class ResultCache
 {

@@ -51,6 +51,8 @@ JobQueue::makePending(Job &job, std::uint64_t not_before_ms)
     job.leaseExpiryMs = 0;
     job.notBeforeMs = not_before_ms;
     ready_.insert({-job.priority, job.seq, job.id});
+    ++readyEpoch_;
+    readyCv_.notify_all();
 }
 
 void
@@ -202,7 +204,7 @@ JobQueue::fail(JobId id, const std::string &worker,
 }
 
 std::size_t
-JobQueue::expireLeases(std::uint64_t now_ms)
+JobQueue::expireLeases(std::uint64_t now_ms, std::vector<JobId> *expired_ids)
 {
     std::size_t expired = 0;
     bool anySettled = false;
@@ -214,6 +216,8 @@ JobQueue::expireLeases(std::uint64_t now_ms)
                 job.leaseExpiryMs > now_ms)
                 continue;
             ++expired;
+            if (expired_ids)
+                expired_ids->push_back(job.id);
             if (job.attempts >= opts_.maxAttempts) {
                 settleFailed(job,
                              "lease expired after " +
@@ -323,6 +327,19 @@ JobQueue::trySpecFor(JobId id, JobSpec &out) const
     return true;
 }
 
+bool
+JobQueue::tryLeasedSpec(JobId id, const std::string &worker,
+                        JobSpec &out) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = jobs_.find(id);
+    if (it == jobs_.end() || it->second.state != QueueJobState::kLeased ||
+        it->second.worker != worker)
+        return false;
+    out = it->second.spec;
+    return true;
+}
+
 QueueJobState
 JobQueue::stateOf(JobId id) const
 {
@@ -343,6 +360,29 @@ JobQueue::waitSettled(JobId id, std::uint64_t timeout_ms) const
     return settledCv_.wait_for(lock,
                                std::chrono::milliseconds(timeout_ms),
                                isSettled);
+}
+
+std::uint64_t
+JobQueue::readyEpoch() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return readyEpoch_;
+}
+
+void
+JobQueue::waitReady(std::uint64_t epoch, std::uint64_t timeout_ms) const
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    readyCv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                      [&] { return readyEpoch_ != epoch; });
+}
+
+void
+JobQueue::wakeReadyWaiters()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++readyEpoch_;
+    readyCv_.notify_all();
 }
 
 bool

@@ -44,6 +44,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "driver/job.hh"
 
@@ -160,9 +161,11 @@ class JobQueue
     /**
      * Requeue every lease that expired before @p now_ms (with backoff),
      * settling jobs whose attempts are exhausted as failed. Returns the
-     * number of leases expired.
+     * number of leases expired and, when @p expired is set, appends
+     * their ids to it.
      */
-    std::size_t expireLeases(std::uint64_t now_ms);
+    std::size_t expireLeases(std::uint64_t now_ms,
+                             std::vector<JobId> *expired = nullptr);
 
     /** Settle a *pending* job without a lease — the submit-time result
      *  cache hit path. False when @p id is not pending. */
@@ -188,6 +191,10 @@ class JobQueue
      *  the tolerant variant for ids received off the wire. */
     bool trySpecFor(JobId id, JobSpec &out) const;
 
+    /** Spec of @p id if @p worker currently holds its lease. */
+    bool tryLeasedSpec(JobId id, const std::string &worker,
+                       JobSpec &out) const;
+
     QueueJobState stateOf(JobId id) const;
 
     /**
@@ -196,6 +203,19 @@ class JobQueue
      * needs a live expireLeases() caller, so waits must be re-armed.
      */
     bool waitSettled(JobId id, std::uint64_t timeout_ms) const;
+
+    /**
+     * Counter bumped whenever a job becomes pending (submit, requeue)
+     * and by wakeReadyWaiters(). Read it before a lease() attempt and
+     * hand it to waitReady() to sleep until something changed.
+     */
+    std::uint64_t readyEpoch() const;
+
+    /** Block until readyEpoch() != @p epoch, at most @p timeout_ms. */
+    void waitReady(std::uint64_t epoch, std::uint64_t timeout_ms) const;
+
+    /** Wake every waitReady() caller (drain, shutdown). */
+    void wakeReadyWaiters();
 
     /** True when no job is pending or leased. */
     bool idle() const;
@@ -232,6 +252,8 @@ class JobQueue
     JobQueueOptions opts_;
     mutable std::mutex mutex_;
     mutable std::condition_variable settledCv_;
+    mutable std::condition_variable readyCv_;
+    std::uint64_t readyEpoch_ = 0;
     std::map<JobId, Job> jobs_;
     std::unordered_map<std::string, JobId> byFingerprint_;
     std::set<ReadyKey> ready_;

@@ -14,7 +14,7 @@ constexpr const char *kEmptyToken = "\\e";
 const char *kKindNames[] = {
     "submit", "status", "results",   "cancel", "drain",
     "ping",   "lease",  "heartbeat", "done",   "fail",
-    "metrics",
+    "metrics", "baseline", "baseline-done",
 };
 
 std::string
@@ -48,6 +48,16 @@ tokenPriority(const std::string &token)
         throw std::invalid_argument("priority out of range: " + token);
     const int v = static_cast<int>(mag);
     return neg ? -v : v;
+}
+
+/** A workload group index: small and non-negative. */
+int
+tokenGroup(const std::string &token)
+{
+    const std::uint64_t v = tokenU64("group index", token);
+    if (v > 1000000)
+        throw std::invalid_argument("group index out of range: " + token);
+    return static_cast<int>(v);
 }
 
 void
@@ -183,6 +193,15 @@ serializeRequest(const Request &req)
                std::to_string(req.jobId) + ' ' +
                escapeToken(req.payload);
         break;
+    case Request::Kind::kBaseline:
+        out += ' ' + escapeToken(req.worker) + ' ' +
+               std::to_string(req.jobId) + ' ' + std::to_string(req.group);
+        break;
+    case Request::Kind::kBaselineDone:
+        out += ' ' + escapeToken(req.worker) + ' ' +
+               std::to_string(req.jobId) + ' ' + std::to_string(req.group) +
+               ' ' + escapeToken(req.payload);
+        break;
     case Request::Kind::kStatus:
     case Request::Kind::kDrain:
     case Request::Kind::kPing:
@@ -255,6 +274,19 @@ parseRequest(const std::string &line)
         req.worker = unescapeToken(tokens[1]);
         req.jobId = tokenU64("job id", tokens[2]);
         req.payload = unescapeToken(tokens[3]);
+        break;
+    case Request::Kind::kBaseline:
+        arity(4);
+        req.worker = unescapeToken(tokens[1]);
+        req.jobId = tokenU64("job id", tokens[2]);
+        req.group = tokenGroup(tokens[3]);
+        break;
+    case Request::Kind::kBaselineDone:
+        arity(5);
+        req.worker = unescapeToken(tokens[1]);
+        req.jobId = tokenU64("job id", tokens[2]);
+        req.group = tokenGroup(tokens[3]);
+        req.payload = unescapeToken(tokens[4]);
         break;
     case Request::Kind::kStatus:
     case Request::Kind::kDrain:

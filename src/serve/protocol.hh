@@ -26,13 +26,26 @@
  * Worker requests:
  *   lease <worker>                 -> ok job <id> <lease-ms> <spec-text>
  *                                     | ok none | ok drained
+ *                                     (waits briefly for a job before
+ *                                     answering none)
  *   heartbeat <worker> <id>        extend the lease
  *   done <worker> <id> <result>    complete (result blob, see below)
  *   fail <worker> <id> <error>     infrastructure failure -> retry
+ *   baseline <worker> <id> <group> -> ok have <summary> | ok compute
+ *                                     | ok pending
+ *                                     claim the 1-thread baseline of
+ *                                     group <group> of leased job <id>
+ *   baseline-done <worker> <id> <group> <summary>
+ *                                  publish a baseline the job computed
  *
  * Completed jobs travel as encodeJobResult() blobs: a status line plus
  * the result cache's experiment-summary encoding — one codec for the
  * socket and the cache, so they can never disagree about a result.
+ * Baselines travel as encodeBaselineSummary() text. The server derives
+ * a baseline's key from the job it leased (the canonical
+ * fingerprintWorkloadGroupBaseline text), so a worker names only a
+ * group of its own job, never an arbitrary slot; a claim is released
+ * when its job's lease expires, fails or settles unpublished.
  */
 
 #ifndef SST_SERVE_PROTOCOL_HH
@@ -48,7 +61,7 @@ namespace sst {
 namespace serve {
 
 /** Wire protocol version (reported by `sst --version` and status). */
-inline constexpr int kProtocolVersion = 1;
+inline constexpr int kProtocolVersion = 2;
 
 /**
  * Escape @p s into one space-free token: backslash escapes for
@@ -78,16 +91,20 @@ struct Request
         kDone,
         kFail,
         kMetrics,
+        kBaseline,
+        kBaselineDone,
     };
 
     Kind kind = Kind::kPing;
     std::string campaign; ///< submit / results / cancel
-    std::string payload;  ///< spec text (submit), result blob / error
+    std::string payload;  ///< spec text (submit), result blob / error,
+                          ///< baseline summary (baseline-done)
     int priority = 0;     ///< submit
     bool json = false;    ///< results: JSON rows instead of CSV
     bool wait = false;    ///< results: block for unsettled jobs
-    std::string worker;   ///< lease / heartbeat / done / fail
-    std::uint64_t jobId = 0; ///< heartbeat / done / fail
+    std::string worker;   ///< lease / heartbeat / done / fail / baseline*
+    std::uint64_t jobId = 0; ///< heartbeat / done / fail / baseline*
+    int group = 0;           ///< baseline / baseline-done
 };
 
 /** Stable verb of @p kind ("submit", "lease", ...). */

@@ -29,6 +29,15 @@ oneline(const std::string &msg)
     return out;
 }
 
+/** Bump sst_serve_baselines_total{outcome} by @p n. */
+void
+countBaselines(const char *outcome, std::uint64_t n = 1)
+{
+    telemetry::Registry::global()
+        .counter("sst_serve_baselines_total", {{"outcome", outcome}})
+        .inc(n);
+}
+
 } // namespace
 
 Server::Server(ServerOptions opts)
@@ -37,7 +46,8 @@ Server::Server(ServerOptions opts)
 {
     if (!opts_.driver.cacheDir.empty())
         cache_ = std::make_unique<ResultCache>(opts_.driver.cacheDir);
-    executor_ = std::make_unique<JobExecutor>(opts_.driver, cache_.get());
+    executor_ = std::make_unique<JobExecutor>(opts_.driver, cache_.get(),
+                                              &baselines_);
 }
 
 Server::~Server()
@@ -101,17 +111,22 @@ Server::start()
     listener_ = Listener::listenOn(opts_.endpoint);
     endpoint_ = listener_.endpoint();
 
+    // The reaper reads localCurrent_: allocate it before any thread.
+    localCurrent_ = std::make_unique<std::atomic<JobId>[]>(
+        static_cast<std::size_t>(opts_.localWorkers));
+    for (int i = 0; i < opts_.localWorkers; ++i)
+        localCurrent_[i] = 0;
     acceptThread_ = std::thread([this] { acceptLoop(); });
     reaperThread_ = std::thread([this] { reaperLoop(); });
-    if (opts_.localWorkers > 0) {
-        localCurrent_ = std::make_unique<std::atomic<JobId>[]>(
-            static_cast<std::size_t>(opts_.localWorkers));
-        for (int i = 0; i < opts_.localWorkers; ++i) {
-            localCurrent_[i] = 0;
-            localWorkers_.emplace_back(
-                [this, i] { localWorkerLoop(i); });
-        }
-    }
+    for (int i = 0; i < opts_.localWorkers; ++i)
+        localWorkers_.emplace_back([this, i] { localWorkerLoop(i); });
+}
+
+void
+Server::drain()
+{
+    draining_ = true;
+    queue_.wakeReadyWaiters(); // waiting leases answer `drained` now
 }
 
 void
@@ -119,6 +134,7 @@ Server::stop()
 {
     if (stop_.exchange(true))
         return;
+    queue_.wakeReadyWaiters();
     if (acceptThread_.joinable())
         acceptThread_.join();
     listener_.close();
@@ -187,10 +203,13 @@ void
 Server::reaperLoop()
 {
     while (!stop_) {
-        const std::size_t expired = queue_.expireLeases(nowMs());
-        if (expired > 0)
-            inform("serve", "requeued " + std::to_string(expired) +
+        std::vector<JobId> expired;
+        queue_.expireLeases(nowMs(), &expired);
+        if (!expired.empty())
+            inform("serve", "requeued " + std::to_string(expired.size()) +
                                 " expired lease(s)");
+        for (const JobId id : expired)
+            releaseBaselines(id);
         publishQueueGauges();
         // Local workers never die with the server alive; heartbeat on
         // their behalf so long jobs survive short lease settings.
@@ -210,16 +229,17 @@ Server::localWorkerLoop(int index)
 {
     const std::string name = "local-" + std::to_string(index);
     while (!stop_) {
+        const std::uint64_t epoch = queue_.readyEpoch();
         LeasedJob job;
         if (!queue_.lease(name, nowMs(), job)) {
             if (draining_ && queue_.idle())
                 return;
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            queue_.waitReady(epoch, 20);
             continue;
         }
         noteLease(name);
         localCurrent_[index] = job.id;
-        JobResult result = executor_->run(job.spec);
+        JobResult result = executor_->run(job.spec, job.id);
         localCurrent_[index] = 0;
         if (queue_.complete(job.id, name, std::move(result)))
             noteDone(name);
@@ -528,21 +548,103 @@ void
 Server::handleLease(Socket &sock, const std::string &worker)
 {
     telemetry::ScopedSpan span("lease", "serve");
-    LeasedJob job;
-    if (queue_.lease(worker, nowMs(), job)) {
-        noteLease(worker);
-        const std::string specText =
-            serializeSpec(specForJob(job.spec));
-        sock.writeAll("ok job " + std::to_string(job.id) + " " +
-                      std::to_string(job.leaseMs) + " " +
-                      escapeToken(specText) + "\n");
-        return;
-    }
-    if (draining_ && queue_.idle()) {
-        sock.writeAll("ok drained\n");
-        return;
+    // Long poll: with nothing leasable, wait up to one reaper interval
+    // for a submit, a requeue or a drain, so an idle worker starts a
+    // new job as soon as it is ready instead of a poll interval later.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(opts_.reaperIntervalMs);
+    for (;;) {
+        const std::uint64_t epoch = queue_.readyEpoch();
+        LeasedJob job;
+        if (queue_.lease(worker, nowMs(), job)) {
+            noteLease(worker);
+            const std::string specText =
+                serializeSpec(specForJob(job.spec));
+            sock.writeAll("ok job " + std::to_string(job.id) + " " +
+                          std::to_string(job.leaseMs) + " " +
+                          escapeToken(specText) + "\n");
+            return;
+        }
+        if (draining_ && queue_.idle()) {
+            sock.writeAll("ok drained\n");
+            return;
+        }
+        const auto now = std::chrono::steady_clock::now();
+        if (stop_ || now >= deadline)
+            break;
+        queue_.waitReady(
+            epoch, static_cast<std::uint64_t>(
+                       std::chrono::ceil<std::chrono::milliseconds>(
+                           deadline - now)
+                           .count()));
     }
     sock.writeAll("ok none\n");
+}
+
+void
+Server::releaseBaselines(JobId id)
+{
+    const std::size_t released = baselines_.release(id);
+    if (released > 0)
+        countBaselines("released", released);
+}
+
+void
+Server::handleBaseline(const Request &req, Socket &sock)
+{
+    telemetry::ScopedSpan span("baseline", "serve");
+    // Only the current lease holder may claim or publish, and only for
+    // a group of the job it holds: the key comes from the leased spec.
+    JobSpec spec;
+    if (!queue_.tryLeasedSpec(req.jobId, req.worker, spec)) {
+        sock.writeAll("err stale\n");
+        return;
+    }
+    const WorkloadSpec workload = spec.effectiveWorkload();
+    if (req.group >= workload.ngroups()) {
+        sock.writeAll("err group " + std::to_string(req.group) +
+                      " out of range: job " + std::to_string(req.jobId) +
+                      " has " + std::to_string(workload.ngroups()) +
+                      " group(s)\n");
+        return;
+    }
+    const BaselineSlot slot{
+        req.jobId, req.group,
+        fingerprintWorkloadGroupBaseline(spec.params, workload, req.group)
+            .canonical};
+
+    if (req.kind == Request::Kind::kBaselineDone) {
+        RunResult run;
+        if (!decodeBaselineSummary(req.payload, run)) {
+            sock.writeAll("err undecodable baseline summary\n");
+            return;
+        }
+        baselines_.publish(slot,
+                           std::make_shared<const RunResult>(std::move(run)));
+        countBaselines("published");
+        sock.writeAll("ok\n");
+        return;
+    }
+
+    // A local owner's failure rethrows here and answers `err`; the
+    // worker then computes the baseline itself.
+    const BaselineTicket ticket = baselines_.claim(slot);
+    switch (ticket.claim) {
+    case BaselineTicket::Claim::kHave:
+        countBaselines("have");
+        sock.writeAll("ok have " +
+                      escapeToken(encodeBaselineSummary(*ticket.run)) +
+                      "\n");
+        break;
+    case BaselineTicket::Claim::kCompute:
+        countBaselines("compute");
+        sock.writeAll("ok compute\n");
+        break;
+    case BaselineTicket::Claim::kPending:
+        countBaselines("pending");
+        sock.writeAll("ok pending\n");
+        break;
+    }
 }
 
 void
@@ -563,8 +665,10 @@ Server::handleDone(const std::string &worker, JobId id,
         // An undecodable payload is a worker-side defect: retry the
         // job elsewhere rather than settling it with garbage.
         if (queue_.fail(id, worker, "undecodable result payload",
-                        nowMs()) != FailOutcome::kStale)
+                        nowMs()) != FailOutcome::kStale) {
             noteFail(worker);
+            releaseBaselines(id);
+        }
         sock.writeAll("err undecodable result payload\n");
         return;
     }
@@ -581,6 +685,7 @@ Server::handleDone(const std::string &worker, JobId id,
     }
     if (queue_.complete(id, worker, std::move(result))) {
         noteDone(worker);
+        releaseBaselines(id); // a failed job may hold unpublished claims
         sock.writeAll("ok\n");
     } else {
         sock.writeAll("err stale\n");
@@ -679,8 +784,10 @@ Server::handleConnection(Socket sock)
         case Request::Kind::kFail: {
             const FailOutcome outcome = queue_.fail(
                 req.jobId, req.worker, req.payload, nowMs());
-            if (outcome != FailOutcome::kStale)
+            if (outcome != FailOutcome::kStale) {
                 noteFail(req.worker);
+                releaseBaselines(req.jobId);
+            }
             sock.writeAll(outcome == FailOutcome::kRequeued ? "ok requeued\n"
                           : outcome == FailOutcome::kFailed ? "ok failed\n"
                                                             : "err stale\n");
@@ -688,6 +795,10 @@ Server::handleConnection(Socket sock)
         }
         case Request::Kind::kMetrics:
             sock.writeAll("ok metrics\n" + metricsText() + "end\n");
+            break;
+        case Request::Kind::kBaseline:
+        case Request::Kind::kBaselineDone:
+            handleBaseline(req, sock);
             break;
         }
         sock.shutdownWrite();

@@ -16,6 +16,11 @@
  *    jobs with backoff; jobs that exhaust their attempts settle as
  *    failed without poisoning the rest of the campaign.
  *
+ * Both backends claim 1-thread baselines from one server-wide
+ * LocalBaselineStore — local workers directly, external ones over the
+ * `baseline` / `baseline-done` verbs — so each distinct baseline is
+ * computed once across every worker. A claim dies with its job's lease.
+ *
  * Determinism: results stream in a campaign's expansion order and every
  * job is a pure function of its spec, so a campaign streamed from the
  * service is bit-identical to the same spec run by `sst sweep`.
@@ -34,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "driver/baseline_store.hh"
 #include "driver/driver.hh"
 #include "serve/job_queue.hh"
 #include "serve/net.hh"
@@ -45,6 +51,7 @@ class ResultCache;
 namespace serve {
 
 class Journal;
+struct Request;
 
 /** Server configuration. */
 struct ServerOptions
@@ -68,7 +75,8 @@ struct ServerOptions
 
     JobQueueOptions queue;
 
-    /** Lease-expiry / local-heartbeat cadence. */
+    /** Lease-expiry / local-heartbeat cadence; also how long a `lease`
+     *  request waits for a job before answering `ok none`. */
     std::uint64_t reaperIntervalMs = 200;
 };
 
@@ -105,7 +113,7 @@ class Server
     const Endpoint &endpoint() const { return endpoint_; }
 
     /** Stop accepting new campaigns; existing ones run to completion. */
-    void drain() { draining_ = true; }
+    void drain();
 
     bool draining() const { return draining_; }
 
@@ -137,6 +145,9 @@ class Server
 
     /** The queue, exposed for tests and in-process embedding. */
     JobQueue &queue() { return queue_; }
+
+    /** The baseline table shared by local and external workers. */
+    const LocalBaselineStore &baselines() const { return baselines_; }
 
     /** Milliseconds since the server started (the queue's timebase). */
     std::uint64_t nowMs() const;
@@ -175,6 +186,8 @@ class Server
     void handleLease(Socket &sock, const std::string &worker);
     void handleDone(const std::string &worker, JobId id,
                     const std::string &payload, Socket &sock);
+    void handleBaseline(const Request &req, Socket &sock);
+    void releaseBaselines(JobId id);
     void streamResults(Socket &sock, const std::string &name, bool json,
                        bool wait);
     void journalRequest(const std::string &line);
@@ -188,6 +201,7 @@ class Server
     Endpoint endpoint_;
     JobQueue queue_;
     std::unique_ptr<ResultCache> cache_;
+    LocalBaselineStore baselines_;
     std::unique_ptr<JobExecutor> executor_;
     std::unique_ptr<Journal> journal_;
     Listener listener_;

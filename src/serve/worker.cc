@@ -6,9 +6,13 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "driver/baseline_store.hh"
 #include "driver/result_cache.hh"
 #include "serve/protocol.hh"
 #include "spec/machine_keys.hh"
@@ -18,6 +22,99 @@
 namespace sst {
 namespace serve {
 namespace {
+
+/**
+ * The remote baseline backend: claims and publishes go to the server's
+ * table over the `baseline` / `baseline-done` verbs. Any transport or
+ * protocol error degrades to computing the baseline here — a lost or
+ * confused server costs a recomputation, never a wrong or failed job.
+ */
+class RemoteBaselineStore final : public BaselineStore
+{
+  public:
+    using Requester = std::function<std::string(const std::string &)>;
+
+    RemoteBaselineStore(Requester request, std::string worker)
+        : request_(std::move(request)), worker_(std::move(worker))
+    {
+    }
+
+    BaselineTicket
+    claim(const BaselineSlot &slot) override
+    {
+        BaselineTicket ticket;
+        ticket.claim = BaselineTicket::Claim::kCompute;
+        try {
+            const std::vector<std::string> tokens = splitTokens(
+                request_(serializeRequest(requestFor(slot, false))));
+            RunResult run;
+            if (tokens.size() == 2 && tokens[0] == "ok" &&
+                tokens[1] == "pending") {
+                ticket.claim = BaselineTicket::Claim::kPending;
+            } else if (tokens.size() == 3 && tokens[0] == "ok" &&
+                       tokens[1] == "have" &&
+                       decodeBaselineSummary(unescapeToken(tokens[2]),
+                                             run)) {
+                ticket.claim = BaselineTicket::Claim::kHave;
+                ticket.run = std::make_shared<const RunResult>(run);
+            }
+        } catch (const std::exception &) {
+            // Unreachable server or bad escape: compute it here.
+        }
+        return ticket;
+    }
+
+    BaselineTicket
+    await(const BaselineSlot &slot) override
+    {
+        // The verb never blocks, so poll, backing off from 5 to 50 ms;
+        // the heartbeat thread keeps the lease alive meanwhile.
+        std::uint64_t delayMs = 5;
+        for (;;) {
+            BaselineTicket ticket = claim(slot);
+            if (ticket.claim != BaselineTicket::Claim::kPending)
+                return ticket;
+            std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
+            delayMs = std::min<std::uint64_t>(delayMs * 2, 50);
+        }
+    }
+
+    void
+    publish(const BaselineSlot &slot,
+            std::shared_ptr<const RunResult> run) override
+    {
+        Request req = requestFor(slot, true);
+        req.payload = encodeBaselineSummary(*run);
+        try {
+            request_(serializeRequest(req));
+        } catch (const std::exception &) {
+            // Awaiters elsewhere compute it once this lease ends.
+        }
+    }
+
+    void
+    abandon(const BaselineSlot &, std::exception_ptr) override
+    {
+        // Nothing to send: the server releases the claim when the
+        // failed job settles, and the next asker computes it.
+    }
+
+  private:
+    Request
+    requestFor(const BaselineSlot &slot, bool done) const
+    {
+        Request req;
+        req.kind = done ? Request::Kind::kBaselineDone
+                        : Request::Kind::kBaseline;
+        req.worker = worker_;
+        req.jobId = slot.job;
+        req.group = slot.group;
+        return req;
+    }
+
+    Requester request_;
+    std::string worker_;
+};
 
 /** Sleep @p ms in short steps, returning early once @p stop is set. */
 void
@@ -41,7 +138,6 @@ runWorker(const WorkerOptions &opts_in)
     std::unique_ptr<ResultCache> cache;
     if (!opts.driver.cacheDir.empty())
         cache = std::make_unique<ResultCache>(opts.driver.cacheDir);
-    JobExecutor executor(opts.driver, cache.get());
 
     // One request per connection, like every other client: a fresh
     // socket per call means a restarted server is just one failed
@@ -55,6 +151,9 @@ runWorker(const WorkerOptions &opts_in)
             throw std::runtime_error("server closed the connection");
         return reply;
     };
+
+    RemoteBaselineStore baselines(request, opts.name);
+    JobExecutor executor(opts.driver, cache.get(), &baselines);
 
     const std::atomic<bool> never{false};
     int connectFailures = 0;
@@ -84,10 +183,8 @@ runWorker(const WorkerOptions &opts_in)
             return 0;
         }
         if (tokens.size() == 2 && tokens[0] == "ok" &&
-            tokens[1] == "none") {
-            interruptibleSleep(opts.pollMs, never);
-            continue;
-        }
+            tokens[1] == "none")
+            continue; // the server already waited for a job
         if (tokens.size() != 5 || tokens[0] != "ok" ||
             tokens[1] != "job") {
             warn("worker", opts.name + ": unexpected lease reply: " + reply);
@@ -147,7 +244,7 @@ runWorker(const WorkerOptions &opts_in)
             // run() never throws: a deterministically bad spec yields
             // a kFailed result, which is a *completion* (retrying it
             // elsewhere would fail identically).
-            result = executor.run(jobs[0]);
+            result = executor.run(jobs[0], jobId);
         } catch (const std::exception &e) {
             infraError = e.what();
         }

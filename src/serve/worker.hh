@@ -4,7 +4,9 @@
  * from a running server over the wire protocol, executes them on a
  * local JobExecutor, heartbeats each lease while the simulation runs,
  * and reports `done` (with the encoded result) or `fail` (for
- * infrastructure errors a retry elsewhere might not hit).
+ * infrastructure errors a retry elsewhere might not hit). 1-thread
+ * baselines are claimed from the server's table (`baseline` /
+ * `baseline-done`), so workers never recompute one another's.
  *
  * Workers are crash-only by design: there is no deregistration — a
  * killed worker simply stops heartbeating and the server's reaper
@@ -40,7 +42,8 @@ struct WorkerOptions
      */
     DriverOptions driver;
 
-    /** Idle poll interval when the server has no leasable job. */
+    /** Retry interval after a failed or unexpected lease request (an
+     *  `ok none` is re-asked at once: the server waited already). */
     std::uint64_t pollMs = 200;
 
     /** Consecutive connection failures tolerated before giving up. */

@@ -11,13 +11,18 @@
 #include <cstdio>
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <stdexcept>
+#include <thread>
 
 #include "core/experiment.hh"
+#include "driver/baseline_store.hh"
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
 #include "driver/thread_pool.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/span.hh"
 #include "tests/test_util.hh"
 
 namespace sst {
@@ -220,18 +225,194 @@ TEST(Driver, BaselineComputedOncePerProfile)
     EXPECT_EQ(results[1].exp.ts, results[2].exp.ts);
 }
 
-TEST(BaselineStore, ComputesEachKeyOnce)
+TEST(Driver, FourJobsSharingOneBaselineComputeItOnce)
 {
-    BaselineStore store;
+    // Grid order puts the thread counts of one profile next to each
+    // other, so four workers lease four jobs that all need the same
+    // baseline at once: one computes it, three defer it.
     const BenchmarkProfile profile = test::computeOnlyProfile();
-    const SimParams params;
-    auto compute = [&] { return runSingleThreaded(params, profile); };
-    const RunResult &a = store.get("k1", compute);
-    const RunResult &b = store.get("k1", compute);
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(store.computeCount(), 1u);
-    store.get("k2", compute);
+    const std::vector<JobSpec> specs = {
+        makeJob(profile, 2), makeJob(profile, 4), makeJob(profile, 8),
+        makeJob(profile, 16)};
+
+    DriverOptions serialOpts;
+    serialOpts.jobs = 1;
+    const std::vector<JobResult> serial =
+        runExperimentBatch(specs, serialOpts);
+
+    DriverOptions opts;
+    opts.jobs = 4;
+    BatchStats stats;
+    const std::vector<JobResult> pooled =
+        runExperimentBatch(specs, opts, &stats);
+    EXPECT_EQ(stats.baselinesComputed, 1u);
+    EXPECT_EQ(stats.executed, 4u);
+    EXPECT_EQ(sweepCsv(specs, pooled), sweepCsv(specs, serial));
+}
+
+// ---- BaselineStore (claim-or-defer) ----------------------------------------
+
+std::shared_ptr<const RunResult>
+baselineRun(Cycles ts)
+{
+    RunResult run;
+    run.nthreads = 1;
+    run.ncores = 1;
+    run.executionTime = ts;
+    return std::make_shared<const RunResult>(run);
+}
+
+TEST(BaselineStore, OneOwnerPerKey)
+{
+    LocalBaselineStore store;
+    EXPECT_EQ(store.claim({1, 0, "k1"}).claim,
+              BaselineTicket::Claim::kCompute);
+    EXPECT_EQ(store.claim({2, 0, "k1"}).claim,
+              BaselineTicket::Claim::kPending);
+    EXPECT_EQ(store.claim({2, 0, "k2"}).claim,
+              BaselineTicket::Claim::kCompute);
     EXPECT_EQ(store.computeCount(), 2u);
+
+    // Concurrent claimers of one fresh key: exactly one owner.
+    std::atomic<int> owners{0};
+    std::vector<std::thread> threads;
+    for (std::uint64_t job = 10; job < 18; ++job)
+        threads.emplace_back([&store, &owners, job] {
+            if (store.claim({job, 0, "k3"}).claim ==
+                BaselineTicket::Claim::kCompute)
+                ++owners;
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(owners.load(), 1);
+    EXPECT_EQ(store.computeCount(), 3u);
+}
+
+TEST(BaselineStore, PendingBecomesHaveAfterPublish)
+{
+    LocalBaselineStore store;
+    ASSERT_EQ(store.claim({1, 0, "k"}).claim,
+              BaselineTicket::Claim::kCompute);
+    ASSERT_EQ(store.claim({2, 0, "k"}).claim,
+              BaselineTicket::Claim::kPending);
+
+    BaselineTicket awaited;
+    std::thread waiter([&] { awaited = store.await({2, 0, "k"}); });
+    const std::shared_ptr<const RunResult> run = baselineRun(1234);
+    store.publish({1, 0, "k"}, run);
+    waiter.join();
+    EXPECT_EQ(awaited.claim, BaselineTicket::Claim::kHave);
+    EXPECT_EQ(awaited.run, run);
+
+    const BaselineTicket later = store.claim({3, 0, "k"});
+    EXPECT_EQ(later.claim, BaselineTicket::Claim::kHave);
+    EXPECT_EQ(later.run->executionTime, 1234u);
+    EXPECT_EQ(store.computeCount(), 1u);
+}
+
+TEST(BaselineStore, OwnerExceptionReachesEveryAwaiter)
+{
+    LocalBaselineStore store;
+    ASSERT_EQ(store.claim({1, 0, "k"}).claim,
+              BaselineTicket::Claim::kCompute);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> waiters;
+    for (std::uint64_t job = 2; job < 5; ++job)
+        waiters.emplace_back([&store, &failures, job] {
+            try {
+                store.await({job, 0, "k"});
+            } catch (const std::runtime_error &e) {
+                if (std::string(e.what()) == "boom")
+                    ++failures;
+            }
+        });
+    store.abandon({1, 0, "k"},
+                  std::make_exception_ptr(std::runtime_error("boom")));
+    for (std::thread &t : waiters)
+        t.join();
+    EXPECT_EQ(failures.load(), 3);
+    // Later claimers see the failure too instead of recomputing.
+    EXPECT_THROW(store.claim({9, 0, "k"}), std::runtime_error);
+    EXPECT_EQ(store.computeCount(), 1u);
+}
+
+TEST(BaselineStore, ReleasedClaimIsRegranted)
+{
+    LocalBaselineStore store;
+    ASSERT_EQ(store.claim({1, 0, "k"}).claim,
+              BaselineTicket::Claim::kCompute);
+    ASSERT_EQ(store.claim({1, 1, "other"}).claim,
+              BaselineTicket::Claim::kCompute);
+    store.publish({1, 1, "other"}, baselineRun(5));
+
+    BaselineTicket awaited;
+    std::thread waiter([&] { awaited = store.await({2, 0, "k"}); });
+    // Job 1 vanishes: only its unpublished claim is released, and the
+    // blocked awaiter becomes the new owner.
+    EXPECT_EQ(store.release(1), 1u);
+    waiter.join();
+    EXPECT_EQ(awaited.claim, BaselineTicket::Claim::kCompute);
+    EXPECT_EQ(store.claim({3, 0, "k"}).claim,
+              BaselineTicket::Claim::kPending);
+    EXPECT_EQ(store.claim({3, 0, "other"}).claim,
+              BaselineTicket::Claim::kHave);
+    EXPECT_EQ(store.computeCount(), 3u);
+    EXPECT_EQ(store.release(1), 0u);
+}
+
+TEST(BaselineStore, DeferredJobRunsFirstAndWaitsInItsOwnSpan)
+{
+    // Another job owns the baseline: the executor defers it, runs the
+    // parallel simulation, and only then blocks for it.
+    const JobSpec spec = makeJob(test::computeOnlyProfile(), 4);
+    const WorkloadSpec workload = spec.effectiveWorkload();
+    const BaselineSlot owner{99, 0,
+                             fingerprintWorkloadGroupBaseline(
+                                 spec.params, workload, 0)
+                                 .canonical};
+    LocalBaselineStore store;
+    ASSERT_EQ(store.claim(owner).claim, BaselineTicket::Claim::kCompute);
+
+    telemetry::Registry &registry = telemetry::Registry::global();
+    telemetry::SpanTracer &tracer = telemetry::SpanTracer::global();
+    registry.reset();
+    registry.setEnabled(true);
+    tracer.clear();
+    tracer.setEnabled(true);
+
+    JobExecutor executor(DriverOptions{}, nullptr, &store);
+    JobResult result;
+    std::thread job([&] { result = executor.run(spec, 1); });
+    // Publish only once the job is blocked after its parallel run.
+    const std::string waiting =
+        "sst_driver_baseline_requests_total{outcome=\"wait\"} 1\n";
+    while (registry.renderText().find(waiting) == std::string::npos)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    store.publish(owner,
+                  std::make_shared<const RunResult>(simulateSources(
+                      spec.params,
+                      workloadGroupBaselineSources(workload, 0), 1)));
+    job.join();
+
+    tracer.setEnabled(false);
+    const std::string trace = tracer.chromeTraceJson();
+    const std::string metrics = registry.renderText();
+    tracer.clear();
+    registry.reset();
+
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(executor.baselinesComputed(), 0u);
+    EXPECT_NE(metrics.find("sst_driver_baseline_requests_total{outcome="
+                           "\"deferred\"} 1\n"),
+              std::string::npos)
+        << metrics;
+    EXPECT_NE(trace.find("\"baseline-wait\""), std::string::npos);
+    EXPECT_EQ(trace.find("\"baseline\""), std::string::npos)
+        << "a job that computed no baseline has no baseline span";
+
+    const std::vector<JobResult> reference =
+        runExperimentBatch({spec}, DriverOptions{});
+    expectSameExperiment(result.exp, reference[0].exp);
 }
 
 // ---- result cache ----------------------------------------------------------

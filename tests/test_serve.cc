@@ -5,7 +5,8 @@
  * specForJob's fingerprint-preserving spec round trip; result-cache
  * corruption robustness; journal torn-line replay; and end-to-end
  * socket campaigns — server restart resume, worker-pool equivalence
- * with the batch driver, and killed-worker lease-expiry requeue.
+ * with the batch driver, killed-worker lease-expiry requeue, the lease
+ * long poll, and baselines shared across external workers.
  */
 
 #include <gtest/gtest.h>
@@ -380,6 +381,24 @@ TEST(Protocol, RequestRoundTripsAreExact)
         r.payload = "disk\nfull";
         requests.push_back(r);
     }
+    {
+        Request r;
+        r.kind = Request::Kind::kBaseline;
+        r.worker = "w 1";
+        r.jobId = 9;
+        r.group = 2;
+        requests.push_back(r);
+    }
+    {
+        Request r;
+        r.kind = Request::Kind::kBaselineDone;
+        r.worker = "w1";
+        r.jobId = 9;
+        r.group = 1;
+        r.payload = "ts 5\ninstructions 6\nspin-instructions 0\nevents 7\n"
+                    "end\n";
+        requests.push_back(r);
+    }
 
     for (const Request &r : requests) {
         const std::string line = serve::serializeRequest(r);
@@ -393,6 +412,7 @@ TEST(Protocol, RequestRoundTripsAreExact)
         EXPECT_EQ(back.wait, r.wait) << line;
         EXPECT_EQ(back.worker, r.worker) << line;
         EXPECT_EQ(back.jobId, r.jobId) << line;
+        EXPECT_EQ(back.group, r.group) << line;
         // Fixed point: re-serializing the parse gives the same bytes,
         // so journaled lines replay bit-exactly.
         EXPECT_EQ(serve::serializeRequest(back), line);
@@ -418,6 +438,49 @@ TEST(Protocol, ParseErrorsAreDescriptive)
                  std::invalid_argument);
     EXPECT_THROW(serve::parseRequest("results c xml wait"),
                  std::invalid_argument);
+    // Malformed baseline lines: bad group indices and wrong arity.
+    for (const char *bad :
+         {"baseline w 1", "baseline w 1 -1", "baseline w 1 x",
+          "baseline w 1 99999999999", "baseline w x 0",
+          "baseline-done w 1 0", "baseline-done w 1 0 bad\\q"})
+        EXPECT_THROW(serve::parseRequest(bad), std::invalid_argument)
+            << bad;
+}
+
+TEST(Protocol, BaselineSummaryCodecIsStrict)
+{
+    RunResult run;
+    run.nthreads = 1;
+    run.executionTime = 7008000;
+    run.totalInstructions = 123456789;
+    run.totalSpinInstructions = 42;
+    run.engineEvents = 99;
+    const std::string text = encodeBaselineSummary(run);
+    RunResult back;
+    ASSERT_TRUE(decodeBaselineSummary(text, back));
+    EXPECT_EQ(back.nthreads, 1);
+    EXPECT_EQ(back.executionTime, run.executionTime);
+    EXPECT_EQ(back.totalInstructions, run.totalInstructions);
+    EXPECT_EQ(back.totalSpinInstructions, run.totalSpinInstructions);
+    EXPECT_EQ(back.engineEvents, run.engineEvents);
+    EXPECT_EQ(encodeBaselineSummary(back), text);
+
+    back.executionTime = 1;
+    for (const std::string &bad : std::vector<std::string>{
+             std::string(""),
+             text.substr(0, text.size() - 1),        // no final newline
+             text + "extra 1\n",                      // trailing line
+             "instructions 1\nts 1\nspin-instructions 0\nevents 0\nend\n",
+             "ts -1\ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
+             "ts +1\ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
+             "ts \ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
+             "ts 99999999999999999999\ninstructions 1\n"
+             "spin-instructions 0\nevents 0\nend\n",
+             "ts 1\ninstructions 1\nevents 0\nend\n",
+         }) {
+        EXPECT_FALSE(decodeBaselineSummary(bad, back)) << bad;
+        EXPECT_EQ(back.executionTime, 1u) << "untouched on failure";
+    }
 }
 
 TEST(Protocol, JobResultCodecRoundTrips)
@@ -893,6 +956,173 @@ TEST(ServeEndToEnd, KilledWorkerLeaseExpiresAndJobCompletes)
               "err stale");
 
     requestLine(server.endpoint(), "drain");
+    worker.join();
+    EXPECT_EQ(rc, 0);
+    server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, LeaseLongPollWakesOnSubmitAndDrain)
+{
+    const std::string dir = makeTempDir("longpoll");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.localWorkers = 0;
+    opts.reaperIntervalMs = 2000; // the long-poll bound
+    serve::Server server(opts);
+    server.start();
+    using Clock = std::chrono::steady_clock;
+    const auto waitedMs = [](Clock::time_point since) {
+        return std::chrono::duration_cast<std::chrono::milliseconds>(
+                   Clock::now() - since)
+            .count();
+    };
+
+    // An idle lease waits for work and is answered by the submit...
+    std::string reply;
+    auto start = Clock::now();
+    std::thread leaser(
+        [&] { reply = requestLine(server.endpoint(), "lease w"); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign(
+        "camp", 0, "profiles = cholesky\nthreads = 2\n", response));
+    leaser.join();
+    EXPECT_LT(waitedMs(start), 1500);
+    ASSERT_EQ(reply.rfind("ok job ", 0), 0u) << reply;
+    Request done;
+    done.kind = Request::Kind::kDone;
+    done.worker = "w";
+    done.jobId = std::stoull(serve::splitTokens(reply)[2]);
+    done.payload = serve::encodeJobResult(okResult());
+    ASSERT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
+              "ok");
+
+    // ...and by a drain once the queue is idle.
+    start = Clock::now();
+    leaser = std::thread(
+        [&] { reply = requestLine(server.endpoint(), "lease w"); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    server.drain();
+    leaser.join();
+    EXPECT_LT(waitedMs(start), 1500);
+    EXPECT_EQ(reply, "ok drained");
+    server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, ExternalWorkersComputeEachBaselineOnce)
+{
+    const std::string dir = makeTempDir("baselines");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.localWorkers = 0;
+    serve::Server server(opts);
+    telemetry::Registry::global().reset(); // exact counts below
+    server.start();
+
+    serve::WorkerOptions wopts;
+    wopts.endpoint = server.endpoint();
+    wopts.pollMs = 20;
+    std::vector<std::thread> workers;
+    std::vector<int> workerRc(2, -1);
+    for (int i = 0; i < 2; ++i)
+        workers.emplace_back([&, i] {
+            serve::WorkerOptions w = wopts;
+            w.name = "bw-" + std::to_string(i);
+            workerRc[i] = serve::runWorker(w);
+        });
+
+    // fig01: three profiles x four thread counts. Both workers claim
+    // baselines from the server's table, so each profile's 1-thread
+    // run is simulated once in total, not once per worker.
+    const std::string specText =
+        "profiles = blackscholes_medium, facesim_medium, cholesky\n"
+        "threads = 2, 4, 8, 16\n";
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign("fig01", 0, specText, response));
+    const Streamed s =
+        streamRequest(server.endpoint(), "results fig01 csv wait");
+    EXPECT_EQ(s.end, "end complete 12/12");
+    EXPECT_EQ(server.baselines().computeCount(), 3u);
+    EXPECT_NE(server.metricsText().find(
+                  "sst_serve_baselines_total{outcome=\"compute\"} 3\n"),
+              std::string::npos)
+        << server.metricsText();
+
+    const std::vector<JobSpec> jobs =
+        expandGrid(specGrid(parseSpec(specText)));
+    EXPECT_EQ(s.body, sweepCsv(jobs, runExperimentBatch(jobs, {})));
+
+    server.drain();
+    for (std::thread &t : workers)
+        t.join();
+    EXPECT_EQ(workerRc[0], 0);
+    EXPECT_EQ(workerRc[1], 0);
+    server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, VanishedBaselineOwnerIsRegrantedAfterLeaseExpiry)
+{
+    const std::string dir = makeTempDir("vanished");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.localWorkers = 0;
+    opts.queue.leaseMs = 300;
+    opts.queue.backoffBaseMs = 50;
+    opts.reaperIntervalMs = 50;
+    serve::Server server(opts);
+    server.start();
+
+    const std::string specText = "profiles = cholesky\nthreads = 2, 4\n";
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign("camp", 0, specText, response));
+
+    // A worker leases the first job, claims its baseline and is killed
+    // before publishing it (raw protocol: what a SIGKILL leaves).
+    const std::string lease =
+        requestLine(server.endpoint(), "lease zombie");
+    ASSERT_EQ(lease.rfind("ok job ", 0), 0u) << lease;
+    const std::string id = serve::splitTokens(lease)[2];
+    EXPECT_EQ(requestLine(server.endpoint(), "baseline zombie " + id + " 0"),
+              "ok compute");
+
+    // Malformed or foreign claims are answered with err, never abort.
+    EXPECT_EQ(requestLine(server.endpoint(), "baseline zombie " + id + " 1")
+                  .rfind("err group 1 out of range", 0),
+              0u);
+    EXPECT_EQ(requestLine(server.endpoint(),
+                          "baseline-done zombie " + id + " 0 garbage"),
+              "err undecodable baseline summary");
+    EXPECT_EQ(requestLine(server.endpoint(), "baseline other " + id + " 0"),
+              "err stale");
+    EXPECT_EQ(requestLine(server.endpoint(), "baseline zombie 424242 0"),
+              "err stale");
+    EXPECT_EQ(requestLine(server.endpoint(), "baseline zombie " + id)
+                  .rfind("err ", 0),
+              0u);
+
+    // A live worker defers behind the zombie's claim; the expired lease
+    // releases it, the claim is re-granted, and the campaign completes.
+    serve::WorkerOptions wopts;
+    wopts.endpoint = server.endpoint();
+    wopts.name = "survivor";
+    wopts.pollMs = 20;
+    int rc = -1;
+    std::thread worker([&] { rc = serve::runWorker(wopts); });
+
+    const Streamed s =
+        streamRequest(server.endpoint(), "results camp csv wait");
+    EXPECT_EQ(s.end, "end complete 2/2");
+    EXPECT_GE(server.queue().stats().requeues, 1u);
+    EXPECT_EQ(server.baselines().computeCount(), 2u)
+        << "the zombie's grant plus exactly one re-grant";
+    const std::vector<JobSpec> jobs =
+        expandGrid(specGrid(parseSpec(specText)));
+    EXPECT_EQ(s.body, sweepCsv(jobs, runExperimentBatch(jobs, {})));
+
+    server.drain();
     worker.join();
     EXPECT_EQ(rc, 0);
     server.stop();
