@@ -10,7 +10,6 @@ LocalBaselineStore::claimLocked(const BaselineSlot &slot)
     Entry &entry = it->second;
     if (absent) {
         entry.owner = slot.job;
-        ++computes_;
         ticket.claim = BaselineTicket::Claim::kCompute;
     } else if (entry.error) {
         std::rethrow_exception(entry.error);
@@ -40,19 +39,23 @@ LocalBaselineStore::await(const BaselineSlot &slot)
     }
 }
 
-void
+bool
 LocalBaselineStore::publish(const BaselineSlot &slot,
                             std::shared_ptr<const RunResult> run)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        Entry &entry = entries_[slot.key];
-        // Runs are deterministic: a late publish after a release and
-        // re-grant carries the same value, so the first one wins.
+        auto [it, absent] = entries_.try_emplace(slot.key);
+        Entry &entry = it->second;
+        if (absent)
+            entry.owner = slot.job; // a released claim's late publish
+        else if (entry.owner != slot.job)
+            return false;
         if (!entry.run && !entry.error)
             entry.run = std::move(run);
     }
     changed_.notify_all();
+    return true;
 }
 
 void
@@ -61,22 +64,27 @@ LocalBaselineStore::abandon(const BaselineSlot &slot,
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        Entry &entry = entries_[slot.key];
+        // A released owner's failure must not poison a re-granted slot.
+        const auto it = entries_.find(slot.key);
+        if (it == entries_.end() || it->second.owner != slot.job)
+            return;
+        Entry &entry = it->second;
         if (!entry.run && !entry.error)
             entry.error = std::move(error);
     }
     changed_.notify_all();
 }
 
+template <typename Pred>
 std::size_t
-LocalBaselineStore::release(std::uint64_t job)
+LocalBaselineStore::releaseIf(Pred pred)
 {
     std::size_t released = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (auto it = entries_.begin(); it != entries_.end();) {
             const Entry &entry = it->second;
-            if (entry.owner == job && !entry.run && !entry.error) {
+            if (!entry.run && !entry.error && pred(entry.owner)) {
                 it = entries_.erase(it);
                 ++released;
             } else {
@@ -90,10 +98,15 @@ LocalBaselineStore::release(std::uint64_t job)
 }
 
 std::size_t
-LocalBaselineStore::computeCount() const
+LocalBaselineStore::release(std::uint64_t job)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return computes_;
+    return releaseIf([job](std::uint64_t owner) { return owner == job; });
+}
+
+std::size_t
+LocalBaselineStore::releaseAll()
+{
+    return releaseIf([](std::uint64_t) { return true; });
 }
 
 } // namespace sst

@@ -89,11 +89,16 @@ class BaselineStore
      */
     virtual BaselineTicket await(const BaselineSlot &slot) = 0;
 
-    /** Publish the run of a slot the caller owns. */
-    virtual void publish(const BaselineSlot &slot,
+    /**
+     * Publish the run of a slot the caller owns (or that nobody holds:
+     * its claim was released). Returns false, dropping @p run, when
+     * another job holds the slot.
+     */
+    virtual bool publish(const BaselineSlot &slot,
                          std::shared_ptr<const RunResult> run) = 0;
 
-    /** The owner's computation of @p slot threw @p error. */
+    /** The owner's computation of @p slot threw @p error. Ignored from
+     *  a job that no longer owns the slot. */
     virtual void abandon(const BaselineSlot &slot,
                          std::exception_ptr error) = 0;
 };
@@ -104,7 +109,7 @@ class LocalBaselineStore final : public BaselineStore
   public:
     BaselineTicket claim(const BaselineSlot &slot) override;
     BaselineTicket await(const BaselineSlot &slot) override;
-    void publish(const BaselineSlot &slot,
+    bool publish(const BaselineSlot &slot,
                  std::shared_ptr<const RunResult> run) override;
 
     /** Every awaiter of the slot, now and later, rethrows @p error. */
@@ -117,8 +122,11 @@ class LocalBaselineStore final : public BaselineStore
      */
     std::size_t release(std::uint64_t job);
 
-    /** Compute grants so far (re-grants after a release included). */
-    std::size_t computeCount() const;
+    /**
+     * Release every unpublished claim, so every awaiter returns (as the
+     * slot's new owner). For shutdown, when owners may never finish.
+     */
+    std::size_t releaseAll();
 
   private:
     struct Entry
@@ -131,10 +139,13 @@ class LocalBaselineStore final : public BaselineStore
     /** Answer a claim with the lock held; grants absent slots. */
     BaselineTicket claimLocked(const BaselineSlot &slot);
 
-    mutable std::mutex mutex_;
+    /** Release the unpublished claims whose owner satisfies @p pred. */
+    template <typename Pred>
+    std::size_t releaseIf(Pred pred);
+
+    std::mutex mutex_;
     std::condition_variable changed_;
     std::unordered_map<std::string, Entry> entries_; ///< absent = unclaimed
-    std::size_t computes_ = 0;
 };
 
 } // namespace sst

@@ -136,8 +136,7 @@ struct JobExecutor::Impl
 {
     DriverOptions opts;
     ResultCache *cache = nullptr;
-    LocalBaselineStore ownBaselines;
-    BaselineStore *baselines = &ownBaselines;
+    BaselineStore *baselines = nullptr;
     std::atomic<std::size_t> baselinesComputed{0};
     TraceReaderCache traces;
     TraceRecordClaims records;
@@ -238,7 +237,16 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
         std::vector<BaselineSlot> slots(static_cast<std::size_t>(ngroups));
         std::vector<std::shared_ptr<const RunResult>> group_bases(
             slots.size());
+        auto countRequest = [&registry](const char *outcome) {
+            registry
+                .counter("sst_driver_baseline_requests_total",
+                         {{"outcome", outcome}})
+                .inc();
+        };
+        // Every baseline this job simulates counts as `compute`, also
+        // one granted after a deferral (its owner released the claim).
         auto computeBaseline = [&](int g) {
+            countRequest("compute");
             telemetry::ScopedSpan span("baseline", "driver");
             baselinesComputed.fetch_add(1, std::memory_order_relaxed);
             try {
@@ -253,12 +261,6 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
                 throw;
             }
             baselines->publish(slots[g], group_bases[g]);
-        };
-        auto countRequest = [&registry](const char *outcome) {
-            registry
-                .counter("sst_driver_baseline_requests_total",
-                         {{"outcome", outcome}})
-                .inc();
         };
         // Claim every group now. Owned baselines are computed at once
         // (other jobs may be waiting for them); baselines another job
@@ -276,7 +278,6 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
                 group_bases[g] = ticket.run;
                 break;
             case BaselineTicket::Claim::kCompute:
-                countRequest("compute");
                 computeBaseline(g);
                 break;
             case BaselineTicket::Claim::kPending:
@@ -351,13 +352,12 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
 }
 
 JobExecutor::JobExecutor(const DriverOptions &opts, ResultCache *cache,
-                         BaselineStore *baselines)
+                         BaselineStore &baselines)
     : impl_(std::make_unique<Impl>())
 {
     impl_->opts = opts;
     impl_->cache = cache;
-    if (baselines)
-        impl_->baselines = baselines;
+    impl_->baselines = &baselines;
 }
 
 JobExecutor::~JobExecutor() = default;
@@ -428,7 +428,8 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
     stats_ = BatchStats{};
     stats_.total = specs.size();
 
-    JobExecutor executor(opts_, cache_.get());
+    LocalBaselineStore baselines;
+    JobExecutor executor(opts_, cache_.get(), baselines);
 
     // The batch runs through the same JobQueue the experiment service
     // uses (src/serve/), with in-process lease-loop threads as the

@@ -90,12 +90,10 @@ class JobExecutor
     /**
      * @p cache may be null (memoization disabled); when set it must
      * outlive the executor. @p baselines is the store jobs claim
-     * baselines from; null gives the executor a private in-process
-     * store. A non-null store must outlive the executor. @p opts is
-     * copied.
+     * baselines from; it must outlive the executor. @p opts is copied.
      */
     JobExecutor(const DriverOptions &opts, class ResultCache *cache,
-                BaselineStore *baselines = nullptr);
+                BaselineStore &baselines);
     ~JobExecutor();
 
     /**

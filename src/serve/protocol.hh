@@ -37,6 +37,8 @@
  *                                     group <group> of leased job <id>
  *   baseline-done <worker> <id> <group> <summary>
  *                                  publish a baseline the job computed
+ *                                  (err when another job holds the
+ *                                  claim)
  *
  * Completed jobs travel as encodeJobResult() blobs: a status line plus
  * the result cache's experiment-summary encoding — one codec for the

@@ -47,7 +47,7 @@ Server::Server(ServerOptions opts)
     if (!opts_.driver.cacheDir.empty())
         cache_ = std::make_unique<ResultCache>(opts_.driver.cacheDir);
     executor_ = std::make_unique<JobExecutor>(opts_.driver, cache_.get(),
-                                              &baselines_);
+                                              baselines_);
 }
 
 Server::~Server()
@@ -141,6 +141,12 @@ Server::stop()
     reapConnections(/*join_all=*/true);
     if (reaperThread_.joinable())
         reaperThread_.join();
+    // External owners can no longer publish, and their leases no longer
+    // expire: release every open claim so a local worker blocked on one
+    // computes the baseline itself and finishes its job.
+    const std::size_t released = baselines_.releaseAll();
+    if (released > 0)
+        countBaselines("released", released);
     for (std::thread &t : localWorkers_)
         if (t.joinable())
             t.join();
@@ -619,8 +625,12 @@ Server::handleBaseline(const Request &req, Socket &sock)
             sock.writeAll("err undecodable baseline summary\n");
             return;
         }
-        baselines_.publish(slot,
-                           std::make_shared<const RunResult>(std::move(run)));
+        // A job that does not own the claim may not pre-empt the owner.
+        if (!baselines_.publish(
+                slot, std::make_shared<const RunResult>(std::move(run)))) {
+            sock.writeAll("err baseline claimed by another job\n");
+            return;
+        }
         countBaselines("published");
         sock.writeAll("ok\n");
         return;

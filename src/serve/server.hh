@@ -146,9 +146,6 @@ class Server
     /** The queue, exposed for tests and in-process embedding. */
     JobQueue &queue() { return queue_; }
 
-    /** The baseline table shared by local and external workers. */
-    const LocalBaselineStore &baselines() const { return baselines_; }
-
     /** Milliseconds since the server started (the queue's timebase). */
     std::uint64_t nowMs() const;
 

@@ -79,16 +79,17 @@ class RemoteBaselineStore final : public BaselineStore
         }
     }
 
-    void
+    bool
     publish(const BaselineSlot &slot,
             std::shared_ptr<const RunResult> run) override
     {
         Request req = requestFor(slot, true);
         req.payload = encodeBaselineSummary(*run);
         try {
-            request_(serializeRequest(req));
+            return request_(serializeRequest(req)) == "ok";
         } catch (const std::exception &) {
             // Awaiters elsewhere compute it once this lease ends.
+            return false;
         }
     }
 
@@ -153,7 +154,7 @@ runWorker(const WorkerOptions &opts_in)
     };
 
     RemoteBaselineStore baselines(request, opts.name);
-    JobExecutor executor(opts.driver, cache.get(), &baselines);
+    JobExecutor executor(opts.driver, cache.get(), baselines);
 
     const std::atomic<bool> never{false};
     int connectFailures = 0;

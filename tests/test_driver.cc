@@ -271,7 +271,6 @@ TEST(BaselineStore, OneOwnerPerKey)
               BaselineTicket::Claim::kPending);
     EXPECT_EQ(store.claim({2, 0, "k2"}).claim,
               BaselineTicket::Claim::kCompute);
-    EXPECT_EQ(store.computeCount(), 2u);
 
     // Concurrent claimers of one fresh key: exactly one owner.
     std::atomic<int> owners{0};
@@ -285,7 +284,6 @@ TEST(BaselineStore, OneOwnerPerKey)
     for (std::thread &t : threads)
         t.join();
     EXPECT_EQ(owners.load(), 1);
-    EXPECT_EQ(store.computeCount(), 3u);
 }
 
 TEST(BaselineStore, PendingBecomesHaveAfterPublish)
@@ -307,7 +305,6 @@ TEST(BaselineStore, PendingBecomesHaveAfterPublish)
     const BaselineTicket later = store.claim({3, 0, "k"});
     EXPECT_EQ(later.claim, BaselineTicket::Claim::kHave);
     EXPECT_EQ(later.run->executionTime, 1234u);
-    EXPECT_EQ(store.computeCount(), 1u);
 }
 
 TEST(BaselineStore, OwnerExceptionReachesEveryAwaiter)
@@ -333,7 +330,6 @@ TEST(BaselineStore, OwnerExceptionReachesEveryAwaiter)
     EXPECT_EQ(failures.load(), 3);
     // Later claimers see the failure too instead of recomputing.
     EXPECT_THROW(store.claim({9, 0, "k"}), std::runtime_error);
-    EXPECT_EQ(store.computeCount(), 1u);
 }
 
 TEST(BaselineStore, ReleasedClaimIsRegranted)
@@ -356,8 +352,51 @@ TEST(BaselineStore, ReleasedClaimIsRegranted)
               BaselineTicket::Claim::kPending);
     EXPECT_EQ(store.claim({3, 0, "other"}).claim,
               BaselineTicket::Claim::kHave);
-    EXPECT_EQ(store.computeCount(), 3u);
     EXPECT_EQ(store.release(1), 0u);
+
+    // The vanished owner's late reports cannot touch the new owner's
+    // slot: its publish is refused and its failure ignored.
+    EXPECT_FALSE(store.publish({1, 0, "k"}, baselineRun(7)));
+    store.abandon({1, 0, "k"},
+                  std::make_exception_ptr(std::runtime_error("late")));
+    EXPECT_EQ(store.claim({3, 0, "k"}).claim,
+              BaselineTicket::Claim::kPending);
+    EXPECT_TRUE(store.publish({2, 0, "k"}, baselineRun(8)));
+    EXPECT_EQ(store.claim({3, 0, "k"}).run->executionTime, 8u);
+
+    // A publish to a released, unclaimed slot is accepted.
+    ASSERT_EQ(store.claim({4, 0, "free"}).claim,
+              BaselineTicket::Claim::kCompute);
+    EXPECT_EQ(store.release(4), 1u);
+    EXPECT_TRUE(store.publish({5, 0, "free"}, baselineRun(9)));
+    EXPECT_EQ(store.claim({6, 0, "free"}).claim,
+              BaselineTicket::Claim::kHave);
+}
+
+TEST(BaselineStore, ReleaseAllFreesEveryAwaiter)
+{
+    LocalBaselineStore store;
+    ASSERT_EQ(store.claim({1, 0, "a"}).claim,
+              BaselineTicket::Claim::kCompute);
+    ASSERT_EQ(store.claim({2, 0, "b"}).claim,
+              BaselineTicket::Claim::kCompute);
+    ASSERT_EQ(store.claim({3, 0, "done"}).claim,
+              BaselineTicket::Claim::kCompute);
+    ASSERT_TRUE(store.publish({3, 0, "done"}, baselineRun(1)));
+
+    // Owners that will never publish (shutdown): every awaiter wakes
+    // as the new owner, and published runs stay.
+    BaselineTicket awaitedA;
+    BaselineTicket awaitedB;
+    std::thread waiterA([&] { awaitedA = store.await({4, 0, "a"}); });
+    std::thread waiterB([&] { awaitedB = store.await({5, 0, "b"}); });
+    EXPECT_EQ(store.releaseAll(), 2u);
+    waiterA.join();
+    waiterB.join();
+    EXPECT_EQ(awaitedA.claim, BaselineTicket::Claim::kCompute);
+    EXPECT_EQ(awaitedB.claim, BaselineTicket::Claim::kCompute);
+    EXPECT_EQ(store.claim({6, 0, "done"}).claim,
+              BaselineTicket::Claim::kHave);
 }
 
 TEST(BaselineStore, DeferredJobRunsFirstAndWaitsInItsOwnSpan)
@@ -380,7 +419,7 @@ TEST(BaselineStore, DeferredJobRunsFirstAndWaitsInItsOwnSpan)
     tracer.clear();
     tracer.setEnabled(true);
 
-    JobExecutor executor(DriverOptions{}, nullptr, &store);
+    JobExecutor executor(DriverOptions{}, nullptr, store);
     JobResult result;
     std::thread job([&] { result = executor.run(spec, 1); });
     // Publish only once the job is blocked after its parallel run.

@@ -15,8 +15,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1044,11 +1047,18 @@ TEST(ServeEndToEnd, ExternalWorkersComputeEachBaselineOnce)
     const Streamed s =
         streamRequest(server.endpoint(), "results fig01 csv wait");
     EXPECT_EQ(s.end, "end complete 12/12");
-    EXPECT_EQ(server.baselines().computeCount(), 3u);
-    EXPECT_NE(server.metricsText().find(
-                  "sst_serve_baselines_total{outcome=\"compute\"} 3\n"),
+    // The server granted three claims, and the workers simulated three
+    // baselines: a claim that failed over the wire and was computed
+    // locally anyway still counts as a driver-side compute.
+    const std::string metrics = server.metricsText();
+    EXPECT_NE(
+        metrics.find("sst_serve_baselines_total{outcome=\"compute\"} 3\n"),
+        std::string::npos)
+        << metrics;
+    EXPECT_NE(metrics.find("sst_driver_baseline_requests_total{outcome="
+                           "\"compute\"} 3\n"),
               std::string::npos)
-        << server.metricsText();
+        << metrics;
 
     const std::vector<JobSpec> jobs =
         expandGrid(specGrid(parseSpec(specText)));
@@ -1073,6 +1083,7 @@ TEST(ServeEndToEnd, VanishedBaselineOwnerIsRegrantedAfterLeaseExpiry)
     opts.queue.backoffBaseMs = 50;
     opts.reaperIntervalMs = 50;
     serve::Server server(opts);
+    telemetry::Registry::global().reset(); // exact counts below
     server.start();
 
     const std::string specText = "profiles = cholesky\nthreads = 2, 4\n";
@@ -1103,6 +1114,26 @@ TEST(ServeEndToEnd, VanishedBaselineOwnerIsRegrantedAfterLeaseExpiry)
                   .rfind("err ", 0),
               0u);
 
+    // The other job shares the baseline; its holder may not pre-empt
+    // the zombie's claim with a run of its own (a bogus one here: the
+    // CSV check below would catch it).
+    const std::string other =
+        requestLine(server.endpoint(), "lease intruder");
+    ASSERT_EQ(other.rfind("ok job ", 0), 0u) << other;
+    RunResult bogus;
+    bogus.nthreads = 1;
+    bogus.ncores = 1;
+    bogus.executionTime = 1;
+    Request publish;
+    publish.kind = Request::Kind::kBaselineDone;
+    publish.worker = "intruder";
+    publish.jobId = std::stoull(serve::splitTokens(other)[2]);
+    publish.group = 0;
+    publish.payload = encodeBaselineSummary(bogus);
+    EXPECT_EQ(requestLine(server.endpoint(),
+                          serve::serializeRequest(publish)),
+              "err baseline claimed by another job");
+
     // A live worker defers behind the zombie's claim; the expired lease
     // releases it, the claim is re-granted, and the campaign completes.
     serve::WorkerOptions wopts;
@@ -1116,8 +1147,11 @@ TEST(ServeEndToEnd, VanishedBaselineOwnerIsRegrantedAfterLeaseExpiry)
         streamRequest(server.endpoint(), "results camp csv wait");
     EXPECT_EQ(s.end, "end complete 2/2");
     EXPECT_GE(server.queue().stats().requeues, 1u);
-    EXPECT_EQ(server.baselines().computeCount(), 2u)
-        << "the zombie's grant plus exactly one re-grant";
+    EXPECT_NE(server.metricsText().find(
+                  "sst_serve_baselines_total{outcome=\"compute\"} 2\n"),
+              std::string::npos)
+        << "the zombie's grant plus exactly one re-grant:\n"
+        << server.metricsText();
     const std::vector<JobSpec> jobs =
         expandGrid(specGrid(parseSpec(specText)));
     EXPECT_EQ(s.body, sweepCsv(jobs, runExperimentBatch(jobs, {})));
@@ -1126,6 +1160,71 @@ TEST(ServeEndToEnd, VanishedBaselineOwnerIsRegrantedAfterLeaseExpiry)
     worker.join();
     EXPECT_EQ(rc, 0);
     server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, StopReleasesClaimsLocalWorkersWaitOn)
+{
+    const std::string dir = makeTempDir("stopclaims");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.localWorkers = 1;
+    serve::Server server(opts);
+    telemetry::Registry::global().reset(); // exact counts below
+    server.start();
+    const auto waitUntil = [](const std::function<bool()> &pred) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (!pred()) {
+            if (std::chrono::steady_clock::now() > deadline)
+                return false;
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        return true;
+    };
+
+    // Keep the local worker busy (a 16-thread radix job runs for about
+    // a second) so the raw client below leases and claims first.
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign(
+        "busy", 0, "profiles = radix\nthreads = 16\n", response));
+    ASSERT_TRUE(
+        waitUntil([&] { return server.queue().stats().leased == 1; }));
+    ASSERT_TRUE(server.submitCampaign(
+        "camp", 0, "profiles = cholesky\nthreads = 2, 4\n", response));
+    const std::string lease = requestLine(server.endpoint(), "lease ext");
+    ASSERT_EQ(lease.rfind("ok job ", 0), 0u) << lease;
+    const std::string id = serve::splitTokens(lease)[2];
+    ASSERT_EQ(requestLine(server.endpoint(), "baseline ext " + id + " 0"),
+              "ok compute");
+
+    // The local worker then takes the other job, which shares that
+    // baseline, and blocks on the external claim after its parallel
+    // run. The external holder never publishes, and once stopped the
+    // server can neither hear from it nor expire its lease.
+    ASSERT_TRUE(waitUntil([&] {
+        return server.metricsText().find(
+                   "sst_driver_baseline_requests_total{outcome="
+                   "\"wait\"} 1\n") != std::string::npos;
+    }));
+    std::promise<void> stopped;
+    std::thread stopper([&] {
+        server.stop();
+        stopped.set_value();
+    });
+    if (stopped.get_future().wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "Server::stop() hung on a local worker blocked "
+                         "on an external baseline claim";
+        std::_Exit(1); // the blocked threads cannot be joined
+    }
+    stopper.join();
+    EXPECT_NE(server.metricsText().find(
+                  "sst_serve_baselines_total{outcome=\"released\"} 1\n"),
+              std::string::npos)
+        << server.metricsText();
+    EXPECT_EQ(server.queue().stats().done, 2u)
+        << "the blocked job computed the baseline itself and completed";
     std::filesystem::remove_all(dir);
 }
 
