@@ -246,7 +246,8 @@ traceUsage()
         "      --sched must match the recorded policy (it documents\n"
         "      the expectation, replay always uses the recording's)\n"
         "  info --in FILE\n"
-        "      print header and per-stream statistics\n"
+        "      decode every stream to check it, then print header and\n"
+        "      per-stream statistics\n"
         "scheduler policies: %s\n",
         allSchedPolicyLabelsJoined().c_str());
 }
@@ -405,6 +406,7 @@ traceInfo(int argc, char **argv, int first)
         fatal("info needs --in FILE");
 
     const TraceReader reader(inPath);
+    reader.validate(); // decode every stream: info vouches for the file
     const trace::TraceMeta &meta = reader.meta();
     std::printf("file                %s\n", inPath.c_str());
     std::printf("format_version      %u\n", meta.version);

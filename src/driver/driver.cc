@@ -23,47 +23,6 @@ namespace sst {
 namespace {
 
 /**
- * Per-batch share of parsed trace containers. Jobs that differ only in
- * machine parameters share one trace file; jobs replaying a path at the
- * same time share one parse (whole-file read + full validation decode
- * of every stream). The cache holds readers weakly, so a trace image is
- * freed as soon as the last job using it finishes instead of living
- * until the batch ends. Each path parses under its own mutex: a second
- * job waits for the first one's parse rather than repeating it, and
- * different paths parse in parallel.
- */
-class TraceReaderCache
-{
-  public:
-    std::shared_ptr<const TraceReader>
-    get(const std::string &path)
-    {
-        Slot *slot = nullptr;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            slot = &slots_[path]; // node-based: stays valid
-        }
-        std::lock_guard<std::mutex> lock(slot->mutex);
-        std::shared_ptr<const TraceReader> reader = slot->reader.lock();
-        if (!reader) {
-            reader = std::make_shared<const TraceReader>(path);
-            slot->reader = reader;
-        }
-        return reader;
-    }
-
-  private:
-    struct Slot
-    {
-        std::mutex mutex;
-        std::weak_ptr<const TraceReader> reader;
-    };
-
-    std::mutex mutex_;
-    std::unordered_map<std::string, Slot> slots_;
-};
-
-/**
  * Reject specs the simulator would abort on. The driver turns these
  * into per-job failures instead of process death so a batch survives
  * one bad entry.
@@ -130,6 +89,47 @@ class TraceRecordClaims
     std::set<std::string> claimed_;
 };
 
+/**
+ * Encoded group baseline streams for --record-dir, keyed like the
+ * BaselineStore (canonical fingerprintWorkloadGroupBaseline() text).
+ * The first recording job that needs a stream generates and encodes
+ * it; jobs recording at the same time wait for it under the key's own
+ * mutex and share it. Entries are held weakly, so a stream is freed as
+ * soon as no recording job holds it.
+ */
+class BaselineStreams
+{
+  public:
+    std::shared_ptr<const trace::OpEncoder>
+    get(const std::string &key, const WorkloadSpec &workload, int group)
+    {
+        Slot *slot = nullptr;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            slot = &slots_[key]; // node-based: stays valid
+        }
+        std::lock_guard<std::mutex> lock(slot->mutex);
+        std::shared_ptr<const trace::OpEncoder> stream =
+            slot->stream.lock();
+        if (!stream) {
+            stream = std::make_shared<const trace::OpEncoder>(
+                encodeGeneratedBaseline(workload, group));
+            slot->stream = stream;
+        }
+        return stream;
+    }
+
+  private:
+    struct Slot
+    {
+        std::mutex mutex;
+        std::weak_ptr<const trace::OpEncoder> stream;
+    };
+
+    std::mutex mutex_;
+    std::unordered_map<std::string, Slot> slots_;
+};
+
 } // namespace
 
 struct JobExecutor::Impl
@@ -138,8 +138,8 @@ struct JobExecutor::Impl
     ResultCache *cache = nullptr;
     BaselineStore *baselines = nullptr;
     std::atomic<std::size_t> baselinesComputed{0};
-    TraceReaderCache traces;
     TraceRecordClaims records;
+    BaselineStreams baselineStreams;
 
     /** Execute one job (validation, cache, trace replay or live runs). */
     JobResult runOneJob(const JobSpec &spec, std::uint64_t job_id);
@@ -188,19 +188,34 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
         // Recorded op streams embed the schedule they ran under, and a
         // trace header carries no core count — an oversubscribed job
         // (ncores < nthreads) always generates live.
-        std::shared_ptr<const TraceReader> reader;
+        std::unique_ptr<const TraceReader> reader;
         if (!opts.traceDir.empty() &&
             spec.ncoresEffective() == nthreads) {
             const std::string path = tracePathFor(
                 opts.traceDir, workload, spec.seedOffset,
                 spec.params.schedPolicy, spec.params.schedSeed);
             if (std::filesystem::exists(path)) {
-                reader = traces.get(path);
+                reader = std::make_unique<const TraceReader>(path);
                 reader->requireCompatibleWorkload(
                     workload.role, traceGroupsOf(workload),
                     spec.params.schedPolicy, spec.params.schedSeed);
             }
         }
+
+        // Per-group 1-thread reference runs, shared by claim-or-defer
+        // (driver/baseline_store.hh). Keys are the full canonical
+        // baseline text (not the hash) so two distinct baselines can
+        // never silently share a slot; the key is frontend-agnostic (a
+        // replayed baseline is bit-identical to a generated one) and
+        // group-agnostic (a mix group shares its baseline with
+        // homogeneous sweeps of the same profile).
+        const int ngroups = workload.ngroups();
+        std::vector<BaselineSlot> slots(static_cast<std::size_t>(ngroups));
+        for (int g = 0; g < ngroups; ++g)
+            slots[g] = BaselineSlot{
+                job_id, g,
+                fingerprintWorkloadGroupBaseline(spec.params, workload, g)
+                    .canonical};
 
         // Trace capture (--record-dir): fresh, non-oversubscribed jobs
         // write their canonical recording while they run. Jobs that
@@ -219,22 +234,15 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
                 writer = std::make_unique<TraceWriter>(
                     traceMetaFor(workload, spec.params));
                 // Baseline streams are a pure function of the workload
-                // — fill them by generation so the 1-thread runs can
-                // still come from the shared baseline store.
-                for (int g = 0; g < workload.ngroups(); ++g)
-                    appendGeneratedBaseline(*writer, workload, g);
+                // — encode each distinct one once and share it, so the
+                // 1-thread runs can still come from the baseline store.
+                for (int g = 0; g < ngroups; ++g)
+                    writer->setStream(
+                        writer->baselineStream(g),
+                        baselineStreams.get(slots[g].key, workload, g));
             }
         }
 
-        // Per-group 1-thread reference runs, shared by claim-or-defer
-        // (driver/baseline_store.hh). Keys are the full canonical
-        // baseline text (not the hash) so two distinct baselines can
-        // never silently share a slot; the key is frontend-agnostic (a
-        // replayed baseline is bit-identical to a generated one) and
-        // group-agnostic (a mix group shares its baseline with
-        // homogeneous sweeps of the same profile).
-        const int ngroups = workload.ngroups();
-        std::vector<BaselineSlot> slots(static_cast<std::size_t>(ngroups));
         std::vector<std::shared_ptr<const RunResult>> group_bases(
             slots.size());
         auto countRequest = [&registry](const char *outcome) {
@@ -267,10 +275,6 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
         // is computing are deferred past the parallel run.
         std::vector<int> deferred;
         for (int g = 0; g < ngroups; ++g) {
-            slots[g] = BaselineSlot{
-                job_id, g,
-                fingerprintWorkloadGroupBaseline(spec.params, workload, g)
-                    .canonical};
             const BaselineTicket ticket = baselines->claim(slots[g]);
             switch (ticket.claim) {
             case BaselineTicket::Claim::kHave:

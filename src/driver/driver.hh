@@ -1,10 +1,11 @@
 /**
  * @file
  * The parallel experiment driver: executes a declarative batch of
- * speedup-experiment jobs on a work-stealing thread pool, shares
- * single-threaded baseline runs between jobs that only differ in thread
- * count, memoizes completed jobs in a content-addressed on-disk cache,
- * and isolates failures so one bad spec never poisons a batch.
+ * speedup-experiment jobs on worker threads that lease them from a
+ * JobQueue, shares single-threaded baseline runs between jobs that only
+ * differ in thread count, memoizes completed jobs in a
+ * content-addressed on-disk cache, and isolates failures so one bad
+ * spec never poisons a batch.
  *
  * Determinism contract: a job's result is a pure function of its
  * JobSpec. The simulator keeps all state per-System instance and every
@@ -55,9 +56,10 @@ struct DriverOptions
      * the batch runs (the `sst sweep --record-dir` mode). Each freshly
      * executed, non-oversubscribed job writes its canonical trace file
      * (tracePathFor) via the RecordingSource shim around its parallel
-     * run; baseline streams are filled by pure generation, so shared
-     * baselines stay shared. Cache hits and trace replays skip
-     * capture. Mutually exclusive with traceDir.
+     * run; baseline streams are filled by pure generation, each
+     * distinct one encoded once, so shared baselines stay shared.
+     * Cache hits and trace replays skip capture. Mutually exclusive
+     * with traceDir.
      */
     std::string recordDir;
 };
@@ -77,8 +79,8 @@ struct BatchStats
 
 /**
  * Executes single jobs: validation, result-cache lookup/store, trace
- * replay/record and the simulation runs, with parsed traces and
- * record-path claims memoized across calls and 1-thread baselines
+ * replay/record and the simulation runs, with record-path claims and
+ * encoded baseline streams shared across calls and 1-thread baselines
  * shared through a BaselineStore (driver/baseline_store.hh). The
  * in-process worker threads and external `sst worker` processes
  * (src/serve/) share this one implementation. Thread-safe: concurrent

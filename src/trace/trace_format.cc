@@ -3,14 +3,27 @@
 namespace sst {
 namespace trace {
 
+namespace {
+
+/** Write @p v LEB128-encoded at @p out; returns the byte past it. */
+char *
+writeVarint(char *out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *out++ = static_cast<char>((v & 0x7f) | 0x80);
+        v >>= 7;
+    }
+    *out++ = static_cast<char>(v);
+    return out;
+}
+
+} // namespace
+
 void
 putVarint(std::string &out, std::uint64_t v)
 {
-    while (v >= 0x80) {
-        out += static_cast<char>((v & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    out += static_cast<char>(v);
+    char buf[10];
+    out.append(buf, static_cast<std::size_t>(writeVarint(buf, v) - buf));
 }
 
 void
@@ -85,25 +98,28 @@ ByteCursor::getSvarint()
 void
 OpEncoder::encode(const Op &op)
 {
-    bytes += static_cast<char>(op.type);
+    // Encode into a stack buffer, then append the whole op at once.
+    char buf[kMaxOpBytes];
+    char *end = buf;
+    *end++ = static_cast<char>(op.type);
     ++opCount;
     switch (op.type) {
       case OpType::kCompute:
-        putVarint(bytes, op.count);
+        end = writeVarint(end, op.count);
         break;
       case OpType::kLoad:
       case OpType::kStore:
         // Deltas in u64 wraparound arithmetic: defined for any address
         // distance, unlike signed subtraction.
-        putVarint(bytes, zigzagBits(op.addr - prevAddr));
-        putVarint(bytes, zigzagBits(op.pc - prevPc));
+        end = writeVarint(end, zigzagBits(op.addr - prevAddr));
+        end = writeVarint(end, zigzagBits(op.pc - prevPc));
         prevAddr = op.addr;
         prevPc = op.pc;
         break;
       case OpType::kLockAcquire:
       case OpType::kLockRelease:
       case OpType::kBarrier:
-        putVarint(bytes, static_cast<std::uint64_t>(op.id));
+        end = writeVarint(end, static_cast<std::uint64_t>(op.id));
         break;
       case OpType::kRoiBegin:
         break;
@@ -111,10 +127,11 @@ OpEncoder::encode(const Op &op)
         sawEnd = true;
         break;
     }
+    bytes.append(buf, static_cast<std::size_t>(end - buf));
 }
 
 Op
-OpDecoder::decode()
+OpDecoder::decode(ByteCursor &cursor)
 {
     const std::uint8_t tag = cursor.getByte();
     if (tag > static_cast<std::uint8_t>(OpType::kEnd))

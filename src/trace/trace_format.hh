@@ -91,6 +91,10 @@ inline constexpr std::uint32_t kMinTraceVersion = 1;
 /** Sanity bound on the recorded thread count. */
 inline constexpr std::uint32_t kMaxThreads = 4096;
 
+/** Longest legal op encoding: a kLoad/kStore tag plus two 10-byte
+ *  varints. A decoder holding this many bytes never runs out mid-op. */
+inline constexpr std::size_t kMaxOpBytes = 1 + 10 + 10;
+
 /** Canonical trace file extension. */
 inline constexpr const char *kFileSuffix = ".sstt";
 
@@ -184,7 +188,8 @@ struct ByteCursor
 
 /**
  * Stateful encoder of one stream's ops (delta state for addresses and
- * PCs). Append-only; the encoded bytes accumulate in `bytes`.
+ * PCs). Append-only; the encoded bytes accumulate in `bytes`, one
+ * append per op.
  */
 struct OpEncoder
 {
@@ -209,7 +214,13 @@ struct OpDecoder
 
     OpDecoder(const void *data, std::size_t size) : cursor(data, size) {}
 
-    Op decode();
+    /** Decode the next op from `cursor`. */
+    Op decode() { return decode(cursor); }
+
+    /** Decode the next op from @p in with this decoder's delta state
+     *  (a windowed reader hands in its window). Checks the tag and
+     *  every varint; throws TraceError on malformed bytes. */
+    Op decode(ByteCursor &in);
 };
 
 } // namespace trace

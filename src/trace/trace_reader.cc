@@ -1,62 +1,180 @@
 #include "trace_reader.hh"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <system_error>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 namespace sst {
+namespace trace {
+
+/**
+ * The bytes of one container, read by offset: an open file (pread) or
+ * an in-memory image. The reader and every TraceProgram it hands out
+ * share one, so the file stays open until the last of them is gone.
+ */
+class TraceBytes
+{
+  public:
+    static std::shared_ptr<const TraceBytes>
+    openFile(const std::string &path)
+    {
+        std::shared_ptr<TraceBytes> bytes(new TraceBytes);
+        bytes->path_ = path;
+        bytes->fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        if (bytes->fd_ < 0)
+            throw TraceError("cannot open trace file: " + path);
+        struct stat st;
+        if (::fstat(bytes->fd_, &st) != 0 || !S_ISREG(st.st_mode))
+            throw TraceError("failed reading trace file: " + path);
+        bytes->size_ = static_cast<std::uint64_t>(st.st_size);
+        return bytes;
+    }
+
+    static std::shared_ptr<const TraceBytes>
+    fromImage(std::string image)
+    {
+        std::shared_ptr<TraceBytes> bytes(new TraceBytes);
+        bytes->size_ = image.size();
+        bytes->image_ = std::move(image);
+        return bytes;
+    }
+
+    ~TraceBytes()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+
+    TraceBytes(const TraceBytes &) = delete;
+    TraceBytes &operator=(const TraceBytes &) = delete;
+
+    std::uint64_t size() const { return size_; }
+
+    /** Copy the @p n bytes at @p offset (inside the container) to
+     *  @p dst. Throws TraceError when the file cannot deliver them. */
+    void
+    read(std::uint64_t offset, void *dst, std::size_t n) const
+    {
+        if (fd_ < 0) {
+            std::memcpy(dst, image_.data() + offset, n);
+            return;
+        }
+        auto *out = static_cast<char *>(dst);
+        while (n > 0) {
+            const ssize_t got =
+                ::pread(fd_, out, n, static_cast<off_t>(offset));
+            if (got < 0 && errno == EINTR)
+                continue;
+            if (got <= 0) // an error, or the file shrank under us
+                throw TraceError("failed reading trace file: " + path_);
+            out += got;
+            offset += static_cast<std::uint64_t>(got);
+            n -= static_cast<std::size_t>(got);
+        }
+    }
+
+  private:
+    TraceBytes() = default;
+
+    int fd_ = -1;
+    std::string path_;
+    std::string image_;
+    std::uint64_t size_ = 0;
+};
+
+WindowCursor::WindowCursor(std::shared_ptr<const TraceBytes> bytes,
+                           std::uint64_t begin, std::uint64_t end,
+                           std::size_t capacity)
+    : bytes_(std::move(bytes)), buf_(new unsigned char[capacity]),
+      capacity_(capacity), next_(begin), end_(end)
+{
+    in = ByteCursor(buf_.get(), 0);
+}
+
+void
+WindowCursor::refill()
+{
+    const std::size_t keep = in.remaining();
+    std::memmove(buf_.get(), buf_.get() + in.pos, keep);
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(capacity_ - keep, end_ - next_));
+    bytes_->read(next_, buf_.get() + keep, n);
+    next_ += n;
+    in = ByteCursor(buf_.get(), keep + n);
+}
+
+void
+WindowCursor::skip(std::uint64_t n)
+{
+    if (n > remaining())
+        throw TraceError("truncated trace: unexpected end of data");
+    if (n <= in.remaining()) {
+        in.pos += static_cast<std::size_t>(n);
+        return;
+    }
+    next_ += n - in.remaining();
+    in = ByteCursor(buf_.get(), 0);
+}
+
+std::string
+WindowCursor::take(std::uint64_t n)
+{
+    if (n > remaining())
+        throw TraceError("truncated trace: unexpected end of data");
+    std::string out(static_cast<std::size_t>(n), '\0');
+    const std::size_t buffered =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n, in.remaining()));
+    std::memcpy(out.data(), in.data + in.pos, buffered);
+    in.pos += buffered;
+    if (buffered < out.size()) {
+        bytes_->read(next_, out.data() + buffered, out.size() - buffered);
+        next_ += out.size() - buffered;
+    }
+    return out;
+}
+
+} // namespace trace
 
 namespace {
 
-/** The file's bytes in one buffer sized to the file, filled by one
- *  read: the image is the largest allocation a replay makes, so it is
- *  never regrown or copied. */
-std::string
-readWholeFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw TraceError("cannot open trace file: " + path);
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (ec)
-        throw TraceError("failed reading trace file: " + path);
-    std::string data(static_cast<std::size_t>(size), '\0');
-    if (!in.read(data.data(), static_cast<std::streamsize>(size)))
-        throw TraceError("failed reading trace file: " + path);
-    return data;
-}
+/** Window of the header and stream-table parse: the fixed header, and
+ *  then each stream's last byte with the next table entry, take one
+ *  read each. */
+constexpr std::size_t kTableWindowBytes = 4096;
+
+/** Magic through the scheduler seed: the fixed-size header fields. */
+constexpr std::size_t kFixedHeaderBytes = 8 + 4 + 4 + 8 + 4 + 8;
+
+/** Bytes of a varint, at most. */
+constexpr std::size_t kMaxVarintBytes = 10;
 
 } // namespace
 
 TraceReader::TraceReader(const std::string &path)
-    : data_(std::make_shared<const std::string>(readWholeFile(path)))
+    : TraceReader(trace::TraceBytes::openFile(path))
 {
-    parse();
 }
 
 TraceReader
 TraceReader::fromBytes(std::string bytes)
 {
-    TraceReader reader;
-    reader.data_ =
-        std::make_shared<const std::string>(std::move(bytes));
-    reader.parse();
-    return reader;
+    return TraceReader(trace::TraceBytes::fromImage(std::move(bytes)));
 }
 
-void
-TraceReader::parse()
+TraceReader::TraceReader(std::shared_ptr<const trace::TraceBytes> bytes)
+    : bytes_(std::move(bytes))
 {
-    const std::string &data = *data_;
-    trace::ByteCursor cur(data.data(), data.size());
+    trace::WindowCursor table(bytes_, 0, bytes_->size(),
+                              kTableWindowBytes);
+    trace::ByteCursor &cur = table.in; // refills keep this object
 
+    table.want(kFixedHeaderBytes);
     if (cur.remaining() < sizeof(trace::kMagic) ||
-        std::memcmp(data.data(), trace::kMagic,
-                    sizeof(trace::kMagic)) != 0) {
+        std::memcmp(cur.data, trace::kMagic, sizeof(trace::kMagic)) != 0)
         throw TraceError("not a trace file: bad magic");
-    }
     cur.pos = sizeof(trace::kMagic);
 
     meta_.version = cur.getU32();
@@ -88,13 +206,14 @@ TraceReader::parse()
         meta_.schedSeed = 0;
     }
 
+    table.want(kMaxVarintBytes);
     const std::uint64_t label_len = cur.getVarint();
-    if (label_len > cur.remaining())
+    if (label_len > table.remaining())
         throw TraceError("truncated trace: label overruns the file");
-    meta_.label.assign(data, cur.pos, label_len);
-    cur.pos += static_cast<std::size_t>(label_len);
+    meta_.label = table.take(label_len);
 
     if (meta_.version >= 3) {
+        table.want(2 * kMaxVarintBytes);
         try {
             meta_.role = workloadRoleFromRaw(
                 static_cast<std::uint32_t>(cur.getVarint()));
@@ -110,6 +229,7 @@ TraceReader::parse()
         int group_threads = 0;
         for (std::uint64_t g = 0; g < ngroups; ++g) {
             trace::TraceGroup group;
+            table.want(2 * kMaxVarintBytes + 8);
             const std::uint64_t gthreads = cur.getVarint();
             if (gthreads < 1 || gthreads > trace::kMaxThreads)
                 throw TraceError("malformed trace: group thread count " +
@@ -118,11 +238,10 @@ TraceReader::parse()
             group.nthreads = static_cast<int>(gthreads);
             group.profileHash = cur.getU64();
             const std::uint64_t glabel_len = cur.getVarint();
-            if (glabel_len > cur.remaining())
+            if (glabel_len > table.remaining())
                 throw TraceError(
                     "truncated trace: group label overruns the file");
-            group.label.assign(data, cur.pos, glabel_len);
-            cur.pos += static_cast<std::size_t>(glabel_len);
+            group.label = table.take(glabel_len);
             group_threads += group.nthreads;
             meta_.groups.push_back(std::move(group));
         }
@@ -145,36 +264,41 @@ TraceReader::parse()
             meta_.nthreads, meta_.profileHash, meta_.label});
     }
 
-    // Stream table: each block is (opCount, byteLength, bytes). Decode
-    // every stream completely up front so any truncation or corruption
-    // surfaces here as a TraceError, not mid-simulation.
+    // Stream table: each block is (opCount, byteLength, bytes). Only the
+    // structure is checked here; the ops are checked as they decode.
     streams_.resize(static_cast<std::size_t>(meta_.nthreads) +
                     meta_.groups.size());
     for (StreamIndex &s : streams_) {
+        table.want(2 * kMaxVarintBytes);
         s.ops = cur.getVarint();
-        const std::uint64_t len = cur.getVarint();
-        if (len > cur.remaining())
+        s.length = cur.getVarint();
+        if (s.length > table.remaining())
             throw TraceError("truncated trace: stream overruns the file");
-        s.offset = cur.pos;
-        s.length = static_cast<std::size_t>(len);
-        cur.pos += s.length;
-
         if (s.ops == 0)
             throw TraceError("malformed trace: empty op stream");
-        trace::OpDecoder dec(data.data() + s.offset, s.length);
-        for (std::uint64_t i = 0; i < s.ops; ++i) {
-            const Op op = dec.decode();
-            const bool last = (i + 1 == s.ops);
-            if ((op.type == OpType::kEnd) != last) {
-                throw TraceError("malformed trace: stream end marker "
-                                 "misplaced");
-            }
-        }
-        if (dec.cursor.remaining() != 0)
-            throw TraceError("malformed trace: trailing bytes in stream");
+        if (s.length < s.ops) // every op takes at least its tag byte
+            throw TraceError("malformed trace: stream of " +
+                             std::to_string(s.ops) + " ops in " +
+                             std::to_string(s.length) + " bytes");
+        s.offset = table.offset();
+        table.skip(s.length - 1);
+        table.want(1);
+        if (cur.getByte() != static_cast<std::uint8_t>(OpType::kEnd))
+            throw TraceError("malformed trace: stream does not end in "
+                             "an end marker");
     }
-    if (cur.remaining() != 0)
+    if (table.remaining() != 0)
         throw TraceError("malformed trace: trailing bytes after streams");
+}
+
+void
+TraceReader::validate() const
+{
+    for (const StreamIndex &s : streams_) {
+        TraceProgram program(bytes_, s.offset, s.length, s.ops);
+        while (!program.finished())
+            program.nextOp();
+    }
 }
 
 std::uint64_t
@@ -197,7 +321,7 @@ std::unique_ptr<OpSource>
 TraceReader::sourceFor(int stream) const
 {
     const StreamIndex &s = streams_[static_cast<std::size_t>(stream)];
-    return std::make_unique<TraceProgram>(data_, s.offset, s.length,
+    return std::make_unique<TraceProgram>(bytes_, s.offset, s.length,
                                           s.ops);
 }
 
@@ -325,11 +449,13 @@ TraceReader::requireSchedPolicy(SchedPolicy policy) const
     }
 }
 
-TraceProgram::TraceProgram(std::shared_ptr<const std::string> data,
-                           std::size_t offset, std::size_t length,
+TraceProgram::TraceProgram(std::shared_ptr<const trace::TraceBytes> bytes,
+                           std::uint64_t offset, std::uint64_t length,
                            std::uint64_t ops)
-    : data_(std::move(data)),
-      decoder_(data_->data() + offset, length), opsLeft_(ops)
+    : window_(std::move(bytes), offset, offset + length,
+              static_cast<std::size_t>(
+                  std::min<std::uint64_t>(length, kWindowBytes))),
+      opsLeft_(ops)
 {
 }
 
@@ -338,15 +464,29 @@ TraceProgram::nextOp()
 {
     if (finished_)
         return Op::end();
-    // parse() verified the stream decodes cleanly and ends in kEnd, so
-    // these throws are unreachable for a reader-produced program; they
-    // guard hand-constructed instances.
-    if (opsLeft_ == 0)
-        throw TraceError("trace stream exhausted without end marker");
-    const Op op = decoder_.decode();
+    if (opsLeft_ == 0) // an earlier call threw on this stream
+        throw TraceError("malformed trace: stream has no end marker");
+    window_.want(trace::kMaxOpBytes);
+    Op op;
+    try {
+        op = decoder_.decode(window_.in);
+    } catch (const TraceError &e) {
+        // The table bounds each stream, so running out of its bytes
+        // mid-op is a malformed stream, not a short file.
+        if (window_.remaining() != 0)
+            throw;
+        throw TraceError(std::string("malformed trace: bad last op in "
+                                     "stream: ") +
+                         e.what());
+    }
     --opsLeft_;
-    if (op.type == OpType::kEnd)
+    if ((op.type == OpType::kEnd) != (opsLeft_ == 0))
+        throw TraceError("malformed trace: stream end marker misplaced");
+    if (op.type == OpType::kEnd) {
+        if (window_.remaining() != 0)
+            throw TraceError("malformed trace: trailing bytes in stream");
         finished_ = true;
+    }
     return op;
 }
 

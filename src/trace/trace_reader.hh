@@ -1,11 +1,14 @@
 /**
  * @file
- * Trace replay: TraceReader parses and validates a recorded trace
- * container (header, stream table, and a full decode pass over every
- * stream, so truncation or corruption fails at open time with a clean
- * TraceError); TraceProgram is the OpSource replay frontend that feeds
- * a recorded stream back into the simulator — no ThreadProgram, no
- * workload generation, just byte decoding on the hot path.
+ * Trace replay from disk. TraceReader keeps the container open and, at
+ * open, reads only the header and the stream table, checking the
+ * structure: bounds, counts, trailing bytes, and that every stream ends
+ * in the kEnd tag. TraceProgram is the OpSource replay frontend: it
+ * decodes one stream through a fixed window refilled from the file, and
+ * checks every op in that single pass (tag, varints, end-marker place,
+ * trailing bytes), throwing TraceError on the first malformed one. A
+ * stream nobody replays is never read. validate() runs that decode pass
+ * over every stream up front.
  */
 
 #ifndef SST_TRACE_TRACE_READER_HH
@@ -20,15 +23,85 @@
 
 namespace sst {
 
-/** Parsed, validated trace container. Cheap to copy (shares the data). */
+namespace trace {
+
+/** The bytes of one container: an open file or an in-memory image.
+ *  Defined in trace_reader.cc. */
+class TraceBytes;
+
+/**
+ * Sequential reader over the byte range [begin, end) of a container
+ * through a window of at most `capacity` bytes. want(n), for n up to
+ * the capacity, makes at least min(n, remaining()) bytes available at
+ * `in`, sliding the unread tail to the front and refilling the rest
+ * with one read; parse from `in` after it. Reading past the range
+ * throws TraceError (from `in`).
+ */
+class WindowCursor
+{
+  public:
+    WindowCursor(std::shared_ptr<const TraceBytes> bytes,
+                 std::uint64_t begin, std::uint64_t end,
+                 std::size_t capacity);
+
+    /** Cursor over the buffered bytes. */
+    ByteCursor in{nullptr, 0};
+
+    void
+    want(std::size_t n)
+    {
+        if (in.remaining() < n && next_ != end_)
+            refill();
+    }
+
+    /** Container offset of the next unread byte. */
+    std::uint64_t offset() const { return next_ - in.remaining(); }
+
+    /** Unread bytes of the range, buffered or not. */
+    std::uint64_t remaining() const { return end_ - offset(); }
+
+    /** Skip @p n bytes. Throws TraceError past the end of the range. */
+    void skip(std::uint64_t n);
+
+    /** Read @p n bytes. Throws TraceError past the end of the range. */
+    std::string take(std::uint64_t n);
+
+    /** Bytes buffered right now (never more than the capacity). */
+    std::size_t bufferedBytes() const { return in.size; }
+
+  private:
+    void refill();
+
+    std::shared_ptr<const TraceBytes> bytes_;
+    std::unique_ptr<unsigned char[]> buf_;
+    std::size_t capacity_;
+    std::uint64_t next_; ///< offset of the first byte not yet buffered
+    std::uint64_t end_;
+};
+
+} // namespace trace
+
+/**
+ * An open trace container whose header and stream table passed the
+ * structural checks. Cheap to copy (copies share the open file).
+ */
 class TraceReader
 {
   public:
-    /** Parse @p path. Throws TraceError on IO error or malformed data. */
+    /** Open @p path. Throws TraceError on IO error or a malformed
+     *  header or stream table. */
     explicit TraceReader(const std::string &path);
 
-    /** Parse an in-memory image (tests, future network transports). */
+    /** Open an in-memory image (tests, future network transports).
+     *  The same checks as a file. */
     static TraceReader fromBytes(std::string bytes);
+
+    /**
+     * Decode every stream completely, with the checks replay makes.
+     * Throws TraceError on the first malformed op; `sst trace info`
+     * runs it so a whole file is checked before anything replays it.
+     */
+    void validate() const;
 
     const trace::TraceMeta &meta() const { return meta_; }
 
@@ -85,37 +158,44 @@ class TraceReader
   private:
     struct StreamIndex
     {
-        std::size_t offset = 0; ///< into data_
-        std::size_t length = 0;
+        std::uint64_t offset = 0; ///< into the container
+        std::uint64_t length = 0;
         std::uint64_t ops = 0;
     };
 
-    TraceReader() = default;
-    void parse();
+    explicit TraceReader(std::shared_ptr<const trace::TraceBytes> bytes);
     std::unique_ptr<OpSource> sourceFor(int stream) const;
 
-    std::shared_ptr<const std::string> data_;
+    std::shared_ptr<const trace::TraceBytes> bytes_;
     trace::TraceMeta meta_;
     std::vector<StreamIndex> streams_;
 };
 
 /**
- * OpSource decoding one recorded stream. Holds a share of the trace
- * image, so it stays valid after the TraceReader is gone.
+ * OpSource decoding one recorded stream through a fixed window, and
+ * checking each op as it goes. Holds a share of the open container,
+ * so it stays valid after the TraceReader is gone.
  */
 class TraceProgram : public OpSource
 {
   public:
-    TraceProgram(std::shared_ptr<const std::string> data,
-                 std::size_t offset, std::size_t length,
+    /** Decode window of one stream: a program never buffers more. */
+    static constexpr std::size_t kWindowBytes = 64 * 1024;
+
+    TraceProgram(std::shared_ptr<const trace::TraceBytes> bytes,
+                 std::uint64_t offset, std::uint64_t length,
                  std::uint64_t ops);
 
+    /** The next op. Throws TraceError on a malformed one. */
     Op nextOp() override;
     bool finished() const override { return finished_; }
 
+    /** Stream bytes buffered right now (at most kWindowBytes). */
+    std::size_t bufferedBytes() const { return window_.bufferedBytes(); }
+
   private:
-    std::shared_ptr<const std::string> data_;
-    trace::OpDecoder decoder_;
+    trace::WindowCursor window_;
+    trace::OpDecoder decoder_{nullptr, 0}; ///< delta state only
     std::uint64_t opsLeft_;
     bool finished_ = false;
 };

@@ -181,25 +181,31 @@ tracePathFor(const std::string &dir, const WorkloadSpec &workload,
     return path;
 }
 
+trace::OpEncoder
+encodeGeneratedBaseline(const WorkloadSpec &workload, int group)
+{
+    // The bytes equal a RecordingSource capture of a live baseline run,
+    // because the simulator pulls each op exactly once. The factory
+    // owns the profile its sources read, so it must outlive the source.
+    const OpSourceFactory factory =
+        workloadGroupBaselineSources(workload, group);
+    const std::unique_ptr<OpSource> source = factory(0, 1);
+    trace::OpEncoder enc;
+    for (;;) {
+        const Op op = source->nextOp();
+        enc.encode(op);
+        if (op.type == OpType::kEnd)
+            return enc;
+    }
+}
+
 void
 appendGeneratedBaseline(TraceWriter &writer, const WorkloadSpec &workload,
                         int group)
 {
-    // The 1-thread stream is a pure function of the workload: enumerate
-    // it directly. The bytes equal a RecordingSource capture of a live
-    // baseline run, because the simulator pulls each op exactly once.
-    // The factory owns the profile its sources read, so it must outlive
-    // the source.
-    const OpSourceFactory factory =
-        workloadGroupBaselineSources(workload, group);
-    const std::unique_ptr<OpSource> source = factory(0, 1);
-    const int stream = writer.baselineStream(group);
-    for (;;) {
-        const Op op = source->nextOp();
-        writer.append(stream, op);
-        if (op.type == OpType::kEnd)
-            return;
-    }
+    writer.setStream(writer.baselineStream(group),
+                     std::make_shared<const trace::OpEncoder>(
+                         encodeGeneratedBaseline(workload, group)));
 }
 
 SpeedupExperiment

@@ -71,13 +71,17 @@ std::string tracePathFor(const std::string &dir,
                          std::uint64_t sched_seed = 0);
 
 /**
- * Append group @p group's 1-thread sequential reference program
- * (workloadGroupBaselineSources()) to @p writer's corresponding
- * baseline stream by pure generation — an op stream is a deterministic
- * function of its workload, so no simulation is needed and the bytes
- * equal what a recorded live baseline run would capture. This is how
- * `sst sweep --record-dir` fills baseline streams without re-running
- * baselines every job.
+ * Encode group @p group's 1-thread sequential reference program
+ * (workloadGroupBaselineSources()) by pure generation — an op stream is
+ * a deterministic function of its workload, so no simulation is needed
+ * and the bytes equal what a recorded live baseline run would capture.
+ */
+trace::OpEncoder encodeGeneratedBaseline(const WorkloadSpec &workload,
+                                         int group);
+
+/**
+ * Fill @p writer's baseline stream of group @p group with
+ * encodeGeneratedBaseline(). The stream must be empty.
  */
 void appendGeneratedBaseline(TraceWriter &writer,
                              const WorkloadSpec &workload, int group);

@@ -7,6 +7,20 @@
 
 namespace sst {
 
+namespace {
+
+/** A stream block's prefix: its op count and byte length. */
+std::string
+blockPrefix(const trace::OpEncoder &enc)
+{
+    std::string out;
+    trace::putVarint(out, enc.opCount);
+    trace::putVarint(out, enc.bytes.size());
+    return out;
+}
+
+} // namespace
+
 TraceWriter::TraceWriter(trace::TraceMeta meta) : meta_(std::move(meta))
 {
     sstAssert(meta_.nthreads >= 1 &&
@@ -29,6 +43,7 @@ TraceWriter::TraceWriter(trace::TraceMeta meta) : meta_(std::move(meta))
               "TraceWriter: group thread counts must sum to nthreads");
     streams_.resize(static_cast<std::size_t>(meta_.nthreads) +
                     meta_.groups.size());
+    shared_.resize(streams_.size());
 }
 
 void
@@ -38,21 +53,42 @@ TraceWriter::append(int stream, const Op &op)
                   stream < static_cast<int>(streams_.size()),
               "TraceWriter: stream index out of range");
     trace::OpEncoder &enc = streams_[static_cast<std::size_t>(stream)];
-    sstAssert(!enc.sawEnd, "TraceWriter: append after stream end");
+    sstAssert(!enc.sawEnd && !shared_[static_cast<std::size_t>(stream)],
+              "TraceWriter: append after stream end");
     enc.encode(op);
+}
+
+void
+TraceWriter::setStream(int stream,
+                       std::shared_ptr<const trace::OpEncoder> encoded)
+{
+    sstAssert(stream >= 0 &&
+                  stream < static_cast<int>(streams_.size()),
+              "TraceWriter: stream index out of range");
+    const std::size_t s = static_cast<std::size_t>(stream);
+    sstAssert(streams_[s].opCount == 0 && !shared_[s] && encoded,
+              "TraceWriter: setStream on a non-empty stream");
+    shared_[s] = std::move(encoded);
+}
+
+const trace::OpEncoder &
+TraceWriter::encoderOf(int stream) const
+{
+    sstAssert(stream >= 0 &&
+                  stream < static_cast<int>(streams_.size()),
+              "TraceWriter: stream index out of range");
+    const std::size_t s = static_cast<std::size_t>(stream);
+    return shared_[s] ? *shared_[s] : streams_[s];
 }
 
 std::uint64_t
 TraceWriter::opCount(int stream) const
 {
-    sstAssert(stream >= 0 &&
-                  stream < static_cast<int>(streams_.size()),
-              "TraceWriter: stream index out of range");
-    return streams_[static_cast<std::size_t>(stream)].opCount;
+    return encoderOf(stream).opCount;
 }
 
 std::string
-TraceWriter::serialize() const
+TraceWriter::header() const
 {
     std::string out;
     out.append(trace::kMagic, sizeof(trace::kMagic));
@@ -71,9 +107,16 @@ TraceWriter::serialize() const
         trace::putVarint(out, g.label.size());
         out += g.label;
     }
-    for (const trace::OpEncoder &enc : streams_) {
-        trace::putVarint(out, enc.opCount);
-        trace::putVarint(out, enc.bytes.size());
+    return out;
+}
+
+std::string
+TraceWriter::serialize() const
+{
+    std::string out = header();
+    for (int s = 0; s < static_cast<int>(streams_.size()); ++s) {
+        const trace::OpEncoder &enc = encoderOf(s);
+        out += blockPrefix(enc);
         out += enc.bytes;
     }
     return out;
@@ -91,9 +134,16 @@ TraceWriter::writeFile(const std::string &path) const
         if (!out)
             throw TraceError("cannot open trace file for writing: " +
                              tmp);
-        const std::string bytes = serialize();
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
+        const std::string head = header();
+        out.write(head.data(), static_cast<std::streamsize>(head.size()));
+        for (int s = 0; s < static_cast<int>(streams_.size()); ++s) {
+            const trace::OpEncoder &enc = encoderOf(s);
+            const std::string prefix = blockPrefix(enc);
+            out.write(prefix.data(),
+                      static_cast<std::streamsize>(prefix.size()));
+            out.write(enc.bytes.data(),
+                      static_cast<std::streamsize>(enc.bytes.size()));
+        }
         out.flush();
         if (!out)
             throw TraceError("failed writing trace file: " + tmp);

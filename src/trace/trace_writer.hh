@@ -1,8 +1,8 @@
 /**
  * @file
  * Trace capture: TraceWriter accumulates the encoded per-thread streams
- * of one run in memory and serializes the versioned container on
- * finish; RecordingSource is the capture shim that wraps any OpSource
+ * of one run in memory (or shares already-encoded ones) and writes the
+ * versioned container on finish; RecordingSource is the capture shim that wraps any OpSource
  * and appends every op it hands to the simulator. Because the System
  * pulls each op exactly once, wrapping every thread's source records a
  * bit-exact copy of the executed workload.
@@ -43,18 +43,35 @@ class TraceWriter
     /** Append one op to stream @p stream (in stream order). */
     void append(int stream, const Op &op);
 
+    /**
+     * Use the complete, already-encoded @p encoded as stream @p stream
+     * (shared, not copied). The stream must be empty, and nothing may
+     * be appended to it afterwards.
+     */
+    void setStream(int stream,
+                   std::shared_ptr<const trace::OpEncoder> encoded);
+
     /** Ops recorded into stream @p stream so far. */
     std::uint64_t opCount(int stream) const;
 
     /** Serialize the complete container (header + all streams). */
     std::string serialize() const;
 
-    /** Serialize and write to @p path. Throws TraceError on IO failure. */
+    /** Write the container to @p path, the header and then each stream
+     *  straight from its encoder. Throws TraceError on IO failure. */
     void writeFile(const std::string &path) const;
 
   private:
+    /** The header bytes, up to the first stream block. */
+    std::string header() const;
+
+    /** The encoder of stream @p stream (its shared one once set). */
+    const trace::OpEncoder &encoderOf(int stream) const;
+
     trace::TraceMeta meta_;
     std::vector<trace::OpEncoder> streams_;
+    /** Per stream: the encoder setStream() shared, or null. */
+    std::vector<std::shared_ptr<const trace::OpEncoder>> shared_;
 };
 
 /**

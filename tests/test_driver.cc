@@ -3,7 +3,7 @@
  * Tests of the parallel experiment driver: the determinism contract
  * (worker count never changes results), serial equivalence, baseline
  * sharing, on-disk result-cache hits and invalidation, failure
- * isolation, the work-stealing pool, and the sweep-grid helpers.
+ * isolation, and the sweep-grid helpers.
  */
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
-#include "driver/thread_pool.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "tests/test_util.hh"
@@ -73,35 +72,6 @@ freshTempDir(const char *name)
         std::string(::testing::TempDir()) + "sst_driver_" + name;
     std::filesystem::remove_all(dir);
     return dir;
-}
-
-// ---- thread pool -----------------------------------------------------------
-
-TEST(WorkStealingPool, RunsEverySubmittedTask)
-{
-    WorkStealingPool pool(4);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 500; ++i)
-        pool.submit([&done] { done.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(done.load(), 500);
-}
-
-TEST(WorkStealingPool, WaitIdleOnEmptyPoolReturns)
-{
-    WorkStealingPool pool(2);
-    pool.waitIdle(); // must not hang
-    SUCCEED();
-}
-
-TEST(WorkStealingPool, SingleWorkerStillCompletes)
-{
-    WorkStealingPool pool(1);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&done] { done.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(done.load(), 50);
 }
 
 // ---- fingerprints ----------------------------------------------------------

@@ -8,7 +8,10 @@
  */
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <memory>
 
 #include "trace/trace_format.hh"
 #include "trace/trace_reader.hh"
@@ -336,6 +339,224 @@ TEST(TraceRun, TracePathUsesLabelAndThreads)
     // Replication streams get their own recordings.
     EXPECT_EQ(tracePathFor("/tmp/traces", p, 4, 3),
               "/tmp/traces/t-compute_t4_s3.sstt");
+}
+
+// ---- checks made while a stream decodes -----------------------------------
+
+/** Write @p bytes to a fresh file in the test temp dir; returns it. */
+std::string
+writeTempTrace(const std::string &name, const std::string &bytes)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "sst_format_" + name + ".sstt";
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    return path;
+}
+
+/** Drain @p src to its end marker; returns the ops it yielded. */
+std::vector<Op>
+drainOps(OpSource &src)
+{
+    std::vector<Op> ops;
+    while (!src.finished())
+        ops.push_back(src.nextOp());
+    return ops;
+}
+
+/**
+ * A 2-thread container whose thread-0 stream carries @p bad, counted
+ * as one op, between 500 valid ops on each side. Every other stream is
+ * valid, and every stream still ends in the kEnd tag.
+ */
+std::string
+traceWithBadOp(const std::string &bad)
+{
+    TraceMeta meta;
+    meta.nthreads = 2;
+    meta.profileHash = 0xfeedULL;
+    meta.label = "t-bad";
+    TraceWriter writer(std::move(meta));
+    auto corrupt = std::make_shared<OpEncoder>();
+    for (int i = 0; i < 1000; ++i) {
+        if (i == 500) {
+            corrupt->bytes += bad;
+            ++corrupt->opCount;
+        }
+        corrupt->encode(Op::load(addrmap::privateBase(0) + 64 * i, 0x40000));
+    }
+    corrupt->encode(Op::end());
+    writer.setStream(0, corrupt);
+    for (int stream = 1; stream < 3; ++stream) {
+        writer.append(stream, Op::compute(8));
+        writer.append(stream, Op::end());
+    }
+    return writer.serialize();
+}
+
+TEST(TraceValidation, MalformedOpsOpenButFailWhenDecoded)
+{
+    const std::string overflow =
+        std::string(1, static_cast<char>(OpType::kLoad)) +
+        std::string(9, '\x80') + "\x7e" + std::string(1, '\0');
+    const struct
+    {
+        const char *name;
+        std::string bad;
+    } cases[] = {
+        {"bad_tag", std::string(1, '\x2a')},
+        {"early_end", std::string(1, static_cast<char>(OpType::kEnd))},
+        {"varint_overflow", overflow},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string bytes = traceWithBadOp(c.bad);
+        const std::string path = writeTempTrace(c.name, bytes);
+        // The structure is intact, so both kinds of reader open it.
+        ASSERT_NO_THROW(TraceReader::fromBytes(bytes));
+        ASSERT_NO_THROW(TraceReader{path});
+        for (const TraceReader &reader :
+             {TraceReader::fromBytes(bytes), TraceReader(path)}) {
+            // The streams without the bad op replay in full.
+            EXPECT_EQ(drainOps(*reader.parallelSource(1)).size(), 2u);
+            EXPECT_EQ(drainOps(*reader.baselineSource()).size(), 2u);
+            // Replaying the bad stream throws at the bad op.
+            const std::unique_ptr<OpSource> src = reader.parallelSource(0);
+            for (int i = 0; i < 500; ++i)
+                ASSERT_EQ(src->nextOp().type, OpType::kLoad);
+            try {
+                src->nextOp();
+                FAIL() << "expected TraceError";
+            } catch (const TraceError &e) {
+                EXPECT_NE(std::string(e.what()).find("malformed trace"),
+                          std::string::npos)
+                    << e.what();
+            }
+            // validate() rejects the file up front.
+            EXPECT_THROW(reader.validate(), TraceError);
+        }
+        std::filesystem::remove(path);
+    }
+    EXPECT_NO_THROW(TraceReader::fromBytes(tinyTraceBytes()).validate());
+
+    // A table op count above the stream's ops: the end marker arrives,
+    // last, but early by the count.
+    TraceMeta meta;
+    meta.nthreads = 1;
+    TraceWriter writer(meta);
+    auto overcounted = std::make_shared<OpEncoder>();
+    overcounted->encode(Op::compute(1));
+    overcounted->encode(Op::end());
+    overcounted->opCount = 3; // 3 bytes: enough for 3 ops at open
+    writer.setStream(0, overcounted);
+    writer.append(1, Op::end());
+    const TraceReader reader = TraceReader::fromBytes(writer.serialize());
+    const std::unique_ptr<OpSource> src = reader.parallelSource(0);
+    EXPECT_EQ(src->nextOp().type, OpType::kCompute);
+    EXPECT_THROW(src->nextOp(), TraceError);
+    EXPECT_THROW(reader.validate(), TraceError);
+
+    // A load cut short by its stream's end, whose last byte (the
+    // address varint) happens to equal the kEnd tag.
+    TraceWriter cut_writer(meta);
+    auto cut = std::make_shared<OpEncoder>();
+    cut->bytes = {static_cast<char>(OpType::kLoad),
+                  static_cast<char>(OpType::kEnd)};
+    cut->opCount = 1;
+    cut_writer.setStream(0, cut);
+    cut_writer.append(1, Op::end());
+    const TraceReader cut_reader =
+        TraceReader::fromBytes(cut_writer.serialize());
+    try {
+        cut_reader.parallelSource(0)->nextOp();
+        FAIL() << "expected TraceError";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find("malformed trace"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(TraceValidation, StructuralDamageFailsAtOpen)
+{
+    // A stream whose last byte is not the kEnd tag, and a stream
+    // claiming more ops than it has bytes, fail before any replay.
+    TraceMeta meta;
+    meta.nthreads = 1;
+    TraceWriter no_end(meta);
+    auto open_ended = std::make_shared<OpEncoder>();
+    open_ended->encode(Op::compute(1));
+    open_ended->encode(Op::compute(1)); // counted, but no kEnd
+    no_end.setStream(0, open_ended);
+    no_end.append(1, Op::end());
+    EXPECT_THROW(TraceReader::fromBytes(no_end.serialize()), TraceError);
+
+    TraceWriter overcounted(meta);
+    auto dense = std::make_shared<OpEncoder>();
+    dense->encode(Op::end());
+    dense->opCount = 2; // two ops in one byte
+    overcounted.setStream(0, dense);
+    overcounted.append(1, Op::end());
+    EXPECT_THROW(TraceReader::fromBytes(overcounted.serialize()),
+                 TraceError);
+}
+
+TEST(TraceValidation, WindowBoundariesDecodeIdentically)
+{
+    // Address and PC deltas near 2^62 zigzag to 10-byte varints, so a
+    // load takes 21 bytes and ops straddle every 64 KB refill at
+    // varying offsets. The stream spans more than three windows.
+    OpEncoder enc;
+    std::vector<Op> want;
+    Addr addr = 0;
+    PC pc = 0;
+    for (int i = 0; enc.bytes.size() < 3 * TraceProgram::kWindowBytes + 4096;
+         ++i) {
+        addr += (std::uint64_t(1) << 62) + 64 * static_cast<Addr>(i);
+        pc += (std::uint64_t(1) << 62) + 4 * static_cast<PC>(i % 13);
+        want.push_back(i % 7 == 3 ? Op::compute(i) : Op::load(addr, pc));
+        enc.encode(want.back());
+    }
+    want.push_back(Op::end());
+    enc.encode(want.back());
+
+    TraceMeta meta;
+    meta.nthreads = 1;
+    TraceWriter writer(meta);
+    writer.setStream(0, std::make_shared<const OpEncoder>(enc));
+    writer.append(1, Op::end());
+    const std::string bytes = writer.serialize();
+    const std::string path = writeTempTrace("windows", bytes);
+
+    auto expectSame = [&want](const Op &got, std::size_t i) {
+        ASSERT_LT(i, want.size());
+        EXPECT_EQ(got.type, want[i].type) << "op " << i;
+        EXPECT_EQ(got.count, want[i].count) << "op " << i;
+        EXPECT_EQ(got.addr, want[i].addr) << "op " << i;
+        EXPECT_EQ(got.pc, want[i].pc) << "op " << i;
+    };
+
+    // Whole-image decoder: the reference.
+    OpDecoder whole(enc.bytes.data(), enc.bytes.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        expectSame(whole.decode(), i);
+    EXPECT_EQ(whole.cursor.remaining(), 0u);
+
+    for (const TraceReader &reader :
+         {TraceReader(path), TraceReader::fromBytes(bytes)}) {
+        EXPECT_NO_THROW(reader.validate());
+        const std::unique_ptr<OpSource> src = reader.parallelSource(0);
+        const auto *program = dynamic_cast<const TraceProgram *>(src.get());
+        ASSERT_NE(program, nullptr);
+        std::size_t i = 0, peak = 0;
+        while (!src->finished()) {
+            expectSame(src->nextOp(), i++);
+            peak = std::max(peak, program->bufferedBytes());
+            ASSERT_LE(program->bufferedBytes(), TraceProgram::kWindowBytes);
+        }
+        EXPECT_EQ(i, want.size());
+        EXPECT_EQ(peak, TraceProgram::kWindowBytes); // it did window
+    }
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -5,11 +5,16 @@
  * execution times, speedup-stack components and every per-thread
  * accounting counter — across profiles and thread counts. Also covers
  * the driver's --trace-dir mode: replayed batches match live batches,
- * missing traces fall back to generation, and stale traces fail loudly.
+ * missing traces fall back to generation, stale or malformed traces fail
+ * their job loudly, and --record-dir writes the same bytes at any
+ * worker count.
  */
 
 #include <filesystem>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <memory>
 
 #include "core/experiment.hh"
 #include "driver/driver.hh"
@@ -193,9 +198,8 @@ TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
 TEST(DriverTrace, JobsSharingOneTraceEachReplayIt)
 {
     // Two jobs that differ only in the LLC size look up one canonical
-    // recording. Whether they hold it at the same time (2 workers) or
-    // one after the other (1 worker: the image is freed when the first
-    // job finishes and parsed again), both must replay it and match
+    // recording. Whether they read it at the same time (2 workers) or
+    // one after the other (1 worker), both must replay it and match
     // their live rows.
     const std::string dir = freshTempDir("driver_shared");
     const BenchmarkProfile profile = test::lockHeavyProfile();
@@ -280,6 +284,139 @@ TEST(DriverTrace, StaleTraceFailsTheJobLoudly)
     EXPECT_NE(results[0].error.find("profile mismatch"),
               std::string::npos);
     std::filesystem::remove_all(dir);
+}
+
+/**
+ * Write @p profile's @p nthreads-thread recording into @p dir with
+ * @p bad spliced, as one op, into the middle of thread 0's stream. The
+ * header matches a live job, so only decoding can tell.
+ */
+void
+writeCorruptTrace(const std::string &dir, const BenchmarkProfile &profile,
+                  int nthreads, const std::string &bad)
+{
+    const WorkloadSpec w = WorkloadSpec::homogeneous(profile, nthreads);
+    TraceWriter writer(traceMetaFor(w, SimParams{}));
+    const OpSourceFactory gen = workloadOpSources(w);
+    for (int tid = 0; tid < nthreads; ++tid) {
+        std::vector<Op> ops;
+        const std::unique_ptr<OpSource> src = gen(tid, nthreads);
+        do
+            ops.push_back(src->nextOp());
+        while (ops.back().type != OpType::kEnd);
+        auto enc = std::make_shared<trace::OpEncoder>();
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            if (tid == 0 && i == ops.size() / 2) {
+                enc->bytes += bad;
+                ++enc->opCount;
+            }
+            enc->encode(ops[i]);
+        }
+        writer.setStream(tid, enc);
+    }
+    appendGeneratedBaseline(writer, w, 0);
+    writer.writeFile(tracePathFor(dir, profile, nthreads));
+}
+
+TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
+{
+    const std::string dir = freshTempDir("driver_malformed");
+    const BenchmarkProfile bad = test::lockHeavyProfile();
+    writeCorruptTrace(dir, bad, 2, "\x2a"); // unknown op tag
+    writeCorruptTrace(dir, bad, 3,
+                      std::string(1, static_cast<char>(OpType::kEnd)));
+    writeCorruptTrace(dir, bad, 4,
+                      std::string(1, static_cast<char>(OpType::kLoad)) +
+                          std::string(9, '\x80') + "\x7e" +
+                          std::string(1, '\0')); // varint overflow
+    const BenchmarkProfile good = test::computeOnlyProfile();
+    recordSpeedupTrace(SimParams{}, good, 2, tracePathFor(dir, good, 2));
+
+    const std::vector<JobSpec> specs = {
+        makeJob(bad, 2), makeJob(good, 2), makeJob(bad, 3),
+        makeJob(test::barrierHeavyProfile(), 2), makeJob(bad, 4)};
+    const std::vector<JobResult> live =
+        runExperimentBatch(specs, DriverOptions{});
+    for (const int jobs : {1, 3}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        DriverOptions opts;
+        opts.jobs = jobs;
+        opts.traceDir = dir;
+        BatchStats stats;
+        const std::vector<JobResult> results =
+            runExperimentBatch(specs, opts, &stats);
+        EXPECT_EQ(stats.failed, 3u);
+        for (const std::size_t i : {0u, 2u, 4u}) {
+            EXPECT_EQ(results[i].status, JobStatus::kFailed);
+            EXPECT_NE(results[i].error.find("malformed trace"),
+                      std::string::npos)
+                << results[i].error;
+        }
+        for (const std::size_t i : {1u, 3u}) {
+            ASSERT_TRUE(results[i].ok()) << results[i].error;
+            expectSameExperiment(results[i].exp, live[i].exp);
+        }
+        EXPECT_TRUE(results[1].tracedReplay);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+std::string
+fileBytes(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(DriverTrace, RecordingIsIdenticalAcrossWorkerCounts)
+{
+    const std::vector<BenchmarkProfile> profiles = {
+        test::lockHeavyProfile(), test::barrierHeavyProfile()};
+    std::vector<JobSpec> specs;
+    for (const BenchmarkProfile &p : profiles)
+        for (const int n : {2, 4})
+            specs.push_back(makeJob(p, n));
+
+    std::vector<std::string> dirs;
+    for (const int jobs : {1, 4}) {
+        dirs.push_back(freshTempDir(("record_jobs" +
+                                     std::to_string(jobs)).c_str()));
+        DriverOptions opts;
+        opts.jobs = jobs;
+        opts.recordDir = dirs.back();
+        BatchStats stats;
+        runExperimentBatch(specs, opts, &stats);
+        ASSERT_EQ(stats.tracesRecorded, specs.size());
+    }
+
+    for (const JobSpec &spec : specs) {
+        const WorkloadSpec w = spec.effectiveWorkload();
+        const std::string one = fileBytes(tracePathFor(dirs[0], w));
+        SCOPED_TRACE(tracePathFor(dirs[0], w));
+        ASSERT_FALSE(one.empty());
+        EXPECT_EQ(one, fileBytes(tracePathFor(dirs[1], w)));
+
+        // Rebuilding the file from its parallel streams plus
+        // appendGeneratedBaseline() gives the same bytes: each shared
+        // baseline stream is exactly the generated one.
+        const TraceReader reader = TraceReader::fromBytes(one);
+        TraceWriter rebuilt(traceMetaFor(w, spec.params));
+        for (int tid = 0; tid < w.nthreads(); ++tid) {
+            const std::unique_ptr<OpSource> src = reader.parallelSource(tid);
+            while (!src->finished())
+                rebuilt.append(tid, src->nextOp());
+        }
+        appendGeneratedBaseline(rebuilt, w, 0);
+        EXPECT_EQ(rebuilt.serialize(), one);
+    }
+
+    // The checked-in v2 container still opens, validates and replays.
+    const TraceReader v2(std::string(SST_TESTS_DATA_DIR) +
+                         "/homogeneous_v2.sstt");
+    EXPECT_NO_THROW(v2.validate());
+    EXPECT_EQ(replaySpeedupTrace(SimParams{}, v2).tp, 27461u);
+    for (const std::string &dir : dirs)
+        std::filesystem::remove_all(dir);
 }
 
 } // namespace
