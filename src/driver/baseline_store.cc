@@ -75,6 +75,20 @@ LocalBaselineStore::abandon(const BaselineSlot &slot,
     changed_.notify_all();
 }
 
+void
+LocalBaselineStore::release(const BaselineSlot &slot)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(slot.key);
+        if (it == entries_.end() || it->second.owner != slot.job ||
+            it->second.run || it->second.error)
+            return;
+        entries_.erase(it);
+    }
+    changed_.notify_all();
+}
+
 template <typename Pred>
 std::size_t
 LocalBaselineStore::releaseIf(Pred pred)

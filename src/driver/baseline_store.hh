@@ -101,6 +101,13 @@ class BaselineStore
      *  a job that no longer owns the slot. */
     virtual void abandon(const BaselineSlot &slot,
                          std::exception_ptr error) = 0;
+
+    /**
+     * The owner gives @p slot up unpublished for a reason of its own (a
+     * malformed recording of the run, not the run itself): the next
+     * claim answers kCompute. Ignored from a job that does not own it.
+     */
+    virtual void release(const BaselineSlot &slot) = 0;
 };
 
 /** The in-process backend: one thread-safe table of baseline slots. */
@@ -115,6 +122,7 @@ class LocalBaselineStore final : public BaselineStore
     /** Every awaiter of the slot, now and later, rethrows @p error. */
     void abandon(const BaselineSlot &slot,
                  std::exception_ptr error) override;
+    void release(const BaselineSlot &slot) override;
 
     /**
      * Release every unpublished claim of @p job: the next claim of each

@@ -95,7 +95,7 @@ class TraceRecordClaims
  * The first recording job that needs a stream generates and encodes
  * it; jobs recording at the same time wait for it under the key's own
  * mutex and share it. Entries are held weakly, so a stream is freed as
- * soon as no recording job holds it.
+ * soon as no recording job holds it (a later job encodes it again).
  */
 class BaselineStreams
 {
@@ -234,8 +234,9 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
                 writer = std::make_unique<TraceWriter>(
                     traceMetaFor(workload, spec.params));
                 // Baseline streams are a pure function of the workload
-                // — encode each distinct one once and share it, so the
-                // 1-thread runs can still come from the baseline store.
+                // — jobs recording one at the same time encode it once
+                // and share it, so the 1-thread runs can still come
+                // from the baseline store.
                 for (int g = 0; g < ngroups; ++g)
                     writer->setStream(
                         writer->baselineStream(g),
@@ -265,7 +266,14 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
                                  workloadGroupBaselineSources(workload, g),
                                  1));
             } catch (...) {
-                baselines->abandon(slots[g], std::current_exception());
+                // A replayed baseline fails on this job's own trace
+                // file: release the slot, so jobs sharing its key (other
+                // traces, live runs) compute it instead of inheriting
+                // the error. A generated baseline's error is the run's.
+                if (reader)
+                    baselines->release(slots[g]);
+                else
+                    baselines->abandon(slots[g], std::current_exception());
                 throw;
             }
             baselines->publish(slots[g], group_bases[g]);

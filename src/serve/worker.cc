@@ -100,6 +100,12 @@ class RemoteBaselineStore final : public BaselineStore
         // failed job settles, and the next asker computes it.
     }
 
+    void
+    release(const BaselineSlot &) override
+    {
+        // As abandon(): the server releases it when the job settles.
+    }
+
   private:
     Request
     requestFor(const BaselineSlot &slot, bool done) const

@@ -66,9 +66,6 @@ class WindowCursor
     /** Read @p n bytes. Throws TraceError past the end of the range. */
     std::string take(std::uint64_t n);
 
-    /** Bytes buffered right now (never more than the capacity). */
-    std::size_t bufferedBytes() const { return in.size; }
-
   private:
     void refill();
 
@@ -191,7 +188,7 @@ class TraceProgram : public OpSource
     bool finished() const override { return finished_; }
 
     /** Stream bytes buffered right now (at most kWindowBytes). */
-    std::size_t bufferedBytes() const { return window_.bufferedBytes(); }
+    std::size_t bufferedBytes() const { return window_.in.size; }
 
   private:
     trace::WindowCursor window_;

@@ -343,6 +343,33 @@ TEST(BaselineStore, ReleasedClaimIsRegranted)
               BaselineTicket::Claim::kHave);
 }
 
+TEST(BaselineStore, ReleasedSlotIsRegrantedWithoutItsError)
+{
+    LocalBaselineStore store;
+    ASSERT_EQ(store.claim({1, 0, "k"}).claim,
+              BaselineTicket::Claim::kCompute);
+    ASSERT_EQ(store.claim({1, 1, "other"}).claim,
+              BaselineTicket::Claim::kCompute);
+
+    // The owner's own input was bad: it gives one slot up, and the
+    // blocked awaiter becomes the new owner instead of inheriting a
+    // failure. The owner's other claim stays.
+    BaselineTicket awaited;
+    std::thread waiter([&] { awaited = store.await({2, 0, "k"}); });
+    store.release({1, 0, "k"});
+    waiter.join();
+    EXPECT_EQ(awaited.claim, BaselineTicket::Claim::kCompute);
+    EXPECT_EQ(store.claim({3, 1, "other"}).claim,
+              BaselineTicket::Claim::kPending);
+
+    // Only the owner releases: the old owner's late release is ignored.
+    store.release({1, 0, "k"});
+    EXPECT_EQ(store.claim({3, 0, "k"}).claim,
+              BaselineTicket::Claim::kPending);
+    EXPECT_TRUE(store.publish({2, 0, "k"}, baselineRun(4)));
+    EXPECT_EQ(store.claim({3, 0, "k"}).run->executionTime, 4u);
+}
+
 TEST(BaselineStore, ReleaseAllFreesEveryAwaiter)
 {
     LocalBaselineStore store;

@@ -286,35 +286,48 @@ TEST(DriverTrace, StaleTraceFailsTheJobLoudly)
     std::filesystem::remove_all(dir);
 }
 
+/** @p src's ops through its end marker, with @p bad spliced into the
+ *  middle as one op when it is non-empty. */
+std::shared_ptr<const trace::OpEncoder>
+encodeWithSplice(OpSource &src, const std::string &bad)
+{
+    std::vector<Op> ops;
+    do
+        ops.push_back(src.nextOp());
+    while (ops.back().type != OpType::kEnd);
+    auto enc = std::make_shared<trace::OpEncoder>();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (!bad.empty() && i == ops.size() / 2) {
+            enc->bytes += bad;
+            ++enc->opCount;
+        }
+        enc->encode(ops[i]);
+    }
+    return enc;
+}
+
 /**
  * Write @p profile's @p nthreads-thread recording into @p dir with
- * @p bad spliced, as one op, into the middle of thread 0's stream. The
- * header matches a live job, so only decoding can tell.
+ * @p bad spliced, as one op, into the middle of thread 0's stream (or
+ * of the baseline stream when @p in_baseline). The header matches a
+ * live job, so only decoding can tell.
  */
 void
 writeCorruptTrace(const std::string &dir, const BenchmarkProfile &profile,
-                  int nthreads, const std::string &bad)
+                  int nthreads, const std::string &bad,
+                  bool in_baseline = false)
 {
     const WorkloadSpec w = WorkloadSpec::homogeneous(profile, nthreads);
     TraceWriter writer(traceMetaFor(w, SimParams{}));
     const OpSourceFactory gen = workloadOpSources(w);
-    for (int tid = 0; tid < nthreads; ++tid) {
-        std::vector<Op> ops;
-        const std::unique_ptr<OpSource> src = gen(tid, nthreads);
-        do
-            ops.push_back(src->nextOp());
-        while (ops.back().type != OpType::kEnd);
-        auto enc = std::make_shared<trace::OpEncoder>();
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            if (tid == 0 && i == ops.size() / 2) {
-                enc->bytes += bad;
-                ++enc->opCount;
-            }
-            enc->encode(ops[i]);
-        }
-        writer.setStream(tid, enc);
-    }
-    appendGeneratedBaseline(writer, w, 0);
+    for (int tid = 0; tid < nthreads; ++tid)
+        writer.setStream(
+            tid, encodeWithSplice(*gen(tid, nthreads),
+                                  tid == 0 && !in_baseline ? bad : ""));
+    writer.setStream(
+        writer.baselineStream(),
+        encodeWithSplice(*workloadGroupBaselineSources(w, 0)(0, 1),
+                         in_baseline ? bad : ""));
     writer.writeFile(tracePathFor(dir, profile, nthreads));
 }
 
@@ -331,10 +344,18 @@ TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
                           std::string(1, '\0')); // varint overflow
     const BenchmarkProfile good = test::computeOnlyProfile();
     recordSpeedupTrace(SimParams{}, good, 2, tracePathFor(dir, good, 2));
+    // A malformed baseline stream, whose 1-thread run shares its key
+    // with a valid recording (3 threads) and a live job (4 threads, no
+    // recording). Listed first, so at jobs 1 it claims the baseline.
+    const BenchmarkProfile barrier = test::barrierHeavyProfile();
+    writeCorruptTrace(dir, barrier, 2, "\x2a", true);
+    recordSpeedupTrace(SimParams{}, barrier, 3,
+                       tracePathFor(dir, barrier, 3));
 
     const std::vector<JobSpec> specs = {
-        makeJob(bad, 2), makeJob(good, 2), makeJob(bad, 3),
-        makeJob(test::barrierHeavyProfile(), 2), makeJob(bad, 4)};
+        makeJob(barrier, 2), makeJob(bad, 2), makeJob(good, 2),
+        makeJob(barrier, 3), makeJob(bad, 3), makeJob(barrier, 4),
+        makeJob(bad, 4)};
     const std::vector<JobResult> live =
         runExperimentBatch(specs, DriverOptions{});
     for (const int jobs : {1, 3}) {
@@ -342,21 +363,34 @@ TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
         DriverOptions opts;
         opts.jobs = jobs;
         opts.traceDir = dir;
-        BatchStats stats;
         const std::vector<JobResult> results =
-            runExperimentBatch(specs, opts, &stats);
-        EXPECT_EQ(stats.failed, 3u);
-        for (const std::size_t i : {0u, 2u, 4u}) {
+            runExperimentBatch(specs, opts);
+        for (const std::size_t i : {1u, 4u, 6u}) {
             EXPECT_EQ(results[i].status, JobStatus::kFailed);
             EXPECT_NE(results[i].error.find("malformed trace"),
                       std::string::npos)
                 << results[i].error;
         }
-        for (const std::size_t i : {1u, 3u}) {
+        // Jobs sharing the bad stream's baseline key never inherit its
+        // failure: they compute the baseline themselves.
+        for (const std::size_t i : {2u, 3u, 5u}) {
             ASSERT_TRUE(results[i].ok()) << results[i].error;
             expectSameExperiment(results[i].exp, live[i].exp);
         }
-        EXPECT_TRUE(results[1].tracedReplay);
+        EXPECT_TRUE(results[2].tracedReplay);
+        EXPECT_TRUE(results[3].tracedReplay);
+        EXPECT_FALSE(results[5].tracedReplay);
+        // The job that owns the claim reads the bad stream and fails.
+        // Running alongside, it may instead take the baseline a sibling
+        // computed and never read its own copy: the same, correct run.
+        if (jobs == 1 || !results[0].ok()) {
+            EXPECT_EQ(results[0].status, JobStatus::kFailed);
+            EXPECT_NE(results[0].error.find("malformed trace"),
+                      std::string::npos)
+                << results[0].error;
+        } else {
+            expectSameExperiment(results[0].exp, live[0].exp);
+        }
     }
     std::filesystem::remove_all(dir);
 }
