@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "accounting/hw_cost.hh"
-#include "core/experiment.hh"
+#include "cli_common.hh"
 #include "util/format.hh"
 #include "util/stats.hh"
 #include "workload/profile.hh"
@@ -24,27 +24,33 @@ main()
     const std::vector<std::string> benchmarks = {
         "cholesky", "facesim_medium", "canneal_small", "radix"};
 
+    // One job per (factor, benchmark), factor-major.
+    std::vector<sst::JobSpec> specs;
+    for (const int f : factors) {
+        for (const auto &label : benchmarks) {
+            sst::JobSpec spec =
+                sst::JobSpec::forProfile(sst::profileByLabel(label), 16);
+            spec.params.cache.atdSamplingFactor = f;
+            specs.push_back(spec);
+        }
+    }
+    const std::vector<sst::JobResult> results = sst::cli::runJobs(specs, 0);
+
     std::printf("ATD sampling factor: estimation accuracy vs hardware "
                 "cost (16 threads)\n\n");
 
     sst::TextTable table;
     table.setHeader({"sampling", "avg |error|", "max |error|",
                      "ATD bytes/core"});
-    for (const int f : factors) {
+    for (std::size_t i = 0; i < factors.size(); ++i) {
         sst::RunningStat err;
-        for (const auto &label : benchmarks) {
-            const sst::BenchmarkProfile &profile =
-                sst::profileByLabel(label);
-            sst::SimParams params;
-            params.ncores = 16;
-            params.cache.atdSamplingFactor = f;
-            const sst::SpeedupExperiment exp =
-                sst::runSpeedupExperiment(params, profile, 16);
-            err.add(std::fabs(exp.error));
-        }
+        for (std::size_t b = 0; b < benchmarks.size(); ++b)
+            err.add(std::fabs(
+                results[i * benchmarks.size() + b].exp.error));
         sst::HwCostConfig cfg;
-        cfg.atdSamplingFactor = f;
-        table.addRow({std::to_string(f), sst::fmtPercent(err.mean(), 1),
+        cfg.atdSamplingFactor = factors[i];
+        table.addRow({std::to_string(factors[i]),
+                      sst::fmtPercent(err.mean(), 1),
                       sst::fmtPercent(err.max(), 1),
                       std::to_string(sst::computeHwCost(cfg).atdBytes())});
     }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "cli_common.hh"
 #include "core/experiment.hh"
 #include "util/format.hh"
 #include "workload/profile.hh"
@@ -22,22 +23,21 @@ main()
         "fluidanimate_medium", "cholesky", "water-nsquared",
         "blackscholes_medium"};
 
+    std::vector<sst::JobSpec> specs;
+    for (const auto &label : benchmarks)
+        specs.push_back(
+            sst::JobSpec::forProfile(sst::profileByLabel(label), 16));
+    const std::vector<sst::JobResult> results = sst::cli::runJobs(specs, 0);
+
     std::printf("Coherency accounting ablation (16 threads)\n\n");
 
     sst::TextTable table;
     table.setHeader({"benchmark", "coherency misses", "actual",
                      "est (off, paper)", "est (on)", "err off",
                      "err on"});
-    for (const auto &label : benchmarks) {
-        const sst::BenchmarkProfile &profile = sst::profileByLabel(label);
-        sst::SimParams params;
-        params.ncores = 16;
-        const sst::RunResult baseline =
-            sst::runSingleThreaded(params, profile);
-        const sst::SpeedupExperiment off =
-            sst::runWithBaseline(params, profile, 16, baseline);
-
-        sst::ReportOptions on = sst::defaultReportOptions(params);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const sst::SpeedupExperiment &off = results[i].exp;
+        sst::ReportOptions on = sst::defaultReportOptions(specs[i].params);
         on.accountCoherency = true;
         const std::vector<sst::CycleComponents> comps =
             sst::computeComponents(off.parallel.threads, off.tp, on);
@@ -47,7 +47,7 @@ main()
         const std::uint64_t misses = off.parallel.sumThreads(
             [](const sst::ThreadCounters &t) { return t.coherencyMisses; });
         table.addRow(
-            {label, std::to_string(misses),
+            {benchmarks[i], std::to_string(misses),
              sst::fmtDouble(off.actualSpeedup, 2),
              sst::fmtDouble(off.estimatedSpeedup, 2),
              sst::fmtDouble(stack_on.estimatedSpeedup, 2),

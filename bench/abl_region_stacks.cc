@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "cli_common.hh"
 #include "core/experiment.hh"
 #include "core/region_stacks.hh"
 #include "core/render.hh"
@@ -18,21 +19,18 @@
 int
 main()
 {
-    const sst::BenchmarkProfile &profile =
-        sst::profileByLabel("facesim_small");
-    sst::SimParams params;
-    params.ncores = 16;
-    const sst::SpeedupExperiment exp =
-        sst::runSpeedupExperiment(params, profile, 16);
+    const sst::JobSpec spec =
+        sst::JobSpec::forProfile(sst::profileByLabel("facesim_small"), 16);
+    const sst::SpeedupExperiment exp = sst::cli::runJobs({spec}, 0)[0].exp;
 
     std::printf("whole-run stack (%s @ 16 threads):\n%s\n",
-                profile.label().c_str(),
+                spec.label().c_str(),
                 sst::renderStackTable(exp.stack, exp.actualSpeedup)
                     .c_str());
 
     const std::vector<sst::RegionStack> regions =
         sst::buildRegionStacks(exp.parallel,
-                               sst::defaultReportOptions(params));
+                               sst::defaultReportOptions(spec.params));
     std::printf("regions: %zu\n\n", regions.size());
 
     sst::TextTable table;

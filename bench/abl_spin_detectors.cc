@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "cli_common.hh"
 #include "core/experiment.hh"
 #include "util/format.hh"
 #include "workload/profile.hh"
@@ -20,6 +21,12 @@ main()
     const std::vector<std::string> benchmarks = {
         "cholesky", "facesim_medium", "blackscholes_medium"};
 
+    std::vector<sst::JobSpec> specs;
+    for (const auto &label : benchmarks)
+        specs.push_back(
+            sst::JobSpec::forProfile(sst::profileByLabel(label), 16));
+    const std::vector<sst::JobResult> results = sst::cli::runJobs(specs, 0);
+
     std::printf("Spin detector ablation (16 threads, cycles summed over "
                 "threads, in speedup units)\n\n");
 
@@ -27,18 +34,11 @@ main()
     table.setHeader({"benchmark", "ground truth spin", "Tian", "Li",
                      "est. speedup (Tian)", "est. speedup (Li)",
                      "actual"});
-    for (const auto &label : benchmarks) {
-        const sst::BenchmarkProfile &profile = sst::profileByLabel(label);
-        sst::SimParams params;
-        params.ncores = 16;
-        const sst::RunResult baseline =
-            sst::runSingleThreaded(params, profile);
-
-        sst::ReportOptions tian = sst::defaultReportOptions(params);
-        const sst::SpeedupExperiment exp_tian = sst::runWithBaseline(
-            params, profile, 16, baseline, &tian);
-
-        sst::ReportOptions li = tian;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        // The driver assembles the stack with the default (Tian)
+        // detector; rebuild it from the same counters with Li's.
+        const sst::SpeedupExperiment &exp_tian = results[i].exp;
+        sst::ReportOptions li = sst::defaultReportOptions(specs[i].params);
         li.useLiDetector = true;
         const std::vector<sst::CycleComponents> li_comps =
             sst::computeComponents(exp_tian.parallel.threads,
@@ -53,7 +53,7 @@ main()
             det_tian += static_cast<double>(t.spinDetectedTian) / tp;
             det_li += static_cast<double>(t.spinDetectedLi) / tp;
         }
-        table.addRow({label, sst::fmtDouble(gt, 3),
+        table.addRow({benchmarks[i], sst::fmtDouble(gt, 3),
                       sst::fmtDouble(det_tian, 3),
                       sst::fmtDouble(det_li, 3),
                       sst::fmtDouble(exp_tian.estimatedSpeedup, 2),

@@ -338,8 +338,9 @@ traceRecord(int argc, char **argv, int first)
     }
 
     std::uint64_t ops = 0;
-    const SpeedupExperiment exp =
-        recordSpeedupTrace(params, profile, nthreads, outPath, &ops);
+    const SpeedupExperiment exp = recordSpeedupTrace(
+        params, WorkloadSpec::homogeneous(profile, nthreads), outPath,
+        &ops);
     printExperiment(exp);
     if (!quiet) {
         const auto bytes = std::filesystem::file_size(outPath);

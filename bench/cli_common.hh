@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/driver.hh"
 #include "sim/params.hh"
 #include "spec/machine_keys.hh"
 #include "spec/spec.hh"
@@ -81,13 +82,10 @@ struct BenchOptions
  * Parse the common bench argv: flags via the spec key machinery,
  * bare integers into positionals (each bench interprets its own),
  * --help printing @p usage. Fatal (with the registry-sourced message)
- * on unknown flags or bad values. Benches that run their loop serially
- * (no experiment driver) pass @p driver_backed = false so --jobs and
- * worker-count positionals are rejected instead of silently ignored.
+ * on unknown flags or bad values.
  */
 inline BenchOptions
-parseBenchArgs(int argc, char **argv, const char *usage,
-               bool driver_backed = true)
+parseBenchArgs(int argc, char **argv, const char *usage)
 {
     BenchOptions o;
     ExperimentSpec spec; // carries machine/sched/seed state while parsing
@@ -95,9 +93,6 @@ parseBenchArgs(int argc, char **argv, const char *usage,
         const std::string arg = argv[i];
         try {
             if (arg == "--jobs") {
-                if (!driver_backed)
-                    fatal("this bench runs serially; --jobs has no "
-                          "effect here");
                 o.jobs = parseInt("--jobs", argValue(argc, argv, i), 0,
                                   1 << 20);
             } else if (arg == "--sched") {
@@ -127,12 +122,11 @@ parseBenchArgs(int argc, char **argv, const char *usage,
                 applySpecValue(spec, key, arg.substr(eq + 1));
             } else if (arg == "--help" || arg == "-h") {
                 std::printf("usage: %s\n", usage);
-                if (driver_backed)
-                    std::printf("  [N]                     positional "
-                                "worker/thread counts (bench-specific)\n"
-                                "  --jobs N                worker "
-                                "threads (default: hardware)\n");
-                std::printf("  --sched POLICY          scheduler policy\n"
+                std::printf("  [N]                     positional "
+                            "worker/thread counts (bench-specific)\n"
+                            "  --jobs N                worker "
+                            "threads (default: hardware)\n"
+                            "  --sched POLICY          scheduler policy\n"
                             "  --sched-seed K          RNG stream for "
                             "--sched random\n"
                             "  --seed-offset K         replication RNG "
@@ -144,9 +138,6 @@ parseBenchArgs(int argc, char **argv, const char *usage,
             } else if (!arg.empty() &&
                        (std::isdigit(static_cast<unsigned char>(
                             arg[0])) != 0)) {
-                if (!driver_backed)
-                    fatal("this bench runs serially and takes no "
-                          "worker-count argument ('" + arg + "')");
                 o.positionals.push_back(
                     parseInt("positional", arg.c_str(), 0, 1 << 20));
             } else {
@@ -164,6 +155,25 @@ parseBenchArgs(int argc, char **argv, const char *usage,
     o.params = spec.machine;
     o.seedOffset = spec.seedOffset;
     return o;
+}
+
+/**
+ * Run @p specs on the experiment driver with @p jobs workers (0 = one
+ * per hardware thread) and return the results in input order. No
+ * result cache: a cached result drops the per-thread counters, per-core
+ * stats and regions the benches read. A failed job is fatal: its error
+ * goes to stderr and the process exits 1.
+ */
+inline std::vector<JobResult>
+runJobs(const std::vector<JobSpec> &specs, int jobs)
+{
+    DriverOptions opts;
+    opts.jobs = jobs;
+    std::vector<JobResult> results = runExperimentBatch(specs, opts);
+    for (const JobResult &r : results)
+        if (!r.ok())
+            fatal(r.error);
+    return results;
 }
 
 } // namespace cli

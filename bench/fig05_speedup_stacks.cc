@@ -3,44 +3,49 @@
  * Figure 5: speedup stacks for blackscholes, facesim and cholesky at 2,
  * 4, 8 and 16 threads, rendered as ASCII stacked bars plus the exact
  * component table (CSV) for external plotting.
+ *
+ * Usage: fig05_speedup_stacks [jobs] [--sched POLICY] [--jobs N]
  */
 
 #include <cstdio>
 #include <vector>
 
 #include "cli_common.hh"
-#include "core/experiment.hh"
 #include "core/render.hh"
-#include "workload/profile.hh"
+#include "driver/sweep.hh"
 
 int
 main(int argc, char **argv)
 {
-    const sst::cli::BenchOptions o =
-        sst::cli::parseBenchArgs(argc, argv, "fig05_speedup_stacks", false);
-    const std::vector<std::string> benchmarks = {
-        "blackscholes_medium", "facesim_medium", "cholesky"};
-    const std::vector<int> threads = {2, 4, 8, 16};
+    const sst::cli::BenchOptions o = sst::cli::parseBenchArgs(
+        argc, argv, "fig05_speedup_stacks [jobs]");
+
+    sst::SweepGrid grid;
+    grid.profiles = {"blackscholes_medium", "facesim_medium", "cholesky"};
+    grid.threads = {2, 4, 8, 16};
+    grid.baseParams = o.params;
+    grid.seedOffset = o.seedOffset;
+    const int jobs = o.positionals.empty()
+                         ? o.jobs
+                         : static_cast<int>(o.positionals[0]);
+    const std::vector<sst::JobSpec> specs = sst::expandGrid(grid);
+    const std::vector<sst::JobResult> results =
+        sst::cli::runJobs(specs, jobs);
 
     std::printf("Figure 5: speedup stacks as a function of the number of "
                 "threads\n\n");
 
-    for (const auto &label : benchmarks) {
-        const sst::BenchmarkProfile &profile = sst::profileByLabel(label);
-        const sst::RunResult baseline =
-            sst::runSingleThreaded(o.params, profile);
-
+    // expandGrid() is profile-major: each benchmark contributes one
+    // contiguous block of |threads| jobs, in thread order.
+    for (std::size_t base = 0; base < specs.size();
+         base += grid.threads.size()) {
         std::vector<sst::SpeedupStack> stacks;
         std::vector<std::string> labels;
-        for (const int n : threads) {
-            sst::SimParams params = o.params;
-            params.ncores = n;
-            const sst::SpeedupExperiment exp =
-                sst::runWithBaseline(params, profile, n, baseline);
-            stacks.push_back(exp.stack);
-            labels.push_back(std::to_string(n) + "thr");
+        for (std::size_t i = 0; i < grid.threads.size(); ++i) {
+            stacks.push_back(results[base + i].exp.stack);
+            labels.push_back(std::to_string(grid.threads[i]) + "thr");
         }
-        std::printf("== %s ==\n%s\n", label.c_str(),
+        std::printf("== %s ==\n%s\n", specs[base].label().c_str(),
                     sst::renderStackBars(stacks, labels, 20).c_str());
         std::printf("%s\n", sst::renderStacksCsv(stacks, labels).c_str());
     }

@@ -5,13 +5,15 @@
  * assembled stack, and single- vs multi-threaded run vitals. Not a paper
  * figure; the workbench behind all of them.
  *
- * Usage: inspect [benchmark_label] [nthreads]
+ * Usage: inspect [benchmark_label] [nthreads] [ncores]
+ *
+ * ncores defaults to nthreads; fewer cores than threads oversubscribes
+ * the machine.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
-#include "core/experiment.hh"
+#include "cli_common.hh"
 #include "core/render.hh"
 #include "util/format.hh"
 #include "workload/profile.hh"
@@ -19,32 +21,18 @@
 int
 main(int argc, char **argv)
 {
+    if (argc > 4)
+        sst::fatal("usage: inspect [benchmark_label] [nthreads] [ncores]");
     const std::string label = argc > 1 ? argv[1] : "blackscholes_medium";
-    const int nthreads = argc > 2 ? std::atoi(argv[2]) : 16;
+    // Range checks beyond "is a count" are the driver's job validation.
+    const int nthreads =
+        argc > 2 ? sst::cli::parseInt("nthreads", argv[2], 0, 1 << 20) : 16;
 
-    sst::BenchmarkProfile profile = sst::profileByLabel(label);
-    if (const char *cap = std::getenv("SST_CAP"))
-        profile.parallelismCap = std::atof(cap);
-    if (const char *ph = std::getenv("SST_PHASES"))
-        profile.barrierPhases = std::atoi(ph);
-    if (const char *sk = std::getenv("SST_SKEW"))
-        profile.imbalanceSkew = std::atof(sk);
-    if (const char *h = std::getenv("SST_PRIVHOT"))
-        profile.privateHotBytes = std::strtoull(h, nullptr, 10) * 1024;
-    if (const char *hf = std::getenv("SST_PRIVHOTFRAC"))
-        profile.privateHotFrac = std::atof(hf);
-    if (const char *sf = std::getenv("SST_SHAREDFRAC"))
-        profile.sharedFrac = std::atof(sf);
-    if (const char *mp = std::getenv("SST_MEM"))
-        profile.memPerIter = std::atoi(mp);
-    if (const char *pb = std::getenv("SST_PRIV"))
-        profile.privateBytes = std::strtoull(pb, nullptr, 10) * 1024;
-    sst::SimParams params;
-    params.ncores = nthreads;
-    if (const char *nc = std::getenv("SST_CORES"))
-        params.ncores = std::atoi(nc);
-    const sst::SpeedupExperiment exp =
-        sst::runSpeedupExperiment(params, profile, nthreads);
+    sst::JobSpec spec =
+        sst::JobSpec::forProfile(sst::profileByLabel(label), nthreads);
+    if (argc > 3)
+        spec.ncores = sst::cli::parseInt("ncores", argv[3], 0, 1 << 20);
+    const sst::SpeedupExperiment exp = sst::cli::runJobs({spec}, 0)[0].exp;
 
     std::printf("== %s @ %d threads ==\n", label.c_str(), nthreads);
     std::printf("Ts=%llu Tp=%llu actual=%.2f estimated=%.2f err=%.1f%%\n",

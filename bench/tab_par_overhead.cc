@@ -6,13 +6,15 @@
  * parallel run over the sequential one (spin instructions excluded). The
  * paper reports swaptions_small at +26% and fluidanimate_medium at +18%
  * instructions, its two largest error cases.
+ *
+ * Usage: tab_par_overhead [jobs] [--sched POLICY] [--jobs N]
  */
 
 #include <cmath>
 #include <cstdio>
 
 #include "cli_common.hh"
-#include "core/experiment.hh"
+#include "driver/sweep.hh"
 #include "util/format.hh"
 #include "workload/profile.hh"
 
@@ -20,7 +22,19 @@ int
 main(int argc, char **argv)
 {
     const sst::cli::BenchOptions o =
-        sst::cli::parseBenchArgs(argc, argv, "tab_par_overhead", false);
+        sst::cli::parseBenchArgs(argc, argv, "tab_par_overhead [jobs]");
+    sst::SweepGrid grid;
+    grid.profiles = sst::allProfileLabels();
+    grid.threads = {16};
+    grid.baseParams = o.params;
+    grid.seedOffset = o.seedOffset;
+    const int jobs = o.positionals.empty()
+                         ? o.jobs
+                         : static_cast<int>(o.positionals[0]);
+    const std::vector<sst::JobSpec> specs = sst::expandGrid(grid);
+    const std::vector<sst::JobResult> results =
+        sst::cli::runJobs(specs, jobs);
+
     std::printf("Section 6: parallelization overhead vs estimation error "
                 "(16 threads)\n\n");
 
@@ -29,19 +43,16 @@ main(int argc, char **argv)
                      "estimation error"});
 
     double sum_xy = 0, sum_x = 0, sum_y = 0, sum_x2 = 0, sum_y2 = 0;
-    int n = 0;
-    for (const auto &profile : sst::benchmarkSuite()) {
-        sst::SimParams params = o.params;
-        params.ncores = 16;
-        const sst::SpeedupExperiment exp =
-            sst::runSpeedupExperiment(params, profile, 16);
-
+    const double n = static_cast<double>(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const sst::SpeedupExperiment &exp = results[i].exp;
+        const std::string label = specs[i].label();
         std::string paper = "-";
-        if (profile.label() == "swaptions_small")
+        if (label == "swaptions_small")
             paper = "+26%";
-        if (profile.label() == "fluidanimate_medium")
+        if (label == "fluidanimate_medium")
             paper = "+18%";
-        table.addRow({profile.label(),
+        table.addRow({label,
                       sst::fmtPercent(exp.parOverheadMeasured, 1), paper,
                       sst::fmtPercent(exp.error, 1)});
 
@@ -52,7 +63,6 @@ main(int argc, char **argv)
         sum_xy += x * y;
         sum_x2 += x * x;
         sum_y2 += y * y;
-        ++n;
     }
     std::printf("%s\n", table.render().c_str());
 

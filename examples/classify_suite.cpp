@@ -14,9 +14,8 @@
 #include <vector>
 
 #include "core/classify.hh"
-#include "core/experiment.hh"
 #include "core/render.hh"
-#include "workload/profile.hh"
+#include "driver/sweep.hh"
 
 int
 main(int argc, char **argv)
@@ -26,21 +25,29 @@ main(int argc, char **argv)
     // A representative subset: one good scaler, two benchmarks with
     // nearly identical speedup but different bottlenecks (the paper's
     // facesim vs cholesky example), and a memory-bound one.
-    const std::vector<std::string> subset = {
-        "blackscholes_medium", "facesim_medium", "cholesky", "srad",
-        "ferret_small"};
+    sst::SweepGrid grid;
+    grid.profiles = {"blackscholes_medium", "facesim_medium", "cholesky",
+                     "srad", "ferret_small"};
+    grid.threads = {nthreads};
+    const std::vector<sst::JobSpec> specs = sst::expandGrid(grid);
+    sst::DriverOptions opts;
+    opts.jobs = 0; // one worker per hardware thread
+    const std::vector<sst::JobResult> results =
+        sst::runExperimentBatch(specs, opts);
 
     std::vector<sst::ClassifiedBenchmark> rows;
     std::vector<sst::SpeedupStack> stacks;
     std::vector<std::string> labels;
-    for (const auto &label : subset) {
-        const sst::BenchmarkProfile &profile = sst::profileByLabel(label);
-        sst::SimParams params;
-        params.ncores = nthreads;
-        const sst::SpeedupExperiment exp =
-            sst::runSpeedupExperiment(params, profile, nthreads);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (!results[i].ok()) {
+            std::fprintf(stderr, "error: %s\n", results[i].error.c_str());
+            return 1;
+        }
+        const sst::SpeedupExperiment &exp = results[i].exp;
+        const std::string label = specs[i].label();
         rows.push_back(sst::classifyBenchmark(
-            label, profile.suite, exp.actualSpeedup, exp.stack));
+            label, specs[i].workload.groups[0].profile.suite,
+            exp.actualSpeedup, exp.stack));
         stacks.push_back(exp.stack);
         labels.push_back(label.substr(0, 6));
         std::printf("%-22s actual %5.2f  estimated %5.2f\n",

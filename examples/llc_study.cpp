@@ -11,33 +11,48 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/experiment.hh"
+#include "driver/sweep.hh"
 #include "util/format.hh"
-#include "workload/profile.hh"
 
 int
 main(int argc, char **argv)
 {
     const std::string label = argc > 1 ? argv[1] : "cholesky";
-    const sst::BenchmarkProfile &profile = sst::profileByLabel(label);
+
+    // One benchmark at 16 threads, crossed with four LLC sizes.
+    sst::SweepGrid grid;
+    grid.profiles = {label};
+    grid.threads = {16};
+    grid.llcBytes = {1u << 20, 2u << 20, 4u << 20, 8u << 20};
+    std::vector<sst::JobSpec> specs;
+    try {
+        specs = sst::expandGrid(grid);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
+    }
+    sst::DriverOptions opts;
+    opts.jobs = 0; // one worker per hardware thread
+    const std::vector<sst::JobResult> results =
+        sst::runExperimentBatch(specs, opts);
 
     std::printf("LLC study for %s at 16 threads\n\n", label.c_str());
 
     sst::TextTable table;
     table.setHeader({"LLC", "actual speedup", "neg LLC", "pos LLC",
                      "net", "memory", "verdict"});
-    for (const std::uint64_t mb : std::vector<std::uint64_t>{1, 2, 4, 8}) {
-        sst::SimParams params;
-        params.ncores = 16;
-        params.cache.llcBytes = mb * 1024 * 1024;
-        const sst::SpeedupExperiment exp =
-            sst::runSpeedupExperiment(params, profile, 16);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (!results[i].ok()) {
+            std::fprintf(stderr, "error: %s\n", results[i].error.c_str());
+            return 1;
+        }
+        const sst::SpeedupExperiment &exp = results[i].exp;
         const double net = exp.stack.netNegLlc();
-        table.addRow({std::to_string(mb) + "MB",
+        table.addRow({std::to_string(grid.llcBytes[i] >> 20) + "MB",
                       sst::fmtDouble(exp.actualSpeedup, 2),
                       sst::fmtDouble(exp.stack.negLlc, 2),
                       sst::fmtDouble(exp.stack.posLlc, 2),

@@ -5,13 +5,15 @@
  * smaller critical sections". We define a custom lock-heavy workload
  * through the public profile API, read its speedup stack, apply the
  * stack's advice — split the single hot lock into 16 finer locks and
- * halve the critical section — and measure the speedup gained.
+ * halve the critical section — and measure the speedup gained. Both
+ * versions run as one two-job batch on the experiment driver.
  */
 
 #include <cstdio>
+#include <vector>
 
-#include "core/experiment.hh"
 #include "core/render.hh"
+#include "driver/driver.hh"
 #include "workload/profile.hh"
 
 namespace {
@@ -55,22 +57,29 @@ report(const char *title, const sst::SpeedupExperiment &exp)
 int
 main()
 {
-    sst::SimParams params;
-    params.ncores = 16;
-
-    // Step 1: profile the original application.
+    // Step 1: profile the original application. Step 2: its stack shows
+    // synchronization (spinning and/or yielding) as the dominant
+    // delimiter -> apply the paper's advice.
     const sst::BenchmarkProfile before = baseWorkload();
-    const sst::SpeedupExperiment exp_before =
-        sst::runSpeedupExperiment(params, before, 16);
-    report("original (one global lock)", exp_before);
-
-    // Step 2: the stack shows synchronization (spinning and/or
-    // yielding) as the dominant delimiter -> apply the paper's advice.
     sst::BenchmarkProfile after = before;
     after.numLocks = 16;  // finer-grained locking
     after.csCompute = 48; // smaller critical sections
-    const sst::SpeedupExperiment exp_after =
-        sst::runSpeedupExperiment(params, after, 16);
+
+    sst::DriverOptions opts;
+    opts.jobs = 0; // one worker per hardware thread
+    const std::vector<sst::JobResult> results = sst::runExperimentBatch(
+        {sst::JobSpec::forProfile(before, 16),
+         sst::JobSpec::forProfile(after, 16)},
+        opts);
+    for (const sst::JobResult &r : results) {
+        if (!r.ok()) {
+            std::fprintf(stderr, "error: %s\n", r.error.c_str());
+            return 1;
+        }
+    }
+    const sst::SpeedupExperiment &exp_before = results[0].exp;
+    const sst::SpeedupExperiment &exp_after = results[1].exp;
+    report("original (one global lock)", exp_before);
     report("optimized (16 fine-grained locks, half the CS)", exp_after);
 
     const double gain = exp_after.actualSpeedup / exp_before.actualSpeedup;

@@ -4,9 +4,11 @@
  * stack, and print the Figure-5-style breakdown. This is the minimal
  * end-to-end use of the library:
  *
- *   1. pick a workload profile (here: cholesky, the paper's
- *      spinning-dominated example),
- *   2. run the single-threaded reference and the 16-threaded execution,
+ *   1. describe the experiment as a job: a workload profile (here:
+ *      cholesky, the paper's spinning-dominated example) and a thread
+ *      count,
+ *   2. run it on the experiment driver, which validates the job, runs
+ *      the single-threaded reference and the 16-threaded execution,
  *   3. print actual vs estimated speedup and the stack components.
  *
  * Usage: quickstart [benchmark_label] [nthreads]
@@ -16,8 +18,8 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/experiment.hh"
 #include "core/render.hh"
+#include "driver/driver.hh"
 #include "workload/profile.hh"
 
 int
@@ -26,14 +28,18 @@ main(int argc, char **argv)
     const std::string label = argc > 1 ? argv[1] : "cholesky";
     const int nthreads = argc > 2 ? std::atoi(argv[2]) : 16;
 
-    const sst::BenchmarkProfile &profile = sst::profileByLabel(label);
-    sst::SimParams params;
-    params.ncores = nthreads;
+    const sst::JobSpec job =
+        sst::JobSpec::forProfile(sst::profileByLabel(label), nthreads);
 
-    std::printf("simulating %s with %d threads...\n",
-                profile.label().c_str(), nthreads);
-    const sst::SpeedupExperiment exp =
-        sst::runSpeedupExperiment(params, profile, nthreads);
+    std::printf("simulating %s with %d threads...\n", job.label().c_str(),
+                nthreads);
+    const sst::JobResult result =
+        sst::runExperimentBatch({job}, sst::DriverOptions{})[0];
+    if (!result.ok()) {
+        std::fprintf(stderr, "error: %s\n", result.error.c_str());
+        return 1;
+    }
+    const sst::SpeedupExperiment &exp = result.exp;
 
     std::printf("\nTs (single-threaded) = %llu cycles\n",
                 static_cast<unsigned long long>(exp.ts));

@@ -16,18 +16,17 @@ defaultReportOptions(const SimParams &params)
 RunResult
 runSingleThreaded(const SimParams &params, const BenchmarkProfile &profile)
 {
-    return simulate(params, profile, 1);
+    return simulateWorkload(params, WorkloadSpec::homogeneous(profile, 1));
 }
 
 SpeedupExperiment
 assembleExperiment(const std::string &label, int nthreads,
                    const SimParams &params, const RunResult &baseline,
-                   RunResult parallel, const ReportOptions *opts)
+                   RunResult parallel)
 {
     sstAssert(baseline.nthreads == 1,
               "baseline run must be single-threaded");
-    const ReportOptions options =
-        opts ? *opts : defaultReportOptions(params);
+    const ReportOptions options = defaultReportOptions(params);
 
     SpeedupExperiment exp;
     exp.label = label;
@@ -57,29 +56,6 @@ assembleExperiment(const std::string &label, int nthreads,
     return exp;
 }
 
-SpeedupExperiment
-runWithBaseline(const SimParams &params, const BenchmarkProfile &profile,
-                int nthreads, const RunResult &baseline,
-                const ReportOptions *opts, int ncores_override)
-{
-    // Check before the expensive parallel simulation, not after.
-    sstAssert(baseline.nthreads == 1,
-              "baseline run must be single-threaded");
-    return assembleExperiment(
-        profile.label(), nthreads, params, baseline,
-        simulate(params, profile, nthreads, ncores_override), opts);
-}
-
-SpeedupExperiment
-runSpeedupExperiment(const SimParams &params,
-                     const BenchmarkProfile &profile, int nthreads,
-                     const ReportOptions *opts, int ncores_override)
-{
-    const RunResult baseline = runSingleThreaded(params, profile);
-    return runWithBaseline(params, profile, nthreads, baseline, opts,
-                           ncores_override);
-}
-
 RunResult
 combineGroupBaselines(const std::vector<RunResult> &group_baselines)
 {
@@ -102,8 +78,7 @@ combineGroupBaselines(const std::vector<RunResult> &group_baselines)
 }
 
 SpeedupExperiment
-runMixExperiment(const SimParams &params, const WorkloadSpec &workload,
-                 const ReportOptions *opts, int ncores_override)
+runExperiment(const SimParams &params, const WorkloadSpec &workload)
 {
     workload.validate();
     std::vector<RunResult> bases;
@@ -114,7 +89,7 @@ runMixExperiment(const SimParams &params, const WorkloadSpec &workload,
     return assembleExperiment(
         workload.label(), workload.nthreads(), params,
         combineGroupBaselines(bases),
-        simulateWorkload(params, workload, ncores_override), opts);
+        simulateWorkload(params, workload));
 }
 
 } // namespace sst

@@ -1,10 +1,12 @@
 /**
  * @file
- * High-level experiment runner: execute the single-threaded reference run
- * (measuring Ts) and the N-threaded run (measuring Tp and the raw
- * accounting counters), then assemble actual speedup, the estimated
- * speedup stack and the validation error. This is the primary entry
- * point of the library for benches, tests and examples.
+ * The speedup experiment: the single-threaded reference run (measuring
+ * Ts) and the N-threaded run (measuring Tp and the raw accounting
+ * counters), assembled into actual speedup, the estimated speedup stack
+ * and the validation error. Benches, examples and the CLI run
+ * experiments through the driver (driver/driver.hh), which calls
+ * assembleExperiment(); runExperiment() is the in-process reference the
+ * tests compare the driver against.
  */
 
 #ifndef SST_CORE_EXPERIMENT_HH
@@ -55,35 +57,14 @@ RunResult runSingleThreaded(const SimParams &params,
 /**
  * Assemble a SpeedupExperiment from two already-completed runs: the
  * 1-thread reference and the parallel run. This is the pure math tail
- * of every experiment (Eqs. 1, 3, 6 + the stack build) and is shared by
- * the live path (runWithBaseline) and the trace-replay path, where the
- * runs come from recorded op streams instead of ThreadProgram.
+ * of every experiment (Eqs. 1, 3, 6 + the stack build), shared by the
+ * live path and the trace-replay path, where the runs come from
+ * recorded op streams instead of ThreadProgram.
  */
 SpeedupExperiment assembleExperiment(const std::string &label,
                                      int nthreads, const SimParams &params,
                                      const RunResult &baseline,
-                                     RunResult parallel,
-                                     const ReportOptions *opts = nullptr);
-
-/**
- * Run the @p nthreads-thread configuration and assemble the experiment
- * against an existing baseline run (reuse the baseline when sweeping
- * thread counts). @p ncores_override places the parallel run on that
- * many cores instead of @p nthreads (0 = #cores == #threads); fewer
- * cores than threads oversubscribes the machine, the Figure 7 regime.
- */
-SpeedupExperiment runWithBaseline(const SimParams &params,
-                                  const BenchmarkProfile &profile,
-                                  int nthreads, const RunResult &baseline,
-                                  const ReportOptions *opts = nullptr,
-                                  int ncores_override = 0);
-
-/** Convenience wrapper: baseline + parallel run in one call. */
-SpeedupExperiment runSpeedupExperiment(const SimParams &params,
-                                       const BenchmarkProfile &profile,
-                                       int nthreads,
-                                       const ReportOptions *opts = nullptr,
-                                       int ncores_override = 0);
+                                     RunResult parallel);
 
 /**
  * Fold per-program 1-thread reference runs into one baseline for a
@@ -99,18 +80,14 @@ SpeedupExperiment runSpeedupExperiment(const SimParams &params,
 RunResult combineGroupBaselines(const std::vector<RunResult> &group_baselines);
 
 /**
- * Run the experiment of any workload: per-group 1-thread reference runs
- * of workloadGroupBaselineSources() (summed into the mix baseline) plus
- * the co-scheduled parallel run of every group, assembled into a
- * speedup experiment. For a homogeneous spec this is
- * runSpeedupExperiment() bit for bit.
- * @p ncores_override places the parallel run on that many cores
- * (0 = one per thread); fewer cores oversubscribes the machine.
+ * Run the experiment of any workload in process: per-group 1-thread
+ * reference runs of workloadGroupBaselineSources() (summed into the mix
+ * baseline) plus the co-scheduled parallel run of every group on one
+ * core per thread, assembled into a speedup experiment. The driver
+ * produces the same result for JobSpec{workload, params}.
  */
-SpeedupExperiment runMixExperiment(const SimParams &params,
-                                   const WorkloadSpec &workload,
-                                   const ReportOptions *opts = nullptr,
-                                   int ncores_override = 0);
+SpeedupExperiment runExperiment(const SimParams &params,
+                                const WorkloadSpec &workload);
 
 /** Default report options consistent with @p params. */
 ReportOptions defaultReportOptions(const SimParams &params);

@@ -37,9 +37,9 @@ validateSpec(const JobSpec &spec)
         throw std::invalid_argument(
             "job '" + label + "': nthreads must be >= 1, got " +
             std::to_string(nthreads));
-    // simulate() runs nthreads threads on ncoresEffective() cores, and
-    // the cache hierarchy's sharers bitmap caps the machine size:
-    // reject here so an oversized job fails cleanly instead of
+    // simulateWorkload() runs nthreads threads on ncoresEffective()
+    // cores, and the cache hierarchy's sharers bitmap caps the machine
+    // size: reject here so an oversized job fails cleanly instead of
     // panicking the whole process.
     if (nthreads > kMaxSimCores)
         throw std::invalid_argument(

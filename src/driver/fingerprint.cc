@@ -65,7 +65,7 @@ std::uint64_t
 deriveJobSeed(std::uint64_t base_seed, std::uint64_t offset)
 {
     if (offset == 0)
-        return base_seed; // identity: reproduce the serial benches
+        return base_seed; // identity: the profile's own stream
     // SplitMix64 finalizer over the (seed, offset) pair.
     std::uint64_t z = base_seed + offset * 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -66,11 +66,12 @@ void encodeProfile(std::string &out, const BenchmarkProfile &profile);
 
 /**
  * Canonical serialization of every outcome-relevant SimParams field.
- * @p ncores_effective replaces params.ncores: simulate() pins the core
- * count to the job's effective core count (JobSpec::ncoresEffective()),
- * so the stored field is irrelevant and canonicalizing it maximizes
- * cache and baseline sharing. The field list is the spec module's
- * machine-key table (see src/spec/machine_keys.hh).
+ * @p ncores_effective replaces params.ncores: simulateWorkload() pins
+ * the core count to the job's effective core count
+ * (JobSpec::ncoresEffective()), so the stored field is irrelevant and
+ * canonicalizing it maximizes cache and baseline sharing. The field
+ * list is the spec module's machine-key table (see
+ * src/spec/machine_keys.hh).
  */
 void encodeParams(std::string &out, const SimParams &params,
                   int ncores_effective);

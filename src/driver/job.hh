@@ -26,7 +26,7 @@ namespace sst {
  * Mix a replication offset into a base workload seed. Derived streams
  * are deterministic, platform-independent, and decorrelated for distinct
  * offsets (SplitMix64 finalizer over the pair). Offset 0 is the identity
- * so that default jobs reproduce the serial benches bit-exactly.
+ * so that default jobs run each profile's own seed bit-exactly.
  */
 std::uint64_t deriveJobSeed(std::uint64_t base_seed, std::uint64_t offset);
 

@@ -65,9 +65,9 @@ struct SweepGrid
 
 /**
  * Expand @p grid into jobs, profile-major (all of one benchmark's
- * points are adjacent, matching the serial benches' row order). Profile
- * labels resolve through the benchmark registry; an unknown label
- * throws std::invalid_argument.
+ * points are adjacent, in the benches' row order). Profile labels
+ * resolve through the benchmark registry; an unknown label throws
+ * std::invalid_argument.
  */
 std::vector<JobSpec> expandGrid(const SweepGrid &grid);
 

@@ -68,16 +68,6 @@ System::System(const SimParams &params, const OpSourceFactory &sources,
         cores_[static_cast<std::size_t>(c)].id = c;
 }
 
-System::System(const SimParams &params, const BenchmarkProfile &profile,
-               int nthreads)
-    : System(params,
-             [&profile](ThreadId tid, int n) -> std::unique_ptr<OpSource> {
-                 return std::make_unique<ThreadProgram>(profile, tid, n);
-             },
-             nthreads)
-{
-}
-
 RunResult
 System::run()
 {
@@ -597,18 +587,6 @@ void
 System::setCoreNext(Core &core, Cycles at)
 {
     events_.updateCore(core.id, at);
-}
-
-RunResult
-simulate(const SimParams &base, const BenchmarkProfile &profile,
-         int nthreads, int ncores_override)
-{
-    return simulateSources(
-        base,
-        [&profile](ThreadId tid, int n) -> std::unique_ptr<OpSource> {
-            return std::make_unique<ThreadProgram>(profile, tid, n);
-        },
-        nthreads, ncores_override);
 }
 
 RunResult

@@ -44,7 +44,6 @@
 #include "sync/sync_state.hh"
 #include "util/types.hh"
 #include "workload/op_source.hh"
-#include "workload/profile.hh"
 #include "workload/workload_spec.hh"
 
 namespace sst {
@@ -74,13 +73,6 @@ class System
      */
     System(const SimParams &params, const OpSourceFactory &sources,
            int nthreads, const ThreadTopology *topo = nullptr);
-
-    /**
-     * Convenience form: generate the streams with ThreadProgram from
-     * @p profile (the synthetic-benchmark frontend).
-     */
-    System(const SimParams &params, const BenchmarkProfile &profile,
-           int nthreads);
 
     /** The scheduler holds a reference to this system's params; the
      *  system is therefore neither copyable nor movable. */
@@ -204,19 +196,11 @@ class System
 };
 
 /**
- * Convenience runner used by benches, tests and examples: simulate
- * @p profile with @p nthreads threads on @p nthreads cores (or on
- * @p ncores_override cores when oversubscribing).
- */
-RunResult simulate(const SimParams &base, const BenchmarkProfile &profile,
-                   int nthreads, int ncores_override = 0);
-
-/**
- * Like simulate(), but over arbitrary op sources: run @p nthreads
- * streams built by @p sources on @p nthreads cores (or
- * @p ncores_override cores when oversubscribing). This is the entry
- * point trace replay and other non-ThreadProgram frontends use.
- * Heterogeneous frontends pass their @p topo (quorums, hints).
+ * Simulate arbitrary op sources: run @p nthreads streams built by
+ * @p sources on @p nthreads cores (or @p ncores_override cores when
+ * oversubscribing). This is the entry point trace replay and other
+ * non-ThreadProgram frontends use. Heterogeneous frontends pass their
+ * @p topo (quorums, hints).
  */
 RunResult simulateSources(const SimParams &base,
                           const OpSourceFactory &sources, int nthreads,
@@ -226,8 +210,9 @@ RunResult simulateSources(const SimParams &base,
 /**
  * Simulate a (possibly heterogeneous) workload: every thread runs its
  * group's profile with disjoint data/sync namespaces, barrier quorums
- * and affinity hints derived from the spec. For homogeneous specs this
- * is bit-identical to simulate(profile, nthreads).
+ * and affinity hints derived from the spec. A homogeneous spec
+ * (WorkloadSpec::homogeneous) runs ThreadProgram(profile, tid, n) on
+ * every thread, bit-identical to the historical single-profile runs.
  */
 RunResult simulateWorkload(const SimParams &base, const WorkloadSpec &spec,
                            int ncores_override = 0);

@@ -209,16 +209,6 @@ appendGeneratedBaseline(TraceWriter &writer, const WorkloadSpec &workload,
 }
 
 SpeedupExperiment
-recordSpeedupTrace(const SimParams &params,
-                   const BenchmarkProfile &profile, int nthreads,
-                   const std::string &path, std::uint64_t *ops_recorded)
-{
-    return recordSpeedupTrace(
-        params, WorkloadSpec::homogeneous(profile, nthreads), path,
-        ops_recorded);
-}
-
-SpeedupExperiment
 recordSpeedupTrace(const SimParams &params, const WorkloadSpec &workload,
                    const std::string &path, std::uint64_t *ops_recorded)
 {
@@ -243,7 +233,7 @@ recordSpeedupTrace(const SimParams &params, const WorkloadSpec &workload,
     }
     TraceWriter writer(traceMetaFor(workload, params));
 
-    // All runs execute exactly as in runMixExperiment(); the recording
+    // All runs execute exactly as in runExperiment(); the recording
     // shim forwards every op unchanged, so the returned experiment is
     // the live result, not an approximation of it. Each group's
     // 1-thread reference run records into its own baseline stream.

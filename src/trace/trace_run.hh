@@ -87,34 +87,24 @@ void appendGeneratedBaseline(TraceWriter &writer,
                              const WorkloadSpec &workload, int group);
 
 /**
- * Run the full speedup experiment (1-thread baseline + @p nthreads-run)
- * while recording both op streams, and write the trace container to
- * @p path. Returns the live experiment — identical to what
- * runSpeedupExperiment() produces, since the capture shim is
+ * Run the full speedup experiment of @p workload while recording every
+ * op stream: per-group 1-thread reference runs (each recorded into its
+ * baseline stream) plus the co-scheduled parallel run, all captured
+ * into one container written to @p path. Returns the live experiment —
+ * identical to what runExperiment() produces, since the capture shim is
  * transparent. Throws TraceError (not an assert) on an out-of-range
  * thread count or an unwritable path.
  *
  * @param[out] ops_recorded total ops across all streams when non-null
  */
 SpeedupExperiment recordSpeedupTrace(const SimParams &params,
-                                     const BenchmarkProfile &profile,
-                                     int nthreads,
-                                     const std::string &path,
-                                     std::uint64_t *ops_recorded = nullptr);
-
-/**
- * As above for a whole workload: per-group 1-thread reference runs
- * (each recorded into its baseline stream) plus the co-scheduled
- * parallel run, all captured into one container at @p path.
- */
-SpeedupExperiment recordSpeedupTrace(const SimParams &params,
                                      const WorkloadSpec &workload,
                                      const std::string &path,
                                      std::uint64_t *ops_recorded = nullptr);
 
-/** Replay the parallel run of @p reader (cores pinned like simulate();
- *  the recorded workload's barrier quorums and affinity hints are
- *  reconstructed from the header's group table). */
+/** Replay the parallel run of @p reader (one core per thread, like
+ *  simulateWorkload(); the recorded workload's barrier quorums and
+ *  affinity hints are reconstructed from the header's group table). */
 RunResult replayParallel(const SimParams &params,
                          const TraceReader &reader);
 

@@ -176,7 +176,7 @@ OpSourceFactory workloadOpSources(const WorkloadSpec &spec);
  * ThreadProgram(profile, tid, nthreads) for profile-backed workloads
  * (bit-identical to the historical baselines) and the sequential WDL
  * program for WDL-backed ones. Every group baseline comes from here —
- * driver, runMixExperiment(), trace recording and generation — so
+ * driver, runExperiment(), trace recording and generation — so
  * generated and recorded baselines agree.
  */
 OpSourceFactory workloadGroupBaselineSources(const WorkloadSpec &spec,

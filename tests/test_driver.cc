@@ -43,28 +43,6 @@ smallBatch()
             makeJob(test::sharingProfile(), 2)};
 }
 
-void
-expectSameExperiment(const SpeedupExperiment &a, const SpeedupExperiment &b)
-{
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.nthreads, b.nthreads);
-    EXPECT_EQ(a.ts, b.ts);
-    EXPECT_EQ(a.tp, b.tp);
-    // Bit-identical, not approximately equal: determinism is exact.
-    EXPECT_EQ(a.actualSpeedup, b.actualSpeedup);
-    EXPECT_EQ(a.estimatedSpeedup, b.estimatedSpeedup);
-    EXPECT_EQ(a.error, b.error);
-    EXPECT_EQ(a.parOverheadMeasured, b.parOverheadMeasured);
-    EXPECT_EQ(a.stack.baseSpeedup, b.stack.baseSpeedup);
-    EXPECT_EQ(a.stack.posLlc, b.stack.posLlc);
-    EXPECT_EQ(a.stack.negLlc, b.stack.negLlc);
-    EXPECT_EQ(a.stack.negMem, b.stack.negMem);
-    EXPECT_EQ(a.stack.spin, b.stack.spin);
-    EXPECT_EQ(a.stack.yield, b.stack.yield);
-    EXPECT_EQ(a.stack.imbalance, b.stack.imbalance);
-    EXPECT_EQ(a.stack.coherency, b.stack.coherency);
-}
-
 std::string
 freshTempDir(const char *name)
 {
@@ -140,22 +118,50 @@ TEST(Driver, ResultsIdenticalAcrossWorkerCounts)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         ASSERT_TRUE(r1[i].ok()) << r1[i].error;
         ASSERT_TRUE(r8[i].ok()) << r8[i].error;
-        expectSameExperiment(r1[i].exp, r8[i].exp);
+        test::expectSameExperiment(r1[i].exp, r8[i].exp);
     }
 }
 
-TEST(Driver, MatchesSerialRunSpeedupExperiment)
+TEST(Driver, MatchesRunExperiment)
 {
-    const BenchmarkProfile profile = test::lockHeavyProfile();
-    const SpeedupExperiment serial =
-        runSpeedupExperiment(SimParams{}, profile, 4);
+    // The in-process reference and the driver agree on everything a
+    // fresh result carries: the summary, every per-thread counter, the
+    // per-core cache stats and the region snapshots the ablation benches
+    // and inspect read. The LLC size and the ATD sampling factor are
+    // the machine settings llc_study and abl_atd_sampling vary.
+    std::vector<JobSpec> specs = {makeJob(test::lockHeavyProfile(), 4),
+                                  makeJob(test::sharingProfile(), 4),
+                                  makeJob(test::memoryHeavyProfile(), 4)};
+    specs[1].params.cache.llcBytes = 512 * 1024;
+    specs[2].params.cache.atdSamplingFactor = 8;
 
     DriverOptions opts;
     opts.jobs = 4;
-    const std::vector<JobResult> results =
-        runExperimentBatch({makeJob(profile, 4)}, opts);
-    ASSERT_TRUE(results[0].ok()) << results[0].error;
-    expectSameExperiment(results[0].exp, serial);
+    const std::vector<JobResult> results = runExperimentBatch(specs, opts);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(specs[i].label());
+        ASSERT_TRUE(results[i].ok()) << results[i].error;
+        ASSERT_FALSE(results[i].fromCache());
+        test::expectSameExperiment(
+            results[i].exp,
+            runExperiment(specs[i].params, specs[i].workload));
+        EXPECT_FALSE(results[i].exp.parallel.threads.empty());
+        EXPECT_FALSE(results[i].exp.parallel.cacheStats.empty());
+    }
+    EXPECT_FALSE(results[1].exp.parallel.regions.empty());
+
+    // Neither setting is dropped on the way: each changes the run.
+    const SpeedupExperiment llc_default =
+        runExperiment(SimParams{}, specs[1].workload);
+    EXPECT_NE(results[1].exp.tp, llc_default.tp);
+    const SpeedupExperiment atd_default =
+        runExperiment(SimParams{}, specs[2].workload);
+    auto atdSamples = [](const SpeedupExperiment &e) {
+        return e.parallel.sumThreads([](const ThreadCounters &t) {
+            return t.atdSampledAccesses;
+        });
+    };
+    EXPECT_NE(atdSamples(results[2].exp), atdSamples(atd_default));
 }
 
 TEST(Driver, SeedOffsetSelectsDistinctStream)
@@ -448,7 +454,7 @@ TEST(BaselineStore, DeferredJobRunsFirstAndWaitsInItsOwnSpan)
 
     const std::vector<JobResult> reference =
         runExperimentBatch({spec}, DriverOptions{});
-    expectSameExperiment(result.exp, reference[0].exp);
+    test::expectSameExperiment(result.exp, reference[0].exp);
 }
 
 // ---- result cache ----------------------------------------------------------
@@ -479,7 +485,7 @@ TEST(Driver, SecondRunReplaysFromCache)
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
         ASSERT_TRUE(replay[i].fromCache());
-        expectSameExperiment(replay[i].exp, fresh[i].exp);
+        test::expectSameSummary(replay[i].exp, fresh[i].exp);
     }
     std::filesystem::remove_all(dir);
 }

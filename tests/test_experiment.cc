@@ -20,9 +20,10 @@ TEST(Experiment, ReusesBaselineAcrossThreadCounts)
     SimParams params;
     const RunResult baseline = runSingleThreaded(params, p);
     const SpeedupExperiment e2 =
-        runWithBaseline(params, p, 2, baseline);
+        runExperiment(params, WorkloadSpec::homogeneous(p, 2));
     const SpeedupExperiment e4 =
-        runWithBaseline(params, p, 4, baseline);
+        runExperiment(params, WorkloadSpec::homogeneous(p, 4));
+    EXPECT_EQ(e2.ts, baseline.executionTime);
     EXPECT_EQ(e2.ts, e4.ts);
     EXPECT_GT(e4.actualSpeedup, e2.actualSpeedup);
 }
@@ -33,7 +34,8 @@ TEST(Experiment, StackAlwaysSumsToHeight)
         const BenchmarkProfile &p = profileByLabel(label);
         SimParams params;
         params.ncores = 8;
-        const SpeedupExperiment exp = runSpeedupExperiment(params, p, 8);
+        const SpeedupExperiment exp =
+            runExperiment(params, WorkloadSpec::homogeneous(p, 8));
         EXPECT_TRUE(exp.stack.sumsToHeight(1e-6)) << label;
         EXPECT_EQ(exp.stack.nthreads, 8);
     }
@@ -79,7 +81,7 @@ TEST_P(ValidationSweep, ErrorWithinBounds)
     SimParams params;
     params.ncores = nthreads;
     const SpeedupExperiment exp =
-        runSpeedupExperiment(params, p, nthreads);
+        runExperiment(params, WorkloadSpec::homogeneous(p, nthreads));
 
     EXPECT_GT(exp.actualSpeedup, 1.0);
     EXPECT_LE(exp.actualSpeedup, nthreads * 1.05);
@@ -107,7 +109,8 @@ TEST(Experiment, PaperSpeedupReproduced16Threads)
         const BenchmarkProfile &p = profileByLabel(label);
         SimParams params;
         params.ncores = 16;
-        const SpeedupExperiment exp = runSpeedupExperiment(params, p, 16);
+        const SpeedupExperiment exp =
+            runExperiment(params, WorkloadSpec::homogeneous(p, 16));
         EXPECT_NEAR(exp.actualSpeedup, p.paperSpeedup16,
                     0.10 * p.paperSpeedup16)
             << label;

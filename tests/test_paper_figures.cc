@@ -20,7 +20,7 @@ run16(const std::string &label)
     const BenchmarkProfile &p = profileByLabel(label);
     SimParams params;
     params.ncores = 16;
-    return runSpeedupExperiment(params, p, 16);
+    return runExperiment(params, WorkloadSpec::homogeneous(p, 16));
 }
 
 TEST(PaperFigures, ScalingClassesMatchFigure6)
@@ -80,8 +80,10 @@ TEST(PaperFigures, LargerLlcRemovesNegativeInterferenceOnly)
     small.ncores = 16;
     SimParams big = small;
     big.cache.llcBytes = 8 * 1024 * 1024;
-    const SpeedupExperiment s = runSpeedupExperiment(small, p, 16);
-    const SpeedupExperiment b = runSpeedupExperiment(big, p, 16);
+    const SpeedupExperiment s =
+        runExperiment(small, WorkloadSpec::homogeneous(p, 16));
+    const SpeedupExperiment b =
+        runExperiment(big, WorkloadSpec::homogeneous(p, 16));
     EXPECT_LT(b.stack.negLlc, 0.25 * s.stack.negLlc + 0.05);
     EXPECT_GT(b.stack.posLlc, 0.25 * s.stack.posLlc);
     EXPECT_LT(b.stack.netNegLlc(), s.stack.netNegLlc());
@@ -94,8 +96,10 @@ TEST(PaperFigures, OversubscriptionHelpsFerret)
     SimParams params;
     params.ncores = 4;
     const RunResult baseline = runSingleThreaded(params, p);
-    const RunResult equal = simulate(params, p, 4, 4);
-    const RunResult over = simulate(params, p, 16, 4);
+    const RunResult equal =
+        simulateWorkload(params, WorkloadSpec::homogeneous(p, 4), 4);
+    const RunResult over =
+        simulateWorkload(params, WorkloadSpec::homogeneous(p, 16), 4);
     EXPECT_LT(over.executionTime, equal.executionTime);
     EXPECT_GT(baseline.executionTime, over.executionTime);
 }

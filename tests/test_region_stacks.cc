@@ -20,7 +20,7 @@ runBarrierHeavy(int nthreads)
     const BenchmarkProfile p = test::barrierHeavyProfile();
     SimParams params;
     params.ncores = nthreads;
-    return simulate(params, p, nthreads);
+    return simulateWorkload(params, WorkloadSpec::homogeneous(p, nthreads));
 }
 
 TEST(RegionStacks, RegionsTileTheRun)
@@ -59,7 +59,8 @@ TEST(RegionStacks, SequentialRunHasNoRegions)
     const BenchmarkProfile p = test::barrierHeavyProfile();
     SimParams params;
     params.ncores = 1;
-    const RunResult run = simulate(params, p, 1);
+    const RunResult run =
+        simulateWorkload(params, WorkloadSpec::homogeneous(p, 1));
     const std::vector<RegionStack> regions = buildRegionStacks(run);
     // No barriers in the sequential program: one tail region at most.
     EXPECT_LE(regions.size(), 1u);
@@ -84,7 +85,8 @@ TEST(RegionStacks, TimeWeightedYieldMatchesWholeRun)
     const BenchmarkProfile p = test::barrierHeavyProfile();
     SimParams params;
     params.ncores = 8;
-    const SpeedupExperiment exp = runSpeedupExperiment(params, p, 8);
+    const SpeedupExperiment exp =
+        runExperiment(params, WorkloadSpec::homogeneous(p, 8));
     const std::vector<RegionStack> regions =
         buildRegionStacks(exp.parallel, defaultReportOptions(params));
     double wsum = 0.0, yield = 0.0, spin = 0.0;

@@ -25,6 +25,13 @@
 namespace sst {
 namespace {
 
+/** @p nthreads threads of the cholesky profile. */
+WorkloadSpec
+cholesky(int nthreads)
+{
+    return WorkloadSpec::homogeneous(profileByLabel("cholesky"), nthreads);
+}
+
 // ---- golden anchors --------------------------------------------------------
 
 /**
@@ -56,9 +63,9 @@ constexpr Golden kGolden[] = {
 TEST(SchedGolden, DefaultPolicyReproducesGoldenStacks)
 {
     for (const Golden &g : kGolden) {
-        const BenchmarkProfile profile = profileByLabel(g.label);
-        const SpeedupExperiment e =
-            runSpeedupExperiment(SimParams{}, profile, g.nthreads);
+        const SpeedupExperiment e = runExperiment(
+            SimParams{},
+            WorkloadSpec::homogeneous(profileByLabel(g.label), g.nthreads));
         EXPECT_EQ(e.ts, g.ts) << g.label << " x" << g.nthreads;
         EXPECT_EQ(e.tp, g.tp) << g.label << " x" << g.nthreads;
         EXPECT_TRUE(e.stack.sumsToHeight(1e-9))
@@ -70,8 +77,7 @@ TEST(SchedGolden, ExplicitAffinityFifoMatchesDefault)
 {
     SimParams params;
     params.schedPolicy = SchedPolicy::kAffinityFifo;
-    const SpeedupExperiment e =
-        runSpeedupExperiment(params, profileByLabel("cholesky"), 4);
+    const SpeedupExperiment e = runExperiment(params, cholesky(4));
     EXPECT_EQ(e.ts, 3432501u);
     EXPECT_EQ(e.tp, 1077672u);
 }
@@ -80,8 +86,7 @@ TEST(SchedGolden, OversubscribedGolden)
 {
     // 16 threads on 4 cores (Figure 7 regime): preemption, wake
     // placement and migration all active.
-    const RunResult r =
-        simulate(SimParams{}, profileByLabel("cholesky"), 16, 4);
+    const RunResult r = simulateWorkload(SimParams{}, cholesky(16), 4);
     EXPECT_EQ(r.executionTime, 1547168u);
     EXPECT_EQ(r.totalInstructions, 8267294u);
 }
@@ -102,8 +107,8 @@ TEST(SchedGolden, OversubscribedEngineCounters)
     };
     for (const Expected &x : kExpected) {
         SCOPED_TRACE(std::to_string(x.ncores) + " cores");
-        const RunResult r = simulate(SimParams{}, profileByLabel("cholesky"),
-                                     2 * x.ncores, x.ncores);
+        const RunResult r = simulateWorkload(
+            SimParams{}, cholesky(2 * x.ncores), x.ncores);
         EXPECT_EQ(r.engineEvents, x.events);
         EXPECT_EQ(r.executionTime, x.cycles);
         EXPECT_EQ(r.engineWakes, x.wakes);
@@ -116,8 +121,7 @@ TEST(SchedGolden, OversubscribedEngineCounters)
 
 TEST(SchedAccounting, PreemptionWaitIsCharged)
 {
-    const RunResult r =
-        simulate(SimParams{}, profileByLabel("cholesky"), 16, 4);
+    const RunResult r = simulateWorkload(SimParams{}, cholesky(16), 4);
     Cycles preempt = 0;
     for (const ThreadCounters &t : r.threads) {
         // The OS-visible yield counter must cover every descheduled
@@ -131,8 +135,7 @@ TEST(SchedAccounting, PreemptionWaitIsCharged)
 
 TEST(SchedAccounting, NoPreemptionWhenNotOversubscribed)
 {
-    const RunResult r =
-        simulate(SimParams{}, profileByLabel("cholesky"), 4, 4);
+    const RunResult r = simulateWorkload(SimParams{}, cholesky(4), 4);
     for (const ThreadCounters &t : r.threads)
         EXPECT_EQ(t.gtPreemptYield, 0u);
 }
@@ -149,12 +152,13 @@ TEST_P(SchedPolicies, OversubscribedRunConservesInstructions)
     // arrivals are charged exactly once), so every policy must commit
     // exactly the same program instructions; completing at all shows
     // the policy neither deadlocks nor starves a thread.
-    const BenchmarkProfile profile = test::barrierHeavyProfile();
-    const RunResult ref = simulate(SimParams{}, profile, 16, 4);
+    const WorkloadSpec w =
+        WorkloadSpec::homogeneous(test::barrierHeavyProfile(), 16);
+    const RunResult ref = simulateWorkload(SimParams{}, w, 4);
 
     SimParams params;
     params.schedPolicy = GetParam();
-    const RunResult r = simulate(params, profile, 16, 4);
+    const RunResult r = simulateWorkload(params, w, 4);
     EXPECT_EQ(r.totalInstructions, ref.totalInstructions);
     EXPECT_GT(r.executionTime, 0u);
     for (const ThreadCounters &t : r.threads)
@@ -167,12 +171,10 @@ TEST_P(SchedPolicies, LockRetriesPerturbInstructionsOnlyMarginally)
     // committed instructions are schedule-dependent — but only through
     // that sync overhead. Policies must stay within 1% of each other on
     // a full lock-bearing benchmark.
-    const RunResult ref =
-        simulate(SimParams{}, profileByLabel("cholesky"), 16, 4);
+    const RunResult ref = simulateWorkload(SimParams{}, cholesky(16), 4);
     SimParams params;
     params.schedPolicy = GetParam();
-    const RunResult r =
-        simulate(params, profileByLabel("cholesky"), 16, 4);
+    const RunResult r = simulateWorkload(params, cholesky(16), 4);
     const double rel =
         static_cast<double>(r.totalInstructions) /
         static_cast<double>(ref.totalInstructions);
@@ -182,11 +184,12 @@ TEST_P(SchedPolicies, LockRetriesPerturbInstructionsOnlyMarginally)
 
 TEST_P(SchedPolicies, BalancedRunConservesInstructions)
 {
-    const BenchmarkProfile profile = test::barrierHeavyProfile();
-    const RunResult ref = simulate(SimParams{}, profile, 4, 4);
+    const WorkloadSpec w =
+        WorkloadSpec::homogeneous(test::barrierHeavyProfile(), 4);
+    const RunResult ref = simulateWorkload(SimParams{}, w, 4);
     SimParams params;
     params.schedPolicy = GetParam();
-    const RunResult r = simulate(params, profile, 4, 4);
+    const RunResult r = simulateWorkload(params, w, 4);
     EXPECT_EQ(r.totalInstructions, ref.totalInstructions);
 }
 
@@ -194,10 +197,10 @@ TEST_P(SchedPolicies, DeterministicAcrossRuns)
 {
     SimParams params;
     params.schedPolicy = GetParam();
-    const RunResult a =
-        simulate(params, profileByLabel("lu.cont"), 16, 4);
-    const RunResult b =
-        simulate(params, profileByLabel("lu.cont"), 16, 4);
+    const WorkloadSpec w =
+        WorkloadSpec::homogeneous(profileByLabel("lu.cont"), 16);
+    const RunResult a = simulateWorkload(params, w, 4);
+    const RunResult b = simulateWorkload(params, w, 4);
     EXPECT_EQ(a.executionTime, b.executionTime);
     EXPECT_EQ(a.totalInstructions, b.totalInstructions);
     EXPECT_EQ(a.totalSpinInstructions, b.totalSpinInstructions);
@@ -222,9 +225,10 @@ TEST(SchedPolicies, RandomSeedSelectsDistinctSchedules)
     a.schedPolicy = SchedPolicy::kRandom;
     SimParams b = a;
     b.schedSeed = 1;
-    const BenchmarkProfile profile = test::barrierHeavyProfile();
-    const RunResult ra = simulate(a, profile, 16, 4);
-    const RunResult rb = simulate(b, profile, 16, 4);
+    const WorkloadSpec w =
+        WorkloadSpec::homogeneous(test::barrierHeavyProfile(), 16);
+    const RunResult ra = simulateWorkload(a, w, 4);
+    const RunResult rb = simulateWorkload(b, w, 4);
     // Same workload either way...
     EXPECT_EQ(ra.totalInstructions, rb.totalInstructions);
     // ...but an independent schedule (equal times would be an

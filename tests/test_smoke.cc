@@ -19,7 +19,7 @@ TEST(Smoke, BlackscholesSmallRunsToCompletion)
     SimParams params;
     params.ncores = 4;
     const SpeedupExperiment exp =
-        runSpeedupExperiment(params, profile, 4);
+        runExperiment(params, WorkloadSpec::homogeneous(profile, 4));
     EXPECT_GT(exp.ts, 0u);
     EXPECT_GT(exp.tp, 0u);
     EXPECT_GT(exp.actualSpeedup, 1.0);

@@ -403,16 +403,16 @@ TEST(Driver, OversubscribedJobMatchesDirectRun)
         runExperimentBatch({spec}, DriverOptions{});
     ASSERT_TRUE(results[0].ok()) << results[0].error;
 
-    const SpeedupExperiment direct = runSpeedupExperiment(
-        spec.params, spec.workload.groups[0].profile, spec.nthreads(),
-        nullptr, spec.ncores);
-    EXPECT_EQ(results[0].exp.ts, direct.ts);
-    EXPECT_EQ(results[0].exp.tp, direct.tp);
-    EXPECT_EQ(results[0].exp.actualSpeedup, direct.actualSpeedup);
+    const RunResult direct =
+        simulateWorkload(spec.params, spec.workload, spec.ncores);
+    const SpeedupExperiment full = runExperiment(spec.params, spec.workload);
+    EXPECT_EQ(results[0].exp.ts, full.ts);
+    EXPECT_EQ(results[0].exp.tp, direct.executionTime);
+    EXPECT_EQ(results[0].exp.actualSpeedup,
+              static_cast<double>(full.ts) /
+                  static_cast<double>(direct.executionTime));
     // Time-sharing 4 threads on 2 cores must cost time vs 4 cores.
-    const SpeedupExperiment full = runSpeedupExperiment(
-        spec.params, spec.workload.groups[0].profile, 4);
-    EXPECT_GT(direct.tp, full.tp);
+    EXPECT_GT(direct.executionTime, full.tp);
 }
 
 TEST(Driver, MoreCoresThanThreadsRejected)

@@ -25,7 +25,10 @@ paramsFor(int ncores)
 TEST(System, SequentialRunCompletes)
 {
     const BenchmarkProfile p = test::computeOnlyProfile();
-    System sys(paramsFor(1), p, 1);
+    // The factory owns the profile the thread programs reference.
+    const OpSourceFactory sources =
+        workloadOpSources(WorkloadSpec::homogeneous(p, 1));
+    System sys(paramsFor(1), sources, 1);
     const RunResult res = sys.run();
     EXPECT_GT(res.executionTime, 0u);
     EXPECT_EQ(res.nthreads, 1);
@@ -34,9 +37,10 @@ TEST(System, SequentialRunCompletes)
 
 TEST(System, RunIsDeterministic)
 {
-    const BenchmarkProfile p = test::barrierHeavyProfile();
+    const OpSourceFactory sources = workloadOpSources(
+        WorkloadSpec::homogeneous(test::barrierHeavyProfile(), 4));
     SimParams params = paramsFor(4);
-    System a(params, p, 4), b(params, p, 4);
+    System a(params, sources, 4), b(params, sources, 4);
     const RunResult ra = a.run();
     const RunResult rb = b.run();
     EXPECT_EQ(ra.executionTime, rb.executionTime);
@@ -50,8 +54,10 @@ TEST(System, RunIsDeterministic)
 TEST(System, ParallelismGivesSpeedup)
 {
     const BenchmarkProfile p = test::computeOnlyProfile();
-    const RunResult seq = simulate(paramsFor(1), p, 1);
-    const RunResult par = simulate(paramsFor(4), p, 4);
+    const RunResult seq =
+        simulateWorkload(paramsFor(1), WorkloadSpec::homogeneous(p, 1));
+    const RunResult par =
+        simulateWorkload(paramsFor(4), WorkloadSpec::homogeneous(p, 4));
     const double speedup = static_cast<double>(seq.executionTime) /
                            static_cast<double>(par.executionTime);
     EXPECT_GT(speedup, 3.0);
@@ -62,7 +68,9 @@ TEST(System, LockContentionCausesSpin)
 {
     const BenchmarkProfile p = test::lockHeavyProfile();
     SimParams params = paramsFor(8);
-    System sys(params, p, 8);
+    const OpSourceFactory sources =
+        workloadOpSources(WorkloadSpec::homogeneous(p, 8));
+    System sys(params, sources, 8);
     const RunResult res = sys.run();
     const std::uint64_t gt_spin = res.sumThreads(
         [](const ThreadCounters &t) { return t.gtSpin(); });
@@ -82,7 +90,9 @@ TEST(System, MutualExclusionAccountingConsistent)
 {
     const BenchmarkProfile p = test::lockHeavyProfile();
     SimParams params = paramsFor(4);
-    System sys(params, p, 4);
+    const OpSourceFactory sources =
+        workloadOpSources(WorkloadSpec::homogeneous(p, 4));
+    System sys(params, sources, 4);
     sys.run();
     // Every contended acquisition was eventually served: the lock ends
     // free with an empty wait queue.
@@ -96,7 +106,8 @@ TEST(System, BarrierSkewCausesYield)
 {
     const BenchmarkProfile p = test::barrierHeavyProfile();
     SimParams params = paramsFor(8);
-    const RunResult res = simulate(params, p, 8);
+    const RunResult res =
+        simulateWorkload(params, WorkloadSpec::homogeneous(p, 8));
     const std::uint64_t yield = res.sumThreads(
         [](const ThreadCounters &t) { return t.yieldCycles; });
     const std::uint64_t gt_yield = res.sumThreads(
@@ -108,7 +119,8 @@ TEST(System, BarrierSkewCausesYield)
 TEST(System, MemoryHeavyWorkloadStallsOnDram)
 {
     const BenchmarkProfile p = test::memoryHeavyProfile();
-    const RunResult res = simulate(paramsFor(8), p, 8);
+    const RunResult res =
+        simulateWorkload(paramsFor(8), WorkloadSpec::homogeneous(p, 8));
     const std::uint64_t stall = res.sumThreads(
         [](const ThreadCounters &t) { return t.llcLoadMissStall; });
     EXPECT_GT(stall, 0u);
@@ -121,7 +133,8 @@ TEST(System, MemoryHeavyWorkloadStallsOnDram)
 TEST(System, SharingProfileShowsPositiveInterference)
 {
     const BenchmarkProfile p = test::sharingProfile();
-    const RunResult res = simulate(paramsFor(8), p, 8);
+    const RunResult res =
+        simulateWorkload(paramsFor(8), WorkloadSpec::homogeneous(p, 8));
     const std::uint64_t hits = res.sumThreads(
         [](const ThreadCounters &t) { return t.interThreadHitsSampled; });
     EXPECT_GT(hits, 0u);
@@ -131,7 +144,8 @@ TEST(System, OversubscriptionCompletesAndTimeShares)
 {
     const BenchmarkProfile p = test::barrierHeavyProfile();
     SimParams params = paramsFor(2);
-    const RunResult res = simulate(params, p, 8, 2);
+    const RunResult res =
+        simulateWorkload(params, WorkloadSpec::homogeneous(p, 8), 2);
     EXPECT_EQ(res.nthreads, 8);
     EXPECT_EQ(res.ncores, 2);
     EXPECT_GT(res.executionTime, 0u);
@@ -143,15 +157,18 @@ TEST(System, OversubscriptionCompletesAndTimeShares)
 TEST(System, MoreCoresHelpOversubscribedRun)
 {
     const BenchmarkProfile p = test::computeOnlyProfile();
-    const RunResult on2 = simulate(paramsFor(2), p, 8, 2);
-    const RunResult on8 = simulate(paramsFor(8), p, 8, 8);
+    const RunResult on2 =
+        simulateWorkload(paramsFor(2), WorkloadSpec::homogeneous(p, 8), 2);
+    const RunResult on8 =
+        simulateWorkload(paramsFor(8), WorkloadSpec::homogeneous(p, 8), 8);
     EXPECT_LT(on8.executionTime, on2.executionTime);
 }
 
 TEST(System, FinishTimesNeverExceedExecutionTime)
 {
     const BenchmarkProfile p = test::barrierHeavyProfile();
-    const RunResult res = simulate(paramsFor(8), p, 8);
+    const RunResult res =
+        simulateWorkload(paramsFor(8), WorkloadSpec::homogeneous(p, 8));
     for (const auto &t : res.threads)
         EXPECT_LE(t.finishTime, res.executionTime);
 }
@@ -159,7 +176,9 @@ TEST(System, FinishTimesNeverExceedExecutionTime)
 TEST(System, RunTwiceIsRejected)
 {
     const BenchmarkProfile p = test::computeOnlyProfile();
-    System sys(paramsFor(1), p, 1);
+    const OpSourceFactory sources =
+        workloadOpSources(WorkloadSpec::homogeneous(p, 1));
+    System sys(paramsFor(1), sources, 1);
     sys.run();
     EXPECT_DEATH(sys.run(), "run\\(\\) may only be called once");
 }
@@ -168,8 +187,10 @@ TEST(System, InstructionCountsScaleWithOverheadKnob)
 {
     BenchmarkProfile p = test::computeOnlyProfile();
     p.parOverheadFrac = 0.3;
-    const RunResult seq = simulate(paramsFor(1), p, 1);
-    const RunResult par = simulate(paramsFor(4), p, 4);
+    const RunResult seq =
+        simulateWorkload(paramsFor(1), WorkloadSpec::homogeneous(p, 1));
+    const RunResult par =
+        simulateWorkload(paramsFor(4), WorkloadSpec::homogeneous(p, 4));
     EXPECT_GT(static_cast<double>(par.totalInstructions),
               1.2 * static_cast<double>(seq.totalInstructions));
 }

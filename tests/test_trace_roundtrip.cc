@@ -35,73 +35,6 @@ freshTempDir(const char *name)
     return dir;
 }
 
-void
-expectSameCounters(const ThreadCounters &a, const ThreadCounters &b)
-{
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.spinInstructions, b.spinInstructions);
-    EXPECT_EQ(a.llcLoadMissStall, b.llcLoadMissStall);
-    EXPECT_EQ(a.llcLoadMisses, b.llcLoadMisses);
-    EXPECT_EQ(a.negLlcSampledStall, b.negLlcSampledStall);
-    EXPECT_EQ(a.interThreadMissesSampled, b.interThreadMissesSampled);
-    EXPECT_EQ(a.interThreadHitsSampled, b.interThreadHitsSampled);
-    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
-    EXPECT_EQ(a.atdSampledAccesses, b.atdSampledAccesses);
-    EXPECT_EQ(a.busWaitOther, b.busWaitOther);
-    EXPECT_EQ(a.bankWaitOther, b.bankWaitOther);
-    EXPECT_EQ(a.pageConflictOther, b.pageConflictOther);
-    EXPECT_EQ(a.spinDetectedTian, b.spinDetectedTian);
-    EXPECT_EQ(a.spinDetectedLi, b.spinDetectedLi);
-    EXPECT_EQ(a.yieldCycles, b.yieldCycles);
-    EXPECT_EQ(a.coherencyMisses, b.coherencyMisses);
-    EXPECT_EQ(a.gtLockSpin, b.gtLockSpin);
-    EXPECT_EQ(a.gtBarrierSpin, b.gtBarrierSpin);
-    EXPECT_EQ(a.gtLockYield, b.gtLockYield);
-    EXPECT_EQ(a.gtBarrierYield, b.gtBarrierYield);
-    EXPECT_EQ(a.gtPreemptYield, b.gtPreemptYield);
-    EXPECT_EQ(a.gtMemWaitOther, b.gtMemWaitOther);
-    EXPECT_EQ(a.finishTime, b.finishTime);
-}
-
-void
-expectSameRun(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.nthreads, b.nthreads);
-    EXPECT_EQ(a.ncores, b.ncores);
-    EXPECT_EQ(a.executionTime, b.executionTime);
-    EXPECT_EQ(a.totalInstructions, b.totalInstructions);
-    EXPECT_EQ(a.totalSpinInstructions, b.totalSpinInstructions);
-    ASSERT_EQ(a.threads.size(), b.threads.size());
-    for (std::size_t t = 0; t < a.threads.size(); ++t)
-        expectSameCounters(a.threads[t], b.threads[t]);
-    EXPECT_EQ(a.regions.size(), b.regions.size());
-}
-
-void
-expectSameExperiment(const SpeedupExperiment &a,
-                     const SpeedupExperiment &b)
-{
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.nthreads, b.nthreads);
-    EXPECT_EQ(a.ts, b.ts);
-    EXPECT_EQ(a.tp, b.tp);
-    // Bit-identical, not approximately equal: replay is exact.
-    EXPECT_EQ(a.actualSpeedup, b.actualSpeedup);
-    EXPECT_EQ(a.estimatedSpeedup, b.estimatedSpeedup);
-    EXPECT_EQ(a.error, b.error);
-    EXPECT_EQ(a.parOverheadMeasured, b.parOverheadMeasured);
-    EXPECT_EQ(a.stack.baseSpeedup, b.stack.baseSpeedup);
-    EXPECT_EQ(a.stack.posLlc, b.stack.posLlc);
-    EXPECT_EQ(a.stack.negLlc, b.stack.negLlc);
-    EXPECT_EQ(a.stack.negMem, b.stack.negMem);
-    EXPECT_EQ(a.stack.spin, b.stack.spin);
-    EXPECT_EQ(a.stack.yield, b.stack.yield);
-    EXPECT_EQ(a.stack.imbalance, b.stack.imbalance);
-    EXPECT_EQ(a.stack.coherency, b.stack.coherency);
-    expectSameRun(a.single, b.single);
-    expectSameRun(a.parallel, b.parallel);
-}
-
 /**
  * Record -> replay for one (profile, nthreads) point and demand
  * bit-identical results everywhere.
@@ -113,16 +46,16 @@ roundTrip(const std::string &dir, const BenchmarkProfile &profile,
     SCOPED_TRACE(profile.label() + " @" + std::to_string(nthreads));
     const std::string path = tracePathFor(dir, profile, nthreads);
     const SimParams params;
+    const WorkloadSpec workload = WorkloadSpec::homogeneous(profile, nthreads);
 
     const SpeedupExperiment live =
-        recordSpeedupTrace(params, profile, nthreads, path);
+        recordSpeedupTrace(params, workload, path);
     const SpeedupExperiment replayed = replaySpeedupTrace(params, path);
-    expectSameExperiment(live, replayed);
+    test::expectSameExperiment(live, replayed);
 
     // The recording shim must also be transparent: the live experiment
     // measured while recording equals a plain run without the shim.
-    expectSameExperiment(
-        live, runSpeedupExperiment(params, profile, nthreads));
+    test::expectSameExperiment(live, runExperiment(params, workload));
 }
 
 // Three Figure-6 profiles spanning the behaviour classes (good /
@@ -171,7 +104,7 @@ TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
     const SimParams params;
     for (const JobSpec &s : specs) {
         const BenchmarkProfile &profile = s.workload.groups[0].profile;
-        recordSpeedupTrace(params, profile, s.nthreads(),
+        recordSpeedupTrace(params, s.workload,
                            tracePathFor(dir, profile, s.nthreads()));
     }
 
@@ -190,7 +123,7 @@ TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         ASSERT_TRUE(replayed[i].ok()) << replayed[i].error;
         EXPECT_TRUE(replayed[i].tracedReplay);
-        expectSameExperiment(replayed[i].exp, fresh[i].exp);
+        test::expectSameExperiment(replayed[i].exp, fresh[i].exp);
     }
     std::filesystem::remove_all(dir);
 }
@@ -203,7 +136,7 @@ TEST(DriverTrace, JobsSharingOneTraceEachReplayIt)
     // their live rows.
     const std::string dir = freshTempDir("driver_shared");
     const BenchmarkProfile profile = test::lockHeavyProfile();
-    recordSpeedupTrace(SimParams{}, profile, 4,
+    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(profile, 4),
                        tracePathFor(dir, profile, 4));
     JobSpec small = makeJob(profile, 4);
     JobSpec large = small;
@@ -224,7 +157,7 @@ TEST(DriverTrace, JobsSharingOneTraceEachReplayIt)
         for (std::size_t i = 0; i < specs.size(); ++i) {
             ASSERT_TRUE(replayed[i].ok()) << replayed[i].error;
             ASSERT_TRUE(live[i].ok()) << live[i].error;
-            expectSameExperiment(replayed[i].exp, live[i].exp);
+            test::expectSameExperiment(replayed[i].exp, live[i].exp);
         }
     }
     std::filesystem::remove_all(dir);
@@ -251,7 +184,7 @@ TEST(DriverTrace, SeedOffsetLooksUpItsOwnRecording)
     // (different op streams): the job falls back to live generation.
     const std::string dir = freshTempDir("driver_seed_offset");
     const BenchmarkProfile profile = test::computeOnlyProfile();
-    recordSpeedupTrace(SimParams{}, profile, 2,
+    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(profile, 2),
                        tracePathFor(dir, profile, 2));
 
     JobSpec offset = makeJob(profile, 2);
@@ -271,7 +204,7 @@ TEST(DriverTrace, StaleTraceFailsTheJobLoudly)
 {
     const std::string dir = freshTempDir("driver_stale");
     BenchmarkProfile profile = test::computeOnlyProfile();
-    recordSpeedupTrace(SimParams{}, profile, 2,
+    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(profile, 2),
                        tracePathFor(dir, profile, 2));
 
     // Same label, different op streams: the recording is now stale.
@@ -343,13 +276,14 @@ TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
                           std::string(9, '\x80') + "\x7e" +
                           std::string(1, '\0')); // varint overflow
     const BenchmarkProfile good = test::computeOnlyProfile();
-    recordSpeedupTrace(SimParams{}, good, 2, tracePathFor(dir, good, 2));
+    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(good, 2),
+                       tracePathFor(dir, good, 2));
     // A malformed baseline stream, whose 1-thread run shares its key
     // with a valid recording (3 threads) and a live job (4 threads, no
     // recording). Listed first, so at jobs 1 it claims the baseline.
     const BenchmarkProfile barrier = test::barrierHeavyProfile();
     writeCorruptTrace(dir, barrier, 2, "\x2a", true);
-    recordSpeedupTrace(SimParams{}, barrier, 3,
+    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(barrier, 3),
                        tracePathFor(dir, barrier, 3));
 
     const std::vector<JobSpec> specs = {
@@ -375,7 +309,7 @@ TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
         // failure: they compute the baseline themselves.
         for (const std::size_t i : {2u, 3u, 5u}) {
             ASSERT_TRUE(results[i].ok()) << results[i].error;
-            expectSameExperiment(results[i].exp, live[i].exp);
+            test::expectSameExperiment(results[i].exp, live[i].exp);
         }
         EXPECT_TRUE(results[2].tracedReplay);
         EXPECT_TRUE(results[3].tracedReplay);
@@ -389,7 +323,7 @@ TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
                       std::string::npos)
                 << results[0].error;
         } else {
-            expectSameExperiment(results[0].exp, live[0].exp);
+            test::expectSameExperiment(results[0].exp, live[0].exp);
         }
     }
     std::filesystem::remove_all(dir);

@@ -1,14 +1,17 @@
 /**
  * @file
  * Shared helpers for the test suite: small controlled benchmark profiles
- * that exercise one mechanism at a time.
+ * that exercise one mechanism at a time, and exact-equality checks of
+ * experiments and runs.
  */
 
 #ifndef SST_TESTS_TEST_UTIL_HH
 #define SST_TESTS_TEST_UTIL_HH
 
 #include <cstdint>
+#include <gtest/gtest.h>
 
+#include "core/experiment.hh"
 #include "workload/op_source.hh"
 #include "workload/profile.hh"
 
@@ -113,6 +116,107 @@ memoryHeavyProfile()
     p.privateHotBytes = 16 * 1024;
     p.privateHotFrac = 0.9;
     return p;
+}
+
+/** Every accounting and ground-truth counter of one thread equal. */
+inline void
+expectSameCounters(const ThreadCounters &a, const ThreadCounters &b)
+{
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.spinInstructions, b.spinInstructions);
+    EXPECT_EQ(a.llcLoadMissStall, b.llcLoadMissStall);
+    EXPECT_EQ(a.llcLoadMisses, b.llcLoadMisses);
+    EXPECT_EQ(a.negLlcSampledStall, b.negLlcSampledStall);
+    EXPECT_EQ(a.interThreadMissesSampled, b.interThreadMissesSampled);
+    EXPECT_EQ(a.interThreadHitsSampled, b.interThreadHitsSampled);
+    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
+    EXPECT_EQ(a.atdSampledAccesses, b.atdSampledAccesses);
+    EXPECT_EQ(a.busWaitOther, b.busWaitOther);
+    EXPECT_EQ(a.bankWaitOther, b.bankWaitOther);
+    EXPECT_EQ(a.pageConflictOther, b.pageConflictOther);
+    EXPECT_EQ(a.spinDetectedTian, b.spinDetectedTian);
+    EXPECT_EQ(a.spinDetectedLi, b.spinDetectedLi);
+    EXPECT_EQ(a.yieldCycles, b.yieldCycles);
+    EXPECT_EQ(a.coherencyMisses, b.coherencyMisses);
+    EXPECT_EQ(a.gtLockSpin, b.gtLockSpin);
+    EXPECT_EQ(a.gtBarrierSpin, b.gtBarrierSpin);
+    EXPECT_EQ(a.gtLockYield, b.gtLockYield);
+    EXPECT_EQ(a.gtBarrierYield, b.gtBarrierYield);
+    EXPECT_EQ(a.gtPreemptYield, b.gtPreemptYield);
+    EXPECT_EQ(a.gtMemWaitOther, b.gtMemWaitOther);
+    EXPECT_EQ(a.finishTime, b.finishTime);
+}
+
+/** The cache ground truth of one core equal. */
+inline void
+expectSameCacheStats(const CacheStats &a, const CacheStats &b)
+{
+    EXPECT_EQ(a.l1Accesses, b.l1Accesses);
+    EXPECT_EQ(a.l1Hits, b.l1Hits);
+    EXPECT_EQ(a.coherencyMisses, b.coherencyMisses);
+    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
+    EXPECT_EQ(a.llcHits, b.llcHits);
+    EXPECT_EQ(a.llcMisses, b.llcMisses);
+    EXPECT_EQ(a.interThreadHitsSampled, b.interThreadHitsSampled);
+    EXPECT_EQ(a.interThreadMissesSampled, b.interThreadMissesSampled);
+    EXPECT_EQ(a.oracleInterThreadHits, b.oracleInterThreadHits);
+    EXPECT_EQ(a.oracleInterThreadMisses, b.oracleInterThreadMisses);
+    EXPECT_EQ(a.invalidationsReceived, b.invalidationsReceived);
+    EXPECT_EQ(a.writebacks, b.writebacks);
+}
+
+/** Two runs equal: totals, per-thread counters, per-core cache stats
+ *  and the number of region snapshots. */
+inline void
+expectSameRun(const RunResult &a, const RunResult &b)
+{
+    EXPECT_EQ(a.nthreads, b.nthreads);
+    EXPECT_EQ(a.ncores, b.ncores);
+    EXPECT_EQ(a.executionTime, b.executionTime);
+    EXPECT_EQ(a.totalInstructions, b.totalInstructions);
+    EXPECT_EQ(a.totalSpinInstructions, b.totalSpinInstructions);
+    ASSERT_EQ(a.threads.size(), b.threads.size());
+    for (std::size_t t = 0; t < a.threads.size(); ++t)
+        expectSameCounters(a.threads[t], b.threads[t]);
+    ASSERT_EQ(a.cacheStats.size(), b.cacheStats.size());
+    for (std::size_t c = 0; c < a.cacheStats.size(); ++c)
+        expectSameCacheStats(a.cacheStats[c], b.cacheStats[c]);
+    EXPECT_EQ(a.regions.size(), b.regions.size());
+}
+
+/**
+ * Two experiments equal bit for bit (not approximately: determinism
+ * is exact) on every summary field, which is all a result-cache hit
+ * carries.
+ */
+inline void
+expectSameSummary(const SpeedupExperiment &a, const SpeedupExperiment &b)
+{
+    EXPECT_EQ(a.label, b.label);
+    EXPECT_EQ(a.nthreads, b.nthreads);
+    EXPECT_EQ(a.ts, b.ts);
+    EXPECT_EQ(a.tp, b.tp);
+    EXPECT_EQ(a.actualSpeedup, b.actualSpeedup);
+    EXPECT_EQ(a.estimatedSpeedup, b.estimatedSpeedup);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(a.parOverheadMeasured, b.parOverheadMeasured);
+    EXPECT_EQ(a.stack.baseSpeedup, b.stack.baseSpeedup);
+    EXPECT_EQ(a.stack.posLlc, b.stack.posLlc);
+    EXPECT_EQ(a.stack.negLlc, b.stack.negLlc);
+    EXPECT_EQ(a.stack.negMem, b.stack.negMem);
+    EXPECT_EQ(a.stack.spin, b.stack.spin);
+    EXPECT_EQ(a.stack.yield, b.stack.yield);
+    EXPECT_EQ(a.stack.imbalance, b.stack.imbalance);
+    EXPECT_EQ(a.stack.coherency, b.stack.coherency);
+}
+
+/** expectSameSummary() plus both runs; for freshly executed results. */
+inline void
+expectSameExperiment(const SpeedupExperiment &a, const SpeedupExperiment &b)
+{
+    expectSameSummary(a, b);
+    expectSameRun(a.single, b.single);
+    expectSameRun(a.parallel, b.parallel);
 }
 
 } // namespace test

@@ -132,21 +132,6 @@ sameOps(const std::vector<Op> &a, const std::vector<Op> &b)
     return true;
 }
 
-void
-expectSameExperiment(const SpeedupExperiment &a, const SpeedupExperiment &b)
-{
-    EXPECT_EQ(a.ts, b.ts);
-    EXPECT_EQ(a.tp, b.tp);
-    EXPECT_DOUBLE_EQ(a.actualSpeedup, b.actualSpeedup);
-    EXPECT_DOUBLE_EQ(a.estimatedSpeedup, b.estimatedSpeedup);
-    EXPECT_DOUBLE_EQ(a.stack.baseSpeedup, b.stack.baseSpeedup);
-    EXPECT_DOUBLE_EQ(a.stack.spin, b.stack.spin);
-    EXPECT_DOUBLE_EQ(a.stack.yield, b.stack.yield);
-    EXPECT_DOUBLE_EQ(a.stack.imbalance, b.stack.imbalance);
-    EXPECT_DOUBLE_EQ(a.stack.negLlc, b.stack.negLlc);
-    EXPECT_DOUBLE_EQ(a.stack.negMem, b.stack.negMem);
-}
-
 // ---- parser / IR -----------------------------------------------------------
 
 TEST(WdlParser, ParsesContentionScenario)
@@ -339,7 +324,7 @@ TEST(WdlDriver, ResultsIdenticalAcrossWorkerCounts)
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         ASSERT_TRUE(r1[i].ok()) << r1[i].error;
         ASSERT_TRUE(r4[i].ok()) << r4[i].error;
-        expectSameExperiment(r1[i].exp, r4[i].exp);
+        test::expectSameExperiment(r1[i].exp, r4[i].exp);
     }
 }
 
@@ -353,20 +338,20 @@ TEST(WdlTrace, RecordThenReplayIsBitIdentical)
     const SpeedupExperiment live =
         recordSpeedupTrace(params, workload, path);
     const SpeedupExperiment replayed = replaySpeedupTrace(params, path);
-    expectSameExperiment(live, replayed);
+    test::expectSameExperiment(live, replayed);
     std::remove(path.c_str());
 }
 
 TEST(WdlDriver, MixExperimentMatchesDriverRow)
 {
-    // runMixExperiment() must simulate the program, not the placeholder
+    // runExperiment() must simulate the program, not the placeholder
     // profiles. Single group only: the driver folds the group index into
     // later groups' seeds.
     const JobSpec job = wdlJob(kPhased);
     const std::vector<JobResult> rows =
         runExperimentBatch({job}, DriverOptions{});
     ASSERT_TRUE(rows[0].ok()) << rows[0].error;
-    expectSameExperiment(runMixExperiment(job.params, job.workload),
+    test::expectSameExperiment(runExperiment(job.params, job.workload),
                          rows[0].exp);
 }
 

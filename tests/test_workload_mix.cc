@@ -88,26 +88,10 @@ TEST(WorkloadHomogeneous, MatchesPreRefactorGoldens)
     for (const Golden &g : kGolden) {
         const WorkloadSpec spec = WorkloadSpec::homogeneous(
             profileByLabel(g.label), g.nthreads);
-        const SpeedupExperiment e = runMixExperiment(SimParams{}, spec);
+        const SpeedupExperiment e = runExperiment(SimParams{}, spec);
         EXPECT_EQ(e.ts, g.ts) << g.label << " x" << g.nthreads;
         EXPECT_EQ(e.tp, g.tp) << g.label << " x" << g.nthreads;
     }
-}
-
-TEST(WorkloadHomogeneous, EqualsRunSpeedupExperimentExactly)
-{
-    const BenchmarkProfile profile = test::sharingProfile();
-    const SpeedupExperiment direct =
-        runSpeedupExperiment(SimParams{}, profile, 4);
-    const SpeedupExperiment via = runMixExperiment(
-        SimParams{}, WorkloadSpec::homogeneous(profile, 4));
-    EXPECT_EQ(via.label, direct.label);
-    EXPECT_EQ(via.ts, direct.ts);
-    EXPECT_EQ(via.tp, direct.tp);
-    EXPECT_EQ(via.actualSpeedup, direct.actualSpeedup);
-    EXPECT_EQ(via.estimatedSpeedup, direct.estimatedSpeedup);
-    EXPECT_EQ(via.stack.yield, direct.stack.yield);
-    EXPECT_EQ(via.stack.negLlc, direct.stack.negLlc);
 }
 
 TEST(WorkloadHomogeneous, FingerprintsPreservedAcrossRefactor)
@@ -140,7 +124,7 @@ TEST(WorkloadHomogeneous, MixBaselineFingerprintSharesWithHomogeneous)
 TEST(WorkloadMix, BaselineIsSumOfPerProgramBaselines)
 {
     const WorkloadSpec mix = smallMix();
-    const SpeedupExperiment e = runMixExperiment(SimParams{}, mix);
+    const SpeedupExperiment e = runExperiment(SimParams{}, mix);
     const RunResult a =
         runSingleThreaded(SimParams{}, mix.groups[0].profile);
     const RunResult b =
@@ -157,10 +141,10 @@ TEST(WorkloadMix, GroupsAreDisjointAndConserveWork)
     // or barriers, so only hardware interference couples them.
     const WorkloadSpec mix = smallMix();
     const RunResult together = simulateWorkload(SimParams{}, mix);
-    const RunResult alone_a =
-        simulate(SimParams{}, mix.groups[0].profile, 2);
-    const RunResult alone_b =
-        simulate(SimParams{}, mix.groups[1].profile, 2);
+    const RunResult alone_a = simulateWorkload(
+        SimParams{}, WorkloadSpec::homogeneous(mix.groups[0].profile, 2));
+    const RunResult alone_b = simulateWorkload(
+        SimParams{}, WorkloadSpec::homogeneous(mix.groups[1].profile, 2));
     EXPECT_EQ(together.totalInstructions,
               alone_a.totalInstructions + alone_b.totalInstructions);
     // ...and the interference is real: the mix takes longer than the
@@ -213,7 +197,7 @@ TEST(WorkloadMix, SameProgramTwiceDrawsDecorrelatedSeeds)
 TEST(WorkloadPipeline, StageImbalanceYieldDominatesTheStack)
 {
     const SpeedupExperiment e =
-        runMixExperiment(SimParams{}, imbalancedPipeline());
+        runExperiment(SimParams{}, imbalancedPipeline());
     // The light stage's threads park on every phase barrier while the
     // heavy stage finishes: long waits register as yielding, not
     // spinning, and dominate every other sync component — the
@@ -238,7 +222,7 @@ TEST(WorkloadPipeline, StagesMustAgreeOnPhases)
 TEST(WorkloadPipeline, RegisteredFerretRunsEndToEnd)
 {
     const WorkloadSpec &ferret = *mixRegistry().find("ferret4");
-    const SpeedupExperiment e = runMixExperiment(SimParams{}, ferret);
+    const SpeedupExperiment e = runExperiment(SimParams{}, ferret);
     EXPECT_GT(e.actualSpeedup, 1.0);
     EXPECT_GT(e.stack.yield, e.stack.spin);
 }
@@ -309,8 +293,8 @@ TEST(WorkloadTrace, V2FixtureReplaysAsHomogeneousBitIdentically)
 
     const SpeedupExperiment replayed =
         replaySpeedupTrace(SimParams{}, reader);
-    const SpeedupExperiment live =
-        runSpeedupExperiment(SimParams{}, test::computeOnlyProfile(), 2);
+    const SpeedupExperiment live = runExperiment(
+        SimParams{}, WorkloadSpec::homogeneous(test::computeOnlyProfile(), 2));
     EXPECT_EQ(replayed.ts, live.ts);
     EXPECT_EQ(replayed.tp, live.tp);
     EXPECT_EQ(replayed.actualSpeedup, live.actualSpeedup);
