@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -11,10 +12,8 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "driver/baseline_store.hh"
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
-#include "serve/job_queue.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "trace/trace_run.hh"
@@ -90,8 +89,8 @@ class TraceRecordClaims
 };
 
 /**
- * Encoded group baseline streams for --record-dir, keyed like the
- * BaselineStore (canonical fingerprintWorkloadGroupBaseline() text).
+ * Encoded group baseline streams for --record-dir, keyed like baseline
+ * jobs (canonical fingerprintWorkloadGroupBaseline() text).
  * The first recording job that needs a stream generates and encodes
  * it; jobs recording at the same time wait for it under the key's own
  * mutex and share it. Entries are held weakly, so a stream is freed as
@@ -136,51 +135,62 @@ struct JobExecutor::Impl
 {
     DriverOptions opts;
     ResultCache *cache = nullptr;
-    BaselineStore *baselines = nullptr;
     std::atomic<std::size_t> baselinesComputed{0};
     TraceRecordClaims records;
     BaselineStreams baselineStreams;
 
-    /** Execute one job (validation, cache, trace replay or live runs). */
-    JobResult runOneJob(const JobSpec &spec, std::uint64_t job_id);
+    /** Run group @p group's 1-thread baseline of @p spec. */
+    JobResult runBaseline(const JobSpec &spec, int group);
+
+    /** Run the experiment of @p spec on its group baselines @p bases
+     *  (validation, trace replay or record, cache store). */
+    JobResult
+    runExperiment(const JobSpec &spec,
+                  const std::vector<std::shared_ptr<const RunResult>> &bases);
 };
 
 JobResult
-JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
+JobExecutor::Impl::runBaseline(const JobSpec &spec, int group)
 {
-    telemetry::Registry &registry = telemetry::Registry::global();
-    telemetry::ScopedSpan jobSpan("job", "driver");
+    // Always the generated program: the key is frontend-agnostic, and a
+    // recorded baseline stream replays bit-identically to it.
+    telemetry::ScopedSpan span("baseline", "driver");
+    baselinesComputed.fetch_add(1, std::memory_order_relaxed);
+    JobResult res;
+    try {
+        res.baseline = std::make_shared<const RunResult>(simulateSources(
+            spec.params,
+            workloadGroupBaselineSources(spec.effectiveWorkload(), group),
+            1));
+        res.status = JobStatus::kOk;
+    } catch (const std::exception &e) {
+        res.error = e.what();
+    }
+    return res;
+}
+
+JobResult
+JobExecutor::Impl::runExperiment(
+    const JobSpec &spec,
+    const std::vector<std::shared_ptr<const RunResult>> &bases)
+{
     JobResult res;
     try {
         {
             telemetry::ScopedSpan span("validate", "driver");
             validateSpec(spec);
         }
-        const Fingerprint fp = fingerprintJob(spec);
-        if (cache && !opts.refresh) {
-            SpeedupExperiment hit;
-            if (cache->lookup(fp, hit)) {
-                // Cache hits never re-simulate, so they also never
-                // record: --record-dir captures only fresh runs.
-                registry
-                    .counter("sst_driver_cache_lookups_total",
-                             {{"outcome", "hit"}})
-                    .inc();
-                res.status = JobStatus::kCached;
-                res.exp = std::move(hit);
-                return res;
-            }
-            registry
-                .counter("sst_driver_cache_lookups_total",
-                         {{"outcome", "miss"}})
-                .inc();
-        }
-
         const WorkloadSpec workload = spec.effectiveWorkload();
         const int nthreads = workload.nthreads();
+        const int ngroups = workload.ngroups();
+        if (bases.size() != static_cast<std::size_t>(ngroups))
+            throw std::invalid_argument(
+                "job '" + spec.label() + "': handed " +
+                std::to_string(bases.size()) + " baseline run(s) for " +
+                std::to_string(ngroups) + " group(s)");
 
-        // Trace replay: when the job's canonical recording exists, all
-        // runs re-simulate from the recorded op streams and no
+        // Trace replay: when the job's canonical recording exists, the
+        // parallel run re-simulates from the recorded op streams and no
         // ThreadProgram is ever constructed. A missing file falls back
         // to live generation; an incompatible file (stale profile,
         // wrong thread count, corruption) throws and fails the job —
@@ -202,21 +212,6 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
             }
         }
 
-        // Per-group 1-thread reference runs, shared by claim-or-defer
-        // (driver/baseline_store.hh). Keys are the full canonical
-        // baseline text (not the hash) so two distinct baselines can
-        // never silently share a slot; the key is frontend-agnostic (a
-        // replayed baseline is bit-identical to a generated one) and
-        // group-agnostic (a mix group shares its baseline with
-        // homogeneous sweeps of the same profile).
-        const int ngroups = workload.ngroups();
-        std::vector<BaselineSlot> slots(static_cast<std::size_t>(ngroups));
-        for (int g = 0; g < ngroups; ++g)
-            slots[g] = BaselineSlot{
-                job_id, g,
-                fingerprintWorkloadGroupBaseline(spec.params, workload, g)
-                    .canonical};
-
         // Trace capture (--record-dir): fresh, non-oversubscribed jobs
         // write their canonical recording while they run. Jobs that
         // differ only in machine parameters share one trace name (op
@@ -233,69 +228,17 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
             if (records.claim(record_path)) {
                 writer = std::make_unique<TraceWriter>(
                     traceMetaFor(workload, spec.params));
-                // Baseline streams are a pure function of the workload
-                // — jobs recording one at the same time encode it once
-                // and share it, so the 1-thread runs can still come
-                // from the baseline store.
+                // Baseline streams are a pure function of the workload:
+                // jobs recording one at the same time encode it once
+                // and share it.
                 for (int g = 0; g < ngroups; ++g)
                     writer->setStream(
                         writer->baselineStream(g),
-                        baselineStreams.get(slots[g].key, workload, g));
-            }
-        }
-
-        std::vector<std::shared_ptr<const RunResult>> group_bases(
-            slots.size());
-        auto countRequest = [&registry](const char *outcome) {
-            registry
-                .counter("sst_driver_baseline_requests_total",
-                         {{"outcome", outcome}})
-                .inc();
-        };
-        // Every baseline this job simulates counts as `compute`, also
-        // one granted after a deferral (its owner released the claim).
-        auto computeBaseline = [&](int g) {
-            countRequest("compute");
-            telemetry::ScopedSpan span("baseline", "driver");
-            baselinesComputed.fetch_add(1, std::memory_order_relaxed);
-            try {
-                group_bases[g] = std::make_shared<const RunResult>(
-                    reader ? replayBaseline(spec.params, *reader, g)
-                           : simulateSources(
-                                 spec.params,
-                                 workloadGroupBaselineSources(workload, g),
-                                 1));
-            } catch (...) {
-                // A replayed baseline fails on this job's own trace
-                // file: release the slot, so jobs sharing its key (other
-                // traces, live runs) compute it instead of inheriting
-                // the error. A generated baseline's error is the run's.
-                if (reader)
-                    baselines->release(slots[g]);
-                else
-                    baselines->abandon(slots[g], std::current_exception());
-                throw;
-            }
-            baselines->publish(slots[g], group_bases[g]);
-        };
-        // Claim every group now. Owned baselines are computed at once
-        // (other jobs may be waiting for them); baselines another job
-        // is computing are deferred past the parallel run.
-        std::vector<int> deferred;
-        for (int g = 0; g < ngroups; ++g) {
-            const BaselineTicket ticket = baselines->claim(slots[g]);
-            switch (ticket.claim) {
-            case BaselineTicket::Claim::kHave:
-                countRequest("hit");
-                group_bases[g] = ticket.run;
-                break;
-            case BaselineTicket::Claim::kCompute:
-                computeBaseline(g);
-                break;
-            case BaselineTicket::Claim::kPending:
-                countRequest("deferred");
-                deferred.push_back(g);
-                break;
+                        baselineStreams.get(
+                            fingerprintWorkloadGroupBaseline(spec.params,
+                                                             workload, g)
+                                .canonical,
+                            workload, g));
             }
         }
 
@@ -326,31 +269,16 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
             }
         }
 
-        // Collect the deferred baselines. A parallel run usually
-        // outlasts a baseline, so they are mostly ready by now; any
-        // time still spent blocked is its own span.
-        for (const int g : deferred) {
-            BaselineTicket ticket = baselines->claim(slots[g]);
-            if (ticket.claim == BaselineTicket::Claim::kPending) {
-                countRequest("wait");
-                telemetry::ScopedSpan span("baseline-wait", "driver");
-                ticket = baselines->await(slots[g]);
-            }
-            if (ticket.claim == BaselineTicket::Claim::kCompute)
-                computeBaseline(g); // the owner released its claim
-            else
-                group_bases[g] = ticket.run;
-        }
-
         std::vector<RunResult> runs;
-        runs.reserve(group_bases.size());
-        for (const std::shared_ptr<const RunResult> &run : group_bases)
+        runs.reserve(bases.size());
+        for (const std::shared_ptr<const RunResult> &run : bases)
             runs.push_back(*run);
         SpeedupExperiment exp = assembleExperiment(
             workload.label(), nthreads, spec.params,
             combineGroupBaselines(runs), std::move(parallel));
         res.tracedReplay = reader != nullptr;
         if (cache) {
+            const Fingerprint fp = fingerprintJob(spec);
             telemetry::ScopedSpan storeSpan("cache-store", "driver");
             cache->store(fp, exp);
         }
@@ -363,26 +291,28 @@ JobExecutor::Impl::runOneJob(const JobSpec &spec, std::uint64_t job_id)
     return res;
 }
 
-JobExecutor::JobExecutor(const DriverOptions &opts, ResultCache *cache,
-                         BaselineStore &baselines)
+JobExecutor::JobExecutor(const DriverOptions &opts, ResultCache *cache)
     : impl_(std::make_unique<Impl>())
 {
     impl_->opts = opts;
     impl_->cache = cache;
-    impl_->baselines = &baselines;
 }
 
 JobExecutor::~JobExecutor() = default;
 
 JobResult
-JobExecutor::run(const JobSpec &spec, std::uint64_t job_id)
+JobExecutor::run(const LeasedJob &job)
 {
+    telemetry::ScopedSpan jobSpan("job", "driver");
+    if (job.isBaseline())
+        return impl_->runBaseline(job.spec, job.group);
+
     telemetry::Registry &registry = telemetry::Registry::global();
     const bool instrumented = registry.enabled();
     const auto start = instrumented
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-    JobResult res = impl_->runOneJob(spec, job_id);
+    JobResult res = impl_->runExperiment(job.spec, job.baselines);
     if (instrumented) {
         const double seconds =
             std::chrono::duration<double>(
@@ -393,12 +323,9 @@ JobExecutor::run(const JobSpec &spec, std::uint64_t job_id)
                        {0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
                         10.0, 60.0})
             .observe(seconds);
-        const char *status = res.status == JobStatus::kOk ? "ok"
-                             : res.status == JobStatus::kCached
-                                 ? "cached"
-                                 : "failed";
         registry
-            .counter("sst_driver_jobs_total", {{"status", status}})
+            .counter("sst_driver_jobs_total",
+                     {{"status", res.ok() ? "ok" : "failed"}})
             .inc();
     }
     return res;
@@ -408,6 +335,53 @@ std::size_t
 JobExecutor::baselinesComputed() const
 {
     return impl_->baselinesComputed.load(std::memory_order_relaxed);
+}
+
+ExperimentLookup
+lookupExperiment(const ResultCache *cache, const JobSpec &spec)
+{
+    ExperimentLookup out;
+    try {
+        validateSpec(spec);
+        out.valid = true;
+        if (cache) {
+            out.fingerprint = fingerprintJob(spec);
+            out.hit = cache->lookup(out.fingerprint, out.cached);
+            telemetry::Registry::global()
+                .counter("sst_driver_cache_lookups_total",
+                         {{"outcome", out.hit ? "hit" : "miss"}})
+                .inc();
+        }
+    } catch (const std::exception &) {
+        // Submitted alone, the job reports the error when it runs.
+    }
+    return out;
+}
+
+SubmitOutcome
+submitExperiment(JobQueue &queue, const JobSpec &spec,
+                 ExperimentLookup lookup, int priority, std::uint64_t now_ms)
+{
+    if (lookup.hit) {
+        // A hit never reaches a worker, so it also never records:
+        // --record-dir captures only fresh runs.
+        JobResult res;
+        res.status = JobStatus::kCached;
+        res.exp = std::move(lookup.cached);
+        const SubmitOutcome out =
+            queue.submitSettled(spec, lookup.fingerprint, std::move(res));
+        if (!out.deduped)
+            telemetry::Registry::global()
+                .counter("sst_driver_jobs_total", {{"status", "cached"}})
+                .inc();
+        return out;
+    }
+    std::vector<JobId> baselines;
+    if (lookup.valid)
+        for (int g = 0; g < spec.workload.ngroups(); ++g)
+            baselines.push_back(
+                queue.submitBaseline(spec, g, priority, now_ms).id);
+    return queue.submit(spec, priority, now_ms, baselines);
 }
 
 ExperimentDriver::ExperimentDriver(DriverOptions opts)
@@ -440,8 +414,7 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
     stats_ = BatchStats{};
     stats_.total = specs.size();
 
-    LocalBaselineStore baselines;
-    JobExecutor executor(opts_, cache_.get(), baselines);
+    JobExecutor executor(opts_, cache_.get());
 
     // The batch runs through the same JobQueue the experiment service
     // uses (src/serve/), with in-process lease-loop threads as the
@@ -449,46 +422,75 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
     // so every leased job completes — timestamps stay 0 and no lease
     // ever expires. Fingerprint dedup means a batch that lists the same
     // job twice executes it once and both rows share the result.
-    serve::JobQueue queue;
-    std::vector<serve::JobId> ids;
+    JobQueue queue;
+    const int nworkers = specs.size() <= 1 ? 1 : workerCount();
+    auto onWorkers = [nworkers](const std::function<void(int)> &body) {
+        if (nworkers == 1) {
+            body(0);
+            return;
+        }
+        std::vector<std::thread> threads;
+        threads.reserve(static_cast<std::size_t>(nworkers));
+        for (int w = 0; w < nworkers; ++w)
+            threads.emplace_back(body, w);
+        for (std::thread &t : threads)
+            t.join();
+    };
+
+    // Validation and cache lookups need no queue, so the workers do
+    // them; submission then follows input order, so which row of a
+    // duplicated job dedups onto the other never depends on timing.
+    const ResultCache *cache = opts_.refresh ? nullptr : cache_.get();
+    std::vector<ExperimentLookup> lookups(specs.size());
+    onWorkers([&](int w) {
+        for (std::size_t i = static_cast<std::size_t>(w); i < specs.size();
+             i += static_cast<std::size_t>(nworkers))
+            lookups[i] = lookupExperiment(cache, specs[i]);
+    });
+    std::vector<JobId> ids;
     std::vector<bool> dup(specs.size(), false);
     ids.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        const serve::SubmitOutcome out = queue.submit(specs[i], 0, 0);
+        const SubmitOutcome out = submitExperiment(
+            queue, specs[i], std::move(lookups[i]), 0, 0);
         ids.push_back(out.id);
         dup[i] = out.deduped;
     }
 
-    // Pool depth gauge: jobs not yet settled. A relaxed atomic updated
-    // per completion — never read back by the batch itself.
+    // Queue depth gauge: experiment jobs not yet settled. Written per
+    // completion, never read back by the batch itself.
+    telemetry::Registry &registry = telemetry::Registry::global();
     telemetry::GaugeHandle depthGauge =
-        telemetry::Registry::global().gauge("sst_driver_queue_depth");
-    std::atomic<std::size_t> unsettled{ids.size()};
-    depthGauge.set(static_cast<double>(unsettled.load()));
+        registry.gauge("sst_driver_queue_depth");
+    auto publishDepth = [&queue, &registry, &depthGauge] {
+        if (registry.enabled()) {
+            const QueueStats s = queue.stats();
+            depthGauge.set(static_cast<double>(s.pending + s.leased));
+        }
+    };
+    publishDepth();
 
-    auto leaseLoop = [&queue, &executor, &depthGauge,
-                      &unsettled](const std::string &worker) {
-        serve::LeasedJob job;
-        while (queue.lease(worker, 0, job)) {
-            queue.complete(job.id, worker,
-                           executor.run(job.spec, job.id));
-            depthGauge.set(static_cast<double>(
-                unsettled.fetch_sub(1, std::memory_order_relaxed) - 1));
+    // An experiment becomes leasable only when its baselines are done,
+    // so a worker that finds nothing to lease waits for the queue to
+    // change (every completion bumps the ready epoch) until it is idle.
+    auto leaseLoop = [&queue, &executor,
+                      &publishDepth](const std::string &worker) {
+        for (;;) {
+            const std::uint64_t epoch = queue.readyEpoch();
+            LeasedJob job;
+            if (queue.lease(worker, 0, job)) {
+                queue.complete(job.id, worker, executor.run(job));
+                publishDepth();
+            } else if (queue.idle()) {
+                return;
+            } else {
+                queue.waitReady(epoch, 100);
+            }
         }
     };
 
-    const int nworkers = workerCount();
-    if (nworkers <= 1 || specs.size() <= 1) {
-        leaseLoop("local-0");
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(nworkers));
-        for (int w = 0; w < nworkers; ++w)
-            threads.emplace_back(leaseLoop,
-                                 "local-" + std::to_string(w));
-        for (std::thread &t : threads)
-            t.join();
-    }
+    onWorkers(
+        [&leaseLoop](int w) { leaseLoop("local-" + std::to_string(w)); });
 
     std::vector<JobResult> results(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {

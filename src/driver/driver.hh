@@ -2,10 +2,10 @@
  * @file
  * The parallel experiment driver: executes a declarative batch of
  * speedup-experiment jobs on worker threads that lease them from a
- * JobQueue, shares single-threaded baseline runs between jobs that only
- * differ in thread count, memoizes completed jobs in a
- * content-addressed on-disk cache, and isolates failures so one bad
- * spec never poisons a batch.
+ * JobQueue, runs each distinct single-threaded baseline once as a queue
+ * job of its own that every experiment needing it depends on, memoizes
+ * completed jobs in a content-addressed on-disk cache, and isolates
+ * failures so one bad spec never poisons a batch.
  *
  * Determinism contract: a job's result is a pure function of its
  * JobSpec. The simulator keeps all state per-System instance and every
@@ -23,11 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "driver/fingerprint.hh"
 #include "driver/job.hh"
+#include "driver/job_queue.hh"
 
 namespace sst {
 
-class BaselineStore;
+class ResultCache;
 
 /** Batch execution configuration. */
 struct DriverOptions
@@ -43,10 +45,12 @@ struct DriverOptions
 
     /**
      * Directory of recorded op traces (see src/trace/). When a job's
-     * canonical trace file (tracePathFor) exists there, its runs replay
-     * from the recording — op-stream generation is skipped entirely.
-     * Jobs without a recording fall back to live generation; a present
-     * but stale/incompatible trace fails the job loudly rather than
+     * canonical trace file (tracePathFor) exists there, its parallel
+     * run replays from the recording — no op stream is generated for
+     * it. Baseline jobs always run the generated 1-thread program,
+     * which a recorded baseline stream reproduces bit for bit. Jobs
+     * without a recording fall back to live generation; a present but
+     * stale/incompatible trace fails the job loudly rather than
      * silently regenerating.
      */
     std::string traceDir;
@@ -78,33 +82,31 @@ struct BatchStats
 };
 
 /**
- * Executes single jobs: validation, result-cache lookup/store, trace
- * replay/record and the simulation runs, with record-path claims and
- * encoded baseline streams shared across calls and 1-thread baselines
- * shared through a BaselineStore (driver/baseline_store.hh). The
- * in-process worker threads and external `sst worker` processes
- * (src/serve/) share this one implementation. Thread-safe: concurrent
- * run() calls coordinate through the internal stores.
+ * Executes leased queue jobs (driver/job_queue.hh): one group's 1-thread
+ * baseline, or an experiment assembled from the baseline runs the queue
+ * hands it (validation, trace replay/record, the parallel run and the
+ * result-cache store). The in-process worker threads and external
+ * `sst worker` processes (src/serve/) share this one implementation.
+ * Thread-safe: concurrent run() calls share the record-path claims and
+ * encoded baseline streams of --record-dir.
  */
 class JobExecutor
 {
   public:
     /**
      * @p cache may be null (memoization disabled); when set it must
-     * outlive the executor. @p baselines is the store jobs claim
-     * baselines from; it must outlive the executor. @p opts is copied.
+     * outlive the executor and receives every experiment this executor
+     * completes. @p opts is copied.
      */
-    JobExecutor(const DriverOptions &opts, class ResultCache *cache,
-                BaselineStore &baselines);
+    JobExecutor(const DriverOptions &opts, ResultCache *cache);
     ~JobExecutor();
 
     /**
-     * Execute one job. @p job_id identifies the job to the baseline
-     * store (the queue id: baseline claims are held per job). Never
-     * throws: spec validation or execution errors yield a kFailed
-     * result carrying the message.
+     * Execute @p job. Never throws: spec validation or execution errors
+     * yield a kFailed result carrying the message. A successful
+     * baseline job's result carries its run (JobResult::baseline).
      */
-    JobResult run(const JobSpec &spec, std::uint64_t job_id);
+    JobResult run(const LeasedJob &job);
 
     /** 1-thread baseline runs this executor computed so far. */
     std::size_t baselinesComputed() const;
@@ -113,6 +115,35 @@ class JobExecutor
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
+
+/**
+ * The half of submitting an experiment that needs no queue: spec
+ * validation, fingerprint and result-cache lookup. Thread-safe, so a
+ * batch looks all its jobs up in parallel.
+ */
+struct ExperimentLookup
+{
+    bool valid = false;       ///< the spec passed validation
+    bool hit = false;         ///< the cache holds its result
+    Fingerprint fingerprint;  ///< fingerprintJob(), set with a cache
+    SpeedupExperiment cached; ///< the cached result, when hit
+};
+
+/** Validate @p spec and look it up in @p cache (may be null). */
+ExperimentLookup lookupExperiment(const ResultCache *cache,
+                                  const JobSpec &spec);
+
+/**
+ * Submit the experiment of @p spec to @p queue, given its @p lookup —
+ * the one submit path of the batch driver and the server. A cache hit
+ * is settled at once and submits no baselines; otherwise each workload
+ * group's baseline job is submitted, then the experiment depending on
+ * them. A spec that failed validation is submitted alone and fails
+ * when it runs, so it never shares a baseline job with a valid one.
+ */
+SubmitOutcome submitExperiment(JobQueue &queue, const JobSpec &spec,
+                               ExperimentLookup lookup, int priority,
+                               std::uint64_t now_ms);
 
 /** Executes job batches; reusable across batches (stats reset per run). */
 class ExperimentDriver

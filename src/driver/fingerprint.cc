@@ -144,6 +144,26 @@ finish(std::string text)
     return fp;
 }
 
+/** Baseline fingerprint of one program: the 1-thread run of @p profile
+ *  (seed already applied) under @p params. */
+Fingerprint
+fingerprintProfileBaseline(const SimParams &params,
+                           const BenchmarkProfile &profile)
+{
+    std::string out;
+    put(out, "fingerprint.version", kHomogeneousSchemaVersion);
+    put(out, "job.kind", std::string("baseline"));
+    encodeProfile(out, profile);
+    // One thread on one core never consults the scheduler policy (no
+    // contention, no wakes, no preemption), so canonicalize it away:
+    // cross-policy sweeps then share one baseline per profile.
+    SimParams base = params;
+    base.schedPolicy = SchedPolicy::kAffinityFifo;
+    base.schedSeed = 0;
+    encodeParams(out, base, 1);
+    return finish(std::move(out));
+}
+
 } // namespace
 
 Fingerprint
@@ -214,24 +234,6 @@ fingerprintJob(const JobSpec &spec)
 }
 
 Fingerprint
-fingerprintProfileBaseline(const SimParams &params,
-                           const BenchmarkProfile &profile)
-{
-    std::string out;
-    put(out, "fingerprint.version", kHomogeneousSchemaVersion);
-    put(out, "job.kind", std::string("baseline"));
-    encodeProfile(out, profile);
-    // One thread on one core never consults the scheduler policy (no
-    // contention, no wakes, no preemption), so canonicalize it away:
-    // cross-policy sweeps then share one baseline per profile.
-    SimParams base = params;
-    base.schedPolicy = SchedPolicy::kAffinityFifo;
-    base.schedSeed = 0;
-    encodeParams(out, base, 1);
-    return finish(std::move(out));
-}
-
-Fingerprint
 fingerprintWorkloadGroupBaseline(const SimParams &params,
                                  const WorkloadSpec &workload, int group)
 {
@@ -255,17 +257,6 @@ fingerprintWorkloadGroupBaseline(const SimParams &params,
     base.schedSeed = 0;
     encodeParams(out, base, 1);
     return finish(std::move(out));
-}
-
-Fingerprint
-fingerprintBaseline(const JobSpec &spec)
-{
-    const WorkloadSpec workload = spec.effectiveWorkload();
-    sstAssert(workload.isHomogeneous(),
-              "per-job baseline fingerprints are homogeneous-only; "
-              "heterogeneous jobs key one baseline per group");
-    return fingerprintProfileBaseline(spec.params,
-                                      workload.groups[0].profile);
 }
 
 } // namespace sst

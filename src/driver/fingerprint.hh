@@ -4,8 +4,8 @@
  * can influence a simulation's outcome — the whole BenchmarkProfile, the
  * whole SimParams, the thread count and the seed offset — is serialized
  * into a stable `key=value` text form, which is then hashed (FNV-1a
- * 64-bit) to key the on-disk result cache and the in-memory baseline
- * store. The canonical text itself is persisted next to each cached
+ * 64-bit) to key the on-disk result cache and the job queue's dedup of
+ * experiment and baseline jobs. The canonical text itself is persisted next to each cached
  * result so a hash collision degrades to a cache miss, never to a wrong
  * result.
  *
@@ -80,30 +80,15 @@ void encodeParams(std::string &out, const SimParams &params,
 Fingerprint fingerprintJob(const JobSpec &spec);
 
 /**
- * Fingerprint of the job's single-threaded baseline run. Pins the
- * thread/core count to 1 and drops nthreads, so every job that differs
- * only in thread count shares one baseline. Heterogeneous jobs have
- * one baseline per group — see fingerprintProfileBaseline().
- */
-Fingerprint fingerprintBaseline(const JobSpec &spec);
-
-/**
- * Baseline fingerprint of one program: the 1-thread run of @p profile
- * (seed already applied) under @p params. This is the per-group
- * baseline key of heterogeneous jobs and is byte-identical to
- * fingerprintBaseline() for the same profile, so mix groups and
- * homogeneous sweeps share baseline computations.
- */
-Fingerprint fingerprintProfileBaseline(const SimParams &params,
-                                       const BenchmarkProfile &profile);
-
-/**
- * Baseline fingerprint of group @p group of @p workload. Dispatches to
- * fingerprintProfileBaseline() for profile-backed groups (unchanged
- * keys) and to an IR-content encoding for WDL-backed ones: the section
- * hashes the compiled program's canonical text plus the group index and
- * effective seed, never the source path, so identical file content at
- * different paths shares one baseline.
+ * Baseline fingerprint of group @p group of @p workload: the 1-thread
+ * run of that group's program under @p params. Pins the thread/core
+ * count to 1 and drops nthreads, so every job that differs only in
+ * thread count shares one baseline. A profile-backed group keys on its
+ * profile alone (seed applied), so mix groups and homogeneous sweeps of
+ * the same program share it. A WDL-backed group hashes the compiled
+ * program's canonical text plus the group index and effective seed,
+ * never the source path, so identical file content at different paths
+ * shares one baseline.
  */
 Fingerprint fingerprintWorkloadGroupBaseline(const SimParams &params,
                                              const WorkloadSpec &workload,

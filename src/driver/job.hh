@@ -13,6 +13,7 @@
 #define SST_DRIVER_JOB_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/experiment.hh"
@@ -114,6 +115,10 @@ struct JobResult
     JobStatus status = JobStatus::kFailed;
     std::string error;      ///< failure description when kFailed
     SpeedupExperiment exp;  ///< valid when status != kFailed
+
+    /** A baseline job's 1-thread run (set when it succeeded; see
+     *  JobQueue). Experiment results leave it null. */
+    std::shared_ptr<const RunResult> baseline;
 
     /** Runs were replayed from a recorded op trace (no generation). */
     bool tracedReplay = false;

@@ -1,19 +1,28 @@
 /**
  * @file
- * The standalone job queue behind every execution backend — the job
- * scheduling that used to live inside the batch driver's runBatch()
- * loop, split out so the in-process thread pool and external worker
- * processes (`sst worker`) become two backends of one queue.
+ * The standalone job queue behind every execution backend: the batch
+ * driver's in-process thread pool and external worker processes
+ * (`sst worker`) are two backends of one queue.
+ *
+ * A queued job runs either the experiment of a JobSpec or the 1-thread
+ * baseline of one workload group of it. Every speedup is Ts/Tp, and Ts
+ * comes from the baselines: an experiment job depends on one baseline
+ * job per group and is only leased once all of them are done, so a
+ * baseline shared by many experiments runs once, on any worker.
  *
  * Semantics:
  *  - ordering: higher priority first, FIFO (submission order) within a
- *    priority level;
- *  - dedup: submissions are keyed by the job's content fingerprint
- *    (driver/fingerprint.hh). A spec whose fingerprint matches a
- *    pending, leased or completed job returns the existing job id with
- *    `deduped = true` — a million-job campaign resubmitted is a no-op.
- *    Jobs that settled as failed or cancelled do NOT dedup: resubmitting
- *    one enqueues a fresh attempt;
+ *    priority level. A pending baseline takes the highest priority of
+ *    the experiments that depend on it;
+ *  - dedup: an experiment is keyed by its content fingerprint
+ *    (driver/fingerprint.hh), a baseline by its baseline fingerprint.
+ *    A submission whose key matches a pending, leased or completed job
+ *    returns the existing job id with `deduped = true` — a million-job
+ *    campaign resubmitted is a no-op. Jobs that settled as failed or
+ *    cancelled do NOT dedup: resubmitting one enqueues a fresh attempt;
+ *  - dependencies: a baseline that settles failed (an error result,
+ *    exhausted attempts or cancellation) fails every pending experiment
+ *    that depends on it with its error;
  *  - leases: workers lease one job at a time and must heartbeat it. A
  *    lease that outlives its expiry (a killed worker) is requeued by
  *    expireLeases() with exponential backoff; once a job has been
@@ -32,13 +41,15 @@
  * passes 0 everywhere.
  */
 
-#ifndef SST_SERVE_JOB_QUEUE_HH
-#define SST_SERVE_JOB_QUEUE_HH
+#ifndef SST_DRIVER_JOB_QUEUE_HH
+#define SST_DRIVER_JOB_QUEUE_HH
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -46,25 +57,31 @@
 #include <unordered_map>
 #include <vector>
 
+#include "driver/fingerprint.hh"
 #include "driver/job.hh"
 
 namespace sst {
-namespace serve {
 
 /** Queue-wide job identifier (1-based; 0 is never a valid id). */
 using JobId = std::uint64_t;
 
 /** Lifecycle of one queued job. */
 enum class QueueJobState : std::uint8_t {
-    kPending,   ///< waiting for a lease (possibly in backoff)
+    kPending,   ///< waiting for its baselines or a lease (maybe in backoff)
     kLeased,    ///< held by a worker, lease not yet expired
     kDone,      ///< completed with a JobResult (ok, cached or failed)
-    kFailed,    ///< gave up: maxAttempts leases expired or failed
+    kFailed,    ///< gave up: attempts exhausted, or a baseline failed
     kCancelled, ///< cancelled while pending
 };
 
+/** Number of QueueJobState values. */
+inline constexpr std::size_t kQueueJobStates = 5;
+
 /** Stable lowercase label of @p state ("pending", "leased", ...). */
 const char *queueJobStateName(QueueJobState state);
+
+/** Group index of a queued job that runs an experiment, not a baseline. */
+inline constexpr int kExperimentJob = -1;
 
 /** Retry/lease policy knobs. */
 struct JobQueueOptions
@@ -92,8 +109,14 @@ struct LeasedJob
 {
     JobId id = 0;
     JobSpec spec;
+    /** kExperimentJob, or the group whose 1-thread baseline to run. */
+    int group = kExperimentJob;
+    /** An experiment's baseline runs, one per workload group. */
+    std::vector<std::shared_ptr<const RunResult>> baselines;
     int attempt = 0;           ///< 1-based lease count
     std::uint64_t leaseMs = 0; ///< lease duration (heartbeat cadence hint)
+
+    bool isBaseline() const { return group != kExperimentJob; }
 };
 
 /** How fail() settled the job. */
@@ -103,7 +126,8 @@ enum class FailOutcome : std::uint8_t {
     kStale,    ///< caller no longer holds the lease — ignored
 };
 
-/** Aggregate queue counters (point-in-time snapshot). */
+/** Aggregate queue counters (point-in-time snapshot). The per-state
+ *  counts and submit counters are of experiment jobs. */
 struct QueueStats
 {
     std::size_t pending = 0;
@@ -111,9 +135,12 @@ struct QueueStats
     std::size_t done = 0;
     std::size_t failed = 0;
     std::size_t cancelled = 0;
-    std::size_t submitted = 0; ///< lifetime submit() calls
-    std::size_t deduped = 0;   ///< lifetime fingerprint dedup hits
+    std::size_t submitted = 0; ///< lifetime experiment submissions
+    std::size_t deduped = 0;   ///< lifetime experiment dedup hits
     std::size_t requeues = 0;  ///< lifetime lease expiries + fail() retries
+
+    /** Baseline jobs per state, indexed by QueueJobState. */
+    std::array<std::size_t, kQueueJobStates> baselines{};
 };
 
 /** Thread-safe priority/FIFO job queue with leases. See file comment. */
@@ -123,18 +150,36 @@ class JobQueue
     explicit JobQueue(JobQueueOptions opts = JobQueueOptions());
 
     /**
-     * Enqueue @p spec at @p priority (higher runs first). Returns the
-     * new job's id, or — when the spec's fingerprint matches a job that
-     * is pending, leased or done — the existing job's id with
-     * `deduped = true`.
+     * Enqueue the experiment of @p spec at @p priority (higher runs
+     * first), leasable once every job in @p baselines (see
+     * submitBaseline(), one per workload group, in group order) is
+     * done. Returns the new job's id, or — when the spec's fingerprint
+     * matches a job that is pending, leased or done — the existing
+     * job's id with `deduped = true`.
      */
     SubmitOutcome submit(const JobSpec &spec, int priority,
-                         std::uint64_t now_ms);
+                         std::uint64_t now_ms,
+                         const std::vector<JobId> &baselines = {});
+
+    /** Enqueue group @p group's 1-thread baseline of @p spec, deduped
+     *  like submit() on its baseline fingerprint. */
+    SubmitOutcome submitBaseline(const JobSpec &spec, int group,
+                                 int priority, std::uint64_t now_ms);
 
     /**
-     * Lease the highest-priority pending job whose backoff has passed.
-     * Returns false when no job is currently leasable (the queue may
-     * still hold leased jobs that could be requeued later).
+     * Enqueue the experiment of @p spec already settled with @p result:
+     * a submit-time result cache hit under @p fp (fingerprintJob() of
+     * @p spec). Deduped like submit(); a new job is done at once and
+     * never leased.
+     */
+    SubmitOutcome submitSettled(const JobSpec &spec, const Fingerprint &fp,
+                                JobResult result);
+
+    /**
+     * Lease the highest-priority pending job whose baselines are done
+     * and whose backoff has passed. Returns false when no job is
+     * currently leasable (the queue may still hold leased jobs, or
+     * jobs that become leasable later: see idle() and waitReady()).
      */
     bool lease(const std::string &worker, std::uint64_t now_ms,
                LeasedJob &out);
@@ -145,9 +190,11 @@ class JobQueue
                    std::uint64_t now_ms);
 
     /**
-     * Settle @p id with @p result. Only the current lease holder may
-     * complete a job: a stale worker (its lease expired and the job was
-     * reassigned) is rejected so a requeued job is never settled twice.
+     * Settle @p id with @p result; a successful baseline's result
+     * carries its run (JobResult::baseline). Only the current lease
+     * holder may complete a job: a stale worker (its lease expired and
+     * the job was reassigned) is rejected so a requeued job is never
+     * settled twice.
      */
     bool complete(JobId id, const std::string &worker, JobResult result);
 
@@ -167,11 +214,10 @@ class JobQueue
     std::size_t expireLeases(std::uint64_t now_ms,
                              std::vector<JobId> *expired = nullptr);
 
-    /** Settle a *pending* job without a lease — the submit-time result
-     *  cache hit path. False when @p id is not pending. */
-    bool fulfil(JobId id, JobResult result);
-
-    /** Cancel a pending job. Leased/settled jobs are left alone. */
+    /**
+     * Cancel a pending job, and each pending baseline of it that no
+     * other live job depends on. Leased/settled jobs are left alone.
+     */
     bool cancel(JobId id);
 
     /** True once @p id settled (done, failed or cancelled). */
@@ -184,16 +230,10 @@ class JobQueue
      */
     JobResult resultFor(JobId id) const;
 
-    /** Spec of @p id (any state). Must be a known id. */
-    JobSpec specFor(JobId id) const;
-
-    /** Spec of @p id if the id is known (any state). False otherwise —
-     *  the tolerant variant for ids received off the wire. */
-    bool trySpecFor(JobId id, JobSpec &out) const;
-
-    /** Spec of @p id if @p worker currently holds its lease. */
-    bool tryLeasedSpec(JobId id, const std::string &worker,
-                       JobSpec &out) const;
+    /** Spec and group (kExperimentJob for an experiment) of @p id if
+     *  @p worker currently holds its lease. */
+    bool tryLeasedSpec(JobId id, const std::string &worker, JobSpec &out,
+                       int &group) const;
 
     QueueJobState stateOf(JobId id) const;
 
@@ -205,9 +245,10 @@ class JobQueue
     bool waitSettled(JobId id, std::uint64_t timeout_ms) const;
 
     /**
-     * Counter bumped whenever a job becomes pending (submit, requeue)
-     * and by wakeReadyWaiters(). Read it before a lease() attempt and
-     * hand it to waitReady() to sleep until something changed.
+     * Counter bumped whenever a job becomes leasable (submit, requeue,
+     * its baselines done) or settles, and by wakeReadyWaiters(). Read
+     * it before a lease() attempt and hand it to waitReady() to sleep
+     * until something changed.
      */
     std::uint64_t readyEpoch() const;
 
@@ -229,6 +270,7 @@ class JobQueue
     {
         JobId id = 0;
         JobSpec spec;
+        int group = kExperimentJob;
         std::string dedupKey;
         int priority = 0;
         std::uint64_t seq = 0;
@@ -239,15 +281,28 @@ class JobQueue
         std::string worker;
         std::string error; ///< reason when kFailed without a result
         JobResult result;
+        std::vector<JobId> baselines;  ///< experiment: one per group
+        std::vector<JobId> dependents; ///< baseline: experiments on it
     };
 
     /** Ready-set key: (-priority, seq) — priority order, FIFO within. */
     using ReadyKey = std::tuple<int, std::uint64_t, JobId>;
 
+    /** Dedup key of group @p group of @p spec (see file comment). */
+    std::string keyFor(const JobSpec &spec, int group) const;
+    /** Add @p job under its key, or return the key's live twin. */
+    SubmitOutcome insert(Job job);
     std::uint64_t backoffFor(int attempt) const;
     void makePending(Job &job, std::uint64_t not_before_ms);
     void settleFailed(Job &job, const std::string &error);
+    void onSettled(Job &job);
+    bool baselinesDone(const Job &job) const;
+    const Job *failedBaseline(const Job &job) const;
+    void wakeLocked();
+    Job &jobAt(JobId id);
     const Job &jobAt(JobId id) const;
+    static bool isSettled(QueueJobState state);
+    static JobResult settledResult(const Job &job);
 
     JobQueueOptions opts_;
     mutable std::mutex mutex_;
@@ -255,7 +310,7 @@ class JobQueue
     mutable std::condition_variable readyCv_;
     std::uint64_t readyEpoch_ = 0;
     std::map<JobId, Job> jobs_;
-    std::unordered_map<std::string, JobId> byFingerprint_;
+    std::unordered_map<std::string, JobId> byKey_;
     std::set<ReadyKey> ready_;
     JobId nextId_ = 1;
     std::uint64_t nextSeq_ = 0;
@@ -264,7 +319,6 @@ class JobQueue
     std::size_t requeues_ = 0;
 };
 
-} // namespace serve
 } // namespace sst
 
-#endif // SST_SERVE_JOB_QUEUE_HH
+#endif // SST_DRIVER_JOB_QUEUE_HH

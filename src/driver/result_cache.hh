@@ -56,7 +56,7 @@ bool decodeExperimentSummary(const std::string &text,
  * Encode what experiments consume of a 1-thread baseline run — Ts,
  * instructions, spin instructions and engine events — as `key value`
  * lines terminated by an `end` line: the serve protocol's wire form of
- * a shared baseline (the `baseline` / `baseline-done` verbs).
+ * a baseline job's run (its `done` report, and each experiment lease).
  */
 std::string encodeBaselineSummary(const RunResult &run);
 

@@ -1,9 +1,12 @@
 #include "protocol.hh"
 
+#include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "driver/result_cache.hh"
 #include "spec/machine_keys.hh"
+#include "spec/spec.hh"
 
 namespace sst {
 namespace serve {
@@ -14,7 +17,7 @@ constexpr const char *kEmptyToken = "\\e";
 const char *kKindNames[] = {
     "submit", "status", "results",   "cancel", "drain",
     "ping",   "lease",  "heartbeat", "done",   "fail",
-    "metrics", "baseline", "baseline-done",
+    "metrics",
 };
 
 std::string
@@ -48,16 +51,6 @@ tokenPriority(const std::string &token)
         throw std::invalid_argument("priority out of range: " + token);
     const int v = static_cast<int>(mag);
     return neg ? -v : v;
-}
-
-/** A workload group index: small and non-negative. */
-int
-tokenGroup(const std::string &token)
-{
-    const std::uint64_t v = tokenU64("group index", token);
-    if (v > 1000000)
-        throw std::invalid_argument("group index out of range: " + token);
-    return static_cast<int>(v);
 }
 
 void
@@ -193,15 +186,6 @@ serializeRequest(const Request &req)
                std::to_string(req.jobId) + ' ' +
                escapeToken(req.payload);
         break;
-    case Request::Kind::kBaseline:
-        out += ' ' + escapeToken(req.worker) + ' ' +
-               std::to_string(req.jobId) + ' ' + std::to_string(req.group);
-        break;
-    case Request::Kind::kBaselineDone:
-        out += ' ' + escapeToken(req.worker) + ' ' +
-               std::to_string(req.jobId) + ' ' + std::to_string(req.group) +
-               ' ' + escapeToken(req.payload);
-        break;
     case Request::Kind::kStatus:
     case Request::Kind::kDrain:
     case Request::Kind::kPing:
@@ -275,19 +259,6 @@ parseRequest(const std::string &line)
         req.jobId = tokenU64("job id", tokens[2]);
         req.payload = unescapeToken(tokens[3]);
         break;
-    case Request::Kind::kBaseline:
-        arity(4);
-        req.worker = unescapeToken(tokens[1]);
-        req.jobId = tokenU64("job id", tokens[2]);
-        req.group = tokenGroup(tokens[3]);
-        break;
-    case Request::Kind::kBaselineDone:
-        arity(5);
-        req.worker = unescapeToken(tokens[1]);
-        req.jobId = tokenU64("job id", tokens[2]);
-        req.group = tokenGroup(tokens[3]);
-        req.payload = unescapeToken(tokens[4]);
-        break;
     case Request::Kind::kStatus:
     case Request::Kind::kDrain:
     case Request::Kind::kPing:
@@ -307,13 +278,15 @@ encodeJobResult(const JobResult &result)
     std::string out = std::string("result-status ") + status + "\n";
     if (!result.error.empty())
         out += "result-error " + escapeToken(result.error) + "\n";
-    if (result.ok())
+    if (result.baseline)
+        out += encodeBaselineSummary(*result.baseline);
+    else if (result.ok())
         out += encodeExperimentSummary(result.exp);
     return out;
 }
 
 bool
-decodeJobResult(const std::string &text, JobResult &out)
+decodeJobResult(const std::string &text, JobResult &out, bool baseline)
 {
     std::size_t pos = 0;
     auto nextLine = [&](std::string &line) {
@@ -337,7 +310,7 @@ decodeJobResult(const std::string &text, JobResult &out)
     const std::string status = line.substr(14);
     if (status == "ok")
         res.status = JobStatus::kOk;
-    else if (status == "cached")
+    else if (status == "cached" && !baseline)
         res.status = JobStatus::kCached;
     else if (status == "failed")
         res.status = JobStatus::kFailed;
@@ -345,7 +318,7 @@ decodeJobResult(const std::string &text, JobResult &out)
         return false;
 
     // Peek an optional error line, then hand the remainder (the
-    // experiment summary) to the shared cache codec.
+    // experiment or baseline summary) to the shared cache codec.
     const std::size_t mark = pos;
     if (nextLine(line) && line.rfind("result-error ", 0) == 0) {
         try {
@@ -357,11 +330,72 @@ decodeJobResult(const std::string &text, JobResult &out)
         pos = mark;
     }
 
-    if (res.ok()) {
+    if (res.ok() && baseline) {
+        RunResult run;
+        if (!decodeBaselineSummary(text.substr(pos), run))
+            return false;
+        res.baseline = std::make_shared<const RunResult>(std::move(run));
+    } else if (res.ok()) {
         if (!decodeExperimentSummary(text.substr(pos), res.exp))
             return false;
+    } else if (pos != text.size()) {
+        return false;
     }
     out = std::move(res);
+    return true;
+}
+
+std::string
+leaseReply(const LeasedJob &job)
+{
+    const std::string spec = escapeToken(serializeSpec(specForJob(job.spec)));
+    std::string out = std::string("ok ") +
+                      (job.isBaseline() ? "baseline " : "job ") +
+                      std::to_string(job.id) + ' ' +
+                      std::to_string(job.leaseMs) + ' ';
+    if (job.isBaseline())
+        return out + std::to_string(job.group) + ' ' + spec;
+    out += spec;
+    for (const std::shared_ptr<const RunResult> &run : job.baselines)
+        out += ' ' + escapeToken(encodeBaselineSummary(*run));
+    return out;
+}
+
+bool
+parseLeaseReply(const std::string &line, LeasedJob &out,
+                std::string &spec_text)
+{
+    const std::vector<std::string> tokens = splitTokens(line);
+    if (tokens.size() < 5 || tokens[0] != "ok" ||
+        (tokens[1] != "job" && tokens[1] != "baseline"))
+        return false;
+    const bool baseline = tokens[1] == "baseline";
+    if (baseline && tokens.size() != 6)
+        return false;
+    LeasedJob job;
+    try {
+        job.id = tokenU64("job id", tokens[2]);
+        job.leaseMs = tokenU64("lease ms", tokens[3]);
+        std::size_t next = 4;
+        if (baseline) {
+            const std::uint64_t group = tokenU64("group", tokens[next++]);
+            if (group > static_cast<std::uint64_t>(
+                            std::numeric_limits<int>::max()))
+                return false;
+            job.group = static_cast<int>(group);
+        }
+        spec_text = unescapeToken(tokens[next++]);
+        for (; next < tokens.size(); ++next) {
+            RunResult run;
+            if (!decodeBaselineSummary(unescapeToken(tokens[next]), run))
+                return false;
+            job.baselines.push_back(
+                std::make_shared<const RunResult>(std::move(run)));
+        }
+    } catch (const std::invalid_argument &) {
+        return false;
+    }
+    out = std::move(job);
     return true;
 }
 

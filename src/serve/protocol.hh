@@ -25,29 +25,24 @@
  *
  * Worker requests:
  *   lease <worker>                 -> ok job <id> <lease-ms> <spec-text>
+ *                                       <summary>...
+ *                                     | ok baseline <id> <lease-ms>
+ *                                       <group> <spec-text>
  *                                     | ok none | ok drained
  *                                     (waits briefly for a job before
  *                                     answering none)
  *   heartbeat <worker> <id>        extend the lease
  *   done <worker> <id> <result>    complete (result blob, see below)
  *   fail <worker> <id> <error>     infrastructure failure -> retry
- *   baseline <worker> <id> <group> -> ok have <summary> | ok compute
- *                                     | ok pending
- *                                     claim the 1-thread baseline of
- *                                     group <group> of leased job <id>
- *   baseline-done <worker> <id> <group> <summary>
- *                                  publish a baseline the job computed
- *                                  (err when another job holds the
- *                                  claim)
  *
- * Completed jobs travel as encodeJobResult() blobs: a status line plus
- * the result cache's experiment-summary encoding — one codec for the
- * socket and the cache, so they can never disagree about a result.
- * Baselines travel as encodeBaselineSummary() text. The server derives
- * a baseline's key from the job it leased (the canonical
- * fingerprintWorkloadGroupBaseline text), so a worker names only a
- * group of its own job, never an arbitrary slot; a claim is released
- * when its job's lease expires, fails or settles unpublished.
+ * A lease hands out one queue job (driver/job_queue.hh): the experiment
+ * of a spec, together with one encodeBaselineSummary() per workload
+ * group (its finished 1-thread baselines), or the 1-thread baseline of
+ * one group of a spec. Completed jobs travel as encodeJobResult()
+ * blobs: a status line plus the result cache's experiment-summary
+ * encoding, or a baseline's summary — one codec for the socket and the
+ * cache, so they can never disagree about a result. Only the lease
+ * holder's `done` counts; any other is answered `err stale`.
  */
 
 #ifndef SST_SERVE_PROTOCOL_HH
@@ -57,13 +52,13 @@
 #include <string>
 #include <vector>
 
-#include "driver/job.hh"
+#include "driver/job_queue.hh"
 
 namespace sst {
 namespace serve {
 
 /** Wire protocol version (reported by `sst --version` and status). */
-inline constexpr int kProtocolVersion = 2;
+inline constexpr int kProtocolVersion = 3;
 
 /**
  * Escape @p s into one space-free token: backslash escapes for
@@ -93,20 +88,16 @@ struct Request
         kDone,
         kFail,
         kMetrics,
-        kBaseline,
-        kBaselineDone,
     };
 
     Kind kind = Kind::kPing;
     std::string campaign; ///< submit / results / cancel
-    std::string payload;  ///< spec text (submit), result blob / error,
-                          ///< baseline summary (baseline-done)
+    std::string payload;  ///< spec text (submit), result blob / error
     int priority = 0;     ///< submit
     bool json = false;    ///< results: JSON rows instead of CSV
     bool wait = false;    ///< results: block for unsettled jobs
-    std::string worker;   ///< lease / heartbeat / done / fail / baseline*
-    std::uint64_t jobId = 0; ///< heartbeat / done / fail / baseline*
-    int group = 0;           ///< baseline / baseline-done
+    std::string worker;   ///< lease / heartbeat / done / fail
+    std::uint64_t jobId = 0; ///< heartbeat / done / fail
 };
 
 /** Stable verb of @p kind ("submit", "lease", ...). */
@@ -123,15 +114,31 @@ Request parseRequest(const std::string &line);
 
 /**
  * Wire form of a completed job: `result-status ok|cached|failed`, an
- * optional `result-error <escaped>` line, then the experiment summary
- * (encodeExperimentSummary) for non-failed results. Multi-line; embed
- * it in request lines via escapeToken(). The trace flags of @p result
- * are deliberately not carried — they describe the executing side.
+ * optional `result-error <escaped>` line, then for non-failed results
+ * the experiment summary (encodeExperimentSummary), or for a baseline
+ * job (JobResult::baseline set) its encodeBaselineSummary(). Multi-line;
+ * embed it in request lines via escapeToken(). The trace flags of
+ * @p result are deliberately not carried — they describe the executing
+ * side.
  */
 std::string encodeJobResult(const JobResult &result);
 
-/** Invert encodeJobResult(). Returns false on malformed input. */
-bool decodeJobResult(const std::string &text, JobResult &out);
+/** Invert encodeJobResult() of an experiment job, or of a baseline job
+ *  when @p baseline. Returns false on malformed input. */
+bool decodeJobResult(const std::string &text, JobResult &out,
+                     bool baseline = false);
+
+/** The `ok job ...` / `ok baseline ...` reply leasing @p job (no
+ *  trailing newline). */
+std::string leaseReply(const LeasedJob &job);
+
+/**
+ * Parse a leaseReply() line strictly into @p out, except its spec: the
+ * spec text goes to @p spec_text, for the caller to expand (checking
+ * one summary per group). Returns false on any malformed token.
+ */
+bool parseLeaseReply(const std::string &line, LeasedJob &out,
+                     std::string &spec_text);
 
 } // namespace serve
 } // namespace sst

@@ -29,15 +29,6 @@ oneline(const std::string &msg)
     return out;
 }
 
-/** Bump sst_serve_baselines_total{outcome} by @p n. */
-void
-countBaselines(const char *outcome, std::uint64_t n = 1)
-{
-    telemetry::Registry::global()
-        .counter("sst_serve_baselines_total", {{"outcome", outcome}})
-        .inc(n);
-}
-
 } // namespace
 
 Server::Server(ServerOptions opts)
@@ -46,8 +37,7 @@ Server::Server(ServerOptions opts)
 {
     if (!opts_.driver.cacheDir.empty())
         cache_ = std::make_unique<ResultCache>(opts_.driver.cacheDir);
-    executor_ = std::make_unique<JobExecutor>(opts_.driver, cache_.get(),
-                                              baselines_);
+    executor_ = std::make_unique<JobExecutor>(opts_.driver, cache_.get());
 }
 
 Server::~Server()
@@ -141,12 +131,6 @@ Server::stop()
     reapConnections(/*join_all=*/true);
     if (reaperThread_.joinable())
         reaperThread_.join();
-    // External owners can no longer publish, and their leases no longer
-    // expire: release every open claim so a local worker blocked on one
-    // computes the baseline itself and finishes its job.
-    const std::size_t released = baselines_.releaseAll();
-    if (released > 0)
-        countBaselines("released", released);
     for (std::thread &t : localWorkers_)
         if (t.joinable())
             t.join();
@@ -214,8 +198,6 @@ Server::reaperLoop()
         if (!expired.empty())
             inform("serve", "requeued " + std::to_string(expired.size()) +
                                 " expired lease(s)");
-        for (const JobId id : expired)
-            releaseBaselines(id);
         publishQueueGauges();
         // Local workers never die with the server alive; heartbeat on
         // their behalf so long jobs survive short lease settings.
@@ -245,7 +227,7 @@ Server::localWorkerLoop(int index)
         }
         noteLease(name);
         localCurrent_[index] = job.id;
-        JobResult result = executor_->run(job.spec, job.id);
+        JobResult result = executor_->run(job);
         localCurrent_[index] = 0;
         if (queue_.complete(job.id, name, std::move(result)))
             noteDone(name);
@@ -335,6 +317,12 @@ Server::publishQueueGauges() const
     for (const auto &g : kGauges)
         registry.gauge("sst_serve_queue_jobs", {{"state", g.state}})
             .set(static_cast<double>(g.value));
+    for (std::size_t state = 0; state < kQueueJobStates; ++state)
+        registry
+            .gauge("sst_serve_queue_baselines",
+                   {{"state", queueJobStateName(
+                                  static_cast<QueueJobState>(state))}})
+            .set(static_cast<double>(stats.baselines[state]));
     registry.gauge("sst_serve_queue_submitted")
         .set(static_cast<double>(stats.submitted));
     registry.gauge("sst_serve_queue_deduped")
@@ -424,8 +412,13 @@ Server::submitCampaign(const std::string &name, int priority,
     campaign.priority = priority;
     telemetry::ScopedSpan enqueueSpan("enqueue", "serve");
     for (const JobSpec &job : jobs) {
-        const SubmitOutcome outcome =
-            queue_.submit(job, priority, nowMs());
+        // Submit-time memoization: a job the cache already holds never
+        // reaches a worker — this is what turns journal replay into an
+        // instant resume for the completed prefix of a campaign.
+        ExperimentLookup lookup = lookupExperiment(cache_.get(), job);
+        const bool cached = lookup.hit;
+        const SubmitOutcome outcome = submitExperiment(
+            queue_, job, std::move(lookup), priority, nowMs());
         campaign.specs.push_back(job);
         campaign.ids.push_back(outcome.id);
         if (outcome.deduped) {
@@ -433,25 +426,8 @@ Server::submitCampaign(const std::string &name, int priority,
             continue;
         }
         ++fresh;
-        // Submit-time memoization: a job the cache already holds never
-        // reaches a worker — this is what turns journal replay into an
-        // instant resume for the completed prefix of a campaign.
-        if (cache_) {
-            try {
-                const Fingerprint fp = fingerprintJob(job);
-                SpeedupExperiment exp;
-                if (cache_->lookup(fp, exp)) {
-                    JobResult hit;
-                    hit.status = JobStatus::kCached;
-                    hit.exp = std::move(exp);
-                    if (queue_.fulfil(outcome.id, std::move(hit)))
-                        ++cachedHits;
-                }
-            } catch (const std::exception &) {
-                // Unfingerprintable specs fail at execution time with
-                // a real error message; nothing to do here.
-            }
-        }
+        if (cached)
+            ++cachedHits;
     }
     // Store (or refresh) the id mapping even for a known campaign:
     // failed/cancelled twins deliberately don't dedup, so a resubmit
@@ -564,11 +540,7 @@ Server::handleLease(Socket &sock, const std::string &worker)
         LeasedJob job;
         if (queue_.lease(worker, nowMs(), job)) {
             noteLease(worker);
-            const std::string specText =
-                serializeSpec(specForJob(job.spec));
-            sock.writeAll("ok job " + std::to_string(job.id) + " " +
-                          std::to_string(job.leaseMs) + " " +
-                          escapeToken(specText) + "\n");
+            sock.writeAll(leaseReply(job) + "\n");
             return;
         }
         if (draining_ && queue_.idle()) {
@@ -588,104 +560,33 @@ Server::handleLease(Socket &sock, const std::string &worker)
 }
 
 void
-Server::releaseBaselines(JobId id)
-{
-    const std::size_t released = baselines_.release(id);
-    if (released > 0)
-        countBaselines("released", released);
-}
-
-void
-Server::handleBaseline(const Request &req, Socket &sock)
-{
-    telemetry::ScopedSpan span("baseline", "serve");
-    // Only the current lease holder may claim or publish, and only for
-    // a group of the job it holds: the key comes from the leased spec.
-    JobSpec spec;
-    if (!queue_.tryLeasedSpec(req.jobId, req.worker, spec)) {
-        sock.writeAll("err stale\n");
-        return;
-    }
-    const WorkloadSpec workload = spec.effectiveWorkload();
-    if (req.group >= workload.ngroups()) {
-        sock.writeAll("err group " + std::to_string(req.group) +
-                      " out of range: job " + std::to_string(req.jobId) +
-                      " has " + std::to_string(workload.ngroups()) +
-                      " group(s)\n");
-        return;
-    }
-    const BaselineSlot slot{
-        req.jobId, req.group,
-        fingerprintWorkloadGroupBaseline(spec.params, workload, req.group)
-            .canonical};
-
-    if (req.kind == Request::Kind::kBaselineDone) {
-        RunResult run;
-        if (!decodeBaselineSummary(req.payload, run)) {
-            sock.writeAll("err undecodable baseline summary\n");
-            return;
-        }
-        // A job that does not own the claim may not pre-empt the owner.
-        if (!baselines_.publish(
-                slot, std::make_shared<const RunResult>(std::move(run)))) {
-            sock.writeAll("err baseline claimed by another job\n");
-            return;
-        }
-        countBaselines("published");
-        sock.writeAll("ok\n");
-        return;
-    }
-
-    // A local owner's failure rethrows here and answers `err`; the
-    // worker then computes the baseline itself.
-    const BaselineTicket ticket = baselines_.claim(slot);
-    switch (ticket.claim) {
-    case BaselineTicket::Claim::kHave:
-        countBaselines("have");
-        sock.writeAll("ok have " +
-                      escapeToken(encodeBaselineSummary(*ticket.run)) +
-                      "\n");
-        break;
-    case BaselineTicket::Claim::kCompute:
-        countBaselines("compute");
-        sock.writeAll("ok compute\n");
-        break;
-    case BaselineTicket::Claim::kPending:
-        countBaselines("pending");
-        sock.writeAll("ok pending\n");
-        break;
-    }
-}
-
-void
 Server::handleDone(const std::string &worker, JobId id,
                    const std::string &payload, Socket &sock)
 {
     telemetry::ScopedSpan span("done", "serve");
-    // An id this queue never issued (a confused or malicious client)
-    // is stale, exactly like heartbeat/complete/fail treat it — it
-    // must never reach an asserting accessor.
+    // Only the lease holder may report: an id this queue never issued,
+    // or a job another worker holds, is stale — and must never reach
+    // the result cache.
     JobSpec spec;
-    if (!queue_.trySpecFor(id, spec)) {
+    int group = kExperimentJob;
+    if (!queue_.tryLeasedSpec(id, worker, spec, group)) {
         sock.writeAll("err stale\n");
         return;
     }
     JobResult result;
-    if (!decodeJobResult(payload, result)) {
+    if (!decodeJobResult(payload, result, group != kExperimentJob)) {
         // An undecodable payload is a worker-side defect: retry the
         // job elsewhere rather than settling it with garbage.
         if (queue_.fail(id, worker, "undecodable result payload",
-                        nowMs()) != FailOutcome::kStale) {
+                        nowMs()) != FailOutcome::kStale)
             noteFail(worker);
-            releaseBaselines(id);
-        }
         sock.writeAll("err undecodable result payload\n");
         return;
     }
     // Feed the server-side cache before settling: external workers may
     // have no cache (or a private one), and a restarted server resumes
     // from *this* cache.
-    if (result.ok() && cache_) {
+    if (group == kExperimentJob && result.ok() && cache_) {
         try {
             cache_->store(fingerprintJob(spec), result.exp);
         } catch (const std::exception &e) {
@@ -695,7 +596,6 @@ Server::handleDone(const std::string &worker, JobId id,
     }
     if (queue_.complete(id, worker, std::move(result))) {
         noteDone(worker);
-        releaseBaselines(id); // a failed job may hold unpublished claims
         sock.writeAll("ok\n");
     } else {
         sock.writeAll("err stale\n");
@@ -794,10 +694,8 @@ Server::handleConnection(Socket sock)
         case Request::Kind::kFail: {
             const FailOutcome outcome = queue_.fail(
                 req.jobId, req.worker, req.payload, nowMs());
-            if (outcome != FailOutcome::kStale) {
+            if (outcome != FailOutcome::kStale)
                 noteFail(req.worker);
-                releaseBaselines(req.jobId);
-            }
             sock.writeAll(outcome == FailOutcome::kRequeued ? "ok requeued\n"
                           : outcome == FailOutcome::kFailed ? "ok failed\n"
                                                             : "err stale\n");
@@ -805,10 +703,6 @@ Server::handleConnection(Socket sock)
         }
         case Request::Kind::kMetrics:
             sock.writeAll("ok metrics\n" + metricsText() + "end\n");
-            break;
-        case Request::Kind::kBaseline:
-        case Request::Kind::kBaselineDone:
-            handleBaseline(req, sock);
             break;
         }
         sock.shutdownWrite();

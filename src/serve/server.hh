@@ -16,10 +16,10 @@
  *    jobs with backoff; jobs that exhaust their attempts settle as
  *    failed without poisoning the rest of the campaign.
  *
- * Both backends claim 1-thread baselines from one server-wide
- * LocalBaselineStore — local workers directly, external ones over the
- * `baseline` / `baseline-done` verbs — so each distinct baseline is
- * computed once across every worker. A claim dies with its job's lease.
+ * Each distinct 1-thread baseline is a queue job of its own, leased to
+ * either backend like any other job, and an experiment is leased with
+ * its finished baselines — so each baseline is computed once across
+ * every worker, and a lost one is requeued with its lease.
  *
  * Determinism: results stream in a campaign's expansion order and every
  * job is a pure function of its spec, so a campaign streamed from the
@@ -39,9 +39,8 @@
 #include <thread>
 #include <vector>
 
-#include "driver/baseline_store.hh"
 #include "driver/driver.hh"
-#include "serve/job_queue.hh"
+#include "driver/job_queue.hh"
 #include "serve/net.hh"
 
 namespace sst {
@@ -51,7 +50,6 @@ class ResultCache;
 namespace serve {
 
 class Journal;
-struct Request;
 
 /** Server configuration. */
 struct ServerOptions
@@ -122,8 +120,9 @@ class Server
 
     /**
      * Accept campaign @p name with @p spec_text at @p priority: parse,
-     * validate, expand, enqueue (fingerprint-deduped), fulfil submit
-     * time cache hits, and journal. Fills @p response with the protocol
+     * validate, expand, journal, and submit each job (submitExperiment:
+     * fingerprint-deduped, cache hits settled at once, the rest behind
+     * their baseline jobs). Fills @p response with the protocol
      * reply (`ok submitted ...` / `err ...`); returns response == ok.
      * This is the submit handler's core, public for direct (in-process)
      * use and journal replay.
@@ -183,8 +182,6 @@ class Server
     void handleLease(Socket &sock, const std::string &worker);
     void handleDone(const std::string &worker, JobId id,
                     const std::string &payload, Socket &sock);
-    void handleBaseline(const Request &req, Socket &sock);
-    void releaseBaselines(JobId id);
     void streamResults(Socket &sock, const std::string &name, bool json,
                        bool wait);
     void journalRequest(const std::string &line);
@@ -198,7 +195,6 @@ class Server
     Endpoint endpoint_;
     JobQueue queue_;
     std::unique_ptr<ResultCache> cache_;
-    LocalBaselineStore baselines_;
     std::unique_ptr<JobExecutor> executor_;
     std::unique_ptr<Journal> journal_;
     Listener listener_;

@@ -6,122 +6,19 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "driver/baseline_store.hh"
 #include "driver/result_cache.hh"
 #include "serve/protocol.hh"
-#include "spec/machine_keys.hh"
 #include "spec/spec.hh"
 #include "util/logging.hh"
 
 namespace sst {
 namespace serve {
 namespace {
-
-/**
- * The remote baseline backend: claims and publishes go to the server's
- * table over the `baseline` / `baseline-done` verbs. Any transport or
- * protocol error degrades to computing the baseline here — a lost or
- * confused server costs a recomputation, never a wrong or failed job.
- */
-class RemoteBaselineStore final : public BaselineStore
-{
-  public:
-    using Requester = std::function<std::string(const std::string &)>;
-
-    RemoteBaselineStore(Requester request, std::string worker)
-        : request_(std::move(request)), worker_(std::move(worker))
-    {
-    }
-
-    BaselineTicket
-    claim(const BaselineSlot &slot) override
-    {
-        BaselineTicket ticket;
-        ticket.claim = BaselineTicket::Claim::kCompute;
-        try {
-            const std::vector<std::string> tokens = splitTokens(
-                request_(serializeRequest(requestFor(slot, false))));
-            RunResult run;
-            if (tokens.size() == 2 && tokens[0] == "ok" &&
-                tokens[1] == "pending") {
-                ticket.claim = BaselineTicket::Claim::kPending;
-            } else if (tokens.size() == 3 && tokens[0] == "ok" &&
-                       tokens[1] == "have" &&
-                       decodeBaselineSummary(unescapeToken(tokens[2]),
-                                             run)) {
-                ticket.claim = BaselineTicket::Claim::kHave;
-                ticket.run = std::make_shared<const RunResult>(run);
-            }
-        } catch (const std::exception &) {
-            // Unreachable server or bad escape: compute it here.
-        }
-        return ticket;
-    }
-
-    BaselineTicket
-    await(const BaselineSlot &slot) override
-    {
-        // The verb never blocks, so poll, backing off from 5 to 50 ms;
-        // the heartbeat thread keeps the lease alive meanwhile.
-        std::uint64_t delayMs = 5;
-        for (;;) {
-            BaselineTicket ticket = claim(slot);
-            if (ticket.claim != BaselineTicket::Claim::kPending)
-                return ticket;
-            std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
-            delayMs = std::min<std::uint64_t>(delayMs * 2, 50);
-        }
-    }
-
-    bool
-    publish(const BaselineSlot &slot,
-            std::shared_ptr<const RunResult> run) override
-    {
-        Request req = requestFor(slot, true);
-        req.payload = encodeBaselineSummary(*run);
-        try {
-            return request_(serializeRequest(req)) == "ok";
-        } catch (const std::exception &) {
-            // Awaiters elsewhere compute it once this lease ends.
-            return false;
-        }
-    }
-
-    void
-    abandon(const BaselineSlot &, std::exception_ptr) override
-    {
-        // Nothing to send: the server releases the claim when the
-        // failed job settles, and the next asker computes it.
-    }
-
-    void
-    release(const BaselineSlot &) override
-    {
-        // As abandon(): the server releases it when the job settles.
-    }
-
-  private:
-    Request
-    requestFor(const BaselineSlot &slot, bool done) const
-    {
-        Request req;
-        req.kind = done ? Request::Kind::kBaselineDone
-                        : Request::Kind::kBaseline;
-        req.worker = worker_;
-        req.jobId = slot.job;
-        req.group = slot.group;
-        return req;
-    }
-
-    Requester request_;
-    std::string worker_;
-};
 
 /** Sleep @p ms in short steps, returning early once @p stop is set. */
 void
@@ -159,8 +56,7 @@ runWorker(const WorkerOptions &opts_in)
         return reply;
     };
 
-    RemoteBaselineStore baselines(request, opts.name);
-    JobExecutor executor(opts.driver, cache.get(), baselines);
+    JobExecutor executor(opts.driver, cache.get());
 
     const std::atomic<bool> never{false};
     int connectFailures = 0;
@@ -192,25 +88,14 @@ runWorker(const WorkerOptions &opts_in)
         if (tokens.size() == 2 && tokens[0] == "ok" &&
             tokens[1] == "none")
             continue; // the server already waited for a job
-        if (tokens.size() != 5 || tokens[0] != "ok" ||
-            tokens[1] != "job") {
-            warn("worker", opts.name + ": unexpected lease reply: " + reply);
-            interruptibleSleep(opts.pollMs, never);
-            continue;
-        }
-
-        std::uint64_t jobId = 0;
-        std::uint64_t leaseMs = 0;
+        LeasedJob job;
         std::string specText;
-        try {
-            jobId = parseU64Text("job id", tokens[2]);
-            leaseMs = parseU64Text("lease ms", tokens[3]);
-            specText = unescapeToken(tokens[4]);
-        } catch (const std::exception &e) {
-            warn("worker", opts.name + ": malformed lease reply: " + e.what());
+        if (!parseLeaseReply(reply, job, specText)) {
+            warn("worker", opts.name + ": malformed lease reply: " + reply);
             interruptibleSleep(opts.pollMs, never);
             continue;
         }
+        const std::uint64_t jobId = job.id;
         if (opts.verbose)
             inform("worker", opts.name + ": leased job " + std::to_string(jobId));
 
@@ -219,7 +104,7 @@ runWorker(const WorkerOptions &opts_in)
         std::atomic<bool> finished{false};
         std::thread heartbeater([&] {
             const std::uint64_t interval =
-                std::max<std::uint64_t>(leaseMs / 3, 50);
+                std::max<std::uint64_t>(job.leaseMs / 3, 50);
             for (;;) {
                 interruptibleSleep(interval, finished);
                 if (finished)
@@ -248,10 +133,18 @@ runWorker(const WorkerOptions &opts_in)
                     "leased spec expands to " +
                     std::to_string(jobs.size()) + " jobs, expected 1");
             }
+            job.spec = std::move(jobs[0]);
+            const int ngroups = job.spec.workload.ngroups();
+            if (job.isBaseline() ? job.group >= ngroups
+                                 : job.baselines.size() !=
+                                       static_cast<std::size_t>(ngroups))
+                throw std::runtime_error(
+                    "lease does not match the spec's " +
+                    std::to_string(ngroups) + " group(s)");
             // run() never throws: a deterministically bad spec yields
             // a kFailed result, which is a *completion* (retrying it
             // elsewhere would fail identically).
-            result = executor.run(jobs[0], jobId);
+            result = executor.run(job);
         } catch (const std::exception &e) {
             infraError = e.what();
         }

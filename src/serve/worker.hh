@@ -4,9 +4,9 @@
  * from a running server over the wire protocol, executes them on a
  * local JobExecutor, heartbeats each lease while the simulation runs,
  * and reports `done` (with the encoded result) or `fail` (for
- * infrastructure errors a retry elsewhere might not hit). 1-thread
- * baselines are claimed from the server's table (`baseline` /
- * `baseline-done`), so workers never recompute one another's.
+ * infrastructure errors a retry elsewhere might not hit). A lease is
+ * either a 1-thread baseline job or an experiment that arrives with its
+ * finished baselines, so workers never recompute one another's.
  *
  * Workers are crash-only by design: there is no deregistration — a
  * killed worker simply stops heartbeating and the server's reaper
@@ -37,8 +37,9 @@ struct WorkerOptions
 
     /**
      * Execution options. A non-empty cacheDir gives the worker its own
-     * result cache (useful when workers outlive servers); by default
-     * workers run cacheless — the server caches completed results.
+     * copy of every experiment result it computes; by default workers
+     * run cacheless — the server looks results up at submission and
+     * caches what workers report.
      */
     DriverOptions driver;
 

@@ -4,9 +4,9 @@
  * as Chrome `trace_event` JSON (loadable in Perfetto / chrome://tracing).
  *
  * Span sources:
- *  - driver job lifecycle: validate → baseline (computing an owned
- *    baseline) → simulate → baseline-wait (blocked on a baseline another
- *    job computes) → cache-store (one lane per pool worker thread);
+ *  - driver job lifecycle (one lane per pool worker thread): every
+ *    leased job is a `job` span holding either `baseline` (a 1-thread
+ *    baseline job) or validate → simulate → cache-store (an experiment);
  *  - serve lifecycle: submit → enqueue → lease → heartbeat → done (one
  *    lane per connection-handler / local-worker thread).
  *

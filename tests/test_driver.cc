@@ -7,20 +7,16 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <gtest/gtest.h>
 #include <stdexcept>
-#include <thread>
 
 #include "core/experiment.hh"
-#include "driver/baseline_store.hh"
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "tests/test_util.hh"
 
@@ -76,20 +72,26 @@ TEST(Fingerprint, SensitiveToEveryJobAxis)
     EXPECT_NE(fingerprintJob(w).hash, h0);
 }
 
+std::string
+baselineKey(const JobSpec &spec)
+{
+    return fingerprintWorkloadGroupBaseline(spec.params,
+                                            spec.effectiveWorkload(), 0)
+        .canonical;
+}
+
 TEST(Fingerprint, BaselineSharedAcrossThreadCounts)
 {
     const JobSpec a = makeJob(test::computeOnlyProfile(), 2);
     JobSpec b = a;
     b.workload.groups[0].nthreads = 16;
-    EXPECT_EQ(fingerprintBaseline(a).canonical,
-              fingerprintBaseline(b).canonical);
+    EXPECT_EQ(baselineKey(a), baselineKey(b));
     EXPECT_NE(fingerprintJob(a).hash, fingerprintJob(b).hash);
 
     // But a parameter the 1-thread run depends on splits the baseline.
     JobSpec c = a;
     c.params.cache.llcBytes *= 2;
-    EXPECT_NE(fingerprintBaseline(a).canonical,
-              fingerprintBaseline(c).canonical);
+    EXPECT_NE(baselineKey(a), baselineKey(c));
 }
 
 TEST(Fingerprint, SeedDerivationIsIdentityAtOffsetZero)
@@ -203,9 +205,8 @@ TEST(Driver, BaselineComputedOncePerProfile)
 
 TEST(Driver, FourJobsSharingOneBaselineComputeItOnce)
 {
-    // Grid order puts the thread counts of one profile next to each
-    // other, so four workers lease four jobs that all need the same
-    // baseline at once: one computes it, three defer it.
+    // Four experiments need the same baseline: it is one queue job,
+    // and the four workers lease the experiments once it is done.
     const BenchmarkProfile profile = test::computeOnlyProfile();
     const std::vector<JobSpec> specs = {
         makeJob(profile, 2), makeJob(profile, 4), makeJob(profile, 8),
@@ -226,235 +227,37 @@ TEST(Driver, FourJobsSharingOneBaselineComputeItOnce)
     EXPECT_EQ(sweepCsv(specs, pooled), sweepCsv(specs, serial));
 }
 
-// ---- BaselineStore (claim-or-defer) ----------------------------------------
-
-std::shared_ptr<const RunResult>
-baselineRun(Cycles ts)
+TEST(Driver, EachBaselineIsAJobSpanOfItsOwn)
 {
-    RunResult run;
-    run.nthreads = 1;
-    run.ncores = 1;
-    run.executionTime = ts;
-    return std::make_shared<const RunResult>(run);
-}
-
-TEST(BaselineStore, OneOwnerPerKey)
-{
-    LocalBaselineStore store;
-    EXPECT_EQ(store.claim({1, 0, "k1"}).claim,
-              BaselineTicket::Claim::kCompute);
-    EXPECT_EQ(store.claim({2, 0, "k1"}).claim,
-              BaselineTicket::Claim::kPending);
-    EXPECT_EQ(store.claim({2, 0, "k2"}).claim,
-              BaselineTicket::Claim::kCompute);
-
-    // Concurrent claimers of one fresh key: exactly one owner.
-    std::atomic<int> owners{0};
-    std::vector<std::thread> threads;
-    for (std::uint64_t job = 10; job < 18; ++job)
-        threads.emplace_back([&store, &owners, job] {
-            if (store.claim({job, 0, "k3"}).claim ==
-                BaselineTicket::Claim::kCompute)
-                ++owners;
-        });
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(owners.load(), 1);
-}
-
-TEST(BaselineStore, PendingBecomesHaveAfterPublish)
-{
-    LocalBaselineStore store;
-    ASSERT_EQ(store.claim({1, 0, "k"}).claim,
-              BaselineTicket::Claim::kCompute);
-    ASSERT_EQ(store.claim({2, 0, "k"}).claim,
-              BaselineTicket::Claim::kPending);
-
-    BaselineTicket awaited;
-    std::thread waiter([&] { awaited = store.await({2, 0, "k"}); });
-    const std::shared_ptr<const RunResult> run = baselineRun(1234);
-    store.publish({1, 0, "k"}, run);
-    waiter.join();
-    EXPECT_EQ(awaited.claim, BaselineTicket::Claim::kHave);
-    EXPECT_EQ(awaited.run, run);
-
-    const BaselineTicket later = store.claim({3, 0, "k"});
-    EXPECT_EQ(later.claim, BaselineTicket::Claim::kHave);
-    EXPECT_EQ(later.run->executionTime, 1234u);
-}
-
-TEST(BaselineStore, OwnerExceptionReachesEveryAwaiter)
-{
-    LocalBaselineStore store;
-    ASSERT_EQ(store.claim({1, 0, "k"}).claim,
-              BaselineTicket::Claim::kCompute);
-    std::atomic<int> failures{0};
-    std::vector<std::thread> waiters;
-    for (std::uint64_t job = 2; job < 5; ++job)
-        waiters.emplace_back([&store, &failures, job] {
-            try {
-                store.await({job, 0, "k"});
-            } catch (const std::runtime_error &e) {
-                if (std::string(e.what()) == "boom")
-                    ++failures;
-            }
-        });
-    store.abandon({1, 0, "k"},
-                  std::make_exception_ptr(std::runtime_error("boom")));
-    for (std::thread &t : waiters)
-        t.join();
-    EXPECT_EQ(failures.load(), 3);
-    // Later claimers see the failure too instead of recomputing.
-    EXPECT_THROW(store.claim({9, 0, "k"}), std::runtime_error);
-}
-
-TEST(BaselineStore, ReleasedClaimIsRegranted)
-{
-    LocalBaselineStore store;
-    ASSERT_EQ(store.claim({1, 0, "k"}).claim,
-              BaselineTicket::Claim::kCompute);
-    ASSERT_EQ(store.claim({1, 1, "other"}).claim,
-              BaselineTicket::Claim::kCompute);
-    store.publish({1, 1, "other"}, baselineRun(5));
-
-    BaselineTicket awaited;
-    std::thread waiter([&] { awaited = store.await({2, 0, "k"}); });
-    // Job 1 vanishes: only its unpublished claim is released, and the
-    // blocked awaiter becomes the new owner.
-    EXPECT_EQ(store.release(1), 1u);
-    waiter.join();
-    EXPECT_EQ(awaited.claim, BaselineTicket::Claim::kCompute);
-    EXPECT_EQ(store.claim({3, 0, "k"}).claim,
-              BaselineTicket::Claim::kPending);
-    EXPECT_EQ(store.claim({3, 0, "other"}).claim,
-              BaselineTicket::Claim::kHave);
-    EXPECT_EQ(store.release(1), 0u);
-
-    // The vanished owner's late reports cannot touch the new owner's
-    // slot: its publish is refused and its failure ignored.
-    EXPECT_FALSE(store.publish({1, 0, "k"}, baselineRun(7)));
-    store.abandon({1, 0, "k"},
-                  std::make_exception_ptr(std::runtime_error("late")));
-    EXPECT_EQ(store.claim({3, 0, "k"}).claim,
-              BaselineTicket::Claim::kPending);
-    EXPECT_TRUE(store.publish({2, 0, "k"}, baselineRun(8)));
-    EXPECT_EQ(store.claim({3, 0, "k"}).run->executionTime, 8u);
-
-    // A publish to a released, unclaimed slot is accepted.
-    ASSERT_EQ(store.claim({4, 0, "free"}).claim,
-              BaselineTicket::Claim::kCompute);
-    EXPECT_EQ(store.release(4), 1u);
-    EXPECT_TRUE(store.publish({5, 0, "free"}, baselineRun(9)));
-    EXPECT_EQ(store.claim({6, 0, "free"}).claim,
-              BaselineTicket::Claim::kHave);
-}
-
-TEST(BaselineStore, ReleasedSlotIsRegrantedWithoutItsError)
-{
-    LocalBaselineStore store;
-    ASSERT_EQ(store.claim({1, 0, "k"}).claim,
-              BaselineTicket::Claim::kCompute);
-    ASSERT_EQ(store.claim({1, 1, "other"}).claim,
-              BaselineTicket::Claim::kCompute);
-
-    // The owner's own input was bad: it gives one slot up, and the
-    // blocked awaiter becomes the new owner instead of inheriting a
-    // failure. The owner's other claim stays.
-    BaselineTicket awaited;
-    std::thread waiter([&] { awaited = store.await({2, 0, "k"}); });
-    store.release({1, 0, "k"});
-    waiter.join();
-    EXPECT_EQ(awaited.claim, BaselineTicket::Claim::kCompute);
-    EXPECT_EQ(store.claim({3, 1, "other"}).claim,
-              BaselineTicket::Claim::kPending);
-
-    // Only the owner releases: the old owner's late release is ignored.
-    store.release({1, 0, "k"});
-    EXPECT_EQ(store.claim({3, 0, "k"}).claim,
-              BaselineTicket::Claim::kPending);
-    EXPECT_TRUE(store.publish({2, 0, "k"}, baselineRun(4)));
-    EXPECT_EQ(store.claim({3, 0, "k"}).run->executionTime, 4u);
-}
-
-TEST(BaselineStore, ReleaseAllFreesEveryAwaiter)
-{
-    LocalBaselineStore store;
-    ASSERT_EQ(store.claim({1, 0, "a"}).claim,
-              BaselineTicket::Claim::kCompute);
-    ASSERT_EQ(store.claim({2, 0, "b"}).claim,
-              BaselineTicket::Claim::kCompute);
-    ASSERT_EQ(store.claim({3, 0, "done"}).claim,
-              BaselineTicket::Claim::kCompute);
-    ASSERT_TRUE(store.publish({3, 0, "done"}, baselineRun(1)));
-
-    // Owners that will never publish (shutdown): every awaiter wakes
-    // as the new owner, and published runs stay.
-    BaselineTicket awaitedA;
-    BaselineTicket awaitedB;
-    std::thread waiterA([&] { awaitedA = store.await({4, 0, "a"}); });
-    std::thread waiterB([&] { awaitedB = store.await({5, 0, "b"}); });
-    EXPECT_EQ(store.releaseAll(), 2u);
-    waiterA.join();
-    waiterB.join();
-    EXPECT_EQ(awaitedA.claim, BaselineTicket::Claim::kCompute);
-    EXPECT_EQ(awaitedB.claim, BaselineTicket::Claim::kCompute);
-    EXPECT_EQ(store.claim({6, 0, "done"}).claim,
-              BaselineTicket::Claim::kHave);
-}
-
-TEST(BaselineStore, DeferredJobRunsFirstAndWaitsInItsOwnSpan)
-{
-    // Another job owns the baseline: the executor defers it, runs the
-    // parallel simulation, and only then blocks for it.
-    const JobSpec spec = makeJob(test::computeOnlyProfile(), 4);
-    const WorkloadSpec workload = spec.effectiveWorkload();
-    const BaselineSlot owner{99, 0,
-                             fingerprintWorkloadGroupBaseline(
-                                 spec.params, workload, 0)
-                                 .canonical};
-    LocalBaselineStore store;
-    ASSERT_EQ(store.claim(owner).claim, BaselineTicket::Claim::kCompute);
-
-    telemetry::Registry &registry = telemetry::Registry::global();
+    // Three thread counts of one profile: one baseline job and three
+    // experiment jobs, each a `job` span on a pool lane.
+    const BenchmarkProfile profile = test::computeOnlyProfile();
+    const std::vector<JobSpec> specs = {
+        makeJob(profile, 2), makeJob(profile, 4), makeJob(profile, 8)};
     telemetry::SpanTracer &tracer = telemetry::SpanTracer::global();
-    registry.reset();
-    registry.setEnabled(true);
     tracer.clear();
     tracer.setEnabled(true);
-
-    JobExecutor executor(DriverOptions{}, nullptr, store);
-    JobResult result;
-    std::thread job([&] { result = executor.run(spec, 1); });
-    // Publish only once the job is blocked after its parallel run.
-    const std::string waiting =
-        "sst_driver_baseline_requests_total{outcome=\"wait\"} 1\n";
-    while (registry.renderText().find(waiting) == std::string::npos)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    store.publish(owner,
-                  std::make_shared<const RunResult>(simulateSources(
-                      spec.params,
-                      workloadGroupBaselineSources(workload, 0), 1)));
-    job.join();
-
+    DriverOptions opts;
+    opts.jobs = 2;
+    BatchStats stats;
+    runExperimentBatch(specs, opts, &stats);
     tracer.setEnabled(false);
     const std::string trace = tracer.chromeTraceJson();
-    const std::string metrics = registry.renderText();
     tracer.clear();
-    registry.reset();
 
-    ASSERT_TRUE(result.ok()) << result.error;
-    EXPECT_EQ(executor.baselinesComputed(), 0u);
-    EXPECT_NE(metrics.find("sst_driver_baseline_requests_total{outcome="
-                           "\"deferred\"} 1\n"),
-              std::string::npos)
-        << metrics;
-    EXPECT_NE(trace.find("\"baseline-wait\""), std::string::npos);
-    EXPECT_EQ(trace.find("\"baseline\""), std::string::npos)
-        << "a job that computed no baseline has no baseline span";
-
-    const std::vector<JobResult> reference =
-        runExperimentBatch({spec}, DriverOptions{});
-    test::expectSameExperiment(result.exp, reference[0].exp);
+    const auto begins = [&trace](const std::string &name) {
+        const std::string needle =
+            "\"name\":\"" + name + "\",\"cat\":\"driver\",\"ph\":\"B\"";
+        std::size_t n = 0;
+        for (std::size_t at = trace.find(needle); at != std::string::npos;
+             at = trace.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(stats.baselinesComputed, 1u);
+    EXPECT_EQ(begins("job"), 4u) << trace;
+    EXPECT_EQ(begins("baseline"), 1u);
+    EXPECT_EQ(begins("simulate"), 3u);
 }
 
 // ---- result cache ----------------------------------------------------------

@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests of the sweep service (src/serve/): JobQueue ordering, dedup,
- * retry and lease semantics; the wire protocol's round-trip guarantee;
+ * Tests of the sweep service (src/serve/) and the JobQueue it serves
+ * (src/driver/job_queue.hh): ordering, dedup, retry, lease and
+ * baseline-dependency semantics; the wire protocol's round-trip guarantee;
  * specForJob's fingerprint-preserving spec round trip; result-cache
  * corruption robustness; journal torn-line replay; and end-to-end
  * socket campaigns — server restart resume, worker-pool equivalence
  * with the batch driver, killed-worker lease-expiry requeue, the lease
- * long poll, and baselines shared across external workers.
+ * long poll, and baseline jobs shared across external workers.
  */
 
 #include <gtest/gtest.h>
@@ -27,9 +28,9 @@
 
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
+#include "driver/job_queue.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
-#include "serve/job_queue.hh"
 #include "serve/journal.hh"
 #include "serve/net.hh"
 #include "serve/protocol.hh"
@@ -45,13 +46,7 @@
 namespace sst {
 namespace {
 
-using serve::FailOutcome;
-using serve::JobQueue;
-using serve::JobQueueOptions;
-using serve::LeasedJob;
-using serve::QueueJobState;
 using serve::Request;
-using serve::SubmitOutcome;
 
 JobSpec
 testJob(int nthreads, std::uint64_t seed_offset = 0)
@@ -73,6 +68,20 @@ okResult(std::uint64_t ts = 100, std::uint64_t tp = 50)
     r.exp.tp = tp;
     r.exp.actualSpeedup = static_cast<double>(ts) /
                           static_cast<double>(tp);
+    return r;
+}
+
+/** A successful baseline job's result: a 1-thread run of @p ts cycles. */
+JobResult
+baselineResult(Cycles ts = 1000)
+{
+    RunResult run;
+    run.nthreads = 1;
+    run.ncores = 1;
+    run.executionTime = ts;
+    JobResult r;
+    r.status = JobStatus::kOk;
+    r.baseline = std::make_shared<const RunResult>(run);
     return r;
 }
 
@@ -241,20 +250,22 @@ TEST(JobQueue, LeaseExpiryExhaustsAttempts)
               std::string::npos);
 }
 
-TEST(JobQueue, FulfilAndCancel)
+TEST(JobQueue, SettledSubmitAndCancel)
 {
     JobQueue q;
-    const SubmitOutcome a = q.submit(testJob(2), 0, 0);
-    const SubmitOutcome b = q.submit(testJob(4), 0, 0);
 
-    // Submit-time cache hit: settle a pending job without a lease.
+    // Submit-time cache hit: the job is done at once and never leased,
+    // and it dedups like any done job.
     JobResult cached = okResult();
     cached.status = JobStatus::kCached;
-    EXPECT_TRUE(q.fulfil(a.id, cached));
+    const SubmitOutcome a =
+        q.submitSettled(testJob(2), fingerprintJob(testJob(2)), cached);
+    EXPECT_FALSE(a.deduped);
     EXPECT_EQ(q.stateOf(a.id), QueueJobState::kDone);
     EXPECT_TRUE(q.resultFor(a.id).fromCache());
-    EXPECT_FALSE(q.fulfil(a.id, cached)); // only pending jobs
+    EXPECT_TRUE(q.submit(testJob(2), 0, 0).deduped);
 
+    const SubmitOutcome b = q.submit(testJob(4), 0, 0);
     EXPECT_TRUE(q.cancel(b.id));
     EXPECT_EQ(q.stateOf(b.id), QueueJobState::kCancelled);
     EXPECT_EQ(q.resultFor(b.id).status, JobStatus::kFailed);
@@ -263,11 +274,175 @@ TEST(JobQueue, FulfilAndCancel)
     const SubmitOutcome c = q.submit(testJob(8), 0, 0);
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
+    EXPECT_EQ(lease.id, c.id);
     EXPECT_FALSE(q.cancel(c.id));
 
     EXPECT_TRUE(q.waitSettled(a.id, 0));
     EXPECT_FALSE(q.waitSettled(c.id, 10));
     EXPECT_FALSE(q.idle());
+}
+
+TEST(JobQueue, DependentIsLeasedOnlyAfterItsBaselines)
+{
+    JobQueue q;
+    const SubmitOutcome base = q.submitBaseline(testJob(4), 0, 0, 0);
+    const SubmitOutcome four = q.submit(testJob(4), 0, 0, {base.id});
+    // Another thread count shares the baseline job.
+    const SubmitOutcome twin = q.submitBaseline(testJob(8), 0, 0, 0);
+    EXPECT_TRUE(twin.deduped);
+    EXPECT_EQ(twin.id, base.id);
+    const SubmitOutcome eight = q.submit(testJob(8), 0, 0, {base.id});
+
+    LeasedJob lease;
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    EXPECT_EQ(lease.id, base.id);
+    EXPECT_TRUE(lease.isBaseline());
+    EXPECT_EQ(lease.group, 0);
+    EXPECT_FALSE(q.lease("w", 0, lease))
+        << "no experiment is leased before its baseline is done";
+    EXPECT_FALSE(q.idle());
+
+    ASSERT_TRUE(q.complete(base.id, "w", baselineResult(1234)));
+    for (const JobId id : {four.id, eight.id}) {
+        ASSERT_TRUE(q.lease("w", 0, lease));
+        EXPECT_EQ(lease.id, id);
+        EXPECT_FALSE(lease.isBaseline());
+        ASSERT_EQ(lease.baselines.size(), 1u);
+        EXPECT_EQ(lease.baselines[0]->executionTime, 1234u);
+    }
+
+    // Per-state counts and submit counters are of experiments only.
+    const QueueStats stats = q.stats();
+    EXPECT_EQ(stats.leased, 2u);
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.baselines[static_cast<std::size_t>(
+                  QueueJobState::kDone)],
+              1u);
+}
+
+TEST(JobQueue, ReadyDependentWakesWaitReady)
+{
+    JobQueue q;
+    const SubmitOutcome base = q.submitBaseline(testJob(4), 0, 0, 0);
+    q.submit(testJob(4), 0, 0, {base.id});
+    LeasedJob lease;
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    ASSERT_FALSE(q.lease("w2", 0, lease));
+
+    const std::uint64_t epoch = q.readyEpoch();
+    std::thread completer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        q.complete(base.id, "w", baselineResult());
+    });
+    const auto start = std::chrono::steady_clock::now();
+    q.waitReady(epoch, 30000);
+    const auto waited = std::chrono::steady_clock::now() - start;
+    completer.join();
+    EXPECT_LT(waited, std::chrono::seconds(10));
+    EXPECT_NE(q.readyEpoch(), epoch);
+    EXPECT_TRUE(q.lease("w2", 0, lease));
+}
+
+TEST(JobQueue, FailedBaselineFailsEveryDependentWithItsError)
+{
+    JobQueue q;
+    const SubmitOutcome base = q.submitBaseline(testJob(2), 0, 0, 0);
+    const SubmitOutcome two = q.submit(testJob(2), 0, 0, {base.id});
+    const SubmitOutcome four = q.submit(testJob(4), 0, 0, {base.id});
+    LeasedJob lease;
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    JobResult failed;
+    failed.status = JobStatus::kFailed;
+    failed.error = "baseline exploded";
+    ASSERT_TRUE(q.complete(base.id, "w", failed));
+    for (const JobId id : {two.id, four.id}) {
+        EXPECT_EQ(q.stateOf(id), QueueJobState::kFailed);
+        EXPECT_EQ(q.resultFor(id).error, "baseline exploded");
+    }
+    EXPECT_TRUE(q.idle());
+
+    // The failed baseline dedups (its error is deterministic), so a
+    // later experiment on it fails at submission.
+    const SubmitOutcome again = q.submitBaseline(testJob(8), 0, 0, 0);
+    EXPECT_TRUE(again.deduped);
+    const SubmitOutcome eight = q.submit(testJob(8), 0, 0, {again.id});
+    EXPECT_EQ(q.resultFor(eight.id).error, "baseline exploded");
+
+    // Exhausted attempts fail the dependents too.
+    JobQueueOptions opts;
+    opts.maxAttempts = 1;
+    JobQueue q1(opts);
+    const SubmitOutcome base1 = q1.submitBaseline(testJob(2), 0, 0, 0);
+    const SubmitOutcome dep = q1.submit(testJob(2), 0, 0, {base1.id});
+    ASSERT_TRUE(q1.lease("w", 0, lease));
+    EXPECT_EQ(q1.fail(base1.id, "w", "disk full", 0), FailOutcome::kFailed);
+    EXPECT_EQ(q1.stateOf(dep.id), QueueJobState::kFailed);
+    EXPECT_NE(q1.resultFor(dep.id).error.find("disk full"),
+              std::string::npos);
+}
+
+TEST(JobQueue, ExpiredBaselineLeaseIsRequeuedAndDependentsRunOnce)
+{
+    JobQueueOptions opts;
+    opts.leaseMs = 100;
+    opts.backoffBaseMs = 10;
+    JobQueue q(opts);
+    const SubmitOutcome base = q.submitBaseline(testJob(2), 0, 0, 0);
+    const SubmitOutcome two = q.submit(testJob(2), 0, 0, {base.id});
+    const SubmitOutcome four = q.submit(testJob(4), 0, 0, {base.id});
+
+    LeasedJob lease;
+    ASSERT_TRUE(q.lease("dead", 0, lease));
+    EXPECT_EQ(q.expireLeases(200), 1u);
+    EXPECT_EQ(q.stateOf(base.id), QueueJobState::kPending);
+    EXPECT_FALSE(q.lease("alive", 200, lease))
+        << "the baseline is in backoff and its dependents still wait";
+    ASSERT_TRUE(q.lease("alive", 210, lease));
+    EXPECT_EQ(lease.id, base.id);
+    EXPECT_EQ(lease.attempt, 2);
+    EXPECT_FALSE(q.complete(base.id, "dead", baselineResult()));
+    ASSERT_TRUE(q.complete(base.id, "alive", baselineResult()));
+
+    std::vector<JobId> ran;
+    while (q.lease("alive", 300, lease)) {
+        ran.push_back(lease.id);
+        ASSERT_TRUE(q.complete(lease.id, "alive", okResult()));
+    }
+    EXPECT_EQ(ran, (std::vector<JobId>{two.id, four.id}));
+    EXPECT_TRUE(q.idle());
+    EXPECT_EQ(q.stats().done, 2u);
+}
+
+TEST(JobQueue, SharedBaselineSurvivesOneCancelAndRunsAtTheHigherPriority)
+{
+    JobQueue q;
+    const SubmitOutcome other = q.submit(testJob(16), 1, 0);
+    // Campaigns at priority 0 and 5 share one baseline.
+    const SubmitOutcome base = q.submitBaseline(testJob(2), 0, 0, 0);
+    const SubmitOutcome low = q.submit(testJob(2), 0, 0, {base.id});
+    EXPECT_TRUE(q.submitBaseline(testJob(4), 0, 5, 0).deduped);
+    const SubmitOutcome high = q.submit(testJob(4), 5, 0, {base.id});
+
+    EXPECT_TRUE(q.cancel(low.id));
+    EXPECT_EQ(q.stateOf(base.id), QueueJobState::kPending)
+        << "the other campaign still needs the baseline";
+
+    // The baseline runs at its dependent's priority 5, ahead of the
+    // priority-1 job submitted before it.
+    LeasedJob lease;
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    EXPECT_EQ(lease.id, base.id);
+    ASSERT_TRUE(q.complete(base.id, "w", baselineResult()));
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    EXPECT_EQ(lease.id, high.id);
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    EXPECT_EQ(lease.id, other.id);
+
+    // A pending baseline whose last dependent is cancelled goes too.
+    const SubmitOutcome lone = q.submitBaseline(testJob(2, 1), 0, 0, 0);
+    const SubmitOutcome only = q.submit(testJob(2, 1), 0, 0, {lone.id});
+    EXPECT_TRUE(q.cancel(only.id));
+    EXPECT_EQ(q.stateOf(lone.id), QueueJobState::kCancelled);
 }
 
 TEST(JobQueue, UnfingerprintableSpecStillQueues)
@@ -384,24 +559,6 @@ TEST(Protocol, RequestRoundTripsAreExact)
         r.payload = "disk\nfull";
         requests.push_back(r);
     }
-    {
-        Request r;
-        r.kind = Request::Kind::kBaseline;
-        r.worker = "w 1";
-        r.jobId = 9;
-        r.group = 2;
-        requests.push_back(r);
-    }
-    {
-        Request r;
-        r.kind = Request::Kind::kBaselineDone;
-        r.worker = "w1";
-        r.jobId = 9;
-        r.group = 1;
-        r.payload = "ts 5\ninstructions 6\nspin-instructions 0\nevents 7\n"
-                    "end\n";
-        requests.push_back(r);
-    }
 
     for (const Request &r : requests) {
         const std::string line = serve::serializeRequest(r);
@@ -415,7 +572,6 @@ TEST(Protocol, RequestRoundTripsAreExact)
         EXPECT_EQ(back.wait, r.wait) << line;
         EXPECT_EQ(back.worker, r.worker) << line;
         EXPECT_EQ(back.jobId, r.jobId) << line;
-        EXPECT_EQ(back.group, r.group) << line;
         // Fixed point: re-serializing the parse gives the same bytes,
         // so journaled lines replay bit-exactly.
         EXPECT_EQ(serve::serializeRequest(back), line);
@@ -441,13 +597,10 @@ TEST(Protocol, ParseErrorsAreDescriptive)
                  std::invalid_argument);
     EXPECT_THROW(serve::parseRequest("results c xml wait"),
                  std::invalid_argument);
-    // Malformed baseline lines: bad group indices and wrong arity.
-    for (const char *bad :
-         {"baseline w 1", "baseline w 1 -1", "baseline w 1 x",
-          "baseline w 1 99999999999", "baseline w x 0",
-          "baseline-done w 1 0", "baseline-done w 1 0 bad\\q"})
-        EXPECT_THROW(serve::parseRequest(bad), std::invalid_argument)
-            << bad;
+    // Baselines are leased as jobs: there is no baseline verb.
+    for (const char *gone : {"baseline w 1 0", "baseline-done w 1 0 x"})
+        EXPECT_THROW(serve::parseRequest(gone), std::invalid_argument)
+            << gone;
 }
 
 TEST(Protocol, BaselineSummaryCodecIsStrict)
@@ -515,6 +668,81 @@ TEST(Protocol, JobResultCodecRoundTrips)
     EXPECT_FALSE(serve::decodeJobResult("garbage", decoded));
     EXPECT_FALSE(serve::decodeJobResult("result-status ok\nlabel x\n",
                                         decoded)); // no end sentinel
+}
+
+TEST(Protocol, BaselineJobResultCodecIsStrict)
+{
+    const std::string text = serve::encodeJobResult(baselineResult(4321));
+    JobResult decoded;
+    ASSERT_TRUE(serve::decodeJobResult(text, decoded, true));
+    EXPECT_EQ(decoded.status, JobStatus::kOk);
+    ASSERT_NE(decoded.baseline, nullptr);
+    EXPECT_EQ(decoded.baseline->executionTime, 4321u);
+    EXPECT_EQ(serve::encodeJobResult(decoded), text);
+
+    JobResult failed;
+    failed.status = JobStatus::kFailed;
+    failed.error = "boom";
+    ASSERT_TRUE(serve::decodeJobResult(serve::encodeJobResult(failed),
+                                       decoded, true));
+    EXPECT_EQ(decoded.error, "boom");
+    EXPECT_EQ(decoded.baseline, nullptr);
+
+    // An experiment summary is no baseline result; a baseline is never
+    // `cached`, and a failure carries no body.
+    EXPECT_FALSE(serve::decodeJobResult(serve::encodeJobResult(okResult()),
+                                        decoded, true));
+    EXPECT_FALSE(serve::decodeJobResult(
+        "result-status cached\n" +
+            encodeBaselineSummary(*baselineResult().baseline),
+        decoded, true));
+    EXPECT_FALSE(serve::decodeJobResult("result-status ok\n", decoded,
+                                        true));
+    EXPECT_FALSE(serve::decodeJobResult("result-status failed\nts 1\n",
+                                        decoded, true));
+}
+
+TEST(Protocol, LeaseRepliesRoundTripAndParseStrictly)
+{
+    LeasedJob experiment;
+    experiment.id = 12;
+    experiment.leaseMs = 3000;
+    experiment.spec = testJob(4);
+    experiment.baselines = {baselineResult(77).baseline};
+    const std::string jobLine = serve::leaseReply(experiment);
+    EXPECT_EQ(jobLine.rfind("ok job 12 3000 ", 0), 0u) << jobLine;
+
+    LeasedJob back;
+    std::string specText;
+    ASSERT_TRUE(serve::parseLeaseReply(jobLine, back, specText));
+    EXPECT_EQ(back.id, 12u);
+    EXPECT_EQ(back.leaseMs, 3000u);
+    EXPECT_FALSE(back.isBaseline());
+    ASSERT_EQ(back.baselines.size(), 1u);
+    EXPECT_EQ(back.baselines[0]->executionTime, 77u);
+    EXPECT_EQ(specText, serializeSpec(specForJob(experiment.spec)));
+
+    LeasedJob baseline = experiment;
+    baseline.group = 0;
+    baseline.baselines.clear();
+    const std::string baseLine = serve::leaseReply(baseline);
+    EXPECT_EQ(baseLine.rfind("ok baseline 12 3000 0 ", 0), 0u) << baseLine;
+    ASSERT_TRUE(serve::parseLeaseReply(baseLine, back, specText));
+    EXPECT_TRUE(back.isBaseline());
+    EXPECT_EQ(back.group, 0);
+    EXPECT_TRUE(back.baselines.empty());
+
+    const std::vector<std::string> tokens = serve::splitTokens(jobLine);
+    const std::string spec = tokens[4];
+    for (const std::string &bad : std::vector<std::string>{
+             "ok none", "ok job 12 3000", "err job 12 3000 " + spec,
+             "ok work 12 3000 " + spec, "ok job x 3000 " + spec,
+             "ok job 12 -1 " + spec, "ok job 12 3000 bad\\q",
+             "ok job 12 3000 " + spec + " garbage",
+             "ok baseline 12 3000 0", "ok baseline 12 3000 -1 " + spec,
+             "ok baseline 12 3000 0 " + spec + " " + tokens[5]}) {
+        EXPECT_FALSE(serve::parseLeaseReply(bad, back, specText)) << bad;
+    }
 }
 
 // ---- specForJob -------------------------------------------------------------
@@ -709,7 +937,7 @@ waitForSettled(serve::Server &server, std::size_t n)
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(10);
     for (;;) {
-        const serve::QueueStats stats = server.queue().stats();
+        const QueueStats stats = server.queue().stats();
         if (stats.done + stats.failed + stats.cancelled >= n)
             return;
         ASSERT_LT(std::chrono::steady_clock::now(), deadline)
@@ -920,12 +1148,12 @@ TEST(ServeEndToEnd, KilledWorkerLeaseExpiresAndJobCompletes)
     ASSERT_TRUE(server.submitCampaign(
         "camp", 0, "profiles = cholesky\nthreads = 2\n", response));
 
-    // A "worker" leases the job and is then killed: no heartbeat, no
-    // completion. (Raw protocol, exactly what a SIGKILLed process
-    // leaves behind.)
+    // A "worker" leases the job's baseline and is then killed: no
+    // heartbeat, no completion. (Raw protocol, exactly what a SIGKILLed
+    // process leaves behind.)
     const std::string lease =
         requestLine(server.endpoint(), "lease zombie");
-    ASSERT_EQ(lease.rfind("ok job ", 0), 0u) << lease;
+    ASSERT_EQ(lease.rfind("ok baseline ", 0), 0u) << lease;
 
     // The reaper expires the lease and requeues; a live worker then
     // picks the job up and the campaign still completes.
@@ -948,7 +1176,7 @@ TEST(ServeEndToEnd, KilledWorkerLeaseExpiresAndJobCompletes)
     // The zombie's late completion attempt is rejected as stale.
     const std::vector<std::string> tokens = serve::splitTokens(lease);
     ASSERT_GE(tokens.size(), 3u);
-    JobResult fake = okResult();
+    JobResult fake = baselineResult();
     Request done;
     done.kind = Request::Kind::kDone;
     done.worker = "zombie";
@@ -992,10 +1220,18 @@ TEST(ServeEndToEnd, LeaseLongPollWakesOnSubmitAndDrain)
         "camp", 0, "profiles = cholesky\nthreads = 2\n", response));
     leaser.join();
     EXPECT_LT(waitedMs(start), 1500);
-    ASSERT_EQ(reply.rfind("ok job ", 0), 0u) << reply;
+    // The baseline job comes first; its experiment is leasable the
+    // moment it is done.
+    ASSERT_EQ(reply.rfind("ok baseline ", 0), 0u) << reply;
     Request done;
     done.kind = Request::Kind::kDone;
     done.worker = "w";
+    done.jobId = std::stoull(serve::splitTokens(reply)[2]);
+    done.payload = serve::encodeJobResult(baselineResult());
+    ASSERT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
+              "ok");
+    reply = requestLine(server.endpoint(), "lease w");
+    ASSERT_EQ(reply.rfind("ok job ", 0), 0u) << reply;
     done.jobId = std::stoull(serve::splitTokens(reply)[2]);
     done.payload = serve::encodeJobResult(okResult());
     ASSERT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
@@ -1036,28 +1272,28 @@ TEST(ServeEndToEnd, ExternalWorkersComputeEachBaselineOnce)
             workerRc[i] = serve::runWorker(w);
         });
 
-    // fig01: three profiles x four thread counts. Both workers claim
-    // baselines from the server's table, so each profile's 1-thread
-    // run is simulated once in total, not once per worker.
+    // fig01: three profiles x four thread counts. Each profile's
+    // 1-thread run is one baseline job, leased to either worker once.
     const std::string specText =
         "profiles = blackscholes_medium, facesim_medium, cholesky\n"
         "threads = 2, 4, 8, 16\n";
     std::string response;
     ASSERT_TRUE(server.submitCampaign("fig01", 0, specText, response));
+    EXPECT_EQ(response,
+              "ok submitted fig01 jobs=12 new=12 deduped=0 cached=0");
     const Streamed s =
         streamRequest(server.endpoint(), "results fig01 csv wait");
     EXPECT_EQ(s.end, "end complete 12/12");
-    // The server granted three claims, and the workers simulated three
-    // baselines: a claim that failed over the wire and was computed
-    // locally anyway still counts as a driver-side compute.
+    const QueueStats stats = server.queue().stats();
+    EXPECT_EQ(stats.done, 12u);
+    EXPECT_EQ(stats.baselines[static_cast<std::size_t>(
+                  QueueJobState::kDone)],
+              3u);
+    EXPECT_EQ(stats.requeues, 0u);
     const std::string metrics = server.metricsText();
     EXPECT_NE(
-        metrics.find("sst_serve_baselines_total{outcome=\"compute\"} 3\n"),
+        metrics.find("sst_serve_queue_baselines{state=\"done\"} 3\n"),
         std::string::npos)
-        << metrics;
-    EXPECT_NE(metrics.find("sst_driver_baseline_requests_total{outcome="
-                           "\"compute\"} 3\n"),
-              std::string::npos)
         << metrics;
 
     const std::vector<JobSpec> jobs =
@@ -1073,7 +1309,7 @@ TEST(ServeEndToEnd, ExternalWorkersComputeEachBaselineOnce)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ServeEndToEnd, VanishedBaselineOwnerIsRegrantedAfterLeaseExpiry)
+TEST(ServeEndToEnd, VanishedBaselineHolderIsRequeuedAfterLeaseExpiry)
 {
     const std::string dir = makeTempDir("vanished");
     serve::ServerOptions opts;
@@ -1083,59 +1319,37 @@ TEST(ServeEndToEnd, VanishedBaselineOwnerIsRegrantedAfterLeaseExpiry)
     opts.queue.backoffBaseMs = 50;
     opts.reaperIntervalMs = 50;
     serve::Server server(opts);
-    telemetry::Registry::global().reset(); // exact counts below
     server.start();
 
     const std::string specText = "profiles = cholesky\nthreads = 2, 4\n";
     std::string response;
     ASSERT_TRUE(server.submitCampaign("camp", 0, specText, response));
 
-    // A worker leases the first job, claims its baseline and is killed
-    // before publishing it (raw protocol: what a SIGKILL leaves).
+    // A worker leases the shared baseline and is killed before
+    // reporting it (raw protocol: what a SIGKILL leaves).
     const std::string lease =
         requestLine(server.endpoint(), "lease zombie");
-    ASSERT_EQ(lease.rfind("ok job ", 0), 0u) << lease;
+    ASSERT_EQ(lease.rfind("ok baseline ", 0), 0u) << lease;
     const std::string id = serve::splitTokens(lease)[2];
-    EXPECT_EQ(requestLine(server.endpoint(), "baseline zombie " + id + " 0"),
-              "ok compute");
 
-    // Malformed or foreign claims are answered with err, never abort.
-    EXPECT_EQ(requestLine(server.endpoint(), "baseline zombie " + id + " 1")
-                  .rfind("err group 1 out of range", 0),
-              0u);
+    // Neither experiment is leasable while its baseline is out.
+    EXPECT_EQ(requestLine(server.endpoint(), "lease intruder"), "ok none");
+    // A worker that does not hold the lease may not settle it, not even
+    // with a well-formed (bogus) run: the CSV check below would catch
+    // a wrong baseline.
+    Request done;
+    done.kind = Request::Kind::kDone;
+    done.worker = "intruder";
+    done.jobId = std::stoull(id);
+    done.payload = serve::encodeJobResult(baselineResult(1));
     EXPECT_EQ(requestLine(server.endpoint(),
-                          "baseline-done zombie " + id + " 0 garbage"),
-              "err undecodable baseline summary");
-    EXPECT_EQ(requestLine(server.endpoint(), "baseline other " + id + " 0"),
+                          serve::serializeRequest(done)),
               "err stale");
-    EXPECT_EQ(requestLine(server.endpoint(), "baseline zombie 424242 0"),
+    EXPECT_EQ(requestLine(server.endpoint(), "heartbeat intruder " + id),
               "err stale");
-    EXPECT_EQ(requestLine(server.endpoint(), "baseline zombie " + id)
-                  .rfind("err ", 0),
-              0u);
 
-    // The other job shares the baseline; its holder may not pre-empt
-    // the zombie's claim with a run of its own (a bogus one here: the
-    // CSV check below would catch it).
-    const std::string other =
-        requestLine(server.endpoint(), "lease intruder");
-    ASSERT_EQ(other.rfind("ok job ", 0), 0u) << other;
-    RunResult bogus;
-    bogus.nthreads = 1;
-    bogus.ncores = 1;
-    bogus.executionTime = 1;
-    Request publish;
-    publish.kind = Request::Kind::kBaselineDone;
-    publish.worker = "intruder";
-    publish.jobId = std::stoull(serve::splitTokens(other)[2]);
-    publish.group = 0;
-    publish.payload = encodeBaselineSummary(bogus);
-    EXPECT_EQ(requestLine(server.endpoint(),
-                          serve::serializeRequest(publish)),
-              "err baseline claimed by another job");
-
-    // A live worker defers behind the zombie's claim; the expired lease
-    // releases it, the claim is re-granted, and the campaign completes.
+    // A live worker takes over once the expired lease is requeued, and
+    // the campaign completes with the baseline computed by it alone.
     serve::WorkerOptions wopts;
     wopts.endpoint = server.endpoint();
     wopts.name = "survivor";
@@ -1146,12 +1360,11 @@ TEST(ServeEndToEnd, VanishedBaselineOwnerIsRegrantedAfterLeaseExpiry)
     const Streamed s =
         streamRequest(server.endpoint(), "results camp csv wait");
     EXPECT_EQ(s.end, "end complete 2/2");
-    EXPECT_GE(server.queue().stats().requeues, 1u);
-    EXPECT_NE(server.metricsText().find(
-                  "sst_serve_baselines_total{outcome=\"compute\"} 2\n"),
-              std::string::npos)
-        << "the zombie's grant plus exactly one re-grant:\n"
-        << server.metricsText();
+    const QueueStats stats = server.queue().stats();
+    EXPECT_GE(stats.requeues, 1u);
+    EXPECT_EQ(stats.baselines[static_cast<std::size_t>(
+                  QueueJobState::kDone)],
+              1u);
     const std::vector<JobSpec> jobs =
         expandGrid(specGrid(parseSpec(specText)));
     EXPECT_EQ(s.body, sweepCsv(jobs, runExperimentBatch(jobs, {})));
@@ -1163,14 +1376,55 @@ TEST(ServeEndToEnd, VanishedBaselineOwnerIsRegrantedAfterLeaseExpiry)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ServeEndToEnd, StopReleasesClaimsLocalWorkersWaitOn)
+TEST(ServeEndToEnd, DoneFromANonHolderNeverReachesTheCache)
 {
-    const std::string dir = makeTempDir("stopclaims");
+    const std::string dir = makeTempDir("poison");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.driver.cacheDir = dir + "/cache";
+    opts.localWorkers = 0;
+    serve::Server server(opts);
+    server.start();
+
+    const std::string specText = "profiles = cholesky\nthreads = 2\n";
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign("camp", 0, specText, response));
+    Request done;
+    done.kind = Request::Kind::kDone;
+    done.worker = "holder";
+    std::string lease = requestLine(server.endpoint(), "lease holder");
+    ASSERT_EQ(lease.rfind("ok baseline ", 0), 0u) << lease;
+    done.jobId = std::stoull(serve::splitTokens(lease)[2]);
+    done.payload = serve::encodeJobResult(baselineResult());
+    ASSERT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
+              "ok");
+    lease = requestLine(server.endpoint(), "lease holder");
+    ASSERT_EQ(lease.rfind("ok job ", 0), 0u) << lease;
+
+    // Another client reports a well-formed result for the leased job.
+    done.worker = "intruder";
+    done.jobId = std::stoull(serve::splitTokens(lease)[2]);
+    done.payload = serve::encodeJobResult(okResult());
+    EXPECT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
+              "err stale");
+    const JobSpec spec = expandGrid(specGrid(parseSpec(specText)))[0];
+    SpeedupExperiment stored;
+    EXPECT_FALSE(ResultCache(opts.driver.cacheDir)
+                     .lookup(fingerprintJob(spec), stored))
+        << "a non-holder's done poisoned the result cache";
+    EXPECT_EQ(server.queue().stateOf(done.jobId), QueueJobState::kLeased);
+    server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, StopDoesNotWaitForAnExternalBaselineLease)
+{
+    const std::string dir = makeTempDir("stopbaseline");
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 1;
+    opts.queue.leaseMs = 3600000; // the external lease never expires
     serve::Server server(opts);
-    telemetry::Registry::global().reset(); // exact counts below
     server.start();
     const auto waitUntil = [](const std::function<bool()> &pred) {
         const auto deadline =
@@ -1184,29 +1438,26 @@ TEST(ServeEndToEnd, StopReleasesClaimsLocalWorkersWaitOn)
     };
 
     // Keep the local worker busy (a 16-thread radix job runs for about
-    // a second) so the raw client below leases and claims first.
+    // a second) so the raw client below leases the baseline first.
+    const std::string busyText = "profiles = radix\nthreads = 16\n";
     std::string response;
-    ASSERT_TRUE(server.submitCampaign(
-        "busy", 0, "profiles = radix\nthreads = 16\n", response));
+    ASSERT_TRUE(server.submitCampaign("busy", 0, busyText, response));
     ASSERT_TRUE(
         waitUntil([&] { return server.queue().stats().leased == 1; }));
     ASSERT_TRUE(server.submitCampaign(
         "camp", 0, "profiles = cholesky\nthreads = 2, 4\n", response));
     const std::string lease = requestLine(server.endpoint(), "lease ext");
-    ASSERT_EQ(lease.rfind("ok job ", 0), 0u) << lease;
-    const std::string id = serve::splitTokens(lease)[2];
-    ASSERT_EQ(requestLine(server.endpoint(), "baseline ext " + id + " 0"),
-              "ok compute");
+    ASSERT_EQ(lease.rfind("ok baseline ", 0), 0u) << lease;
 
-    // The local worker then takes the other job, which shares that
-    // baseline, and blocks on the external claim after its parallel
-    // run. The external holder never publishes, and once stopped the
-    // server can neither hear from it nor expire its lease.
-    ASSERT_TRUE(waitUntil([&] {
-        return server.metricsText().find(
-                   "sst_driver_baseline_requests_total{outcome="
-                   "\"wait\"} 1\n") != std::string::npos;
-    }));
+    // The local worker finishes the busy job; the two experiments wait
+    // on the external lease, which is never reported. Stopping the
+    // server must not wait for it.
+    ASSERT_TRUE(waitUntil([&] { return server.queue().stats().done == 1; }));
+    const std::vector<JobSpec> busy =
+        expandGrid(specGrid(parseSpec(busyText)));
+    EXPECT_EQ(streamRequest(server.endpoint(), "results busy csv nowait")
+                  .body,
+              sweepCsv(busy, runExperimentBatch(busy, {})));
     std::promise<void> stopped;
     std::thread stopper([&] {
         server.stop();
@@ -1214,17 +1465,17 @@ TEST(ServeEndToEnd, StopReleasesClaimsLocalWorkersWaitOn)
     });
     if (stopped.get_future().wait_for(std::chrono::seconds(60)) !=
         std::future_status::ready) {
-        ADD_FAILURE() << "Server::stop() hung on a local worker blocked "
-                         "on an external baseline claim";
+        ADD_FAILURE() << "Server::stop() hung on jobs waiting for an "
+                         "external baseline lease";
         std::_Exit(1); // the blocked threads cannot be joined
     }
     stopper.join();
-    EXPECT_NE(server.metricsText().find(
-                  "sst_serve_baselines_total{outcome=\"released\"} 1\n"),
-              std::string::npos)
-        << server.metricsText();
-    EXPECT_EQ(server.queue().stats().done, 2u)
-        << "the blocked job computed the baseline itself and completed";
+    const QueueStats stats = server.queue().stats();
+    EXPECT_EQ(stats.pending, 2u);
+    EXPECT_EQ(stats.baselines[static_cast<std::size_t>(
+                  QueueJobState::kLeased)],
+              1u);
+
     std::filesystem::remove_all(dir);
 }
 
@@ -1250,11 +1501,12 @@ TEST(ServeEndToEnd, MetricsVerbAndWorkerStatusLines)
     const Streamed metrics = streamRequest(server.endpoint(), "metrics");
     EXPECT_EQ(metrics.first, "ok metrics");
     EXPECT_EQ(metrics.end, "end");
-    EXPECT_NE(metrics.body.find("sst_serve_jobs_done_total 1\n"),
+    // The worker ran the job and its baseline job: two leases.
+    EXPECT_NE(metrics.body.find("sst_serve_jobs_done_total 2\n"),
               std::string::npos)
         << metrics.body;
     EXPECT_NE(metrics.body.find(
-                  "sst_serve_worker_done_total{worker=\"local-0\"} 1\n"),
+                  "sst_serve_worker_done_total{worker=\"local-0\"} 2\n"),
               std::string::npos)
         << metrics.body;
     EXPECT_NE(metrics.body.find("sst_serve_queue_jobs{state=\"done\"} 1\n"),
@@ -1268,7 +1520,7 @@ TEST(ServeEndToEnd, MetricsVerbAndWorkerStatusLines)
     const std::string status = server.statusText();
     EXPECT_NE(status.find("worker local-0 leases="), std::string::npos)
         << status;
-    EXPECT_NE(status.find("done=1"), std::string::npos) << status;
+    EXPECT_NE(status.find("done=2"), std::string::npos) << status;
 
     server.stop();
     std::filesystem::remove_all(dir);

@@ -391,8 +391,12 @@ TEST(Fingerprint, SensitiveToCoresAxis)
     c.ncores = 4;
     EXPECT_EQ(fingerprintJob(a).canonical, fingerprintJob(c).canonical);
     // The baseline always runs on one core either way.
-    EXPECT_EQ(fingerprintBaseline(a).canonical,
-              fingerprintBaseline(b).canonical);
+    EXPECT_EQ(fingerprintWorkloadGroupBaseline(a.params,
+                                               a.effectiveWorkload(), 0)
+                  .canonical,
+              fingerprintWorkloadGroupBaseline(b.params,
+                                               b.effectiveWorkload(), 0)
+                  .canonical);
 }
 
 TEST(Driver, OversubscribedJobMatchesDirectRun)

@@ -100,7 +100,10 @@ TEST(WorkloadHomogeneous, FingerprintsPreservedAcrossRefactor)
     // existing result-cache entries and baseline sharing must survive.
     JobSpec j16 = JobSpec::forProfile(profileByLabel("cholesky"), 16);
     EXPECT_EQ(fingerprintJob(j16).hex(), "0968471822c93cec");
-    EXPECT_EQ(fingerprintBaseline(j16).hex(), "f721ebd444707c80");
+    EXPECT_EQ(fingerprintWorkloadGroupBaseline(
+                  j16.params, j16.effectiveWorkload(), 0)
+                  .hex(),
+              "f721ebd444707c80");
     const JobSpec j4 = JobSpec::forProfile(profileByLabel("cholesky"), 4);
     EXPECT_EQ(fingerprintJob(j4).hex(), "d1058aea01982d42");
     EXPECT_NE(fingerprintJob(j16).canonical.find("fingerprint.version=3"),
@@ -113,9 +116,13 @@ TEST(WorkloadHomogeneous, MixBaselineFingerprintSharesWithHomogeneous)
     // the same profile, so sweeps and mixes share 1-thread runs.
     const JobSpec hom =
         JobSpec::forProfile(test::computeOnlyProfile(), 4);
-    EXPECT_EQ(fingerprintBaseline(hom).canonical,
-              fingerprintProfileBaseline(hom.params,
-                                         test::computeOnlyProfile())
+    JobSpec mix;
+    mix.workload = smallMix();
+    EXPECT_EQ(fingerprintWorkloadGroupBaseline(
+                  hom.params, hom.effectiveWorkload(), 0)
+                  .canonical,
+              fingerprintWorkloadGroupBaseline(
+                  mix.params, mix.effectiveWorkload(), 0)
                   .canonical);
 }
 
