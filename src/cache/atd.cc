@@ -52,9 +52,9 @@ Atd::access(Addr line)
         llc_set / static_cast<std::uint64_t>(sampling_);
     const Addr pseudo = (tag << atdSetBits_) | atd_set;
 
-    if (TagEntry *e = array_.findValid(pseudo)) {
+    if (const Slot s = array_.findValid(pseudo); s != kNoSlot) {
         probe.hit = true;
-        array_.touch(*e);
+        array_.touch(s);
     } else {
         probe.hit = false;
         array_.insert(pseudo);

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/atd.hh"
@@ -83,7 +84,15 @@ struct CacheStats
     std::uint64_t writebacks = 0;
 };
 
-/** Private L1s + shared LLC + coherence + ATDs. */
+/**
+ * Private L1s + shared LLC + coherence + ATDs.
+ *
+ * The LLC is inclusive: every valid L1 line is valid in the LLC, and its
+ * LLC way's directory entry (sharers bitmap, dirty owner) records it.
+ * Only the LLC keeps directory fields, in arrays indexed by LLC slot.
+ * Each L1 way stores the LLC slot of its line, so L1 evictions, write
+ * upgrades and flushes update the directory without searching the LLC.
+ */
 class CacheHierarchy
 {
   public:
@@ -118,15 +127,45 @@ class CacheHierarchy
     int ncores() const { return ncores_; }
     const CacheParams &params() const { return params_; }
 
+    /**
+     * Check the coherence invariants over the whole hierarchy:
+     *  - every valid L1 line is valid in the LLC, its sharer bit is set
+     *    and its LLC link points at it;
+     *  - a line's dirty owner holds a valid, dirty copy;
+     *  - at most one L1 copy of a line is dirty.
+     * @return the first violation found, or "" when all hold
+     */
+    std::string checkInvariants() const;
+
   private:
-    void invalidateOtherL1s(Addr line, CoreId keeper, TagEntry &dir);
-    void insertIntoL1(CoreId core, Addr line, bool dirty,
-                      TagEntry &dir_entry);
+    /** One core's private L1: its tags plus, per way, the LLC slot of
+     *  the line held there (meaningful only while the way is valid). */
+    struct L1Cache
+    {
+        SetAssocArray array;
+        std::vector<Slot> llcSlot;
+    };
+
+    /** @p link, after checking that inclusion holds: it is the LLC slot
+     *  of a valid copy of @p line. */
+    Slot linkedLlcSlot(Slot link, Addr line) const;
+    /** Invalidate every L1 copy of @p line but @p writer's and record
+     *  @p writer as the dirty owner of LLC slot @p dir. */
+    void makeExclusive(Addr line, CoreId writer, Slot dir);
+    /** Directory update for @p core's L1 dropping its copy of the line
+     *  at LLC slot @p dir: a clean copy goes silently; a dirty one
+     *  writes back, and the LLC then owns the only up-to-date copy. */
+    void dropL1Copy(CoreId core, Slot dir, bool dirty);
+    void insertIntoL1(CoreId core, Addr line, bool dirty, Slot dir);
 
     int ncores_;
     CacheParams params_;
-    std::vector<SetAssocArray> l1s_;
+    std::vector<L1Cache> l1s_;
     SetAssocArray llc_;
+    /** LLC directory, per LLC slot: bitmap of the L1s holding a copy. */
+    std::vector<std::uint64_t> sharers_;
+    /** LLC directory, per LLC slot: core with the modified copy. */
+    std::vector<CoreId> dirtyOwner_;
     std::vector<std::unique_ptr<Atd>> atds_;
     std::vector<std::unique_ptr<Atd>> oracleAtds_;
     std::vector<CacheStats> stats_;

@@ -6,117 +6,85 @@
 namespace sst {
 
 SetAssocArray::SetAssocArray(std::uint64_t size_bytes, int ways)
-    : sets_(static_cast<int>(size_bytes / kLineBytes /
-                             static_cast<std::uint64_t>(ways))),
-      ways_(ways)
 {
-    sstAssert(ways_ > 0, "cache needs at least one way");
-    sstAssert(sets_ > 0, "cache needs at least one set");
-    sstAssert(isPow2(static_cast<std::uint64_t>(sets_)),
-              "cache set count must be a power of two");
-    entries_.resize(static_cast<std::size_t>(sets_) *
-                    static_cast<std::size_t>(ways_));
-    tags_.assign(entries_.size(), kNoTag);
-    stamps_.assign(entries_.size(), 0);
-}
-
-SetAssocArray::SetAssocArray(int sets, int ways, bool)
-    : sets_(sets), ways_(ways)
-{
-    sstAssert(ways_ > 0, "cache needs at least one way");
-    sstAssert(sets_ > 0, "cache needs at least one set");
-    sstAssert(isPow2(static_cast<std::uint64_t>(sets_)),
-              "cache set count must be a power of two");
-    entries_.resize(static_cast<std::size_t>(sets_) *
-                    static_cast<std::size_t>(ways_));
-    tags_.assign(entries_.size(), kNoTag);
-    stamps_.assign(entries_.size(), 0);
+    sstAssert(ways > 0, "cache needs at least one way");
+    const std::uint64_t w = static_cast<std::uint64_t>(ways);
+    const std::uint64_t sets = size_bytes / kLineBytes / w;
+    sstAssert(sets > 0, "cache needs at least one set");
+    sstAssert(isPow2(sets), "cache set count must be a power of two");
+    sstAssert(sets * w < kNoSlot, "cache has too many ways to index");
+    sets_ = static_cast<Slot>(sets);
+    ways_ = static_cast<Slot>(w);
+    const std::size_t n = static_cast<std::size_t>(sets * w);
+    tags_.assign(n, kNoTag);
+    stamps_.assign(n, 0);
+    state_.assign(n, 0);
 }
 
 SetAssocArray
 SetAssocArray::fromSets(int sets, int ways)
 {
-    return SetAssocArray(sets, ways, true);
+    sstAssert(sets > 0, "cache needs at least one set");
+    return SetAssocArray(static_cast<std::uint64_t>(sets) *
+                             static_cast<std::uint64_t>(ways) * kLineBytes,
+                         ways);
 }
 
-TagEntry *
-SetAssocArray::entryAt(std::uint64_t set, int way)
+Slot
+SetAssocArray::insert(Addr line, Victim *victim)
 {
-    return &entries_[set * static_cast<std::uint64_t>(ways_) +
-                     static_cast<std::uint64_t>(way)];
-}
-
-TagEntry &
-SetAssocArray::insert(Addr line, TagEntry *victim)
-{
-    const std::uint64_t set = setIndex(line);
-
-    // Prefer reusing a resident-but-invalid entry for the same line, then
-    // the first free way, then the LRU way — selected in one fused pass
-    // over the compact side arrays (tag search was three passes before,
-    // and insert is the hottest function in the simulator). The LRU
-    // candidate tracks the first minimum in way order among occupied
-    // ways, exactly like the historical dedicated scan.
-    const std::size_t base =
-        static_cast<std::size_t>(set * static_cast<std::uint64_t>(ways_));
-    std::size_t match = base + static_cast<std::size_t>(ways_);
-    std::size_t free_way = match;
-    std::size_t lru = match;
-    for (std::size_t i = base; i < base + static_cast<std::size_t>(ways_);
-         ++i) {
-        const Addr tag = tags_[i];
+    // Prefer the way where the line is already resident (a
+    // coherence-invalidated tag), then the first free way, then the LRU
+    // way — selected in one pass over the tag and stamp arrays. The LRU
+    // candidate is the first minimum stamp in way order among occupied
+    // ways.
+    const Slot base = static_cast<Slot>(setIndex(line)) * ways_;
+    const Slot end = base + ways_;
+    Slot match = end;
+    Slot free_way = end;
+    Slot lru = end;
+    for (Slot s = base; s < end; ++s) {
+        const Addr tag = tags_[s];
         if (tag == line) {
-            match = i;
+            match = s;
             break;
         }
         if (tag == kNoTag) {
-            if (free_way == base + static_cast<std::size_t>(ways_))
-                free_way = i;
-        } else if (lru == base + static_cast<std::size_t>(ways_) ||
-                   stamps_[i] < stamps_[lru]) {
-            lru = i;
+            if (free_way == end)
+                free_way = s;
+        } else if (lru == end || stamps_[s] < stamps_[lru]) {
+            lru = s;
         }
     }
-    const std::size_t end = base + static_cast<std::size_t>(ways_);
-    TagEntry *target = &entries_[match != end    ? match
-                                 : free_way != end ? free_way
-                                                   : lru];
+    const Slot target = match != end ? match : free_way != end ? free_way
+                                                                : lru;
 
     if (victim) {
-        *victim = *target;
         // A coherence-invalidated resident tag is not a live victim.
-        if (!target->valid)
-            victim->valid = false;
+        victim->line = tags_[target];
+        victim->valid = valid(target);
+        victim->dirty = dirty(target);
     }
 
-    *target = TagEntry{};
-    target->line = line;
-    target->valid = true;
-    target->lruStamp = ++stamp_;
-    const std::size_t idx =
-        static_cast<std::size_t>(target - entries_.data());
-    tags_[idx] = line;
-    stamps_[idx] = target->lruStamp;
-    return *target;
+    tags_[target] = line;
+    stamps_[target] = ++stamp_;
+    state_[target] = kValid;
+    return target;
 }
 
 bool
 SetAssocArray::invalidate(Addr line, bool keep_tag)
 {
-    TagEntry *e = findValid(line);
-    if (!e)
+    const Slot s = findValid(line);
+    if (s == kNoSlot)
         return false;
     if (keep_tag) {
-        e->valid = false;
-        e->coherenceInvalidated = true;
-        e->dirty = false;
         // Still resident: the tag stays in the probe array.
+        state_[s] = kCohInv;
     } else {
-        *e = TagEntry{};
-        const std::size_t idx =
-            static_cast<std::size_t>(e - entries_.data());
-        tags_[idx] = kNoTag;
-        stamps_[idx] = 0;
+        tags_[s] = kNoTag;
+        stamps_[s] = 0;
+        state_[s] = 0;
     }
     return true;
 }
@@ -124,20 +92,17 @@ SetAssocArray::invalidate(Addr line, bool keep_tag)
 void
 SetAssocArray::reset()
 {
-    for (TagEntry &e : entries_)
-        e = TagEntry{};
-    tags_.assign(entries_.size(), kNoTag);
-    stamps_.assign(entries_.size(), 0);
+    tags_.assign(tags_.size(), kNoTag);
+    stamps_.assign(stamps_.size(), 0);
+    state_.assign(state_.size(), 0);
 }
 
 std::uint64_t
 SetAssocArray::validCount() const
 {
     std::uint64_t n = 0;
-    for (const auto &e : entries_) {
-        if (e.valid)
-            ++n;
-    }
+    for (const std::uint8_t st : state_)
+        n += (st & kValid) != 0;
     return n;
 }
 

@@ -16,36 +16,41 @@
 
 namespace sst {
 
-/**
- * One cached line's bookkeeping. `valid` distinguishes live lines;
- * `coherenceInvalidated` marks tags that were invalidated by a coherence
- * upgrade and are still resident in the tag array — re-references to such
- * tags are coherency misses (Section 4.5 of the paper).
- */
-struct TagEntry
-{
-    Addr line = 0;         ///< full line number (tag + set, unambiguous)
-    bool valid = false;
-    bool dirty = false;
-    bool coherenceInvalidated = false;
-    std::uint64_t lruStamp = 0;
-    std::uint64_t sharers = 0; ///< LLC directory: bitmap of L1 copies
-    CoreId dirtyOwner = kInvalidId; ///< LLC directory: core with M copy
-    CoreId filledBy = kInvalidId;   ///< core whose miss brought the line
-};
+/** Index of one way in a SetAssocArray (set * ways + way). A slot keeps
+ *  its line until that line is evicted or invalidated, so owners may
+ *  key side arrays by it. */
+using Slot = std::uint32_t;
+
+/** "No slot": the line is not resident. */
+inline constexpr Slot kNoSlot = ~Slot(0);
 
 /**
  * Set-associative tag array. Geometry is (sets x ways); lines are mapped
  * by line number modulo the set count. LRU uses a global access stamp.
  *
- * Lookups scan a compact parallel array of resident line numbers (8
- * bytes per way) instead of the ~48-byte TagEntry records, so a 16-way
- * probe touches two cache lines rather than twelve — tag search is the
- * hottest function in the whole simulator (every L1/LLC/ATD access).
+ * Storage is one value per way in parallel arrays: the resident line
+ * number (8 bytes), its LRU stamp (8 bytes) and a status byte — 17 host
+ * bytes per way. Lookups scan only the line numbers, so a 16-way probe
+ * touches two host cache lines. Per-line data that only some users need
+ * (the LLC directory, the L1's link to the LLC) lives with those users,
+ * indexed by Slot.
+ *
+ * A resident line is either valid or coherence-invalidated: its tag was
+ * invalidated by a coherence upgrade and stays in the array, so that a
+ * re-reference is classified as a coherency miss (Section 4.5 of the
+ * paper).
  */
 class SetAssocArray
 {
   public:
+    /** The line a fill displaced. */
+    struct Victim
+    {
+        Addr line = 0;
+        bool valid = false; ///< a live (valid) line was displaced
+        bool dirty = false;
+    };
+
     /**
      * @param size_bytes total capacity in bytes
      * @param ways associativity
@@ -62,93 +67,93 @@ class SetAssocArray
         return line & (static_cast<std::uint64_t>(sets_) - 1);
     }
 
-    /** Find a valid entry for @p line; nullptr on miss. */
-    TagEntry *
-    findValid(Addr line)
+    /** Slot holding a valid copy of @p line; kNoSlot on miss. */
+    Slot
+    findValid(Addr line) const
     {
-        TagEntry *e = findResident(line);
-        return e && e->valid ? e : nullptr;
+        const Slot s = findAny(line);
+        return s != kNoSlot && valid(s) ? s : kNoSlot;
     }
 
-    /** Find any resident entry (valid or coherence-invalidated). */
-    TagEntry *
-    findAny(Addr line)
+    /** Slot where @p line is resident (valid or coherence-invalidated);
+     *  kNoSlot if it is not. */
+    Slot
+    findAny(Addr line) const
     {
-        return findResident(line);
+        const Slot base = static_cast<Slot>(setIndex(line)) * ways_;
+        for (Slot s = base; s < base + ways_; ++s) {
+            // insert() never duplicates a line within a set, so the
+            // first tag match is the only one.
+            if (tags_[s] == line)
+                return s;
+        }
+        return kNoSlot;
     }
 
-    /** Update the LRU stamp of @p entry (call on every hit). */
-    void
-    touch(TagEntry &entry)
-    {
-        entry.lruStamp = ++stamp_;
-        stamps_[static_cast<std::size_t>(&entry - entries_.data())] =
-            entry.lruStamp;
-    }
+    /** Make @p slot the most recently used way (call on every hit). */
+    void touch(Slot slot) { stamps_[slot] = ++stamp_; }
 
     /**
-     * Insert @p line, evicting the LRU way of its set if needed.
-     * @param[out] victim filled with the evicted entry (valid == true only
-     *             if a live line was displaced)
-     * @return reference to the (re)initialized entry
+     * Insert @p line as a valid, clean, most recently used line. It
+     * reuses the way where @p line is already resident, else the first
+     * free way of its set, else the LRU way.
+     * @param[out] victim the displaced line (valid only if a live line
+     *             was displaced)
+     * @return the slot now holding @p line
      */
-    TagEntry &insert(Addr line, TagEntry *victim = nullptr);
+    Slot insert(Addr line, Victim *victim = nullptr);
 
     /**
      * Invalidate @p line if present.
      * @param keep_tag keep the tag resident and mark it
-     *        coherenceInvalidated (used by the L1s for coherency-miss
-     *        detection); otherwise the entry is fully cleared
+     *        coherence-invalidated (used by the L1s for coherency-miss
+     *        detection); otherwise the way is freed
      * @return true if the line was valid
      */
     bool invalidate(Addr line, bool keep_tag = false);
 
-    int sets() const { return sets_; }
-    int ways() const { return ways_; }
+    Addr line(Slot s) const { return tags_[s]; }
+    bool valid(Slot s) const { return state_[s] & kValid; }
+    bool dirty(Slot s) const { return state_[s] & kDirty; }
+    bool coherenceInvalidated(Slot s) const { return state_[s] & kCohInv; }
 
-    /** Number of currently valid entries (test/diagnostic helper). */
+    void
+    setDirty(Slot s, bool dirty)
+    {
+        state_[s] = static_cast<std::uint8_t>((state_[s] & ~kDirty) |
+                                              (dirty ? kDirty : 0));
+    }
+
+    int sets() const { return static_cast<int>(sets_); }
+    int ways() const { return static_cast<int>(ways_); }
+
+    /** Total number of ways; slots are 0 .. slots() - 1. */
+    Slot slots() const { return static_cast<Slot>(tags_.size()); }
+
+    /** Number of currently valid lines (test/diagnostic helper). */
     std::uint64_t validCount() const;
 
-    /** Read-only entry storage (whole-cache walks, e.g. L1 flushes).
-     *  Mutation goes through the API so the compact resident-tag index
-     *  stays consistent. */
-    const std::vector<TagEntry> &raw() const { return entries_; }
-
-    /** Clear every entry (flush). */
+    /** Clear every way (flush). */
     void reset();
 
   private:
-    /** No line resident in this way slot. */
+    /** No line resident in this way. */
     static constexpr Addr kNoTag = ~Addr(0);
 
-    SetAssocArray(int sets, int ways, bool);
+    /** Bits of state_. */
+    static constexpr std::uint8_t kValid = 1;
+    static constexpr std::uint8_t kDirty = 2;
+    static constexpr std::uint8_t kCohInv = 4; ///< coherence-invalidated
 
-    TagEntry *entryAt(std::uint64_t set, int way);
-
-    /** Resident (valid or coherence-invalidated) entry for @p line. */
-    TagEntry *
-    findResident(Addr line)
-    {
-        const std::size_t base = static_cast<std::size_t>(
-            setIndex(line) * static_cast<std::uint64_t>(ways_));
-        for (int w = 0; w < ways_; ++w) {
-            // insert() never duplicates a line within a set, so the
-            // first tag match is the only one.
-            if (tags_[base + static_cast<std::size_t>(w)] == line)
-                return &entries_[base + static_cast<std::size_t>(w)];
-        }
-        return nullptr;
-    }
-
-    int sets_;
-    int ways_;
-    std::vector<TagEntry> entries_;
-    /** Resident line number per way slot (kNoTag when empty); the
-     *  probe array all lookups scan. */
+    Slot sets_ = 0;
+    Slot ways_ = 0;
+    /** Resident line number per way (kNoTag when empty); the probe
+     *  array all lookups scan. */
     std::vector<Addr> tags_;
-    /** Mirror of each entry's lruStamp, so the replacement scan reads
-     *  8 bytes per way instead of whole TagEntry records. */
+    /** LRU stamp per way: the global stamp at its last fill or touch. */
     std::vector<std::uint64_t> stamps_;
+    /** kValid | kDirty | kCohInv per way. */
+    std::vector<std::uint8_t> state_;
     std::uint64_t stamp_ = 0;
 };
 

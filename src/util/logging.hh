@@ -144,6 +144,15 @@ sstAssert(bool cond, const std::string &msg)
         panic(msg);
 }
 
+/** sstAssert() for a literal message: builds no string unless @p cond
+ *  fails, so it is cheap enough for the simulator's inner loop. */
+inline void
+sstAssert(bool cond, const char *msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
 } // namespace sst
 
 #endif // SST_UTIL_LOGGING_HH

@@ -2,10 +2,21 @@
  * @file
  * Unit tests for the cache hierarchy: L1/LLC paths, MSI coherence,
  * coherency-miss classification, inter-thread classification, inclusion
- * and writebacks.
+ * and writebacks; a randomized check of the coherence invariants; and
+ * the host footprint of the tag state.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <random>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#if __GLIBC_PREREQ(2, 33)
+#define SST_HAVE_MALLINFO2 1
+#endif
+#endif
 
 #include "cache/hierarchy.hh"
 
@@ -206,6 +217,74 @@ TEST(Hierarchy, OracleAtdsTrackEverything)
     h.access(0, 0x100 * kLineBytes, false);
     const AccessOutcome out = h.access(1, 0x100 * kLineBytes, false);
     EXPECT_TRUE(out.oracleInterThreadHit);
+}
+
+/**
+ * Seeded random read/write streams from 2-8 cores on tiny geometries,
+ * so that L1 and LLC evictions, back-invalidations, upgrades, dirty
+ * transfers and flushes all happen often. The coherence invariants must
+ * hold after every access.
+ */
+TEST(Hierarchy, InvariantsHoldUnderRandomTraffic)
+{
+    std::mt19937_64 rng(0xc04e7e4ceULL);
+    for (int trial = 0; trial < 48; ++trial) {
+        CacheParams p;
+        const int llc_sets = 2 << (trial % 2);       // 2 or 4
+        p.llcWays = 2 << ((trial / 2) % 2);          // 2 or 4
+        p.l1Ways = 1 + (trial / 4) % 2;              // 1 or 2
+        const int l1_sets = 1 + (trial / 8) % 2;     // 1 or 2
+        p.llcBytes = static_cast<std::uint64_t>(llc_sets * p.llcWays) *
+                     kLineBytes;
+        p.l1Bytes = static_cast<std::uint64_t>(l1_sets * p.l1Ways) *
+                    kLineBytes;
+        p.atdSamplingFactor = 1 + (trial / 16) % 2;  // 1 or 2
+        p.oracleAtds = true;
+        const int ncores = 2 + trial % 7;            // 2..8
+        CacheHierarchy h(ncores, p);
+        // A few lines more than the LLC holds, shared by every core.
+        const Addr lines =
+            static_cast<Addr>(llc_sets * p.llcWays + 3);
+        for (int i = 0; i < 2000; ++i) {
+            const CoreId core = static_cast<CoreId>(
+                rng() % static_cast<std::uint64_t>(ncores));
+            if (rng() % 64 == 0) {
+                h.flushL1(core);
+            } else {
+                const Addr line = rng() % lines;
+                h.access(core, line * kLineBytes, rng() % 3 == 0);
+            }
+            ASSERT_EQ(h.checkInvariants(), "")
+                << "trial " << trial << " access " << i;
+        }
+    }
+}
+
+#ifdef SST_HAVE_MALLINFO2
+/** Bytes the process currently holds in malloc'd blocks. */
+std::size_t
+liveHeapBytes()
+{
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+}
+#endif
+
+TEST(Hierarchy, TagStateIsCompact)
+{
+#ifdef SST_HAVE_MALLINFO2
+    // Default geometry, 64 cores: 64 x (1024 L1 ways + 1024 sampled ATD
+    // ways) + 32768 LLC ways. At 64 host bytes per way that was ~10 MB;
+    // the parallel-array layout needs ~21 (L1), 17 (ATD) and 29 (LLC).
+    const std::size_t base = liveHeapBytes();
+    auto h = std::make_unique<CacheHierarchy>(kMaxSimCores, CacheParams{});
+    const std::size_t now = liveHeapBytes();
+    const std::size_t grown = now > base ? now - base : 0;
+    EXPECT_LT(grown, std::size_t{7} << 19) << "bytes: " << grown;
+    EXPECT_EQ(h->ncores(), kMaxSimCores);
+#else
+    GTEST_SKIP() << "needs glibc mallinfo2";
+#endif
 }
 
 } // namespace
