@@ -32,7 +32,7 @@
 #include "spec/spec.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
-#include "trace/trace_run.hh"
+#include "trace/trace_reader.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -212,7 +212,7 @@ sweepUsage()
         "  --no-cache              disable the result cache\n"
         "  --refresh               re-run and overwrite cached results\n"
         "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "                          (see `sst trace record --trace-dir`)\n"
+        "                          (written by --record-dir)\n"
         "  --record-dir DIR        capture .sstt traces of live jobs\n"
         "                          into DIR as the batch runs (cache\n"
         "                          hits skip capture)\n"
@@ -235,159 +235,11 @@ void
 traceUsage()
 {
     std::printf(
-        "usage: sst trace <record|replay|info> [options]\n"
-        "  record --profile LABEL [--threads N] (--out FILE | "
-        "--trace-dir DIR)\n"
-        "         [--seed-offset K] [--sched POLICY] [--sched-seed K]\n"
-        "         [--quiet]\n"
-        "      run the live experiment, write the op trace\n"
-        "  replay --in FILE [--sched POLICY] [--quiet]\n"
-        "      re-simulate from the trace (no workload generation);\n"
-        "      --sched must match the recorded policy (it documents\n"
-        "      the expectation, replay always uses the recording's)\n"
-        "  info --in FILE\n"
-        "      decode every stream to check it, then print header and\n"
-        "      per-stream statistics\n"
-        "scheduler policies: %s\n",
-        allSchedPolicyLabelsJoined().c_str());
-}
-
-/**
- * Full-precision experiment dump: every value %.17g/%"PRIu64" so record
- * and replay output can be diffed bit for bit.
- */
-void
-printExperiment(const SpeedupExperiment &e)
-{
-    std::printf("benchmark           %s\n", e.label.c_str());
-    std::printf("threads             %d\n", e.nthreads);
-    std::printf("ts                  %" PRIu64 "\n", e.ts);
-    std::printf("tp                  %" PRIu64 "\n", e.tp);
-    std::printf("actual_speedup      %.17g\n", e.actualSpeedup);
-    std::printf("estimated_speedup   %.17g\n", e.estimatedSpeedup);
-    std::printf("error               %.17g\n", e.error);
-    std::printf("stack.base          %.17g\n", e.stack.baseSpeedup);
-    std::printf("stack.pos_llc       %.17g\n", e.stack.posLlc);
-    std::printf("stack.neg_llc       %.17g\n", e.stack.negLlc);
-    std::printf("stack.neg_mem       %.17g\n", e.stack.negMem);
-    std::printf("stack.spin          %.17g\n", e.stack.spin);
-    std::printf("stack.yield         %.17g\n", e.stack.yield);
-    std::printf("stack.imbalance     %.17g\n", e.stack.imbalance);
-    std::printf("stack.coherency     %.17g\n", e.stack.coherency);
-    std::printf("par_overhead        %.17g\n", e.parOverheadMeasured);
-}
-
-int
-traceRecord(int argc, char **argv, int first)
-{
-    std::string label, outPath, traceDir;
-    int nthreads = 16;
-    std::uint64_t seedOffset = 0;
-    SimParams params;
-    bool quiet = false;
-
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--profile") {
-            label = argValue(argc, argv, i);
-        } else if (arg == "--threads") {
-            // The recording runs live on nthreads cores, so the
-            // simulator's core cap bounds this (the format itself
-            // allows up to trace::kMaxThreads streams).
-            nthreads =
-                parseInt("--threads", argValue(argc, argv, i), 1,
-                         static_cast<long>(kMaxSimCores));
-        } else if (arg == "--out") {
-            outPath = argValue(argc, argv, i);
-        } else if (arg == "--trace-dir") {
-            traceDir = argValue(argc, argv, i);
-        } else if (arg == "--seed-offset") {
-            seedOffset =
-                parseU64("--seed-offset", argValue(argc, argv, i));
-        } else if (arg == "--sched") {
-            params.schedPolicy =
-                parseSchedPolicy(argValue(argc, argv, i));
-        } else if (arg == "--sched-seed") {
-            params.schedSeed =
-                parseU64("--sched-seed", argValue(argc, argv, i));
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else {
-            traceUsage();
-            fatal("unknown record argument '" + arg + "'");
-        }
-    }
-    if (label.empty())
-        fatal("record needs --profile (one of: " +
-              allProfileLabelsJoined() + ")");
-    if (params.schedSeed != 0 &&
-        params.schedPolicy != SchedPolicy::kRandom) {
-        fatal("--sched-seed only affects --sched random; the "
-              "seed would be silently ignored");
-    }
-    if (outPath.empty() == traceDir.empty())
-        fatal("record needs exactly one of --out or --trace-dir");
-
-    BenchmarkProfile profile = profileByLabel(label);
-    profile.seed = deriveJobSeed(profile.seed, seedOffset);
-
-    if (!traceDir.empty()) {
-        std::filesystem::create_directories(traceDir);
-        outPath = tracePathFor(traceDir, profile, nthreads, seedOffset,
-                               params.schedPolicy, params.schedSeed);
-    }
-
-    std::uint64_t ops = 0;
-    const SpeedupExperiment exp = recordSpeedupTrace(
-        params, WorkloadSpec::homogeneous(profile, nthreads), outPath,
-        &ops);
-    printExperiment(exp);
-    if (!quiet) {
-        const auto bytes = std::filesystem::file_size(outPath);
-        std::printf("wrote %s: %" PRIu64 " ops in %ju bytes "
-                    "(%.2f bytes/op)\n",
-                    outPath.c_str(), ops,
-                    static_cast<std::uintmax_t>(bytes),
-                    static_cast<double>(bytes) /
-                        static_cast<double>(ops));
-    }
-    return 0;
-}
-
-int
-traceReplay(int argc, char **argv, int first)
-{
-    std::string inPath;
-    bool quiet = false;
-    bool schedGiven = false;
-    SchedPolicy sched = SchedPolicy::kAffinityFifo;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--in") {
-            inPath = argValue(argc, argv, i);
-        } else if (arg == "--sched") {
-            sched = parseSchedPolicy(argValue(argc, argv, i));
-            schedGiven = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else {
-            traceUsage();
-            fatal("unknown replay argument '" + arg + "'");
-        }
-    }
-    if (inPath.empty())
-        fatal("replay needs --in FILE");
-
-    const TraceReader reader(inPath);
-    if (schedGiven)
-        reader.requireSchedPolicy(sched); // TraceError -> fatal in main
-
-    const SpeedupExperiment exp =
-        replaySpeedupTrace(SimParams{}, reader);
-    printExperiment(exp);
-    if (!quiet)
-        std::printf("replayed %s\n", inPath.c_str());
-    return 0;
+        "usage: sst trace info --in FILE\n"
+        "  decode every stream to check it, then print header and\n"
+        "  per-stream statistics\n"
+        "traces are recorded by `sst sweep --record-dir DIR` and\n"
+        "replayed by `--trace-dir DIR`\n");
 }
 
 int
@@ -1150,10 +1002,6 @@ traceMain(int argc, char **argv, int first)
     }
     const std::string cmd = argv[first];
     try {
-        if (cmd == "record")
-            return traceRecord(argc, argv, first + 1);
-        if (cmd == "replay")
-            return traceReplay(argc, argv, first + 1);
         if (cmd == "info")
             return traceInfo(argc, argv, first + 1);
         if (cmd == "--help" || cmd == "-h") {

@@ -16,7 +16,9 @@ namespace cli {
 /** `sst sweep`: flag-driven experiment grids. */
 int sweepMain(int argc, char **argv, int first);
 
-/** `sst trace`: record / replay / info on op traces. */
+/** `sst trace info`: validate and describe a recorded op trace
+ *  (recording and replay run on the driver: `--record-dir`,
+ *  `--trace-dir`). */
 int traceMain(int argc, char **argv, int first);
 
 /** `sst run --spec FILE`: execute a declarative experiment spec. */

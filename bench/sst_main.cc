@@ -4,11 +4,13 @@
  *
  *   sst run --spec examples/specs/fig01.spec   declarative experiments
  *   sst sweep --profiles all --threads 16      flag-driven grids
- *   sst trace record|replay|info               op-trace workflows
+ *   sst trace info --in FILE                   check and describe a trace
  *   sst list profiles|scheds|frontends         enumerate the registries
  *   sst serve / worker / submit                persistent sweep service
  *
- * The commands live in bench/cli_commands.cc. The dispatcher is
+ * Traces are recorded and replayed by `sweep` / `run` (`--record-dir`,
+ * `--trace-dir`), like every other experiment. The commands live in
+ * bench/cli_commands.cc. The dispatcher is
  * table-driven: usage text and the unknown-command error enumerate the
  * same table, so a new command cannot be half-registered.
  */
@@ -32,7 +34,7 @@ constexpr Command kCommands[] = {
      sst::cli::runMain},
     {"sweep", "express an experiment grid with flags",
      sst::cli::sweepMain},
-    {"trace", "record / replay / inspect binary op traces",
+    {"trace", "check and describe a recorded op trace",
      sst::cli::traceMain},
     {"list", "enumerate registered profiles, scheds, frontends, mixes",
      sst::cli::listMain},

@@ -115,8 +115,8 @@ opSourceRegistry()
                   false});
         r.add("trace",
               OpSourceFrontend{
-                  "replay recorded .sstt op traces from trace-dir (see "
-                  "`sst trace record`)",
+                  "replay recorded .sstt op traces from trace-dir "
+                  "(written by --record-dir)",
                   true});
         r.add("pipeline",
               OpSourceFrontend{

@@ -350,43 +350,6 @@ TraceReader::baselineSource(int group) const
 }
 
 void
-TraceReader::requireCompatible(std::uint64_t profile_hash, int nthreads,
-                               SchedPolicy policy,
-                               std::uint64_t sched_seed) const
-{
-    if (meta_.groups.size() != 1) {
-        throw TraceError(
-            "trace workload mismatch: trace '" + meta_.label +
-            "' records a " + std::string(workloadRoleName(meta_.role)) +
-            " of " + std::to_string(meta_.groups.size()) +
-            " programs, replay requested a single profile");
-    }
-    if (nthreads != meta_.nthreads) {
-        throw TraceError(
-            "trace thread-count mismatch: trace '" + meta_.label +
-            "' was recorded with " + std::to_string(meta_.nthreads) +
-            " threads, replay requested " + std::to_string(nthreads));
-    }
-    if (profile_hash != meta_.profileHash) {
-        throw TraceError(
-            "trace profile mismatch: trace '" + meta_.label +
-            "' was recorded from a different profile "
-            "(stale trace? re-record it)");
-    }
-    requireSchedPolicy(policy);
-    if (meta_.schedPolicy == SchedPolicy::kRandom &&
-        sched_seed != meta_.schedSeed) {
-        // Deterministic policies ignore the seed, so only random
-        // recordings are seed-specific.
-        throw TraceError(
-            "trace scheduler-seed mismatch: trace '" + meta_.label +
-            "' was recorded with --sched-seed " +
-            std::to_string(meta_.schedSeed) + ", replay requested " +
-            std::to_string(sched_seed) + " (re-record the trace)");
-    }
-}
-
-void
 TraceReader::requireCompatibleWorkload(
     WorkloadRole role, const std::vector<trace::TraceGroup> &groups,
     SchedPolicy policy, std::uint64_t sched_seed) const
@@ -428,6 +391,8 @@ TraceReader::requireCompatibleWorkload(
     requireSchedPolicy(policy);
     if (meta_.schedPolicy == SchedPolicy::kRandom &&
         sched_seed != meta_.schedSeed) {
+        // Deterministic policies ignore the seed, so only random
+        // recordings are seed-specific.
         throw TraceError(
             "trace scheduler-seed mismatch: trace '" + meta_.label +
             "' was recorded with --sched-seed " +
@@ -445,7 +410,7 @@ TraceReader::requireSchedPolicy(SchedPolicy policy) const
             meta_.label + "' was recorded under --sched " +
             schedPolicyLabel(meta_.schedPolicy) +
             ", replay requested --sched " + schedPolicyLabel(policy) +
-            " (re-record the trace or drop the flag)");
+            " (re-record the trace under that policy)");
     }
 }
 

@@ -122,17 +122,6 @@ class TraceReader
     std::unique_ptr<OpSource> baselineSource(int group = 0) const;
 
     /**
-     * Validate that this trace can stand in for a live run of
-     * @p nthreads threads of the profile hashed as @p profile_hash
-     * under scheduler @p policy with RNG stream @p sched_seed — the
-     * homogeneous check (also rejects multi-group recordings). Throws
-     * TraceError naming the mismatched axis.
-     */
-    void requireCompatible(std::uint64_t profile_hash, int nthreads,
-                           SchedPolicy policy,
-                           std::uint64_t sched_seed) const;
-
-    /**
      * Validate that this trace records exactly the workload described
      * by @p role and the expected @p groups (per-group thread counts
      * and profile fingerprints, in order) under @p policy /
@@ -145,14 +134,11 @@ class TraceReader
                                    SchedPolicy policy,
                                    std::uint64_t sched_seed) const;
 
-    /**
-     * Validate only the scheduler-policy axis (the trace CLI's
-     * `replay --sched` check, where profile/thread identity comes from
-     * the file itself). Throws TraceError on mismatch.
-     */
+  private:
+    /** Throw TraceError unless the trace was recorded under
+     *  @p policy. */
     void requireSchedPolicy(SchedPolicy policy) const;
 
-  private:
     struct StreamIndex
     {
         std::uint64_t offset = 0; ///< into the container

@@ -1,7 +1,6 @@
 #include "trace_run.hh"
 
 #include <cstdio>
-#include <fstream>
 
 #include "cache/hierarchy.hh"
 #include "driver/fingerprint.hh"
@@ -108,44 +107,10 @@ traceMetaFor(const WorkloadSpec &workload, const SimParams &params)
 }
 
 std::string
-tracePathFor(const std::string &dir, const BenchmarkProfile &profile,
-             int nthreads, std::uint64_t seed_offset, SchedPolicy policy,
-             std::uint64_t sched_seed)
-{
-    std::string path = dir;
-    if (!path.empty() && path.back() != '/')
-        path += '/';
-    path += profile.label();
-    path += "_t";
-    path += std::to_string(nthreads);
-    if (seed_offset != 0) {
-        path += "_s";
-        path += std::to_string(seed_offset);
-    }
-    if (policy != SchedPolicy::kAffinityFifo) {
-        path += '_';
-        path += schedPolicyLabel(policy);
-        // The RNG stream only shapes random schedules; deterministic
-        // policies share one recording regardless of the seed field.
-        if (canonicalSchedSeed(policy, sched_seed) != 0) {
-            path += "_ss";
-            path += std::to_string(sched_seed);
-        }
-    }
-    path += trace::kFileSuffix;
-    return path;
-}
-
-std::string
 tracePathFor(const std::string &dir, const WorkloadSpec &workload,
              std::uint64_t seed_offset, SchedPolicy policy,
              std::uint64_t sched_seed)
 {
-    if (!workload.wdlProgram && workload.isHomogeneous()) {
-        return tracePathFor(dir, workload.groups[0].profile,
-                            workload.nthreads(), seed_offset, policy,
-                            sched_seed);
-    }
     std::string path = dir;
     if (!path.empty() && path.back() != '/')
         path += '/';
@@ -172,6 +137,8 @@ tracePathFor(const std::string &dir, const WorkloadSpec &workload,
     if (policy != SchedPolicy::kAffinityFifo) {
         path += '_';
         path += schedPolicyLabel(policy);
+        // The RNG stream only shapes random schedules; deterministic
+        // policies share one recording regardless of the seed field.
         if (canonicalSchedSeed(policy, sched_seed) != 0) {
             path += "_ss";
             path += std::to_string(sched_seed);
@@ -206,71 +173,6 @@ appendGeneratedBaseline(TraceWriter &writer, const WorkloadSpec &workload,
     writer.setStream(writer.baselineStream(group),
                      std::make_shared<const trace::OpEncoder>(
                          encodeGeneratedBaseline(workload, group)));
-}
-
-SpeedupExperiment
-recordSpeedupTrace(const SimParams &params, const WorkloadSpec &workload,
-                   const std::string &path, std::uint64_t *ops_recorded)
-{
-    workload.validate();
-    const int nthreads = workload.nthreads();
-    if (nthreads < 1 || nthreads > static_cast<int>(trace::kMaxThreads)) {
-        throw TraceError("cannot record a trace with " +
-                         std::to_string(nthreads) +
-                         " threads (format limit " +
-                         std::to_string(trace::kMaxThreads) + ")");
-    }
-    // Probe the output path up front: an unwritable destination should
-    // fail in milliseconds, not after the simulations have run. Probe
-    // the temp name writeFile() publishes through, so a never-completed
-    // recording leaves no file at the final path.
-    {
-        const std::string tmp = path + ".tmp";
-        std::ofstream probe(tmp, std::ios::binary | std::ios::app);
-        if (!probe)
-            throw TraceError("cannot open trace file for writing: " +
-                             tmp);
-    }
-    TraceWriter writer(traceMetaFor(workload, params));
-
-    // All runs execute exactly as in runExperiment(); the recording
-    // shim forwards every op unchanged, so the returned experiment is
-    // the live result, not an approximation of it. Each group's
-    // 1-thread reference run records into its own baseline stream.
-    std::vector<RunResult> bases;
-    bases.reserve(workload.groups.size());
-    for (std::size_t g = 0; g < workload.groups.size(); ++g) {
-        const OpSourceFactory base =
-            workloadGroupBaselineSources(workload, static_cast<int>(g));
-        const int stream = writer.baselineStream(static_cast<int>(g));
-        bases.push_back(simulateSources(
-            params,
-            [&](ThreadId tid, int n) -> std::unique_ptr<OpSource> {
-                return std::make_unique<RecordingSource>(base(tid, n),
-                                                         writer, stream);
-            },
-            1));
-    }
-
-    const OpSourceFactory inner = workloadOpSources(workload);
-    const ThreadTopology topo = workload.topology(nthreads);
-    RunResult parallel = simulateSources(
-        params,
-        [&](ThreadId tid, int n) -> std::unique_ptr<OpSource> {
-            return std::make_unique<RecordingSource>(inner(tid, n),
-                                                     writer, tid);
-        },
-        nthreads, 0, &topo);
-
-    writer.writeFile(path);
-    if (ops_recorded) {
-        *ops_recorded = 0;
-        for (int s = 0; s < nthreads + workload.ngroups(); ++s)
-            *ops_recorded += writer.opCount(s);
-    }
-    return assembleExperiment(workload.label(), nthreads, params,
-                              combineGroupBaselines(bases),
-                              std::move(parallel));
 }
 
 RunResult
@@ -311,32 +213,6 @@ replayBaseline(const SimParams &params, const TraceReader &reader,
             return reader.baselineSource(group);
         },
         1);
-}
-
-SpeedupExperiment
-replaySpeedupTrace(const SimParams &params, const std::string &path)
-{
-    const TraceReader reader(path);
-    return replaySpeedupTrace(params, reader);
-}
-
-SpeedupExperiment
-replaySpeedupTrace(const SimParams &params, const TraceReader &reader)
-{
-    // Re-simulate under the recorded scheduler policy and RNG stream:
-    // the recorded stacks only reproduce bit for bit under the schedule
-    // they were captured with. Callers that demand a specific policy
-    // check the header first (requireCompatible / trace's --sched).
-    SimParams p = params;
-    p.schedPolicy = reader.meta().schedPolicy;
-    p.schedSeed = reader.meta().schedSeed;
-    std::vector<RunResult> bases;
-    bases.reserve(reader.meta().groups.size());
-    for (int g = 0; g < reader.ngroups(); ++g)
-        bases.push_back(replayBaseline(p, reader, g));
-    return assembleExperiment(reader.meta().label, reader.meta().nthreads,
-                              p, combineGroupBaselines(bases),
-                              replayParallel(p, reader));
 }
 
 } // namespace sst

@@ -1,11 +1,11 @@
 /**
  * @file
- * High-level trace workflows tying the capture/replay primitives to the
- * experiment machinery: record a profile's speedup experiment while
- * writing the trace (live results come for free), replay a recorded
- * trace into a bit-identical experiment without constructing a single
- * ThreadProgram, and the canonical trace-directory naming the driver's
- * `--trace-dir` mode uses to find recordings.
+ * The trace primitives the driver records and replays through
+ * (`--record-dir` / `--trace-dir`): workload identities for trace
+ * headers, the canonical trace-directory naming, baseline streams
+ * encoded by pure generation, and re-simulation of one recorded run
+ * without constructing a single ThreadProgram. Assembling the speedup
+ * experiment from those runs is the driver's job.
  */
 
 #ifndef SST_TRACE_TRACE_RUN_HH
@@ -13,8 +13,8 @@
 
 #include <string>
 
-#include "core/experiment.hh"
 #include "sim/params.hh"
+#include "sim/run_result.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_writer.hh"
 #include "workload/profile.hh"
@@ -44,25 +44,17 @@ trace::TraceMeta traceMetaFor(const WorkloadSpec &workload,
                               const SimParams &params);
 
 /**
- * Canonical path of @p profile's @p nthreads-thread trace in @p dir.
+ * Canonical path of @p workload's trace in @p dir. Homogeneous specs
+ * are named by profile label and thread count ("cholesky_t4.sstt");
+ * heterogeneous specs by the workload label ("a:8+b:8_t16.sstt"), and
+ * WDL workloads also carry a short hash of their compiled program.
  * A nonzero replication stream (@p seed_offset, see JobSpec) gets its
  * own `_sK` suffix, a non-default scheduler policy a `_<policy>`
  * suffix, and a random-policy RNG stream a further `_ssK` suffix — so
  * recordings of different configurations coexist instead of silently
  * overwriting each other, and a sweep at a different configuration
  * falls back to live generation instead of tripping over the wrong
- * recording. Default-configuration names are unchanged.
- */
-std::string tracePathFor(const std::string &dir,
-                         const BenchmarkProfile &profile, int nthreads,
-                         std::uint64_t seed_offset = 0,
-                         SchedPolicy policy = SchedPolicy::kAffinityFifo,
-                         std::uint64_t sched_seed = 0);
-
-/**
- * As above for a whole workload: homogeneous specs keep the historical
- * profile naming; heterogeneous specs name the file by the workload
- * label ("a:8+b:8_t16.sstt").
+ * recording.
  */
 std::string tracePathFor(const std::string &dir,
                          const WorkloadSpec &workload,
@@ -86,22 +78,6 @@ trace::OpEncoder encodeGeneratedBaseline(const WorkloadSpec &workload,
 void appendGeneratedBaseline(TraceWriter &writer,
                              const WorkloadSpec &workload, int group);
 
-/**
- * Run the full speedup experiment of @p workload while recording every
- * op stream: per-group 1-thread reference runs (each recorded into its
- * baseline stream) plus the co-scheduled parallel run, all captured
- * into one container written to @p path. Returns the live experiment —
- * identical to what runExperiment() produces, since the capture shim is
- * transparent. Throws TraceError (not an assert) on an out-of-range
- * thread count or an unwritable path.
- *
- * @param[out] ops_recorded total ops across all streams when non-null
- */
-SpeedupExperiment recordSpeedupTrace(const SimParams &params,
-                                     const WorkloadSpec &workload,
-                                     const std::string &path,
-                                     std::uint64_t *ops_recorded = nullptr);
-
 /** Replay the parallel run of @p reader (one core per thread, like
  *  simulateWorkload(); the recorded workload's barrier quorums and
  *  affinity hints are reconstructed from the header's group table). */
@@ -111,21 +87,6 @@ RunResult replayParallel(const SimParams &params,
 /** Replay group @p group's sequential reference run of @p reader. */
 RunResult replayBaseline(const SimParams &params,
                          const TraceReader &reader, int group = 0);
-
-/**
- * Re-simulate both recorded runs of the trace at @p path and assemble
- * the speedup experiment. The scheduler policy recorded in the trace
- * header overrides @p params.schedPolicy (recorded stacks only
- * reproduce under the schedule they were captured with). Bit-identical
- * to the experiment measured at record time when @p params matches; no
- * workload generation happens on this path.
- */
-SpeedupExperiment replaySpeedupTrace(const SimParams &params,
-                                     const std::string &path);
-
-/** As above, over an already-opened reader (saves a re-parse). */
-SpeedupExperiment replaySpeedupTrace(const SimParams &params,
-                                     const TraceReader &reader);
 
 } // namespace sst
 

@@ -264,6 +264,9 @@ TEST(SchedPolicy, RawDecodingRejectsOutOfRange)
 
 // ---- trace header carries the policy ---------------------------------------
 
+/** The one group of the 1-thread recordings below. */
+const std::vector<trace::TraceGroup> kOneThread = {{1, 0x1234, "t"}};
+
 TEST(SchedTrace, PolicyMismatchRejected)
 {
     trace::TraceMeta meta;
@@ -281,16 +284,17 @@ TEST(SchedTrace, PolicyMismatchRejected)
     const TraceReader reader = TraceReader::fromBytes(writer.serialize());
     EXPECT_EQ(reader.meta().schedPolicy, SchedPolicy::kRoundRobin);
     EXPECT_EQ(reader.meta().schedSeed, 9u);
-    EXPECT_NO_THROW(reader.requireCompatible(0x1234, 1,
-                                             SchedPolicy::kRoundRobin,
-                                             9));
-    EXPECT_THROW(reader.requireCompatible(0x1234, 1,
-                                          SchedPolicy::kAffinityFifo, 9),
+    EXPECT_NO_THROW(reader.requireCompatibleWorkload(
+        WorkloadRole::kReplicated, kOneThread, SchedPolicy::kRoundRobin,
+        9));
+    EXPECT_THROW(reader.requireCompatibleWorkload(
+                     WorkloadRole::kReplicated, kOneThread,
+                     SchedPolicy::kAffinityFifo, 9),
                  TraceError);
     // Deterministic policies ignore the RNG stream: any seed matches.
-    EXPECT_NO_THROW(reader.requireCompatible(0x1234, 1,
-                                             SchedPolicy::kRoundRobin,
-                                             0));
+    EXPECT_NO_THROW(reader.requireCompatibleWorkload(
+        WorkloadRole::kReplicated, kOneThread, SchedPolicy::kRoundRobin,
+        0));
 }
 
 TEST(SchedTrace, RandomSeedMismatchRejected)
@@ -308,10 +312,11 @@ TEST(SchedTrace, RandomSeedMismatchRejected)
     writer.append(1, end);
 
     const TraceReader reader = TraceReader::fromBytes(writer.serialize());
-    EXPECT_NO_THROW(reader.requireCompatible(0x1234, 1,
-                                             SchedPolicy::kRandom, 9));
-    EXPECT_THROW(reader.requireCompatible(0x1234, 1,
-                                          SchedPolicy::kRandom, 0),
+    EXPECT_NO_THROW(reader.requireCompatibleWorkload(
+        WorkloadRole::kReplicated, kOneThread, SchedPolicy::kRandom, 9));
+    EXPECT_THROW(reader.requireCompatibleWorkload(
+                     WorkloadRole::kReplicated, kOneThread,
+                     SchedPolicy::kRandom, 0),
                  TraceError);
 }
 

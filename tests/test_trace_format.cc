@@ -226,6 +226,17 @@ TEST(TraceFormat, TrailingGarbageThrows)
     EXPECT_THROW(TraceReader::fromBytes(std::move(bytes)), TraceError);
 }
 
+/** Check @p reader against a homogeneous @p nthreads-thread workload
+ *  whose profile hashes to @p profile_hash. */
+void
+requireHomogeneous(const TraceReader &reader, std::uint64_t profile_hash,
+                   int nthreads, SchedPolicy policy)
+{
+    reader.requireCompatibleWorkload(
+        WorkloadRole::kReplicated,
+        {{nthreads, profile_hash, reader.meta().label}}, policy, 0);
+}
+
 TEST(TraceFormat, Version1HeaderStillReadable)
 {
     // v1 predates the scheduler fields: header is magic, version,
@@ -252,8 +263,8 @@ TEST(TraceFormat, Version1HeaderStillReadable)
     EXPECT_EQ(reader.meta().nthreads, 1);
     EXPECT_EQ(reader.meta().schedPolicy, SchedPolicy::kAffinityFifo);
     EXPECT_EQ(reader.meta().schedSeed, 0u);
-    EXPECT_NO_THROW(reader.requireCompatible(
-        0xfeedULL, 1, SchedPolicy::kAffinityFifo, 0));
+    EXPECT_NO_THROW(requireHomogeneous(reader, 0xfeedULL, 1,
+                                       SchedPolicy::kAffinityFifo));
 }
 
 TEST(TraceFormat, MissingEndMarkerThrows)
@@ -280,25 +291,25 @@ TEST(TraceFormat, MissingEndMarkerThrows)
 TEST(TraceFormat, CompatibilityChecks)
 {
     const TraceReader reader = TraceReader::fromBytes(tinyTraceBytes());
-    EXPECT_NO_THROW(reader.requireCompatible(
-        0xfeedULL, 2, SchedPolicy::kAffinityFifo, 0));
+    EXPECT_NO_THROW(requireHomogeneous(reader, 0xfeedULL, 2,
+                                       SchedPolicy::kAffinityFifo));
 
     // Thread-count mismatch names both counts.
     try {
-        reader.requireCompatible(0xfeedULL, 4,
-                                 SchedPolicy::kAffinityFifo, 0);
+        requireHomogeneous(reader, 0xfeedULL, 4,
+                           SchedPolicy::kAffinityFifo);
         FAIL() << "expected TraceError";
     } catch (const TraceError &e) {
         EXPECT_NE(std::string(e.what()).find("thread-count"),
                   std::string::npos);
     }
     // Profile mismatch (stale trace).
-    EXPECT_THROW(reader.requireCompatible(0xbeefULL, 2,
-                                          SchedPolicy::kAffinityFifo, 0),
+    EXPECT_THROW(requireHomogeneous(reader, 0xbeefULL, 2,
+                                    SchedPolicy::kAffinityFifo),
                  TraceError);
     // Scheduler-policy mismatch names both policies.
     try {
-        reader.requireCompatible(0xfeedULL, 2, SchedPolicy::kRandom, 0);
+        requireHomogeneous(reader, 0xfeedULL, 2, SchedPolicy::kRandom);
         FAIL() << "expected TraceError";
     } catch (const TraceError &e) {
         EXPECT_NE(std::string(e.what()).find("scheduler-policy"),
@@ -332,12 +343,13 @@ TEST(TraceRun, ProfileHashTracksOpStreamKnobs)
 TEST(TraceRun, TracePathUsesLabelAndThreads)
 {
     const BenchmarkProfile p = test::computeOnlyProfile();
-    EXPECT_EQ(tracePathFor("/tmp/traces", p, 4),
+    const WorkloadSpec t4 = WorkloadSpec::homogeneous(p, 4);
+    EXPECT_EQ(tracePathFor("/tmp/traces", t4),
               "/tmp/traces/t-compute_t4.sstt");
-    EXPECT_EQ(tracePathFor("/tmp/traces/", p, 16),
+    EXPECT_EQ(tracePathFor("/tmp/traces/", WorkloadSpec::homogeneous(p, 16)),
               "/tmp/traces/t-compute_t16.sstt");
     // Replication streams get their own recordings.
-    EXPECT_EQ(tracePathFor("/tmp/traces", p, 4, 3),
+    EXPECT_EQ(tracePathFor("/tmp/traces", t4, 3),
               "/tmp/traces/t-compute_t4_s3.sstt");
 }
 

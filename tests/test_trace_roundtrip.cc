@@ -1,13 +1,13 @@
 /**
  * @file
- * End-to-end trace round-trip tests: recording a run and replaying it
- * from the binary trace must reproduce the live results bit for bit —
+ * End-to-end trace round-trip tests: recording a job through the
+ * driver (--record-dir) and replaying it from the binary trace
+ * (--trace-dir) must reproduce the live results bit for bit —
  * execution times, speedup-stack components and every per-thread
  * accounting counter — across profiles and thread counts. Also covers
- * the driver's --trace-dir mode: replayed batches match live batches,
- * missing traces fall back to generation, stale or malformed traces fail
- * their job loudly, and --record-dir writes the same bytes at any
- * worker count.
+ * the rest of the --trace-dir mode: missing traces fall back to
+ * generation, stale or malformed traces fail their job loudly, and
+ * --record-dir writes the same bytes at any worker count.
  */
 
 #include <filesystem>
@@ -36,26 +36,31 @@ freshTempDir(const char *name)
 }
 
 /**
- * Record -> replay for one (profile, nthreads) point and demand
- * bit-identical results everywhere.
+ * Record -> replay for one (profile, nthreads) point through the
+ * driver and demand bit-identical results everywhere.
  */
 void
 roundTrip(const std::string &dir, const BenchmarkProfile &profile,
           int nthreads)
 {
     SCOPED_TRACE(profile.label() + " @" + std::to_string(nthreads));
-    const std::string path = tracePathFor(dir, profile, nthreads);
-    const SimParams params;
-    const WorkloadSpec workload = WorkloadSpec::homogeneous(profile, nthreads);
+    const JobSpec spec = JobSpec::forProfile(profile, nthreads);
+    const SpeedupExperiment reference =
+        runExperiment(spec.params, spec.workload);
 
-    const SpeedupExperiment live =
-        recordSpeedupTrace(params, workload, path);
-    const SpeedupExperiment replayed = replaySpeedupTrace(params, path);
-    test::expectSameExperiment(live, replayed);
-
-    // The recording shim must also be transparent: the live experiment
+    // The recording shim must be transparent: the live experiment
     // measured while recording equals a plain run without the shim.
-    test::expectSameExperiment(live, runExperiment(params, workload));
+    const std::vector<JobResult> live = test::recordTraces({spec}, dir);
+    ASSERT_TRUE(live[0].ok()) << live[0].error;
+    test::expectSameExperiment(live[0].exp, reference);
+
+    DriverOptions opts;
+    opts.traceDir = dir;
+    const std::vector<JobResult> replayed =
+        runExperimentBatch({spec}, opts);
+    ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
+    EXPECT_TRUE(replayed[0].tracedReplay);
+    test::expectSameExperiment(replayed[0].exp, reference);
 }
 
 // Three Figure-6 profiles spanning the behaviour classes (good /
@@ -101,18 +106,10 @@ TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
         makeJob(test::lockHeavyProfile(), 4),
         makeJob(test::barrierHeavyProfile(), 2)};
 
-    const SimParams params;
-    for (const JobSpec &s : specs) {
-        const BenchmarkProfile &profile = s.workload.groups[0].profile;
-        recordSpeedupTrace(params, s.workload,
-                           tracePathFor(dir, profile, s.nthreads()));
-    }
+    const std::vector<JobResult> fresh = test::recordTraces(specs, dir, 2);
 
-    DriverOptions live;
-    live.jobs = 2;
-    const std::vector<JobResult> fresh = runExperimentBatch(specs, live);
-
-    DriverOptions traced = live;
+    DriverOptions traced;
+    traced.jobs = 2;
     traced.traceDir = dir;
     BatchStats stats;
     const std::vector<JobResult> replayed =
@@ -123,7 +120,10 @@ TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         ASSERT_TRUE(replayed[i].ok()) << replayed[i].error;
         EXPECT_TRUE(replayed[i].tracedReplay);
-        test::expectSameExperiment(replayed[i].exp, fresh[i].exp);
+        const SpeedupExperiment reference =
+            runExperiment(specs[i].params, specs[i].workload);
+        test::expectSameExperiment(fresh[i].exp, reference);
+        test::expectSameExperiment(replayed[i].exp, reference);
     }
     std::filesystem::remove_all(dir);
 }
@@ -136,8 +136,7 @@ TEST(DriverTrace, JobsSharingOneTraceEachReplayIt)
     // their live rows.
     const std::string dir = freshTempDir("driver_shared");
     const BenchmarkProfile profile = test::lockHeavyProfile();
-    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(profile, 4),
-                       tracePathFor(dir, profile, 4));
+    test::recordTraces({makeJob(profile, 4)}, dir);
     JobSpec small = makeJob(profile, 4);
     JobSpec large = small;
     large.params.cache.llcBytes *= 2;
@@ -184,8 +183,7 @@ TEST(DriverTrace, SeedOffsetLooksUpItsOwnRecording)
     // (different op streams): the job falls back to live generation.
     const std::string dir = freshTempDir("driver_seed_offset");
     const BenchmarkProfile profile = test::computeOnlyProfile();
-    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(profile, 2),
-                       tracePathFor(dir, profile, 2));
+    test::recordTraces({makeJob(profile, 2)}, dir);
 
     JobSpec offset = makeJob(profile, 2);
     offset.seedOffset = 1;
@@ -204,8 +202,7 @@ TEST(DriverTrace, StaleTraceFailsTheJobLoudly)
 {
     const std::string dir = freshTempDir("driver_stale");
     BenchmarkProfile profile = test::computeOnlyProfile();
-    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(profile, 2),
-                       tracePathFor(dir, profile, 2));
+    test::recordTraces({makeJob(profile, 2)}, dir);
 
     // Same label, different op streams: the recording is now stale.
     profile.seed += 1;
@@ -261,7 +258,7 @@ writeCorruptTrace(const std::string &dir, const BenchmarkProfile &profile,
         writer.baselineStream(),
         encodeWithSplice(*workloadGroupBaselineSources(w, 0)(0, 1),
                          in_baseline ? bad : ""));
-    writer.writeFile(tracePathFor(dir, profile, nthreads));
+    writer.writeFile(tracePathFor(dir, w));
 }
 
 TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
@@ -276,15 +273,12 @@ TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
                           std::string(9, '\x80') + "\x7e" +
                           std::string(1, '\0')); // varint overflow
     const BenchmarkProfile good = test::computeOnlyProfile();
-    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(good, 2),
-                       tracePathFor(dir, good, 2));
     // A malformed baseline stream, whose 1-thread run shares its key
     // with a valid recording (3 threads) and a live job (4 threads, no
     // recording). Baseline jobs never read a recording.
     const BenchmarkProfile barrier = test::barrierHeavyProfile();
     writeCorruptTrace(dir, barrier, 2, "\x2a", true);
-    recordSpeedupTrace(SimParams{}, WorkloadSpec::homogeneous(barrier, 3),
-                       tracePathFor(dir, barrier, 3));
+    test::recordTraces({makeJob(good, 2), makeJob(barrier, 3)}, dir);
 
     const std::vector<JobSpec> specs = {
         makeJob(barrier, 2), makeJob(bad, 2), makeJob(good, 2),
@@ -374,7 +368,7 @@ TEST(DriverTrace, RecordingIsIdenticalAcrossWorkerCounts)
     const TraceReader v2(std::string(SST_TESTS_DATA_DIR) +
                          "/homogeneous_v2.sstt");
     EXPECT_NO_THROW(v2.validate());
-    EXPECT_EQ(replaySpeedupTrace(SimParams{}, v2).tp, 27461u);
+    EXPECT_EQ(replayParallel(SimParams{}, v2).executionTime, 27461u);
     for (const std::string &dir : dirs)
         std::filesystem::remove_all(dir);
 }

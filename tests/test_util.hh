@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the test suite: small controlled benchmark profiles
- * that exercise one mechanism at a time, and exact-equality checks of
- * experiments and runs.
+ * that exercise one mechanism at a time, exact-equality checks of
+ * experiments and runs, and trace recording through the driver.
  */
 
 #ifndef SST_TESTS_TEST_UTIL_HH
@@ -10,8 +10,13 @@
 
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hh"
+#include "driver/driver.hh"
+#include "sim/system.hh"
+#include "trace/trace_run.hh"
 #include "workload/op_source.hh"
 #include "workload/profile.hh"
 
@@ -217,6 +222,42 @@ expectSameExperiment(const SpeedupExperiment &a, const SpeedupExperiment &b)
     expectSameSummary(a, b);
     expectSameRun(a.single, b.single);
     expectSameRun(a.parallel, b.parallel);
+}
+
+/**
+ * Run @p specs through the driver, with no result cache, while it
+ * records each job's canonical trace into @p dir (`--record-dir`).
+ * Returns the live results. Every job must succeed and be recorded.
+ * Each recorded baseline stream must also replay to the generated
+ * 1-thread run of its group, counter for counter: the driver never
+ * reads those streams back, but `sst trace info` checks them and the
+ * layer benchmark replays them.
+ */
+inline std::vector<JobResult>
+recordTraces(const std::vector<JobSpec> &specs, const std::string &dir,
+             int jobs = 1)
+{
+    DriverOptions opts;
+    opts.jobs = jobs;
+    opts.recordDir = dir;
+    const std::vector<JobResult> results = runExperimentBatch(specs, opts);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const JobSpec &spec = specs[i];
+        EXPECT_TRUE(results[i].ok()) << results[i].error;
+        EXPECT_TRUE(results[i].traceRecorded) << spec.label();
+        if (!results[i].traceRecorded)
+            continue;
+        const WorkloadSpec w = spec.effectiveWorkload();
+        const TraceReader reader(tracePathFor(
+            dir, w, spec.seedOffset, spec.params.schedPolicy,
+            spec.params.schedSeed));
+        for (int g = 0; g < w.ngroups(); ++g)
+            expectSameRun(
+                replayBaseline(spec.params, reader, g),
+                simulateSources(spec.params,
+                                workloadGroupBaselineSources(w, g), 1));
+    }
+    return results;
 }
 
 } // namespace test

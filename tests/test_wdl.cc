@@ -330,16 +330,23 @@ TEST(WdlDriver, ResultsIdenticalAcrossWorkerCounts)
 
 TEST(WdlTrace, RecordThenReplayIsBitIdentical)
 {
-    const WorkloadSpec workload = specFromText(kContention, "t.wdl");
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "t_wdl_trace.sstt")
-            .string();
-    const SimParams params;
-    const SpeedupExperiment live =
-        recordSpeedupTrace(params, workload, path);
-    const SpeedupExperiment replayed = replaySpeedupTrace(params, path);
-    test::expectSameExperiment(live, replayed);
-    std::remove(path.c_str());
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "t_wdl_trace").string();
+    std::filesystem::remove_all(dir);
+    const JobSpec job = wdlJob(kContention);
+    const SpeedupExperiment reference =
+        runExperiment(job.params, job.effectiveWorkload());
+    const std::vector<JobResult> live = test::recordTraces({job}, dir);
+    ASSERT_TRUE(live[0].ok()) << live[0].error;
+    test::expectSameExperiment(live[0].exp, reference);
+
+    DriverOptions opts;
+    opts.traceDir = dir;
+    const std::vector<JobResult> replayed = runExperimentBatch({job}, opts);
+    ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
+    EXPECT_TRUE(replayed[0].tracedReplay);
+    test::expectSameExperiment(replayed[0].exp, reference);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(WdlDriver, MixExperimentMatchesDriverRow)

@@ -298,29 +298,28 @@ TEST(WorkloadTrace, V2FixtureReplaysAsHomogeneousBitIdentically)
     EXPECT_EQ(reader.meta().groups[0].profileHash,
               traceProfileHash(test::computeOnlyProfile()));
 
-    const SpeedupExperiment replayed =
-        replaySpeedupTrace(SimParams{}, reader);
+    const RunResult single = replayBaseline(SimParams{}, reader);
+    const RunResult parallel = replayParallel(SimParams{}, reader);
     const SpeedupExperiment live = runExperiment(
         SimParams{}, WorkloadSpec::homogeneous(test::computeOnlyProfile(), 2));
-    EXPECT_EQ(replayed.ts, live.ts);
-    EXPECT_EQ(replayed.tp, live.tp);
-    EXPECT_EQ(replayed.actualSpeedup, live.actualSpeedup);
-    EXPECT_EQ(replayed.estimatedSpeedup, live.estimatedSpeedup);
+    test::expectSameRun(single, live.single);
+    test::expectSameRun(parallel, live.parallel);
     // Anchors from the pre-refactor build, so a drift in either the
     // reader or the homogeneous simulation fails loudly.
-    EXPECT_EQ(replayed.ts, 54000u);
-    EXPECT_EQ(replayed.tp, 27461u);
+    EXPECT_EQ(single.executionTime, 54000u);
+    EXPECT_EQ(parallel.executionTime, 27461u);
 }
 
 TEST(WorkloadTrace, RequireCompatibleRejectsPerThreadProfileMismatch)
 {
     const std::string dir = ::testing::TempDir() + "sst_mix_trace";
-    std::filesystem::create_directories(dir);
-    const WorkloadSpec mix = smallMix();
-    const std::string path = tracePathFor(dir, mix);
-    recordSpeedupTrace(SimParams{}, mix, path);
+    std::filesystem::remove_all(dir);
+    JobSpec job;
+    job.workload = smallMix();
+    test::recordTraces({job}, dir);
+    const WorkloadSpec mix = job.effectiveWorkload();
 
-    const TraceReader reader(path);
+    const TraceReader reader(tracePathFor(dir, mix));
     EXPECT_EQ(reader.meta().version, trace::kTraceVersion);
     EXPECT_EQ(reader.meta().role, WorkloadRole::kMix);
     ASSERT_EQ(reader.ngroups(), 2);
@@ -348,30 +347,37 @@ TEST(WorkloadTrace, RequireCompatibleRejectsPerThreadProfileMismatch)
                      WorkloadRole::kPipeline, traceGroupsOf(mix),
                      SchedPolicy::kAffinityFifo, 0),
                  TraceError);
-    // The homogeneous check refuses multi-group recordings outright.
-    EXPECT_THROW(reader.requireCompatible(
-                     traceProfileHash(mix.groups[0].profile), 4,
-                     SchedPolicy::kAffinityFifo, 0),
-                 TraceError);
+    // A request for one group refuses a two-group recording.
+    try {
+        reader.requireCompatibleWorkload(mix.role, {traceGroupsOf(mix)[0]},
+                                         SchedPolicy::kAffinityFifo, 0);
+        FAIL() << "expected TraceError";
+    } catch (const TraceError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("records 2 program groups"), std::string::npos)
+            << what;
+    }
     std::filesystem::remove_all(dir);
 }
 
 TEST(WorkloadTrace, MixRecordReplayRoundTripsBitIdentically)
 {
     const std::string dir = ::testing::TempDir() + "sst_mix_rt";
-    std::filesystem::create_directories(dir);
-    const WorkloadSpec mix = smallMix();
-    const std::string path = tracePathFor(dir, mix);
-    const SpeedupExperiment live =
-        recordSpeedupTrace(SimParams{}, mix, path);
-    const SpeedupExperiment replayed =
-        replaySpeedupTrace(SimParams{}, path);
-    EXPECT_EQ(replayed.ts, live.ts);
-    EXPECT_EQ(replayed.tp, live.tp);
-    EXPECT_EQ(replayed.actualSpeedup, live.actualSpeedup);
-    EXPECT_EQ(replayed.estimatedSpeedup, live.estimatedSpeedup);
-    EXPECT_EQ(replayed.stack.negLlc, live.stack.negLlc);
-    EXPECT_EQ(replayed.stack.yield, live.stack.yield);
+    std::filesystem::remove_all(dir);
+    JobSpec job;
+    job.workload = smallMix();
+    const SpeedupExperiment reference =
+        runExperiment(job.params, job.effectiveWorkload());
+    const std::vector<JobResult> live = test::recordTraces({job}, dir);
+    ASSERT_TRUE(live[0].ok()) << live[0].error;
+    test::expectSameExperiment(live[0].exp, reference);
+
+    DriverOptions opts;
+    opts.traceDir = dir;
+    const std::vector<JobResult> replayed = runExperimentBatch({job}, opts);
+    ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
+    EXPECT_TRUE(replayed[0].tracedReplay);
+    test::expectSameExperiment(replayed[0].exp, reference);
     std::filesystem::remove_all(dir);
 }
 
@@ -436,10 +442,16 @@ TEST(WorkloadDriver, RecordDirCapturesFreshJobsOnly)
     EXPECT_EQ(stats.tracesRecorded, 0u);
 
     // The captured trace replays bit-identically to the live run.
-    const SpeedupExperiment replayed =
-        replaySpeedupTrace(jobs[0].params, path);
-    EXPECT_EQ(replayed.ts, fresh[0].exp.ts);
-    EXPECT_EQ(replayed.tp, fresh[0].exp.tp);
+    const SpeedupExperiment reference =
+        runExperiment(jobs[0].params, jobs[0].effectiveWorkload());
+    test::expectSameExperiment(fresh[0].exp, reference);
+    DriverOptions replay;
+    replay.traceDir = rec;
+    const std::vector<JobResult> replayed =
+        runExperimentBatch(jobs, replay);
+    ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
+    EXPECT_TRUE(replayed[0].tracedReplay);
+    test::expectSameExperiment(replayed[0].exp, reference);
     std::filesystem::remove_all(rec);
     std::filesystem::remove_all(cache);
 }
