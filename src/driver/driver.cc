@@ -1,5 +1,9 @@
 #include "driver.hh"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -20,6 +24,30 @@
 
 namespace sst {
 namespace {
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SST_SANITIZED_MALLOC 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SST_SANITIZED_MALLOC 1
+#endif
+
+#if defined(__GLIBC__) && !defined(SST_SANITIZED_MALLOC)
+/**
+ * The process's host-memory policy: one glibc malloc arena. By default
+ * glibc gives each allocating thread an arena of its own, and an arena
+ * keeps the high-water mark of what its threads allocated and freed. A
+ * worker allocates and frees each job's cache tag and LRU arrays, LLC
+ * directory, value tracker and op buffers, so N workers would hold N
+ * high-water marks (plus their fragmentation) instead of one shared
+ * live set. Set during static initialization, so it holds before the
+ * first thread of any binary that links the driver. Sanitizers bring
+ * their own allocator, which this setting would not reach.
+ */
+[[maybe_unused]] const int oneMallocArena = mallopt(M_ARENA_MAX, 1);
+#endif
 
 /**
  * Reject specs the simulator would abort on. The driver turns these

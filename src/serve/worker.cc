@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -18,19 +17,37 @@
 
 namespace sst {
 namespace serve {
-namespace {
 
-/** Sleep @p ms in short steps, returning early once @p stop is set. */
-void
-interruptibleSleep(std::uint64_t ms, const std::atomic<bool> &stop)
+Heartbeat::Heartbeat(std::uint64_t interval_ms, std::function<void()> beat)
+    : thread_([this, interval_ms, beat = std::move(beat)] {
+          std::unique_lock<std::mutex> lock(mutex_);
+          while (!wake_.wait_for(lock,
+                                 std::chrono::milliseconds(interval_ms),
+                                 [this] { return stopped_; })) {
+              lock.unlock();
+              beat();
+              lock.lock();
+          }
+      })
 {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(ms);
-    while (!stop && std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
 }
 
-} // namespace
+Heartbeat::~Heartbeat()
+{
+    stop();
+}
+
+void
+Heartbeat::stop()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopped_ = true;
+    }
+    wake_.notify_one();
+    if (thread_.joinable())
+        thread_.join();
+}
 
 int
 runWorker(const WorkerOptions &opts_in)
@@ -58,7 +75,6 @@ runWorker(const WorkerOptions &opts_in)
 
     JobExecutor executor(opts.driver, cache.get());
 
-    const std::atomic<bool> never{false};
     int connectFailures = 0;
     for (;;) {
         Request leaseReq;
@@ -74,7 +90,8 @@ runWorker(const WorkerOptions &opts_in)
                      opts.endpoint.text() + ": " + e.what());
                 return 1;
             }
-            interruptibleSleep(opts.pollMs, never);
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(opts.pollMs));
             continue;
         }
 
@@ -92,7 +109,8 @@ runWorker(const WorkerOptions &opts_in)
         std::string specText;
         if (!parseLeaseReply(reply, job, specText)) {
             warn("worker", opts.name + ": malformed lease reply: " + reply);
-            interruptibleSleep(opts.pollMs, never);
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(opts.pollMs));
             continue;
         }
         const std::uint64_t jobId = job.id;
@@ -101,25 +119,19 @@ runWorker(const WorkerOptions &opts_in)
 
         // Heartbeat from a side thread while the simulation runs, at a
         // third of the lease so one dropped beat doesn't expire it.
-        std::atomic<bool> finished{false};
-        std::thread heartbeater([&] {
-            const std::uint64_t interval =
-                std::max<std::uint64_t>(job.leaseMs / 3, 50);
-            for (;;) {
-                interruptibleSleep(interval, finished);
-                if (finished)
-                    return;
-                Request beat;
-                beat.kind = Request::Kind::kHeartbeat;
-                beat.worker = opts.name;
-                beat.jobId = jobId;
-                try {
-                    request(serializeRequest(beat));
-                } catch (const std::exception &) {
-                    // A missed beat is survivable; the next one (or
-                    // the done/fail report) will land or the lease
-                    // expires and the job is retried elsewhere.
-                }
+        const std::uint64_t interval =
+            std::max<std::uint64_t>(job.leaseMs / 3, 50);
+        Heartbeat heartbeat(interval, [&] {
+            Request beat;
+            beat.kind = Request::Kind::kHeartbeat;
+            beat.worker = opts.name;
+            beat.jobId = jobId;
+            try {
+                request(serializeRequest(beat));
+            } catch (const std::exception &) {
+                // A missed beat is survivable; the next one (or the
+                // done/fail report) will land or the lease expires and
+                // the job is retried elsewhere.
             }
         });
 
@@ -148,8 +160,7 @@ runWorker(const WorkerOptions &opts_in)
         } catch (const std::exception &e) {
             infraError = e.what();
         }
-        finished = true;
-        heartbeater.join();
+        heartbeat.stop();
 
         Request report;
         report.worker = opts.name;

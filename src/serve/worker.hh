@@ -18,8 +18,12 @@
 #ifndef SST_SERVE_WORKER_HH
 #define SST_SERVE_WORKER_HH
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "driver/driver.hh"
 #include "serve/net.hh"
@@ -51,6 +55,30 @@ struct WorkerOptions
     int connectRetries = 30;
 
     bool verbose = false;
+};
+
+/**
+ * Calls @p beat (which must not throw) every @p interval_ms from a side
+ * thread until stop(). stop() wakes the thread at once, so a worker
+ * reports a finished job without waiting out the current interval.
+ */
+class Heartbeat
+{
+  public:
+    Heartbeat(std::uint64_t interval_ms, std::function<void()> beat);
+    ~Heartbeat(); ///< stop()s
+
+    Heartbeat(const Heartbeat &) = delete;
+    Heartbeat &operator=(const Heartbeat &) = delete;
+
+    /** End the beats and join the thread; no beat starts afterwards. */
+    void stop();
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    bool stopped_ = false;
+    std::thread thread_; ///< last: starts once the members above exist
 };
 
 /**

@@ -285,7 +285,6 @@ System::doMemRef(Core &core, Thread &th, const Op &op, Cycles &now)
     } else {
         const ValueTracker::LoadView view = tracker_.onLoad(op.addr,
                                                             th.tid);
-        th.lastLoadValue = view.value;
         acct_.onLoad(th.tid, op.pc, lineNum(op.addr), view.value,
                      view.writtenByOther, now);
     }

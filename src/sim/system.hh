@@ -130,7 +130,6 @@ class System
         CoreId lastCore = kInvalidId;
         Cycles sliceStart = 0;
         std::uint64_t storeSerial = 0;  ///< Li detector state component
-        std::uint64_t lastLoadValue = 0;
     };
 
     struct Core

@@ -54,6 +54,16 @@ ThreadProgram::ThreadProgram(const BenchmarkProfile &profile, ThreadId tid,
 {
     sstAssert(nthreads >= 1, "ThreadProgram needs nthreads >= 1");
     sstAssert(tid >= 0 && tid < nthreads, "ThreadProgram tid out of range");
+
+    // Loop bookkeeping plus parallelization overhead (parallel mode only):
+    // extra instructions for work division, communication and redundant
+    // computation, per Section 3.5 of the paper. Fixed per program, so
+    // emitIteration() only copies it.
+    if (parallelMode())
+        iterOverheadInstr_ += static_cast<std::uint32_t>(std::lround(
+            prof_.parOverheadFrac *
+            (prof_.computePerIter + prof_.memPerIter)));
+
     for (int ph = 0; ph < prof_.barrierPhases; ++ph)
         plannedIters_ += itersInPhase(ph);
 
@@ -200,17 +210,8 @@ ThreadProgram::refill()
 void
 ThreadProgram::emitIteration()
 {
-    // Loop bookkeeping plus parallelization overhead (parallel mode only):
-    // extra instructions for work division, communication and redundant
-    // computation, per Section 3.5 of the paper.
-    std::uint32_t overhead_instr = 4;
-    if (parallelMode()) {
-        overhead_instr += static_cast<std::uint32_t>(std::lround(
-            prof_.parOverheadFrac *
-            (prof_.computePerIter + prof_.memPerIter)));
-    }
-    buf_.push_back(Op::compute(overhead_instr));
-    instrEmitted_ += overhead_instr;
+    buf_.push_back(Op::compute(iterOverheadInstr_));
+    instrEmitted_ += iterOverheadInstr_;
 
     // First half of the iteration's compute.
     const std::uint32_t c1 = static_cast<std::uint32_t>(

@@ -111,6 +111,8 @@ class ThreadProgram : public OpSource
     ThreadScope scope_;
     ThreadId dataTid_; ///< resolved scope_.dataTid (private region base)
     Rng rng_;
+    /** Compute instructions that open every iteration (constructor). */
+    std::uint32_t iterOverheadInstr_ = 4;
 
     /** Refilled with one warmup chunk or one iteration at a time. */
     std::vector<Op> buf_;

@@ -6,8 +6,9 @@
  * specForJob's fingerprint-preserving spec round trip; result-cache
  * corruption robustness; journal torn-line replay; and end-to-end
  * socket campaigns — server restart resume, worker-pool equivalence
- * with the batch driver, killed-worker lease-expiry requeue, the lease
- * long poll, and baseline jobs shared across external workers.
+ * with the batch driver, killed-worker lease-expiry requeue, worker
+ * heartbeats, the lease long poll, and baseline jobs shared across
+ * external workers.
  */
 
 #include <gtest/gtest.h>
@@ -887,6 +888,30 @@ TEST(Net, SecondListenerDoesNotUnlinkLiveSocket)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Heartbeat, StopReturnsWellUnderOneInterval)
+{
+    std::atomic<int> beats{0};
+    serve::Heartbeat heartbeat(10000, [&] { ++beats; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto start = std::chrono::steady_clock::now();
+    heartbeat.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(1000));
+    EXPECT_EQ(beats.load(), 0);
+}
+
+TEST(Heartbeat, BeatsEveryIntervalUntilStopped)
+{
+    std::atomic<int> beats{0};
+    serve::Heartbeat heartbeat(20, [&] { ++beats; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    heartbeat.stop();
+    const int sent = beats.load();
+    EXPECT_GE(sent, 3);
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    EXPECT_EQ(beats.load(), sent); // no beat after stop()
+}
+
 // ---- end-to-end over the socket ---------------------------------------------
 
 /** One request over a fresh connection; returns the first reply line. */
@@ -1191,6 +1216,49 @@ TEST(ServeEndToEnd, KilledWorkerLeaseExpiresAndJobCompletes)
     EXPECT_EQ(rc, 0);
     server.stop();
     std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, WorkerHeartbeatsKeepALongJobLeased)
+{
+    const std::string dir = makeTempDir("heartbeat");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.localWorkers = 0;
+    opts.queue.leaseMs = 150; // beats every 50 ms
+    opts.reaperIntervalMs = 20;
+    serve::Server server(opts);
+    server.start();
+
+    serve::WorkerOptions wopts;
+    wopts.endpoint = server.endpoint();
+    wopts.name = "beater";
+    wopts.pollMs = 20;
+    int rc = -1;
+    std::thread worker([&] { rc = serve::runWorker(wopts); });
+
+    // 64 threads on 8 cores runs for several leases; only the worker's
+    // beats keep the reaper from requeueing it.
+    const auto start = std::chrono::steady_clock::now();
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign(
+        "camp", 0, "profiles = cholesky\nthreads = 64\ncores = 8\n",
+        response));
+    const Streamed s =
+        streamRequest(server.endpoint(), "results camp csv wait");
+    EXPECT_EQ(s.end, "end complete 1/1");
+    EXPECT_EQ(server.queue().stats().requeues, 0u);
+    const bool outlivedALease =
+        std::chrono::steady_clock::now() - start >
+        std::chrono::milliseconds(opts.queue.leaseMs);
+
+    server.drain();
+    worker.join();
+    EXPECT_EQ(rc, 0);
+    server.stop();
+    std::filesystem::remove_all(dir);
+    if (!outlivedALease)
+        GTEST_SKIP() << "the campaign finished within one lease on this "
+                        "host, so no beat was needed";
 }
 
 TEST(ServeEndToEnd, LeaseLongPollWakesOnSubmitAndDrain)
