@@ -38,11 +38,12 @@ main()
         // The driver assembles the stack with the default (Tian)
         // detector; rebuild it from the same counters with Li's.
         const sst::SpeedupExperiment &exp_tian = results[i].exp;
-        sst::ReportOptions li = sst::defaultReportOptions(specs[i].params);
-        li.useLiDetector = true;
+        sst::SimParams li_params = specs[i].params;
+        li_params.accounting.stackDetector =
+            sst::AccountingParams::Detector::kLi;
         const std::vector<sst::CycleComponents> li_comps =
-            sst::computeComponents(exp_tian.parallel.threads,
-                                   exp_tian.tp, li);
+            sst::computeComponents(exp_tian.parallel.threads, exp_tian.tp,
+                                   sst::defaultReportOptions(li_params));
         const sst::SpeedupStack li_stack =
             sst::buildSpeedupStack(li_comps, exp_tian.tp);
 

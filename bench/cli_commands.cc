@@ -140,26 +140,95 @@ printBatchStats(const ExperimentDriver &driver)
         "%zu traces recorded, %d workers\n",
         stats.total, stats.executed, stats.cached, stats.deduped,
         stats.failed, stats.baselinesComputed, stats.traceReplays,
-        stats.tracesRecorded, driver.workerCount());
+        stats.tracesRecorded, stats.workers);
 }
 
-/** Run a grid, print, export — the tail shared by sweep and run.
- *  A non-empty @p trace_out enables telemetry for the batch and writes
- *  a Chrome trace_event JSON of every job/driver span afterwards;
- *  results are bit-identical either way (telemetry is write-only). */
-int
-executeBatch(const SweepGrid &grid, const DriverOptions &opts, bool quiet,
-             const std::string &csv_path, const std::string &json_path,
-             const std::string &trace_out)
+// ---- run / sweep ------------------------------------------------------------
+
+/** How `sst run` executes a spec: none of it changes what a job computes. */
+struct RunOptions
 {
-    const bool tracing = !trace_out.empty();
+    std::string specPath;
+    DriverOptions driver;
+    std::string traceOut;
+    bool printSpec = false;
+};
+
+/** A flag of `sst run` that is not a spec key. */
+struct ExecFlag
+{
+    const char *flag;
+    const char *arg; ///< value placeholder; null for a switch
+    const char *help;
+    void (*apply)(RunOptions &run, const char *value);
+};
+
+const ExecFlag kExecFlags[] = {
+    {"--spec", "FILE", "start from this spec file (default: defaults)",
+     [](RunOptions &r, const char *v) { r.specPath = v; }},
+    {"--print-spec", nullptr, "print the canonical spec and exit",
+     [](RunOptions &r, const char *) { r.printSpec = true; }},
+    {"--jobs", "N", "worker threads (default: hardware)",
+     [](RunOptions &r, const char *v) {
+         r.driver.jobs = parseInt("--jobs", v, 0, 1 << 20);
+     }},
+    {"--cache-dir", "DIR", "result cache (default: .sst-cache)",
+     [](RunOptions &r, const char *v) { r.driver.cacheDir = v; }},
+    {"--no-cache", nullptr, "disable the result cache",
+     [](RunOptions &r, const char *) { r.driver.cacheDir.clear(); }},
+    {"--refresh", nullptr, "re-run and overwrite cached results",
+     [](RunOptions &r, const char *) { r.driver.refresh = true; }},
+    {"--record-dir", "DIR",
+     "capture .sstt traces of live jobs (cache hits skip it)",
+     [](RunOptions &r, const char *v) { r.driver.recordDir = v; }},
+    {"--trace-out", "FILE",
+     "write a Chrome trace_event JSON of the batch (Perfetto)",
+     [](RunOptions &r, const char *v) { r.traceOut = v; }},
+};
+
+void
+runUsage()
+{
+    std::printf("usage: sst run|sweep [--spec FILE] [options]\n"
+                "run an experiment grid: the spec file (or the defaults),\n"
+                "then every spec-key flag in command-line order\n"
+                "  %-23s %s\n  %-23s %s\n",
+                "--KEY VALUE", "set spec key KEY (also --KEY=VALUE)",
+                "--set KEY=VALUE", "the same, in spec-file syntax");
+    for (const FlagAlias &a : kFlagAliases) {
+        const std::string flag =
+            std::string(a.flag) + (a.value ? "" : " V");
+        const std::string same = std::string("--") + a.key + " " +
+                                 (a.value ? a.value : "V");
+        std::printf("  %-23s same as %s\n", flag.c_str(), same.c_str());
+    }
+    for (const ExecFlag &f : kExecFlags) {
+        const std::string flag =
+            std::string(f.flag) + (f.arg ? std::string(" ") + f.arg : "");
+        std::printf("  %-23s %s\n", flag.c_str(), f.help);
+    }
+    std::printf("--workload-file repeats, each adding files; see `sst "
+                "list` for names\nspec keys: %s\n",
+                specKeyNamesJoined().c_str());
+}
+
+/** Validate and run @p spec, print, export. A non-empty
+ *  RunOptions::traceOut enables telemetry for the batch and writes a
+ *  Chrome trace_event JSON of every job/driver span afterwards; results
+ *  are bit-identical either way (telemetry is write-only). */
+int
+executeBatch(const ExperimentSpec &spec, RunOptions run)
+{
+    const SweepGrid grid = specGrid(spec); // validates
+    applySpecToDriverOptions(spec, run.driver);
+    const bool tracing = !run.traceOut.empty();
     if (tracing) {
         telemetry::Registry::global().setEnabled(true);
         telemetry::SpanTracer::global().setEnabled(true);
     }
 
     const std::vector<JobSpec> jobs = expandGrid(grid);
-    ExperimentDriver driver(opts);
+    ExperimentDriver driver(run.driver);
     const std::vector<JobResult> results = driver.runBatch(jobs);
 
     if (tracing) {
@@ -168,65 +237,20 @@ executeBatch(const SweepGrid &grid, const DriverOptions &opts, bool quiet,
         if (tracer.dropped() > 0)
             warn("cli", std::to_string(tracer.dropped()) +
                             " spans dropped (ring buffer full)");
-        writeFile(trace_out, tracer.chromeTraceJson());
+        writeFile(run.traceOut, tracer.chromeTraceJson());
     }
 
-    if (!quiet)
+    if (!spec.quiet)
         printBatchTable(jobs, results, !grid.cores.empty(),
                         !grid.llcBytes.empty());
     printBatchStats(driver);
 
-    if (!csv_path.empty())
-        writeFile(csv_path, sweepCsv(jobs, results));
-    if (!json_path.empty())
-        writeFile(json_path, sweepJson(jobs, results));
+    if (!spec.csvPath.empty())
+        writeFile(spec.csvPath, sweepCsv(jobs, results));
+    if (!spec.jsonPath.empty())
+        writeFile(spec.jsonPath, sweepJson(jobs, results));
 
     return driver.stats().failed == 0 ? 0 : 2;
-}
-
-// ---- sweep ------------------------------------------------------------------
-
-void
-sweepUsage()
-{
-    std::printf(
-        "usage: sst sweep [options]\n"
-        "  --profiles all|A,B,...  benchmark labels (default: all)\n"
-        "  --mix LIST              heterogeneous workloads: registered\n"
-        "                          mixes/pipelines (`sst list mixes`) or\n"
-        "                          inline a:8+b:8 / s1:1>s2:2 descriptors\n"
-        "                          (replaces --profiles/--threads)\n"
-        "  --workload-file FILE    compile a .wdl workload description\n"
-        "                          (repeatable; see `sst list "
-        "workloads`;\n"
-        "                          replaces --profiles/--threads)\n"
-        "  --threads LIST          thread counts, e.g. 2,4,8,16 "
-        "(default: 16)\n"
-        "  --cores LIST            core counts (default: = threads;\n"
-        "                          fewer cores oversubscribes)\n"
-        "  --llc LIST              LLC sizes, e.g. 1M,2M,4M,8M "
-        "(default: params default)\n"
-        "  --jobs N                worker threads (default: hardware)\n"
-        "  --seed-offset K         replication RNG stream (default: 0)\n"
-        "  --cache-dir DIR         result cache (default: .sst-cache)\n"
-        "  --no-cache              disable the result cache\n"
-        "  --refresh               re-run and overwrite cached results\n"
-        "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "                          (written by --record-dir)\n"
-        "  --record-dir DIR        capture .sstt traces of live jobs\n"
-        "                          into DIR as the batch runs (cache\n"
-        "                          hits skip capture)\n"
-        "  --sched POLICY          scheduler policy (default:\n"
-        "                          affinity-fifo)\n"
-        "  --sched-seed K          RNG stream for --sched random\n"
-        "  --csv FILE              write results as CSV\n"
-        "  --json FILE             write results as JSON\n"
-        "  --trace-out FILE        write a Chrome trace_event JSON of\n"
-        "                          the batch (load in Perfetto /\n"
-        "                          chrome://tracing)\n"
-        "  --quiet                 suppress the result table\n"
-        "scheduler policies: %s\n",
-        allSchedPolicyLabelsJoined().c_str());
 }
 
 // ---- trace ------------------------------------------------------------------
@@ -292,34 +316,6 @@ traceInfo(int argc, char **argv, int first)
                 static_cast<double>(total_bytes) /
                     static_cast<double>(total_ops));
     return 0;
-}
-
-// ---- run --------------------------------------------------------------------
-
-void
-runUsage()
-{
-    std::printf(
-        "usage: sst run --spec FILE [options]\n"
-        "execute a declarative experiment spec (see examples/specs/)\n"
-        "  --spec FILE             the spec file (required)\n"
-        "  --set KEY=VALUE         override one spec key (repeatable;\n"
-        "                          same keys as the file format)\n"
-        "  --sched POLICY          shorthand for --set sched=POLICY\n"
-        "  --sched-seed K          shorthand for --set sched-seed=K\n"
-        "  --print-spec            print the canonical form and exit\n"
-        "  --jobs N                worker threads (default: hardware)\n"
-        "  --cache-dir DIR         result cache (default: .sst-cache)\n"
-        "  --no-cache              disable the result cache\n"
-        "  --refresh               re-run and overwrite cached results\n"
-        "  --csv FILE              write CSV (overrides output.csv)\n"
-        "  --json FILE             write JSON (overrides output.json)\n"
-        "  --trace-out FILE        write a Chrome trace_event JSON of\n"
-        "                          the batch (load in Perfetto /\n"
-        "                          chrome://tracing)\n"
-        "  --quiet                 suppress the result table\n"
-        "spec keys: %s\n",
-        specKeyNamesJoined().c_str());
 }
 
 // ---- list -------------------------------------------------------------------
@@ -898,102 +894,6 @@ metricsImpl(int argc, char **argv, int first)
 } // namespace
 
 int
-sweepMain(int argc, char **argv, int first)
-{
-    SweepGrid grid;
-    grid.profiles = allProfileLabels();
-    bool profiles_given = false;
-    bool threads_given = false;
-
-    DriverOptions opts;
-    opts.jobs = 0; // hardware concurrency
-    opts.cacheDir = ".sst-cache";
-    std::string csvPath, jsonPath, traceOutPath;
-    bool quiet = false;
-
-    try {
-        for (int i = first; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--profiles") {
-                const std::string v = argValue(argc, argv, i);
-                profiles_given = true;
-                if (v != "all")
-                    grid.profiles = parseLabelList(v);
-            } else if (arg == "--mix") {
-                grid.workloads = parseLabelList(argValue(argc, argv, i));
-            } else if (arg == "--workload-file") {
-                grid.workloadFiles.push_back(argValue(argc, argv, i));
-            } else if (arg == "--threads") {
-                grid.threads = parseIntList(argValue(argc, argv, i));
-                threads_given = true;
-            } else if (arg == "--cores") {
-                grid.cores = parseIntList(argValue(argc, argv, i));
-            } else if (arg == "--llc") {
-                grid.llcBytes = parseSizeList(argValue(argc, argv, i));
-            } else if (arg == "--jobs") {
-                opts.jobs = parseInt("--jobs", argValue(argc, argv, i),
-                                     0, 1 << 20);
-            } else if (arg == "--seed-offset") {
-                grid.seedOffset =
-                    parseU64("--seed-offset", argValue(argc, argv, i));
-            } else if (arg == "--cache-dir") {
-                opts.cacheDir = argValue(argc, argv, i);
-            } else if (arg == "--no-cache") {
-                opts.cacheDir.clear();
-            } else if (arg == "--refresh") {
-                opts.refresh = true;
-            } else if (arg == "--trace-dir") {
-                opts.traceDir = argValue(argc, argv, i);
-            } else if (arg == "--record-dir") {
-                opts.recordDir = argValue(argc, argv, i);
-            } else if (arg == "--sched") {
-                grid.baseParams.schedPolicy =
-                    parseSchedPolicy(argValue(argc, argv, i));
-            } else if (arg == "--sched-seed") {
-                grid.baseParams.schedSeed =
-                    parseU64("--sched-seed", argValue(argc, argv, i));
-            } else if (arg == "--csv") {
-                csvPath = argValue(argc, argv, i);
-            } else if (arg == "--json") {
-                jsonPath = argValue(argc, argv, i);
-            } else if (arg == "--trace-out") {
-                traceOutPath = argValue(argc, argv, i);
-            } else if (arg == "--quiet") {
-                quiet = true;
-            } else if (arg == "--help" || arg == "-h") {
-                sweepUsage();
-                return 0;
-            } else {
-                sweepUsage();
-                fatal("unknown argument '" + arg + "'");
-            }
-        }
-
-        if (grid.baseParams.schedSeed != 0 &&
-            grid.baseParams.schedPolicy != SchedPolicy::kRandom) {
-            fatal("--sched-seed only affects --sched random; the "
-                  "seed would be silently ignored");
-        }
-        // --mix replaces the profile and thread axes; an explicit
-        // --profiles next to it is a contradiction expandGrid rejects,
-        // and an explicit --threads would be silently ignored — fatal.
-        if ((!grid.workloads.empty() || !grid.workloadFiles.empty()) &&
-            threads_given) {
-            fatal("--threads does not apply to --mix/--workload-file "
-                  "(each workload carries its own thread counts)");
-        }
-        if ((!grid.workloads.empty() || !grid.workloadFiles.empty()) &&
-            !profiles_given)
-            grid.profiles.clear();
-
-        return executeBatch(grid, opts, quiet, csvPath, jsonPath,
-                            traceOutPath);
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
-}
-
-int
 traceMain(int argc, char **argv, int first)
 {
     if (first >= argc) {
@@ -1018,83 +918,52 @@ traceMain(int argc, char **argv, int first)
 int
 runMain(int argc, char **argv, int first)
 {
-    std::string specPath;
-    // (key, value) overrides in command-line order; applied through the
-    // same applySpecValue path the file parser uses.
-    std::vector<std::pair<std::string, std::string>> overrides;
-    bool printSpec = false;
-    bool quiet = false;
-    std::string csvPath, jsonPath, traceOutPath;
-
-    DriverOptions opts;
-    opts.jobs = 0; // hardware concurrency
-    opts.cacheDir = ".sst-cache";
+    RunOptions run;
+    run.driver.jobs = 0; // hardware concurrency
+    run.driver.cacheDir = ".sst-cache";
+    // Spec assignments in command-line order, applied once --spec loaded.
+    std::vector<std::pair<std::string, std::string>> assignments;
+    std::size_t files = std::string::npos; // the --workload-file entry
 
     try {
         for (int i = first; i < argc; ++i) {
             const std::string arg = argv[i];
-            if (arg == "--spec") {
-                specPath = argValue(argc, argv, i);
-            } else if (arg == "--set") {
-                const std::string kv = argValue(argc, argv, i);
-                const std::size_t eq = kv.find('=');
-                if (eq == std::string::npos)
-                    fatal("--set needs KEY=VALUE, got '" + kv + "'");
-                overrides.emplace_back(kv.substr(0, eq),
-                                       kv.substr(eq + 1));
-            } else if (arg == "--sched") {
-                overrides.emplace_back("sched", argValue(argc, argv, i));
-            } else if (arg == "--sched-seed") {
-                overrides.emplace_back("sched-seed",
-                                       argValue(argc, argv, i));
-            } else if (arg == "--print-spec") {
-                printSpec = true;
-            } else if (arg == "--jobs") {
-                opts.jobs = parseInt("--jobs", argValue(argc, argv, i),
-                                     0, 1 << 20);
-            } else if (arg == "--cache-dir") {
-                opts.cacheDir = argValue(argc, argv, i);
-            } else if (arg == "--no-cache") {
-                opts.cacheDir.clear();
-            } else if (arg == "--refresh") {
-                opts.refresh = true;
-            } else if (arg == "--csv") {
-                csvPath = argValue(argc, argv, i);
-            } else if (arg == "--json") {
-                jsonPath = argValue(argc, argv, i);
-            } else if (arg == "--trace-out") {
-                traceOutPath = argValue(argc, argv, i);
-            } else if (arg == "--quiet") {
-                quiet = true;
-            } else if (arg == "--help" || arg == "-h") {
+            if (arg == "--help" || arg == "-h") {
                 runUsage();
                 return 0;
-            } else {
+            }
+            const auto exec = std::find_if(
+                std::begin(kExecFlags), std::end(kExecFlags),
+                [&arg](const ExecFlag &f) { return arg == f.flag; });
+            std::string key, value;
+            if (exec != std::end(kExecFlags)) {
+                exec->apply(run,
+                            exec->arg ? argValue(argc, argv, i) : nullptr);
+            } else if (!specFlag(argc, argv, i, key, value)) {
                 runUsage();
                 fatal("unknown argument '" + arg + "'");
+            } else if (key == "workload-file" &&
+                       files != std::string::npos) {
+                // --workload-file repeats: each adds to the first's list.
+                assignments[files].second += "," + value;
+            } else {
+                if (key == "workload-file")
+                    files = assignments.size();
+                assignments.emplace_back(key, value);
             }
         }
-        if (specPath.empty()) {
-            runUsage();
-            fatal("run needs --spec FILE");
-        }
 
-        ExperimentSpec spec = parseSpecFile(specPath);
-        for (const auto &kv : overrides)
+        ExperimentSpec spec = run.specPath.empty()
+                                  ? ExperimentSpec()
+                                  : parseSpecFile(run.specPath);
+        for (const auto &kv : assignments)
             applySpecValue(spec, kv.first, kv.second);
 
-        if (printSpec) {
+        if (run.printSpec) {
             std::fputs(serializeSpec(spec).c_str(), stdout);
             return 0;
         }
-
-        const SweepGrid grid = specGrid(spec); // validates
-        applySpecToDriverOptions(spec, opts);
-
-        return executeBatch(grid, opts, quiet || spec.quiet,
-                            csvPath.empty() ? spec.csvPath : csvPath,
-                            jsonPath.empty() ? spec.jsonPath : jsonPath,
-                            traceOutPath);
+        return executeBatch(spec, run);
     } catch (const std::exception &e) {
         fatal(e.what());
     }

@@ -13,15 +13,14 @@
 namespace sst {
 namespace cli {
 
-/** `sst sweep`: flag-driven experiment grids. */
-int sweepMain(int argc, char **argv, int first);
-
 /** `sst trace info`: validate and describe a recorded op trace
  *  (recording and replay run on the driver: `--record-dir`,
  *  `--trace-dir`). */
 int traceMain(int argc, char **argv, int first);
 
-/** `sst run --spec FILE`: execute a declarative experiment spec. */
+/** `sst run` and its alias `sst sweep`: run an experiment grid from a
+ *  spec file (`--spec FILE`) or the defaults, with every spec key also
+ *  a flag (`--threads 2,4`, `--set machine.llc-bytes=1M`). */
 int runMain(int argc, char **argv, int first);
 
 /** `sst list profiles|scheds|frontends`: enumerate the registries. */

@@ -64,10 +64,66 @@ parseInt(const char *flag, const char *text, long min, long max)
 }
 
 /**
+ * The flag spellings of spec keys that predate `--KEY VALUE`. A null
+ * value means the flag takes one; otherwise it is a switch that sets
+ * the key to that value.
+ */
+struct FlagAlias
+{
+    const char *flag;
+    const char *key;
+    const char *value;
+};
+
+inline constexpr FlagAlias kFlagAliases[] = {
+    {"--mix", "workload", nullptr},
+    {"--csv", "output.csv", nullptr},
+    {"--json", "output.json", nullptr},
+    {"--quiet", "output.quiet", "true"},
+};
+
+/**
+ * Read the flag at argv[i] as one spec assignment, advancing i past its
+ * value: `--set KEY=VALUE`, `--KEY=VALUE`, `--KEY VALUE` or an alias in
+ * kFlagAliases. Returns false when argv[i] does not start with `--`.
+ * The key is not checked here: applySpecValue() rejects an unknown one,
+ * listing the valid keys, so every experiment command line reaches the
+ * spec through this one mapping.
+ */
+inline bool
+specFlag(int argc, char **argv, int &i, std::string &key,
+         std::string &value)
+{
+    const std::string arg = argv[i];
+    if (arg.compare(0, 2, "--") != 0)
+        return false;
+    for (const FlagAlias &a : kFlagAliases) {
+        if (arg == a.flag) {
+            key = a.key;
+            value = a.value ? a.value : argValue(argc, argv, i);
+            return true;
+        }
+    }
+    const std::string kv = arg == "--set" ? argValue(argc, argv, i)
+                                          : arg.substr(2);
+    const std::size_t eq = kv.find('=');
+    if (eq != std::string::npos) {
+        key = kv.substr(0, eq);
+        value = kv.substr(eq + 1);
+    } else if (arg == "--set") {
+        fatal("--set needs KEY=VALUE, got '" + kv + "'");
+    } else {
+        key = kv;
+        value = argValue(argc, argv, i);
+    }
+    return true;
+}
+
+/**
  * Options shared by every figure/table bench. Parsed once here so the
  * benches stop hand-rolling argv loops — and all of them gain
- * `--sched`, `--sched-seed` and `--seed-offset` for free, routed
- * through the same applySpecValue() path spec files use.
+ * `--sched`, `--sched-seed` and `--seed-offset` for free, read by
+ * specFlag() and validated by validateSpec() like `sst run`'s flags.
  */
 struct BenchOptions
 {
@@ -79,47 +135,24 @@ struct BenchOptions
 };
 
 /**
- * Parse the common bench argv: flags via the spec key machinery,
- * bare integers into positionals (each bench interprets its own),
- * --help printing @p usage. Fatal (with the registry-sourced message)
- * on unknown flags or bad values.
+ * Parse the common bench argv: spec-key flags via specFlag(), limited
+ * to the machine/scheduler keys a bench consumes, bare integers into
+ * positionals (each bench interprets its own), --help printing
+ * @p usage. Fatal (with the registry-sourced message) on unknown flags
+ * or bad values.
  */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv, const char *usage)
 {
     BenchOptions o;
     ExperimentSpec spec; // carries machine/sched/seed state while parsing
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        try {
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            std::string key, value;
             if (arg == "--jobs") {
                 o.jobs = parseInt("--jobs", argValue(argc, argv, i), 0,
                                   1 << 20);
-            } else if (arg == "--sched") {
-                applySpecValue(spec, "sched", argValue(argc, argv, i));
-            } else if (arg == "--sched-seed") {
-                applySpecValue(spec, "sched-seed",
-                               argValue(argc, argv, i));
-            } else if (arg == "--seed-offset") {
-                applySpecValue(spec, "seed-offset",
-                               argValue(argc, argv, i));
-            } else if (arg.size() > 2 &&
-                       arg.compare(0, 2, "--") == 0 &&
-                       arg.find('=') != std::string::npos) {
-                // --machine.time-slice-cycles=8000 style. Only keys a
-                // bench actually consumes are legal here — the sweep
-                // axes (profiles/threads/...) are fixed per figure, and
-                // silently dropping one would fake a result.
-                const std::size_t eq = arg.find('=');
-                const std::string key = arg.substr(2, eq - 2);
-                if (key.compare(0, 8, "machine.") != 0 &&
-                    key != "sched" && key != "sched-seed" &&
-                    key != "seed-offset") {
-                    fatal("'" + key + "' is not a machine/scheduler "
-                          "key; this bench's grid is fixed (use the "
-                          "sst CLI for arbitrary specs)");
-                }
-                applySpecValue(spec, key, arg.substr(eq + 1));
             } else if (arg == "--help" || arg == "-h") {
                 std::printf("usage: %s\n", usage);
                 std::printf("  [N]                     positional "
@@ -140,17 +173,24 @@ parseBenchArgs(int argc, char **argv, const char *usage)
                             arg[0])) != 0)) {
                 o.positionals.push_back(
                     parseInt("positional", arg.c_str(), 0, 1 << 20));
+            } else if (specFlag(argc, argv, i, key, value)) {
+                // Only keys a bench actually consumes are legal here —
+                // the sweep axes (profiles/threads/...) are fixed per
+                // figure, and silently dropping one would fake a result.
+                if (key.compare(0, 8, "machine.") != 0 && key != "sched" &&
+                    key != "sched-seed" && key != "seed-offset") {
+                    fatal("'" + key + "' is not a machine/scheduler "
+                          "key; this bench's grid is fixed (use the "
+                          "sst CLI for arbitrary specs)");
+                }
+                applySpecValue(spec, key, value);
             } else {
                 fatal("unknown argument '" + arg + "' (try --help)");
             }
-        } catch (const std::invalid_argument &e) {
-            fatal(e.what());
         }
-    }
-    if (spec.machine.schedSeed != 0 &&
-        spec.machine.schedPolicy != SchedPolicy::kRandom) {
-        fatal("--sched-seed only affects --sched random; the seed "
-              "would be silently ignored");
+        validateSpec(spec);
+    } catch (const std::invalid_argument &e) {
+        fatal(e.what());
     }
     o.params = spec.machine;
     o.seedOffset = spec.seedOffset;

@@ -3,12 +3,13 @@
  * The unified `sst` CLI: one binary for every experiment workflow.
  *
  *   sst run --spec examples/specs/fig01.spec   declarative experiments
- *   sst sweep --profiles all --threads 16      flag-driven grids
+ *   sst run --profiles all --threads 16        the same keys as flags
+ *                                              (`sweep` is another name)
  *   sst trace info --in FILE                   check and describe a trace
  *   sst list profiles|scheds|frontends         enumerate the registries
  *   sst serve / worker / submit                persistent sweep service
  *
- * Traces are recorded and replayed by `sweep` / `run` (`--record-dir`,
+ * Traces are recorded and replayed by `run` (`--record-dir`,
  * `--trace-dir`), like every other experiment. The commands live in
  * bench/cli_commands.cc. The dispatcher is
  * table-driven: usage text and the unknown-command error enumerate the
@@ -30,10 +31,9 @@ struct Command
 };
 
 constexpr Command kCommands[] = {
-    {"run", "execute a declarative experiment spec file",
+    {"run", "run an experiment: a spec file and/or spec-key flags",
      sst::cli::runMain},
-    {"sweep", "express an experiment grid with flags",
-     sst::cli::sweepMain},
+    {"sweep", "the same command as run", sst::cli::runMain},
     {"trace", "check and describe a recorded op trace",
      sst::cli::traceMain},
     {"list", "enumerate registered profiles, scheds, frontends, mixes",

@@ -27,8 +27,9 @@ struct AccountingParams
     LiSpinDetector::Params li;
     /**
      * Which spin detector feeds the speedup stack. The paper uses the
-     * Tian et al. mechanism because it is the simpler hardware; the Li
-     * detector is kept for the ablation bench.
+     * Tian et al. mechanism because it is the simpler hardware;
+     * `machine.stack-detector = li` builds the stack from the Li
+     * detector instead (defaultReportOptions()).
      */
     enum class Detector { kTian, kLi } stackDetector = Detector::kTian;
 };

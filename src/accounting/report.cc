@@ -50,7 +50,9 @@ computeComponents(const std::vector<ThreadCounters> &threads, Cycles tp,
                       factor;
 
         comp.spin = static_cast<double>(
-            opts.useLiDetector ? c.spinDetectedLi : c.spinDetectedTian);
+            opts.spinDetector == AccountingParams::Detector::kLi
+                ? c.spinDetectedLi
+                : c.spinDetectedTian);
         comp.yield = static_cast<double>(c.yieldCycles);
 
         // Load imbalance (Section 4.6): pad every thread up to the

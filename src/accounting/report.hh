@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "accounting/accounting_unit.hh"
 #include "accounting/counters.hh"
 #include "util/types.hh"
 
@@ -45,8 +46,9 @@ struct ReportOptions
      */
     double nominalSamplingFactor = 32.0;
 
-    /** Use the Li detector's output instead of Tian's (ablation). */
-    bool useLiDetector = false;
+    /** The spin detector whose output is the spin component. */
+    AccountingParams::Detector spinDetector =
+        AccountingParams::Detector::kTian;
 
     /**
      * Account coherency misses at this penalty each; the paper leaves

@@ -10,6 +10,7 @@ defaultReportOptions(const SimParams &params)
     ReportOptions opts;
     opts.nominalSamplingFactor =
         static_cast<double>(params.cache.atdSamplingFactor);
+    opts.spinDetector = params.accounting.stackDetector;
     return opts;
 }
 

@@ -4,6 +4,7 @@
 #include <malloc.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -427,15 +428,6 @@ ExperimentDriver::ExperimentDriver(DriverOptions opts)
 
 ExperimentDriver::~ExperimentDriver() = default;
 
-int
-ExperimentDriver::workerCount() const
-{
-    if (opts_.jobs > 0)
-        return opts_.jobs;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 std::vector<JobResult>
 ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
 {
@@ -451,8 +443,17 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
     // ever expires. Fingerprint dedup means a batch that lists the same
     // job twice executes it once and both rows share the result.
     JobQueue queue;
-    const int nworkers = specs.size() <= 1 ? 1 : workerCount();
-    auto onWorkers = [nworkers](const std::function<void(int)> &body) {
+    // A pool never outnumbers its work: one lookup per spec, then one
+    // lease loop per queued job (experiments plus distinct baselines).
+    const std::size_t maxWorkers =
+        opts_.jobs > 0 ? static_cast<std::size_t>(opts_.jobs)
+                       : std::thread::hardware_concurrency();
+    auto poolSize = [maxWorkers](std::size_t work) {
+        return static_cast<int>(
+            std::max<std::size_t>(1, std::min(maxWorkers, work)));
+    };
+    auto onWorkers = [](int nworkers,
+                        const std::function<void(int)> &body) {
         if (nworkers == 1) {
             body(0);
             return;
@@ -470,9 +471,10 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
     // duplicated job dedups onto the other never depends on timing.
     const ResultCache *cache = opts_.refresh ? nullptr : cache_.get();
     std::vector<ExperimentLookup> lookups(specs.size());
-    onWorkers([&](int w) {
+    const int lookupWorkers = poolSize(specs.size());
+    onWorkers(lookupWorkers, [&](int w) {
         for (std::size_t i = static_cast<std::size_t>(w); i < specs.size();
-             i += static_cast<std::size_t>(nworkers))
+             i += static_cast<std::size_t>(lookupWorkers))
             lookups[i] = lookupExperiment(cache, specs[i]);
     });
     std::vector<JobId> ids;
@@ -517,8 +519,13 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
         }
     };
 
-    onWorkers(
-        [&leaseLoop](int w) { leaseLoop("local-" + std::to_string(w)); });
+    const QueueStats queued = queue.stats();
+    stats_.workers = poolSize(
+        queued.pending +
+        queued.baselines[static_cast<std::size_t>(QueueJobState::kPending)]);
+    onWorkers(stats_.workers, [&leaseLoop](int w) {
+        leaseLoop("local-" + std::to_string(w));
+    });
 
     std::vector<JobResult> results(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {

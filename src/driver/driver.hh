@@ -79,6 +79,9 @@ struct BatchStats
     std::size_t baselinesComputed = 0; ///< distinct 1-thread runs
     std::size_t traceReplays = 0; ///< executed jobs driven from a trace
     std::size_t tracesRecorded = 0; ///< jobs captured via --record-dir
+    /** Lease-loop threads: DriverOptions::jobs (0 = hardware threads)
+     *  capped at the queued jobs. */
+    int workers = 0;
 };
 
 /**
@@ -164,9 +167,6 @@ class ExperimentDriver
     const BatchStats &stats() const { return stats_; }
 
     const DriverOptions &options() const { return opts_; }
-
-    /** Resolved worker count (after hardware_concurrency defaulting). */
-    int workerCount() const;
 
   private:
     DriverOptions opts_;

@@ -131,6 +131,11 @@ encodeParams(std::string &out, const SimParams &params, int ncores_effective)
     // a SimParams field added to the table is automatically part of
     // the cache identity).
     encodeMachineParams(out, params);
+    // Older builds ignored the key and cached Tian-built stacks under
+    // `stack-detector = li`; this line keeps Li jobs off those entries
+    // and leaves every default fingerprint as it was.
+    if (params.accounting.stackDetector == AccountingParams::Detector::kLi)
+        put(out, "report.spin-detector", std::string("li"));
 }
 
 namespace {

@@ -3,9 +3,10 @@
  * Declarative sweep grids for the experiment driver: a cross-product of
  * benchmark profiles x thread counts x LLC sizes (plus shared SimParams
  * overrides) expands into a flat job batch, and completed batches export
- * to CSV or JSON for plotting pipelines. `sst sweep` is a thin shell
- * over this module, and the list/size parsers here are what it uses for
- * `--threads 2,4,8,16` and `--llc 1M,2M,4M,8M` style arguments.
+ * to CSV or JSON for plotting pipelines. Grids come from
+ * specGrid() (src/spec/spec.hh), which validates an ExperimentSpec
+ * first; the list/size parsers here read its `threads = 2,4,8,16` and
+ * `llc = 1M,2M,4M,8M` values, from a file or a flag alike.
  */
 
 #ifndef SST_DRIVER_SWEEP_HH

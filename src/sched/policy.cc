@@ -9,8 +9,8 @@ namespace sst {
 // The label table lives in schedulerRegistry() (src/spec/registries.cc),
 // registered in enum order so names()[enum value] is the label. Every
 // lookup below delegates there, so adding a policy is one registry line
-// plus the enumerator — parse errors, --list output and --help text all
-// follow automatically.
+// plus the enumerator — parse errors and `sst list scheds` follow
+// automatically.
 
 const char *
 schedPolicyLabel(SchedPolicy policy)
@@ -18,24 +18,6 @@ schedPolicyLabel(SchedPolicy policy)
     const auto idx = static_cast<std::size_t>(policy);
     const auto &names = schedulerRegistry().names();
     return idx < names.size() ? names[idx].c_str() : "?";
-}
-
-const std::vector<std::string> &
-allSchedPolicyLabels()
-{
-    return schedulerRegistry().names();
-}
-
-std::string
-allSchedPolicyLabelsJoined()
-{
-    return schedulerRegistry().namesJoined();
-}
-
-SchedPolicy
-parseSchedPolicy(const std::string &label)
-{
-    return schedulerRegistry().at(label); // throws listing valid labels
 }
 
 SchedPolicy

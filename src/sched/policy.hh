@@ -10,8 +10,6 @@
 #define SST_SCHED_POLICY_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace sst {
 
@@ -35,18 +33,6 @@ enum class SchedPolicy : std::uint8_t {
 
 /** Stable command-line/cache label of @p policy ("affinity-fifo", ...). */
 const char *schedPolicyLabel(SchedPolicy policy);
-
-/** All valid policy labels in enum order. */
-const std::vector<std::string> &allSchedPolicyLabels();
-
-/** All valid labels joined with ", " (for error messages and --help). */
-std::string allSchedPolicyLabelsJoined();
-
-/**
- * Parse a `--sched` label. Throws std::invalid_argument naming every
- * valid label when @p label is unknown.
- */
-SchedPolicy parseSchedPolicy(const std::string &label);
 
 /**
  * Validate a policy decoded from an external source (trace header,

@@ -115,8 +115,9 @@ opSourceRegistry()
                   false});
         r.add("trace",
               OpSourceFrontend{
-                  "replay recorded .sstt op traces from trace-dir "
-                  "(written by --record-dir)",
+                  "require trace-dir: replay the jobs recorded there "
+                  "(by --record-dir), run the rest live; trace-dir "
+                  "replays like this under every frontend",
                   true});
         r.add("pipeline",
               OpSourceFrontend{

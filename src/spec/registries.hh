@@ -36,8 +36,8 @@ namespace sst {
 /**
  * A workload frontend: how a job's op streams are produced. The
  * descriptor drives spec validation (a frontend that replays recordings
- * needs a trace directory) and `sst list frontends` output; the driver
- * maps the selected frontend onto its execution mode.
+ * needs a trace directory) and `sst list frontends` output. Execution
+ * follows the workload itself and `trace-dir`, not this name.
  */
 struct OpSourceFrontend
 {
@@ -52,7 +52,8 @@ const NamedRegistry<const BenchmarkProfile *> &profileRegistry();
 /** Scheduler-policy registry (enum order, values = SchedPolicy). */
 const NamedRegistry<SchedPolicy> &schedulerRegistry();
 
-/** Workload-frontend registry ("program", "trace", "pipeline"). */
+/** Workload-frontend registry ("program", "trace", "pipeline",
+ *  "workload-file"). */
 const NamedRegistry<OpSourceFrontend> &opSourceRegistry();
 
 /**

@@ -336,21 +336,16 @@ operator!=(const ExperimentSpec &a, const ExperimentSpec &b)
 void
 validateSpec(const ExperimentSpec &spec)
 {
-    const OpSourceFrontend &frontend = opSourceRegistry().at(spec.frontend);
-    if (frontend.needsTraceDir && spec.traceDir.empty())
+    if (opSourceRegistry().at(spec.frontend).needsTraceDir &&
+        spec.traceDir.empty())
         throw std::invalid_argument("frontend '" + spec.frontend +
                                     "' replays recordings: trace-dir "
                                     "must be set");
-    if (!frontend.needsTraceDir && !spec.traceDir.empty())
+    if (!spec.traceDir.empty() && !spec.cores.empty())
         throw std::invalid_argument(
-            "trace-dir is set but frontend '" + spec.frontend +
-            "' does not replay traces (use `frontend = trace`)");
-    if (frontend.needsTraceDir && !spec.cores.empty())
-        throw std::invalid_argument(
-            "frontend '" + spec.frontend + "' cannot drive a cores "
-            "axis: recordings embed the schedule of a #cores == "
-            "#threads run, so oversubscribed jobs would silently "
-            "regenerate live instead of replaying");
+            "trace-dir cannot drive a cores axis: recordings embed the "
+            "schedule of a #cores == #threads run, so oversubscribed "
+            "jobs would silently regenerate live instead of replaying");
     if (!spec.workloads.empty() && !spec.profiles.empty()) {
         throw std::invalid_argument(
             "workload and profiles are exclusive axes (a workload "
@@ -379,10 +374,10 @@ validateSpec(const ExperimentSpec &spec)
             "the threads axis does not apply to workloads (each "
             "workload carries its own thread counts); drop `threads =`");
     }
-    // Resolve every workload now (registry mixes, inline labels) and
-    // tie pipeline workloads to the pipeline frontend, so a mismatch
-    // fails with the registry's message before any job runs. One parse
-    // per descriptor: both checks read the same resolved role.
+    // Resolve every workload now (registry mixes, inline labels), so a
+    // typo fails with the registry's message before any job runs. The
+    // pipeline frontend promises pipelines only; the workload's own role
+    // decides how it runs, so `program` takes pipelines and mixes alike.
     const bool pipeline_frontend = spec.frontend == "pipeline";
     for (const std::string &text : spec.workloads) {
         const WorkloadRole role = parseWorkload(text).role; // throws
@@ -390,12 +385,6 @@ validateSpec(const ExperimentSpec &spec)
             throw std::invalid_argument(
                 "frontend 'pipeline' selected but workload '" + text +
                 "' is not a pipeline");
-        if (!pipeline_frontend && spec.frontend == "program" &&
-            role == WorkloadRole::kPipeline) {
-            throw std::invalid_argument(
-                "pipeline workloads need `frontend = pipeline` (or "
-                "the `pipeline =` shorthand)");
-        }
     }
     if (pipeline_frontend && spec.workloads.empty())
         throw std::invalid_argument(
@@ -487,8 +476,7 @@ specForJob(const JobSpec &job)
 void
 applySpecToDriverOptions(const ExperimentSpec &spec, DriverOptions &opts)
 {
-    if (opSourceRegistry().at(spec.frontend).needsTraceDir)
-        opts.traceDir = spec.traceDir;
+    opts.traceDir = spec.traceDir;
 }
 
 } // namespace sst

@@ -2,9 +2,11 @@
  * @file
  * ExperimentSpec: a fully declarative description of one speedup-stack
  * study — workload selection, sweep axes (threads, cores, LLC sizes),
- * machine parameters, scheduler policy + seed, workload frontend
- * (live generation or trace replay) and output options — that parses
- * from and serializes to a canonical `key = value` text format.
+ * machine parameters, scheduler policy + seed, workload frontend,
+ * recorded-trace directory and output options — that parses from and
+ * serializes to a canonical `key = value` text format. `sst run` (alias
+ * `sst sweep`) starts from a spec file or the defaults and applies each
+ * command-line flag as one more key.
  *
  * Guarantees:
  *  - round trip: parseSpec(serializeSpec(s)) == s for every valid s;
@@ -80,10 +82,14 @@ struct ExperimentSpec
     /** Replication RNG stream selector (see JobSpec::seedOffset). */
     std::uint64_t seedOffset = 0;
 
-    /** Workload frontend name (opSourceRegistry): program | trace. */
+    /** Workload frontend name (opSourceRegistry, `sst list frontends`). */
     std::string frontend = "program";
 
-    /** Recorded-trace directory; required by frontends that replay. */
+    /**
+     * Recorded-trace directory: every job with a recording there
+     * replays it, whatever the frontend; the others run live. Required
+     * by `frontend = trace`; excludes the cores axis.
+     */
     std::string traceDir;
 
     /**
@@ -104,10 +110,11 @@ bool operator!=(const ExperimentSpec &a, const ExperimentSpec &b);
 
 /**
  * Apply one `key = value` assignment to @p spec. This is the single
- * mutation path shared by the file parser and the CLI flag layer (a
- * `--sched X` flag is applySpecValue(spec, "sched", "X")), so flags and
- * spec files can never drift apart. Throws std::invalid_argument on an
- * unknown key (listing every valid key) or a malformed value.
+ * mutation path shared by the file parser and every command-line flag
+ * (`sst run --threads 2,4` is applySpecValue(spec, "threads", "2,4"),
+ * and the benches' `--sched X` the same), so flags and spec files can
+ * never drift apart. Throws std::invalid_argument on an unknown key
+ * (listing every valid key) or a malformed value.
  */
 void applySpecValue(ExperimentSpec &spec, const std::string &key,
                     const std::string &value);
@@ -128,10 +135,12 @@ ExperimentSpec parseSpecFile(const std::string &path);
 std::string serializeSpec(const ExperimentSpec &spec);
 
 /**
- * Validate cross-field constraints: known frontend (trace frontends
- * need trace-dir, generator frontends must not have one), resolvable
- * profile labels, non-empty axes, and sched-seed only with a stochastic
- * policy. Throws std::invalid_argument with registry-sourced messages.
+ * Validate cross-field constraints: known frontend (`trace` needs
+ * trace-dir), no cores axis with trace-dir, exclusive workload axes,
+ * resolvable profile and workload labels, non-empty axes, and
+ * sched-seed only with a stochastic policy. Every command line reaches
+ * these rules through here. Throws std::invalid_argument with
+ * registry-sourced messages.
  */
 void validateSpec(const ExperimentSpec &spec);
 
@@ -152,9 +161,9 @@ SweepGrid specGrid(const ExperimentSpec &spec);
 ExperimentSpec specForJob(const JobSpec &job);
 
 /**
- * Apply @p spec's execution-relevant settings (frontend -> trace-dir)
- * to @p opts. Jobs/cache settings stay CLI-level: they affect how a
- * batch executes, never what it computes.
+ * Apply @p spec's execution-relevant setting (trace-dir: the jobs
+ * recorded there replay) to @p opts. Jobs/cache settings stay
+ * CLI-level: they affect how a batch executes, never what it computes.
  */
 void applySpecToDriverOptions(const ExperimentSpec &spec,
                               DriverOptions &opts);

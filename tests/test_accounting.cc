@@ -157,7 +157,7 @@ TEST(Report, LiDetectorOption)
     c.spinDetectedLi = 99;
     c.finishTime = 100;
     ReportOptions opts;
-    opts.useLiDetector = true;
+    opts.spinDetector = AccountingParams::Detector::kLi;
     const auto comps = computeComponents({c}, 100, opts);
     EXPECT_DOUBLE_EQ(comps[0].spin, 99.0);
 }

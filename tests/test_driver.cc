@@ -94,6 +94,24 @@ TEST(Fingerprint, BaselineSharedAcrossThreadCounts)
     EXPECT_NE(baselineKey(a), baselineKey(c));
 }
 
+TEST(Fingerprint, LiStackDetectorMissesEntriesOfTianStacks)
+{
+    // Builds that ignored `machine.stack-detector` stored Tian-built
+    // stacks under the Li fingerprint text of that time: the Tian text
+    // with only the detector value swapped. A Li job must not hit them.
+    const JobSpec tian = makeJob(test::computeOnlyProfile(), 4);
+    JobSpec li = tian;
+    li.params.accounting.stackDetector = AccountingParams::Detector::kLi;
+    std::string stale = fingerprintJob(tian).canonical;
+    const std::string from = "machine.stack-detector = tian";
+    const std::size_t at = stale.find(from);
+    ASSERT_NE(at, std::string::npos);
+    stale.replace(at, from.size(), "machine.stack-detector = li");
+    EXPECT_NE(fingerprintJob(li).canonical, stale);
+    EXPECT_EQ(fingerprintJob(tian).canonical.find("report."),
+              std::string::npos);
+}
+
 TEST(Fingerprint, SeedDerivationIsIdentityAtOffsetZero)
 {
     EXPECT_EQ(deriveJobSeed(42, 0), 42u);
@@ -201,6 +219,54 @@ TEST(Driver, BaselineComputedOncePerProfile)
     ASSERT_TRUE(results[2].ok());
     EXPECT_EQ(results[0].exp.ts, results[1].exp.ts);
     EXPECT_EQ(results[1].exp.ts, results[2].exp.ts);
+}
+
+TEST(Driver, StackDetectorLiBuildsTheStackFromLisDetector)
+{
+    JobSpec spec = makeJob(test::lockHeavyProfile(), 4);
+    spec.params.accounting.stackDetector = AccountingParams::Detector::kLi;
+    DriverOptions opts;
+    opts.jobs = 1;
+    const std::vector<JobResult> results = runExperimentBatch({spec}, opts);
+    ASSERT_TRUE(results[0].ok()) << results[0].error;
+    const SpeedupExperiment &e = results[0].exp;
+
+    // Rebuild both stacks from the job's counters: Tian's as reported
+    // by default, and the same components with Li's spin cycles.
+    std::vector<CycleComponents> comps =
+        computeComponents(e.parallel.threads, e.tp, ReportOptions());
+    const SpeedupStack tian = buildSpeedupStack(comps, e.tp);
+    for (std::size_t t = 0; t < comps.size(); ++t)
+        comps[t].spin =
+            static_cast<double>(e.parallel.threads[t].spinDetectedLi);
+    const SpeedupStack li = buildSpeedupStack(comps, e.tp);
+
+    EXPECT_EQ(e.estimatedSpeedup, li.estimatedSpeedup);
+    EXPECT_EQ(e.stack.spin, li.spin);
+    EXPECT_NE(li.estimatedSpeedup, tian.estimatedSpeedup)
+        << "the detectors agree here, so the test proves nothing";
+}
+
+TEST(Driver, ThreadsCappedAtQueuedJobs)
+{
+    // Two experiments sharing one baseline queue three jobs: eight
+    // requested workers start three threads, and a batch served from
+    // the cache queues nothing and runs on the calling thread.
+    const BenchmarkProfile profile = test::computeOnlyProfile();
+    const std::vector<JobSpec> specs = {makeJob(profile, 2),
+                                        makeJob(profile, 4)};
+    const std::string dir = freshTempDir("threads_capped");
+    DriverOptions opts;
+    opts.jobs = 8;
+    opts.cacheDir = dir;
+    ExperimentDriver driver(opts);
+    driver.runBatch(specs);
+    EXPECT_EQ(driver.stats().executed, 2u);
+    EXPECT_EQ(driver.stats().workers, 3);
+    driver.runBatch(specs);
+    EXPECT_EQ(driver.stats().cached, 2u);
+    EXPECT_EQ(driver.stats().workers, 1);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Driver, FourJobsSharingOneBaselineComputeItOnce)

@@ -17,6 +17,7 @@
 #include "sched/policy.hh"
 #include "sim/event_queue.hh"
 #include "sim/system.hh"
+#include "spec/registries.hh"
 #include "test_util.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_writer.hh"
@@ -240,18 +241,18 @@ TEST(SchedPolicies, RandomSeedSelectsDistinctSchedules)
 
 TEST(SchedPolicy, LabelsRoundTrip)
 {
-    for (const std::string &label : allSchedPolicyLabels())
-        EXPECT_EQ(schedPolicyLabel(parseSchedPolicy(label)), label);
+    for (const std::string &label : schedulerRegistry().names())
+        EXPECT_EQ(schedPolicyLabel(schedulerRegistry().at(label)), label);
 }
 
 TEST(SchedPolicy, UnknownLabelListsAllPolicies)
 {
     try {
-        parseSchedPolicy("fifo");
+        schedulerRegistry().at("fifo");
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
         const std::string what = e.what();
-        for (const std::string &label : allSchedPolicyLabels())
+        for (const std::string &label : schedulerRegistry().names())
             EXPECT_NE(what.find(label), std::string::npos) << what;
     }
 }
