@@ -28,7 +28,6 @@
 #include "serve/worker.hh"
 #include "trace/trace_format.hh"
 #include "sched/policy.hh"
-#include "spec/registries.hh"
 #include "spec/spec.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
@@ -219,7 +218,7 @@ runUsage()
 int
 executeBatch(const ExperimentSpec &spec, RunOptions run)
 {
-    const SweepGrid grid = specGrid(spec); // validates
+    validateSpec(spec);
     applySpecToDriverOptions(spec, run.driver);
     const bool tracing = !run.traceOut.empty();
     if (tracing) {
@@ -227,7 +226,7 @@ executeBatch(const ExperimentSpec &spec, RunOptions run)
         telemetry::SpanTracer::global().setEnabled(true);
     }
 
-    const std::vector<JobSpec> jobs = expandGrid(grid);
+    const std::vector<JobSpec> jobs = expandGrid(spec);
     ExperimentDriver driver(run.driver);
     const std::vector<JobResult> results = driver.runBatch(jobs);
 
@@ -241,8 +240,8 @@ executeBatch(const ExperimentSpec &spec, RunOptions run)
     }
 
     if (!spec.quiet)
-        printBatchTable(jobs, results, !grid.cores.empty(),
-                        !grid.llcBytes.empty());
+        printBatchTable(jobs, results, !spec.cores.empty(),
+                        !spec.llcBytes.empty());
     printBatchStats(driver);
 
     if (!spec.csvPath.empty())
@@ -826,11 +825,13 @@ submitImpl(int argc, char **argv, int first)
         return streamCampaign(ep, resultsName, json, !noWait, csvPath);
 
     // --spec: submit, optionally followed by a blocking results stream.
-    std::ifstream in(specPath, std::ios::binary);
-    if (!in.is_open())
-        fatal("cannot read spec file " + specPath);
-    std::ostringstream text;
-    text << in.rdbuf();
+    // The canonical text carries the paths the spec file resolved.
+    std::string text;
+    try {
+        text = serializeSpec(parseSpecFile(specPath));
+    } catch (const std::invalid_argument &e) {
+        fatal(e.what());
+    }
     if (name.empty())
         name = std::filesystem::path(specPath).stem().string();
 
@@ -838,7 +839,7 @@ submitImpl(int argc, char **argv, int first)
     req.kind = serve::Request::Kind::kSubmit;
     req.campaign = name;
     req.priority = priority;
-    req.payload = text.str();
+    req.payload = text;
     const int rc = simpleRequest(ep, req);
     if (rc != 0 || !wait)
         return rc;

@@ -18,10 +18,9 @@
 #include <vector>
 
 #include "driver/driver.hh"
-#include "sim/params.hh"
-#include "spec/machine_keys.hh"
 #include "spec/spec.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace sst {
 namespace cli {
@@ -86,9 +85,10 @@ inline constexpr FlagAlias kFlagAliases[] = {
  * Read the flag at argv[i] as one spec assignment, advancing i past its
  * value: `--set KEY=VALUE`, `--KEY=VALUE`, `--KEY VALUE` or an alias in
  * kFlagAliases. Returns false when argv[i] does not start with `--`.
- * The key is not checked here: applySpecValue() rejects an unknown one,
- * listing the valid keys, so every experiment command line reaches the
- * spec through this one mapping.
+ * An unknown key throws requireSpecKey()'s error, listing the valid
+ * keys, before any value is read: a mistyped switch never swallows the
+ * next argument. Every experiment command line reaches the spec
+ * through this one mapping.
  */
 inline bool
 specFlag(int argc, char **argv, int &i, std::string &key,
@@ -107,15 +107,12 @@ specFlag(int argc, char **argv, int &i, std::string &key,
     const std::string kv = arg == "--set" ? argValue(argc, argv, i)
                                           : arg.substr(2);
     const std::size_t eq = kv.find('=');
-    if (eq != std::string::npos) {
-        key = kv.substr(0, eq);
-        value = kv.substr(eq + 1);
-    } else if (arg == "--set") {
+    if (eq == std::string::npos && arg == "--set")
         fatal("--set needs KEY=VALUE, got '" + kv + "'");
-    } else {
-        key = kv;
-        value = argValue(argc, argv, i);
-    }
+    key = kv.substr(0, eq);
+    requireSpecKey(key);
+    value = eq != std::string::npos ? kv.substr(eq + 1)
+                                    : argValue(argc, argv, i);
     return true;
 }
 
@@ -127,9 +124,10 @@ specFlag(int argc, char **argv, int &i, std::string &key,
  */
 struct BenchOptions
 {
-    SimParams params;            ///< --sched/--sched-seed applied
-    int jobs = 0;                ///< --jobs (0 = hardware concurrency)
-    std::uint64_t seedOffset = 0; ///< --seed-offset
+    /** The flags' machine, scheduler and seed-offset keys applied;
+     *  the bench sets the axes of its figure. */
+    ExperimentSpec spec;
+    int jobs = 0; ///< --jobs (0 = hardware concurrency)
     /** Bare integers, in order (legacy positional [nthreads] [jobs]). */
     std::vector<long> positionals;
 };
@@ -145,7 +143,6 @@ inline BenchOptions
 parseBenchArgs(int argc, char **argv, const char *usage)
 {
     BenchOptions o;
-    ExperimentSpec spec; // carries machine/sched/seed state while parsing
     try {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -183,17 +180,15 @@ parseBenchArgs(int argc, char **argv, const char *usage)
                           "key; this bench's grid is fixed (use the "
                           "sst CLI for arbitrary specs)");
                 }
-                applySpecValue(spec, key, value);
+                applySpecValue(o.spec, key, value);
             } else {
                 fatal("unknown argument '" + arg + "' (try --help)");
             }
         }
-        validateSpec(spec);
+        validateSpec(o.spec);
     } catch (const std::invalid_argument &e) {
         fatal(e.what());
     }
-    o.params = spec.machine;
-    o.seedOffset = spec.seedOffset;
     return o;
 }
 

@@ -17,32 +17,26 @@
 #include <vector>
 
 #include "cli_common.hh"
-#include "driver/sweep.hh"
 #include "util/format.hh"
 #include "util/stats.hh"
-#include "workload/profile.hh"
 
 int
 main(int argc, char **argv)
 {
-    const sst::cli::BenchOptions o =
+    sst::cli::BenchOptions o =
         sst::cli::parseBenchArgs(argc, argv, "fig04_validation [jobs]");
     const std::vector<int> threads = {2, 4, 8, 16};
 
     std::printf("Figure 4: actual vs estimated speedup "
                 "(error metric: Eq. 6, (S^ - S)/N)\n\n");
 
-    sst::SweepGrid grid;
-    grid.profiles = sst::allProfileLabels();
-    grid.threads = threads;
-    grid.baseParams = o.params;
-    grid.seedOffset = o.seedOffset;
+    o.spec.threads = threads; // every profile of the suite
 
     sst::DriverOptions opts;
     opts.jobs = o.positionals.empty() ? o.jobs
                                       : static_cast<int>(o.positionals[0]);
 
-    const std::vector<sst::JobSpec> specs = sst::expandGrid(grid);
+    const std::vector<sst::JobSpec> specs = sst::expandGrid(o.spec);
     const std::vector<sst::JobResult> results =
         sst::runExperimentBatch(specs, opts);
 

@@ -12,23 +12,19 @@
 
 #include "cli_common.hh"
 #include "core/render.hh"
-#include "driver/sweep.hh"
 
 int
 main(int argc, char **argv)
 {
-    const sst::cli::BenchOptions o = sst::cli::parseBenchArgs(
+    sst::cli::BenchOptions o = sst::cli::parseBenchArgs(
         argc, argv, "fig05_speedup_stacks [jobs]");
 
-    sst::SweepGrid grid;
-    grid.profiles = {"blackscholes_medium", "facesim_medium", "cholesky"};
-    grid.threads = {2, 4, 8, 16};
-    grid.baseParams = o.params;
-    grid.seedOffset = o.seedOffset;
+    o.spec.profiles = {"blackscholes_medium", "facesim_medium", "cholesky"};
+    o.spec.threads = {2, 4, 8, 16};
     const int jobs = o.positionals.empty()
                          ? o.jobs
                          : static_cast<int>(o.positionals[0]);
-    const std::vector<sst::JobSpec> specs = sst::expandGrid(grid);
+    const std::vector<sst::JobSpec> specs = sst::expandGrid(o.spec);
     const std::vector<sst::JobResult> results =
         sst::cli::runJobs(specs, jobs);
 
@@ -38,12 +34,12 @@ main(int argc, char **argv)
     // expandGrid() is profile-major: each benchmark contributes one
     // contiguous block of |threads| jobs, in thread order.
     for (std::size_t base = 0; base < specs.size();
-         base += grid.threads.size()) {
+         base += o.spec.threads.size()) {
         std::vector<sst::SpeedupStack> stacks;
         std::vector<std::string> labels;
-        for (std::size_t i = 0; i < grid.threads.size(); ++i) {
+        for (std::size_t i = 0; i < o.spec.threads.size(); ++i) {
             stacks.push_back(results[base + i].exp.stack);
-            labels.push_back(std::to_string(grid.threads[i]) + "thr");
+            labels.push_back(std::to_string(o.spec.threads[i]) + "thr");
         }
         std::printf("== %s ==\n%s\n", specs[base].label().c_str(),
                     sst::renderStackBars(stacks, labels, 20).c_str());

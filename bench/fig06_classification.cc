@@ -15,28 +15,23 @@
 
 #include "cli_common.hh"
 #include "core/classify.hh"
-#include "driver/sweep.hh"
 #include "util/format.hh"
 #include "workload/profile.hh"
 
 int
 main(int argc, char **argv)
 {
-    const sst::cli::BenchOptions o = sst::cli::parseBenchArgs(
+    sst::cli::BenchOptions o = sst::cli::parseBenchArgs(
         argc, argv, "fig06_classification [jobs]");
     std::printf("Figure 6: classification tree at 16 threads\n\n");
 
-    sst::SweepGrid grid;
-    grid.profiles = sst::allProfileLabels();
-    grid.threads = {16};
-    grid.baseParams = o.params;
-    grid.seedOffset = o.seedOffset;
+    o.spec.threads = {16}; // every profile of the suite
 
     sst::DriverOptions opts;
     opts.jobs = o.positionals.empty() ? o.jobs
                                       : static_cast<int>(o.positionals[0]);
 
-    const std::vector<sst::JobSpec> specs = sst::expandGrid(grid);
+    const std::vector<sst::JobSpec> specs = sst::expandGrid(o.spec);
     const std::vector<sst::JobResult> results =
         sst::runExperimentBatch(specs, opts);
 

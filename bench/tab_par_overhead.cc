@@ -14,24 +14,18 @@
 #include <cstdio>
 
 #include "cli_common.hh"
-#include "driver/sweep.hh"
 #include "util/format.hh"
-#include "workload/profile.hh"
 
 int
 main(int argc, char **argv)
 {
-    const sst::cli::BenchOptions o =
+    sst::cli::BenchOptions o =
         sst::cli::parseBenchArgs(argc, argv, "tab_par_overhead [jobs]");
-    sst::SweepGrid grid;
-    grid.profiles = sst::allProfileLabels();
-    grid.threads = {16};
-    grid.baseParams = o.params;
-    grid.seedOffset = o.seedOffset;
+    o.spec.threads = {16}; // every profile of the suite
     const int jobs = o.positionals.empty()
                          ? o.jobs
                          : static_cast<int>(o.positionals[0]);
-    const std::vector<sst::JobSpec> specs = sst::expandGrid(grid);
+    const std::vector<sst::JobSpec> specs = sst::expandGrid(o.spec);
     const std::vector<sst::JobResult> results =
         sst::cli::runJobs(specs, jobs);
 

@@ -15,7 +15,7 @@
 
 #include "core/classify.hh"
 #include "core/render.hh"
-#include "driver/sweep.hh"
+#include "spec/spec.hh"
 
 int
 main(int argc, char **argv)
@@ -25,7 +25,7 @@ main(int argc, char **argv)
     // A representative subset: one good scaler, two benchmarks with
     // nearly identical speedup but different bottlenecks (the paper's
     // facesim vs cholesky example), and a memory-bound one.
-    sst::SweepGrid grid;
+    sst::ExperimentSpec grid;
     grid.profiles = {"blackscholes_medium", "facesim_medium", "cholesky",
                      "srad", "ferret_small"};
     grid.threads = {nthreads};

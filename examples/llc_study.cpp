@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "driver/sweep.hh"
+#include "spec/spec.hh"
 #include "util/format.hh"
 
 int
@@ -24,12 +24,13 @@ main(int argc, char **argv)
     const std::string label = argc > 1 ? argv[1] : "cholesky";
 
     // One benchmark at 16 threads, crossed with four LLC sizes.
-    sst::SweepGrid grid;
+    sst::ExperimentSpec grid;
     grid.profiles = {label};
     grid.threads = {16};
     grid.llcBytes = {1u << 20, 2u << 20, 4u << 20, 8u << 20};
     std::vector<sst::JobSpec> specs;
     try {
+        sst::validateSpec(grid);
         specs = sst::expandGrid(grid);
     } catch (const std::invalid_argument &e) {
         std::fprintf(stderr, "error: %s\n", e.what());

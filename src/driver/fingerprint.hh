@@ -22,6 +22,7 @@
 #include <string>
 
 #include "driver/job.hh"
+#include "util/canonical.hh"
 
 namespace sst {
 
@@ -48,9 +49,6 @@ inline constexpr int kFingerprintVersion = 4;
  *  so existing cache entries survive the refactor. */
 inline constexpr int kHomogeneousSchemaVersion = 3;
 
-/** FNV-1a 64-bit hash of @p data. */
-std::uint64_t fnv1a64(const std::string &data);
-
 /** A job identity: the canonical text and its 64-bit digest. */
 struct Fingerprint
 {
@@ -61,17 +59,13 @@ struct Fingerprint
     std::string hex() const;
 };
 
-/** Canonical serialization of every outcome-relevant profile field. */
-void encodeProfile(std::string &out, const BenchmarkProfile &profile);
-
 /**
  * Canonical serialization of every outcome-relevant SimParams field.
  * @p ncores_effective replaces params.ncores: simulateWorkload() pins
  * the core count to the job's effective core count
  * (JobSpec::ncoresEffective()), so the stored field is irrelevant and
  * canonicalizing it maximizes cache and baseline sharing. The field
- * list is the spec module's machine-key table (see
- * src/spec/machine_keys.hh).
+ * list is the machine-key table (see src/sim/machine_keys.hh).
  */
 void encodeParams(std::string &out, const SimParams &params,
                   int ncores_effective);

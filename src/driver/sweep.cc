@@ -1,37 +1,12 @@
 #include "sweep.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
 
-#include "spec/registries.hh"
 #include "util/logging.hh"
-#include "wdl/wdl.hh"
-#include "workload/profile.hh"
 
 namespace sst {
 namespace {
-
-std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::string cur;
-    for (const char c : text) {
-        if (c == ',') {
-            parts.push_back(cur);
-            cur.clear();
-        } else if (!std::isspace(static_cast<unsigned char>(c))) {
-            cur += c;
-        }
-    }
-    parts.push_back(cur);
-    return parts;
-}
 
 std::string
 f64(double v)
@@ -103,148 +78,6 @@ jsonEscape(const std::string &s)
 }
 
 } // namespace
-
-std::vector<int>
-parseIntList(const std::string &text)
-{
-    std::vector<int> out;
-    for (const std::string &part : splitCommas(text)) {
-        if (part.empty())
-            throw std::invalid_argument("empty entry in list '" + text +
-                                        "'");
-        errno = 0;
-        char *end = nullptr;
-        const long v = std::strtol(part.c_str(), &end, 10);
-        if (errno != 0 || !end || *end != '\0' || v <= 0 || v > 1 << 20)
-            throw std::invalid_argument("bad integer '" + part + "'");
-        out.push_back(static_cast<int>(v));
-    }
-    return out;
-}
-
-std::vector<std::string>
-parseLabelList(const std::string &text)
-{
-    std::vector<std::string> out = splitCommas(text);
-    for (const std::string &label : out)
-        if (label.empty())
-            throw std::invalid_argument("empty entry in list '" + text +
-                                        "'");
-    return out;
-}
-
-std::uint64_t
-parseSize(const std::string &text)
-{
-    if (text.empty())
-        throw std::invalid_argument("empty size");
-    std::uint64_t mult = 1;
-    std::string digits = text;
-    const char suffix =
-        static_cast<char>(std::toupper(static_cast<unsigned char>(
-            text.back())));
-    if (suffix == 'K' || suffix == 'M' || suffix == 'G') {
-        mult = suffix == 'K' ? 1024ULL
-                             : suffix == 'M' ? 1024ULL * 1024
-                                             : 1024ULL * 1024 * 1024;
-        digits = text.substr(0, text.size() - 1);
-    }
-    if (digits.empty())
-        throw std::invalid_argument("bad size '" + text + "'");
-    // Digits only: strtoull silently wraps "-5" to a huge value.
-    for (const char c : digits)
-        if (c < '0' || c > '9')
-            throw std::invalid_argument("bad size '" + text + "'");
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(digits.c_str(), &end, 10);
-    if (errno != 0 || !end || *end != '\0' || v == 0)
-        throw std::invalid_argument("bad size '" + text + "'");
-    return v * mult;
-}
-
-std::vector<std::uint64_t>
-parseSizeList(const std::string &text)
-{
-    std::vector<std::uint64_t> out;
-    for (const std::string &part : splitCommas(text))
-        out.push_back(parseSize(part));
-    return out;
-}
-
-std::vector<JobSpec>
-expandGrid(const SweepGrid &grid)
-{
-    // Resolve either axis into one list of workloads; the job
-    // construction over cores x LLC is shared below.
-    std::vector<WorkloadSpec> workloads;
-    if (!grid.workloadFiles.empty()) {
-        if (!grid.profiles.empty() || !grid.workloads.empty()) {
-            throw std::invalid_argument(
-                "sweep grid has workload files and profiles/workloads; "
-                "the axes are exclusive (a .wdl file declares its own "
-                "groups)");
-        }
-        workloads.reserve(grid.workloadFiles.size());
-        for (const std::string &path : grid.workloadFiles)
-            workloads.push_back(wdl::loadWorkloadFile(path)); // throws
-    } else if (!grid.workloads.empty()) {
-        if (!grid.profiles.empty()) {
-            throw std::invalid_argument(
-                "sweep grid has both workloads and profiles; the axes "
-                "are exclusive (a workload names its own profiles)");
-        }
-        workloads.reserve(grid.workloads.size());
-        for (const std::string &text : grid.workloads)
-            workloads.push_back(parseWorkload(text)); // throws, lists names
-    } else {
-        if (grid.profiles.empty())
-            throw std::invalid_argument("sweep grid has no profiles");
-        if (grid.threads.empty())
-            throw std::invalid_argument("sweep grid has no thread counts");
-
-        // Resolve labels up front so a typo fails the whole expansion
-        // loudly instead of producing a batch of failed jobs. Same
-        // semantics as profileByLabel(): label or bare name.
-        std::vector<const BenchmarkProfile *> profiles;
-        for (const std::string &label : grid.profiles) {
-            const BenchmarkProfile *found = findProfileByLabel(label);
-            if (!found) {
-                throw std::invalid_argument(
-                    "unknown benchmark profile '" + label +
-                    "'; valid labels: " + allProfileLabelsJoined());
-            }
-            profiles.push_back(found);
-        }
-        workloads.reserve(profiles.size() * grid.threads.size());
-        for (const BenchmarkProfile *profile : profiles)
-            for (const int nthreads : grid.threads)
-                workloads.push_back(
-                    WorkloadSpec::homogeneous(*profile, nthreads));
-    }
-
-    const std::size_t nllc =
-        grid.llcBytes.empty() ? 1 : grid.llcBytes.size();
-    const std::size_t ncores = grid.cores.empty() ? 1 : grid.cores.size();
-    std::vector<JobSpec> jobs;
-    jobs.reserve(workloads.size() * nllc * ncores);
-    for (const WorkloadSpec &workload : workloads) {
-        for (std::size_t l = 0; l < nllc; ++l) {
-            for (std::size_t c = 0; c < ncores; ++c) {
-                JobSpec spec;
-                spec.workload = workload;
-                if (!grid.cores.empty())
-                    spec.ncores = grid.cores[c];
-                spec.params = grid.baseParams;
-                if (!grid.llcBytes.empty())
-                    spec.params.cache.llcBytes = grid.llcBytes[l];
-                spec.seedOffset = grid.seedOffset;
-                jobs.push_back(std::move(spec));
-            }
-        }
-    }
-    return jobs;
-}
 
 std::string
 sweepCsvHeader()

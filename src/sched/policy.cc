@@ -2,15 +2,28 @@
 
 #include <stdexcept>
 
-#include "spec/registries.hh"
-
 namespace sst {
 
-// The label table lives in schedulerRegistry() (src/spec/registries.cc),
-// registered in enum order so names()[enum value] is the label. Every
-// lookup below delegates there, so adding a policy is one registry line
-// plus the enumerator — parse errors and `sst list scheds` follow
-// automatically.
+// The label table is schedulerRegistry(), registered in enum order so
+// names()[enum value] is the label. Every lookup below delegates there,
+// so adding a policy is one registry line plus the enumerator — parse
+// errors and `sst list scheds` follow automatically.
+
+const NamedRegistry<SchedPolicy> &
+schedulerRegistry()
+{
+    static const NamedRegistry<SchedPolicy> registry = [] {
+        NamedRegistry<SchedPolicy> r("scheduler policy",
+                                     "scheduler policies");
+        // Registration order must equal enum order: schedPolicyLabel()
+        // indexes names() by the enum value.
+        r.add("affinity-fifo", SchedPolicy::kAffinityFifo);
+        r.add("round-robin", SchedPolicy::kRoundRobin);
+        r.add("random", SchedPolicy::kRandom);
+        return r;
+    }();
+    return registry;
+}
 
 const char *
 schedPolicyLabel(SchedPolicy policy)

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "util/registry.hh"
+
 namespace sst {
 
 /**
@@ -30,6 +32,9 @@ enum class SchedPolicy : std::uint8_t {
     /** Uniform random pick from the ready pool (seeded, deterministic). */
     kRandom = 2,
 };
+
+/** `sched` label -> SchedPolicy, in enum order (`sst list scheds`). */
+const NamedRegistry<SchedPolicy> &schedulerRegistry();
 
 /** Stable command-line/cache label of @p policy ("affinity-fifo", ...). */
 const char *schedPolicyLabel(SchedPolicy policy);

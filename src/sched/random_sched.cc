@@ -1,7 +1,5 @@
 #include "random_sched.hh"
 
-#include "sim/params.hh"
-
 namespace sst {
 
 namespace {
@@ -15,9 +13,10 @@ constexpr std::uint64_t kSchedStreamSalt = 0x5c4ed5eed0515ULL;
 
 } // namespace
 
-RandomScheduler::RandomScheduler(const SimParams &params, int nthreads)
-    : Scheduler(params, nthreads),
-      rng_(params.schedSeed ^ kSchedStreamSalt)
+RandomScheduler::RandomScheduler(int ncores, Cycles time_slice,
+                                 int nthreads, std::uint64_t seed)
+    : Scheduler(ncores, time_slice, nthreads),
+      rng_(seed ^ kSchedStreamSalt)
 {
 }
 

@@ -21,7 +21,8 @@ namespace sst {
 class RandomScheduler : public Scheduler
 {
   public:
-    RandomScheduler(const SimParams &params, int nthreads);
+    RandomScheduler(int ncores, Cycles time_slice, int nthreads,
+                    std::uint64_t seed);
 
     const char *name() const override { return "random"; }
 

@@ -3,16 +3,15 @@
 #include "sched/affinity_fifo.hh"
 #include "sched/random_sched.hh"
 #include "sched/round_robin.hh"
-#include "sim/params.hh"
 #include "util/logging.hh"
 
 namespace sst {
 
-Scheduler::Scheduler(const SimParams &params, int nthreads)
-    : params_(params), nthreads_(nthreads),
-      idle_(static_cast<std::size_t>(params.ncores), 1)
+Scheduler::Scheduler(int ncores, Cycles time_slice, int nthreads)
+    : ncores_(ncores), timeSlice_(time_slice), nthreads_(nthreads),
+      idle_(static_cast<std::size_t>(ncores), 1)
 {
-    sstAssert(params.ncores >= 1, "Scheduler needs at least one core");
+    sstAssert(ncores >= 1, "Scheduler needs at least one core");
 }
 
 Scheduler::~Scheduler() = default;
@@ -50,7 +49,7 @@ Scheduler::setAffinityHints(std::vector<CoreId> hints)
                   hints.size() == static_cast<std::size_t>(nthreads_),
               "affinity hint table must cover every thread");
     for (const CoreId c : hints)
-        sstAssert(c >= 0 && c < params_.ncores,
+        sstAssert(c >= 0 && c < ncores_,
                   "affinity hint outside the machine");
     hints_ = std::move(hints);
 }
@@ -68,20 +67,23 @@ Scheduler::placeWoken(ThreadId tid, CoreId last_core) const
 bool
 Scheduler::shouldPreempt(Cycles now, Cycles slice_start) const
 {
-    return nthreads_ > params_.ncores &&
-           now >= slice_start + params_.timeSliceCycles;
+    return nthreads_ > ncores_ && now >= slice_start + timeSlice_;
 }
 
 std::unique_ptr<Scheduler>
-makeScheduler(const SimParams &params, int nthreads)
+makeScheduler(SchedPolicy policy, std::uint64_t seed, int ncores,
+              Cycles time_slice, int nthreads)
 {
-    switch (params.schedPolicy) {
+    switch (policy) {
       case SchedPolicy::kAffinityFifo:
-        return std::make_unique<AffinityFifoScheduler>(params, nthreads);
+        return std::make_unique<AffinityFifoScheduler>(ncores, time_slice,
+                                                       nthreads);
       case SchedPolicy::kRoundRobin:
-        return std::make_unique<RoundRobinScheduler>(params, nthreads);
+        return std::make_unique<RoundRobinScheduler>(ncores, time_slice,
+                                                     nthreads);
       case SchedPolicy::kRandom:
-        return std::make_unique<RandomScheduler>(params, nthreads);
+        return std::make_unique<RandomScheduler>(ncores, time_slice,
+                                                 nthreads, seed);
     }
     panic("unhandled scheduler policy");
 }

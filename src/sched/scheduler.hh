@@ -38,8 +38,6 @@
 
 namespace sst {
 
-struct SimParams;
-
 /** A runnable thread as the scheduler sees it. */
 struct ReadyThread
 {
@@ -52,11 +50,11 @@ class Scheduler
 {
   public:
     /**
-     * @param params machine configuration; the reference must outlive
-     *        the scheduler (the System owns both)
+     * @param ncores cores of the machine
+     * @param time_slice preemption quantum of an oversubscribed run
      * @param nthreads software threads of the run
      */
-    Scheduler(const SimParams &params, int nthreads);
+    Scheduler(int ncores, Cycles time_slice, int nthreads);
     virtual ~Scheduler();
 
     Scheduler(const Scheduler &) = delete;
@@ -111,7 +109,7 @@ class Scheduler
     // ---- time slicing ------------------------------------------------------
     /**
      * Preempt a thread running since @p slice_start? Default: only when
-     * the machine is oversubscribed and timeSliceCycles have elapsed.
+     * the machine is oversubscribed and a time slice has elapsed.
      */
     virtual bool shouldPreempt(Cycles now, Cycles slice_start) const;
 
@@ -120,7 +118,8 @@ class Scheduler
      *  when every core is busy. */
     CoreId firstIdleCore(CoreId preferred) const;
 
-    const SimParams &params_;
+    int ncores_;
+    Cycles timeSlice_;
     int nthreads_;
 
   private:
@@ -128,9 +127,13 @@ class Scheduler
     std::vector<CoreId> hints_; ///< per-thread preferred cores (optional)
 };
 
-/** Build the scheduler selected by params.schedPolicy. */
-std::unique_ptr<Scheduler> makeScheduler(const SimParams &params,
-                                         int nthreads);
+/**
+ * Build the scheduler of @p policy for @p nthreads threads on
+ * @p ncores cores; @p seed drives the random policy's RNG stream.
+ */
+std::unique_ptr<Scheduler> makeScheduler(SchedPolicy policy,
+                                         std::uint64_t seed, int ncores,
+                                         Cycles time_slice, int nthreads);
 
 } // namespace sst
 

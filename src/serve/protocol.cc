@@ -5,8 +5,8 @@
 #include <stdexcept>
 
 #include "driver/result_cache.hh"
-#include "spec/machine_keys.hh"
 #include "spec/spec.hh"
+#include "util/parse.hh"
 
 namespace sst {
 namespace serve {
@@ -32,7 +32,7 @@ kindNamesJoined()
     return out;
 }
 
-/** Strict u64 via the spec module's parser (digits only, no wrap). */
+/** Strict u64 via parseU64Text (digits only, no wrap). */
 std::uint64_t
 tokenU64(const char *what, const std::string &token)
 {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <utility>
 
 #include "driver/fingerprint.hh"
@@ -358,7 +359,26 @@ Server::submitCampaign(const std::string &name, int priority,
     try {
         const ExperimentSpec spec = parseSpec(spec_text);
         canonical = serializeSpec(spec);
-        jobs = expandGrid(specGrid(spec));
+        validateSpec(spec);
+        // Jobs replay from the trace directories of this server and its
+        // workers; a campaign cannot choose another one. A coordinator
+        // with no directory and no local workers leaves it to the
+        // external workers' own --trace-dir.
+        namespace fs = std::filesystem;
+        const auto dirKey = [](const std::string &dir) {
+            return (fs::path(dir) / "").lexically_normal();
+        };
+        const bool coordinator =
+            opts_.localWorkers == 0 && opts_.driver.traceDir.empty();
+        if (!spec.traceDir.empty() && !coordinator &&
+            dirKey(spec.traceDir) != dirKey(opts_.driver.traceDir))
+            throw std::invalid_argument(
+                "spec trace-dir '" + spec.traceDir +
+                "' differs from the server's --trace-dir '" +
+                opts_.driver.traceDir +
+                "'; in serve, trace-dir is a setting of `sst serve` "
+                "and `sst worker`");
+        jobs = expandGrid(spec);
     } catch (const std::exception &e) {
         response = "err " + oneline(e.what());
         return false;

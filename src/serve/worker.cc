@@ -139,7 +139,8 @@ runWorker(const WorkerOptions &opts_in)
         std::string infraError;
         try {
             const ExperimentSpec spec = parseSpec(specText);
-            std::vector<JobSpec> jobs = expandGrid(specGrid(spec));
+            validateSpec(spec);
+            std::vector<JobSpec> jobs = expandGrid(spec);
             if (jobs.size() != 1) {
                 throw std::runtime_error(
                     "leased spec expands to " +

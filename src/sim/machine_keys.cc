@@ -1,10 +1,8 @@
 #include "machine_keys.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 
-#include "driver/sweep.hh" // parseSize
+#include "util/parse.hh"
 
 namespace sst {
 namespace {
@@ -114,18 +112,6 @@ machineKeyNamesJoined()
     return out;
 }
 
-std::string
-sizeText(std::uint64_t bytes)
-{
-    constexpr std::uint64_t K = 1024, M = K * K, G = M * K;
-    if (bytes >= G && bytes % G == 0)
-        return std::to_string(bytes / G) + "G";
-    if (bytes >= M && bytes % M == 0)
-        return std::to_string(bytes / M) + "M";
-    if (bytes >= K && bytes % K == 0)
-        return std::to_string(bytes / K) + "K";
-    return std::to_string(bytes);
-}
 
 std::string
 machineValueText(const MachineKey &key, const SimParams &params)
@@ -144,39 +130,7 @@ machineValueText(const MachineKey &key, const SimParams &params)
     return std::to_string(v); // unreachable
 }
 
-std::uint64_t
-parseU64Text(const char *what, const std::string &text)
-{
-    // Digits only: strtoull would silently wrap "-1" to 2^64-1, so a
-    // character check is the only safe strictness.
-    if (text.empty() || text.size() > 20)
-        throw std::invalid_argument(std::string("bad value for ") +
-                                    what + ": '" + text + "'");
-    for (const char c : text)
-        if (c < '0' || c > '9')
-            throw std::invalid_argument(
-                std::string("bad value for ") + what + ": '" + text +
-                "' (expected an unsigned integer)");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || !end || *end != '\0')
-        throw std::invalid_argument(std::string("bad value for ") +
-                                    what + ": '" + text + "'");
-    return v;
-}
 
-bool
-parseBoolText(const char *what, const std::string &text)
-{
-    if (text == "true" || text == "1")
-        return true;
-    if (text == "false" || text == "0")
-        return false;
-    throw std::invalid_argument(std::string("bad value for ") + what +
-                                ": '" + text +
-                                "' (expected true or false)");
-}
 
 void
 setMachineValue(SimParams &params, const MachineKey &key,

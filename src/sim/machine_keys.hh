@@ -14,11 +14,13 @@
  *  - generated "valid keys" error messages.
  *
  * Adding a SimParams field means adding one table row; parse, print,
- * fingerprint and error text all follow.
+ * fingerprint and error text all follow. The table lives beside
+ * SimParams so the driver and the spec read it without depending on
+ * each other.
  */
 
-#ifndef SST_SPEC_MACHINE_KEYS_HH
-#define SST_SPEC_MACHINE_KEYS_HH
+#ifndef SST_SIM_MACHINE_KEYS_HH
+#define SST_SIM_MACHINE_KEYS_HH
 
 #include <cstdint>
 #include <string>
@@ -72,24 +74,6 @@ void setMachineValue(SimParams &params, const MachineKey &key,
  */
 void encodeMachineParams(std::string &out, const SimParams &params);
 
-/**
- * Render @p bytes in the shortest suffixed form parseSize() round-trips
- * ("2M", "64K", "1536" for non-multiples).
- */
-std::string sizeText(std::uint64_t bytes);
-
-/**
- * Strict base-10 u64 for spec values: digits only, so signs ("-1"
- * would silently wrap through strtoull), whitespace and suffixes are
- * all rejected. @p what names the key in the error. The one integer
- * parser behind every spec-level value (machine keys, seed-offset,
- * sched-seed).
- */
-std::uint64_t parseU64Text(const char *what, const std::string &text);
-
-/** Strict bool for spec values: true/1 or false/0. */
-bool parseBoolText(const char *what, const std::string &text);
-
 } // namespace sst
 
-#endif // SST_SPEC_MACHINE_KEYS_HH
+#endif // SST_SIM_MACHINE_KEYS_HH

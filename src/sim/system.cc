@@ -38,7 +38,8 @@ System::System(const SimParams &params, const OpSourceFactory &sources,
     sstAssert(nthreads >= 1, "System needs at least one thread");
     sstAssert(params.ncores >= 1, "System needs at least one core");
     sstAssert(static_cast<bool>(sources), "System needs an op-source factory");
-    sched_ = makeScheduler(params_, nthreads);
+    sched_ = makeScheduler(params.schedPolicy, params.schedSeed,
+                           params.ncores, params.timeSliceCycles, nthreads);
 
     if (topo && !topo->barrierQuorum.empty()) {
         sstAssert(topo->barrierQuorum.size() ==

@@ -74,8 +74,7 @@ class System
     System(const SimParams &params, const OpSourceFactory &sources,
            int nthreads, const ThreadTopology *topo = nullptr);
 
-    /** The scheduler holds a reference to this system's params; the
-     *  system is therefore neither copyable nor movable. */
+    /** One system is one run: neither copyable nor movable. */
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 

@@ -1,12 +1,16 @@
 #include "spec.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "spec/machine_keys.hh"
-#include "spec/registries.hh"
+#include "sim/machine_keys.hh"
+#include "util/parse.hh"
+#include "wdl/wdl.hh"
+#include "workload/workload_spec.hh"
 
 namespace sst {
 namespace {
@@ -96,10 +100,63 @@ joinLabels(const std::vector<std::string> &v)
 
 } // namespace
 
+const NamedRegistry<OpSourceFrontend> &
+opSourceRegistry()
+{
+    static const NamedRegistry<OpSourceFrontend> registry = [] {
+        NamedRegistry<OpSourceFrontend> r("workload frontend",
+                                          "workload frontends");
+        r.add("program",
+              OpSourceFrontend{
+                  "synthetic generator: op streams built live from the "
+                  "benchmark profile (ThreadProgram)",
+                  false});
+        r.add("trace",
+              OpSourceFrontend{
+                  "require trace-dir: replay the jobs recorded there "
+                  "(by --record-dir), run the rest live; trace-dir "
+                  "replays like this under every frontend",
+                  true});
+        r.add("pipeline",
+              OpSourceFrontend{
+                  "synthetic pipeline generator: heterogeneous stage "
+                  "profiles co-scheduled with shared phase barriers "
+                  "(select stages via `workload = <pipeline>`)",
+                  false});
+        r.add("workload-file",
+              OpSourceFrontend{
+                  "compile .wdl workload description files into op "
+                  "streams (select files via `workload-file = "
+                  "PATH[, PATH]`)",
+                  false});
+        return r;
+    }();
+    return registry;
+}
+
+void
+requireSpecKey(const std::string &key)
+{
+    const std::size_t prefix = std::string(kMachinePrefix).size();
+    if (key.compare(0, prefix, kMachinePrefix) == 0) {
+        if (!findMachineKey(key.substr(prefix)))
+            throw std::invalid_argument("unknown machine key '" + key +
+                                        "'; valid machine keys: " +
+                                        machineKeyNamesJoined());
+    } else if (key != "workload_file" &&
+               std::find(std::begin(kTopKeys), std::end(kTopKeys), key) ==
+                   std::end(kTopKeys)) {
+        throw std::invalid_argument("unknown spec key '" + key +
+                                    "'; valid keys: " +
+                                    specKeyNamesJoined());
+    }
+}
+
 void
 applySpecValue(ExperimentSpec &spec, const std::string &key,
                const std::string &value)
 {
+    requireSpecKey(key);
     if (key == "profiles") {
         if (value == "all" || value.empty())
             spec.profiles.clear();
@@ -185,20 +242,11 @@ applySpecValue(ExperimentSpec &spec, const std::string &key,
         spec.jsonPath = value;
     } else if (key == "output.quiet") {
         spec.quiet = parseBoolText("output.quiet", value);
-    } else if (key.compare(0, std::string(kMachinePrefix).size(),
-                           kMachinePrefix) == 0) {
-        const std::string name =
-            key.substr(std::string(kMachinePrefix).size());
-        const MachineKey *mk = findMachineKey(name);
-        if (!mk)
-            throw std::invalid_argument("unknown machine key '" + key +
-                                        "'; valid machine keys: " +
-                                        machineKeyNamesJoined());
-        setMachineValue(spec.machine, *mk, value);
-    } else {
-        throw std::invalid_argument("unknown spec key '" + key +
-                                    "'; valid keys: " +
-                                    specKeyNamesJoined());
+    } else { // a machine key: requireSpecKey() found it
+        setMachineValue(
+            spec.machine,
+            *findMachineKey(key.substr(std::string(kMachinePrefix).size())),
+            value);
     }
 }
 
@@ -268,11 +316,22 @@ parseSpecFile(const std::string &path)
         throw std::invalid_argument("cannot read spec file " + path);
     std::ostringstream buf;
     buf << in.rdbuf();
+    ExperimentSpec spec;
     try {
-        return parseSpec(buf.str());
+        spec = parseSpec(buf.str());
     } catch (const std::invalid_argument &e) {
         throw std::invalid_argument(path + ": " + e.what());
     }
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(path).parent_path();
+    const auto resolve = [&dir](std::string &value) {
+        if (!dir.empty() && !value.empty() && fs::path(value).is_relative())
+            value = (dir / value).lexically_normal().string();
+    };
+    for (std::string &file : spec.workloadFiles)
+        resolve(file);
+    resolve(spec.traceDir);
+    return spec;
 }
 
 std::string
@@ -402,33 +461,59 @@ validateSpec(const ExperimentSpec &spec)
     // Resolve every label now so a typo fails with the registry's
     // message before any job runs.
     for (const std::string &label : spec.profiles)
-        if (!profileRegistry().find(label))
-            profileRegistry().at(label); // throws, listing valid names
+        profileRegistry().at(label); // throws, listing valid names
 }
 
-SweepGrid
+ExperimentSpec
 specGrid(const ExperimentSpec &spec)
 {
     validateSpec(spec);
-    SweepGrid grid;
-    if (!spec.workloadFiles.empty()) {
-        // Each .wdl file carries its own groups and thread counts.
-        grid.workloadFiles = spec.workloadFiles;
-        grid.threads.clear();
-    } else if (!spec.workloads.empty()) {
-        // The workload axis carries its own profiles/thread counts.
-        grid.workloads = spec.workloads;
-        grid.threads.clear();
-    } else {
-        grid.profiles = spec.profiles.empty() ? allProfileLabels()
-                                              : spec.profiles;
-        grid.threads = spec.threads;
+    return spec;
+}
+
+std::vector<JobSpec>
+expandGrid(const ExperimentSpec &spec)
+{
+    // The workload axes are exclusive (validateSpec), so at most one of
+    // these loops adds anything; thread counts live inside a workload.
+    std::vector<WorkloadSpec> workloads;
+    for (const std::string &path : spec.workloadFiles)
+        workloads.push_back(wdl::loadWorkloadFile(path)); // throws
+    for (const std::string &text : spec.workloads)
+        workloads.push_back(parseWorkload(text));
+    if (workloads.empty()) {
+        const std::vector<std::string> &labels =
+            spec.profiles.empty() ? profileRegistry().names()
+                                  : spec.profiles;
+        for (const std::string &label : labels) {
+            const BenchmarkProfile &profile = *profileRegistry().at(label);
+            for (const int nthreads : spec.threads)
+                workloads.push_back(
+                    WorkloadSpec::homogeneous(profile, nthreads));
+        }
     }
-    grid.cores = spec.cores;
-    grid.llcBytes = spec.llcBytes;
-    grid.baseParams = spec.machine;
-    grid.seedOffset = spec.seedOffset;
-    return grid;
+
+    const std::size_t nllc =
+        spec.llcBytes.empty() ? 1 : spec.llcBytes.size();
+    const std::size_t ncores = spec.cores.empty() ? 1 : spec.cores.size();
+    std::vector<JobSpec> jobs;
+    jobs.reserve(workloads.size() * nllc * ncores);
+    for (const WorkloadSpec &workload : workloads) {
+        for (std::size_t l = 0; l < nllc; ++l) {
+            for (std::size_t c = 0; c < ncores; ++c) {
+                JobSpec job;
+                job.workload = workload;
+                if (!spec.cores.empty())
+                    job.ncores = spec.cores[c];
+                job.params = spec.machine;
+                if (!spec.llcBytes.empty())
+                    job.params.cache.llcBytes = spec.llcBytes[l];
+                job.seedOffset = spec.seedOffset;
+                jobs.push_back(std::move(job));
+            }
+        }
+    }
+    return jobs;
 }
 
 ExperimentSpec

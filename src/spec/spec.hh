@@ -34,10 +34,27 @@
 #include <vector>
 
 #include "driver/driver.hh"
-#include "driver/sweep.hh"
 #include "sim/params.hh"
+#include "util/registry.hh"
 
 namespace sst {
+
+/**
+ * A workload frontend: how a job's op streams are produced. The
+ * descriptor drives spec validation (a frontend that replays recordings
+ * needs a trace directory) and `sst list frontends` output. Execution
+ * follows the workload itself and `trace-dir`, not this name.
+ */
+struct OpSourceFrontend
+{
+    const char *description; ///< one-line summary for listings
+    /** Frontend consumes recorded traces: `trace-dir` must be set. */
+    bool needsTraceDir = false;
+};
+
+/** Workload-frontend registry ("program", "trace", "pipeline",
+ *  "workload-file"): the values of the `frontend` key. */
+const NamedRegistry<OpSourceFrontend> &opSourceRegistry();
 
 /** One declarative experiment description. See file comment. */
 struct ExperimentSpec
@@ -119,16 +136,29 @@ bool operator!=(const ExperimentSpec &a, const ExperimentSpec &b);
 void applySpecValue(ExperimentSpec &spec, const std::string &key,
                     const std::string &value);
 
+/**
+ * Throw the error applySpecValue() gives for @p key when it is not a
+ * spec key (listing the valid keys); return when it is one. Lets a
+ * command line reject a mistyped flag before reading its value.
+ */
+void requireSpecKey(const std::string &key);
+
 /** All valid spec keys joined with ", " (generated, for errors/help). */
 std::string specKeyNamesJoined();
 
 /**
  * Parse spec text (see file comment for the format). Errors carry the
- * 1-based line number. Starts from a default-constructed spec.
+ * 1-based line number. Starts from a default-constructed spec. Paths
+ * stay as written: relative to the working directory.
  */
 ExperimentSpec parseSpec(const std::string &text);
 
-/** Parse the spec file at @p path; errors name the file and line. */
+/**
+ * Parse the spec file at @p path; errors name the file and line. A
+ * relative `workload-file` or `trace-dir` value is relative to the
+ * spec file's directory: it is joined to that directory and
+ * normalized lexically, so the spec runs from any working directory.
+ */
 ExperimentSpec parseSpecFile(const std::string &path);
 
 /** Canonical serialization: every key, fixed order, normalized values. */
@@ -144,14 +174,23 @@ std::string serializeSpec(const ExperimentSpec &spec);
  */
 void validateSpec(const ExperimentSpec &spec);
 
-/** Expand @p spec's axes into the driver's sweep grid. */
-SweepGrid specGrid(const ExperimentSpec &spec);
+/** validateSpec(@p spec), then @p spec itself. */
+ExperimentSpec specGrid(const ExperimentSpec &spec);
+
+/**
+ * Expand the axes of a valid @p spec into jobs, profile-major (all of
+ * one benchmark's points are adjacent, in the benches' row order),
+ * then LLC sizes, then core counts. An empty `profiles` is the whole
+ * suite; `.wdl` files are compiled here. Checks nothing validateSpec()
+ * checks: run that first.
+ */
+std::vector<JobSpec> expandGrid(const ExperimentSpec &spec);
 
 /**
  * The single-job spec: an ExperimentSpec whose grid expands to exactly
  * @p job — the wire form the experiment service leases jobs in
  * (serialize on the server, parse + expand on the worker). The result
- * validates and round-trips: expandGrid(specGrid(specForJob(job)))
+ * validates and round-trips: expandGrid(specForJob(job))
  * yields one job with a fingerprint equal to fingerprintJob(job).
  * Requires @p job's profiles/workload to be registry-resolvable (true
  * for every job a spec produced); the scheduler seed is canonicalized

@@ -3,9 +3,8 @@
 #include <cstdio>
 
 #include "cache/hierarchy.hh"
-#include "driver/fingerprint.hh"
 #include "sim/system.hh"
-#include "wdl/wdl.hh"
+#include "util/canonical.hh"
 
 namespace sst {
 
@@ -41,34 +40,23 @@ traceProfileHash(const BenchmarkProfile &profile)
 std::uint64_t
 traceWorkloadHash(const WorkloadSpec &workload)
 {
-    if (workload.wdlProgram) {
-        std::string canonical;
-        canonical += "workload.role=";
-        canonical += workloadRoleName(workload.role);
-        canonical += '\n';
-        for (std::size_t g = 0; g < workload.groups.size(); ++g) {
-            canonical += "workload.group=" + std::to_string(g) + '\n';
-            canonical += "group.nthreads=" +
-                         std::to_string(workload.groups[g].nthreads) + '\n';
-            canonical += "group.seed=" +
-                         std::to_string(workload.groups[g].profile.seed) +
-                         '\n';
-        }
-        canonical += workload.wdlProgram->canonicalText();
-        return fnv1a64(canonical);
-    }
-    if (workload.isHomogeneous())
+    if (workload.isHomogeneous() && !workload.wdlProgram)
         return traceProfileHash(workload.groups[0].profile);
     std::string canonical;
-    canonical += "workload.role=";
-    canonical += workloadRoleName(workload.role);
-    canonical += '\n';
+    putKey(canonical, "workload.role",
+           std::string(workloadRoleName(workload.role)));
     for (std::size_t g = 0; g < workload.groups.size(); ++g) {
-        canonical += "workload.group=" + std::to_string(g) + '\n';
-        canonical += "group.nthreads=" +
-                     std::to_string(workload.groups[g].nthreads) + '\n';
-        encodeProfile(canonical, workload.groups[g].profile);
+        const WorkloadGroup &wg = workload.groups[g];
+        putKey(canonical, "workload.group", static_cast<std::uint64_t>(g));
+        putKey(canonical, "group.nthreads", wg.nthreads);
+        // A WDL group's streams come from the program below and its seed.
+        if (workload.wdlProgram)
+            putKey(canonical, "group.seed", wg.profile.seed);
+        else
+            encodeProfile(canonical, wg.profile);
     }
+    if (workload.wdlProgram)
+        canonical += workload.wdlProgram->canonicalText();
     return fnv1a64(canonical);
 }
 

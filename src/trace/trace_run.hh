@@ -24,8 +24,8 @@ namespace sst {
 
 /**
  * Content hash identifying the workload a trace captures: FNV-1a over
- * the canonical profile serialization (the driver fingerprint encoding,
- * so every op-stream-relevant knob participates).
+ * the canonical profile serialization (encodeProfile, which job
+ * fingerprints also use, so every op-stream-relevant knob participates).
  */
 std::uint64_t traceProfileHash(const BenchmarkProfile &profile);
 

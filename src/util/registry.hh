@@ -8,8 +8,8 @@
  * hand-maintained label list.
  */
 
-#ifndef SST_SPEC_REGISTRY_HH
-#define SST_SPEC_REGISTRY_HH
+#ifndef SST_UTIL_REGISTRY_HH
+#define SST_UTIL_REGISTRY_HH
 
 #include <stdexcept>
 #include <string>
@@ -114,4 +114,4 @@ class NamedRegistry
 
 } // namespace sst
 
-#endif // SST_SPEC_REGISTRY_HH
+#endif // SST_UTIL_REGISTRY_HH

@@ -465,12 +465,13 @@ loadWorkloadFile(const std::string &path)
 }
 
 OpSourceFactory
-workloadSources(const WorkloadSpec &spec)
+Program::sources(const WorkloadSpec &spec) const
 {
-    const std::shared_ptr<const Program> prog = spec.wdlProgram;
-    if (!prog)
+    if (spec.wdlProgram.get() != this)
         throw std::invalid_argument(
-            "workloadSources: spec has no compiled WDL program");
+            "Program::sources: spec is not backed by this program");
+    // Shares ownership with the spec's pointer, typed as the program.
+    const std::shared_ptr<const Program> prog(spec.wdlProgram, this);
     struct GroupCtx
     {
         int first;
@@ -501,19 +502,20 @@ workloadSources(const WorkloadSpec &spec)
                     parallel, c.barrierOffset);
             }
         }
-        throw std::out_of_range("workloadSources: thread id out of range");
+        throw std::out_of_range("Program::sources: thread id out of range");
     };
 }
 
 OpSourceFactory
-groupBaselineSources(const WorkloadSpec &spec, int group)
+Program::groupBaselineSources(const WorkloadSpec &spec, int group) const
 {
-    const std::shared_ptr<const Program> prog = spec.wdlProgram;
-    if (!prog)
-        throw std::invalid_argument(
-            "groupBaselineSources: spec has no compiled WDL program");
+    if (spec.wdlProgram.get() != this)
+        throw std::invalid_argument("Program::groupBaselineSources: spec "
+                                    "is not backed by this program");
     if (group < 0 || group >= spec.ngroups())
-        throw std::out_of_range("groupBaselineSources: bad group index");
+        throw std::out_of_range(
+            "Program::groupBaselineSources: bad group index");
+    const std::shared_ptr<const Program> prog(spec.wdlProgram, this);
     const std::uint64_t seed =
         spec.groups[static_cast<std::size_t>(group)].profile.seed;
     return [prog, group, seed](ThreadId tid,

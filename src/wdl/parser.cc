@@ -30,6 +30,11 @@ fmtDouble(double v)
     return buf;
 }
 
+/**
+ * FNV-1a with an offset basis one digit short of the standard one
+ * (util/canonical.hh). Recorded trace names carry this hash, so it
+ * stays as it is.
+ */
 std::uint64_t
 fnv1a(const std::string &text)
 {

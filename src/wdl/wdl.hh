@@ -132,7 +132,7 @@ struct GroupIR
 };
 
 /** A parsed, validated workload program. */
-struct Program
+struct Program : CompiledWorkload
 {
     std::string name;                           ///< `workload "..."`, may be empty
     WorkloadRole role = WorkloadRole::kReplicated;
@@ -149,10 +149,29 @@ struct Program
      * canonical text yields a program with identical canonical text
      * (fixed point); fingerprints and trace hashes are built from it.
      */
-    std::string canonicalText() const;
+    std::string canonicalText() const override;
 
-    /** FNV-1a over canonicalText(). */
-    std::uint64_t irHash() const;
+    /** FNV-1a over canonicalText(), with the offset basis of
+     *  parser.cc's fnv1a (recorded trace names carry this hash). */
+    std::uint64_t irHash() const override;
+
+    /**
+     * Op-source factory for the parallel run of @p spec (whose
+     * wdlProgram must be this program). Per-thread streams are
+     * deterministic in the group seeds and placement; with a single
+     * 1-thread group the stream is the sequential program (no sync
+     * ops), matching ThreadProgram semantics.
+     */
+    OpSourceFactory sources(const WorkloadSpec &spec) const override;
+
+    /**
+     * 1-thread sequential baseline factory for @p group: full
+     * (undivided) loop counts, critical-section bodies kept,
+     * lock/barrier/yield ops elided — the serial program the paper's
+     * Ts refers to.
+     */
+    OpSourceFactory groupBaselineSources(const WorkloadSpec &spec,
+                                         int group) const override;
 };
 
 /**
@@ -176,21 +195,6 @@ WorkloadSpec toWorkloadSpec(std::shared_ptr<const Program> program,
 
 /** loadProgram + toWorkloadSpec in one step. */
 WorkloadSpec loadWorkloadFile(const std::string &path);
-
-/**
- * Op-source factory for a WDL-backed spec's parallel run (spec.wdlProgram
- * must be set). Per-thread streams are deterministic in the group seeds
- * and placement; with a single 1-thread group the stream is the
- * sequential program (no sync ops), matching ThreadProgram semantics.
- */
-OpSourceFactory workloadSources(const WorkloadSpec &spec);
-
-/**
- * 1-thread sequential baseline factory for @p group: full (undivided)
- * loop counts, critical-section bodies kept, lock/barrier/yield ops
- * elided — the serial program the paper's Ts refers to.
- */
-OpSourceFactory groupBaselineSources(const WorkloadSpec &spec, int group);
 
 } // namespace wdl
 } // namespace sst

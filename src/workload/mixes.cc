@@ -1,4 +1,4 @@
-#include "registries.hh"
+#include "workload_spec.hh"
 
 #include <cctype>
 #include <cstdlib>
@@ -66,75 +66,6 @@ fig08Mix(const std::string &name, const char *bench, const char *partner)
 }
 
 } // namespace
-
-const NamedRegistry<const BenchmarkProfile *> &
-profileRegistry()
-{
-    static const NamedRegistry<const BenchmarkProfile *> registry = [] {
-        NamedRegistry<const BenchmarkProfile *> r("benchmark profile",
-                                                  "benchmark profiles");
-        for (const BenchmarkProfile &p : benchmarkSuite())
-            r.add(p.label(), &p);
-        // Bare names resolve to the first input variant ("facesim" ->
-        // "facesim_small"), the historical profileByLabel() behaviour.
-        // addAlias() keeps first-wins semantics and skips bare names
-        // that already are primary labels (single-input benchmarks).
-        for (const BenchmarkProfile &p : benchmarkSuite())
-            r.addAlias(p.name, p.label());
-        return r;
-    }();
-    return registry;
-}
-
-const NamedRegistry<SchedPolicy> &
-schedulerRegistry()
-{
-    static const NamedRegistry<SchedPolicy> registry = [] {
-        NamedRegistry<SchedPolicy> r("scheduler policy",
-                                     "scheduler policies");
-        // Registration order must equal enum order: schedPolicyLabel()
-        // indexes names() by the enum value.
-        r.add("affinity-fifo", SchedPolicy::kAffinityFifo);
-        r.add("round-robin", SchedPolicy::kRoundRobin);
-        r.add("random", SchedPolicy::kRandom);
-        return r;
-    }();
-    return registry;
-}
-
-const NamedRegistry<OpSourceFrontend> &
-opSourceRegistry()
-{
-    static const NamedRegistry<OpSourceFrontend> registry = [] {
-        NamedRegistry<OpSourceFrontend> r("workload frontend",
-                                          "workload frontends");
-        r.add("program",
-              OpSourceFrontend{
-                  "synthetic generator: op streams built live from the "
-                  "benchmark profile (ThreadProgram)",
-                  false});
-        r.add("trace",
-              OpSourceFrontend{
-                  "require trace-dir: replay the jobs recorded there "
-                  "(by --record-dir), run the rest live; trace-dir "
-                  "replays like this under every frontend",
-                  true});
-        r.add("pipeline",
-              OpSourceFrontend{
-                  "synthetic pipeline generator: heterogeneous stage "
-                  "profiles co-scheduled with shared phase barriers "
-                  "(select stages via `workload = <pipeline>`)",
-                  false});
-        r.add("workload-file",
-              OpSourceFrontend{
-                  "compile .wdl workload description files into op "
-                  "streams (select files via `workload-file = "
-                  "PATH[, PATH]`)",
-                  false});
-        return r;
-    }();
-    return registry;
-}
 
 const NamedRegistry<WorkloadSpec> &
 mixRegistry()

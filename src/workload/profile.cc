@@ -1,6 +1,6 @@
 #include "profile.hh"
 
-#include "spec/registries.hh"
+#include "util/canonical.hh"
 #include "util/logging.hh"
 
 namespace sst {
@@ -444,15 +444,23 @@ benchmarkSuite()
     return suite;
 }
 
-// The lookup functions below are thin wrappers over profileRegistry()
-// (src/spec/registries.hh), which owns the label index, the bare-name
-// aliasing rule, and the generated unknown-label error message.
-
-const BenchmarkProfile *
-findProfileByLabel(const std::string &label)
+const NamedRegistry<const BenchmarkProfile *> &
+profileRegistry()
 {
-    const BenchmarkProfile *const *p = profileRegistry().find(label);
-    return p ? *p : nullptr;
+    static const NamedRegistry<const BenchmarkProfile *> registry = [] {
+        NamedRegistry<const BenchmarkProfile *> r("benchmark profile",
+                                                  "benchmark profiles");
+        for (const BenchmarkProfile &p : benchmarkSuite())
+            r.add(p.label(), &p);
+        // Bare names resolve to the first input variant ("facesim" ->
+        // "facesim_small"), the historical profileByLabel() behaviour.
+        // addAlias() keeps first-wins semantics and skips bare names
+        // that already are primary labels (single-input benchmarks).
+        for (const BenchmarkProfile &p : benchmarkSuite())
+            r.addAlias(p.name, p.label());
+        return r;
+    }();
+    return registry;
 }
 
 const BenchmarkProfile &
@@ -465,16 +473,38 @@ profileByLabel(const std::string &label)
     }
 }
 
-std::vector<std::string>
-allProfileLabels()
+void
+encodeProfile(std::string &out, const BenchmarkProfile &p)
 {
-    return profileRegistry().names();
-}
-
-std::string
-allProfileLabelsJoined()
-{
-    return profileRegistry().namesJoined();
+    putKey(out, "profile.name", p.name);
+    putKey(out, "profile.suite", p.suite);
+    putKey(out, "profile.input", p.input);
+    putKey(out, "profile.totalIters", p.totalIters);
+    putKey(out, "profile.computePerIter", p.computePerIter);
+    putKey(out, "profile.memPerIter", p.memPerIter);
+    putKey(out, "profile.storeFrac", p.storeFrac);
+    putKey(out, "profile.sharedStoreFrac", p.sharedStoreFrac);
+    putKey(out, "profile.privateBytes", p.privateBytes);
+    putKey(out, "profile.privateHotBytes", p.privateHotBytes);
+    putKey(out, "profile.privateHotFrac", p.privateHotFrac);
+    putKey(out, "profile.streamFrac", p.streamFrac);
+    putKey(out, "profile.sharedBytes", p.sharedBytes);
+    putKey(out, "profile.sharedFrac", p.sharedFrac);
+    putKey(out, "profile.sharedHotFrac", p.sharedHotFrac);
+    putKey(out, "profile.sharedHotBytes", p.sharedHotBytes);
+    putKey(out, "profile.sharedWindowPhases", p.sharedWindowPhases);
+    putKey(out, "profile.numLocks", p.numLocks);
+    putKey(out, "profile.lockFreq", p.lockFreq);
+    putKey(out, "profile.csCompute", p.csCompute);
+    putKey(out, "profile.csMem", p.csMem);
+    putKey(out, "profile.barrierPhases", p.barrierPhases);
+    putKey(out, "profile.imbalanceSkew", p.imbalanceSkew);
+    putKey(out, "profile.parallelismCap", p.parallelismCap);
+    putKey(out, "profile.capJitter", p.capJitter);
+    putKey(out, "profile.capScale", p.capScale);
+    putKey(out, "profile.finalBarrier", p.finalBarrier);
+    putKey(out, "profile.parOverheadFrac", p.parOverheadFrac);
+    putKey(out, "profile.seed", p.seed);
 }
 
 } // namespace sst

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "util/registry.hh"
 #include "util/types.hh"
 
 namespace sst {
@@ -125,11 +126,12 @@ struct BenchmarkProfile
 const std::vector<BenchmarkProfile> &benchmarkSuite();
 
 /**
- * Look up a profile by label ("cholesky", "facesim_medium", ...) or
- * bare name ("facesim" matches its first input variant). Returns
- * nullptr when unknown.
+ * Benchmark-profile registry: every suite label in suite order, plus
+ * each bare name as an alias of its first input variant ("facesim" ->
+ * "facesim_small"). Its find/at/names/namesJoined are the one lookup
+ * and the one unknown-label message.
  */
-const BenchmarkProfile *findProfileByLabel(const std::string &label);
+const NamedRegistry<const BenchmarkProfile *> &profileRegistry();
 
 /**
  * Look up a profile by label ("cholesky", "facesim_medium", ...).
@@ -137,11 +139,12 @@ const BenchmarkProfile *findProfileByLabel(const std::string &label);
  */
 const BenchmarkProfile &profileByLabel(const std::string &label);
 
-/** All profile labels, in suite order. */
-std::vector<std::string> allProfileLabels();
-
-/** All labels joined with ", " — for error messages listing them. */
-std::string allProfileLabelsJoined();
+/**
+ * Canonical `key=value` serialization of every outcome-relevant
+ * profile field: what job fingerprints and trace workload hashes
+ * encode a profile as.
+ */
+void encodeProfile(std::string &out, const BenchmarkProfile &profile);
 
 } // namespace sst
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "util/logging.hh"
-#include "wdl/wdl.hh"
 #include "workload/op.hh"
 #include "workload/thread_program.hh"
 
@@ -214,7 +213,7 @@ workloadOpSources(const WorkloadSpec &spec)
     // WDL-backed workloads compile their op streams from the IR; the
     // placeholder profiles never reach a ThreadProgram.
     if (spec.wdlProgram)
-        return wdl::workloadSources(spec);
+        return spec.wdlProgram->sources(spec);
 
     // The factory owns the spec: group profiles must outlive every
     // ThreadProgram (which holds its profile by reference).
@@ -265,7 +264,7 @@ workloadGroupBaselineSources(const WorkloadSpec &spec, int group)
         throw std::out_of_range(
             "workloadGroupBaselineSources: bad group index");
     if (spec.wdlProgram)
-        return wdl::groupBaselineSources(spec, group);
+        return spec.wdlProgram->groupBaselineSources(spec, group);
     auto owned = std::make_shared<const BenchmarkProfile>(
         spec.groups[static_cast<std::size_t>(group)].profile);
     return [owned](ThreadId tid, int n) -> std::unique_ptr<OpSource> {

@@ -32,15 +32,40 @@
 #include <string>
 #include <vector>
 
+#include "util/registry.hh"
 #include "util/types.hh"
 #include "workload/op_source.hh"
 #include "workload/profile.hh"
 
 namespace sst {
 
-namespace wdl {
-struct Program;
-} // namespace wdl
+struct WorkloadSpec;
+
+/**
+ * A workload compiled from a description (the WDL frontend's
+ * wdl::Program): its identity for fingerprints and trace hashes, and
+ * the op-source factories that replace the placeholder profiles of a
+ * WorkloadSpec built from it.
+ */
+class CompiledWorkload
+{
+  public:
+    virtual ~CompiledWorkload() = default;
+
+    /** Deterministic serialization of the compiled program. */
+    virtual std::string canonicalText() const = 0;
+
+    /** 64-bit content hash of canonicalText(). */
+    virtual std::uint64_t irHash() const = 0;
+
+    /** Op-source factory for the parallel run of @p spec, whose
+     *  wdlProgram is this program. */
+    virtual OpSourceFactory sources(const WorkloadSpec &spec) const = 0;
+
+    /** 1-thread sequential baseline factory for group @p group. */
+    virtual OpSourceFactory
+    groupBaselineSources(const WorkloadSpec &spec, int group) const = 0;
+};
 
 /** How a workload's program groups relate to each other. */
 enum class WorkloadRole : std::uint8_t {
@@ -88,13 +113,13 @@ struct WorkloadSpec
     std::string name;
 
     /**
-     * Compiled WDL program backing this workload, or null for
+     * Compiled program backing this workload (a WDL file), or null for
      * profile-backed workloads. When set, op streams, fingerprints and
      * trace hashes come from the compiled IR; the groups' profiles are
      * placeholders carrying only the per-group label, suite ("wdl") and
      * seed (so JobSpec seed-offset mixing applies unchanged).
      */
-    std::shared_ptr<const wdl::Program> wdlProgram;
+    std::shared_ptr<const CompiledWorkload> wdlProgram;
 
     /** Source path of the WDL file (spec re-serialization only; never
      *  fingerprinted — content-identical files dedup to one entry). */
@@ -181,6 +206,36 @@ OpSourceFactory workloadOpSources(const WorkloadSpec &spec);
  */
 OpSourceFactory workloadGroupBaselineSources(const WorkloadSpec &spec,
                                              int group);
+
+/**
+ * Named heterogeneous workloads: the Figure 8 two-program mixes
+ * ("fig08_<benchmark>": the benchmark on 8 threads co-running with a
+ * cache-hungry canneal partner on 8) and the ferret-style pipelines
+ * ("ferret4", "ferret16"). Values are complete WorkloadSpecs; `sst
+ * list mixes`, spec validation and unknown-label errors all come from
+ * this table.
+ */
+const NamedRegistry<WorkloadSpec> &mixRegistry();
+
+/**
+ * Resolve a workload descriptor: a mixRegistry() name, or an inline
+ * form — `label[:count]` items joined with '+' (a mix of independent
+ * programs) or '>' (pipeline stages). A count on only the final item
+ * broadcasts to every item ("a+b:8" = 8 threads each); items without
+ * any count run 1 thread. A single '+'-item is the homogeneous
+ * configuration ("cholesky:8" = profiles cholesky, threads 8).
+ * Unknown names throw std::invalid_argument listing the registered
+ * mixes (or profiles, for inline labels).
+ */
+WorkloadSpec parseWorkload(const std::string &text);
+
+/**
+ * Canonical text of a workload descriptor: registry names stay
+ * themselves; inline forms normalize to explicit per-group counts
+ * ("a+b:8" -> "a:8+b:8"). parseWorkload(canonicalWorkloadText(t))
+ * equals parseWorkload(t), and the function is a fixed point.
+ */
+std::string canonicalWorkloadText(const std::string &text);
 
 } // namespace sst
 

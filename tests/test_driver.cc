@@ -17,8 +17,10 @@
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
+#include "spec/spec.hh"
 #include "telemetry/span.hh"
 #include "tests/test_util.hh"
+#include "util/parse.hh"
 
 namespace sst {
 namespace {
@@ -473,11 +475,11 @@ TEST(Driver, EmptyProfileFailsCleanly)
     EXPECT_NE(results[0].error.find("totalIters"), std::string::npos);
 }
 
-// ---- sweep grids and export ------------------------------------------------
+// ---- grid expansion and export ---------------------------------------------
 
 TEST(Sweep, ExpandGridIsProfileMajorCrossProduct)
 {
-    SweepGrid grid;
+    ExperimentSpec grid;
     grid.profiles = {"cholesky", "radix"};
     grid.threads = {2, 4};
     grid.llcBytes = {1u << 20, 2u << 20};
@@ -495,14 +497,14 @@ TEST(Sweep, ExpandGridIsProfileMajorCrossProduct)
 
 TEST(Sweep, ExpandGridRejectsUnknownLabel)
 {
-    SweepGrid grid;
+    ExperimentSpec grid;
     grid.profiles = {"definitely-not-a-benchmark"};
     EXPECT_THROW(expandGrid(grid), std::invalid_argument);
 }
 
 TEST(Sweep, ExpandGridAcceptsBareNamesLikeProfileByLabel)
 {
-    SweepGrid grid;
+    ExperimentSpec grid;
     grid.profiles = {"facesim"}; // bare name, no _small/_medium suffix
     const std::vector<JobSpec> jobs = expandGrid(grid);
     ASSERT_EQ(jobs.size(), 1u);
@@ -532,7 +534,7 @@ TEST(Sweep, ListParsers)
 
 TEST(Sweep, CsvAndJsonExport)
 {
-    SweepGrid grid;
+    ExperimentSpec grid;
     grid.profiles = {"cholesky"};
     grid.threads = {2};
     const std::vector<JobSpec> specs = expandGrid(grid);

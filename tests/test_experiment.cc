@@ -44,7 +44,7 @@ TEST(Experiment, StackAlwaysSumsToHeight)
 TEST(Experiment, SuiteRegistryComplete)
 {
     EXPECT_EQ(benchmarkSuite().size(), 28u);
-    EXPECT_EQ(allProfileLabels().size(), 28u);
+    EXPECT_EQ(profileRegistry().names().size(), 28u);
     // Paper composition: 12 PARSEC rows, 7 SPLASH-2, 5 Rodinia... count
     // by suite to catch registry regressions.
     int parsec = 0, splash = 0, rodinia = 0;

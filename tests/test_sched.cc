@@ -17,7 +17,6 @@
 #include "sched/policy.hh"
 #include "sim/event_queue.hh"
 #include "sim/system.hh"
-#include "spec/registries.hh"
 #include "test_util.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_writer.hh"

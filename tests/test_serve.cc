@@ -37,7 +37,6 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/worker.hh"
-#include "spec/registries.hh"
 #include "spec/spec.hh"
 #include "telemetry/metrics.hh"
 #include "tests/test_util.hh"
@@ -1026,6 +1025,71 @@ TEST(ServeEndToEnd, ResubmitAfterCancelTracksRetryJobs)
     EXPECT_NE(server.statusText().find("campaign camp jobs=1 settled=0"),
               std::string::npos)
         << server.statusText();
+    server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, CampaignTraceDirMustMatchTheServers)
+{
+    const std::string dir = makeTempDir("trace-dir");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.localWorkers = 0;
+    opts.driver.traceDir = dir + "/traces";
+    serve::Server server(opts);
+    server.start();
+
+    // The server's workers replay from their own --trace-dir; a
+    // campaign naming another directory would silently run live.
+    std::string response;
+    EXPECT_FALSE(server.submitCampaign(
+        "other", 0,
+        "profiles = cholesky\nthreads = 4\nfrontend = trace\n"
+        "trace-dir = tr\n",
+        response));
+    EXPECT_EQ(response.rfind("err ", 0), 0u) << response;
+    EXPECT_NE(response.find("'tr'"), std::string::npos) << response;
+    EXPECT_NE(response.find(dir + "/traces"), std::string::npos)
+        << response;
+
+    // The server's own directory, or none, is accepted.
+    EXPECT_TRUE(server.submitCampaign(
+        "same", 0,
+        "profiles = cholesky\nthreads = 4\ntrace-dir = " + dir +
+            "/traces/\n",
+        response))
+        << response;
+    EXPECT_TRUE(server.submitCampaign(
+        "none", 0, "profiles = cholesky\nthreads = 2\n", response))
+        << response;
+    server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, LocalWorkersWithoutTraceDirRefuseACampaignTraceDir)
+{
+    const std::string dir = makeTempDir("trace-dir-local");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    const std::string spec = "profiles = cholesky\nthreads = 4\n"
+                             "frontend = trace\ntrace-dir = tr\n";
+    std::string response;
+    {
+        // A pure coordinator leaves the directory to its workers.
+        serve::Server coordinator(opts);
+        coordinator.start();
+        EXPECT_TRUE(coordinator.submitCampaign("c", 0, spec, response))
+            << response;
+        coordinator.stop();
+    }
+    // Its own worker would run the jobs live instead of replaying.
+    opts.localWorkers = 1;
+    opts.endpoint.path = dir + "/sock2";
+    serve::Server server(opts);
+    server.start();
+    EXPECT_FALSE(server.submitCampaign("c", 0, spec, response));
+    EXPECT_EQ(response.rfind("err spec trace-dir 'tr' differs", 0), 0u)
+        << response;
     server.stop();
     std::filesystem::remove_all(dir);
 }

@@ -15,11 +15,12 @@
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
 #include "driver/sweep.hh"
-#include "spec/machine_keys.hh"
-#include "spec/registries.hh"
+#include "sim/machine_keys.hh"
 #include "spec/spec.hh"
 #include "tests/test_util.hh"
+#include "util/parse.hh"
 #include "workload/profile.hh"
+#include "workload/workload_spec.hh"
 
 namespace sst {
 namespace {
@@ -154,7 +155,11 @@ TEST(Spec, ProfilesAllMeansWholeSuite)
 {
     const ExperimentSpec s = parseSpec("profiles = all\n");
     EXPECT_TRUE(s.profiles.empty());
-    EXPECT_EQ(specGrid(s).profiles, allProfileLabels());
+    const std::vector<JobSpec> jobs = expandGrid(specGrid(s));
+    const std::vector<std::string> &names = profileRegistry().names();
+    ASSERT_EQ(jobs.size(), names.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(jobs[i].label(), names[i]);
 }
 
 TEST(Spec, ParseErrorsCarryLineNumbers)
@@ -247,16 +252,15 @@ TEST(Registries, ProfileRegistryMatchesSuiteOrder)
     ASSERT_EQ(names.size(), suite.size());
     for (std::size_t i = 0; i < suite.size(); ++i)
         EXPECT_EQ(names[i], suite[i].label());
-    // allProfileLabels() is now a thin wrapper over the registry.
-    EXPECT_EQ(allProfileLabels(), names);
 }
 
 TEST(Registries, BareNamesAliasTheFirstInputVariant)
 {
     // "facesim" is not a primary label (it has input variants), but
     // resolves to the first of them — the historical rule.
-    const BenchmarkProfile *p = findProfileByLabel("facesim");
-    ASSERT_NE(p, nullptr);
+    const BenchmarkProfile *const *found = profileRegistry().find("facesim");
+    ASSERT_NE(found, nullptr);
+    const BenchmarkProfile *p = *found;
     EXPECT_EQ(p->name, "facesim");
     EXPECT_EQ(p->label(), profileByLabel("facesim").label());
 }
@@ -480,12 +484,11 @@ TEST(Fingerprint, SpecAndFlagGridsProduceIdenticalFingerprints)
                                           "sched = round-robin\n");
     const std::vector<JobSpec> specJobs = expandGrid(specGrid(spec));
 
-    // As `sst sweep --profiles cholesky --threads 2,4 --sched
-    // round-robin` builds it.
-    SweepGrid flags;
+    // As a program builds it, field by field.
+    ExperimentSpec flags;
     flags.profiles = {"cholesky"};
     flags.threads = {2, 4};
-    flags.baseParams.schedPolicy = SchedPolicy::kRoundRobin;
+    flags.machine.schedPolicy = SchedPolicy::kRoundRobin;
     const std::vector<JobSpec> flagJobs = expandGrid(flags);
 
     ASSERT_EQ(specJobs.size(), flagJobs.size());
@@ -508,7 +511,7 @@ TEST(Driver, SpecDrivenRunReusesFlagDrivenCacheEntries)
     opts.jobs = 2;
 
     // Flag-driven first run populates the cache.
-    SweepGrid flags;
+    ExperimentSpec flags;
     flags.profiles = {"cholesky"};
     flags.threads = {2};
     BatchStats first;
@@ -555,6 +558,29 @@ TEST(Spec, SpecFileParsesAndReportsPathOnError)
     }
     EXPECT_THROW(parseSpecFile(dir + "/missing.spec"),
                  std::invalid_argument);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Spec, SpecFilePathsAreRelativeToTheSpecFile)
+{
+    const std::string dir = freshTempDir("paths");
+    std::filesystem::create_directories(dir + "/specs");
+    const std::string text = "workload-file = ../w/a.wdl, /abs/b.wdl\n"
+                             "trace-dir = ./traces\n";
+    {
+        std::ofstream out(dir + "/specs/run.spec");
+        out << text;
+    }
+    const ExperimentSpec spec = parseSpecFile(dir + "/specs/run.spec");
+    EXPECT_EQ(spec.workloadFiles,
+              (std::vector<std::string>{dir + "/w/a.wdl", "/abs/b.wdl"}));
+    EXPECT_EQ(spec.traceDir, dir + "/specs/traces");
+    // Spec text has no file: its paths stay relative to the working
+    // directory, as flags are.
+    const ExperimentSpec inline_spec = parseSpec(text);
+    EXPECT_EQ(inline_spec.workloadFiles,
+              (std::vector<std::string>{"../w/a.wdl", "/abs/b.wdl"}));
+    EXPECT_EQ(inline_spec.traceDir, "./traces");
     std::filesystem::remove_all(dir);
 }
 

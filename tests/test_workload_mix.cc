@@ -25,7 +25,7 @@
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
 #include "driver/sweep.hh"
-#include "spec/registries.hh"
+#include "spec/spec.hh"
 #include "tests/test_util.hh"
 #include "trace/trace_run.hh"
 #include "workload/workload_spec.hh"
@@ -162,7 +162,7 @@ TEST(WorkloadMix, GroupsAreDisjointAndConserveWork)
 
 TEST(WorkloadMix, DeterministicAcrossThreadPools)
 {
-    SweepGrid grid;
+    ExperimentSpec grid;
     grid.workloads = {"fig08_cholesky", "t-na"};
     // Use registered + inline entries; replace the bogus one first.
     grid.workloads[1] = "cholesky:2+fft:2";
@@ -388,7 +388,7 @@ TEST(WorkloadDriver, MixJobsCacheAndReplay)
     const std::string dir = ::testing::TempDir() + "sst_mix_cache";
     std::filesystem::remove_all(dir);
 
-    SweepGrid grid;
+    ExperimentSpec grid;
     grid.workloads = {"cholesky:2+fft:2"};
     const std::vector<JobSpec> jobs = expandGrid(grid);
 
@@ -419,7 +419,7 @@ TEST(WorkloadDriver, RecordDirCapturesFreshJobsOnly)
     std::filesystem::remove_all(rec);
     std::filesystem::remove_all(cache);
 
-    SweepGrid grid;
+    ExperimentSpec grid;
     grid.workloads = {"cholesky:2+fft:2"};
     const std::vector<JobSpec> jobs = expandGrid(grid);
 
