@@ -1,17 +1,14 @@
 #include "cli_commands.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +38,11 @@
 namespace sst {
 namespace cli {
 namespace {
+
+/** Defaults of the commands' flags, set before parsing; help prints
+ *  them from the options they were set in. */
+constexpr const char *kDefaultSocket = ".sst-serve.sock";
+constexpr const char *kDefaultCacheDir = ".sst-cache";
 
 void
 writeFile(const std::string &path, const std::string &content)
@@ -153,64 +155,6 @@ struct RunOptions
     bool printSpec = false;
 };
 
-/** A flag of `sst run` that is not a spec key. */
-struct ExecFlag
-{
-    const char *flag;
-    const char *arg; ///< value placeholder; null for a switch
-    const char *help;
-    void (*apply)(RunOptions &run, const char *value);
-};
-
-const ExecFlag kExecFlags[] = {
-    {"--spec", "FILE", "start from this spec file (default: defaults)",
-     [](RunOptions &r, const char *v) { r.specPath = v; }},
-    {"--print-spec", nullptr, "print the canonical spec and exit",
-     [](RunOptions &r, const char *) { r.printSpec = true; }},
-    {"--jobs", "N", "worker threads (default: hardware)",
-     [](RunOptions &r, const char *v) {
-         r.driver.jobs = parseInt("--jobs", v, 0, 1 << 20);
-     }},
-    {"--cache-dir", "DIR", "result cache (default: .sst-cache)",
-     [](RunOptions &r, const char *v) { r.driver.cacheDir = v; }},
-    {"--no-cache", nullptr, "disable the result cache",
-     [](RunOptions &r, const char *) { r.driver.cacheDir.clear(); }},
-    {"--refresh", nullptr, "re-run and overwrite cached results",
-     [](RunOptions &r, const char *) { r.driver.refresh = true; }},
-    {"--record-dir", "DIR",
-     "capture .sstt traces of live jobs (cache hits skip it)",
-     [](RunOptions &r, const char *v) { r.driver.recordDir = v; }},
-    {"--trace-out", "FILE",
-     "write a Chrome trace_event JSON of the batch (Perfetto)",
-     [](RunOptions &r, const char *v) { r.traceOut = v; }},
-};
-
-void
-runUsage()
-{
-    std::printf("usage: sst run|sweep [--spec FILE] [options]\n"
-                "run an experiment grid: the spec file (or the defaults),\n"
-                "then every spec-key flag in command-line order\n"
-                "  %-23s %s\n  %-23s %s\n",
-                "--KEY VALUE", "set spec key KEY (also --KEY=VALUE)",
-                "--set KEY=VALUE", "the same, in spec-file syntax");
-    for (const FlagAlias &a : kFlagAliases) {
-        const std::string flag =
-            std::string(a.flag) + (a.value ? "" : " V");
-        const std::string same = std::string("--") + a.key + " " +
-                                 (a.value ? a.value : "V");
-        std::printf("  %-23s same as %s\n", flag.c_str(), same.c_str());
-    }
-    for (const ExecFlag &f : kExecFlags) {
-        const std::string flag =
-            std::string(f.flag) + (f.arg ? std::string(" ") + f.arg : "");
-        std::printf("  %-23s %s\n", flag.c_str(), f.help);
-    }
-    std::printf("--workload-file repeats, each adding files; see `sst "
-                "list` for names\nspec keys: %s\n",
-                specKeyNamesJoined().c_str());
-}
-
 /** Validate and run @p spec, print, export. A non-empty
  *  RunOptions::traceOut enables telemetry for the batch and writes a
  *  Chrome trace_event JSON of every job/driver span afterwards; results
@@ -254,30 +198,17 @@ executeBatch(const ExperimentSpec &spec, RunOptions run)
 
 // ---- trace ------------------------------------------------------------------
 
-void
-traceUsage()
-{
-    std::printf(
-        "usage: sst trace info --in FILE\n"
-        "  decode every stream to check it, then print header and\n"
-        "  per-stream statistics\n"
-        "traces are recorded by `sst sweep --record-dir DIR` and\n"
-        "replayed by `--trace-dir DIR`\n");
-}
-
 int
 traceInfo(int argc, char **argv, int first)
 {
     std::string inPath;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--in") {
-            inPath = argValue(argc, argv, i);
-        } else {
-            traceUsage();
-            fatal("unknown info argument '" + arg + "'");
-        }
-    }
+    parseFlags(argc, argv, first,
+               "usage: sst trace info --in FILE\n"
+               "decode every stream to check it, then print header and\n"
+               "per-stream statistics\n",
+               {{"--in", "FILE", "the .sstt trace", into(inPath)}}, nullptr,
+               "traces are recorded by `sst sweep --record-dir DIR` and\n"
+               "replayed by `--trace-dir DIR`\n");
     if (inPath.empty())
         fatal("info needs --in FILE");
 
@@ -317,10 +248,50 @@ traceInfo(int argc, char **argv, int first)
     return 0;
 }
 
+// ---- dispatch ---------------------------------------------------------------
+
+/** One row of a dispatcher table; its usage text is generated from it.
+ *  @c run gets the arguments after the command's name at argv[first]. */
+struct Command
+{
+    const char *name;
+    const char *about;
+    int (*run)(int argc, char **argv, int first);
+};
+
+/**
+ * Run the command of @p commands that argv[first] names. `--help`
+ * prints `usage: PROG <NOUN>`, one row per command and @p notes, and
+ * returns 0; no name prints the same and returns 1; an unknown name is
+ * fatal.
+ */
+int
+dispatch(const char *prog, const char *noun,
+         const std::vector<Command> &commands, int argc, char **argv,
+         int first, const char *notes = "")
+{
+    std::string usage = std::string("usage: ") + prog + " <" + noun + ">\n";
+    std::string names;
+    for (const Command &c : commands) {
+        usage += usageRow(c.name, c.about);
+        names += (names.empty() ? "" : ", ") + std::string(c.name);
+    }
+    const std::string what = first < argc ? argv[first] : "";
+    for (const Command &c : commands)
+        if (what == c.name)
+            return c.run(argc, argv, first + 1);
+    if (first >= argc || what == "--help" || what == "-h") {
+        std::fputs((usage + notes).c_str(), stdout);
+        return first >= argc ? 1 : 0;
+    }
+    fatal("unknown " + std::string(noun) + " '" + what + "'; valid: " +
+          names);
+}
+
 // ---- list -------------------------------------------------------------------
 
 int
-listProfiles()
+listProfiles(int, char **, int)
 {
     TextTable table;
     table.setHeader({"label", "suite", "paper speedup @16", "class"});
@@ -334,7 +305,7 @@ listProfiles()
 }
 
 int
-listScheds()
+listScheds(int, char **, int)
 {
     for (const std::string &name : schedulerRegistry().names())
         std::printf("%s\n", name.c_str());
@@ -342,7 +313,7 @@ listScheds()
 }
 
 int
-listFrontends()
+listFrontends(int, char **, int)
 {
     TextTable table;
     table.setHeader({"frontend", "description"});
@@ -355,7 +326,7 @@ listFrontends()
 }
 
 int
-listMixes()
+listMixes(int, char **, int)
 {
     TextTable table;
     table.setHeader({"mix", "role", "threads", "groups"});
@@ -372,7 +343,7 @@ listMixes()
 constexpr const char *kExampleWorkloadDir = "examples/workloads";
 
 int
-listWorkloads()
+listWorkloads(int argc, char **argv, int first)
 {
     namespace fs = std::filesystem;
     std::vector<fs::path> files;
@@ -415,19 +386,10 @@ listWorkloads()
     }
     // The frontends table completes the picture: which engine runs the
     // files (`workload-file =`) next to the other workload sources.
-    return listFrontends();
+    return listFrontends(argc, argv, first);
 }
 
-/** The list subcommands, table-driven like the registries themselves:
- *  usage text and the unknown-registry error enumerate this table. */
-struct ListCommand
-{
-    const char *name;
-    const char *description;
-    int (*run)();
-};
-
-constexpr ListCommand kListCommands[] = {
+const std::vector<Command> kListCommands = {
     {"profiles", "the Figure 6 benchmark suite", listProfiles},
     {"scheds", "OS scheduler policies (--sched)", listScheds},
     {"frontends", "workload frontends (frontend =)", listFrontends},
@@ -435,31 +397,6 @@ constexpr ListCommand kListCommands[] = {
     {"workloads", "example .wdl files + frontends (workload-file =)",
      listWorkloads},
 };
-
-std::string
-listCommandNamesJoined()
-{
-    std::string out;
-    for (const ListCommand &c : kListCommands) {
-        if (!out.empty())
-            out += ", ";
-        out += c.name;
-    }
-    return out;
-}
-
-int
-listUsage()
-{
-    TextTable table;
-    table.setHeader({"registry", "contents"});
-    for (const ListCommand &c : kListCommands)
-        table.addRow({c.name, c.description});
-    std::printf("usage: sst list <%s>\n%s\n",
-                listCommandNamesJoined().c_str(),
-                table.render().c_str());
-    return 0;
-}
 
 // ---- serve / worker / submit ------------------------------------------------
 
@@ -472,191 +409,14 @@ serveSignalHandler(int)
     gServeStop = 1;
 }
 
-void
-serveUsage()
+/** A `--connect ENDPOINT` flag: a socket path or tcp:host:port. */
+FlagTarget
+intoEndpoint(serve::Endpoint &dst)
 {
-    std::printf(
-        "usage: sst serve [options]\n"
-        "run the persistent sweep service: accepts campaigns over a\n"
-        "socket, schedules them on a crash-safe job queue, and streams\n"
-        "incremental results (see `sst submit` and `sst worker`)\n"
-        "  --socket PATH           Unix socket (default: "
-        ".sst-serve.sock)\n"
-        "  --tcp PORT              listen on TCP 127.0.0.1:PORT instead\n"
-        "                          (0 picks a free port, printed below)\n"
-        "  --jobs N                in-process worker threads (default:\n"
-        "                          0 — jobs run on external `sst "
-        "worker`\n"
-        "                          processes only)\n"
-        "  --cache-dir DIR         result cache (default: .sst-cache);\n"
-        "                          completed jobs from every worker "
-        "land\n"
-        "                          here, and restarts resume from it\n"
-        "  --no-cache              disable the result cache\n"
-        "  --journal FILE          campaign journal (default:\n"
-        "                          .sst-serve.journal); restarts replay "
-        "it\n"
-        "  --no-journal            disable crash-safe persistence\n"
-        "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "  --lease-ms K            worker lease duration (default: "
-        "30000)\n"
-        "  --max-attempts K        leases before a job fails (default: "
-        "3)\n"
-        "  --backoff-ms K          requeue backoff base (default: "
-        "1000)\n"
-        "the server exits once drained (`sst submit --drain`) or on "
-        "SIGINT\n");
-}
-
-int
-serveImpl(int argc, char **argv, int first)
-{
-    serve::ServerOptions opts;
-    std::string socketPath = ".sst-serve.sock";
-    int tcpPort = -1;
-    opts.driver.jobs = 1;
-    opts.driver.cacheDir = ".sst-cache";
-    std::string journalPath = ".sst-serve.journal";
-
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--socket") {
-            socketPath = argValue(argc, argv, i);
-        } else if (arg == "--tcp") {
-            tcpPort = parseInt("--tcp", argValue(argc, argv, i), 0, 65535);
-        } else if (arg == "--jobs") {
-            opts.localWorkers =
-                parseInt("--jobs", argValue(argc, argv, i), 0, 1 << 10);
-        } else if (arg == "--cache-dir") {
-            opts.driver.cacheDir = argValue(argc, argv, i);
-        } else if (arg == "--no-cache") {
-            opts.driver.cacheDir.clear();
-        } else if (arg == "--journal") {
-            journalPath = argValue(argc, argv, i);
-        } else if (arg == "--no-journal") {
-            journalPath.clear();
-        } else if (arg == "--trace-dir") {
-            opts.driver.traceDir = argValue(argc, argv, i);
-        } else if (arg == "--lease-ms") {
-            opts.queue.leaseMs =
-                parseU64("--lease-ms", argValue(argc, argv, i));
-        } else if (arg == "--max-attempts") {
-            opts.queue.maxAttempts = parseInt(
-                "--max-attempts", argValue(argc, argv, i), 1, 1000);
-        } else if (arg == "--backoff-ms") {
-            opts.queue.backoffBaseMs =
-                parseU64("--backoff-ms", argValue(argc, argv, i));
-        } else if (arg == "--help" || arg == "-h") {
-            serveUsage();
-            return 0;
-        } else {
-            serveUsage();
-            fatal("unknown argument '" + arg + "'");
-        }
-    }
-    if (tcpPort >= 0) {
-        opts.endpoint.tcp = true;
-        opts.endpoint.port = tcpPort;
-    } else {
-        opts.endpoint.path = socketPath;
-    }
-    opts.journalPath = journalPath;
-
-    std::signal(SIGINT, serveSignalHandler);
-    std::signal(SIGTERM, serveSignalHandler);
-
-    serve::Server server(opts);
-    server.start();
-    std::printf("serving on %s\n", server.endpoint().text().c_str());
-    std::fflush(stdout);
-
-    while (gServeStop == 0 && !server.finished())
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const bool drained = server.finished();
-    server.stop();
-    std::printf(drained ? "server drained\n" : "server stopped\n");
-    return 0;
-}
-
-void
-workerUsage()
-{
-    std::printf(
-        "usage: sst worker --connect ENDPOINT [options]\n"
-        "lease and execute jobs from a running `sst serve` instance\n"
-        "  --connect ENDPOINT      socket path or tcp:host:port\n"
-        "                          (default: .sst-serve.sock)\n"
-        "  --name NAME             worker identity (default: "
-        "worker-<pid>)\n"
-        "  --cache-dir DIR         worker-side result cache (default:\n"
-        "                          none — the server caches results)\n"
-        "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "  --poll-ms K             retry interval after a failed lease\n"
-        "                          request (default: 200)\n"
-        "  --retries K             tolerated consecutive connection\n"
-        "                          failures (default: 30)\n"
-        "  --verbose               log every lease and completion\n"
-        "exits 0 when the server drains, 1 when it stays unreachable\n");
-}
-
-int
-workerImpl(int argc, char **argv, int first)
-{
-    serve::WorkerOptions opts;
-    std::string endpoint = ".sst-serve.sock";
-    opts.driver.jobs = 1;
-
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--connect") {
-            endpoint = argValue(argc, argv, i);
-        } else if (arg == "--name") {
-            opts.name = argValue(argc, argv, i);
-        } else if (arg == "--cache-dir") {
-            opts.driver.cacheDir = argValue(argc, argv, i);
-        } else if (arg == "--trace-dir") {
-            opts.driver.traceDir = argValue(argc, argv, i);
-        } else if (arg == "--poll-ms") {
-            opts.pollMs = parseU64("--poll-ms", argValue(argc, argv, i));
-        } else if (arg == "--retries") {
-            opts.connectRetries =
-                parseInt("--retries", argValue(argc, argv, i), 0, 1 << 20);
-        } else if (arg == "--verbose") {
-            opts.verbose = true;
-        } else if (arg == "--help" || arg == "-h") {
-            workerUsage();
-            return 0;
-        } else {
-            workerUsage();
-            fatal("unknown argument '" + arg + "'");
-        }
-    }
-    opts.endpoint = serve::parseEndpoint(endpoint);
-    return serve::runWorker(opts);
-}
-
-void
-submitUsage()
-{
-    std::printf(
-        "usage: sst submit [--connect ENDPOINT] <action>\n"
-        "client for a running `sst serve` instance\n"
-        "  --connect ENDPOINT      socket path or tcp:host:port\n"
-        "                          (default: .sst-serve.sock)\n"
-        "actions (exactly one):\n"
-        "  --spec FILE             submit the spec as a campaign\n"
-        "    --name NAME           campaign name (default: file stem)\n"
-        "    --priority K          queue priority (default: 0)\n"
-        "    --wait                stream results once submitted\n"
-        "  --results NAME          stream a campaign's results\n"
-        "    --json                JSON rows instead of CSV\n"
-        "    --no-wait             don't block on unsettled jobs\n"
-        "  --status                queue and campaign counters\n"
-        "  --cancel NAME           cancel a campaign's pending jobs\n"
-        "  --drain                 stop the server once work finishes\n"
-        "  --ping                  liveness probe\n"
-        "  --csv FILE              write streamed rows to FILE\n"
-        "                          (default: stdout)\n");
+    return {[&dst](const char *, const char *v) {
+                dst = serve::parseEndpoint(v);
+            },
+            dst.text()};
 }
 
 /** Send one request on a fresh connection (the protocol's unit). */
@@ -682,6 +442,32 @@ simpleRequest(const serve::Endpoint &ep, const serve::Request &req)
 }
 
 /**
+ * Send @p req and read its multi-line reply: a first line starting
+ * with @p ok (any other reply is fatal), the body lines, which are
+ * returned, and a line `end` or `end ...`, stored in @p end_line.
+ */
+std::string
+readReply(const serve::Endpoint &ep, const serve::Request &req,
+          const char *ok, std::string *end_line = nullptr)
+{
+    serve::Socket sock = clientRequest(ep, req);
+    std::string line, body;
+    if (!sock.readLine(line))
+        fatal("server closed the connection");
+    if (line.rfind(ok, 0) != 0)
+        fatal(line);
+    while (sock.readLine(line)) {
+        if (line == "end" || line.rfind("end ", 0) == 0) {
+            if (end_line)
+                *end_line = line;
+            return body;
+        }
+        body += line + '\n';
+    }
+    fatal("reply ended without an end line");
+}
+
+/**
  * Stream a campaign's results. The body (header + rows) goes to
  * @p out_path, or stdout when empty — exactly the bytes `sst sweep
  * --csv` would write, so the two are diffable. Returns 0 when the
@@ -696,30 +482,12 @@ streamCampaign(const serve::Endpoint &ep, const std::string &name,
     req.campaign = name;
     req.json = json;
     req.wait = wait;
-    serve::Socket sock = clientRequest(ep, req);
-
-    std::string line;
-    if (!sock.readLine(line))
-        fatal("server closed the connection");
-    if (line.rfind("ok results", 0) != 0)
-        fatal(line);
-
-    std::ostringstream body;
     std::string endLine;
-    while (sock.readLine(line)) {
-        if (line.rfind("end ", 0) == 0) {
-            endLine = line;
-            break;
-        }
-        body << line << '\n';
-    }
-    if (endLine.empty())
-        fatal("results stream ended without an end line");
-
+    const std::string body = readReply(ep, req, "ok results", &endLine);
     if (out_path.empty())
-        std::fputs(body.str().c_str(), stdout);
+        std::fputs(body.c_str(), stdout);
     else
-        writeFile(out_path, body.str());
+        writeFile(out_path, body);
 
     if (endLine.rfind("end complete", 0) != 0) {
         warn("campaign '" + name + "' is still running (" + endLine +
@@ -729,303 +497,308 @@ streamCampaign(const serve::Endpoint &ep, const std::string &name,
     return 0;
 }
 
+/** Print the body of the multi-line reply to a @p kind request. */
 int
-submitImpl(int argc, char **argv, int first)
+printReply(const serve::Endpoint &ep, serve::Request::Kind kind,
+           const char *ok)
 {
-    std::string endpoint = ".sst-serve.sock";
-    std::string specPath, name, resultsName, cancelName, csvPath;
-    int priority = 0;
-    bool wait = false, noWait = false, json = false;
-    bool status = false, drain = false, ping = false;
-    bool haveResults = false, haveCancel = false;
-
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--connect") {
-            endpoint = argValue(argc, argv, i);
-        } else if (arg == "--spec") {
-            specPath = argValue(argc, argv, i);
-        } else if (arg == "--name") {
-            name = argValue(argc, argv, i);
-        } else if (arg == "--priority") {
-            priority = parseInt("--priority", argValue(argc, argv, i),
-                                -1000000, 1000000);
-        } else if (arg == "--wait") {
-            wait = true;
-        } else if (arg == "--results") {
-            resultsName = argValue(argc, argv, i);
-            haveResults = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--no-wait") {
-            noWait = true;
-        } else if (arg == "--status") {
-            status = true;
-        } else if (arg == "--cancel") {
-            cancelName = argValue(argc, argv, i);
-            haveCancel = true;
-        } else if (arg == "--drain") {
-            drain = true;
-        } else if (arg == "--ping") {
-            ping = true;
-        } else if (arg == "--csv") {
-            csvPath = argValue(argc, argv, i);
-        } else if (arg == "--help" || arg == "-h") {
-            submitUsage();
-            return 0;
-        } else {
-            submitUsage();
-            fatal("unknown argument '" + arg + "'");
-        }
-    }
-
-    const int actions = static_cast<int>(!specPath.empty()) +
-                        static_cast<int>(haveResults) +
-                        static_cast<int>(status) +
-                        static_cast<int>(haveCancel) +
-                        static_cast<int>(drain) + static_cast<int>(ping);
-    if (actions != 1) {
-        submitUsage();
-        fatal("exactly one action required (--spec, --results, "
-              "--status, --cancel, --drain or --ping)");
-    }
-
-    const serve::Endpoint ep = serve::parseEndpoint(endpoint);
-
-    if (status) {
-        serve::Request req;
-        req.kind = serve::Request::Kind::kStatus;
-        serve::Socket sock = clientRequest(ep, req);
-        std::string line;
-        if (!sock.readLine(line))
-            fatal("server closed the connection");
-        if (line.rfind("ok", 0) != 0)
-            fatal(line);
-        while (sock.readLine(line) && line != "end")
-            std::printf("%s\n", line.c_str());
-        return 0;
-    }
-    if (drain) {
-        serve::Request req;
-        req.kind = serve::Request::Kind::kDrain;
-        return simpleRequest(ep, req);
-    }
-    if (ping) {
-        serve::Request req;
-        req.kind = serve::Request::Kind::kPing;
-        return simpleRequest(ep, req);
-    }
-    if (haveCancel) {
-        serve::Request req;
-        req.kind = serve::Request::Kind::kCancel;
-        req.campaign = cancelName;
-        return simpleRequest(ep, req);
-    }
-    if (haveResults)
-        return streamCampaign(ep, resultsName, json, !noWait, csvPath);
-
-    // --spec: submit, optionally followed by a blocking results stream.
-    // The canonical text carries the paths the spec file resolved.
-    std::string text;
-    try {
-        text = serializeSpec(parseSpecFile(specPath));
-    } catch (const std::invalid_argument &e) {
-        fatal(e.what());
-    }
-    if (name.empty())
-        name = std::filesystem::path(specPath).stem().string();
-
     serve::Request req;
-    req.kind = serve::Request::Kind::kSubmit;
-    req.campaign = name;
-    req.priority = priority;
-    req.payload = text;
-    const int rc = simpleRequest(ep, req);
-    if (rc != 0 || !wait)
-        return rc;
-    return streamCampaign(ep, name, json, /*wait=*/true, csvPath);
-}
-
-void
-metricsUsage()
-{
-    std::printf(
-        "usage: sst metrics [ENDPOINT]\n"
-        "print the telemetry exposition of a running `sst serve`:\n"
-        "counters, gauges and latency histograms in Prometheus text\n"
-        "format (deterministically ordered)\n"
-        "  ENDPOINT                socket path or tcp:host:port\n"
-        "                          (default: .sst-serve.sock)\n"
-        "  --connect ENDPOINT      same, as a flag\n");
-}
-
-int
-metricsImpl(int argc, char **argv, int first)
-{
-    std::string endpoint = ".sst-serve.sock";
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--connect") {
-            endpoint = argValue(argc, argv, i);
-        } else if (arg == "--help" || arg == "-h") {
-            metricsUsage();
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-') {
-            endpoint = arg;
-        } else {
-            metricsUsage();
-            fatal("unknown argument '" + arg + "'");
-        }
-    }
-
-    serve::Request req;
-    req.kind = serve::Request::Kind::kMetrics;
-    serve::Socket sock =
-        clientRequest(serve::parseEndpoint(endpoint), req);
-    std::string line;
-    if (!sock.readLine(line))
-        fatal("server closed the connection");
-    if (line.rfind("ok metrics", 0) != 0)
-        fatal(line);
-    while (sock.readLine(line) && line != "end")
-        std::printf("%s\n", line.c_str());
+    req.kind = kind;
+    std::fputs(readReply(ep, req, ok).c_str(), stdout);
     return 0;
 }
 
-} // namespace
-
-int
-traceMain(int argc, char **argv, int first)
+/** `sst submit`'s values; the action and switches are the flags given. */
+struct SubmitOptions
 {
-    if (first >= argc) {
-        traceUsage();
-        return 1;
-    }
-    const std::string cmd = argv[first];
-    try {
-        if (cmd == "info")
-            return traceInfo(argc, argv, first + 1);
-        if (cmd == "--help" || cmd == "-h") {
-            traceUsage();
-            return 0;
-        }
-        traceUsage();
-        fatal("unknown subcommand '" + cmd + "'");
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
-}
+    serve::Endpoint endpoint;
+    std::string spec, name, results, cancel, csv;
+    int priority = 0;
+};
+
+// ---- the commands -----------------------------------------------------------
 
 int
 runMain(int argc, char **argv, int first)
 {
     RunOptions run;
     run.driver.jobs = 0; // hardware concurrency
-    run.driver.cacheDir = ".sst-cache";
+    run.driver.cacheDir = kDefaultCacheDir;
     // Spec assignments in command-line order, applied once --spec loaded.
     std::vector<std::pair<std::string, std::string>> assignments;
     std::size_t files = std::string::npos; // the --workload-file entry
+    std::string keyRows =
+        usageRow("--KEY VALUE", "set spec key KEY (also --KEY=VALUE)") +
+        usageRow("--set KEY=VALUE", "the same, in spec-file syntax");
+    for (const FlagAlias &a : kFlagAliases)
+        keyRows += usageRow(std::string(a.flag) + (a.value ? "" : " V"),
+                            std::string("same as --") + a.key + " " +
+                                (a.value ? a.value : "V"));
 
-    try {
-        for (int i = first; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--help" || arg == "-h") {
-                runUsage();
-                return 0;
-            }
-            const auto exec = std::find_if(
-                std::begin(kExecFlags), std::end(kExecFlags),
-                [&arg](const ExecFlag &f) { return arg == f.flag; });
+    parseFlags(
+        argc, argv, first,
+        std::string("usage: sst ") + argv[first - 1] +
+            " [--spec FILE] [options]   (run and sweep are one command)\n"
+            "run an experiment grid: the spec file (or the defaults),\n"
+            "then every spec-key flag in command-line order\n" +
+            keyRows,
+        {
+            {"--spec", "FILE", "start from this spec file, not the defaults",
+             into(run.specPath)},
+            {"--print-spec", nullptr, "print the canonical spec and exit",
+             into(run.printSpec)},
+            {"--jobs", "N", "worker threads, 0 = one per hardware thread",
+             into(run.driver.jobs, 0, 1 << 20)},
+            {"--cache-dir", "DIR", "result cache", into(run.driver.cacheDir)},
+            {"--no-cache", nullptr, "disable the result cache",
+             clearing(run.driver.cacheDir)},
+            {"--refresh", nullptr, "re-run and overwrite cached results",
+             into(run.driver.refresh)},
+            {"--record-dir", "DIR",
+             "capture .sstt traces of live jobs (cache hits skip it)",
+             into(run.driver.recordDir)},
+            {"--trace-out", "FILE",
+             "write a Chrome trace_event JSON of the batch (Perfetto)",
+             into(run.traceOut)},
+        },
+        [&](int &i) {
             std::string key, value;
-            if (exec != std::end(kExecFlags)) {
-                exec->apply(run,
-                            exec->arg ? argValue(argc, argv, i) : nullptr);
-            } else if (!specFlag(argc, argv, i, key, value)) {
-                runUsage();
-                fatal("unknown argument '" + arg + "'");
-            } else if (key == "workload-file" &&
-                       files != std::string::npos) {
+            if (!specFlag(argc, argv, i, key, value))
+                return false;
+            if (key == "workload-file" && files != std::string::npos) {
                 // --workload-file repeats: each adds to the first's list.
                 assignments[files].second += "," + value;
-            } else {
-                if (key == "workload-file")
-                    files = assignments.size();
-                assignments.emplace_back(key, value);
+                return true;
             }
-        }
+            if (key == "workload-file")
+                files = assignments.size();
+            assignments.emplace_back(key, value);
+            return true;
+        },
+        "--workload-file repeats, each adding files; see `sst list` for "
+        "names\nspec keys: " +
+            specKeyNamesJoined() + "\n");
 
-        ExperimentSpec spec = run.specPath.empty()
-                                  ? ExperimentSpec()
-                                  : parseSpecFile(run.specPath);
-        for (const auto &kv : assignments)
-            applySpecValue(spec, kv.first, kv.second);
+    ExperimentSpec spec = run.specPath.empty()
+                              ? ExperimentSpec()
+                              : parseSpecFile(run.specPath);
+    for (const auto &kv : assignments)
+        applySpecValue(spec, kv.first, kv.second);
 
-        if (run.printSpec) {
-            std::fputs(serializeSpec(spec).c_str(), stdout);
-            return 0;
-        }
-        return executeBatch(spec, run);
-    } catch (const std::exception &e) {
-        fatal(e.what());
+    if (run.printSpec) {
+        std::fputs(serializeSpec(spec).c_str(), stdout);
+        return 0;
     }
-}
-
-int
-listMain(int argc, char **argv, int first)
-{
-    if (first >= argc) {
-        listUsage();
-        return 1; // missing registry argument is an error, like before
-    }
-    const std::string what = argv[first];
-    for (const ListCommand &c : kListCommands)
-        if (what == c.name)
-            return c.run();
-    if (what == "--help" || what == "-h")
-        return listUsage();
-    listUsage();
-    fatal("unknown registry '" + what + "'; valid registries: " +
-          listCommandNamesJoined());
+    return executeBatch(spec, run);
 }
 
 int
 serveMain(int argc, char **argv, int first)
 {
-    try {
-        return serveImpl(argc, argv, first);
-    } catch (const std::exception &e) {
-        fatal(e.what());
+    serve::ServerOptions opts;
+    opts.endpoint.path = kDefaultSocket;
+    opts.driver.jobs = 1;
+    opts.driver.cacheDir = kDefaultCacheDir;
+    opts.journalPath = ".sst-serve.journal";
+    // The reaper expires leases and heartbeats local workers; a lease
+    // shorter than three of its ticks expires between two beats.
+    const std::uint64_t leaseFloor = 3 * opts.reaperIntervalMs;
+    parseFlags(
+        argc, argv, first,
+        "usage: sst serve [options]\n"
+        "run the persistent sweep service: accepts campaigns over a\n"
+        "socket, schedules them on a crash-safe job queue, and streams\n"
+        "incremental results (see `sst submit` and `sst worker`)\n",
+        {
+            {"--socket", "PATH", "Unix socket", into(opts.endpoint.path)},
+            {"--tcp", "PORT",
+             "listen on TCP 127.0.0.1:PORT instead (0 picks a free port)",
+             {[&opts](const char *flag, const char *v) {
+                 opts.endpoint.tcp = true;
+                 opts.endpoint.port = parseInt(flag, v, 0, 65535);
+             }}},
+            {"--jobs", "N", "in-process worker threads; 0 = external only",
+             into(opts.localWorkers, 0, 1 << 10)},
+            {"--cache-dir", "DIR", "result cache; restarts resume from it",
+             into(opts.driver.cacheDir)},
+            {"--no-cache", nullptr, "disable the result cache",
+             clearing(opts.driver.cacheDir)},
+            {"--journal", "FILE", "campaign journal; restarts replay it",
+             into(opts.journalPath)},
+            {"--no-journal", nullptr, "disable crash-safe persistence",
+             clearing(opts.journalPath)},
+            {"--trace-dir", "DIR", "replay recorded op traces from DIR",
+             into(opts.driver.traceDir)},
+            {"--lease-ms", "K",
+             "worker lease duration, at least " +
+                 std::to_string(leaseFloor) + " ms",
+             into(opts.queue.leaseMs)},
+            {"--max-attempts", "K", "leases before a job fails",
+             into(opts.queue.maxAttempts, 1, 1000)},
+            {"--backoff-ms", "K", "requeue backoff base",
+             into(opts.queue.backoffBaseMs)},
+        },
+        nullptr,
+        "the server exits once drained (`sst submit --drain`) or on "
+        "SIGINT\n");
+    if (opts.queue.leaseMs < leaseFloor) {
+        fatal("--lease-ms " + std::to_string(opts.queue.leaseMs) +
+              " is below the floor of " + std::to_string(leaseFloor) +
+              " ms (3 x the " + std::to_string(opts.reaperIntervalMs) +
+              " ms reaper interval)");
     }
+
+    std::signal(SIGINT, serveSignalHandler);
+    std::signal(SIGTERM, serveSignalHandler);
+
+    serve::Server server(opts);
+    server.start();
+    std::printf("serving on %s\n", server.endpoint().text().c_str());
+    std::fflush(stdout);
+
+    while (gServeStop == 0 && !server.finished())
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const bool drained = server.finished();
+    server.stop();
+    std::printf(drained ? "server drained\n" : "server stopped\n");
+    return 0;
 }
 
 int
 workerMain(int argc, char **argv, int first)
 {
-    try {
-        return workerImpl(argc, argv, first);
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
+    serve::WorkerOptions opts;
+    opts.endpoint.path = kDefaultSocket;
+    opts.driver.jobs = 1;
+    parseFlags(
+        argc, argv, first,
+        "usage: sst worker --connect ENDPOINT [options]\n"
+        "lease and execute jobs from a running `sst serve` instance\n",
+        {
+            {"--connect", "ENDPOINT", "socket path or tcp:host:port",
+             intoEndpoint(opts.endpoint)},
+            {"--name", "NAME", "worker identity (default: worker-<pid>)",
+             into(opts.name)},
+            {"--cache-dir", "DIR", "worker-side result cache (default: none)",
+             into(opts.driver.cacheDir)},
+            {"--trace-dir", "DIR", "replay recorded op traces from DIR",
+             into(opts.driver.traceDir)},
+            {"--poll-ms", "K", "retry interval after a failed lease request",
+             into(opts.pollMs)},
+            {"--retries", "K", "tolerated consecutive connection failures",
+             into(opts.connectRetries, 0, 1 << 20)},
+            {"--verbose", nullptr, "log every lease and completion",
+             into(opts.verbose)},
+        },
+        nullptr,
+        "exits 0 when the server drains, 1 when it stays unreachable\n");
+    return serve::runWorker(opts);
 }
 
 int
 submitMain(int argc, char **argv, int first)
 {
-    try {
-        return submitImpl(argc, argv, first);
-    } catch (const std::exception &e) {
-        fatal(e.what());
+    SubmitOptions o;
+    o.endpoint.path = kDefaultSocket;
+    const std::set<std::string> given = parseFlags(
+        argc, argv, first,
+        "usage: sst submit [--connect ENDPOINT] <action>\n"
+        "client for a running `sst serve` instance; the actions are\n"
+        "--spec, --results, --status, --cancel, --drain and --ping\n"
+        "(exactly one), and a flag of another action is an error\n",
+        {
+            {"--connect", "ENDPOINT", "socket path or tcp:host:port",
+             intoEndpoint(o.endpoint)},
+            {"--spec", "FILE", "submit the spec as a campaign",
+             into(o.spec)},
+            {"--name", "NAME", "--spec: campaign name (default: file stem)",
+             into(o.name)},
+            {"--priority", "K", "--spec: queue priority",
+             into(o.priority, -1000000, 1000000)},
+            {"--wait", nullptr, "--spec: stream results once submitted"},
+            {"--results", "NAME", "stream a campaign's results",
+             into(o.results)},
+            {"--no-wait", nullptr, "--results: don't block on unsettled jobs"},
+            {"--json", nullptr, "--results, --wait: JSON rows, not CSV"},
+            {"--csv", "FILE", "--results, --wait: write rows to FILE, not "
+                              "stdout",
+             into(o.csv)},
+            {"--status", nullptr, "queue and campaign counters"},
+            {"--cancel", "NAME", "cancel a campaign's pending jobs",
+             into(o.cancel)},
+            {"--drain", nullptr, "stop the server once work finishes"},
+            {"--ping", nullptr, "liveness probe"},
+        });
+    const auto has = [&given](const char *flag) {
+        return given.count(flag) != 0;
+    };
+    const bool spec = !o.spec.empty(), results = has("--results"),
+               json = has("--json");
+    if (spec + results + has("--status") + has("--cancel") +
+            has("--drain") + has("--ping") !=
+        1) {
+        fatal("exactly one action required (--spec, --results, "
+              "--status, --cancel, --drain or --ping)");
     }
+    // Checked before connecting: a flag the action would ignore is a
+    // mistake, not a no-op.
+    for (const char *flag : {"--name", "--priority", "--wait"})
+        if (has(flag) && !spec)
+            fatal(std::string(flag) + " applies only to --spec");
+    if (has("--no-wait") && !results)
+        fatal("--no-wait applies only to --results");
+    if (json && !results && !has("--wait"))
+        fatal("--json applies only to --results and --spec --wait");
+
+    if (has("--status"))
+        return printReply(o.endpoint, serve::Request::Kind::kStatus, "ok");
+    if (results)
+        return streamCampaign(o.endpoint, o.results, json,
+                              !has("--no-wait"), o.csv);
+    serve::Request req;
+    if (!spec) {
+        req.kind = has("--drain")  ? serve::Request::Kind::kDrain
+                   : has("--ping") ? serve::Request::Kind::kPing
+                                   : serve::Request::Kind::kCancel;
+        req.campaign = o.cancel;
+        return simpleRequest(o.endpoint, req);
+    }
+
+    // --spec: submit, optionally followed by a blocking results stream.
+    // The canonical text carries the paths the spec file resolved.
+    req.kind = serve::Request::Kind::kSubmit;
+    req.payload = serializeSpec(parseSpecFile(o.spec));
+    req.campaign = o.name.empty()
+                       ? std::filesystem::path(o.spec).stem().string()
+                       : o.name;
+    req.priority = o.priority;
+    const int rc = simpleRequest(o.endpoint, req);
+    if (rc != 0 || !has("--wait"))
+        return rc;
+    return streamCampaign(o.endpoint, req.campaign, json, /*wait=*/true,
+                          o.csv);
 }
 
 int
 metricsMain(int argc, char **argv, int first)
 {
-    try {
-        return metricsImpl(argc, argv, first);
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
+    serve::Endpoint ep;
+    ep.path = kDefaultSocket;
+    parseFlags(argc, argv, first,
+               "usage: sst metrics [ENDPOINT]\n"
+               "print the telemetry exposition of a running `sst serve`:\n"
+               "counters, gauges and latency histograms in Prometheus text\n"
+               "format (deterministically ordered)\n",
+               {{"--connect", "ENDPOINT",
+                 "socket path or tcp:host:port, also bare",
+                 intoEndpoint(ep)}},
+               [&](int &i) {
+                   if (argv[i][0] == '\0' || argv[i][0] == '-')
+                       return false;
+                   ep = serve::parseEndpoint(argv[i]);
+                   return true;
+               });
+    return printReply(ep, serve::Request::Kind::kMetrics, "ok metrics");
 }
 
 int
@@ -1042,6 +815,46 @@ versionMain()
                 kResultCacheVersion, serve::kProtocolVersion,
                 wdl::kWdlVersion);
     return 0;
+}
+
+const std::vector<Command> kCommands = {
+    {"run", "run an experiment: a spec file and/or spec-key flags",
+     runMain},
+    {"sweep", "the same command as run", runMain},
+    {"trace", "check and describe recorded op traces",
+     [](int argc, char **argv, int first) {
+         return dispatch(
+             "sst trace", "subcommand",
+             {{"info", "check and describe a recorded op trace", traceInfo}},
+             argc, argv, first);
+     }},
+    {"list", "enumerate registered profiles, scheds, frontends, mixes",
+     [](int argc, char **argv, int first) {
+         return dispatch("sst list", "registry", kListCommands, argc, argv,
+                         first);
+     }},
+    {"serve", "run the persistent sweep service", serveMain},
+    {"worker", "lease and execute jobs from a server", workerMain},
+    {"submit", "submit campaigns / fetch results from a server",
+     submitMain},
+    {"metrics", "stream telemetry from a running server", metricsMain},
+};
+
+} // namespace
+
+int
+sstMain(int argc, char **argv)
+{
+    if (argc > 1 && (std::strcmp(argv[1], "--version") == 0 ||
+                     std::strcmp(argv[1], "-V") == 0))
+        return versionMain();
+    // The one place where an error escaping a command becomes exit 1.
+    return orFatal([&] {
+        return dispatch(
+            "sst", "command", kCommands, argc, argv, 1,
+            "`sst <command> --help` shows the command's options;\n"
+            "`sst --version` prints every persisted-format version\n");
+    });
 }
 
 } // namespace cli

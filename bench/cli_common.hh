@@ -1,19 +1,24 @@
 /**
  * @file
  * Small helpers shared by the bench/ command-line tools (`sst` and the
- * figure/table benches). Header-only; CMake builds one executable per
- * bench .cc, so shared code lives here rather than in the sst library.
+ * figure/table benches), above all parseFlags(): every command line is
+ * parsed from a Flag table, and its help is generated from the same
+ * table. Header-only; CMake builds one executable per bench .cc, so
+ * shared code lives here rather than in the sst library.
  */
 
 #ifndef SST_BENCH_CLI_COMMON_HH
 #define SST_BENCH_CLI_COMMON_HH
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
+#include <exception>
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -34,18 +39,6 @@ argValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
-/** Strict base-10 u64; fatal on garbage instead of silently reading 0
- * or wrapping a negative through strtoull. */
-inline std::uint64_t
-parseU64(const char *flag, const char *text)
-{
-    try {
-        return parseU64Text(flag, text);
-    } catch (const std::invalid_argument &e) {
-        fatal(e.what());
-    }
-}
-
 /** Strict base-10 int in [min, max]; fatal on garbage or out of range. */
 inline int
 parseInt(const char *flag, const char *text, long min, long max)
@@ -60,6 +53,133 @@ parseInt(const char *flag, const char *text, long min, long max)
               std::to_string(max) + ")");
     }
     return static_cast<int>(v);
+}
+
+/**
+ * Where a flag's value goes. @c apply stores it (the value is null for
+ * a switch; the flag's name comes along for error messages); without
+ * one, the flag is only recorded as given. @c shown is the default that
+ * help prints: the binders below read it from the destination when the
+ * table is built, after the command has set its defaults.
+ */
+struct FlagTarget
+{
+    std::function<void(const char *flag, const char *value)> apply;
+    std::string shown = {};
+};
+
+/** One row of a command's flag table; help is generated from it. */
+struct Flag
+{
+    const char *name;
+    const char *arg; ///< value placeholder; null for a switch
+    std::string help;
+    FlagTarget target = {};
+};
+
+inline FlagTarget
+into(std::string &dst)
+{
+    return {[&dst](const char *, const char *v) { dst = v; }, dst};
+}
+
+inline FlagTarget
+into(int &dst, long min, long max)
+{
+    return {[&dst, min, max](const char *flag, const char *v) {
+                dst = parseInt(flag, v, min, max);
+            },
+            std::to_string(dst)};
+}
+
+inline FlagTarget
+into(std::uint64_t &dst)
+{
+    return {[&dst](const char *flag, const char *v) {
+                dst = parseU64Text(flag, v);
+            },
+            std::to_string(dst)};
+}
+
+/** A switch that sets @p dst. */
+inline FlagTarget
+into(bool &dst)
+{
+    return {[&dst](const char *, const char *) { dst = true; }};
+}
+
+/** A switch that empties @p dst (`--no-cache`). */
+inline FlagTarget
+clearing(std::string &dst)
+{
+    return {[&dst](const char *, const char *) { dst.clear(); }};
+}
+
+/** One line of generated help: the flag column, then its text. */
+inline std::string
+usageRow(const std::string &left, const std::string &right)
+{
+    return "  " + left + std::string(left.size() < 23 ? 23 - left.size() : 0,
+                                     ' ') +
+           " " + right + "\n";
+}
+
+/**
+ * Parse argv[first..] against @p flags. `--help`/`-h` prints @p head,
+ * one generated row per flag and @p notes, then exits 0. A value flag
+ * reads the next argument ("missing value for --X" at the end of the
+ * line). An argument no flag names goes to @p other, which may advance
+ * i past what it reads and returns false when it does not know the
+ * argument either: then it is fatal, "unknown argument 'X'". Returns
+ * the names of the flags given.
+ */
+inline std::set<std::string>
+parseFlags(int argc, char **argv, int first, const std::string &head,
+           const std::vector<Flag> &flags,
+           const std::function<bool(int &i)> &other = nullptr,
+           const std::string &notes = "")
+{
+    std::set<std::string> given;
+    for (int i = first; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            std::string text = head;
+            for (const Flag &f : flags) {
+                const std::string &shown = f.target.shown;
+                text += usageRow(
+                    f.arg ? std::string(f.name) + " " + f.arg : f.name,
+                    f.help +
+                        (shown.empty() ? "" : " (default: " + shown + ")"));
+            }
+            std::fputs((text + notes).c_str(), stdout);
+            std::exit(0);
+        }
+        const auto f =
+            std::find_if(flags.begin(), flags.end(),
+                         [&arg](const Flag &g) { return arg == g.name; });
+        if (f != flags.end()) {
+            const char *value = f->arg ? argValue(argc, argv, i) : nullptr;
+            if (f->target.apply)
+                f->target.apply(f->name, value);
+            given.insert(f->name);
+        } else if (!other || !other(i)) {
+            fatal("unknown argument '" + arg + "' (try --help)");
+        }
+    }
+    return given;
+}
+
+/** Run @p body and return its exit code; an exception escaping it is
+ *  fatal: its message on stderr, exit 1. */
+template <class Body>
+int
+orFatal(const Body &body)
+{
+    try {
+        return body();
+    } catch (const std::exception &e) {
+        fatal(e.what());
+    }
 }
 
 /**
@@ -136,41 +256,27 @@ struct BenchOptions
  * Parse the common bench argv: spec-key flags via specFlag(), limited
  * to the machine/scheduler keys a bench consumes, bare integers into
  * positionals (each bench interprets its own), --help printing
- * @p usage. Fatal (with the registry-sourced message) on unknown flags
- * or bad values.
+ * @p usage and the flags. Fatal (with the registry-sourced message) on
+ * unknown flags or bad values.
  */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv, const char *usage)
 {
     BenchOptions o;
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            std::string key, value;
-            if (arg == "--jobs") {
-                o.jobs = parseInt("--jobs", argValue(argc, argv, i), 0,
-                                  1 << 20);
-            } else if (arg == "--help" || arg == "-h") {
-                std::printf("usage: %s\n", usage);
-                std::printf("  [N]                     positional "
-                            "worker/thread counts (bench-specific)\n"
-                            "  --jobs N                worker "
-                            "threads (default: hardware)\n"
-                            "  --sched POLICY          scheduler policy\n"
-                            "  --sched-seed K          RNG stream for "
-                            "--sched random\n"
-                            "  --seed-offset K         replication RNG "
-                            "stream\n"
-                            "  --KEY=VALUE             any machine/"
-                            "scheduler spec key, e.g. "
-                            "--machine.time-slice-cycles=8000\n");
-                std::exit(0);
-            } else if (!arg.empty() &&
-                       (std::isdigit(static_cast<unsigned char>(
-                            arg[0])) != 0)) {
-                o.positionals.push_back(
-                    parseInt("positional", arg.c_str(), 0, 1 << 20));
-            } else if (specFlag(argc, argv, i, key, value)) {
+    orFatal([&] {
+        parseFlags(
+            argc, argv, 1, std::string("usage: ") + usage + "\n",
+            {{"--jobs", "N", "worker threads, 0 = one per hardware thread",
+              into(o.jobs, 0, 1 << 20)}},
+            [&](int &i) {
+                std::string key, value;
+                if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
+                    o.positionals.push_back(
+                        parseInt("positional", argv[i], 0, 1 << 20));
+                    return true;
+                }
+                if (!specFlag(argc, argv, i, key, value))
+                    return false;
                 // Only keys a bench actually consumes are legal here —
                 // the sweep axes (profiles/threads/...) are fixed per
                 // figure, and silently dropping one would fake a result.
@@ -181,14 +287,19 @@ parseBenchArgs(int argc, char **argv, const char *usage)
                           "sst CLI for arbitrary specs)");
                 }
                 applySpecValue(o.spec, key, value);
-            } else {
-                fatal("unknown argument '" + arg + "' (try --help)");
-            }
-        }
+                return true;
+            },
+            usageRow("[N]",
+                     "positional worker/thread counts (bench-specific)") +
+                usageRow("--sched POLICY", "scheduler policy") +
+                usageRow("--sched-seed K", "RNG stream for --sched random") +
+                usageRow("--seed-offset K", "replication RNG stream") +
+                usageRow("--KEY=VALUE", "any machine/scheduler spec key, "
+                                        "e.g. "
+                                        "--machine.time-slice-cycles=8000"));
         validateSpec(o.spec);
-    } catch (const std::invalid_argument &e) {
-        fatal(e.what());
-    }
+        return 0;
+    });
     return o;
 }
 
