@@ -1,22 +1,21 @@
 /**
  * @file
- * Small helpers shared by the bench/ command-line tools (`sst` and the
- * figure/table benches), above all parseFlags(): every command line is
- * parsed from a Flag table, and its help is generated from the same
- * table. Header-only; CMake builds one executable per bench .cc, so
- * shared code lives here rather than in the sst library.
+ * Small helpers shared by the bench/ command-line tools (`sst`,
+ * `inspect` and the ablation benches), above all parseFlags(): every
+ * `sst` command line is parsed from a Flag table, and its help is
+ * generated from the same table. Header-only; CMake builds one
+ * executable per bench .cc, so shared code lives here rather than in
+ * the sst library.
  */
 
 #ifndef SST_BENCH_CLI_COMMON_HH
 #define SST_BENCH_CLI_COMMON_HH
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <functional>
 #include <set>
 #include <string>
@@ -169,19 +168,6 @@ parseFlags(int argc, char **argv, int first, const std::string &head,
     return given;
 }
 
-/** Run @p body and return its exit code; an exception escaping it is
- *  fatal: its message on stderr, exit 1. */
-template <class Body>
-int
-orFatal(const Body &body)
-{
-    try {
-        return body();
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
-}
-
 /**
  * The flag spellings of spec keys that predate `--KEY VALUE`. A null
  * value means the flag takes one; otherwise it is a switch that sets
@@ -199,6 +185,7 @@ inline constexpr FlagAlias kFlagAliases[] = {
     {"--csv", "output.csv", nullptr},
     {"--json", "output.json", nullptr},
     {"--quiet", "output.quiet", "true"},
+    {"--report", "output.report", nullptr},
 };
 
 /**
@@ -234,73 +221,6 @@ specFlag(int argc, char **argv, int &i, std::string &key,
     value = eq != std::string::npos ? kv.substr(eq + 1)
                                     : argValue(argc, argv, i);
     return true;
-}
-
-/**
- * Options shared by every figure/table bench. Parsed once here so the
- * benches stop hand-rolling argv loops — and all of them gain
- * `--sched`, `--sched-seed` and `--seed-offset` for free, read by
- * specFlag() and validated by validateSpec() like `sst run`'s flags.
- */
-struct BenchOptions
-{
-    /** The flags' machine, scheduler and seed-offset keys applied;
-     *  the bench sets the axes of its figure. */
-    ExperimentSpec spec;
-    int jobs = 0; ///< --jobs (0 = hardware concurrency)
-    /** Bare integers, in order (legacy positional [nthreads] [jobs]). */
-    std::vector<long> positionals;
-};
-
-/**
- * Parse the common bench argv: spec-key flags via specFlag(), limited
- * to the machine/scheduler keys a bench consumes, bare integers into
- * positionals (each bench interprets its own), --help printing
- * @p usage and the flags. Fatal (with the registry-sourced message) on
- * unknown flags or bad values.
- */
-inline BenchOptions
-parseBenchArgs(int argc, char **argv, const char *usage)
-{
-    BenchOptions o;
-    orFatal([&] {
-        parseFlags(
-            argc, argv, 1, std::string("usage: ") + usage + "\n",
-            {{"--jobs", "N", "worker threads, 0 = one per hardware thread",
-              into(o.jobs, 0, 1 << 20)}},
-            [&](int &i) {
-                std::string key, value;
-                if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
-                    o.positionals.push_back(
-                        parseInt("positional", argv[i], 0, 1 << 20));
-                    return true;
-                }
-                if (!specFlag(argc, argv, i, key, value))
-                    return false;
-                // Only keys a bench actually consumes are legal here —
-                // the sweep axes (profiles/threads/...) are fixed per
-                // figure, and silently dropping one would fake a result.
-                if (key.compare(0, 8, "machine.") != 0 && key != "sched" &&
-                    key != "sched-seed" && key != "seed-offset") {
-                    fatal("'" + key + "' is not a machine/scheduler "
-                          "key; this bench's grid is fixed (use the "
-                          "sst CLI for arbitrary specs)");
-                }
-                applySpecValue(o.spec, key, value);
-                return true;
-            },
-            usageRow("[N]",
-                     "positional worker/thread counts (bench-specific)") +
-                usageRow("--sched POLICY", "scheduler policy") +
-                usageRow("--sched-seed K", "RNG stream for --sched random") +
-                usageRow("--seed-offset K", "replication RNG stream") +
-                usageRow("--KEY=VALUE", "any machine/scheduler spec key, "
-                                        "e.g. "
-                                        "--machine.time-slice-cycles=8000"));
-        validateSpec(o.spec);
-        return 0;
-    });
-    return o;
 }
 
 /**

@@ -22,7 +22,7 @@ constexpr const char *kTopKeys[] = {
     "profiles", "workload",  "workload-file", "pipeline", "threads",
     "cores",    "llc",       "seed-offset",   "frontend", "trace-dir",
     "sched",    "sched-seed", "output.csv",   "output.json",
-    "output.quiet",
+    "output.quiet", "output.report",
 };
 
 std::string
@@ -37,26 +37,31 @@ trim(const std::string &s)
 }
 
 std::string
-joinInts(const std::vector<int> &v)
+itemText(const std::string &label)
 {
-    std::string out;
-    for (const int x : v) {
-        if (!out.empty())
-            out += ", ";
-        out += std::to_string(x);
-    }
-    return out;
+    return label;
 }
 
 std::string
-joinSizes(const std::vector<std::uint64_t> &v)
+itemText(int count)
+{
+    return std::to_string(count);
+}
+
+std::string
+itemText(std::uint64_t bytes)
+{
+    return sizeText(bytes);
+}
+
+/** @p items joined with ", ", each in its spec-value form. */
+template <class Items>
+std::string
+joined(const Items &items)
 {
     std::string out;
-    for (const std::uint64_t x : v) {
-        if (!out.empty())
-            out += ", ";
-        out += sizeText(x);
-    }
+    for (const auto &x : items)
+        out += (out.empty() ? "" : ", ") + itemText(x);
     return out;
 }
 
@@ -82,18 +87,6 @@ splitPaths(const std::string &text)
         if (comma == std::string::npos)
             break;
         start = comma + 1;
-    }
-    return out;
-}
-
-std::string
-joinLabels(const std::vector<std::string> &v)
-{
-    std::string out;
-    for (const std::string &x : v) {
-        if (!out.empty())
-            out += ", ";
-        out += x;
     }
     return out;
 }
@@ -242,6 +235,9 @@ applySpecValue(ExperimentSpec &spec, const std::string &key,
         spec.jsonPath = value;
     } else if (key == "output.quiet") {
         spec.quiet = parseBoolText("output.quiet", value);
+    } else if (key == "output.report") {
+        reportRegistry().at(value); // throws listing valid views
+        spec.report = value;
     } else { // a machine key: requireSpecKey() found it
         setMachineValue(
             spec.machine,
@@ -253,13 +249,7 @@ applySpecValue(ExperimentSpec &spec, const std::string &key,
 std::string
 specKeyNamesJoined()
 {
-    std::string out;
-    for (const char *k : kTopKeys) {
-        if (!out.empty())
-            out += ", ";
-        out += k;
-    }
-    return out + ", " + machineKeyNamesJoined();
+    return joined(kTopKeys) + ", " + machineKeyNamesJoined();
 }
 
 ExperimentSpec
@@ -362,12 +352,12 @@ serializeSpec(const ExperimentSpec &spec)
         out += '\n';
     };
     put("profiles",
-        spec.profiles.empty() ? "all" : joinLabels(spec.profiles));
-    put("workload", joinLabels(spec.workloads));
-    put("workload-file", joinLabels(spec.workloadFiles));
-    put("threads", joinInts(spec.threads));
-    put("cores", joinInts(spec.cores));
-    put("llc", joinSizes(spec.llcBytes));
+        spec.profiles.empty() ? "all" : joined(spec.profiles));
+    put("workload", joined(spec.workloads));
+    put("workload-file", joined(spec.workloadFiles));
+    put("threads", joined(spec.threads));
+    put("cores", joined(spec.cores));
+    put("llc", joined(spec.llcBytes));
     put("seed-offset", std::to_string(spec.seedOffset));
     put("frontend", spec.frontend);
     put("trace-dir", spec.traceDir);
@@ -377,6 +367,7 @@ serializeSpec(const ExperimentSpec &spec)
     put("output.csv", spec.csvPath);
     put("output.json", spec.jsonPath);
     put("output.quiet", spec.quiet ? "true" : "false");
+    put("output.report", spec.report);
     return out;
 }
 
@@ -462,6 +453,21 @@ validateSpec(const ExperimentSpec &spec)
     // message before any job runs.
     for (const std::string &label : spec.profiles)
         profileRegistry().at(label); // throws, listing valid names
+    const ReportView &view = reportRegistry().at(spec.report);
+    const char *axis = !spec.workloads.empty()       ? "workload"
+                       : !spec.workloadFiles.empty() ? "workload-file"
+                       : !spec.cores.empty()         ? "cores"
+                       : !spec.llcBytes.empty()      ? "llc"
+                                                     : nullptr;
+    if (view.rowPerProfile && axis)
+        throw std::invalid_argument(
+            "report '" + spec.report + "' lays out one row per benchmark "
+            "of the profiles axis; it cannot lay out the " + axis +
+            " axis (use `output.report = table`)");
+    if (view.oneThreadCount && spec.threads.size() != 1)
+        throw std::invalid_argument(
+            "report '" + spec.report + "' lays out one thread count; the "
+            "threads axis has " + std::to_string(spec.threads.size()));
 }
 
 ExperimentSpec

@@ -118,8 +118,37 @@ struct ExperimentSpec
     // ---- output options ---------------------------------------------------
     std::string csvPath;  ///< write the batch as CSV when non-empty
     std::string jsonPath; ///< write the batch as JSON when non-empty
-    bool quiet = false;   ///< suppress the result table
+    bool quiet = false;   ///< print no report
+    /** Report view that prints the batch (reportRegistry(), `sst list
+     *  reports`); output-only, never part of a job fingerprint. */
+    std::string report = "table";
 };
+
+/**
+ * A report view: how `sst run` prints a finished batch. It reads only
+ * the summary fields the result cache stores, so a cold run and a
+ * cache replay print the same bytes, and it never changes what a job
+ * computes, so it stays out of job fingerprints.
+ */
+struct ReportView
+{
+    const char *description; ///< one-line summary for listings
+    /** One row per benchmark of the profiles axis: validateSpec()
+     *  rejects the workload, workload-file, cores and llc axes. */
+    bool rowPerProfile;
+    /** One job per benchmark: the threads axis holds one count. */
+    bool oneThreadCount;
+    /** The report of @p results, the jobs of @p spec's grid in
+     *  expandGrid() order; a failed job prints as `fail`. */
+    std::string (*render)(const ExperimentSpec &spec,
+                          const std::vector<JobSpec> &jobs,
+                          const std::vector<JobResult> &results);
+};
+
+/** Report-view registry (src/spec/report.cc: "table", "validation",
+ *  "stacks", "classify", "overhead" for Figures 4-6 and the Section 6
+ *  overhead table): the values of the `output.report` key. */
+const NamedRegistry<ReportView> &reportRegistry();
 
 /** Equality is canonical-form equality. */
 bool operator==(const ExperimentSpec &a, const ExperimentSpec &b);
@@ -167,8 +196,9 @@ std::string serializeSpec(const ExperimentSpec &spec);
 /**
  * Validate cross-field constraints: known frontend (`trace` needs
  * trace-dir), no cores axis with trace-dir, exclusive workload axes,
- * resolvable profile and workload labels, non-empty axes, and
- * sched-seed only with a stochastic policy. Every command line reaches
+ * resolvable profile and workload labels, non-empty axes, sched-seed
+ * only with a stochastic policy, and a grid the report view can lay
+ * out (the error names the axis). Every command line reaches
  * these rules through here. Throws std::invalid_argument with
  * registry-sourced messages.
  */

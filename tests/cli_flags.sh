@@ -3,7 +3,8 @@
 # table lists (`sst --help`): `--help` exits 0 and prints the command's
 # usage line, an unknown flag exits 1 naming it, and a value flag at the
 # end of the line exits 1 with "missing value for --X". A command added
-# to the table without a row below fails here.
+# to the table without a row below fails here. Each `sst list` registry
+# takes no flags.
 #
 # usage: cli_flags.sh PATH/TO/sst
 sst=$1
@@ -37,7 +38,14 @@ for cmd in $commands; do
         expect 1 "'--bogus'" trace info --bogus
         expect 1 "missing value for --in" trace info --in ;;
     list)
-        expect 1 "'--bogus'" list --bogus ;;
+        expect 1 "'--bogus'" list --bogus
+        expect 1 "'--bogus'" list scheds --bogus extra
+        registries=$("$sst" list --help | sed -n 's/^  \([a-z][a-z]*\) .*/\1/p')
+        [ -n "$registries" ] || { echo "no registries in sst list --help" >&2; exit 1; }
+        for reg in $registries; do
+            expect 0 "usage: sst list $reg" list "$reg" --help
+            expect 1 "'--bogus'" list "$reg" --bogus
+        done ;;
     serve)
         expect 1 "'--bogus'" serve --bogus
         expect 1 "missing value for --lease-ms" serve --lease-ms ;;

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <gtest/gtest.h>
 
+#include "bench/cli_common.hh"
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
 #include "driver/sweep.hh"
@@ -582,6 +583,161 @@ TEST(Spec, SpecFilePathsAreRelativeToTheSpecFile)
               (std::vector<std::string>{"../w/a.wdl", "/abs/b.wdl"}));
     EXPECT_EQ(inline_spec.traceDir, "./traces");
     std::filesystem::remove_all(dir);
+}
+
+// ---- report views -----------------------------------------------------------
+
+/** The spec that `sst run ARGS` builds: every flag through specFlag(). */
+ExperimentSpec
+specFromFlags(std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    ExperimentSpec spec;
+    for (int i = 0; i < static_cast<int>(argv.size()); ++i) {
+        std::string key, value;
+        EXPECT_TRUE(cli::specFlag(static_cast<int>(argv.size()),
+                                  argv.data(), i, key, value))
+            << args[i];
+        applySpecValue(spec, key, value);
+    }
+    return spec;
+}
+
+/** The message validateSpec() throws for @p spec, or "" when valid. */
+std::string
+validationError(const ExperimentSpec &spec)
+{
+    try {
+        validateSpec(spec);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Report, DefaultIsTheTableAndEveryViewRoundTrips)
+{
+    EXPECT_EQ(ExperimentSpec().report, "table");
+    for (const std::string &name : reportRegistry().names()) {
+        ExperimentSpec s;
+        applySpecValue(s, "output.report", name);
+        const std::string text = serializeSpec(s);
+        EXPECT_NE(text.find("output.report = " + name + "\n"),
+                  std::string::npos)
+            << text;
+        const ExperimentSpec back = parseSpec(text);
+        EXPECT_EQ(back, s);
+        EXPECT_EQ(back.report, name);
+    }
+}
+
+TEST(Report, AliasAndKeyFlagsGiveTheSameSpec)
+{
+    const ExperimentSpec alias = specFromFlags({"--report", "classify"});
+    EXPECT_EQ(alias.report, "classify");
+    EXPECT_EQ(specFromFlags({"--output.report", "classify"}), alias);
+    EXPECT_EQ(specFromFlags({"--output.report=classify"}), alias);
+    EXPECT_EQ(specFromFlags({"--set", "output.report=classify"}), alias);
+}
+
+TEST(Report, UnknownViewListsTheValidViews)
+{
+    ExperimentSpec s;
+    try {
+        applySpecValue(s, "output.report", "fig4");
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unknown report view 'fig4'; valid report views: "
+                      "table, validation, stacks, classify, overhead"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(s.report, "table");
+}
+
+TEST(Report, ViewsRejectAGridTheyCannotLayOutNamingTheAxis)
+{
+    const auto errorFor = [](const std::string &report,
+                             const std::string &key,
+                             const std::string &value) {
+        ExperimentSpec s;
+        s.threads = {2, 4};
+        applySpecValue(s, key, value);
+        s.report = report;
+        return validationError(s);
+    };
+    for (const char *view : {"validation", "stacks", "classify",
+                             "overhead"}) {
+        EXPECT_NE(errorFor(view, "cores", "2").find("the cores axis"),
+                  std::string::npos)
+            << view;
+        EXPECT_NE(errorFor(view, "llc", "1M").find("the llc axis"),
+                  std::string::npos)
+            << view;
+    }
+    ExperimentSpec mix;
+    applySpecValue(mix, "workload", "fig08_cholesky");
+    mix.report = "stacks";
+    EXPECT_NE(validationError(mix).find("the workload axis"),
+              std::string::npos);
+    for (const char *view : {"classify", "overhead"})
+        EXPECT_NE(errorFor(view, "profiles", "cholesky")
+                      .find("the threads axis has 2"),
+                  std::string::npos)
+            << view;
+    // The views lay out any profile list and thread counts they take;
+    // the table lays out every grid.
+    EXPECT_EQ(errorFor("validation", "threads", "3, 5"), "");
+    EXPECT_EQ(errorFor("overhead", "threads", "8"), "");
+    EXPECT_EQ(errorFor("table", "cores", "2"), "");
+    mix.report = "table";
+    EXPECT_EQ(validationError(mix), "");
+}
+
+TEST(Report, FailedJobRendersAsFailInEveryView)
+{
+    // 100 threads exceed the simulator's 64 cores: the job fails, the
+    // rest of the batch runs.
+    ExperimentSpec spec;
+    spec.profiles = {"cholesky"};
+    spec.threads = {4, 100};
+    validateSpec(spec);
+    const std::vector<JobSpec> jobs = expandGrid(spec);
+    const std::vector<JobResult> results =
+        runExperimentBatch(jobs, DriverOptions{});
+    ASSERT_TRUE(results[0].ok());
+    ASSERT_FALSE(results[1].ok());
+
+    // One thread count per benchmark: cholesky ran, radix failed.
+    ExperimentSpec one;
+    one.profiles = {"cholesky", "radix"};
+    one.threads = {4};
+    const std::vector<JobSpec> oneJobs = expandGrid(one);
+
+    for (const std::string &name : reportRegistry().names()) {
+        const ReportView &view = reportRegistry().at(name);
+        const std::string out =
+            view.oneThreadCount
+                ? view.render(one, oneJobs, results)
+                : view.render(spec, jobs, results);
+        EXPECT_NE(out.find(name == "table" ? "FAILED: " : "fail"),
+                  std::string::npos)
+            << name << ":\n"
+            << out;
+        EXPECT_NE(out.find("cholesky"), std::string::npos) << name;
+    }
+    const std::string stacks =
+        reportRegistry().at("stacks").render(spec, jobs, results);
+    EXPECT_NE(stacks.find("\n100thr: fail ("), std::string::npos) << stacks;
+    EXPECT_NE(stacks.find("4thr"), std::string::npos) << stacks;
+    // One benchmark ran: the correlation is undefined, not `nan`.
+    const std::string overhead =
+        reportRegistry().at("overhead").render(one, oneJobs, results);
+    EXPECT_NE(overhead.find("error) = - (positive"), std::string::npos)
+        << overhead;
 }
 
 } // namespace
