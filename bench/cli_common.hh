@@ -226,9 +226,10 @@ specFlag(int argc, char **argv, int &i, std::string &key,
 /**
  * Run @p specs on the experiment driver with @p jobs workers (0 = one
  * per hardware thread) and return the results in input order. No
- * result cache: a cached result drops the per-thread counters, per-core
- * stats and regions the benches read. A failed job is fatal: its error
- * goes to stderr and the process exits 1.
+ * result cache: a cached result keeps each thread's counters but drops
+ * the per-core stats and region snapshots `inspect` and
+ * `abl_region_stacks` read. A failed job is fatal: its error goes to
+ * stderr and the process exits 1.
  */
 inline std::vector<JobResult>
 runJobs(const std::vector<JobSpec> &specs, int jobs)

@@ -105,10 +105,10 @@ enum class JobStatus : std::uint8_t {
 };
 
 /**
- * Outcome of one job. For kCached results the heavyweight RunResult
- * members of the experiment (per-thread counters, cache/DRAM stats,
- * region snapshots) are empty — the cache persists only the summary
- * metrics every table/figure consumes (see ResultCache).
+ * Outcome of one job. A kCached result, like one served by a worker,
+ * carries the summary metrics and each parallel thread's raw counters;
+ * its per-core cache/DRAM stats and region snapshots are empty (see
+ * ResultCache).
  */
 struct JobResult
 {

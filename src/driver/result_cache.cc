@@ -1,23 +1,24 @@
 #include "result_cache.hh"
 
-#include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <unistd.h>
 
+#include "cache/hierarchy.hh"
 #include "telemetry/metrics.hh"
 #include "util/logging.hh"
 
 namespace sst {
 namespace {
 
-constexpr const char *kMagic = "sst-result-cache v1";
+const std::string kMagic =
+    "sst-result-cache v" + std::to_string(kResultCacheVersion);
 
 /**
  * Sanity bound on the embedded canonical text. Real canonical
@@ -27,67 +28,192 @@ constexpr const char *kMagic = "sst-result-cache v1";
  */
 constexpr std::uint64_t kMaxCanonicalBytes = 1ULL << 20;
 
+/**
+ * The summary's `key value` lines in order, each with its field of
+ * @p e: const when encoding, mutable when decoding, so the encoder and
+ * the decoder read one list.
+ */
+template <typename Exp, typename Visit>
 void
-putU64(std::ostream &os, const char *key, std::uint64_t v)
+forEachSummaryField(Exp &e, Visit &&visit)
 {
-    os << key << ' ' << v << '\n';
+    visit("label", e.label);
+    visit("nthreads", e.nthreads);
+    visit("ts", e.ts);
+    visit("tp", e.tp);
+    visit("actualSpeedup", e.actualSpeedup);
+    visit("estimatedSpeedup", e.estimatedSpeedup);
+    visit("error", e.error);
+    visit("parOverheadMeasured", e.parOverheadMeasured);
+    visit("stack.nthreads", e.stack.nthreads);
+    visit("stack.posLlc", e.stack.posLlc);
+    visit("stack.negLlc", e.stack.negLlc);
+    visit("stack.negMem", e.stack.negMem);
+    visit("stack.spin", e.stack.spin);
+    visit("stack.yield", e.stack.yield);
+    visit("stack.imbalance", e.stack.imbalance);
+    visit("stack.coherency", e.stack.coherency);
+    visit("stack.baseSpeedup", e.stack.baseSpeedup);
+    visit("stack.estimatedSpeedup", e.stack.estimatedSpeedup);
+    visit("single.totalInstructions", e.single.totalInstructions);
+    visit("single.totalSpinInstructions", e.single.totalSpinInstructions);
+    visit("parallel.totalInstructions", e.parallel.totalInstructions);
+    visit("parallel.totalSpinInstructions",
+          e.parallel.totalSpinInstructions);
 }
 
+/** A baseline summary's lines, like forEachSummaryField(). */
+template <typename Run, typename Visit>
 void
-putF64(std::ostream &os, const char *key, double v)
+forEachBaselineField(Run &r, Visit &&visit)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << key << ' ' << buf << '\n';
+    visit("ts", r.executionTime);
+    visit("instructions", r.totalInstructions);
+    visit("spin-instructions", r.totalSpinInstructions);
+    visit("events", r.engineEvents);
 }
 
-/** Parse "key value" where value round-trips via strtoull/strtod. */
+/** The raw counters of one thread, in the order of its `thread` line. */
+using TC = ThreadCounters;
+constexpr std::uint64_t TC::*kThreadFields[] = {
+    &TC::instructions, &TC::spinInstructions, &TC::llcLoadMissStall,
+    &TC::llcLoadMisses, &TC::negLlcSampledStall,
+    &TC::interThreadMissesSampled, &TC::interThreadHitsSampled,
+    &TC::llcAccesses, &TC::atdSampledAccesses, &TC::busWaitOther,
+    &TC::bankWaitOther, &TC::pageConflictOther, &TC::spinDetectedTian,
+    &TC::spinDetectedLi, &TC::yieldCycles, &TC::coherencyMisses,
+    &TC::gtLockSpin, &TC::gtBarrierSpin, &TC::gtLockYield,
+    &TC::gtBarrierYield, &TC::gtPreemptYield, &TC::gtMemWaitOther,
+    &TC::finishTime};
+static_assert(sizeof(kThreadFields) / sizeof(kThreadFields[0]) *
+                      sizeof(std::uint64_t) ==
+                  sizeof(ThreadCounters),
+              "every ThreadCounters member needs a kThreadFields entry");
+
+/** Writes each visited field as a `key value` line. */
+struct LineWriter
+{
+    std::string &out;
+
+    template <typename T>
+    void
+    operator()(const char *key, const T &v) const
+    {
+        out += key;
+        out += ' ';
+        if constexpr (std::is_same_v<T, std::string>) {
+            out += v;
+        } else if constexpr (std::is_floating_point_v<T>) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%.17g", v);
+            out += buf;
+        } else {
+            out += std::to_string(v);
+        }
+        out += '\n';
+    }
+};
+
+/**
+ * Parse all of @p s into @p out: integers are decimal digits only (no
+ * sign, space or empty text) and fit their type.
+ */
+template <typename T>
+bool
+parseValue(std::string_view s, T &out)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        out = s;
+        return true;
+    } else {
+        const char *end = s.data() + s.size();
+        const auto [p, ec] = std::from_chars(s.data(), end, out);
+        return ec == std::errc() && p == end &&
+               !(std::is_integral_v<T> && s[0] == '-');
+    }
+}
+
+/** A `thread` line's value: exactly the kThreadFields counters. */
+bool
+parseValue(std::string_view s, ThreadCounters &t)
+{
+    const char *p = s.data(), *end = p + s.size();
+    for (const auto field : kThreadFields) {
+        if (field != kThreadFields[0] && (p == end || *p++ != ' '))
+            return false;
+        const auto [next, ec] = std::from_chars(p, end, t.*field);
+        if (ec != std::errc())
+            return false;
+        p = next;
+    }
+    return p == end;
+}
+
+/** Reads each visited field from the next line, strictly in order. */
 class LineReader
 {
   public:
-    explicit LineReader(std::istream &is) : is_(is) {}
+    explicit LineReader(std::string_view text) : rest_(text) {}
 
-    bool
-    next(std::string &key, std::string &value)
+    /** Parse the next line, which must be `key value`, into @p out. */
+    template <typename T>
+    void
+    operator()(std::string_view key, T &out)
     {
-        std::string line;
-        if (!std::getline(is_, line))
-            return false;
-        const std::size_t sp = line.find(' ');
-        if (sp == std::string::npos) {
-            key = line;
-            value.clear();
-        } else {
-            key = line.substr(0, sp);
-            value = line.substr(sp + 1);
-        }
-        return true;
+        const std::size_t nl = rest_.find('\n');
+        ok_ = ok_ && nl != std::string_view::npos && nl > key.size() &&
+              rest_.compare(0, key.size(), key) == 0 &&
+              rest_[key.size()] == ' ' &&
+              parseValue(rest_.substr(key.size() + 1, nl - key.size() - 1),
+                         out);
+        if (ok_)
+            rest_.remove_prefix(nl + 1);
     }
 
+    bool ok() const { return ok_; }
+
+    /** Every line so far parsed, and only the `end` line is left. */
+    bool atEnd() const { return ok_ && rest_ == "end\n"; }
+
   private:
-    std::istream &is_;
+    std::string_view rest_;
+    bool ok_ = true;
 };
 
+/**
+ * Read the entry of @p fp from @p in into @p out. Every failure mode of
+ * a corrupt, truncated or other-version entry — bad magic, wrong hash,
+ * an absurd canonical-bytes value, malformed lines, a missing end
+ * sentinel — returns false, never crashes.
+ */
 bool
-toU64(const std::string &s, std::uint64_t &out)
+readEntry(std::istream &in, const Fingerprint &fp, SpeedupExperiment &out)
 {
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return errno == 0 && end && *end == '\0';
-}
+    try {
+        std::string line;
+        if (!std::getline(in, line) || line != kMagic)
+            return false;
+        if (!std::getline(in, line) || line != "hash " + fp.hex())
+            return false;
+        std::uint64_t nbytes = 0;
+        const std::string_view key = "canonical-bytes ";
+        if (!std::getline(in, line) || line.rfind(key, 0) != 0 ||
+            !parseValue(std::string_view(line).substr(key.size()), nbytes))
+            return false;
+        if (nbytes > kMaxCanonicalBytes)
+            return false; // corrupt length: don't even try to allocate
+        std::string canonical(nbytes, '\0');
+        if (!in.read(canonical.data(),
+                     static_cast<std::streamsize>(nbytes)) ||
+            canonical != fp.canonical)
+            return false; // collision or stale encoding: treat as a miss
 
-bool
-toF64(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return errno == 0 && end && *end == '\0';
+        std::ostringstream rest;
+        rest << in.rdbuf();
+        return decodeExperimentSummary(rest.str(), out);
+    } catch (const std::exception &) {
+        return false; // unreadable entry == miss
+    }
 }
 
 } // namespace
@@ -95,102 +221,31 @@ toF64(const std::string &s, double &out)
 std::string
 encodeExperimentSummary(const SpeedupExperiment &exp)
 {
-    std::ostringstream os;
-    os << "label " << exp.label << '\n';
-    putU64(os, "nthreads", static_cast<std::uint64_t>(exp.nthreads));
-    putU64(os, "ts", exp.ts);
-    putU64(os, "tp", exp.tp);
-    putF64(os, "actualSpeedup", exp.actualSpeedup);
-    putF64(os, "estimatedSpeedup", exp.estimatedSpeedup);
-    putF64(os, "error", exp.error);
-    putF64(os, "parOverheadMeasured", exp.parOverheadMeasured);
-    putU64(os, "stack.nthreads",
-           static_cast<std::uint64_t>(exp.stack.nthreads));
-    putF64(os, "stack.posLlc", exp.stack.posLlc);
-    putF64(os, "stack.negLlc", exp.stack.negLlc);
-    putF64(os, "stack.negMem", exp.stack.negMem);
-    putF64(os, "stack.spin", exp.stack.spin);
-    putF64(os, "stack.yield", exp.stack.yield);
-    putF64(os, "stack.imbalance", exp.stack.imbalance);
-    putF64(os, "stack.coherency", exp.stack.coherency);
-    putF64(os, "stack.baseSpeedup", exp.stack.baseSpeedup);
-    putF64(os, "stack.estimatedSpeedup", exp.stack.estimatedSpeedup);
-    putU64(os, "single.totalInstructions", exp.single.totalInstructions);
-    putU64(os, "single.totalSpinInstructions",
-           exp.single.totalSpinInstructions);
-    putU64(os, "parallel.totalInstructions",
-           exp.parallel.totalInstructions);
-    putU64(os, "parallel.totalSpinInstructions",
-           exp.parallel.totalSpinInstructions);
-    os << "end\n";
-    return os.str();
+    std::string out;
+    forEachSummaryField(exp, LineWriter{out});
+    for (const ThreadCounters &t : exp.parallel.threads) {
+        out += "thread";
+        for (const auto field : kThreadFields)
+            out += ' ' + std::to_string(t.*field);
+        out += '\n';
+    }
+    return out + "end\n";
 }
 
 bool
 decodeExperimentSummary(const std::string &text, SpeedupExperiment &out)
 {
-    std::istringstream in(text);
+    LineReader in(text);
     SpeedupExperiment exp;
-    bool sawEnd = false;
-    LineReader reader(in);
-    std::string key, value;
-    while (reader.next(key, value)) {
-        if (key == "end") {
-            sawEnd = true;
-            break;
-        }
-        std::uint64_t u = 0;
-        bool ok = true;
-        if (key == "label")
-            exp.label = value;
-        else if (key == "nthreads")
-            ok = toU64(value, u), exp.nthreads = static_cast<int>(u);
-        else if (key == "ts")
-            ok = toU64(value, exp.ts);
-        else if (key == "tp")
-            ok = toU64(value, exp.tp);
-        else if (key == "actualSpeedup")
-            ok = toF64(value, exp.actualSpeedup);
-        else if (key == "estimatedSpeedup")
-            ok = toF64(value, exp.estimatedSpeedup);
-        else if (key == "error")
-            ok = toF64(value, exp.error);
-        else if (key == "parOverheadMeasured")
-            ok = toF64(value, exp.parOverheadMeasured);
-        else if (key == "stack.nthreads")
-            ok = toU64(value, u), exp.stack.nthreads = static_cast<int>(u);
-        else if (key == "stack.posLlc")
-            ok = toF64(value, exp.stack.posLlc);
-        else if (key == "stack.negLlc")
-            ok = toF64(value, exp.stack.negLlc);
-        else if (key == "stack.negMem")
-            ok = toF64(value, exp.stack.negMem);
-        else if (key == "stack.spin")
-            ok = toF64(value, exp.stack.spin);
-        else if (key == "stack.yield")
-            ok = toF64(value, exp.stack.yield);
-        else if (key == "stack.imbalance")
-            ok = toF64(value, exp.stack.imbalance);
-        else if (key == "stack.coherency")
-            ok = toF64(value, exp.stack.coherency);
-        else if (key == "stack.baseSpeedup")
-            ok = toF64(value, exp.stack.baseSpeedup);
-        else if (key == "stack.estimatedSpeedup")
-            ok = toF64(value, exp.stack.estimatedSpeedup);
-        else if (key == "single.totalInstructions")
-            ok = toU64(value, exp.single.totalInstructions);
-        else if (key == "single.totalSpinInstructions")
-            ok = toU64(value, exp.single.totalSpinInstructions);
-        else if (key == "parallel.totalInstructions")
-            ok = toU64(value, exp.parallel.totalInstructions);
-        else if (key == "parallel.totalSpinInstructions")
-            ok = toU64(value, exp.parallel.totalSpinInstructions);
-        // Unknown keys are skipped: forward-compatible within a version.
-        if (!ok)
-            return false;
-    }
-    if (!sawEnd)
-        return false; // truncated write that predates atomic publish
+    forEachSummaryField(exp, in);
+    // The thread count sizes the counters: bound it before allocating.
+    if (!in.ok() || exp.nthreads < 1 || exp.nthreads > kMaxSimCores)
+        return false;
+    exp.parallel.threads.resize(static_cast<std::size_t>(exp.nthreads));
+    for (ThreadCounters &t : exp.parallel.threads)
+        in("thread", t);
+    if (!in.atEnd())
+        return false; // truncated, or more thread lines than nthreads
 
     exp.single.nthreads = 1;
     exp.single.executionTime = exp.ts;
@@ -204,45 +259,21 @@ decodeExperimentSummary(const std::string &text, SpeedupExperiment &out)
 std::string
 encodeBaselineSummary(const RunResult &run)
 {
-    std::ostringstream os;
-    putU64(os, "ts", run.executionTime);
-    putU64(os, "instructions", run.totalInstructions);
-    putU64(os, "spin-instructions", run.totalSpinInstructions);
-    putU64(os, "events", run.engineEvents);
-    os << "end\n";
-    return os.str();
+    std::string out;
+    forEachBaselineField(run, LineWriter{out});
+    return out + "end\n";
 }
 
 bool
 decodeBaselineSummary(const std::string &text, RunResult &out)
 {
-    // Strict: exactly the encoder's lines, in its order, digits only,
-    // and nothing after `end` — the text arrives off the wire.
+    LineReader in(text);
     RunResult run;
+    forEachBaselineField(run, in);
+    if (!in.atEnd())
+        return false;
     run.nthreads = 1;
     run.ncores = 1;
-    const std::pair<const char *, std::uint64_t *> fields[] = {
-        {"ts", &run.executionTime},
-        {"instructions", &run.totalInstructions},
-        {"spin-instructions", &run.totalSpinInstructions},
-        {"events", &run.engineEvents},
-    };
-    std::size_t pos = 0;
-    for (const auto &[key, value] : fields) {
-        const std::string prefix = std::string(key) + ' ';
-        const std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos ||
-            text.compare(pos, prefix.size(), prefix) != 0)
-            return false;
-        const std::string digits =
-            text.substr(pos + prefix.size(), nl - pos - prefix.size());
-        if (digits.find_first_not_of("0123456789") != std::string::npos ||
-            !toU64(digits, *value))
-            return false;
-        pos = nl + 1;
-    }
-    if (text.compare(pos, std::string::npos, "end\n") != 0)
-        return false;
     out = std::move(run);
     return true;
 }
@@ -299,61 +330,18 @@ ResultCache::store(const Fingerprint &fp, const SpeedupExperiment &exp)
 bool
 ResultCache::lookup(const Fingerprint &fp, SpeedupExperiment &out) const
 {
-    bool opened = false;
-    const bool hit = lookupImpl(fp, out, opened);
-    // A "heal": the entry existed but failed validation (corruption,
-    // truncation, hash mismatch) and degraded to a miss — the caller
-    // re-executes and store() overwrites the bad entry. Only this
-    // function can tell a heal from a plain miss.
-    if (!hit && opened)
-        telemetry::Registry::global()
-            .counter("sst_driver_cache_heals_total")
-            .inc();
-    return hit;
-}
-
-bool
-ResultCache::lookupImpl(const Fingerprint &fp, SpeedupExperiment &out,
-                        bool &opened) const
-{
-    // Every failure mode of a corrupt or truncated entry — bad magic,
-    // wrong hash, an absurd canonical-bytes value, malformed metric
-    // lines, a missing end sentinel — is a miss, never a crash: the
-    // caller re-executes and store() overwrites the bad entry.
-    try {
-        std::ifstream in(entryPath(fp), std::ios::binary);
-        if (!in)
-            return false;
-        opened = true;
-
-        std::string line;
-        if (!std::getline(in, line) || line != kMagic)
-            return false;
-        if (!std::getline(in, line) || line != "hash " + fp.hex())
-            return false;
-        std::uint64_t nbytes = 0;
-        if (!std::getline(in, line) ||
-            line.rfind("canonical-bytes ", 0) != 0 ||
-            !toU64(line.substr(std::strlen("canonical-bytes ")), nbytes))
-            return false;
-        if (nbytes > kMaxCanonicalBytes)
-            return false; // corrupt length: don't even try to allocate
-        std::string canonical(nbytes, '\0');
-        if (!in.read(canonical.data(),
-                     static_cast<std::streamsize>(nbytes)) ||
-            canonical != fp.canonical)
-            return false; // collision or stale encoding: treat as a miss
-
-        std::ostringstream rest;
-        rest << in.rdbuf();
-        SpeedupExperiment exp;
-        if (!decodeExperimentSummary(rest.str(), exp))
-            return false;
-        out = std::move(exp);
+    std::ifstream in(entryPath(fp), std::ios::binary);
+    if (!in)
+        return false;
+    if (readEntry(in, fp, out))
         return true;
-    } catch (const std::exception &) {
-        return false; // unreadable entry == miss
-    }
+    // A "heal": the entry existed but failed validation and degraded to
+    // a miss — the caller re-executes and store() overwrites the bad
+    // entry. Only this function can tell a heal from a plain miss.
+    telemetry::Registry::global()
+        .counter("sst_driver_cache_heals_total")
+        .inc();
+    return false;
 }
 
 void

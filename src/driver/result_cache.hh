@@ -6,12 +6,13 @@
  * named `<fnv1a64-hex>.result`. Each file embeds (a) the full canonical
  * parameter serialization that produced the hash — verified on lookup so
  * a hash collision degrades to a cache miss, never a wrong replay — and
- * (b) the summary metrics of the experiment: Ts, Tp, actual/estimated
+ * (b) the summary metrics of the experiment (Ts, Tp, actual/estimated
  * speedup, validation error, every speedup-stack component and the
- * measured parallelization overhead. The heavyweight per-thread /
- * per-core RunResult payloads are deliberately not persisted: every
- * table and figure consumes only the summary, and omitting them keeps
- * cache files O(100) bytes and format churn low.
+ * measured parallelization overhead) followed by the raw
+ * ThreadCounters of each parallel thread, one `thread` line each, so a
+ * report can rebuild the stack under other ReportOptions without
+ * re-simulating. Per-core cache/DRAM stats and region snapshots are not
+ * persisted.
  *
  * Writes go through a temp file + atomic rename, so a cache directory
  * shared by concurrent sweep invocations never exposes torn results.
@@ -29,25 +30,27 @@
 namespace sst {
 
 /**
- * Entry format version (the `sst-result-cache v1` magic line). Bump on
- * incompatible layout changes; unknown keys within a version are
- * skipped, so additive changes don't need one.
+ * Entry format version (the `sst-result-cache v2` magic line; v2 added
+ * the `thread` lines). The decoder reads exactly the encoder's lines,
+ * so any layout change bumps it; an entry of another version is a miss
+ * that the re-executed job overwrites.
  */
-inline constexpr int kResultCacheVersion = 1;
+inline constexpr int kResultCacheVersion = 2;
 
 /**
- * Encode the persisted summary of @p exp as `key value` lines
- * terminated by an `end` line — the body of a cache entry and the
- * serve protocol's wire form of a completed job (one codec, so the
- * socket and the cache can never disagree about a result).
+ * Encode the persisted summary of @p exp as `key value` lines, then one
+ * `thread v1 ... v23` line of raw counters per parallel thread, then an
+ * `end` line — the body of a cache entry and the serve protocol's wire
+ * form of a completed job (one codec, so the socket and the cache can
+ * never disagree about a result).
  */
 std::string encodeExperimentSummary(const SpeedupExperiment &exp);
 
 /**
- * Decode encodeExperimentSummary() text into @p out. Returns false on
- * malformed values or truncation (no `end` sentinel); unknown keys are
- * skipped. On success the derived single/parallel run fields are
- * filled exactly like a cache hit (see file comment).
+ * Decode encodeExperimentSummary() text strictly into @p out: exactly
+ * its lines in its order, integers in decimal digits only, nthreads in
+ * 1..kMaxSimCores with one `thread` line of 23 counters per thread, and
+ * nothing after `end`. On failure @p out is untouched; false returned.
  */
 bool decodeExperimentSummary(const std::string &text,
                              SpeedupExperiment &out);
@@ -78,8 +81,8 @@ class ResultCache
     /**
      * Load the result for @p fp into @p out. Returns false on a miss, a
      * canonical-text mismatch (hash collision or truncated file) or an
-     * unreadable/stale-format file; RunResult members of @p out stay
-     * empty on a hit (see file comment).
+     * unreadable/stale-format file; on a hit @p out is what
+     * decodeExperimentSummary() fills (see file comment).
      */
     bool lookup(const Fingerprint &fp, SpeedupExperiment &out) const;
 
@@ -95,9 +98,6 @@ class ResultCache
     std::string entryPath(const Fingerprint &fp) const;
 
   private:
-    bool lookupImpl(const Fingerprint &fp, SpeedupExperiment &out,
-                    bool &opened) const;
-
     std::string dir_;
     std::mutex writeMutex_;
 };

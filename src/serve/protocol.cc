@@ -288,26 +288,16 @@ encodeJobResult(const JobResult &result)
 bool
 decodeJobResult(const std::string &text, JobResult &out, bool baseline)
 {
-    std::size_t pos = 0;
-    auto nextLine = [&](std::string &line) {
-        if (pos >= text.size())
-            return false;
-        const std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos) {
-            line = text.substr(pos);
-            pos = text.size();
-        } else {
-            line = text.substr(pos, nl - pos);
-            pos = nl + 1;
-        }
-        return true;
-    };
-
-    JobResult res;
-    std::string line;
-    if (!nextLine(line) || line.rfind("result-status ", 0) != 0)
+    // A status line, an optional error line, then the body: the
+    // experiment or baseline summary of the shared cache codec.
+    const std::string status_key = "result-status ";
+    const std::string error_key = "result-error ";
+    std::size_t nl = text.find('\n');
+    if (text.rfind(status_key, 0) != 0 || nl == std::string::npos)
         return false;
-    const std::string status = line.substr(14);
+    const std::string status =
+        text.substr(status_key.size(), nl - status_key.size());
+    JobResult res;
     if (status == "ok")
         res.status = JobStatus::kOk;
     else if (status == "cached" && !baseline)
@@ -317,17 +307,17 @@ decodeJobResult(const std::string &text, JobResult &out, bool baseline)
     else
         return false;
 
-    // Peek an optional error line, then hand the remainder (the
-    // experiment or baseline summary) to the shared cache codec.
-    const std::size_t mark = pos;
-    if (nextLine(line) && line.rfind("result-error ", 0) == 0) {
+    std::size_t pos = nl + 1;
+    if (text.compare(pos, error_key.size(), error_key) == 0) {
+        if ((nl = text.find('\n', pos)) == std::string::npos)
+            return false;
         try {
-            res.error = unescapeToken(line.substr(13));
+            res.error = unescapeToken(text.substr(
+                pos + error_key.size(), nl - pos - error_key.size()));
         } catch (const std::invalid_argument &) {
             return false;
         }
-    } else {
-        pos = mark;
+        pos = nl + 1;
     }
 
     if (res.ok() && baseline) {

@@ -58,7 +58,7 @@ namespace sst {
 namespace serve {
 
 /** Wire protocol version (reported by `sst --version` and status). */
-inline constexpr int kProtocolVersion = 3;
+inline constexpr int kProtocolVersion = 4;
 
 /**
  * Escape @p s into one space-free token: backslash escapes for

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/classify.hh"
+#include "core/experiment.hh"
 #include "core/render.hh"
 #include "spec/spec.hh"
 #include "util/format.hh"
@@ -241,6 +242,97 @@ renderOverhead(const ExperimentSpec &spec, const Jobs &jobs,
            " (positive: unaccounted overhead inflates the estimate)\n";
 }
 
+/** S^ rebuilt from @p exp's thread counters under @p opts. */
+double
+estimateWith(const SpeedupExperiment &exp, const ReportOptions &opts)
+{
+    return buildSpeedupStack(
+               computeComponents(exp.parallel.threads, exp.tp, opts), exp.tp)
+        .estimatedSpeedup;
+}
+
+/** One row per job: its label, then the @p cells of a job that ran or
+ *  `fail` in every column. */
+template <typename Cells>
+std::string
+perJobTable(const std::vector<std::string> &header, const Jobs &jobs,
+            const Results &results, Cells cells)
+{
+    TextTable table;
+    table.setHeader(header);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        std::vector<std::string> row = {jobs[i].label()};
+        for (const std::string &cell :
+             results[i].ok() ? cells(jobs[i], results[i].exp)
+                             : std::vector<std::string>(header.size() - 1,
+                                                        "fail"))
+            row.push_back(cell);
+        table.addRow(row);
+    }
+    return table.render();
+}
+
+/** Section 4.3: spin per Tp summed over threads (ground truth and each
+ *  detector), and S^ with each detector as the spin component; every
+ *  column names its detector, whatever machine.stack-detector says. */
+std::string
+renderDetectors(const ExperimentSpec &spec, const Jobs &jobs,
+                const Results &results)
+{
+    const auto cells = [](const JobSpec &job, const SpeedupExperiment &e) {
+        ReportOptions tian = defaultReportOptions(job.params), li = tian;
+        tian.spinDetector = AccountingParams::Detector::kTian;
+        li.spinDetector = AccountingParams::Detector::kLi;
+        const double tp = static_cast<double>(e.tp);
+        double gt = 0, det_tian = 0, det_li = 0;
+        for (const ThreadCounters &t : e.parallel.threads) {
+            gt += static_cast<double>(t.gtSpin()) / tp;
+            det_tian += static_cast<double>(t.spinDetectedTian) / tp;
+            det_li += static_cast<double>(t.spinDetectedLi) / tp;
+        }
+        return std::vector<std::string>{
+            fmtDouble(gt, 3), fmtDouble(det_tian, 3), fmtDouble(det_li, 3),
+            fmtDouble(estimateWith(e, tian), 2),
+            fmtDouble(estimateWith(e, li), 2), fmtDouble(e.actualSpeedup, 2)};
+    };
+    return "Spin detector ablation (" + std::to_string(spec.threads[0]) +
+           " threads, cycles summed over threads, in speedup units)\n\n" +
+           perJobTable({"benchmark", "ground truth spin", "Tian", "Li",
+                        "est. speedup (Tian)", "est. speedup (Li)",
+                        "actual"},
+                       jobs, results, cells) +
+           "\nnote: Tian undercounts spin episodes that end in a yield "
+           "(the table is flushed on a context switch); Li accumulates "
+           "per loop iteration and keeps the pre-yield portion.\n";
+}
+
+/** Section 4.5: the paper leaves coherency misses unaccounted; S^ and
+ *  the Eq. 6 error without and with the optional coherency component
+ *  (invalid-tag re-references times a fixed penalty). */
+std::string
+renderCoherency(const ExperimentSpec &spec, const Jobs &jobs,
+                const Results &results)
+{
+    const auto cells = [](const JobSpec &job, const SpeedupExperiment &e) {
+        ReportOptions off = defaultReportOptions(job.params), on = off;
+        on.accountCoherency = true;
+        const double s = e.actualSpeedup, est_off = estimateWith(e, off),
+                     est_on = estimateWith(e, on);
+        return std::vector<std::string>{
+            std::to_string(e.parallel.sumThreads(
+                [](const ThreadCounters &t) { return t.coherencyMisses; })),
+            fmtDouble(s, 2), fmtDouble(est_off, 2), fmtDouble(est_on, 2),
+            fmtPercent(speedupError(est_off, s, e.nthreads), 1),
+            fmtPercent(speedupError(est_on, s, e.nthreads), 1)};
+    };
+    return "Coherency accounting ablation (" +
+           std::to_string(spec.threads[0]) + " threads)\n\n" +
+           perJobTable({"benchmark", "coherency misses", "actual",
+                        "est (off, paper)", "est (on)", "err off", "err on"},
+                       jobs, results, cells) +
+           "\n";
+}
+
 } // namespace
 
 const NamedRegistry<ReportView> &
@@ -263,6 +355,12 @@ reportRegistry()
         r.add("overhead", {"Section 6: extra instructions vs estimation "
                            "error at one thread count",
                            true, true, renderOverhead});
+        r.add("detectors", {"Section 4.3: ground-truth spin vs the Tian and "
+                            "Li detectors, S^ with each",
+                            true, true, renderDetectors});
+        r.add("coherency", {"Section 4.5: S^ and error without and with "
+                            "coherency-miss accounting",
+                            true, true, renderCoherency});
         return r;
     }();
     return registry;

@@ -125,10 +125,11 @@ struct ExperimentSpec
 };
 
 /**
- * A report view: how `sst run` prints a finished batch. It reads only
- * the summary fields the result cache stores, so a cold run and a
- * cache replay print the same bytes, and it never changes what a job
- * computes, so it stays out of job fingerprints.
+ * A report view: how `sst run` prints a finished batch. It reads the
+ * summary and each parallel thread's raw counters, both of which the
+ * result cache stores, so a cold run and a cache replay print the same
+ * bytes, and it never changes what a job computes, so it stays out of
+ * job fingerprints.
  */
 struct ReportView
 {
@@ -147,7 +148,8 @@ struct ReportView
 
 /** Report-view registry (src/spec/report.cc: "table", "validation",
  *  "stacks", "classify", "overhead" for Figures 4-6 and the Section 6
- *  overhead table): the values of the `output.report` key. */
+ *  overhead table, "detectors" and "coherency" for the Section 4.3 and
+ *  4.5 ablations): the values of the `output.report` key. */
 const NamedRegistry<ReportView> &reportRegistry();
 
 /** Equality is canonical-form equality. */

@@ -9,15 +9,19 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <sstream>
 #include <stdexcept>
 
+#include "cache/hierarchy.hh"
 #include "core/experiment.hh"
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
 #include "spec/spec.hh"
+#include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "tests/test_util.hh"
 #include "util/parse.hh"
@@ -357,6 +361,10 @@ TEST(Driver, SecondRunReplaysFromCache)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         ASSERT_TRUE(replay[i].fromCache());
         test::expectSameSummary(replay[i].exp, fresh[i].exp);
+        // The entry carries every thread's raw counters too.
+        EXPECT_EQ(replay[i].exp.parallel.threads.size(), 2u);
+        EXPECT_EQ(encodeExperimentSummary(replay[i].exp),
+                  encodeExperimentSummary(fresh[i].exp));
     }
     std::filesystem::remove_all(dir);
 }
@@ -415,6 +423,7 @@ TEST(ResultCache, RejectsCorruptAndTruncatedEntries)
     SpeedupExperiment exp;
     exp.label = "t";
     exp.nthreads = 2;
+    exp.parallel.threads.resize(2); // the codec carries one per thread
     exp.ts = 100;
     exp.tp = 60;
     exp.actualSpeedup = 100.0 / 60.0;
@@ -435,6 +444,148 @@ TEST(ResultCache, RejectsCorruptAndTruncatedEntries)
         ASSERT_FALSE(ec);
     }
     EXPECT_FALSE(cache.lookup(fp, loaded));
+    std::filesystem::remove_all(dir);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/** A summary of @p nthreads threads whose counters all differ. */
+SpeedupExperiment
+summaryWithThreads(int nthreads)
+{
+    SpeedupExperiment exp;
+    exp.label = "t-summary";
+    exp.nthreads = nthreads;
+    exp.ts = 1000;
+    exp.tp = 300;
+    exp.actualSpeedup = 1000.0 / 300.0;
+    exp.stack.nthreads = nthreads;
+    exp.stack.spin = 0.1;
+    exp.parallel.threads.resize(static_cast<std::size_t>(nthreads));
+    std::uint64_t v = 1;
+    for (ThreadCounters &t : exp.parallel.threads) {
+        t.instructions = v++;
+        t.coherencyMisses = v++;
+        t.gtMemWaitOther = v++;
+        t.finishTime = ~std::uint64_t{0} - v++; // the full 64-bit range
+    }
+    return exp;
+}
+
+/** @p text with its first line starting @p key replaced by @p line. */
+std::string
+withLine(std::string text, const std::string &key, const std::string &line)
+{
+    const std::size_t at = text.find("\n" + key) + 1;
+    const std::size_t nl = text.find('\n', at);
+    return text.replace(at, nl - at, line);
+}
+
+TEST(ResultCache, SummaryCodecIsAFixedPoint)
+{
+    for (const int n : {1, 16, 64}) {
+        const std::string text = encodeExperimentSummary(
+            summaryWithThreads(n));
+        SpeedupExperiment decoded;
+        ASSERT_TRUE(decodeExperimentSummary(text, decoded)) << n;
+        ASSERT_EQ(decoded.parallel.threads.size(),
+                  static_cast<std::size_t>(n));
+        EXPECT_EQ(decoded.parallel.threads.back().finishTime,
+                  summaryWithThreads(n).parallel.threads.back().finishTime);
+        EXPECT_EQ(encodeExperimentSummary(decoded), text) << n;
+    }
+}
+
+TEST(ResultCache, SummaryCodecRejectsNonDigitsAndBadThreadCounts)
+{
+    const std::string text = encodeExperimentSummary(summaryWithThreads(4));
+    SpeedupExperiment out;
+    ASSERT_TRUE(decodeExperimentSummary(text, out));
+    const std::size_t at = text.find("\nthread ") + 1;
+    const std::string thread = text.substr(at, text.find('\n', at) - at);
+    const std::string bad[] = {
+        // Integers are decimal digits only, within their type.
+        withLine(text, "nthreads ", "nthreads 4294967300"),
+        withLine(text, "ts ", "ts -1"),
+        withLine(text, "tp ", "tp  +5"),
+        withLine(text, "tp ", "tp 5 "),
+        withLine(text, "stack.nthreads ", "stack.nthreads 2147483648"),
+        withLine(text, "thread ", "thread -1" + thread.substr(8)),
+        // nthreads lies in 1..kMaxSimCores, thread lines or not.
+        encodeExperimentSummary(summaryWithThreads(0)),
+        encodeExperimentSummary(summaryWithThreads(kMaxSimCores + 1)),
+        withLine(text, "nthreads ", "nthreads 1000000000"),
+        // One thread line per thread...
+        withLine(text, "nthreads ", "nthreads 3"),
+        withLine(text, "nthreads ", "nthreads 5"),
+        // ...of exactly 23 counters.
+        withLine(text, "thread ", thread.substr(0, thread.rfind(' '))),
+        withLine(text, "thread ", thread + " 7"),
+        withLine(text, "thread ", thread + " "),
+        // Nothing after `end`.
+        text + "end\n",
+    };
+    for (const std::string &t : bad) {
+        SpeedupExperiment rejected = out;
+        EXPECT_FALSE(decodeExperimentSummary(t, rejected)) << t;
+        EXPECT_EQ(encodeExperimentSummary(rejected), text)
+            << "a rejected decode leaves its output untouched";
+    }
+}
+
+TEST(ResultCache, VersionOneEntryIsAHealedMiss)
+{
+    const std::string dir = freshTempDir("cache_v1");
+    const std::vector<JobSpec> specs = {
+        makeJob(test::computeOnlyProfile(), 2)};
+    DriverOptions opts;
+    opts.cacheDir = dir;
+    BatchStats stats;
+    runExperimentBatch(specs, opts, &stats);
+    ASSERT_EQ(stats.executed, 1u);
+
+    // Rewrite the entry as the v1 layout: its magic, no thread lines.
+    const std::string path =
+        ResultCache(dir).entryPath(fingerprintJob(specs[0]));
+    std::string entry = readFile(path);
+    const std::string v2 = "sst-result-cache v2\n";
+    ASSERT_EQ(entry.rfind(v2, 0), 0u);
+    std::string v1 = "sst-result-cache v1\n";
+    std::size_t pos = v2.size();
+    for (std::size_t nl; (nl = entry.find('\n', pos)) != std::string::npos;
+         pos = nl + 1)
+        if (entry.compare(pos, 7, "thread ") != 0)
+            v1 += entry.substr(pos, nl + 1 - pos);
+    writeFile(path, v1);
+
+    telemetry::Registry::global().reset();
+    telemetry::Registry::global().setEnabled(true);
+    runExperimentBatch(specs, opts, &stats);
+    const std::string metrics = telemetry::Registry::global().renderText();
+    telemetry::Registry::global().reset();
+    EXPECT_EQ(stats.executed, 1u);
+    EXPECT_EQ(stats.cached, 0u);
+    EXPECT_NE(metrics.find("sst_driver_cache_heals_total 1\n"),
+              std::string::npos)
+        << metrics;
+
+    // The re-executed job overwrote the entry in the current layout.
+    EXPECT_EQ(readFile(path), entry);
+    runExperimentBatch(specs, opts, &stats);
+    EXPECT_EQ(stats.cached, 1u);
     std::filesystem::remove_all(dir);
 }
 

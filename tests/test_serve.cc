@@ -64,6 +64,7 @@ okResult(std::uint64_t ts = 100, std::uint64_t tp = 50)
     r.status = JobStatus::kOk;
     r.exp.label = "t-compute";
     r.exp.nthreads = 2;
+    r.exp.parallel.threads.resize(2); // the codec carries one per thread
     r.exp.ts = ts;
     r.exp.tp = tp;
     r.exp.actualSpeedup = static_cast<double>(ts) /
@@ -803,7 +804,8 @@ TEST(ResultCacheCorruption, CorruptEntriesAreMissesNotCrashes)
     // allocation (or crashing).
     {
         std::ofstream f(path, std::ios::binary | std::ios::trunc);
-        f << "sst-result-cache v1\nhash " << fp.hex()
+        f << "sst-result-cache v" << kResultCacheVersion << "\nhash "
+          << fp.hex()
           << "\ncanonical-bytes 99999999999999\ngarbage";
     }
     EXPECT_FALSE(cache.lookup(fp, out));

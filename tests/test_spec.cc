@@ -670,7 +670,7 @@ TEST(Report, ViewsRejectAGridTheyCannotLayOutNamingTheAxis)
         return validationError(s);
     };
     for (const char *view : {"validation", "stacks", "classify",
-                             "overhead"}) {
+                             "overhead", "detectors", "coherency"}) {
         EXPECT_NE(errorFor(view, "cores", "2").find("the cores axis"),
                   std::string::npos)
             << view;
@@ -683,7 +683,8 @@ TEST(Report, ViewsRejectAGridTheyCannotLayOutNamingTheAxis)
     mix.report = "stacks";
     EXPECT_NE(validationError(mix).find("the workload axis"),
               std::string::npos);
-    for (const char *view : {"classify", "overhead"})
+    for (const char *view : {"classify", "overhead", "detectors",
+                             "coherency"})
         EXPECT_NE(errorFor(view, "profiles", "cholesky")
                       .find("the threads axis has 2"),
                   std::string::npos)
