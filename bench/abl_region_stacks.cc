@@ -21,7 +21,8 @@ main()
 {
     const sst::JobSpec spec =
         sst::JobSpec::forProfile(sst::profileByLabel("facesim_small"), 16);
-    const sst::SpeedupExperiment exp = sst::cli::runJobs({spec}, 0)[0].exp;
+    const sst::SpeedupExperiment exp =
+        sst::cli::runJobs({spec}, 0, /*full_runs=*/true)[0].exp;
 
     std::printf("whole-run stack (%s @ 16 threads):\n%s\n",
                 spec.label().c_str(),

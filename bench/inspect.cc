@@ -32,7 +32,8 @@ main(int argc, char **argv)
         sst::JobSpec::forProfile(sst::profileByLabel(label), nthreads);
     if (argc > 3)
         spec.ncores = sst::cli::parseInt("ncores", argv[3], 0, 1 << 20);
-    const sst::SpeedupExperiment exp = sst::cli::runJobs({spec}, 0)[0].exp;
+    const sst::SpeedupExperiment exp =
+        sst::cli::runJobs({spec}, 0, /*full_runs=*/true)[0].exp;
 
     std::printf("== %s @ %d threads ==\n", label.c_str(), nthreads);
     std::printf("Ts=%llu Tp=%llu actual=%.2f estimated=%.2f err=%.1f%%\n",

@@ -281,8 +281,13 @@ listMixes()
                   });
 }
 
-/** Directory `sst list workloads` scans for example .wdl files. */
-constexpr const char *kExampleWorkloadDir = "examples/workloads";
+#ifndef SST_EXAMPLE_WORKLOAD_DIR
+#define SST_EXAMPLE_WORKLOAD_DIR "examples/workloads"
+#endif
+
+/** Directory `sst list workloads` scans for example .wdl files: the
+ *  checkout's (set by the build), whatever the working directory. */
+constexpr const char *kExampleWorkloadDir = SST_EXAMPLE_WORKLOAD_DIR;
 
 void
 listWorkloads()

@@ -7,12 +7,17 @@
 namespace sst {
 
 AccountingUnit::AccountingUnit(int nthreads, const AccountingParams &params)
-    : params_(params)
+    : params_(params),
+      watches_(static_cast<std::size_t>(nthreads) *
+               static_cast<std::size_t>(params.tian.tableEntries))
 {
     sstAssert(nthreads >= 1, "AccountingUnit needs >= 1 thread");
     threads_.resize(static_cast<std::size_t>(nthreads));
+    tian_.reserve(static_cast<std::size_t>(nthreads));
     for (int t = 0; t < nthreads; ++t) {
-        tian_.emplace_back(params.tian);
+        tian_.emplace_back(params.tian, &watches_,
+                           static_cast<std::uint32_t>(
+                               t * params.tian.tableEntries));
         li_.emplace_back(params.li);
     }
 }
@@ -38,6 +43,20 @@ AccountingUnit::onLoad(ThreadId tid, PC pc, Addr addr, std::uint64_t value,
     auto &c = threads_[static_cast<std::size_t>(tid)];
     c.spinDetectedTian += tian_[static_cast<std::size_t>(tid)].observeLoad(
         pc, addr, value, written_by_other, now);
+}
+
+void
+AccountingUnit::onDataLoad(ThreadId tid, PC pc, Addr line, Cycles now)
+{
+    threads_[static_cast<std::size_t>(tid)].spinDetectedTian +=
+        tian_[static_cast<std::size_t>(tid)].observeDataLoad(pc, line, tid,
+                                                             now);
+}
+
+void
+AccountingUnit::onStore(ThreadId tid, Addr line)
+{
+    watches_.onStore(line, tid);
 }
 
 void
@@ -120,7 +139,7 @@ AccountingUnit::resetThread(ThreadId tid)
 void
 AccountingUnit::onDescheduled(ThreadId tid)
 {
-    tian_[static_cast<std::size_t>(tid)] = TianSpinDetector(params_.tian);
+    tian_[static_cast<std::size_t>(tid)].reset();
     li_[static_cast<std::size_t>(tid)] = LiSpinDetector(params_.li);
 }
 

@@ -40,6 +40,10 @@ class AccountingUnit
   public:
     AccountingUnit(int nthreads, const AccountingParams &params);
 
+    /** The Tian detectors point into this unit's watch table. */
+    AccountingUnit(const AccountingUnit &) = delete;
+    AccountingUnit &operator=(const AccountingUnit &) = delete;
+
     // ---- event hooks, called by the simulator ----------------------------
 
     /** @p n program instructions committed by @p tid. */
@@ -49,12 +53,22 @@ class AccountingUnit
     void onSpinInstructions(ThreadId tid, std::uint64_t n);
 
     /**
-     * A committed load: feeds both spin detectors.
+     * A committed load of a value the simulator knows (a lock or barrier
+     * word): feeds the Tian detector.
      * @param value version value at the loaded address
      * @param written_by_other last writer differs from @p tid
      */
     void onLoad(ThreadId tid, PC pc, Addr addr, std::uint64_t value,
                 bool written_by_other, Cycles now);
+
+    /**
+     * A committed data load of line @p line: the Tian detector compares
+     * the line's store count, kept while one of its entries watches it.
+     */
+    void onDataLoad(ThreadId tid, PC pc, Addr line, Cycles now);
+
+    /** A committed data store by @p tid to line @p line. */
+    void onStore(ThreadId tid, Addr line);
 
     /**
      * A backward branch with compact state hash @p state_hash (Li
@@ -122,6 +136,7 @@ class AccountingUnit
   private:
     AccountingParams params_;
     std::vector<ThreadCounters> threads_;
+    LineWatches watches_; ///< one watcher per Tian entry, all threads
     std::vector<TianSpinDetector> tian_;
     std::vector<LiSpinDetector> li_;
 };

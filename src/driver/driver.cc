@@ -41,7 +41,7 @@ namespace {
  * glibc gives each allocating thread an arena of its own, and an arena
  * keeps the high-water mark of what its threads allocated and freed. A
  * worker allocates and frees each job's cache tag and LRU arrays, LLC
- * directory, value tracker and op buffers, so N workers would hold N
+ * directory, spin-detector tables and op buffers, so N workers would hold N
  * high-water marks (plus their fragmentation) instead of one shared
  * live set. Set during static initialization, so it holds before the
  * first thread of any binary that links the driver. Sanitizers bring
@@ -187,10 +187,13 @@ JobExecutor::Impl::runBaseline(const JobSpec &spec, int group)
     baselinesComputed.fetch_add(1, std::memory_order_relaxed);
     JobResult res;
     try {
-        res.baseline = std::make_shared<const RunResult>(simulateSources(
+        RunResult run = simulateSources(
             spec.params,
             workloadGroupBaselineSources(spec.effectiveWorkload(), group),
-            1));
+            1);
+        if (!opts.fullRuns)
+            run.dropDetail();
+        res.baseline = std::make_shared<const RunResult>(std::move(run));
         res.status = JobStatus::kOk;
     } catch (const std::exception &e) {
         res.error = e.what();
@@ -311,6 +314,8 @@ JobExecutor::Impl::runExperiment(
             telemetry::ScopedSpan storeSpan("cache-store", "driver");
             cache->store(fp, exp);
         }
+        if (!opts.fullRuns)
+            exp.parallel.dropDetail(); // the baselines come without it
         res.status = JobStatus::kOk;
         res.exp = std::move(exp);
     } catch (const std::exception &e) {

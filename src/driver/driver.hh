@@ -66,6 +66,17 @@ struct DriverOptions
      * with traceDir.
      */
     std::string recordDir;
+
+    /**
+     * Keep each finished job's full runs. By default a finished
+     * experiment keeps only what its cache entry stores (the summary,
+     * run totals and each thread's counters) and a baseline only its
+     * totals: per-core cache/DRAM stats and region snapshots are freed
+     * as soon as the job ends, so a batch's, or a server's, memory does
+     * not grow with its runs' barriers. `inspect` and
+     * `abl_region_stacks`, which print them, ask for full runs.
+     */
+    bool fullRuns = false;
 };
 
 /** Aggregate counters of one runBatch() call. */

@@ -134,13 +134,16 @@ fingerprintWorkloadGroupBaseline(const SimParams &params,
            compiled ? kFingerprintVersion : kHomogeneousSchemaVersion);
     putKey(out, "job.kind", std::string("baseline"));
     if (compiled) {
+        // Only what the sequential stream reads: programs that differ
+        // in their name or thread counts alone share one baseline.
         putKey(out, "workload.wdl.version", wdl::kWdlVersion);
         putKey(out, "group.index", group);
         putKey(out, "group.seed", profile.seed);
-        const std::string ir = workload.wdlProgram->canonicalText();
-        putKey(out, "workload.wdl.ir.bytes",
-               static_cast<std::uint64_t>(ir.size()));
-        out += ir;
+        const std::string text =
+            workload.wdlProgram->groupBaselineText(group);
+        putKey(out, "workload.wdl.baseline.bytes",
+               static_cast<std::uint64_t>(text.size()));
+        out += text;
     } else {
         encodeProfile(out, profile); // seed already applied
     }

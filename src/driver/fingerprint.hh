@@ -79,10 +79,12 @@ Fingerprint fingerprintJob(const JobSpec &spec);
  * count to 1 and drops nthreads, so every job that differs only in
  * thread count shares one baseline. A profile-backed group keys on its
  * profile alone (seed applied), so mix groups and homogeneous sweeps of
- * the same program share it. A WDL-backed group hashes the compiled
- * program's canonical text plus the group index and effective seed,
- * never the source path, so identical file content at different paths
- * shares one baseline.
+ * the same program share it. A WDL-backed group hashes what its
+ * sequential stream reads of the compiled program
+ * (CompiledWorkload::groupBaselineText) plus the group index and
+ * effective seed, never the source path or the program's name and
+ * thread counts, so programs differing only in those share one
+ * baseline. The text is an in-memory key: nothing persists it.
  */
 Fingerprint fingerprintWorkloadGroupBaseline(const SimParams &params,
                                              const WorkloadSpec &workload,

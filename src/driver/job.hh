@@ -105,9 +105,10 @@ enum class JobStatus : std::uint8_t {
 };
 
 /**
- * Outcome of one job. A kCached result, like one served by a worker,
- * carries the summary metrics and each parallel thread's raw counters;
- * its per-core cache/DRAM stats and region snapshots are empty (see
+ * Outcome of one job. A kCached result, like one served by a worker or
+ * executed without DriverOptions::fullRuns, carries the summary
+ * metrics, run totals and each parallel thread's raw counters; its
+ * per-core cache/DRAM stats and region snapshots are empty (see
  * ResultCache).
  */
 struct JobResult

@@ -63,6 +63,20 @@ struct RunResult
     /** Mutating event-heap operations (EventQueue::ops()). */
     std::uint64_t engineHeapOps = 0;
 
+    /**
+     * Free the per-core stats and region snapshots, keeping the totals,
+     * engine counts and per-thread counters: everything a result-cache
+     * entry stores of a run, and more than a stack view reads.
+     */
+    void
+    dropDetail()
+    {
+        // Move-assigning an empty vector releases the storage.
+        cacheStats = std::vector<CacheStats>();
+        dramStats = std::vector<DramStats>();
+        regions = std::vector<RegionBoundary>();
+    }
+
     /** Sum of a per-thread counter over all threads. */
     template <typename F>
     std::uint64_t

@@ -139,7 +139,7 @@ System::run()
         res.cacheStats.push_back(hierarchy_.stats(c));
         res.dramStats.push_back(dram_.stats(c));
     }
-    res.regions = regions_;
+    res.regions = std::move(regions_);
     res.engineEvents = engineEvents_;
     res.engineWakes = engineWakes_;
     res.enginePreemptions = enginePreemptions_;
@@ -281,13 +281,10 @@ System::doMemRef(Core &core, Thread &th, const Op &op, Cycles &now)
     const AccessOutcome out = hierarchy_.access(core.id, paddr, is_store);
 
     if (is_store) {
-        tracker_.onStore(op.addr, th.tid);
+        acct_.onStore(th.tid, lineNum(op.addr));
         ++th.storeSerial;
     } else {
-        const ValueTracker::LoadView view = tracker_.onLoad(op.addr,
-                                                            th.tid);
-        acct_.onLoad(th.tid, op.pc, lineNum(op.addr), view.value,
-                     view.writtenByOther, now);
+        acct_.onDataLoad(th.tid, op.pc, lineNum(op.addr), now);
     }
 
     if (out.coherencyMiss) {

@@ -172,7 +172,6 @@ class System
     CacheHierarchy hierarchy_;
     DramModel dram_;
     SyncManager sync_;
-    ValueTracker tracker_;
     AccountingUnit acct_;
 
     std::vector<Thread> threads_;

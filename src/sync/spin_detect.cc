@@ -2,58 +2,105 @@
 
 namespace sst {
 
-TianSpinDetector::TianSpinDetector(const Params &params)
-    : params_(params),
+LineWatches::LineWatches(std::size_t watchers) : watchers_(watchers)
+{
+    std::size_t buckets = 2;
+    int bits = 1;
+    while (buckets < 2 * watchers) {
+        buckets *= 2;
+        ++bits;
+    }
+    heads_.assign(buckets, kNone);
+    shift_ = 64 - bits;
+}
+
+std::size_t
+LineWatches::bucket(Addr line) const
+{
+    // Fibonacci hashing: the top bits of the product spread strided
+    // line numbers over the buckets.
+    return static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ULL) >>
+                                    shift_);
+}
+
+void
+LineWatches::watch(std::uint32_t w, Addr line)
+{
+    std::uint32_t &head = heads_[bucket(line)];
+    watchers_[w] = Watcher{line, 0, kInvalidId, head};
+    head = w;
+}
+
+void
+LineWatches::unwatch(std::uint32_t w)
+{
+    std::uint32_t *link = &heads_[bucket(watchers_[w].line)];
+    while (*link != w)
+        link = &watchers_[*link].next;
+    *link = watchers_[w].next;
+}
+
+void
+LineWatches::onStore(Addr line, ThreadId tid)
+{
+    for (std::uint32_t w = heads_[bucket(line)]; w != kNone;
+         w = watchers_[w].next) {
+        Watcher &x = watchers_[w];
+        if (x.line == line) {
+            ++x.stores;
+            x.lastWriter = tid;
+        }
+    }
+}
+
+TianSpinDetector::TianSpinDetector(const Params &params,
+                                   LineWatches *watches,
+                                   std::uint32_t first_watcher)
+    : params_(params), watches_(watches), firstWatcher_(first_watcher),
       table_(static_cast<std::size_t>(params.tableEntries))
 {
 }
 
-Cycles
-TianSpinDetector::observeLoad(PC pc, Addr addr, std::uint64_t value,
-                              bool written_by_other, Cycles now)
+TianSpinDetector::Entry &
+TianSpinDetector::entryFor(PC pc, bool &hit)
 {
-    // Find an entry tracking this load PC.
-    Entry *entry = nullptr;
     Entry *lru = &table_[0];
     for (auto &e : table_) {
         if (e.valid && e.pc == pc) {
-            entry = &e;
-            break;
+            hit = true;
+            return e;
         }
         if (!e.valid || e.lastUse < lru->lastUse)
             lru = &e;
     }
+    // Allocate (LRU replacement).
+    hit = false;
+    unwatch(*lru);
+    *lru = Entry{};
+    lru->valid = true;
+    lru->pc = pc;
+    return *lru;
+}
 
-    if (!entry) {
-        // Allocate (LRU replacement) and start tracking.
-        *lru = Entry{};
-        lru->valid = true;
-        lru->pc = pc;
-        lru->addr = addr;
-        lru->value = value;
-        lru->count = 1;
-        lru->firstSeen = now;
-        lru->lastUse = now;
-        return 0;
-    }
+void
+TianSpinDetector::restart(Entry &e, Addr addr, std::uint64_t value,
+                          Cycles now)
+{
+    e.addr = addr;
+    e.value = value;
+    e.count = 1;
+    e.marked = false;
+    e.firstSeen = now;
+}
 
-    entry->lastUse = now;
-
-    if (entry->addr != addr) {
-        // Same static load touching a different address: not a spin-loop
-        // candidate in its current incarnation; restart tracking.
-        entry->addr = addr;
-        entry->value = value;
-        entry->count = 1;
-        entry->marked = false;
-        entry->firstSeen = now;
-        return 0;
-    }
-
-    if (entry->value == value) {
-        ++entry->count;
-        if (!entry->marked && entry->count >= params_.markThreshold)
-            entry->marked = true;
+Cycles
+TianSpinDetector::compare(Entry &e, std::uint64_t value,
+                          bool written_by_other, Cycles now)
+{
+    if (e.value == value) {
+        ++e.count;
+        if (!e.marked && e.count >= params_.markThreshold)
+            e.marked = true;
         return 0;
     }
 
@@ -61,15 +108,73 @@ TianSpinDetector::observeLoad(PC pc, Addr addr, std::uint64_t value,
     // by another core, the whole interval since the first occurrence was
     // a spin (the paper's detection condition).
     Cycles spin = 0;
-    if (entry->marked && written_by_other) {
-        spin = now - entry->firstSeen;
+    if (e.marked && written_by_other) {
+        spin = now - e.firstSeen;
         detected_ += spin;
     }
-    entry->value = value;
-    entry->count = 1;
-    entry->marked = false;
-    entry->firstSeen = now;
+    restart(e, e.addr, value, now);
     return spin;
+}
+
+std::uint32_t
+TianSpinDetector::watcherOf(const Entry &e) const
+{
+    return firstWatcher_ + static_cast<std::uint32_t>(&e - table_.data());
+}
+
+void
+TianSpinDetector::unwatch(Entry &e)
+{
+    if (e.watching)
+        watches_->unwatch(watcherOf(e));
+    e.watching = false;
+}
+
+Cycles
+TianSpinDetector::observeLoad(PC pc, Addr addr, std::uint64_t value,
+                              bool written_by_other, Cycles now)
+{
+    bool hit = false;
+    Entry &e = entryFor(pc, hit);
+    e.lastUse = now;
+    if (!hit || e.addr != addr || e.watching) {
+        // A new load, or the same static load touching a different
+        // address: not a spin-loop candidate in its current
+        // incarnation; restart tracking.
+        unwatch(e);
+        restart(e, addr, value, now);
+        return 0;
+    }
+    return compare(e, value, written_by_other, now);
+}
+
+Cycles
+TianSpinDetector::observeDataLoad(PC pc, Addr line, ThreadId tid,
+                                  Cycles now)
+{
+    bool hit = false;
+    Entry &e = entryFor(pc, hit);
+    e.lastUse = now;
+    const std::uint32_t w = watcherOf(e);
+    if (!hit || e.addr != line || !e.watching) {
+        unwatch(e);
+        watches_->watch(w, line);
+        e.watching = true;
+        restart(e, line, 0, now);
+        return 0;
+    }
+    const ThreadId writer = watches_->lastWriter(w);
+    return compare(e, watches_->stores(w),
+                   writer != kInvalidId && writer != tid, now);
+}
+
+void
+TianSpinDetector::reset()
+{
+    for (Entry &e : table_)
+        unwatch(e);
+    table_.assign(table_.size(), Entry{});
+    detected_ = 0;
 }
 
 std::uint64_t

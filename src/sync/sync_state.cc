@@ -113,25 +113,4 @@ SyncManager::barrierState(BarrierId barrier) const
     return barriers_[barrier];
 }
 
-void
-ValueTracker::onStore(Addr addr, ThreadId tid)
-{
-    LineInfo &li = lines_[lineNum(addr)];
-    ++li.version;
-    li.lastWriter = tid;
-}
-
-ValueTracker::LoadView
-ValueTracker::onLoad(Addr addr, ThreadId tid) const
-{
-    LoadView view;
-    const LineInfo *li = lines_.find(lineNum(addr));
-    if (!li)
-        return view;
-    view.value = li->version;
-    view.writtenByOther =
-        li->lastWriter != kInvalidId && li->lastWriter != tid;
-    return view;
-}
-
 } // namespace sst

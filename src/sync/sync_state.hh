@@ -1,8 +1,7 @@
 /**
  * @file
  * Synchronization primitive state: test-and-test-and-set locks with a
- * FIFO wake list and sense-reversing barriers, plus the memory value
- * tracker the spin detectors need.
+ * FIFO wake list and sense-reversing barriers.
  *
  * The protocol (who spins, when a waiter yields, who wakes whom) is
  * driven by the simulator's core model and scheduler; this module only
@@ -19,8 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-
-#include "util/flat_map.hh"
 #include <vector>
 
 #include "util/types.hh"
@@ -104,36 +101,6 @@ class SyncManager
 
     mutable std::unordered_map<LockId, LockState> locks_;
     mutable std::unordered_map<BarrierId, BarrierState> barriers_;
-};
-
-/**
- * Tracks a version number and last writer per cache line so loads can
- * report (value, written-by-other) pairs to the Tian spin detector, for
- * ordinary data as well as synchronization words.
- */
-class ValueTracker
-{
-  public:
-    /** Record a store by @p tid to the line of @p addr. */
-    void onStore(Addr addr, ThreadId tid);
-
-    struct LoadView
-    {
-        std::uint64_t value = 0;
-        bool writtenByOther = false;
-    };
-
-    /** Value/writer view for a load of @p addr by @p tid. */
-    LoadView onLoad(Addr addr, ThreadId tid) const;
-
-  private:
-    struct LineInfo
-    {
-        std::uint64_t version = 0;
-        ThreadId lastWriter = kInvalidId;
-    };
-    /** Keyed by line number; flat map keeps the per-load lookup hot. */
-    FlatMap64<LineInfo> lines_;
 };
 
 } // namespace sst

@@ -32,8 +32,10 @@ namespace {
 /** Bytes of lock-protected data per lock id (addrmap region stride). */
 constexpr Addr kLockDataBytes = 4096;
 
-/** Ops the interpreter accumulates per refill before yielding a batch. */
-constexpr std::size_t kRefillTarget = 256;
+/** Ops the interpreter accumulates per refill before yielding a batch:
+ *  a few statements' worth, so the buffer stays small for the run (the
+ *  batch size never changes the stream or its RNG draws). */
+constexpr std::size_t kRefillTarget = 32;
 
 /** SplitMix64-style finalizer mixing a group seed with a thread id. */
 std::uint64_t

@@ -663,6 +663,18 @@ serializeDist(std::string &out, const Dist &d)
     }
 }
 
+/** One `lock name[size]` line per declaration, in id order. */
+void
+serializeLocks(std::string &out, const Program &prog)
+{
+    for (const LockDecl &l : prog.locks) {
+        out += "lock " + l.name;
+        if (l.size != 1)
+            out += "[" + std::to_string(l.size) + "]";
+        out += "\n";
+    }
+}
+
 void
 serializeBody(std::string &out, const Program &prog,
               const std::vector<Stmt> &body, int depth)
@@ -757,12 +769,7 @@ Program::canonicalText() const
         out += "workload \"" + name + "\"\n";
     out += std::string("role ") + workloadRoleName(role) + "\n";
     out += "seed " + std::to_string(seed) + "\n";
-    for (const LockDecl &l : locks) {
-        out += "lock " + l.name;
-        if (l.size != 1)
-            out += "[" + std::to_string(l.size) + "]";
-        out += "\n";
-    }
+    serializeLocks(out, *this);
     for (const BarrierDecl &b : barriers)
         out += "barrier " + b.name + "\n";
     for (const GroupIR &g : groups) {
@@ -773,6 +780,19 @@ Program::canonicalText() const
         serializeBody(out, *this, g.body, 1);
         out += "}\n";
     }
+    return out;
+}
+
+std::string
+Program::groupBaselineText(int group) const
+{
+    const GroupIR &g = groups.at(static_cast<std::size_t>(group));
+    std::string out;
+    serializeLocks(out, *this);
+    out += "group private=" + std::to_string(g.privateBytes) +
+           " shared=" + std::to_string(g.sharedBytes) + " {\n";
+    serializeBody(out, *this, g.body, 1);
+    out += "}\n";
     return out;
 }
 

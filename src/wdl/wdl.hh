@@ -172,6 +172,15 @@ struct Program : CompiledWorkload
      */
     OpSourceFactory groupBaselineSources(const WorkloadSpec &spec,
                                          int group) const override;
+
+    /**
+     * What the sequential stream of @p group reads: the lock
+     * declarations (warmup sweeps, lock ids), the group's private and
+     * shared bytes and its body, in canonicalText() form. The program
+     * name, its role, the barrier declarations and every `threads=`
+     * stay out.
+     */
+    std::string groupBaselineText(int group) const override;
 };
 
 /**

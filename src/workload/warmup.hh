@@ -6,7 +6,9 @@
  * (base, line count, PC) segment, closed by an optional rendezvous
  * barrier and kRoiBegin. The stream hands the loads out a bounded chunk
  * at a time, so a frontend's op buffer never holds a whole region's
- * sweep — the warmup of an 8 MB private region is 131 K loads.
+ * sweep — the warmup of an 8 MB private region is 131 K loads. The
+ * closing ops come in a fill of their own that shrinks the buffer to
+ * them, so steady refills regrow it only to what they need.
  */
 
 #ifndef SST_WORKLOAD_WARMUP_HH
@@ -47,27 +49,31 @@ class WarmupStream
     }
 
     /**
-     * Append the next at most kChunkOps warmup loads to @p out. The
-     * fill that exhausts the sweeps also appends the closing barrier
-     * (if any) and kRoiBegin, and returns true: the warmup is over.
+     * Append the next at most kChunkOps warmup loads to @p out. Once the
+     * sweeps are exhausted, the next fill appends only the closing
+     * barrier (if any) and kRoiBegin, shrinks @p out to fit them and
+     * returns true: the warmup is over, and the chunks' capacity is
+     * released.
      */
     bool
     fill(std::vector<Op> &out)
     {
-        for (std::size_t n = 0; n < kChunkOps && seg_ < segments_.size();
-             ++n) {
-            const Segment &s = segments_[seg_];
-            out.push_back(Op::load(s.base + line_ * kLineBytes, s.pc));
-            if (++line_ == s.lines) {
-                ++seg_;
-                line_ = 0;
+        if (seg_ < segments_.size()) {
+            for (std::size_t n = 0;
+                 n < kChunkOps && seg_ < segments_.size(); ++n) {
+                const Segment &s = segments_[seg_];
+                out.push_back(Op::load(s.base + line_ * kLineBytes, s.pc));
+                if (++line_ == s.lines) {
+                    ++seg_;
+                    line_ = 0;
+                }
             }
-        }
-        if (seg_ < segments_.size())
             return false;
+        }
         if (barrier_)
             out.push_back(Op::barrier(*barrier_));
         out.push_back(Op::roiBegin());
+        out.shrink_to_fit();
         return true;
     }
 

@@ -65,6 +65,14 @@ class CompiledWorkload
     /** 1-thread sequential baseline factory for group @p group. */
     virtual OpSourceFactory
     groupBaselineSources(const WorkloadSpec &spec, int group) const = 0;
+
+    /**
+     * Deterministic serialization of everything group @p group's
+     * baseline stream reads of the program besides the group's index
+     * and seed. Programs with equal text (say, differing only in their
+     * name or thread counts) run equal baselines.
+     */
+    virtual std::string groupBaselineText(int group) const = 0;
 };
 
 /** How a workload's program groups relate to each other. */

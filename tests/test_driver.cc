@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "cache/hierarchy.hh"
 #include "core/experiment.hh"
@@ -150,11 +151,12 @@ TEST(Driver, ResultsIdenticalAcrossWorkerCounts)
 
 TEST(Driver, MatchesRunExperiment)
 {
-    // The in-process reference and the driver agree on everything a
-    // fresh result carries: the summary, every per-thread counter, the
-    // per-core cache stats and the region snapshots the ablation benches
-    // and inspect read. The LLC size and the ATD sampling factor are
-    // the machine settings llc_study and abl_atd_sampling vary.
+    // With full runs kept, the in-process reference and the driver agree
+    // on everything a fresh result carries: the summary, every
+    // per-thread counter, the per-core cache stats and the region
+    // snapshots inspect and abl_region_stacks read. The LLC size and
+    // the ATD sampling factor are the machine settings llc_study and
+    // abl_atd_sampling vary.
     std::vector<JobSpec> specs = {makeJob(test::lockHeavyProfile(), 4),
                                   makeJob(test::sharingProfile(), 4),
                                   makeJob(test::memoryHeavyProfile(), 4)};
@@ -163,6 +165,7 @@ TEST(Driver, MatchesRunExperiment)
 
     DriverOptions opts;
     opts.jobs = 4;
+    opts.fullRuns = true;
     const std::vector<JobResult> results = runExperimentBatch(specs, opts);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         SCOPED_TRACE(specs[i].label());
@@ -188,6 +191,37 @@ TEST(Driver, MatchesRunExperiment)
         });
     };
     EXPECT_NE(atdSamples(results[2].exp), atdSamples(atd_default));
+}
+
+TEST(Driver, FinishedJobKeepsItsStoredForm)
+{
+    // By default a finished job keeps what its cache entry stores: the
+    // summary, the run totals and each thread's counters. The per-core
+    // stats and region snapshots are freed, the baseline's included.
+    const JobSpec spec = makeJob(test::barrierHeavyProfile(), 4);
+    const std::vector<JobResult> results =
+        runExperimentBatch({spec}, DriverOptions{});
+    ASSERT_TRUE(results[0].ok()) << results[0].error;
+    const SpeedupExperiment &exp = results[0].exp;
+    const SpeedupExperiment reference =
+        runExperiment(spec.params, spec.workload);
+    ASSERT_FALSE(reference.parallel.regions.empty());
+
+    test::expectSameSummary(exp, reference);
+    for (const auto &[kept, full] :
+         {std::pair{&exp.single, &reference.single},
+          std::pair{&exp.parallel, &reference.parallel}}) {
+        EXPECT_EQ(kept->executionTime, full->executionTime);
+        EXPECT_EQ(kept->totalInstructions, full->totalInstructions);
+        EXPECT_EQ(kept->totalSpinInstructions, full->totalSpinInstructions);
+        EXPECT_EQ(kept->engineEvents, full->engineEvents);
+        ASSERT_EQ(kept->threads.size(), full->threads.size());
+        for (std::size_t t = 0; t < full->threads.size(); ++t)
+            test::expectSameCounters(kept->threads[t], full->threads[t]);
+        EXPECT_TRUE(kept->cacheStats.empty());
+        EXPECT_TRUE(kept->dramStats.empty());
+        EXPECT_TRUE(kept->regions.empty());
+    }
 }
 
 TEST(Driver, SeedOffsetSelectsDistinctStream)

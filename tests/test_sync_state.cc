@@ -91,30 +91,5 @@ TEST(SyncBarrier, ReusableAcrossGenerations)
     EXPECT_EQ(sync.barrierState(7).episodes, 5u);
 }
 
-TEST(ValueTracker, VersionsAndWriterAttribution)
-{
-    ValueTracker t;
-    EXPECT_EQ(t.onLoad(0x1000, 0).value, 0u);
-    EXPECT_FALSE(t.onLoad(0x1000, 0).writtenByOther);
-
-    t.onStore(0x1000, 2);
-    const auto v0 = t.onLoad(0x1000, 0);
-    EXPECT_EQ(v0.value, 1u);
-    EXPECT_TRUE(v0.writtenByOther);
-
-    const auto v2 = t.onLoad(0x1000, 2);
-    EXPECT_FALSE(v2.writtenByOther); // own write
-}
-
-TEST(ValueTracker, LineGranularity)
-{
-    ValueTracker t;
-    t.onStore(0x1000, 1);
-    // Same cache line, different byte.
-    EXPECT_EQ(t.onLoad(0x1008, 0).value, 1u);
-    // Different line untouched.
-    EXPECT_EQ(t.onLoad(0x2000, 0).value, 0u);
-}
-
 } // namespace
 } // namespace sst

@@ -56,6 +56,7 @@ roundTrip(const std::string &dir, const BenchmarkProfile &profile,
 
     DriverOptions opts;
     opts.traceDir = dir;
+    opts.fullRuns = true;
     const std::vector<JobResult> replayed =
         runExperimentBatch({spec}, opts);
     ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
@@ -111,6 +112,7 @@ TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
     DriverOptions traced;
     traced.jobs = 2;
     traced.traceDir = dir;
+    traced.fullRuns = true;
     BatchStats stats;
     const std::vector<JobResult> replayed =
         runExperimentBatch(specs, traced, &stats);

@@ -227,7 +227,9 @@ expectSameExperiment(const SpeedupExperiment &a, const SpeedupExperiment &b)
 /**
  * Run @p specs through the driver, with no result cache, while it
  * records each job's canonical trace into @p dir (`--record-dir`).
- * Returns the live results. Every job must succeed and be recorded.
+ * Returns the live results with their full runs (DriverOptions::
+ * fullRuns), so callers compare per-core stats and region snapshots
+ * too. Every job must succeed and be recorded.
  * Each recorded baseline stream must also replay to the generated
  * 1-thread run of its group, counter for counter: the driver never
  * reads those streams back, but `sst trace info` checks them and the
@@ -240,6 +242,7 @@ recordTraces(const std::vector<JobSpec> &specs, const std::string &dir,
     DriverOptions opts;
     opts.jobs = jobs;
     opts.recordDir = dir;
+    opts.fullRuns = true;
     const std::vector<JobResult> results = runExperimentBatch(specs, opts);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const JobSpec &spec = specs[i];

@@ -342,6 +342,7 @@ TEST(WdlTrace, RecordThenReplayIsBitIdentical)
 
     DriverOptions opts;
     opts.traceDir = dir;
+    opts.fullRuns = true;
     const std::vector<JobResult> replayed = runExperimentBatch({job}, opts);
     ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
     EXPECT_TRUE(replayed[0].tracedReplay);
@@ -355,8 +356,9 @@ TEST(WdlDriver, MixExperimentMatchesDriverRow)
     // profiles. Single group only: the driver folds the group index into
     // later groups' seeds.
     const JobSpec job = wdlJob(kPhased);
-    const std::vector<JobResult> rows =
-        runExperimentBatch({job}, DriverOptions{});
+    DriverOptions opts;
+    opts.fullRuns = true;
+    const std::vector<JobResult> rows = runExperimentBatch({job}, opts);
     ASSERT_TRUE(rows[0].ok()) << rows[0].error;
     test::expectSameExperiment(runExperiment(job.params, job.workload),
                          rows[0].exp);
@@ -378,6 +380,83 @@ TEST(WdlFingerprint, HashesContentNotPath)
                   .canonical);
     std::remove(a.c_str());
     std::remove(b.c_str());
+}
+
+/** kContention with the first @p from replaced by @p to. */
+JobSpec
+editedContention(const std::string &from, const std::string &to)
+{
+    std::string text = kContention;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    JobSpec job;
+    job.workload = specFromText(text, "t.wdl");
+    return job;
+}
+
+std::string
+baselineKey(const JobSpec &job, int group)
+{
+    return fingerprintWorkloadGroupBaseline(job.params,
+                                            job.effectiveWorkload(), group)
+        .canonical;
+}
+
+TEST(WdlFingerprint, BaselineKeyedOnWhatTheSequentialStreamReads)
+{
+    const JobSpec base = wdlJob(kContention);
+
+    // The program name and the thread counts never reach the 1-thread
+    // stream: such programs share each group's baseline, and the runs
+    // are bit-identical. Their experiments stay distinct.
+    for (const JobSpec &twin :
+         {editedContention("workload \"t-contention\"",
+                           "workload \"renamed\""),
+          editedContention("group hot threads=2", "group hot threads=8")}) {
+        EXPECT_NE(fingerprintJob(base).hash, fingerprintJob(twin).hash);
+        for (int g = 0; g < 2; ++g) {
+            SCOPED_TRACE("group " + std::to_string(g));
+            EXPECT_EQ(baselineKey(base, g), baselineKey(twin, g));
+            test::expectSameRun(
+                simulateSources(base.params,
+                                workloadGroupBaselineSources(
+                                    base.effectiveWorkload(), g),
+                                1),
+                simulateSources(twin.params,
+                                workloadGroupBaselineSources(
+                                    twin.effectiveWorkload(), g),
+                                1));
+        }
+    }
+
+    // Anything the stream reads splits them: the group's body, its
+    // region sizes, the lock declarations and the group seed.
+    const JobSpec body =
+        editedContention("zipf(0.9)", "zipf(0.5)"); // group hot only
+    EXPECT_NE(baselineKey(base, 0), baselineKey(body, 0));
+    EXPECT_EQ(baselineKey(base, 1), baselineKey(body, 1));
+    const JobSpec region = editedContention("private=16K", "private=32K");
+    EXPECT_NE(baselineKey(base, 0), baselineKey(region, 0));
+    EXPECT_EQ(baselineKey(base, 1), baselineKey(region, 1));
+    for (const JobSpec &all : {editedContention("lock keys[16]",
+                                                "lock keys[32]"),
+                               editedContention("seed 11", "seed 12")})
+        for (int g = 0; g < 2; ++g)
+            EXPECT_NE(baselineKey(base, g), baselineKey(all, g));
+    JobSpec offset = base;
+    offset.seedOffset = 1;
+    EXPECT_NE(baselineKey(base, 0), baselineKey(offset, 0));
+
+    // The driver runs the shared baselines once for both jobs.
+    BatchStats stats;
+    const std::vector<JobResult> rows = runExperimentBatch(
+        {base, editedContention("group hot threads=2", "group hot threads=4")},
+        DriverOptions{}, &stats);
+    for (const JobResult &r : rows)
+        ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(stats.baselinesComputed, 2u);
+    EXPECT_EQ(rows[0].exp.ts, rows[1].exp.ts);
 }
 
 TEST(WdlFingerprint, DifferentThetaDifferentFingerprint)

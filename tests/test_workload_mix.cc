@@ -374,6 +374,7 @@ TEST(WorkloadTrace, MixRecordReplayRoundTripsBitIdentically)
 
     DriverOptions opts;
     opts.traceDir = dir;
+    opts.fullRuns = true;
     const std::vector<JobResult> replayed = runExperimentBatch({job}, opts);
     ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
     EXPECT_TRUE(replayed[0].tracedReplay);
@@ -426,6 +427,7 @@ TEST(WorkloadDriver, RecordDirCapturesFreshJobsOnly)
     DriverOptions opts;
     opts.cacheDir = cache;
     opts.recordDir = rec;
+    opts.fullRuns = true;
     BatchStats stats;
     const std::vector<JobResult> fresh =
         runExperimentBatch(jobs, opts, &stats);
@@ -447,6 +449,7 @@ TEST(WorkloadDriver, RecordDirCapturesFreshJobsOnly)
     test::expectSameExperiment(fresh[0].exp, reference);
     DriverOptions replay;
     replay.traceDir = rec;
+    replay.fullRuns = true;
     const std::vector<JobResult> replayed =
         runExperimentBatch(jobs, replay);
     ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
