@@ -305,19 +305,17 @@ JobExecutor::Impl::runExperiment(
         runs.reserve(bases.size());
         for (const std::shared_ptr<const RunResult> &run : bases)
             runs.push_back(*run);
-        SpeedupExperiment exp = assembleExperiment(
-            workload.label(), nthreads, spec.params,
-            combineGroupBaselines(runs), std::move(parallel));
+        res.exp.single = combineGroupBaselines(runs);
+        res.exp.parallel = std::move(parallel);
         res.tracedReplay = reader != nullptr;
         if (cache) {
             const Fingerprint fp = fingerprintJob(spec);
             telemetry::ScopedSpan storeSpan("cache-store", "driver");
-            cache->store(fp, exp);
+            cache->store(fp, res.exp);
         }
         if (!opts.fullRuns)
-            exp.parallel.dropDetail(); // the baselines come without it
+            res.exp.parallel.dropDetail(); // the baselines come without it
         res.status = JobStatus::kOk;
-        res.exp = std::move(exp);
     } catch (const std::exception &e) {
         res.status = JobStatus::kFailed;
         res.error = e.what();
@@ -532,9 +530,16 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
         leaseLoop("local-" + std::to_string(w));
     });
 
+    // The queue holds runs: each row's stack is built here for its own
+    // spec, even when it deduped onto a twin of another stack detector.
     std::vector<JobResult> results(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         results[i] = queue.resultFor(ids[i]);
+        SpeedupExperiment &exp = results[i].exp;
+        if (results[i].ok())
+            exp = assembleExperiment(specs[i].label(), specs[i].nthreads(),
+                                     specs[i].params, exp.single,
+                                     std::move(exp.parallel));
         if (dup[i]) {
             ++stats_.deduped;
             // A deduped row replays its twin's in-queue result: report

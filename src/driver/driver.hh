@@ -69,8 +69,8 @@ struct DriverOptions
 
     /**
      * Keep each finished job's full runs. By default a finished
-     * experiment keeps only what its cache entry stores (the summary,
-     * run totals and each thread's counters) and a baseline only its
+     * experiment keeps only what its cache entry stores (the run
+     * totals and each thread's counters) and a baseline only its
      * totals: per-core cache/DRAM stats and region snapshots are freed
      * as soon as the job ends, so a batch's, or a server's, memory does
      * not grow with its runs' barriers. `inspect` and
@@ -97,9 +97,9 @@ struct BatchStats
 
 /**
  * Executes leased queue jobs (driver/job_queue.hh): one group's 1-thread
- * baseline, or an experiment assembled from the baseline runs the queue
- * hands it (validation, trace replay/record, the parallel run and the
- * result-cache store). The in-process worker threads and external
+ * baseline, or an experiment's two runs: the baseline runs the queue
+ * hands it and the parallel run (validation, trace replay/record and
+ * the result-cache store). The in-process worker threads and external
  * `sst worker` processes (src/serve/) share this one implementation.
  * Thread-safe: concurrent run() calls share the record-path claims and
  * encoded baseline streams of --record-dir.
@@ -140,7 +140,7 @@ struct ExperimentLookup
     bool valid = false;       ///< the spec passed validation
     bool hit = false;         ///< the cache holds its result
     Fingerprint fingerprint;  ///< fingerprintJob(), set with a cache
-    SpeedupExperiment cached; ///< the cached result, when hit
+    SpeedupExperiment cached; ///< the cached runs, when hit
 };
 
 /** Validate @p spec and look it up in @p cache (may be null). */
@@ -168,9 +168,10 @@ class ExperimentDriver
 
     /**
      * Execute @p specs and return one JobResult per spec, in input
-     * order. Never throws for per-job failures: a job that fails spec
-     * validation or raises during execution yields a kFailed result with
-     * the error message, and every other job still completes.
+     * order, assembled for that spec. Never throws for per-job
+     * failures: a job that fails spec validation or raises during
+     * execution yields a kFailed result with the error message, and
+     * every other job still completes.
      */
     std::vector<JobResult> runBatch(const std::vector<JobSpec> &specs);
 

@@ -45,13 +45,11 @@ encodeParams(std::string &out, const SimParams &params, int ncores_effective)
     // spec-driven run and the
     // equivalent flag-driven run produce identical canonical text (and
     // a SimParams field added to the table is automatically part of
-    // the cache identity).
-    encodeMachineParams(out, params);
-    // Older builds ignored the key and cached Tian-built stacks under
-    // `stack-detector = li`; this line keeps Li jobs off those entries
-    // and leaves every default fingerprint as it was.
-    if (params.accounting.stackDetector == AccountingParams::Detector::kLi)
-        putKey(out, "report.spin-detector", std::string("li"));
+    // the cache identity). Every run records both spin detectors, so
+    // the stack detector is canonicalized: one simulation serves both.
+    SimParams simulated = params;
+    simulated.accounting.stackDetector = AccountingParams::Detector::kTian;
+    encodeMachineParams(out, simulated);
 }
 
 namespace {

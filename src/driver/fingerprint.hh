@@ -65,7 +65,9 @@ struct Fingerprint
  * the core count to the job's effective core count
  * (JobSpec::ncoresEffective()), so the stored field is irrelevant and
  * canonicalizing it maximizes cache and baseline sharing. The field
- * list is the machine-key table (see src/sim/machine_keys.hh).
+ * list is the machine-key table (see src/sim/machine_keys.hh), with
+ * `machine.stack-detector` written as Tian: it picks how a stack is
+ * built from the counters, not what a run measures.
  */
 void encodeParams(std::string &out, const SimParams &params,
                   int ncores_effective);

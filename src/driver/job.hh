@@ -105,11 +105,12 @@ enum class JobStatus : std::uint8_t {
 };
 
 /**
- * Outcome of one job. A kCached result, like one served by a worker or
- * executed without DriverOptions::fullRuns, carries the summary
- * metrics, run totals and each parallel thread's raw counters; its
- * per-core cache/DRAM stats and region snapshots are empty (see
- * ResultCache).
+ * Outcome of one job. In the queue, the cache and on the wire, an
+ * experiment's `exp` holds only its runs (single, parallel);
+ * runExperimentBatch() and the server's result stream assemble the rest
+ * for the spec that asked. Without DriverOptions::fullRuns the runs
+ * keep totals and each parallel thread's raw counters, no per-core
+ * stats or region snapshots (see ResultCache).
  */
 struct JobResult
 {

@@ -1,12 +1,10 @@
 #include "result_cache.hh"
 
 #include <charconv>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <unistd.h>
 
@@ -29,45 +27,15 @@ const std::string kMagic =
 constexpr std::uint64_t kMaxCanonicalBytes = 1ULL << 20;
 
 /**
- * The summary's `key value` lines in order, each with its field of
- * @p e: const when encoding, mutable when decoding, so the encoder and
- * the decoder read one list.
+ * A run's `key value` lines in order, each with its field of @p r:
+ * const when encoding, mutable when decoding, so the encoder and the
+ * decoder read one list. Both codecs write these lines per run.
  */
-template <typename Exp, typename Visit>
-void
-forEachSummaryField(Exp &e, Visit &&visit)
-{
-    visit("label", e.label);
-    visit("nthreads", e.nthreads);
-    visit("ts", e.ts);
-    visit("tp", e.tp);
-    visit("actualSpeedup", e.actualSpeedup);
-    visit("estimatedSpeedup", e.estimatedSpeedup);
-    visit("error", e.error);
-    visit("parOverheadMeasured", e.parOverheadMeasured);
-    visit("stack.nthreads", e.stack.nthreads);
-    visit("stack.posLlc", e.stack.posLlc);
-    visit("stack.negLlc", e.stack.negLlc);
-    visit("stack.negMem", e.stack.negMem);
-    visit("stack.spin", e.stack.spin);
-    visit("stack.yield", e.stack.yield);
-    visit("stack.imbalance", e.stack.imbalance);
-    visit("stack.coherency", e.stack.coherency);
-    visit("stack.baseSpeedup", e.stack.baseSpeedup);
-    visit("stack.estimatedSpeedup", e.stack.estimatedSpeedup);
-    visit("single.totalInstructions", e.single.totalInstructions);
-    visit("single.totalSpinInstructions", e.single.totalSpinInstructions);
-    visit("parallel.totalInstructions", e.parallel.totalInstructions);
-    visit("parallel.totalSpinInstructions",
-          e.parallel.totalSpinInstructions);
-}
-
-/** A baseline summary's lines, like forEachSummaryField(). */
 template <typename Run, typename Visit>
 void
-forEachBaselineField(Run &r, Visit &&visit)
+forEachRunField(Run &r, Visit &&visit)
 {
-    visit("ts", r.executionTime);
+    visit("cycles", r.executionTime);
     visit("instructions", r.totalInstructions);
     visit("spin-instructions", r.totalSpinInstructions);
     visit("events", r.engineEvents);
@@ -97,40 +65,26 @@ struct LineWriter
 
     template <typename T>
     void
-    operator()(const char *key, const T &v) const
+    operator()(const char *key, T v) const
     {
         out += key;
         out += ' ';
-        if constexpr (std::is_same_v<T, std::string>) {
-            out += v;
-        } else if constexpr (std::is_floating_point_v<T>) {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            out += buf;
-        } else {
-            out += std::to_string(v);
-        }
+        out += std::to_string(v);
         out += '\n';
     }
 };
 
 /**
- * Parse all of @p s into @p out: integers are decimal digits only (no
- * sign, space or empty text) and fit their type.
+ * Parse all of @p s into @p out: decimal digits only (no sign, space or
+ * empty text) that fit the integer type.
  */
 template <typename T>
 bool
 parseValue(std::string_view s, T &out)
 {
-    if constexpr (std::is_same_v<T, std::string>) {
-        out = s;
-        return true;
-    } else {
-        const char *end = s.data() + s.size();
-        const auto [p, ec] = std::from_chars(s.data(), end, out);
-        return ec == std::errc() && p == end &&
-               !(std::is_integral_v<T> && s[0] == '-');
-    }
+    const char *end = s.data() + s.size();
+    const auto [p, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && p == end && s[0] != '-';
 }
 
 /** A `thread` line's value: exactly the kThreadFields counters. */
@@ -210,7 +164,7 @@ readEntry(std::istream &in, const Fingerprint &fp, SpeedupExperiment &out)
 
         std::ostringstream rest;
         rest << in.rdbuf();
-        return decodeExperimentSummary(rest.str(), out);
+        return decodeExperimentRuns(rest.str(), out);
     } catch (const std::exception &) {
         return false; // unreadable entry == miss
     }
@@ -219,10 +173,13 @@ readEntry(std::istream &in, const Fingerprint &fp, SpeedupExperiment &out)
 } // namespace
 
 std::string
-encodeExperimentSummary(const SpeedupExperiment &exp)
+encodeExperimentRuns(const SpeedupExperiment &exp)
 {
     std::string out;
-    forEachSummaryField(exp, LineWriter{out});
+    const LineWriter write{out};
+    forEachRunField(exp.single, write);
+    write("nthreads", exp.parallel.nthreads);
+    forEachRunField(exp.parallel, write);
     for (const ThreadCounters &t : exp.parallel.threads) {
         out += "thread";
         for (const auto field : kThreadFields)
@@ -233,25 +190,25 @@ encodeExperimentSummary(const SpeedupExperiment &exp)
 }
 
 bool
-decodeExperimentSummary(const std::string &text, SpeedupExperiment &out)
+decodeExperimentRuns(const std::string &text, SpeedupExperiment &out)
 {
     LineReader in(text);
     SpeedupExperiment exp;
-    forEachSummaryField(exp, in);
+    RunResult &parallel = exp.parallel;
+    forEachRunField(exp.single, in);
+    in("nthreads", parallel.nthreads);
     // The thread count sizes the counters: bound it before allocating.
-    if (!in.ok() || exp.nthreads < 1 || exp.nthreads > kMaxSimCores)
+    if (!in.ok() || parallel.nthreads < 1 ||
+        parallel.nthreads > kMaxSimCores)
         return false;
-    exp.parallel.threads.resize(static_cast<std::size_t>(exp.nthreads));
-    for (ThreadCounters &t : exp.parallel.threads)
+    forEachRunField(parallel, in);
+    parallel.threads.resize(static_cast<std::size_t>(parallel.nthreads));
+    for (ThreadCounters &t : parallel.threads)
         in("thread", t);
     if (!in.atEnd())
         return false; // truncated, or more thread lines than nthreads
-
     exp.single.nthreads = 1;
-    exp.single.executionTime = exp.ts;
-    exp.parallel.nthreads = exp.nthreads;
-    exp.parallel.ncores = exp.nthreads;
-    exp.parallel.executionTime = exp.tp;
+    exp.single.ncores = 1;
     out = std::move(exp);
     return true;
 }
@@ -260,7 +217,7 @@ std::string
 encodeBaselineSummary(const RunResult &run)
 {
     std::string out;
-    forEachBaselineField(run, LineWriter{out});
+    forEachRunField(run, LineWriter{out});
     return out + "end\n";
 }
 
@@ -269,7 +226,7 @@ decodeBaselineSummary(const std::string &text, RunResult &out)
 {
     LineReader in(text);
     RunResult run;
-    forEachBaselineField(run, in);
+    forEachRunField(run, in);
     if (!in.atEnd())
         return false;
     run.nthreads = 1;
@@ -301,7 +258,7 @@ ResultCache::store(const Fingerprint &fp, const SpeedupExperiment &exp)
     os << "hash " << fp.hex() << '\n';
     os << "canonical-bytes " << fp.canonical.size() << '\n';
     os << fp.canonical;
-    os << encodeExperimentSummary(exp);
+    os << encodeExperimentRuns(exp);
 
     // Atomic publish: temp file + rename. The mutex keeps two threads of
     // this process from interleaving on the same temp name; the pid makes

@@ -6,13 +6,11 @@
  * named `<fnv1a64-hex>.result`. Each file embeds (a) the full canonical
  * parameter serialization that produced the hash — verified on lookup so
  * a hash collision degrades to a cache miss, never a wrong replay — and
- * (b) the summary metrics of the experiment (Ts, Tp, actual/estimated
- * speedup, validation error, every speedup-stack component and the
- * measured parallelization overhead) followed by the raw
- * ThreadCounters of each parallel thread, one `thread` line each, so a
- * report can rebuild the stack under other ReportOptions without
- * re-simulating. Per-core cache/DRAM stats and region snapshots are not
- * persisted.
+ * (b) the experiment's two runs and nothing derived from them: the
+ * combined 1-thread baseline's totals, then the parallel run's thread
+ * count, totals and one `thread` line of raw ThreadCounters per thread.
+ * The stack is assembleExperiment() of them, for the spec that asks.
+ * Per-core cache/DRAM stats and region snapshots are not persisted.
  *
  * Writes go through a temp file + atomic rename, so a cache directory
  * shared by concurrent sweep invocations never exposes torn results.
@@ -30,36 +28,38 @@
 namespace sst {
 
 /**
- * Entry format version (the `sst-result-cache v2` magic line; v2 added
- * the `thread` lines). The decoder reads exactly the encoder's lines,
- * so any layout change bumps it; an entry of another version is a miss
- * that the re-executed job overwrites.
+ * Entry format version (the `sst-result-cache v3` magic line; v2 added
+ * the `thread` lines, v3 dropped the derived summary for the runs). The
+ * decoder reads exactly the encoder's lines, so any layout change bumps
+ * it; an entry of another version is a miss that the re-executed job
+ * overwrites.
  */
-inline constexpr int kResultCacheVersion = 2;
+inline constexpr int kResultCacheVersion = 3;
 
 /**
- * Encode the persisted summary of @p exp as `key value` lines, then one
- * `thread v1 ... v23` line of raw counters per parallel thread, then an
- * `end` line — the body of a cache entry and the serve protocol's wire
- * form of a completed job (one codec, so the socket and the cache can
- * never disagree about a result).
+ * Encode the runs of @p exp as `key value` lines: exp.single's totals,
+ * exp.parallel's `nthreads` and totals, one `thread v1 ... v23` line
+ * per parallel thread, then `end` — the body of a cache entry and the
+ * serve protocol's wire form of a completed job (one codec, so the
+ * socket and the cache can never disagree about a result).
  */
-std::string encodeExperimentSummary(const SpeedupExperiment &exp);
+std::string encodeExperimentRuns(const SpeedupExperiment &exp);
 
 /**
- * Decode encodeExperimentSummary() text strictly into @p out: exactly
- * its lines in its order, integers in decimal digits only, nthreads in
- * 1..kMaxSimCores with one `thread` line of 23 counters per thread, and
- * nothing after `end`. On failure @p out is untouched; false returned.
+ * Decode encodeExperimentRuns() text strictly: exactly its lines in its
+ * order, integers in decimal digits only, nthreads in 1..kMaxSimCores
+ * with one `thread` line of 23 counters per thread, and nothing after
+ * `end`. On success @p out holds the two runs only; on failure it is
+ * untouched and false is returned.
  */
-bool decodeExperimentSummary(const std::string &text,
-                             SpeedupExperiment &out);
+bool decodeExperimentRuns(const std::string &text, SpeedupExperiment &out);
 
 /**
- * Encode what experiments consume of a 1-thread baseline run — Ts,
- * instructions, spin instructions and engine events — as `key value`
- * lines terminated by an `end` line: the serve protocol's wire form of
- * a baseline job's run (its `done` report, and each experiment lease).
+ * Encode what experiments consume of a 1-thread baseline run — cycles
+ * (Ts), instructions, spin instructions and engine events — as `key
+ * value` lines terminated by an `end` line: the serve protocol's wire
+ * form of a baseline job's run (its `done` report, and each experiment
+ * lease).
  */
 std::string encodeBaselineSummary(const RunResult &run);
 
@@ -81,12 +81,13 @@ class ResultCache
     /**
      * Load the result for @p fp into @p out. Returns false on a miss, a
      * canonical-text mismatch (hash collision or truncated file) or an
-     * unreadable/stale-format file; on a hit @p out is what
-     * decodeExperimentSummary() fills (see file comment).
+     * unreadable/stale-format file; on a hit @p out holds the runs
+     * decodeExperimentRuns() fills (see file comment).
      */
     bool lookup(const Fingerprint &fp, SpeedupExperiment &out) const;
 
-    /** Persist @p exp as the result of @p fp (atomic overwrite). */
+    /** Persist the runs of @p exp as the result of @p fp (atomic
+     *  overwrite). */
     void store(const Fingerprint &fp, const SpeedupExperiment &exp);
 
     /** Remove the entry for @p fp if present. */

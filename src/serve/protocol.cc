@@ -281,7 +281,7 @@ encodeJobResult(const JobResult &result)
     if (result.baseline)
         out += encodeBaselineSummary(*result.baseline);
     else if (result.ok())
-        out += encodeExperimentSummary(result.exp);
+        out += encodeExperimentRuns(result.exp);
     return out;
 }
 
@@ -289,7 +289,8 @@ bool
 decodeJobResult(const std::string &text, JobResult &out, bool baseline)
 {
     // A status line, an optional error line, then the body: the
-    // experiment or baseline summary of the shared cache codec.
+    // experiment's runs or the baseline summary of the shared cache
+    // codec.
     const std::string status_key = "result-status ";
     const std::string error_key = "result-error ";
     std::size_t nl = text.find('\n');
@@ -326,7 +327,7 @@ decodeJobResult(const std::string &text, JobResult &out, bool baseline)
             return false;
         res.baseline = std::make_shared<const RunResult>(std::move(run));
     } else if (res.ok()) {
-        if (!decodeExperimentSummary(text.substr(pos), res.exp))
+        if (!decodeExperimentRuns(text.substr(pos), res.exp))
             return false;
     } else if (pos != text.size()) {
         return false;

@@ -39,10 +39,11 @@
  * of a spec, together with one encodeBaselineSummary() per workload
  * group (its finished 1-thread baselines), or the 1-thread baseline of
  * one group of a spec. Completed jobs travel as encodeJobResult()
- * blobs: a status line plus the result cache's experiment-summary
- * encoding, or a baseline's summary — one codec for the socket and the
- * cache, so they can never disagree about a result. Only the lease
- * holder's `done` counts; any other is answered `err stale`.
+ * blobs: a status line plus the result cache's encoding of the
+ * experiment's two runs, or a baseline's summary — one codec for the
+ * socket and the cache, so they can never disagree about a result.
+ * Only the lease holder's `done` counts; any other is answered `err
+ * stale`, and one whose runs have another thread count fails the job.
  */
 
 #ifndef SST_SERVE_PROTOCOL_HH
@@ -58,7 +59,7 @@ namespace sst {
 namespace serve {
 
 /** Wire protocol version (reported by `sst --version` and status). */
-inline constexpr int kProtocolVersion = 4;
+inline constexpr int kProtocolVersion = 5;
 
 /**
  * Escape @p s into one space-free token: backslash escapes for
@@ -115,7 +116,7 @@ Request parseRequest(const std::string &line);
 /**
  * Wire form of a completed job: `result-status ok|cached|failed`, an
  * optional `result-error <escaped>` line, then for non-failed results
- * the experiment summary (encodeExperimentSummary), or for a baseline
+ * the experiment's runs (encodeExperimentRuns), or for a baseline
  * job (JobResult::baseline set) its encodeBaselineSummary(). Multi-line;
  * embed it in request lines via escapeToken(). The trace flags of
  * @p result are deliberately not carried — they describe the executing

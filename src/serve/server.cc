@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "core/experiment.hh"
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
@@ -593,14 +594,22 @@ Server::handleDone(const std::string &worker, JobId id,
         sock.writeAll("err stale\n");
         return;
     }
+    // A payload that is garbage, or runs of another thread count, is a
+    // worker-side defect: retry the job elsewhere rather than settling
+    // it (and caching it under this job's fingerprint).
     JobResult result;
-    if (!decodeJobResult(payload, result, group != kExperimentJob)) {
-        // An undecodable payload is a worker-side defect: retry the
-        // job elsewhere rather than settling it with garbage.
-        if (queue_.fail(id, worker, "undecodable result payload",
-                        nowMs()) != FailOutcome::kStale)
+    std::string defect;
+    if (!decodeJobResult(payload, result, group != kExperimentJob))
+        defect = "undecodable result payload";
+    else if (group == kExperimentJob && result.ok() &&
+             result.exp.parallel.nthreads != spec.nthreads())
+        defect = "result of " + std::to_string(result.exp.parallel.nthreads) +
+                 " thread(s) for a " + std::to_string(spec.nthreads()) +
+                 "-thread job";
+    if (!defect.empty()) {
+        if (queue_.fail(id, worker, defect, nowMs()) != FailOutcome::kStale)
             noteFail(worker);
-        sock.writeAll("err undecodable result payload\n");
+        sock.writeAll("err " + defect + "\n");
         return;
     }
     // Feed the server-side cache before settling: external workers may
@@ -653,7 +662,13 @@ Server::streamResults(Socket &sock, const std::string &name, bool json,
             }
             queue_.waitSettled(ids[i], 200);
         }
-        const JobResult result = queue_.resultFor(ids[i]);
+        // The queue holds runs: build the stack for this campaign's spec.
+        JobResult result = queue_.resultFor(ids[i]);
+        SpeedupExperiment &exp = result.exp;
+        if (result.ok())
+            exp = assembleExperiment(specs[i].label(), specs[i].nthreads(),
+                                     specs[i].params, exp.single,
+                                     std::move(exp.parallel));
         sock.writeAll((json ? sweepJsonRow(specs[i], result)
                             : sweepCsvRow(specs[i], result)) +
                       "\n");

@@ -101,21 +101,20 @@ TEST(Fingerprint, BaselineSharedAcrossThreadCounts)
     EXPECT_NE(baselineKey(a), baselineKey(c));
 }
 
-TEST(Fingerprint, LiStackDetectorMissesEntriesOfTianStacks)
+TEST(Fingerprint, StackDetectorSharesTheJobAndItsBaselines)
 {
-    // Builds that ignored `machine.stack-detector` stored Tian-built
-    // stacks under the Li fingerprint text of that time: the Tian text
-    // with only the detector value swapped. A Li job must not hit them.
+    // The detector picks how a stack is built from counters every run
+    // records: a Li job is the Tian job, in the cache and in the queue,
+    // and its text is the default text.
     const JobSpec tian = makeJob(test::computeOnlyProfile(), 4);
     JobSpec li = tian;
     li.params.accounting.stackDetector = AccountingParams::Detector::kLi;
-    std::string stale = fingerprintJob(tian).canonical;
-    const std::string from = "machine.stack-detector = tian";
-    const std::size_t at = stale.find(from);
-    ASSERT_NE(at, std::string::npos);
-    stale.replace(at, from.size(), "machine.stack-detector = li");
-    EXPECT_NE(fingerprintJob(li).canonical, stale);
-    EXPECT_EQ(fingerprintJob(tian).canonical.find("report."),
+    EXPECT_EQ(fingerprintJob(li).canonical, fingerprintJob(tian).canonical);
+    EXPECT_EQ(baselineKey(li), baselineKey(tian));
+    EXPECT_NE(fingerprintJob(li).canonical.find(
+                  "machine.stack-detector = tian\n"),
+              std::string::npos);
+    EXPECT_EQ(fingerprintJob(li).canonical.find("report."),
               std::string::npos);
 }
 
@@ -287,6 +286,51 @@ TEST(Driver, StackDetectorLiBuildsTheStackFromLisDetector)
         << "the detectors agree here, so the test proves nothing";
 }
 
+TEST(Driver, MixedDetectorBatchSimulatesOnce)
+{
+    // A Tian and a Li spec of one job share its fingerprint: the batch
+    // simulates once, and each row is its own spec's single-spec run.
+    const JobSpec tian = makeJob(test::lockHeavyProfile(), 4);
+    JobSpec li = tian;
+    li.params.accounting.stackDetector = AccountingParams::Detector::kLi;
+    BatchStats stats;
+    const std::vector<JobResult> mixed =
+        runExperimentBatch({tian, li}, DriverOptions{}, &stats);
+    EXPECT_EQ(stats.executed, 1u);
+    EXPECT_EQ(stats.deduped, 1u);
+    EXPECT_EQ(stats.baselinesComputed, 1u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const JobSpec &spec = i == 0 ? tian : li;
+        ASSERT_TRUE(mixed[i].ok()) << mixed[i].error;
+        test::expectSameSummary(
+            mixed[i].exp,
+            runExperimentBatch({spec}, DriverOptions{})[0].exp);
+    }
+    EXPECT_NE(mixed[0].exp.estimatedSpeedup, mixed[1].exp.estimatedSpeedup);
+}
+
+TEST(Driver, LiStackReplaysATianCacheEntry)
+{
+    const std::string dir = freshTempDir("li_from_tian");
+    const JobSpec tian = makeJob(test::lockHeavyProfile(), 4);
+    JobSpec li = tian;
+    li.params.accounting.stackDetector = AccountingParams::Detector::kLi;
+    DriverOptions opts;
+    opts.cacheDir = dir;
+    BatchStats stats;
+    runExperimentBatch({tian}, opts, &stats);
+    ASSERT_EQ(stats.executed, 1u);
+
+    const std::vector<JobResult> warm =
+        runExperimentBatch({li}, opts, &stats);
+    EXPECT_EQ(stats.executed, 0u);
+    EXPECT_EQ(stats.cached, 1u);
+    ASSERT_TRUE(warm[0].fromCache());
+    test::expectSameSummary(warm[0].exp,
+                            runExperiment(li.params, li.workload));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Driver, ThreadsCappedAtQueuedJobs)
 {
     // Two experiments sharing one baseline queue three jobs: eight
@@ -397,8 +441,8 @@ TEST(Driver, SecondRunReplaysFromCache)
         test::expectSameSummary(replay[i].exp, fresh[i].exp);
         // The entry carries every thread's raw counters too.
         EXPECT_EQ(replay[i].exp.parallel.threads.size(), 2u);
-        EXPECT_EQ(encodeExperimentSummary(replay[i].exp),
-                  encodeExperimentSummary(fresh[i].exp));
+        EXPECT_EQ(encodeExperimentRuns(replay[i].exp),
+                  encodeExperimentRuns(fresh[i].exp));
     }
     std::filesystem::remove_all(dir);
 }
@@ -447,40 +491,6 @@ TEST(Driver, RefreshBypassesCacheHits)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ResultCache, RejectsCorruptAndTruncatedEntries)
-{
-    const std::string dir = freshTempDir("cache_corrupt");
-    ResultCache cache(dir);
-    const Fingerprint fp =
-        fingerprintJob(makeJob(test::computeOnlyProfile(), 2));
-
-    SpeedupExperiment exp;
-    exp.label = "t";
-    exp.nthreads = 2;
-    exp.parallel.threads.resize(2); // the codec carries one per thread
-    exp.ts = 100;
-    exp.tp = 60;
-    exp.actualSpeedup = 100.0 / 60.0;
-    cache.store(fp, exp);
-
-    SpeedupExperiment loaded;
-    ASSERT_TRUE(cache.lookup(fp, loaded));
-    EXPECT_EQ(loaded.ts, 100u);
-    EXPECT_EQ(loaded.actualSpeedup, exp.actualSpeedup);
-
-    // Truncate the file: the missing `end` sentinel must fail lookup.
-    {
-        std::string path = cache.entryPath(fp);
-        std::error_code ec;
-        const auto size = std::filesystem::file_size(path, ec);
-        ASSERT_FALSE(ec);
-        std::filesystem::resize_file(path, size - 5, ec);
-        ASSERT_FALSE(ec);
-    }
-    EXPECT_FALSE(cache.lookup(fp, loaded));
-    std::filesystem::remove_all(dir);
-}
-
 std::string
 readFile(const std::string &path)
 {
@@ -496,19 +506,25 @@ writeFile(const std::string &path, const std::string &text)
     std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 }
 
-/** A summary of @p nthreads threads whose counters all differ. */
+/** The two runs of an experiment of @p nthreads threads, every counter
+ *  distinct. */
 SpeedupExperiment
-summaryWithThreads(int nthreads)
+runsWithThreads(int nthreads)
 {
     SpeedupExperiment exp;
-    exp.label = "t-summary";
-    exp.nthreads = nthreads;
-    exp.ts = 1000;
-    exp.tp = 300;
-    exp.actualSpeedup = 1000.0 / 300.0;
-    exp.stack.nthreads = nthreads;
-    exp.stack.spin = 0.1;
-    exp.parallel.threads.resize(static_cast<std::size_t>(nthreads));
+    exp.single.nthreads = 1;
+    exp.single.ncores = 1;
+    exp.single.executionTime = 1000;
+    exp.single.totalInstructions = 4000;
+    exp.single.totalSpinInstructions = 3;
+    exp.single.engineEvents = 77;
+    exp.parallel.nthreads = nthreads;
+    exp.parallel.executionTime = 300;
+    exp.parallel.totalInstructions = 4100;
+    exp.parallel.totalSpinInstructions = 30;
+    exp.parallel.engineEvents = 88;
+    exp.parallel.threads.resize(static_cast<std::size_t>(
+        std::max(nthreads, 0)));
     std::uint64_t v = 1;
     for (ThreadCounters &t : exp.parallel.threads) {
         t.instructions = v++;
@@ -519,48 +535,98 @@ summaryWithThreads(int nthreads)
     return exp;
 }
 
-/** @p text with its first line starting @p key replaced by @p line. */
-std::string
-withLine(std::string text, const std::string &key, const std::string &line)
+TEST(ResultCache, RejectsCorruptAndTruncatedEntries)
 {
-    const std::size_t at = text.find("\n" + key) + 1;
-    const std::size_t nl = text.find('\n', at);
-    return text.replace(at, nl - at, line);
+    const std::string dir = freshTempDir("cache_corrupt");
+    ResultCache cache(dir);
+    const Fingerprint fp =
+        fingerprintJob(makeJob(test::computeOnlyProfile(), 2));
+    cache.store(fp, runsWithThreads(2));
+    SpeedupExperiment loaded;
+    ASSERT_TRUE(cache.lookup(fp, loaded));
+    EXPECT_EQ(loaded.single.executionTime, 1000u);
+    EXPECT_EQ(loaded.parallel.executionTime, 300u);
+
+    // Every proper prefix of the entry (a torn write) is a miss: the
+    // magic, the hash, the canonical text, any run line or the `end`
+    // sentinel cut short.
+    const std::string path = cache.entryPath(fp);
+    const std::string entry = readFile(path);
+    for (std::size_t n = 0; n < entry.size(); ++n) {
+        writeFile(path, entry.substr(0, n));
+        SpeedupExperiment out = runsWithThreads(3);
+        EXPECT_FALSE(cache.lookup(fp, out)) << "prefix of " << n << " bytes";
+        EXPECT_EQ(out.parallel.nthreads, 3) << "a miss leaves out untouched";
+    }
+    writeFile(path, entry);
+    EXPECT_TRUE(cache.lookup(fp, loaded));
+    std::filesystem::remove_all(dir);
 }
 
-TEST(ResultCache, SummaryCodecIsAFixedPoint)
+/**
+ * @p text with the @p nth (0-based) line starting with @p key replaced
+ * by @p line.
+ */
+std::string
+withLine(std::string text, const std::string &key, const std::string &line,
+         int nth = 0)
+{
+    std::size_t at = 0;
+    for (int seen = 0; text.compare(at, key.size(), key) != 0 || seen++ < nth;
+         ++at)
+        if ((at = text.find('\n', at)) == std::string::npos)
+            throw std::logic_error("no line '" + key + "' to replace");
+    return text.replace(at, text.find('\n', at) - at, line);
+}
+
+TEST(ResultCache, RunsCodecIsAFixedPoint)
 {
     for (const int n : {1, 16, 64}) {
-        const std::string text = encodeExperimentSummary(
-            summaryWithThreads(n));
+        const SpeedupExperiment runs = runsWithThreads(n);
+        const std::string text = encodeExperimentRuns(runs);
         SpeedupExperiment decoded;
-        ASSERT_TRUE(decodeExperimentSummary(text, decoded)) << n;
+        ASSERT_TRUE(decodeExperimentRuns(text, decoded)) << n;
+        test::expectSameRun(decoded.single, runs.single);
+        EXPECT_EQ(decoded.single.engineEvents, runs.single.engineEvents);
+        EXPECT_EQ(decoded.parallel.nthreads, n);
+        EXPECT_EQ(decoded.parallel.executionTime,
+                  runs.parallel.executionTime);
+        EXPECT_EQ(decoded.parallel.engineEvents, runs.parallel.engineEvents);
         ASSERT_EQ(decoded.parallel.threads.size(),
                   static_cast<std::size_t>(n));
-        EXPECT_EQ(decoded.parallel.threads.back().finishTime,
-                  summaryWithThreads(n).parallel.threads.back().finishTime);
-        EXPECT_EQ(encodeExperimentSummary(decoded), text) << n;
+        for (std::size_t t = 0; t < runs.parallel.threads.size(); ++t)
+            test::expectSameCounters(decoded.parallel.threads[t],
+                                     runs.parallel.threads[t]);
+        EXPECT_EQ(encodeExperimentRuns(decoded), text) << n;
     }
+    // Only the runs travel: nothing derived from them is in the text.
+    const std::string text = encodeExperimentRuns(runsWithThreads(2));
+    for (const char *derived : {"label", "estimatedSpeedup", "error",
+                                "stack.", "parOverheadMeasured"})
+        EXPECT_EQ(text.find(derived), std::string::npos) << derived;
 }
 
-TEST(ResultCache, SummaryCodecRejectsNonDigitsAndBadThreadCounts)
+TEST(ResultCache, RunsCodecRejectsNonDigitsAndBadThreadCounts)
 {
-    const std::string text = encodeExperimentSummary(summaryWithThreads(4));
+    const std::string text = encodeExperimentRuns(runsWithThreads(4));
     SpeedupExperiment out;
-    ASSERT_TRUE(decodeExperimentSummary(text, out));
+    ASSERT_TRUE(decodeExperimentRuns(text, out));
     const std::size_t at = text.find("\nthread ") + 1;
     const std::string thread = text.substr(at, text.find('\n', at) - at);
     const std::string bad[] = {
-        // Integers are decimal digits only, within their type.
+        // Integers are decimal digits only, within their type: the
+        // baseline's lines come first, then the parallel run's.
         withLine(text, "nthreads ", "nthreads 4294967300"),
-        withLine(text, "ts ", "ts -1"),
-        withLine(text, "tp ", "tp  +5"),
-        withLine(text, "tp ", "tp 5 "),
-        withLine(text, "stack.nthreads ", "stack.nthreads 2147483648"),
+        withLine(text, "cycles ", "cycles -1"),
+        withLine(text, "cycles ", "cycles  +5", 1),
+        withLine(text, "cycles ", "cycles 5 ", 1),
+        withLine(text, "nthreads ", "nthreads 2147483648"),
+        withLine(text, "instructions ",
+                 "instructions 18446744073709551616", 1),
         withLine(text, "thread ", "thread -1" + thread.substr(8)),
         // nthreads lies in 1..kMaxSimCores, thread lines or not.
-        encodeExperimentSummary(summaryWithThreads(0)),
-        encodeExperimentSummary(summaryWithThreads(kMaxSimCores + 1)),
+        encodeExperimentRuns(runsWithThreads(0)),
+        encodeExperimentRuns(runsWithThreads(kMaxSimCores + 1)),
         withLine(text, "nthreads ", "nthreads 1000000000"),
         // One thread line per thread...
         withLine(text, "nthreads ", "nthreads 3"),
@@ -569,20 +635,23 @@ TEST(ResultCache, SummaryCodecRejectsNonDigitsAndBadThreadCounts)
         withLine(text, "thread ", thread.substr(0, thread.rfind(' '))),
         withLine(text, "thread ", thread + " 7"),
         withLine(text, "thread ", thread + " "),
+        // Each run has all four totals, in order.
+        withLine(text, "events ", "spin-instructions 1", 1),
+        withLine(text, "cycles ", "instructions 1"),
         // Nothing after `end`.
         text + "end\n",
     };
     for (const std::string &t : bad) {
         SpeedupExperiment rejected = out;
-        EXPECT_FALSE(decodeExperimentSummary(t, rejected)) << t;
-        EXPECT_EQ(encodeExperimentSummary(rejected), text)
+        EXPECT_FALSE(decodeExperimentRuns(t, rejected)) << t;
+        EXPECT_EQ(encodeExperimentRuns(rejected), text)
             << "a rejected decode leaves its output untouched";
     }
 }
 
-TEST(ResultCache, VersionOneEntryIsAHealedMiss)
+TEST(ResultCache, OlderVersionEntriesAreHealedMisses)
 {
-    const std::string dir = freshTempDir("cache_v1");
+    const std::string dir = freshTempDir("cache_old");
     const std::vector<JobSpec> specs = {
         makeJob(test::computeOnlyProfile(), 2)};
     DriverOptions opts;
@@ -591,35 +660,32 @@ TEST(ResultCache, VersionOneEntryIsAHealedMiss)
     runExperimentBatch(specs, opts, &stats);
     ASSERT_EQ(stats.executed, 1u);
 
-    // Rewrite the entry as the v1 layout: its magic, no thread lines.
     const std::string path =
         ResultCache(dir).entryPath(fingerprintJob(specs[0]));
-    std::string entry = readFile(path);
-    const std::string v2 = "sst-result-cache v2\n";
-    ASSERT_EQ(entry.rfind(v2, 0), 0u);
-    std::string v1 = "sst-result-cache v1\n";
-    std::size_t pos = v2.size();
-    for (std::size_t nl; (nl = entry.find('\n', pos)) != std::string::npos;
-         pos = nl + 1)
-        if (entry.compare(pos, 7, "thread ") != 0)
-            v1 += entry.substr(pos, nl + 1 - pos);
-    writeFile(path, v1);
+    const std::string entry = readFile(path);
+    const std::string current = "sst-result-cache v3\n";
+    ASSERT_EQ(entry.rfind(current, 0), 0u);
+    for (const char *old : {"sst-result-cache v1\n", "sst-result-cache v2\n"}) {
+        SCOPED_TRACE(old);
+        writeFile(path, old + entry.substr(current.size()));
 
-    telemetry::Registry::global().reset();
-    telemetry::Registry::global().setEnabled(true);
-    runExperimentBatch(specs, opts, &stats);
-    const std::string metrics = telemetry::Registry::global().renderText();
-    telemetry::Registry::global().reset();
-    EXPECT_EQ(stats.executed, 1u);
-    EXPECT_EQ(stats.cached, 0u);
-    EXPECT_NE(metrics.find("sst_driver_cache_heals_total 1\n"),
-              std::string::npos)
-        << metrics;
+        telemetry::Registry::global().reset();
+        telemetry::Registry::global().setEnabled(true);
+        runExperimentBatch(specs, opts, &stats);
+        const std::string metrics =
+            telemetry::Registry::global().renderText();
+        telemetry::Registry::global().reset();
+        EXPECT_EQ(stats.executed, 1u);
+        EXPECT_EQ(stats.cached, 0u);
+        EXPECT_NE(metrics.find("sst_driver_cache_heals_total 1\n"),
+                  std::string::npos)
+            << metrics;
 
-    // The re-executed job overwrote the entry in the current layout.
-    EXPECT_EQ(readFile(path), entry);
-    runExperimentBatch(specs, opts, &stats);
-    EXPECT_EQ(stats.cached, 1u);
+        // The re-executed job overwrote the entry in the current layout.
+        EXPECT_EQ(readFile(path), entry);
+        runExperimentBatch(specs, opts, &stats);
+        EXPECT_EQ(stats.cached, 1u);
+    }
     std::filesystem::remove_all(dir);
 }
 

@@ -57,18 +57,19 @@ testJob(int nthreads, std::uint64_t seed_offset = 0)
     return spec;
 }
 
+/** A successful experiment's result: its two runs, @p nthreads
+ *  parallel threads. */
 JobResult
-okResult(std::uint64_t ts = 100, std::uint64_t tp = 50)
+okResult(std::uint64_t ts = 100, std::uint64_t tp = 50, int nthreads = 2)
 {
     JobResult r;
     r.status = JobStatus::kOk;
-    r.exp.label = "t-compute";
-    r.exp.nthreads = 2;
-    r.exp.parallel.threads.resize(2); // the codec carries one per thread
-    r.exp.ts = ts;
-    r.exp.tp = tp;
-    r.exp.actualSpeedup = static_cast<double>(ts) /
-                          static_cast<double>(tp);
+    r.exp.single.nthreads = 1;
+    r.exp.single.executionTime = ts;
+    r.exp.parallel.nthreads = nthreads;
+    r.exp.parallel.executionTime = tp;
+    // The codec carries one `thread` line per thread.
+    r.exp.parallel.threads.resize(static_cast<std::size_t>(nthreads));
     return r;
 }
 
@@ -627,13 +628,13 @@ TEST(Protocol, BaselineSummaryCodecIsStrict)
              std::string(""),
              text.substr(0, text.size() - 1),        // no final newline
              text + "extra 1\n",                      // trailing line
-             "instructions 1\nts 1\nspin-instructions 0\nevents 0\nend\n",
-             "ts -1\ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
-             "ts +1\ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
-             "ts \ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
-             "ts 99999999999999999999\ninstructions 1\n"
+             "instructions 1\ncycles 1\nspin-instructions 0\nevents 0\nend\n",
+             "cycles -1\ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
+             "cycles +1\ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
+             "cycles \ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
+             "cycles 99999999999999999999\ninstructions 1\n"
              "spin-instructions 0\nevents 0\nend\n",
-             "ts 1\ninstructions 1\nevents 0\nend\n",
+             "cycles 1\ninstructions 1\nevents 0\nend\n",
          }) {
         EXPECT_FALSE(decodeBaselineSummary(bad, back)) << bad;
         EXPECT_EQ(back.executionTime, 1u) << "untouched on failure";
@@ -642,21 +643,22 @@ TEST(Protocol, BaselineSummaryCodecIsStrict)
 
 TEST(Protocol, JobResultCodecRoundTrips)
 {
-    JobResult ok = okResult(7008000, 3518060);
-    ok.exp.label = "label with spaces";
-    ok.exp.actualSpeedup = 1.9920069583804711;
-    ok.exp.stack.baseSpeedup = 1.9996469645202186;
-    ok.exp.stack.spin = 0.00022228159838092585;
+    JobResult ok = okResult(7008000, 3518060, 4);
+    ok.exp.single.totalInstructions = 28032000;
+    ok.exp.parallel.totalSpinInstructions = 480;
+    ok.exp.parallel.threads[3].spinDetectedLi = 12345;
     JobResult decoded;
     ASSERT_TRUE(serve::decodeJobResult(serve::encodeJobResult(ok),
                                        decoded));
     EXPECT_EQ(decoded.status, JobStatus::kOk);
-    EXPECT_EQ(decoded.exp.label, ok.exp.label);
-    EXPECT_EQ(decoded.exp.ts, ok.exp.ts);
-    EXPECT_EQ(decoded.exp.tp, ok.exp.tp);
-    // %.17g doubles survive the text round trip bit-exactly.
-    EXPECT_EQ(decoded.exp.actualSpeedup, ok.exp.actualSpeedup);
-    EXPECT_EQ(decoded.exp.stack.spin, ok.exp.stack.spin);
+    EXPECT_EQ(decoded.exp.single.executionTime, 7008000u);
+    EXPECT_EQ(decoded.exp.single.totalInstructions, 28032000u);
+    EXPECT_EQ(decoded.exp.parallel.executionTime, 3518060u);
+    EXPECT_EQ(decoded.exp.parallel.totalSpinInstructions, 480u);
+    EXPECT_EQ(decoded.exp.parallel.nthreads, 4);
+    ASSERT_EQ(decoded.exp.parallel.threads.size(), 4u);
+    EXPECT_EQ(decoded.exp.parallel.threads[3].spinDetectedLi, 12345u);
+    EXPECT_EQ(serve::encodeJobResult(decoded), serve::encodeJobResult(ok));
 
     JobResult failed;
     failed.status = JobStatus::kFailed;
@@ -667,8 +669,26 @@ TEST(Protocol, JobResultCodecRoundTrips)
     EXPECT_EQ(decoded.error, failed.error);
 
     EXPECT_FALSE(serve::decodeJobResult("garbage", decoded));
-    EXPECT_FALSE(serve::decodeJobResult("result-status ok\nlabel x\n",
+    EXPECT_FALSE(serve::decodeJobResult("result-status ok\ncycles 1\n",
                                         decoded)); // no end sentinel
+}
+
+TEST(Protocol, EveryPrefixOfAnExperimentDoneIsRejected)
+{
+    // A `done` payload cut anywhere (a dropped connection, a worker
+    // killed mid-write) is undecodable, never a shorter result.
+    JobResult ok = okResult(7008000, 3518060, 3);
+    ok.status = JobStatus::kCached;
+    ok.error = "note";
+    const std::string text = serve::encodeJobResult(ok);
+    JobResult decoded;
+    ASSERT_TRUE(serve::decodeJobResult(text, decoded));
+    for (std::size_t n = 0; n < text.size(); ++n) {
+        JobResult out = okResult(1, 1, 1);
+        EXPECT_FALSE(serve::decodeJobResult(text.substr(0, n), out))
+            << "prefix of " << n << " bytes";
+        EXPECT_EQ(out.exp.parallel.nthreads, 1) << "untouched on failure";
+    }
 }
 
 TEST(Protocol, BaselineJobResultCodecIsStrict)
@@ -699,7 +719,7 @@ TEST(Protocol, BaselineJobResultCodecIsStrict)
         decoded, true));
     EXPECT_FALSE(serve::decodeJobResult("result-status ok\n", decoded,
                                         true));
-    EXPECT_FALSE(serve::decodeJobResult("result-status failed\nts 1\n",
+    EXPECT_FALSE(serve::decodeJobResult("result-status failed\ncycles 1\n",
                                         decoded, true));
 }
 
@@ -1547,6 +1567,92 @@ TEST(ServeEndToEnd, DoneFromANonHolderNeverReachesTheCache)
                      .lookup(fingerprintJob(spec), stored))
         << "a non-holder's done poisoned the result cache";
     EXPECT_EQ(server.queue().stateOf(done.jobId), QueueJobState::kLeased);
+    server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, DoneOfAnotherThreadCountFailsTheJob)
+{
+    const std::string dir = makeTempDir("mismatch");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.driver.cacheDir = dir + "/cache";
+    opts.localWorkers = 0;
+    opts.queue.backoffBaseMs = 1;
+    serve::Server server(opts);
+    server.start();
+
+    const std::string specText = "profiles = cholesky\nthreads = 4\n";
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign("camp", 0, specText, response));
+
+    // A hand-rolled worker: it settles the baseline, then reports a
+    // well-formed 2-thread result for the 4-thread experiment.
+    Request done;
+    done.kind = Request::Kind::kDone;
+    done.worker = "liar";
+    std::string lease = requestLine(server.endpoint(), "lease liar");
+    ASSERT_EQ(lease.rfind("ok baseline ", 0), 0u) << lease;
+    done.jobId = std::stoull(serve::splitTokens(lease)[2]);
+    done.payload = serve::encodeJobResult(baselineResult());
+    ASSERT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
+              "ok");
+    lease = requestLine(server.endpoint(), "lease liar");
+    ASSERT_EQ(lease.rfind("ok job ", 0), 0u) << lease;
+    done.jobId = std::stoull(serve::splitTokens(lease)[2]);
+    done.payload = serve::encodeJobResult(okResult(1000, 500, 2));
+    EXPECT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
+              "err result of 2 thread(s) for a 4-thread job");
+
+    // Like an undecodable payload: the job is requeued, not settled,
+    // and nothing reached the cache under its fingerprint.
+    EXPECT_EQ(server.queue().stateOf(done.jobId), QueueJobState::kPending);
+    EXPECT_EQ(server.queue().stats().requeues, 1u);
+    const JobSpec spec = expandGrid(parseSpec(specText))[0];
+    SpeedupExperiment stored;
+    EXPECT_FALSE(ResultCache(opts.driver.cacheDir)
+                     .lookup(fingerprintJob(spec), stored))
+        << "a mismatched done poisoned the result cache";
+    EXPECT_NE(server.statusText().find("worker liar leases=2 done=1 "
+                                       "failed=1"),
+              std::string::npos)
+        << server.statusText();
+    server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, LiCampaignReusesTheTianCampaignsJobs)
+{
+    // The stack detector is not part of a job: a Li campaign of the
+    // grid a Tian campaign ran dedups onto its jobs, simulates nothing,
+    // and still streams Li's stacks.
+    const std::string dir = makeTempDir("li-after-tian");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.localWorkers = 1;
+    serve::Server server(opts);
+    server.start();
+
+    const std::string tianText = "profiles = cholesky\nthreads = 4, 16\n";
+    const std::string liText = tianText + "machine.stack-detector = li\n";
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign("tian", 0, tianText, response));
+    const Streamed tian =
+        streamRequest(server.endpoint(), "results tian csv wait");
+    EXPECT_EQ(tian.end, "end complete 2/2");
+    ASSERT_TRUE(server.submitCampaign("li", 0, liText, response));
+    EXPECT_EQ(response, "ok submitted li jobs=2 new=0 deduped=2 cached=0");
+    const Streamed li = streamRequest(server.endpoint(), "results li csv wait");
+    EXPECT_EQ(li.end, "end complete 2/2");
+
+    for (const auto &[text, body] :
+         {std::pair{tianText, tian.body}, std::pair{liText, li.body}}) {
+        const std::vector<JobSpec> jobs = expandGrid(parseSpec(text));
+        EXPECT_EQ(body, sweepCsv(jobs, runExperimentBatch(jobs, {})))
+            << text;
+    }
+    EXPECT_NE(li.body, tian.body) << "the detectors agree here, so the "
+                                     "test proves nothing";
     server.stop();
     std::filesystem::remove_all(dir);
 }
