@@ -642,8 +642,6 @@ workerMain(int argc, char **argv, int first)
              intoEndpoint(opts.endpoint)},
             {"--name", "NAME", "worker identity (default: worker-<pid>)",
              into(opts.name)},
-            {"--cache-dir", "DIR", "worker-side result cache (default: none)",
-             into(opts.driver.cacheDir)},
             {"--trace-dir", "DIR", "replay recorded op traces from DIR",
              into(opts.driver.traceDir)},
             {"--poll-ms", "K", "retry interval after a failed lease request",

@@ -163,7 +163,6 @@ class BaselineStreams
 struct JobExecutor::Impl
 {
     DriverOptions opts;
-    ResultCache *cache = nullptr;
     std::atomic<std::size_t> baselinesComputed{0};
     TraceRecordClaims records;
     BaselineStreams baselineStreams;
@@ -171,11 +170,9 @@ struct JobExecutor::Impl
     /** Run group @p group's 1-thread baseline of @p spec. */
     JobResult runBaseline(const JobSpec &spec, int group);
 
-    /** Run the experiment of @p spec on its group baselines @p bases
-     *  (validation, trace replay or record, cache store). */
-    JobResult
-    runExperiment(const JobSpec &spec,
-                  const std::vector<std::shared_ptr<const RunResult>> &bases);
+    /** Run the parallel run of @p spec (validation, trace replay or
+     *  record). */
+    JobResult runExperiment(const JobSpec &spec);
 };
 
 JobResult
@@ -202,9 +199,7 @@ JobExecutor::Impl::runBaseline(const JobSpec &spec, int group)
 }
 
 JobResult
-JobExecutor::Impl::runExperiment(
-    const JobSpec &spec,
-    const std::vector<std::shared_ptr<const RunResult>> &bases)
+JobExecutor::Impl::runExperiment(const JobSpec &spec)
 {
     JobResult res;
     try {
@@ -215,11 +210,6 @@ JobExecutor::Impl::runExperiment(
         const WorkloadSpec workload = spec.effectiveWorkload();
         const int nthreads = workload.nthreads();
         const int ngroups = workload.ngroups();
-        if (bases.size() != static_cast<std::size_t>(ngroups))
-            throw std::invalid_argument(
-                "job '" + spec.label() + "': handed " +
-                std::to_string(bases.size()) + " baseline run(s) for " +
-                std::to_string(ngroups) + " group(s)");
 
         // Trace replay: when the job's canonical recording exists, the
         // parallel run re-simulates from the recorded op streams and no
@@ -301,20 +291,10 @@ JobExecutor::Impl::runExperiment(
             }
         }
 
-        std::vector<RunResult> runs;
-        runs.reserve(bases.size());
-        for (const std::shared_ptr<const RunResult> &run : bases)
-            runs.push_back(*run);
-        res.exp.single = combineGroupBaselines(runs);
+        if (!opts.fullRuns)
+            parallel.dropDetail(); // no cache entry holds it
         res.exp.parallel = std::move(parallel);
         res.tracedReplay = reader != nullptr;
-        if (cache) {
-            const Fingerprint fp = fingerprintJob(spec);
-            telemetry::ScopedSpan storeSpan("cache-store", "driver");
-            cache->store(fp, res.exp);
-        }
-        if (!opts.fullRuns)
-            res.exp.parallel.dropDetail(); // the baselines come without it
         res.status = JobStatus::kOk;
     } catch (const std::exception &e) {
         res.status = JobStatus::kFailed;
@@ -323,11 +303,10 @@ JobExecutor::Impl::runExperiment(
     return res;
 }
 
-JobExecutor::JobExecutor(const DriverOptions &opts, ResultCache *cache)
+JobExecutor::JobExecutor(const DriverOptions &opts)
     : impl_(std::make_unique<Impl>())
 {
     impl_->opts = opts;
-    impl_->cache = cache;
 }
 
 JobExecutor::~JobExecutor() = default;
@@ -335,7 +314,6 @@ JobExecutor::~JobExecutor() = default;
 JobResult
 JobExecutor::run(const LeasedJob &job)
 {
-    telemetry::ScopedSpan jobSpan("job", "driver");
     if (job.isBaseline())
         return impl_->runBaseline(job.spec, job.group);
 
@@ -344,7 +322,7 @@ JobExecutor::run(const LeasedJob &job)
     const auto start = instrumented
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-    JobResult res = impl_->runExperiment(job.spec, job.baselines);
+    JobResult res = impl_->runExperiment(job.spec);
     if (instrumented) {
         const double seconds =
             std::chrono::duration<double>(
@@ -437,7 +415,7 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
     stats_ = BatchStats{};
     stats_.total = specs.size();
 
-    JobExecutor executor(opts_, cache_.get());
+    JobExecutor executor(opts_);
 
     // The batch runs through the same JobQueue the experiment service
     // uses (src/serve/), with in-process lease-loop threads as the
@@ -445,7 +423,7 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
     // so every leased job completes — timestamps stay 0 and no lease
     // ever expires. Fingerprint dedup means a batch that lists the same
     // job twice executes it once and both rows share the result.
-    JobQueue queue;
+    JobQueue queue(JobQueueOptions(), cache_.get());
     // A pool never outnumbers its work: one lookup per spec, then one
     // lease loop per queued job (experiments plus distinct baselines).
     const std::size_t maxWorkers =
@@ -512,7 +490,10 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
             const std::uint64_t epoch = queue.readyEpoch();
             LeasedJob job;
             if (queue.lease(worker, 0, job)) {
-                queue.complete(job.id, worker, executor.run(job));
+                {
+                    telemetry::ScopedSpan jobSpan("job", "driver");
+                    queue.complete(job.id, worker, executor.run(job));
+                }
                 publishDepth();
             } else if (queue.idle()) {
                 return;

@@ -4,8 +4,8 @@
  * speedup-experiment jobs on worker threads that lease them from a
  * JobQueue, runs each distinct single-threaded baseline once as a queue
  * job of its own that every experiment needing it depends on, memoizes
- * completed jobs in a content-addressed on-disk cache, and isolates
- * failures so one bad spec never poisons a batch.
+ * completed jobs in a content-addressed on-disk cache (written by the
+ * queue), and isolates failures so one bad spec never poisons a batch.
  *
  * Determinism contract: a job's result is a pure function of its
  * JobSpec. The simulator keeps all state per-System instance and every
@@ -97,28 +97,24 @@ struct BatchStats
 
 /**
  * Executes leased queue jobs (driver/job_queue.hh): one group's 1-thread
- * baseline, or an experiment's two runs: the baseline runs the queue
- * hands it and the parallel run (validation, trace replay/record and
- * the result-cache store). The in-process worker threads and external
- * `sst worker` processes (src/serve/) share this one implementation.
+ * baseline, or an experiment's parallel run (validation, trace
+ * replay/record; the queue pairs and caches it). The in-process worker
+ * threads and `sst worker` processes (src/serve/) share this code.
  * Thread-safe: concurrent run() calls share the record-path claims and
  * encoded baseline streams of --record-dir.
  */
 class JobExecutor
 {
   public:
-    /**
-     * @p cache may be null (memoization disabled); when set it must
-     * outlive the executor and receives every experiment this executor
-     * completes. @p opts is copied.
-     */
-    JobExecutor(const DriverOptions &opts, ResultCache *cache);
+    /** @p opts is copied; its cacheDir is not read. */
+    explicit JobExecutor(const DriverOptions &opts);
     ~JobExecutor();
 
     /**
      * Execute @p job. Never throws: spec validation or execution errors
      * yield a kFailed result carrying the message. A successful
-     * baseline job's result carries its run (JobResult::baseline).
+     * baseline job's result carries its run (JobResult::baseline), a
+     * successful experiment's its parallel run (exp.parallel).
      */
     JobResult run(const LeasedJob &job);
 

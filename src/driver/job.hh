@@ -105,12 +105,12 @@ enum class JobStatus : std::uint8_t {
 };
 
 /**
- * Outcome of one job. In the queue, the cache and on the wire, an
- * experiment's `exp` holds only its runs (single, parallel);
- * runExperimentBatch() and the server's result stream assemble the rest
- * for the spec that asked. Without DriverOptions::fullRuns the runs
+ * Outcome of one job. In the queue and the cache, an experiment's
+ * `exp` holds only its runs (parallel from the executor, single from
+ * the queue); runExperimentBatch() and the server's result stream
+ * assemble the rest for the spec that asked. Without fullRuns the runs
  * keep totals and each parallel thread's raw counters, no per-core
- * stats or region snapshots (see ResultCache).
+ * stats or region snapshots (see ResultCache, DriverOptions).
  */
 struct JobResult
 {

@@ -1,8 +1,12 @@
 #include "job_queue.hh"
 
 #include <chrono>
+#include <stdexcept>
 
+#include "core/experiment.hh"
 #include "driver/fingerprint.hh"
+#include "driver/result_cache.hh"
+#include "telemetry/span.hh"
 #include "util/logging.hh"
 
 namespace sst {
@@ -25,7 +29,8 @@ queueJobStateName(QueueJobState state)
     return "?";
 }
 
-JobQueue::JobQueue(JobQueueOptions opts) : opts_(opts)
+JobQueue::JobQueue(JobQueueOptions opts, ResultCache *cache)
+    : opts_(opts), cache_(cache)
 {
     sstAssert(opts_.maxAttempts >= 1,
               "JobQueue: maxAttempts must be >= 1");
@@ -289,9 +294,6 @@ JobQueue::lease(const std::string &worker, std::uint64_t now_ms,
         out.id = job.id;
         out.spec = job.spec;
         out.group = job.group;
-        out.baselines.clear();
-        for (const JobId b : job.baselines)
-            out.baselines.push_back(jobAt(b).result.baseline);
         out.attempt = job.attempts;
         out.leaseMs = opts_.leaseMs;
         return true;
@@ -299,41 +301,77 @@ JobQueue::lease(const std::string &worker, std::uint64_t now_ms,
     return false;
 }
 
+const JobQueue::Job *
+JobQueue::leasedBy(JobId id, const std::string &worker) const
+{
+    auto it = jobs_.find(id);
+    if (it == jobs_.end() || it->second.state != QueueJobState::kLeased ||
+        it->second.worker != worker)
+        return nullptr;
+    return &it->second;
+}
+
 bool
 JobQueue::heartbeat(JobId id, const std::string &worker,
                     std::uint64_t now_ms)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end())
-        return false;
-    Job &job = it->second;
-    if (job.state != QueueJobState::kLeased || job.worker != worker)
-        return false;
-    job.leaseExpiryMs = now_ms + opts_.leaseMs;
-    return true;
+    Job *job = leasedBy(id, worker);
+    if (job)
+        job->leaseExpiryMs = now_ms + opts_.leaseMs;
+    return job != nullptr;
 }
 
 bool
 JobQueue::complete(JobId id, const std::string &worker, JobResult result)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end())
-        return false;
-    Job &job = it->second;
+    JobSpec spec;
+    std::vector<RunResult> bases;
+    bool pair = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        Job *job = leasedBy(id, worker);
+        if (!job)
+            return false;
+        sstAssert(job->group == kExperimentJob || !result.ok() ||
+                      result.baseline != nullptr,
+                  "JobQueue: a completed baseline must carry its run");
+        pair = job->group == kExperimentJob && result.ok();
+        if (pair) {
+            spec = job->spec;
+            for (const JobId b : job->baselines)
+                bases.push_back(*jobAt(b).result.baseline);
+        }
+    }
+    // The pairing and the cache store (file I/O) run unlocked.
+    if (pair) {
+        try {
+            if (bases.empty())
+                throw std::invalid_argument(
+                    "job '" + spec.label() +
+                    "': no baseline job to pair its parallel run with");
+            result.exp.single = combineGroupBaselines(bases);
+            if (cache_) {
+                const Fingerprint fp = fingerprintJob(spec);
+                telemetry::ScopedSpan storeSpan("cache-store", "driver");
+                cache_->store(fp, result.exp);
+            }
+        } catch (const std::exception &e) {
+            result = JobResult();
+            result.error = e.what();
+        }
+    }
     // Only the current lease holder settles a job: a worker whose
     // lease expired (the job may already be running elsewhere) is
     // rejected, so one job never produces two results.
-    if (job.state != QueueJobState::kLeased || job.worker != worker)
+    std::lock_guard<std::mutex> lock(mutex_);
+    Job *job = leasedBy(id, worker);
+    if (!job)
         return false;
-    sstAssert(job.group == kExperimentJob || !result.ok() ||
-                  result.baseline != nullptr,
-              "JobQueue: a completed baseline must carry its run");
-    job.state = QueueJobState::kDone;
-    job.worker.clear();
-    job.result = std::move(result);
-    onSettled(job);
+    job->state = QueueJobState::kDone;
+    job->worker.clear();
+    job->result = std::move(result);
+    onSettled(*job);
     return true;
 }
 
@@ -342,19 +380,16 @@ JobQueue::fail(JobId id, const std::string &worker,
                const std::string &error, std::uint64_t now_ms)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end())
+    Job *job = leasedBy(id, worker);
+    if (!job)
         return FailOutcome::kStale;
-    Job &job = it->second;
-    if (job.state != QueueJobState::kLeased || job.worker != worker)
-        return FailOutcome::kStale;
-    if (job.attempts >= opts_.maxAttempts) {
-        settleFailed(job, "failed after " + std::to_string(job.attempts) +
-                              " attempts; last error: " + error);
+    if (job->attempts >= opts_.maxAttempts) {
+        settleFailed(*job, "failed after " + std::to_string(job->attempts) +
+                               " attempts; last error: " + error);
         return FailOutcome::kFailed;
     }
     ++requeues_;
-    makePending(job, now_ms + backoffFor(job.attempts));
+    makePending(*job, now_ms + backoffFor(job->attempts));
     return FailOutcome::kRequeued;
 }
 
@@ -433,12 +468,11 @@ JobQueue::tryLeasedSpec(JobId id, const std::string &worker, JobSpec &out,
                         int &group) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second.state != QueueJobState::kLeased ||
-        it->second.worker != worker)
+    const Job *job = leasedBy(id, worker);
+    if (!job)
         return false;
-    out = it->second.spec;
-    group = it->second.group;
+    out = job->spec;
+    group = job->group;
     return true;
 }
 

@@ -10,6 +10,10 @@
  * job per group and is only leased once all of them are done, so a
  * baseline shared by many experiments runs once, on any worker.
  *
+ * An experiment job produces only its parallel run (Tp); complete()
+ * pairs it with Ts of the baseline jobs the queue settled and writes
+ * the result cache, so no backend decides which Ts a Tp gets.
+ *
  * Semantics:
  *  - ordering: higher priority first, FIFO (submission order) within a
  *    priority level. A pending baseline takes the highest priority of
@@ -55,12 +59,15 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "driver/fingerprint.hh"
 #include "driver/job.hh"
 
 namespace sst {
+
+class ResultCache;
 
 /** Queue-wide job identifier (1-based; 0 is never a valid id). */
 using JobId = std::uint64_t;
@@ -111,8 +118,6 @@ struct LeasedJob
     JobSpec spec;
     /** kExperimentJob, or the group whose 1-thread baseline to run. */
     int group = kExperimentJob;
-    /** An experiment's baseline runs, one per workload group. */
-    std::vector<std::shared_ptr<const RunResult>> baselines;
     int attempt = 0;           ///< 1-based lease count
     std::uint64_t leaseMs = 0; ///< lease duration (heartbeat cadence hint)
 
@@ -147,7 +152,9 @@ struct QueueStats
 class JobQueue
 {
   public:
-    explicit JobQueue(JobQueueOptions opts = JobQueueOptions());
+    /** @p cache (may be null) must outlive the queue. */
+    explicit JobQueue(JobQueueOptions opts = JobQueueOptions(),
+                      ResultCache *cache = nullptr);
 
     /**
      * Enqueue the experiment of @p spec at @p priority (higher runs
@@ -191,10 +198,12 @@ class JobQueue
 
     /**
      * Settle @p id with @p result; a successful baseline's result
-     * carries its run (JobResult::baseline). Only the current lease
-     * holder may complete a job: a stale worker (its lease expired and
-     * the job was reassigned) is rejected so a requeued job is never
-     * settled twice.
+     * carries its run (JobResult::baseline), an experiment's its
+     * parallel run, which is paired with its baseline jobs' runs
+     * (replacing exp.single) and cached before it settles. Only the
+     * current lease holder may complete a job: a stale worker (its
+     * lease expired and the job was reassigned) is rejected so a
+     * requeued job is never settled twice.
      */
     bool complete(JobId id, const std::string &worker, JobResult result);
 
@@ -297,6 +306,12 @@ class JobQueue
     void settleFailed(Job &job, const std::string &error);
     void onSettled(Job &job);
     bool baselinesDone(const Job &job) const;
+    /** @p id if @p worker holds its lease, else null. */
+    const Job *leasedBy(JobId id, const std::string &worker) const;
+    Job *leasedBy(JobId id, const std::string &worker)
+    {
+        return const_cast<Job *>(std::as_const(*this).leasedBy(id, worker));
+    }
     const Job *failedBaseline(const Job &job) const;
     void wakeLocked();
     Job &jobAt(JobId id);
@@ -305,6 +320,7 @@ class JobQueue
     static JobResult settledResult(const Job &job);
 
     JobQueueOptions opts_;
+    ResultCache *cache_ = nullptr;
     mutable std::mutex mutex_;
     mutable std::condition_variable settledCv_;
     mutable std::condition_variable readyCv_;

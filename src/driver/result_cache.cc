@@ -1,5 +1,6 @@
 #include "result_cache.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <filesystem>
 #include <fstream>
@@ -170,17 +171,48 @@ readEntry(std::istream &in, const Fingerprint &fp, SpeedupExperiment &out)
     }
 }
 
+/**
+ * Read a run's lines (encodeRun) from @p in into @p run, through
+ * `end`. Its totals must be what System::run derives from its threads,
+ * so a run that disagrees with itself is rejected, whoever wrote it.
+ */
+bool
+readRun(LineReader &in, RunResult &run)
+{
+    in("nthreads", run.nthreads);
+    // The thread count sizes the counters: bound it before allocating.
+    if (!in.ok() || run.nthreads < 1 || run.nthreads > kMaxSimCores)
+        return false;
+    forEachRunField(run, in);
+    run.threads.resize(static_cast<std::size_t>(run.nthreads));
+    for (ThreadCounters &t : run.threads)
+        in("thread", t);
+    if (!in.atEnd())
+        return false; // truncated, or more thread lines than nthreads
+    Cycles cycles = 0;
+    std::uint64_t instructions = 0, spin = 0;
+    for (const ThreadCounters &t : run.threads) {
+        if (t.spinInstructions > t.instructions)
+            return false;
+        cycles = std::max(cycles, t.finishTime);
+        instructions += t.instructions - t.spinInstructions;
+        spin += t.spinInstructions;
+    }
+    return cycles == run.executionTime &&
+           instructions == run.totalInstructions &&
+           spin == run.totalSpinInstructions;
+}
+
 } // namespace
 
 std::string
-encodeExperimentRuns(const SpeedupExperiment &exp)
+encodeRun(const RunResult &run)
 {
     std::string out;
     const LineWriter write{out};
-    forEachRunField(exp.single, write);
-    write("nthreads", exp.parallel.nthreads);
-    forEachRunField(exp.parallel, write);
-    for (const ThreadCounters &t : exp.parallel.threads) {
+    write("nthreads", run.nthreads);
+    forEachRunField(run, write);
+    for (const ThreadCounters &t : run.threads) {
         out += "thread";
         for (const auto field : kThreadFields)
             out += ' ' + std::to_string(t.*field);
@@ -189,48 +221,35 @@ encodeExperimentRuns(const SpeedupExperiment &exp)
     return out + "end\n";
 }
 
+std::string
+encodeExperimentRuns(const SpeedupExperiment &exp)
+{
+    std::string out;
+    forEachRunField(exp.single, LineWriter{out});
+    return out + encodeRun(exp.parallel);
+}
+
 bool
 decodeExperimentRuns(const std::string &text, SpeedupExperiment &out)
 {
     LineReader in(text);
     SpeedupExperiment exp;
-    RunResult &parallel = exp.parallel;
     forEachRunField(exp.single, in);
-    in("nthreads", parallel.nthreads);
-    // The thread count sizes the counters: bound it before allocating.
-    if (!in.ok() || parallel.nthreads < 1 ||
-        parallel.nthreads > kMaxSimCores)
+    if (!readRun(in, exp.parallel))
         return false;
-    forEachRunField(parallel, in);
-    parallel.threads.resize(static_cast<std::size_t>(parallel.nthreads));
-    for (ThreadCounters &t : parallel.threads)
-        in("thread", t);
-    if (!in.atEnd())
-        return false; // truncated, or more thread lines than nthreads
     exp.single.nthreads = 1;
     exp.single.ncores = 1;
     out = std::move(exp);
     return true;
 }
 
-std::string
-encodeBaselineSummary(const RunResult &run)
-{
-    std::string out;
-    forEachRunField(run, LineWriter{out});
-    return out + "end\n";
-}
-
 bool
-decodeBaselineSummary(const std::string &text, RunResult &out)
+decodeRun(const std::string &text, RunResult &out)
 {
     LineReader in(text);
     RunResult run;
-    forEachRunField(run, in);
-    if (!in.atEnd())
+    if (!readRun(in, run))
         return false;
-    run.nthreads = 1;
-    run.ncores = 1;
     out = std::move(run);
     return true;
 }

@@ -11,6 +11,7 @@
  * count, totals and one `thread` line of raw ThreadCounters per thread.
  * The stack is assembleExperiment() of them, for the spec that asks.
  * Per-core cache/DRAM stats and region snapshots are not persisted.
+ * JobQueue::complete() is the one writer.
  *
  * Writes go through a temp file + atomic rename, so a cache directory
  * shared by concurrent sweep invocations never exposes torn results.
@@ -38,38 +39,33 @@ inline constexpr int kResultCacheVersion = 3;
 
 /**
  * Encode the runs of @p exp as `key value` lines: exp.single's totals,
- * exp.parallel's `nthreads` and totals, one `thread v1 ... v23` line
- * per parallel thread, then `end` — the body of a cache entry and the
- * serve protocol's wire form of a completed job (one codec, so the
- * socket and the cache can never disagree about a result).
+ * then encodeRun() of exp.parallel — the body of a cache entry.
  */
 std::string encodeExperimentRuns(const SpeedupExperiment &exp);
 
 /**
  * Decode encodeExperimentRuns() text strictly: exactly its lines in its
- * order, integers in decimal digits only, nthreads in 1..kMaxSimCores
- * with one `thread` line of 23 counters per thread, and nothing after
- * `end`. On success @p out holds the two runs only; on failure it is
- * untouched and false is returned.
+ * order, integers in decimal digits only, the parallel run as
+ * decodeRun() does. On success @p out holds the two runs only; on
+ * failure it is untouched and false is returned.
  */
 bool decodeExperimentRuns(const std::string &text, SpeedupExperiment &out);
 
 /**
- * Encode what experiments consume of a 1-thread baseline run — cycles
- * (Ts), instructions, spin instructions and engine events — as `key
- * value` lines terminated by an `end` line: the serve protocol's wire
- * form of a baseline job's run (its `done` report, and each experiment
- * lease).
+ * Encode @p run with its threads: `nthreads`, the totals and one
+ * `thread v1 ... v23` line per thread, then `end`. It is the parallel
+ * half of a cache entry and the body of a job's `done` report (one
+ * codec, so the socket and the cache can never disagree about a run).
  */
-std::string encodeBaselineSummary(const RunResult &run);
+std::string encodeRun(const RunResult &run);
 
 /**
- * Decode encodeBaselineSummary() text strictly: exactly its lines in
- * its order, decimal digits only, nothing after `end`. On success
- * @p out is a 1-thread run carrying those four fields; on failure it
+ * Decode encodeRun() text strictly: nthreads in 1..kMaxSimCores with
+ * one `thread` line of 23 counters per thread, nothing after `end`, and
+ * the totals System::run derives from those threads. On failure @p out
  * is untouched and false is returned.
  */
-bool decodeBaselineSummary(const std::string &text, RunResult &out);
+bool decodeRun(const std::string &text, RunResult &out);
 
 /** On-disk result store keyed by job fingerprints. */
 class ResultCache

@@ -272,25 +272,21 @@ parseRequest(const std::string &line)
 std::string
 encodeJobResult(const JobResult &result)
 {
-    const char *status = result.status == JobStatus::kOk       ? "ok"
-                         : result.status == JobStatus::kCached ? "cached"
-                                                               : "failed";
-    std::string out = std::string("result-status ") + status + "\n";
+    std::string out = std::string("result-status ") +
+                      (result.ok() ? "ok" : "failed") + "\n";
     if (!result.error.empty())
         out += "result-error " + escapeToken(result.error) + "\n";
-    if (result.baseline)
-        out += encodeBaselineSummary(*result.baseline);
-    else if (result.ok())
-        out += encodeExperimentRuns(result.exp);
+    if (result.ok())
+        out += encodeRun(result.baseline ? *result.baseline
+                                         : result.exp.parallel);
     return out;
 }
 
 bool
 decodeJobResult(const std::string &text, JobResult &out, bool baseline)
 {
-    // A status line, an optional error line, then the body: the
-    // experiment's runs or the baseline summary of the shared cache
-    // codec.
+    // A status line, an optional error line, then the body: the run of
+    // the shared cache codec, 1-thread for a baseline job.
     const std::string status_key = "result-status ";
     const std::string error_key = "result-error ";
     std::size_t nl = text.find('\n');
@@ -301,8 +297,6 @@ decodeJobResult(const std::string &text, JobResult &out, bool baseline)
     JobResult res;
     if (status == "ok")
         res.status = JobStatus::kOk;
-    else if (status == "cached" && !baseline)
-        res.status = JobStatus::kCached;
     else if (status == "failed")
         res.status = JobStatus::kFailed;
     else
@@ -321,14 +315,15 @@ decodeJobResult(const std::string &text, JobResult &out, bool baseline)
         pos = nl + 1;
     }
 
-    if (res.ok() && baseline) {
+    if (res.ok()) {
         RunResult run;
-        if (!decodeBaselineSummary(text.substr(pos), run))
+        if (!decodeRun(text.substr(pos), run) ||
+            (baseline && run.nthreads != 1))
             return false;
-        res.baseline = std::make_shared<const RunResult>(std::move(run));
-    } else if (res.ok()) {
-        if (!decodeExperimentRuns(text.substr(pos), res.exp))
-            return false;
+        if (baseline)
+            res.baseline = std::make_shared<const RunResult>(std::move(run));
+        else
+            res.exp.parallel = std::move(run);
     } else if (pos != text.size()) {
         return false;
     }
@@ -345,11 +340,8 @@ leaseReply(const LeasedJob &job)
                       std::to_string(job.id) + ' ' +
                       std::to_string(job.leaseMs) + ' ';
     if (job.isBaseline())
-        return out + std::to_string(job.group) + ' ' + spec;
-    out += spec;
-    for (const std::shared_ptr<const RunResult> &run : job.baselines)
-        out += ' ' + escapeToken(encodeBaselineSummary(*run));
-    return out;
+        out += std::to_string(job.group) + ' ';
+    return out + spec;
 }
 
 bool
@@ -357,32 +349,22 @@ parseLeaseReply(const std::string &line, LeasedJob &out,
                 std::string &spec_text)
 {
     const std::vector<std::string> tokens = splitTokens(line);
-    if (tokens.size() < 5 || tokens[0] != "ok" ||
-        (tokens[1] != "job" && tokens[1] != "baseline"))
-        return false;
-    const bool baseline = tokens[1] == "baseline";
-    if (baseline && tokens.size() != 6)
+    const bool baseline = tokens.size() == 6 && tokens[1] == "baseline";
+    const bool experiment = tokens.size() == 5 && tokens[1] == "job";
+    if (!(baseline || experiment) || tokens[0] != "ok")
         return false;
     LeasedJob job;
     try {
         job.id = tokenU64("job id", tokens[2]);
         job.leaseMs = tokenU64("lease ms", tokens[3]);
-        std::size_t next = 4;
         if (baseline) {
-            const std::uint64_t group = tokenU64("group", tokens[next++]);
+            const std::uint64_t group = tokenU64("group", tokens[4]);
             if (group > static_cast<std::uint64_t>(
                             std::numeric_limits<int>::max()))
                 return false;
             job.group = static_cast<int>(group);
         }
-        spec_text = unescapeToken(tokens[next++]);
-        for (; next < tokens.size(); ++next) {
-            RunResult run;
-            if (!decodeBaselineSummary(unescapeToken(tokens[next]), run))
-                return false;
-            job.baselines.push_back(
-                std::make_shared<const RunResult>(std::move(run)));
-        }
+        spec_text = unescapeToken(tokens.back());
     } catch (const std::invalid_argument &) {
         return false;
     }

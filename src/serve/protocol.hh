@@ -25,7 +25,6 @@
  *
  * Worker requests:
  *   lease <worker>                 -> ok job <id> <lease-ms> <spec-text>
- *                                       <summary>...
  *                                     | ok baseline <id> <lease-ms>
  *                                       <group> <spec-text>
  *                                     | ok none | ok drained
@@ -35,15 +34,15 @@
  *   done <worker> <id> <result>    complete (result blob, see below)
  *   fail <worker> <id> <error>     infrastructure failure -> retry
  *
- * A lease hands out one queue job (driver/job_queue.hh): the experiment
- * of a spec, together with one encodeBaselineSummary() per workload
- * group (its finished 1-thread baselines), or the 1-thread baseline of
- * one group of a spec. Completed jobs travel as encodeJobResult()
- * blobs: a status line plus the result cache's encoding of the
- * experiment's two runs, or a baseline's summary — one codec for the
- * socket and the cache, so they can never disagree about a result.
+ * A lease hands out one queue job (driver/job_queue.hh): the parallel
+ * run of a spec's experiment, or the 1-thread baseline of one group of
+ * a spec. Completed jobs travel as encodeJobResult() blobs: a status
+ * line plus the job's run in the result cache's encodeRun() (for an
+ * experiment, the parallel half of its cache entry) — one codec for
+ * the socket and the cache, so they can never disagree about a run.
  * Only the lease holder's `done` counts; any other is answered `err
- * stale`, and one whose runs have another thread count fails the job.
+ * stale`, and one whose run has another thread count than the job, or
+ * totals that disagree with its thread lines, fails the job.
  */
 
 #ifndef SST_SERVE_PROTOCOL_HH
@@ -59,7 +58,7 @@ namespace sst {
 namespace serve {
 
 /** Wire protocol version (reported by `sst --version` and status). */
-inline constexpr int kProtocolVersion = 5;
+inline constexpr int kProtocolVersion = 6;
 
 /**
  * Escape @p s into one space-free token: backslash escapes for
@@ -114,10 +113,10 @@ std::string serializeRequest(const Request &req);
 Request parseRequest(const std::string &line);
 
 /**
- * Wire form of a completed job: `result-status ok|cached|failed`, an
- * optional `result-error <escaped>` line, then for non-failed results
- * the experiment's runs (encodeExperimentRuns), or for a baseline
- * job (JobResult::baseline set) its encodeBaselineSummary(). Multi-line;
+ * Wire form of a completed job: `result-status ok|failed` (a worker's
+ * run is never `cached`), an optional `result-error <escaped>` line,
+ * then for a non-failed result encodeRun() of the experiment's parallel
+ * run, or of a baseline job's run (JobResult::baseline set). Multi-line;
  * embed it in request lines via escapeToken(). The trace flags of
  * @p result are deliberately not carried — they describe the executing
  * side.
@@ -125,7 +124,7 @@ Request parseRequest(const std::string &line);
 std::string encodeJobResult(const JobResult &result);
 
 /** Invert encodeJobResult() of an experiment job, or of a baseline job
- *  when @p baseline. Returns false on malformed input. */
+ *  (a 1-thread run) when @p baseline. Returns false on malformed input. */
 bool decodeJobResult(const std::string &text, JobResult &out,
                      bool baseline = false);
 
@@ -135,8 +134,8 @@ std::string leaseReply(const LeasedJob &job);
 
 /**
  * Parse a leaseReply() line strictly into @p out, except its spec: the
- * spec text goes to @p spec_text, for the caller to expand (checking
- * one summary per group). Returns false on any malformed token.
+ * spec text goes to @p spec_text, for the caller to expand. Returns
+ * false on any malformed, missing or extra token.
  */
 bool parseLeaseReply(const std::string &line, LeasedJob &out,
                      std::string &spec_text);

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/experiment.hh"
-#include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
 #include "serve/journal.hh"
@@ -34,12 +33,13 @@ oneline(const std::string &msg)
 } // namespace
 
 Server::Server(ServerOptions opts)
-    : opts_(std::move(opts)), queue_(opts_.queue),
+    : opts_(std::move(opts)),
+      cache_(opts_.driver.cacheDir.empty()
+                 ? nullptr
+                 : std::make_unique<ResultCache>(opts_.driver.cacheDir)),
+      queue_(opts_.queue, cache_.get()), executor_(opts_.driver),
       epoch_(std::chrono::steady_clock::now())
 {
-    if (!opts_.driver.cacheDir.empty())
-        cache_ = std::make_unique<ResultCache>(opts_.driver.cacheDir);
-    executor_ = std::make_unique<JobExecutor>(opts_.driver, cache_.get());
 }
 
 Server::~Server()
@@ -229,10 +229,10 @@ Server::localWorkerLoop(int index)
         }
         noteLease(name);
         localCurrent_[index] = job.id;
-        JobResult result = executor_->run(job);
-        localCurrent_[index] = 0;
-        if (queue_.complete(job.id, name, std::move(result)))
+        telemetry::ScopedSpan jobSpan("job", "driver");
+        if (queue_.complete(job.id, name, executor_.run(job)))
             noteDone(name);
+        localCurrent_[index] = 0; // heartbeats ran through the store
     }
 }
 
@@ -586,15 +586,14 @@ Server::handleDone(const std::string &worker, JobId id,
 {
     telemetry::ScopedSpan span("done", "serve");
     // Only the lease holder may report: an id this queue never issued,
-    // or a job another worker holds, is stale — and must never reach
-    // the result cache.
+    // or a job another worker holds, is stale.
     JobSpec spec;
     int group = kExperimentJob;
     if (!queue_.tryLeasedSpec(id, worker, spec, group)) {
         sock.writeAll("err stale\n");
         return;
     }
-    // A payload that is garbage, or runs of another thread count, is a
+    // A payload that is garbage, or a run of another thread count, is a
     // worker-side defect: retry the job elsewhere rather than settling
     // it (and caching it under this job's fingerprint).
     JobResult result;
@@ -611,17 +610,6 @@ Server::handleDone(const std::string &worker, JobId id,
             noteFail(worker);
         sock.writeAll("err " + defect + "\n");
         return;
-    }
-    // Feed the server-side cache before settling: external workers may
-    // have no cache (or a private one), and a restarted server resumes
-    // from *this* cache.
-    if (group == kExperimentJob && result.ok() && cache_) {
-        try {
-            cache_->store(fingerprintJob(spec), result.exp);
-        } catch (const std::exception &e) {
-            warn("serve", "cache store for job " + std::to_string(id) +
-                              " failed: " + e.what());
-        }
     }
     if (queue_.complete(id, worker, std::move(result))) {
         noteDone(worker);

@@ -17,9 +17,10 @@
  *    failed without poisoning the rest of the campaign.
  *
  * Each distinct 1-thread baseline is a queue job of its own, leased to
- * either backend like any other job, and an experiment is leased with
- * its finished baselines — so each baseline is computed once across
- * every worker, and a lost one is requeued with its lease.
+ * either backend like any other job, and an experiment is leased once
+ * its baselines are done — so each baseline is computed once across
+ * every worker, and a lost one is requeued with its lease. Ts and the
+ * cache entry come from the queue, never from a worker's report.
  *
  * Determinism: results stream in a campaign's expansion order and every
  * job is a pure function of its spec, so a campaign streamed from the
@@ -64,8 +65,8 @@ struct ServerOptions
      */
     int localWorkers = 0;
 
-    /** Execution options shared by local workers (cacheDir enables the
-     *  server-side result cache; external workers feed it via done). */
+    /** Execution options shared by local workers; cacheDir enables the
+     *  result cache, written by the queue for every backend. */
     DriverOptions driver;
 
     /** Journal path; empty disables crash-safe campaign persistence. */
@@ -193,9 +194,9 @@ class Server
 
     ServerOptions opts_;
     Endpoint endpoint_;
+    std::unique_ptr<ResultCache> cache_; ///< before queue_, which uses it
     JobQueue queue_;
-    std::unique_ptr<ResultCache> cache_;
-    std::unique_ptr<JobExecutor> executor_;
+    JobExecutor executor_;
     std::unique_ptr<Journal> journal_;
     Listener listener_;
 

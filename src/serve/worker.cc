@@ -5,12 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "driver/result_cache.hh"
 #include "serve/protocol.hh"
 #include "spec/spec.hh"
 #include "util/logging.hh"
@@ -56,10 +54,6 @@ runWorker(const WorkerOptions &opts_in)
     if (opts.name.empty())
         opts.name = "worker-" + std::to_string(::getpid());
 
-    std::unique_ptr<ResultCache> cache;
-    if (!opts.driver.cacheDir.empty())
-        cache = std::make_unique<ResultCache>(opts.driver.cacheDir);
-
     // One request per connection, like every other client: a fresh
     // socket per call means a restarted server is just one failed
     // request, not a wedged stream.
@@ -73,7 +67,7 @@ runWorker(const WorkerOptions &opts_in)
         return reply;
     };
 
-    JobExecutor executor(opts.driver, cache.get());
+    JobExecutor executor(opts.driver);
 
     int connectFailures = 0;
     for (;;) {
@@ -148,9 +142,7 @@ runWorker(const WorkerOptions &opts_in)
             }
             job.spec = std::move(jobs[0]);
             const int ngroups = job.spec.workload.ngroups();
-            if (job.isBaseline() ? job.group >= ngroups
-                                 : job.baselines.size() !=
-                                       static_cast<std::size_t>(ngroups))
+            if (job.group >= ngroups)
                 throw std::runtime_error(
                     "lease does not match the spec's " +
                     std::to_string(ngroups) + " group(s)");

@@ -5,8 +5,9 @@
  * local JobExecutor, heartbeats each lease while the simulation runs,
  * and reports `done` (with the encoded result) or `fail` (for
  * infrastructure errors a retry elsewhere might not hit). A lease is
- * either a 1-thread baseline job or an experiment that arrives with its
- * finished baselines, so workers never recompute one another's.
+ * either a 1-thread baseline job or an experiment's parallel run, and
+ * the server pairs and caches the runs, so workers never recompute one
+ * another's baselines and keep no result cache.
  *
  * Workers are crash-only by design: there is no deregistration — a
  * killed worker simply stops heartbeating and the server's reaper
@@ -39,12 +40,7 @@ struct WorkerOptions
     /** Lease identity; also names the worker in server diagnostics. */
     std::string name;
 
-    /**
-     * Execution options. A non-empty cacheDir gives the worker its own
-     * copy of every experiment result it computes; by default workers
-     * run cacheless — the server looks results up at submission and
-     * caches what workers report.
-     */
+    /** Execution options; cacheDir is not read. */
     DriverOptions driver;
 
     /** Retry interval after a failed or unexpected lease request (an

@@ -6,7 +6,8 @@
  * Span sources:
  *  - driver job lifecycle (one lane per pool worker thread): every
  *    leased job is a `job` span holding either `baseline` (a 1-thread
- *    baseline job) or validate → simulate → cache-store (an experiment);
+ *    baseline job) or validate → simulate → cache-store (an
+ *    experiment; the queue stores it as the job completes);
  *  - serve lifecycle: submit → enqueue → lease → heartbeat → done (one
  *    lane per connection-handler / local-worker thread).
  *

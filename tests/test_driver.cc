@@ -506,8 +506,8 @@ writeFile(const std::string &path, const std::string &text)
     std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 }
 
-/** The two runs of an experiment of @p nthreads threads, every counter
- *  distinct. */
+/** The two runs of an experiment of @p nthreads threads, every set
+ *  counter distinct and the parallel totals consistent with them. */
 SpeedupExperiment
 runsWithThreads(int nthreads)
 {
@@ -519,18 +519,23 @@ runsWithThreads(int nthreads)
     exp.single.totalSpinInstructions = 3;
     exp.single.engineEvents = 77;
     exp.parallel.nthreads = nthreads;
-    exp.parallel.executionTime = 300;
-    exp.parallel.totalInstructions = 4100;
-    exp.parallel.totalSpinInstructions = 30;
     exp.parallel.engineEvents = 88;
     exp.parallel.threads.resize(static_cast<std::size_t>(
         std::max(nthreads, 0)));
     std::uint64_t v = 1;
     for (ThreadCounters &t : exp.parallel.threads) {
-        t.instructions = v++;
+        t.instructions = 1000 + v++;
+        t.spinInstructions = v++;
         t.coherencyMisses = v++;
         t.gtMemWaitOther = v++;
         t.finishTime = ~std::uint64_t{0} - v++; // the full 64-bit range
+    }
+    // The run's totals are what the simulator derives from its threads.
+    for (const ThreadCounters &t : exp.parallel.threads) {
+        exp.parallel.executionTime =
+            std::max(exp.parallel.executionTime, t.finishTime);
+        exp.parallel.totalInstructions += t.instructions - t.spinInstructions;
+        exp.parallel.totalSpinInstructions += t.spinInstructions;
     }
     return exp;
 }
@@ -545,7 +550,8 @@ TEST(ResultCache, RejectsCorruptAndTruncatedEntries)
     SpeedupExperiment loaded;
     ASSERT_TRUE(cache.lookup(fp, loaded));
     EXPECT_EQ(loaded.single.executionTime, 1000u);
-    EXPECT_EQ(loaded.parallel.executionTime, 300u);
+    EXPECT_EQ(loaded.parallel.executionTime,
+              runsWithThreads(2).parallel.executionTime);
 
     // Every proper prefix of the entry (a torn write) is a miss: the
     // magic, the hash, the canonical text, any run line or the `end`
@@ -615,14 +621,19 @@ TEST(ResultCache, RunsCodecRejectsNonDigitsAndBadThreadCounts)
     const std::string thread = text.substr(at, text.find('\n', at) - at);
     const std::string bad[] = {
         // Integers are decimal digits only, within their type: the
-        // baseline's lines come first, then the parallel run's.
+        // baseline's lines come first, then the parallel run's. The
+        // edits land on lines no consistency check reads (the
+        // baseline's totals, `events`), so only the parse can refuse.
         withLine(text, "nthreads ", "nthreads 4294967300"),
         withLine(text, "cycles ", "cycles -1"),
-        withLine(text, "cycles ", "cycles  +5", 1),
-        withLine(text, "cycles ", "cycles 5 ", 1),
+        withLine(text, "cycles ", "cycles  +5"),
+        withLine(text, "cycles ", "cycles +5"),
+        withLine(text, "cycles ", "cycles 5 "),
+        withLine(text, "events ", "events 5 ", 1),
+        withLine(text, "events ", "events ", 1),
         withLine(text, "nthreads ", "nthreads 2147483648"),
-        withLine(text, "instructions ",
-                 "instructions 18446744073709551616", 1),
+        withLine(text, "instructions ", "instructions 18446744073709551616"),
+        withLine(text, "events ", "events 18446744073709551616", 1),
         withLine(text, "thread ", "thread -1" + thread.substr(8)),
         // nthreads lies in 1..kMaxSimCores, thread lines or not.
         encodeExperimentRuns(runsWithThreads(0)),

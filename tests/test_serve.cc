@@ -58,7 +58,8 @@ testJob(int nthreads, std::uint64_t seed_offset = 0)
 }
 
 /** A successful experiment's result: its two runs, @p nthreads
- *  parallel threads. */
+ *  parallel threads that all finish at @p tp, so the run's totals agree
+ *  with its `thread` lines. */
 JobResult
 okResult(std::uint64_t ts = 100, std::uint64_t tp = 50, int nthreads = 2)
 {
@@ -70,6 +71,8 @@ okResult(std::uint64_t ts = 100, std::uint64_t tp = 50, int nthreads = 2)
     r.exp.parallel.executionTime = tp;
     // The codec carries one `thread` line per thread.
     r.exp.parallel.threads.resize(static_cast<std::size_t>(nthreads));
+    for (ThreadCounters &t : r.exp.parallel.threads)
+        t.finishTime = tp;
     return r;
 }
 
@@ -81,10 +84,26 @@ baselineResult(Cycles ts = 1000)
     run.nthreads = 1;
     run.ncores = 1;
     run.executionTime = ts;
+    run.threads.resize(1);
+    run.threads[0].finishTime = ts;
     JobResult r;
     r.status = JobStatus::kOk;
     r.baseline = std::make_shared<const RunResult>(run);
     return r;
+}
+
+/** Submit group 0's baseline of @p spec to the idle @p q and settle it
+ *  with a run of @p ts cycles; returns its id for experiments to
+ *  depend on. */
+JobId
+settleBaseline(JobQueue &q, const JobSpec &spec, Cycles ts = 1000)
+{
+    const SubmitOutcome base = q.submitBaseline(spec, 0, 0, 0);
+    LeasedJob lease;
+    EXPECT_TRUE(q.lease("baseliner", 0, lease));
+    EXPECT_EQ(lease.id, base.id);
+    EXPECT_TRUE(q.complete(base.id, "baseliner", baselineResult(ts)));
+    return base.id;
 }
 
 std::string
@@ -122,10 +141,11 @@ TEST(JobQueue, PriorityThenFifoOrdering)
 TEST(JobQueue, FingerprintDedup)
 {
     JobQueue q;
-    const SubmitOutcome first = q.submit(testJob(2), 0, 0);
+    const JobId base = settleBaseline(q, testJob(2));
+    const SubmitOutcome first = q.submit(testJob(2), 0, 0, {base});
     EXPECT_FALSE(first.deduped);
 
-    const SubmitOutcome dup = q.submit(testJob(2), 3, 0);
+    const SubmitOutcome dup = q.submit(testJob(2), 3, 0, {base});
     EXPECT_TRUE(dup.deduped);
     EXPECT_EQ(dup.id, first.id);
 
@@ -133,7 +153,7 @@ TEST(JobQueue, FingerprintDedup)
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
     ASSERT_TRUE(q.complete(lease.id, "w", okResult()));
-    const SubmitOutcome after = q.submit(testJob(2), 0, 0);
+    const SubmitOutcome after = q.submit(testJob(2), 0, 0, {base});
     EXPECT_TRUE(after.deduped);
     EXPECT_EQ(after.id, first.id);
 
@@ -203,7 +223,8 @@ TEST(JobQueue, LeaseExpiryRequeuesAndRejectsStaleCompletion)
     JobQueueOptions opts;
     opts.leaseMs = 100;
     JobQueue q(opts);
-    const SubmitOutcome job = q.submit(testJob(2), 0, 0);
+    const JobId base = settleBaseline(q, testJob(2));
+    const SubmitOutcome job = q.submit(testJob(2), 0, 0, {base});
 
     LeasedJob lease;
     ASSERT_TRUE(q.lease("dead", 0, lease));
@@ -309,17 +330,79 @@ TEST(JobQueue, DependentIsLeasedOnlyAfterItsBaselines)
         ASSERT_TRUE(q.lease("w", 0, lease));
         EXPECT_EQ(lease.id, id);
         EXPECT_FALSE(lease.isBaseline());
-        ASSERT_EQ(lease.baselines.size(), 1u);
-        EXPECT_EQ(lease.baselines[0]->executionTime, 1234u);
+    }
+    // Both experiments are paired with the one baseline run.
+    for (const JobId id : {four.id, eight.id}) {
+        const int nthreads = id == four.id ? 4 : 8;
+        ASSERT_TRUE(q.complete(id, "w", okResult(1, 50, nthreads)));
+        EXPECT_EQ(q.resultFor(id).exp.single.executionTime, 1234u);
     }
 
     // Per-state counts and submit counters are of experiments only.
     const QueueStats stats = q.stats();
-    EXPECT_EQ(stats.leased, 2u);
+    EXPECT_EQ(stats.done, 2u);
     EXPECT_EQ(stats.submitted, 2u);
     EXPECT_EQ(stats.baselines[static_cast<std::size_t>(
                   QueueJobState::kDone)],
               1u);
+}
+
+TEST(JobQueue, CompletedExperimentIsPairedWithTheBaselinesItSettled)
+{
+    const std::string dir = makeTempDir("pairing");
+    ResultCache cache(dir);
+    JobQueue q(JobQueueOptions(), &cache);
+
+    // One group: Ts is the settled baseline's run, whatever the
+    // completing worker sent as exp.single.
+    const JobId base = settleBaseline(q, testJob(2), 1234);
+    const SubmitOutcome two = q.submit(testJob(2), 0, 0, {base});
+    LeasedJob lease;
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    ASSERT_TRUE(q.complete(two.id, "w", okResult(7, 50, 2)));
+    JobResult result = q.resultFor(two.id);
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(result.exp.single.executionTime, 1234u);
+    EXPECT_EQ(result.exp.parallel.executionTime, 50u);
+    // ...and the queue stored that pair before the job settled.
+    SpeedupExperiment stored;
+    ASSERT_TRUE(cache.lookup(fingerprintJob(testJob(2)), stored));
+    EXPECT_EQ(stored.single.executionTime, 1234u);
+    EXPECT_EQ(stored.parallel.executionTime, 50u);
+
+    // Two groups: Ts is the sum of the groups' baselines. Group 0 runs
+    // the compute profile, so it shares the baseline job above.
+    JobSpec mix;
+    mix.workload = WorkloadSpec::mix(
+        {WorkloadGroup{test::computeOnlyProfile(), 2},
+         WorkloadGroup{test::memoryHeavyProfile(), 2}});
+    const SubmitOutcome g0 = q.submitBaseline(mix, 0, 0, 0);
+    EXPECT_EQ(g0.id, base);
+    const SubmitOutcome g1 = q.submitBaseline(mix, 1, 0, 0);
+    const SubmitOutcome four = q.submit(mix, 0, 0, {g0.id, g1.id});
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    ASSERT_TRUE(q.complete(g1.id, "w", baselineResult(1000)));
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    EXPECT_EQ(lease.id, four.id);
+    ASSERT_TRUE(q.complete(four.id, "w", okResult(9, 60, 4)));
+    result = q.resultFor(four.id);
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(result.exp.single.executionTime, 2234u);
+    EXPECT_EQ(result.exp.single.nthreads, 1);
+    ASSERT_TRUE(cache.lookup(fingerprintJob(mix), stored));
+    EXPECT_EQ(stored.single.executionTime, 2234u);
+
+    // An experiment with no baseline job has no Ts to pair with: an ok
+    // completion settles failed, and nothing is stored.
+    const SubmitOutcome lone = q.submit(testJob(8), 0, 0);
+    ASSERT_TRUE(q.lease("w", 0, lease));
+    ASSERT_TRUE(q.complete(lone.id, "w", okResult(7, 50, 8)));
+    result = q.resultFor(lone.id);
+    EXPECT_FALSE(result.ok());
+    EXPECT_NE(result.error.find("no baseline job"), std::string::npos)
+        << result.error;
+    EXPECT_FALSE(cache.lookup(fingerprintJob(testJob(8)), stored));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(JobQueue, ReadyDependentWakesWaitReady)
@@ -605,60 +688,34 @@ TEST(Protocol, ParseErrorsAreDescriptive)
             << gone;
 }
 
-TEST(Protocol, BaselineSummaryCodecIsStrict)
-{
-    RunResult run;
-    run.nthreads = 1;
-    run.executionTime = 7008000;
-    run.totalInstructions = 123456789;
-    run.totalSpinInstructions = 42;
-    run.engineEvents = 99;
-    const std::string text = encodeBaselineSummary(run);
-    RunResult back;
-    ASSERT_TRUE(decodeBaselineSummary(text, back));
-    EXPECT_EQ(back.nthreads, 1);
-    EXPECT_EQ(back.executionTime, run.executionTime);
-    EXPECT_EQ(back.totalInstructions, run.totalInstructions);
-    EXPECT_EQ(back.totalSpinInstructions, run.totalSpinInstructions);
-    EXPECT_EQ(back.engineEvents, run.engineEvents);
-    EXPECT_EQ(encodeBaselineSummary(back), text);
-
-    back.executionTime = 1;
-    for (const std::string &bad : std::vector<std::string>{
-             std::string(""),
-             text.substr(0, text.size() - 1),        // no final newline
-             text + "extra 1\n",                      // trailing line
-             "instructions 1\ncycles 1\nspin-instructions 0\nevents 0\nend\n",
-             "cycles -1\ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
-             "cycles +1\ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
-             "cycles \ninstructions 1\nspin-instructions 0\nevents 0\nend\n",
-             "cycles 99999999999999999999\ninstructions 1\n"
-             "spin-instructions 0\nevents 0\nend\n",
-             "cycles 1\ninstructions 1\nevents 0\nend\n",
-         }) {
-        EXPECT_FALSE(decodeBaselineSummary(bad, back)) << bad;
-        EXPECT_EQ(back.executionTime, 1u) << "untouched on failure";
-    }
-}
-
 TEST(Protocol, JobResultCodecRoundTrips)
 {
     JobResult ok = okResult(7008000, 3518060, 4);
     ok.exp.single.totalInstructions = 28032000;
+    ok.exp.parallel.threads[1].instructions = 1480;
+    ok.exp.parallel.threads[1].spinInstructions = 480;
+    ok.exp.parallel.totalInstructions = 1000;
     ok.exp.parallel.totalSpinInstructions = 480;
     ok.exp.parallel.threads[3].spinDetectedLi = 12345;
     JobResult decoded;
     ASSERT_TRUE(serve::decodeJobResult(serve::encodeJobResult(ok),
                                        decoded));
     EXPECT_EQ(decoded.status, JobStatus::kOk);
-    EXPECT_EQ(decoded.exp.single.executionTime, 7008000u);
-    EXPECT_EQ(decoded.exp.single.totalInstructions, 28032000u);
+    // An experiment's `done` carries its parallel run only: Ts is the
+    // server's own baseline job.
+    EXPECT_EQ(decoded.exp.single.executionTime, 0u);
+    EXPECT_EQ(decoded.exp.single.totalInstructions, 0u);
     EXPECT_EQ(decoded.exp.parallel.executionTime, 3518060u);
     EXPECT_EQ(decoded.exp.parallel.totalSpinInstructions, 480u);
     EXPECT_EQ(decoded.exp.parallel.nthreads, 4);
     ASSERT_EQ(decoded.exp.parallel.threads.size(), 4u);
     EXPECT_EQ(decoded.exp.parallel.threads[3].spinDetectedLi, 12345u);
     EXPECT_EQ(serve::encodeJobResult(decoded), serve::encodeJobResult(ok));
+    EXPECT_EQ(serve::encodeJobResult(ok),
+              "result-status ok\n" + encodeRun(ok.exp.parallel));
+    // Only the server's cache makes a row `cached`, not a worker.
+    EXPECT_FALSE(serve::decodeJobResult(
+        "result-status cached\n" + encodeRun(ok.exp.parallel), decoded));
 
     JobResult failed;
     failed.status = JobStatus::kFailed;
@@ -678,9 +735,10 @@ TEST(Protocol, EveryPrefixOfAnExperimentDoneIsRejected)
     // A `done` payload cut anywhere (a dropped connection, a worker
     // killed mid-write) is undecodable, never a shorter result.
     JobResult ok = okResult(7008000, 3518060, 3);
-    ok.status = JobStatus::kCached;
     ok.error = "note";
     const std::string text = serve::encodeJobResult(ok);
+    ASSERT_EQ(text.find("cycles 7008000"), std::string::npos)
+        << "the body is the parallel run alone";
     JobResult decoded;
     ASSERT_TRUE(serve::decodeJobResult(text, decoded));
     for (std::size_t n = 0; n < text.size(); ++n) {
@@ -709,18 +767,15 @@ TEST(Protocol, BaselineJobResultCodecIsStrict)
     EXPECT_EQ(decoded.error, "boom");
     EXPECT_EQ(decoded.baseline, nullptr);
 
-    // An experiment summary is no baseline result; a baseline is never
-    // `cached`, and a failure carries no body.
+    // A 2-thread run is no baseline result, nor is a cut or extended
+    // run; a baseline is never `cached`, and a failure carries no body.
     EXPECT_FALSE(serve::decodeJobResult(serve::encodeJobResult(okResult()),
                                         decoded, true));
-    EXPECT_FALSE(serve::decodeJobResult(
-        "result-status cached\n" +
-            encodeBaselineSummary(*baselineResult().baseline),
-        decoded, true));
-    EXPECT_FALSE(serve::decodeJobResult("result-status ok\n", decoded,
-                                        true));
-    EXPECT_FALSE(serve::decodeJobResult("result-status failed\ncycles 1\n",
-                                        decoded, true));
+    for (const std::string &bad : std::vector<std::string>{
+             text.substr(0, text.size() - 1), text + "end\n",
+             "result-status cached\n" + text.substr(text.find('\n') + 1),
+             "result-status ok\n", "result-status failed\ncycles 1\n"})
+        EXPECT_FALSE(serve::decodeJobResult(bad, decoded, true)) << bad;
 }
 
 TEST(Protocol, LeaseRepliesRoundTripAndParseStrictly)
@@ -729,9 +784,10 @@ TEST(Protocol, LeaseRepliesRoundTripAndParseStrictly)
     experiment.id = 12;
     experiment.leaseMs = 3000;
     experiment.spec = testJob(4);
-    experiment.baselines = {baselineResult(77).baseline};
     const std::string jobLine = serve::leaseReply(experiment);
-    EXPECT_EQ(jobLine.rfind("ok job 12 3000 ", 0), 0u) << jobLine;
+    const std::string spec =
+        serve::escapeToken(serializeSpec(specForJob(experiment.spec)));
+    EXPECT_EQ(jobLine, "ok job 12 3000 " + spec);
 
     LeasedJob back;
     std::string specText;
@@ -739,30 +795,77 @@ TEST(Protocol, LeaseRepliesRoundTripAndParseStrictly)
     EXPECT_EQ(back.id, 12u);
     EXPECT_EQ(back.leaseMs, 3000u);
     EXPECT_FALSE(back.isBaseline());
-    ASSERT_EQ(back.baselines.size(), 1u);
-    EXPECT_EQ(back.baselines[0]->executionTime, 77u);
     EXPECT_EQ(specText, serializeSpec(specForJob(experiment.spec)));
 
     LeasedJob baseline = experiment;
     baseline.group = 0;
-    baseline.baselines.clear();
     const std::string baseLine = serve::leaseReply(baseline);
-    EXPECT_EQ(baseLine.rfind("ok baseline 12 3000 0 ", 0), 0u) << baseLine;
+    EXPECT_EQ(baseLine, "ok baseline 12 3000 0 " + spec);
     ASSERT_TRUE(serve::parseLeaseReply(baseLine, back, specText));
     EXPECT_TRUE(back.isBaseline());
     EXPECT_EQ(back.group, 0);
-    EXPECT_TRUE(back.baselines.empty());
 
-    const std::vector<std::string> tokens = serve::splitTokens(jobLine);
-    const std::string spec = tokens[4];
+    // An experiment lease carries no baseline run: a token after the
+    // spec (the version-5 form sent one per group) is refused.
+    const std::string summary =
+        serve::escapeToken(encodeRun(*baselineResult().baseline));
     for (const std::string &bad : std::vector<std::string>{
-             "ok none", "ok job 12 3000", "err job 12 3000 " + spec,
+             "", "ok", "ok none", "ok job 12 3000", "err job 12 3000 " + spec,
              "ok work 12 3000 " + spec, "ok job x 3000 " + spec,
              "ok job 12 -1 " + spec, "ok job 12 3000 bad\\q",
              "ok job 12 3000 " + spec + " garbage",
+             "ok job 12 3000 " + spec + " " + summary,
              "ok baseline 12 3000 0", "ok baseline 12 3000 -1 " + spec,
-             "ok baseline 12 3000 0 " + spec + " " + tokens[5]}) {
+             "ok baseline 12 3000 0 " + spec + " " + spec}) {
         EXPECT_FALSE(serve::parseLeaseReply(bad, back, specText)) << bad;
+    }
+}
+
+TEST(Protocol, RunTotalsMustAgreeWithTheirThreads)
+{
+    // What a raw-socket worker once had served and cached: a 4-thread
+    // run of `cycles 1` whose threads all finished at cycle 0 (and its
+    // 1-thread twin as a baseline job's result).
+    std::string zeros;
+    for (int i = 0; i < 23; ++i)
+        zeros += " 0";
+    for (const int nthreads : {4, 1}) {
+        std::string forged = "nthreads " + std::to_string(nthreads) +
+                             "\ncycles 1\ninstructions 0\n"
+                             "spin-instructions 0\nevents 0\n";
+        for (int t = 0; t < nthreads; ++t)
+            forged += "thread" + zeros + "\n";
+        forged += "end\n";
+        RunResult run;
+        run.executionTime = 77;
+        EXPECT_FALSE(decodeRun(forged, run));
+        EXPECT_EQ(run.executionTime, 77u) << "untouched on failure";
+        JobResult result;
+        EXPECT_FALSE(serve::decodeJobResult("result-status ok\n" + forged,
+                                            result, nthreads == 1));
+    }
+    RunResult run;
+
+    // Each total is what the simulator derives from the threads.
+    JobResult ok = okResult(100, 50, 2);
+    RunResult &p = ok.exp.parallel;
+    p.threads[0].finishTime = 40;
+    p.threads[1].instructions = 30;
+    p.threads[1].spinInstructions = 10;
+    p.totalInstructions = 20;
+    p.totalSpinInstructions = 10;
+    ASSERT_TRUE(decodeRun(encodeRun(p), run));
+    for (const auto &edit : std::vector<std::function<void(RunResult &)>>{
+             [](RunResult &r) { r.executionTime = 40; },
+             [](RunResult &r) { r.executionTime = 51; },
+             [](RunResult &r) { r.totalInstructions = 30; },
+             [](RunResult &r) { r.totalSpinInstructions = 0; },
+             [](RunResult &r) { r.threads[0].spinInstructions = 1; },
+         }) {
+        RunResult bad = p;
+        edit(bad);
+        EXPECT_FALSE(decodeRun(encodeRun(bad), run))
+            << encodeRun(bad);
     }
 }
 
@@ -819,6 +922,20 @@ TEST(ResultCacheCorruption, CorruptEntriesAreMissesNotCrashes)
     cache.store(fp, okResult().exp);
     SpeedupExperiment out;
     ASSERT_TRUE(cache.lookup(fp, out));
+
+    // A well-formed entry whose parallel `cycles` disagrees with its
+    // threads' finish times: miss.
+    {
+        std::ifstream f(path, std::ios::binary);
+        std::ostringstream ss;
+        ss << f.rdbuf();
+        std::string text = ss.str();
+        const std::size_t at = text.find("cycles 50\n");
+        ASSERT_NE(at, std::string::npos) << text;
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << text.replace(at, 9, "cycles 51");
+    }
+    EXPECT_FALSE(cache.lookup(fp, out));
 
     // Absurd canonical-bytes: must miss without attempting a huge
     // allocation (or crashing).
@@ -1617,6 +1734,73 @@ TEST(ServeEndToEnd, DoneOfAnotherThreadCountFailsTheJob)
                                        "failed=1"),
               std::string::npos)
         << server.statusText();
+    server.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, TsIsTheBaselineTheServerSettled)
+{
+    const std::string dir = makeTempDir("served-ts");
+    serve::ServerOptions opts;
+    opts.endpoint.path = dir + "/sock";
+    opts.driver.cacheDir = dir + "/cache";
+    opts.localWorkers = 0;
+    opts.queue.backoffBaseMs = 1;
+    serve::Server server(opts);
+    server.start();
+
+    const std::string specText = "profiles = cholesky\nthreads = 4\n";
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign("camp", 0, specText, response));
+
+    // A hand-rolled worker settles the baseline with X = 3432501 cycles.
+    Request done;
+    done.kind = Request::Kind::kDone;
+    done.worker = "hand";
+    std::string lease = requestLine(server.endpoint(), "lease hand");
+    ASSERT_EQ(lease.rfind("ok baseline ", 0), 0u) << lease;
+    done.jobId = std::stoull(serve::splitTokens(lease)[2]);
+    done.payload = serve::encodeJobResult(baselineResult(3432501));
+    ASSERT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
+              "ok");
+
+    // The experiment lease is the spec alone.
+    lease = requestLine(server.endpoint(), "lease hand");
+    ASSERT_EQ(lease.rfind("ok job ", 0), 0u) << lease;
+    EXPECT_EQ(serve::splitTokens(lease).size(), 5u) << lease;
+    done.jobId = std::stoull(serve::splitTokens(lease)[2]);
+
+    // A forged run (`cycles 1`, four threads that finished at cycle 0)
+    // is undecodable: requeued, never settled or cached.
+    JobResult forged = okResult(1, 1, 4);
+    for (ThreadCounters &t : forged.exp.parallel.threads)
+        t.finishTime = 0;
+    done.payload = serve::encodeJobResult(forged);
+    EXPECT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
+              "err undecodable result payload");
+    EXPECT_EQ(server.queue().stateOf(done.jobId), QueueJobState::kPending);
+    const JobSpec spec = expandGrid(parseSpec(specText))[0];
+    SpeedupExperiment stored;
+    EXPECT_FALSE(ResultCache(opts.driver.cacheDir)
+                     .lookup(fingerprintJob(spec), stored));
+
+    // The honest report of Tp = 2000000: whatever Ts the worker holds,
+    // the row and the cache entry pair Tp with the server's X.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    lease = requestLine(server.endpoint(), "lease hand");
+    ASSERT_EQ(lease.rfind("ok job ", 0), 0u) << lease;
+    done.payload = serve::encodeJobResult(okResult(1, 2000000, 4));
+    ASSERT_EQ(requestLine(server.endpoint(), serve::serializeRequest(done)),
+              "ok");
+    const Streamed rows =
+        streamRequest(server.endpoint(), "results camp csv nowait");
+    EXPECT_EQ(rows.end, "end complete 1/1");
+    EXPECT_NE(rows.body.find(",ok,3432501,2000000,"), std::string::npos)
+        << rows.body;
+    ASSERT_TRUE(ResultCache(opts.driver.cacheDir)
+                    .lookup(fingerprintJob(spec), stored));
+    EXPECT_EQ(stored.single.executionTime, 3432501u);
+    EXPECT_EQ(stored.parallel.executionTime, 2000000u);
     server.stop();
     std::filesystem::remove_all(dir);
 }
