@@ -560,11 +560,10 @@ serveMain(int argc, char **argv, int first)
 {
     serve::ServerOptions opts;
     opts.endpoint.path = kDefaultSocket;
-    opts.driver.jobs = 1;
     opts.driver.cacheDir = kDefaultCacheDir;
     opts.journalPath = ".sst-serve.journal";
-    // The reaper expires leases and heartbeats local workers; a lease
-    // shorter than three of its ticks expires between two beats.
+    // The reaper checks external workers' leases once a tick; a lease
+    // shorter than three ticks is refused.
     const std::uint64_t leaseFloor = 3 * opts.reaperIntervalMs;
     parseFlags(
         argc, argv, first,
@@ -632,7 +631,6 @@ workerMain(int argc, char **argv, int first)
 {
     serve::WorkerOptions opts;
     opts.endpoint.path = kDefaultSocket;
-    opts.driver.jobs = 1;
     parseFlags(
         argc, argv, first,
         "usage: sst worker --connect ENDPOINT [options]\n"

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -157,6 +158,23 @@ class BaselineStreams
     std::mutex mutex_;
     std::unordered_map<std::string, Slot> slots_;
 };
+
+/** Run @p body(w) for w in [0, @p nworkers), each on a thread of its
+ *  own unless there is one. */
+void
+onWorkers(int nworkers, const std::function<void(int)> &body)
+{
+    if (nworkers == 1) {
+        body(0);
+        return;
+    }
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(nworkers));
+    for (int w = 0; w < nworkers; ++w)
+        threads.emplace_back(body, w);
+    for (std::thread &t : threads)
+        t.join();
+}
 
 } // namespace
 
@@ -347,51 +365,97 @@ JobExecutor::baselinesComputed() const
     return impl_->baselinesComputed.load(std::memory_order_relaxed);
 }
 
-ExperimentLookup
-lookupExperiment(const ResultCache *cache, const JobSpec &spec)
+std::vector<SubmitOutcome>
+submitExperiments(JobQueue &queue, const ResultCache *cache,
+                  const std::vector<JobSpec> &specs, int priority,
+                  std::uint64_t now_ms, int threads)
 {
-    ExperimentLookup out;
-    try {
-        validateSpec(spec);
-        out.valid = true;
-        if (cache) {
-            out.fingerprint = fingerprintJob(spec);
-            out.hit = cache->lookup(out.fingerprint, out.cached);
-            telemetry::Registry::global()
-                .counter("sst_driver_cache_lookups_total",
-                         {{"outcome", out.hit ? "hit" : "miss"}})
-                .inc();
+    struct Lookup
+    {
+        bool valid = false; ///< the spec passed validation
+        bool hit = false;   ///< the cache holds its result
+        std::optional<Fingerprint> fp;
+        SpeedupExperiment cached; ///< the cached runs, when hit
+    };
+    std::vector<Lookup> lookups(specs.size());
+    const int nworkers = static_cast<int>(std::max<std::size_t>(
+        1, std::min(specs.size(),
+                    static_cast<std::size_t>(std::max(threads, 1)))));
+    onWorkers(nworkers, [&](int w) {
+        for (std::size_t i = static_cast<std::size_t>(w); i < specs.size();
+             i += static_cast<std::size_t>(nworkers)) {
+            Lookup &l = lookups[i];
+            try {
+                validateSpec(specs[i]);
+                l.valid = true;
+            } catch (const std::exception &) {
+                // Submitted alone, the job reports the error when it runs.
+            }
+            try {
+                // An invalid spec is still keyed, so it dedups like any.
+                l.fp = fingerprintJob(specs[i]);
+                if (l.valid && cache) {
+                    l.hit = cache->lookup(*l.fp, l.cached);
+                    telemetry::Registry::global()
+                        .counter("sst_driver_cache_lookups_total",
+                                 {{"outcome", l.hit ? "hit" : "miss"}})
+                        .inc();
+                }
+            } catch (const std::exception &) {
+                // Never deduped; it fails when it runs.
+            }
         }
-    } catch (const std::exception &) {
-        // Submitted alone, the job reports the error when it runs.
+    });
+
+    std::vector<SubmitOutcome> outcomes;
+    outcomes.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const JobSpec &spec = specs[i];
+        Lookup &l = lookups[i];
+        if (l.hit) {
+            // A hit never reaches a worker, so it also never records:
+            // --record-dir captures only fresh runs.
+            JobResult res;
+            res.status = JobStatus::kCached;
+            res.exp = std::move(l.cached);
+            SubmitOutcome out =
+                queue.submitSettled(spec, *l.fp, std::move(res));
+            out.cached = true;
+            if (!out.deduped)
+                telemetry::Registry::global()
+                    .counter("sst_driver_jobs_total", {{"status", "cached"}})
+                    .inc();
+            outcomes.push_back(out);
+            continue;
+        }
+        std::vector<JobId> baselines;
+        if (l.valid)
+            for (int g = 0; g < spec.workload.ngroups(); ++g)
+                baselines.push_back(
+                    queue.submitBaseline(spec, g, priority, now_ms).id);
+        outcomes.push_back(queue.submit(spec, std::move(l.fp), priority,
+                                        now_ms, baselines));
     }
-    return out;
+    return outcomes;
 }
 
-SubmitOutcome
-submitExperiment(JobQueue &queue, const JobSpec &spec,
-                 ExperimentLookup lookup, int priority, std::uint64_t now_ms)
+bool
+runLeasedJob(JobQueue &queue, JobExecutor &executor,
+             const std::string &worker, const LeasedJob &job)
 {
-    if (lookup.hit) {
-        // A hit never reaches a worker, so it also never records:
-        // --record-dir captures only fresh runs.
-        JobResult res;
-        res.status = JobStatus::kCached;
-        res.exp = std::move(lookup.cached);
-        const SubmitOutcome out =
-            queue.submitSettled(spec, lookup.fingerprint, std::move(res));
-        if (!out.deduped)
-            telemetry::Registry::global()
-                .counter("sst_driver_jobs_total", {{"status", "cached"}})
-                .inc();
-        return out;
-    }
-    std::vector<JobId> baselines;
-    if (lookup.valid)
-        for (int g = 0; g < spec.workload.ngroups(); ++g)
-            baselines.push_back(
-                queue.submitBaseline(spec, g, priority, now_ms).id);
-    return queue.submit(spec, priority, now_ms, baselines);
+    telemetry::ScopedSpan jobSpan("job", "driver");
+    return queue.complete(job.id, worker, executor.run(job));
+}
+
+JobResult
+settledRow(const JobQueue &queue, JobId id, const JobSpec &spec)
+{
+    JobResult result = queue.resultFor(id);
+    SpeedupExperiment &exp = result.exp;
+    if (result.ok())
+        exp = assembleExperiment(spec.label(), spec.nthreads(), spec.params,
+                                 exp.single, std::move(exp.parallel));
+    return result;
 }
 
 ExperimentDriver::ExperimentDriver(DriverOptions opts)
@@ -419,10 +483,9 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
 
     // The batch runs through the same JobQueue the experiment service
     // uses (src/serve/), with in-process lease-loop threads as the
-    // backend. Local workers cannot die and the executor never throws,
-    // so every leased job completes — timestamps stay 0 and no lease
-    // ever expires. Fingerprint dedup means a batch that lists the same
-    // job twice executes it once and both rows share the result.
+    // backend: their leases never expire, so timestamps stay 0.
+    // Fingerprint dedup means a batch that lists the same job twice
+    // executes it once and both rows share the result.
     JobQueue queue(JobQueueOptions(), cache_.get());
     // A pool never outnumbers its work: one lookup per spec, then one
     // lease loop per queued job (experiments plus distinct baselines).
@@ -433,40 +496,9 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
         return static_cast<int>(
             std::max<std::size_t>(1, std::min(maxWorkers, work)));
     };
-    auto onWorkers = [](int nworkers,
-                        const std::function<void(int)> &body) {
-        if (nworkers == 1) {
-            body(0);
-            return;
-        }
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(nworkers));
-        for (int w = 0; w < nworkers; ++w)
-            threads.emplace_back(body, w);
-        for (std::thread &t : threads)
-            t.join();
-    };
-
-    // Validation and cache lookups need no queue, so the workers do
-    // them; submission then follows input order, so which row of a
-    // duplicated job dedups onto the other never depends on timing.
-    const ResultCache *cache = opts_.refresh ? nullptr : cache_.get();
-    std::vector<ExperimentLookup> lookups(specs.size());
-    const int lookupWorkers = poolSize(specs.size());
-    onWorkers(lookupWorkers, [&](int w) {
-        for (std::size_t i = static_cast<std::size_t>(w); i < specs.size();
-             i += static_cast<std::size_t>(lookupWorkers))
-            lookups[i] = lookupExperiment(cache, specs[i]);
-    });
-    std::vector<JobId> ids;
-    std::vector<bool> dup(specs.size(), false);
-    ids.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const SubmitOutcome out = submitExperiment(
-            queue, specs[i], std::move(lookups[i]), 0, 0);
-        ids.push_back(out.id);
-        dup[i] = out.deduped;
-    }
+    const std::vector<SubmitOutcome> submitted = submitExperiments(
+        queue, opts_.refresh ? nullptr : cache_.get(), specs, 0, 0,
+        poolSize(specs.size()));
 
     // Queue depth gauge: experiment jobs not yet settled. Written per
     // completion, never read back by the batch itself.
@@ -489,11 +521,8 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
         for (;;) {
             const std::uint64_t epoch = queue.readyEpoch();
             LeasedJob job;
-            if (queue.lease(worker, 0, job)) {
-                {
-                    telemetry::ScopedSpan jobSpan("job", "driver");
-                    queue.complete(job.id, worker, executor.run(job));
-                }
+            if (queue.lease(worker, 0, job, /*expires=*/false)) {
+                runLeasedJob(queue, executor, worker, job);
                 publishDepth();
             } else if (queue.idle()) {
                 return;
@@ -511,34 +540,24 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
         leaseLoop("local-" + std::to_string(w));
     });
 
-    // The queue holds runs: each row's stack is built here for its own
-    // spec, even when it deduped onto a twin of another stack detector.
-    std::vector<JobResult> results(specs.size());
+    std::vector<JobResult> results;
+    results.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        results[i] = queue.resultFor(ids[i]);
-        SpeedupExperiment &exp = results[i].exp;
-        if (results[i].ok())
-            exp = assembleExperiment(specs[i].label(), specs[i].nthreads(),
-                                     specs[i].params, exp.single,
-                                     std::move(exp.parallel));
-        if (dup[i]) {
+        JobResult &row =
+            results.emplace_back(settledRow(queue, submitted[i].id, specs[i]));
+        if (submitted[i].deduped) {
             ++stats_.deduped;
             // A deduped row replays its twin's in-queue result: report
             // it as a (memoized) cache hit, never a second execution,
             // and don't double-count the twin's trace activity.
-            if (results[i].status == JobStatus::kOk)
-                results[i].status = JobStatus::kCached;
-            results[i].tracedReplay = false;
-            results[i].traceRecorded = false;
+            if (row.status == JobStatus::kOk)
+                row.status = JobStatus::kCached;
+            row.tracedReplay = false;
+            row.traceRecorded = false;
         }
-    }
-
-    for (const JobResult &r : results) {
-        if (r.tracedReplay)
-            ++stats_.traceReplays;
-        if (r.traceRecorded)
-            ++stats_.tracesRecorded;
-        switch (r.status) {
+        stats_.traceReplays += row.tracedReplay;
+        stats_.tracesRecorded += row.traceRecorded;
+        switch (row.status) {
         case JobStatus::kOk:
             ++stats_.executed;
             break;

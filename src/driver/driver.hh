@@ -7,6 +7,10 @@
  * completed jobs in a content-addressed on-disk cache (written by the
  * queue), and isolates failures so one bad spec never poisons a batch.
  *
+ * The path from spec to row is shared with the experiment service
+ * (src/serve/): submitExperiments(), then runLeasedJob() on in-process
+ * workers, then settledRow(). runBatch() is those three around a pool.
+ *
  * Determinism contract: a job's result is a pure function of its
  * JobSpec. The simulator keeps all state per-System instance and every
  * RNG stream is seeded from the spec alone, so a batch produces
@@ -23,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/fingerprint.hh"
 #include "driver/job.hh"
 #include "driver/job_queue.hh"
 
@@ -127,33 +130,26 @@ class JobExecutor
 };
 
 /**
- * The half of submitting an experiment that needs no queue: spec
- * validation, fingerprint and result-cache lookup. Thread-safe, so a
- * batch looks all its jobs up in parallel.
+ * Submit @p specs to @p queue; one outcome per spec, in input order.
+ * Validation, fingerprints and lookups in @p cache (may be null) run
+ * on up to @p threads threads, then the specs are submitted in input
+ * order: a hit settles at once (`cached`), a miss goes behind one
+ * baseline job per workload group, keyed by its fingerprint, and an
+ * invalid spec goes alone, to fail when it runs.
  */
-struct ExperimentLookup
-{
-    bool valid = false;       ///< the spec passed validation
-    bool hit = false;         ///< the cache holds its result
-    Fingerprint fingerprint;  ///< fingerprintJob(), set with a cache
-    SpeedupExperiment cached; ///< the cached runs, when hit
-};
+std::vector<SubmitOutcome>
+submitExperiments(JobQueue &queue, const ResultCache *cache,
+                  const std::vector<JobSpec> &specs, int priority,
+                  std::uint64_t now_ms, int threads);
 
-/** Validate @p spec and look it up in @p cache (may be null). */
-ExperimentLookup lookupExperiment(const ResultCache *cache,
-                                  const JobSpec &spec);
+/** An in-process worker's run step: run @p job on @p executor and
+ *  complete it as @p worker, under the `job` span; returns complete(). */
+bool runLeasedJob(JobQueue &queue, JobExecutor &executor,
+                  const std::string &worker, const LeasedJob &job);
 
-/**
- * Submit the experiment of @p spec to @p queue, given its @p lookup —
- * the one submit path of the batch driver and the server. A cache hit
- * is settled at once and submits no baselines; otherwise each workload
- * group's baseline job is submitted, then the experiment depending on
- * them. A spec that failed validation is submitted alone and fails
- * when it runs, so it never shares a baseline job with a valid one.
- */
-SubmitOutcome submitExperiment(JobQueue &queue, const JobSpec &spec,
-                               ExperimentLookup lookup, int priority,
-                               std::uint64_t now_ms);
+/** Settled experiment @p id assembled for @p spec, the spec that
+ *  asked (a twin of another stack detector gets its own stack). */
+JobResult settledRow(const JobQueue &queue, JobId id, const JobSpec &spec);
 
 /** Executes job batches; reusable across batches (stats reset per run). */
 class ExperimentDriver
@@ -173,8 +169,6 @@ class ExperimentDriver
 
     /** Counters of the most recent runBatch() call. */
     const BatchStats &stats() const { return stats_; }
-
-    const DriverOptions &options() const { return opts_; }
 
   private:
     DriverOptions opts_;

@@ -167,28 +167,10 @@ JobQueue::settledResult(const Job &job)
     panic("JobQueue: result of unsettled job " + std::to_string(job.id));
 }
 
-std::string
-JobQueue::keyFor(const JobSpec &spec, int group) const
-{
-    // A spec the fingerprint encoder rejects still gets enqueued (under
-    // a unique key) so its validation failure surfaces as a per-job
-    // result, not a lost submission. Baseline texts carry
-    // job.kind=baseline, so they never collide with an experiment's.
-    try {
-        return group == kExperimentJob
-                   ? fingerprintJob(spec).canonical
-                   : fingerprintWorkloadGroupBaseline(
-                         spec.params, spec.effectiveWorkload(), group)
-                         .canonical;
-    } catch (const std::exception &) {
-        return "unfingerprintable-" + std::to_string(nextId_);
-    }
-}
-
 SubmitOutcome
 JobQueue::insert(Job job)
 {
-    auto hit = byKey_.find(job.dedupKey);
+    auto hit = job.key ? byKey_.find(job.key->canonical) : byKey_.end();
     if (hit != byKey_.end()) {
         const Job &twin = jobAt(hit->second);
         // Failed/cancelled jobs don't dedup: resubmission is the retry.
@@ -198,7 +180,8 @@ JobQueue::insert(Job job)
     }
     job.id = nextId_++;
     job.seq = nextSeq_++;
-    byKey_[job.dedupKey] = job.id;
+    if (job.key)
+        byKey_[job.key->canonical] = job.id;
     const JobId id = job.id;
     const bool inserted = jobs_.emplace(id, std::move(job)).second;
     sstAssert(inserted, "JobQueue: duplicate job id");
@@ -206,14 +189,15 @@ JobQueue::insert(Job job)
 }
 
 SubmitOutcome
-JobQueue::submit(const JobSpec &spec, int priority, std::uint64_t now_ms,
+JobQueue::submit(const JobSpec &spec, std::optional<Fingerprint> fp,
+                 int priority, std::uint64_t now_ms,
                  const std::vector<JobId> &baselines)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++submitted_;
     Job job;
     job.spec = spec;
-    job.dedupKey = keyFor(spec, kExperimentJob);
+    job.key = std::move(fp);
     job.priority = priority;
     job.baselines = baselines;
     const SubmitOutcome out = insert(std::move(job));
@@ -250,7 +234,14 @@ JobQueue::submitBaseline(const JobSpec &spec, int group, int priority,
     Job job;
     job.spec = spec;
     job.group = group;
-    job.dedupKey = keyFor(spec, group);
+    try {
+        // Baseline texts carry job.kind=baseline, so they never collide
+        // with an experiment's.
+        job.key = fingerprintWorkloadGroupBaseline(
+            spec.params, spec.effectiveWorkload(), group);
+    } catch (const std::exception &) {
+        // Never deduped: the run reports what is wrong with the spec.
+    }
     job.priority = priority;
     const SubmitOutcome out = insert(std::move(job));
     if (!out.deduped)
@@ -266,7 +257,7 @@ JobQueue::submitSettled(const JobSpec &spec, const Fingerprint &fp,
     ++submitted_;
     Job job;
     job.spec = spec;
-    job.dedupKey = fp.canonical;
+    job.key = fp;
     job.state = QueueJobState::kDone;
     job.result = std::move(result);
     const SubmitOutcome out = insert(std::move(job));
@@ -279,7 +270,7 @@ JobQueue::submitSettled(const JobSpec &spec, const Fingerprint &fp,
 
 bool
 JobQueue::lease(const std::string &worker, std::uint64_t now_ms,
-                LeasedJob &out)
+                LeasedJob &out, bool expires)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto it = ready_.begin(); it != ready_.end(); ++it) {
@@ -291,11 +282,12 @@ JobQueue::lease(const std::string &worker, std::uint64_t now_ms,
         job.worker = worker;
         ++job.attempts;
         job.leaseExpiryMs = now_ms + opts_.leaseMs;
+        job.leaseExpires = expires;
         out.id = job.id;
         out.spec = job.spec;
         out.group = job.group;
         out.attempt = job.attempts;
-        out.leaseMs = opts_.leaseMs;
+        out.leaseMs = expires ? opts_.leaseMs : 0;
         return true;
     }
     return false;
@@ -325,7 +317,8 @@ JobQueue::heartbeat(JobId id, const std::string &worker,
 bool
 JobQueue::complete(JobId id, const std::string &worker, JobResult result)
 {
-    JobSpec spec;
+    std::string label;
+    std::optional<Fingerprint> key;
     std::vector<RunResult> bases;
     bool pair = false;
     {
@@ -338,7 +331,8 @@ JobQueue::complete(JobId id, const std::string &worker, JobResult result)
                   "JobQueue: a completed baseline must carry its run");
         pair = job->group == kExperimentJob && result.ok();
         if (pair) {
-            spec = job->spec;
+            label = job->spec.label();
+            key = job->key;
             for (const JobId b : job->baselines)
                 bases.push_back(*jobAt(b).result.baseline);
         }
@@ -348,13 +342,16 @@ JobQueue::complete(JobId id, const std::string &worker, JobResult result)
         try {
             if (bases.empty())
                 throw std::invalid_argument(
-                    "job '" + spec.label() +
+                    "job '" + label +
                     "': no baseline job to pair its parallel run with");
             result.exp.single = combineGroupBaselines(bases);
             if (cache_) {
-                const Fingerprint fp = fingerprintJob(spec);
+                if (!key)
+                    throw std::invalid_argument(
+                        "job '" + label +
+                        "': no fingerprint to cache its result under");
                 telemetry::ScopedSpan storeSpan("cache-store", "driver");
-                cache_->store(fp, result.exp);
+                cache_->store(*key, result.exp);
             }
         } catch (const std::exception &e) {
             result = JobResult();
@@ -400,7 +397,7 @@ JobQueue::expireLeases(std::uint64_t now_ms, std::vector<JobId> *expired_ids)
     std::size_t expired = 0;
     for (auto &entry : jobs_) {
         Job &job = entry.second;
-        if (job.state != QueueJobState::kLeased ||
+        if (job.state != QueueJobState::kLeased || !job.leaseExpires ||
             job.leaseExpiryMs > now_ms)
             continue;
         ++expired;

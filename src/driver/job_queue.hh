@@ -12,7 +12,8 @@
  *
  * An experiment job produces only its parallel run (Tp); complete()
  * pairs it with Ts of the baseline jobs the queue settled and writes
- * the result cache, so no backend decides which Ts a Tp gets.
+ * the result cache under the fingerprint the job was submitted with,
+ * so no backend decides which Ts a Tp gets.
  *
  * Semantics:
  *  - ordering: higher priority first, FIFO (submission order) within a
@@ -32,7 +33,8 @@
  *    expireLeases() with exponential backoff; once a job has been
  *    leased maxAttempts times without completing it settles as failed
  *    with a descriptive error — one crashing worker never poisons a
- *    campaign;
+ *    campaign. An in-process worker dies only with its process, so its
+ *    lease never expires and needs no heartbeat;
  *  - retries are for infrastructure failures only. A job whose spec is
  *    deterministically bad completes with a kFailed JobResult (the
  *    executor never throws); fail() is for worker-side errors that a
@@ -41,8 +43,8 @@
  *
  * All timestamps are injected milliseconds (`now_ms`): the queue never
  * reads a clock, so tests drive lease expiry and backoff directly and
- * the driver's in-process backend — whose workers cannot die — simply
- * passes 0 everywhere.
+ * the batch driver, whose leases never expire, simply passes 0
+ * everywhere.
  */
 
 #ifndef SST_DRIVER_JOB_QUEUE_HH
@@ -55,6 +57,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -109,6 +112,7 @@ struct SubmitOutcome
 {
     JobId id = 0;
     bool deduped = false; ///< id names a pre-existing equivalent job
+    bool cached = false;  ///< settled at submit from the result cache
 };
 
 /** One leased job as handed to a worker. */
@@ -119,7 +123,7 @@ struct LeasedJob
     /** kExperimentJob, or the group whose 1-thread baseline to run. */
     int group = kExperimentJob;
     int attempt = 0;           ///< 1-based lease count
-    std::uint64_t leaseMs = 0; ///< lease duration (heartbeat cadence hint)
+    std::uint64_t leaseMs = 0; ///< heartbeat cadence hint; 0: no expiry
 
     bool isBaseline() const { return group != kExperimentJob; }
 };
@@ -157,15 +161,16 @@ class JobQueue
                       ResultCache *cache = nullptr);
 
     /**
-     * Enqueue the experiment of @p spec at @p priority (higher runs
-     * first), leasable once every job in @p baselines (see
-     * submitBaseline(), one per workload group, in group order) is
-     * done. Returns the new job's id, or — when the spec's fingerprint
-     * matches a job that is pending, leased or done — the existing
-     * job's id with `deduped = true`.
+     * Enqueue the experiment of @p spec, keyed (and cached) by @p fp,
+     * its fingerprintJob(), at @p priority (higher runs first),
+     * leasable once every job in @p baselines (see submitBaseline(),
+     * one per workload group, in group order) is done. Returns the new
+     * job's id, or — when @p fp matches a job that is pending, leased
+     * or done — the existing job's id with `deduped = true`. A spec
+     * without a fingerprint (@p fp empty) is never deduped.
      */
-    SubmitOutcome submit(const JobSpec &spec, int priority,
-                         std::uint64_t now_ms,
+    SubmitOutcome submit(const JobSpec &spec, std::optional<Fingerprint> fp,
+                         int priority, std::uint64_t now_ms,
                          const std::vector<JobId> &baselines = {});
 
     /** Enqueue group @p group's 1-thread baseline of @p spec, deduped
@@ -184,12 +189,13 @@ class JobQueue
 
     /**
      * Lease the highest-priority pending job whose baselines are done
-     * and whose backoff has passed. Returns false when no job is
+     * and whose backoff has passed; an in-process worker's lease
+     * (!@p expires) never expires. Returns false when no job is
      * currently leasable (the queue may still hold leased jobs, or
      * jobs that become leasable later: see idle() and waitReady()).
      */
     bool lease(const std::string &worker, std::uint64_t now_ms,
-               LeasedJob &out);
+               LeasedJob &out, bool expires = true);
 
     /** Extend @p worker's lease on @p id. False when the lease is no
      *  longer held by @p worker (expired and reassigned, or settled). */
@@ -200,8 +206,9 @@ class JobQueue
      * Settle @p id with @p result; a successful baseline's result
      * carries its run (JobResult::baseline), an experiment's its
      * parallel run, which is paired with its baseline jobs' runs
-     * (replacing exp.single) and cached before it settles. Only the
-     * current lease holder may complete a job: a stale worker (its
+     * (replacing exp.single) and cached under its submit fingerprint
+     * before it settles. Only the current lease holder may complete a
+     * job: a stale worker (its
      * lease expired and the job was reassigned) is rejected so a
      * requeued job is never settled twice.
      */
@@ -272,21 +279,22 @@ class JobQueue
 
     QueueStats stats() const;
 
-    const JobQueueOptions &options() const { return opts_; }
-
   private:
     struct Job
     {
         JobId id = 0;
         JobSpec spec;
         int group = kExperimentJob;
-        std::string dedupKey;
+        /** Dedup key (see file comment), under which an experiment's
+         *  result is cached; none if its spec has no fingerprint. */
+        std::optional<Fingerprint> key;
         int priority = 0;
         std::uint64_t seq = 0;
         QueueJobState state = QueueJobState::kPending;
         int attempts = 0;
         std::uint64_t notBeforeMs = 0;
         std::uint64_t leaseExpiryMs = 0;
+        bool leaseExpires = true; ///< false for an in-process worker's
         std::string worker;
         std::string error; ///< reason when kFailed without a result
         JobResult result;
@@ -297,8 +305,6 @@ class JobQueue
     /** Ready-set key: (-priority, seq) — priority order, FIFO within. */
     using ReadyKey = std::tuple<int, std::uint64_t, JobId>;
 
-    /** Dedup key of group @p group of @p spec (see file comment). */
-    std::string keyFor(const JobSpec &spec, int group) const;
     /** Add @p job under its key, or return the key's live twin. */
     SubmitOutcome insert(Job job);
     std::uint64_t backoffFor(int attempt) const;

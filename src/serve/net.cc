@@ -169,28 +169,6 @@ Socket::readLine(std::string &line)
 }
 
 void
-Socket::readAll(std::string &out)
-{
-    out.append(buf_, pos_, buf_.size() - pos_);
-    buf_.clear();
-    pos_ = 0;
-    char chunk[4096];
-    for (;;) {
-        const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwErrno("read");
-        }
-        if (n == 0)
-            return;
-        out.append(chunk, static_cast<std::size_t>(n));
-        if (out.size() > kMaxStreamBytes)
-            throw std::runtime_error("protocol stream too long");
-    }
-}
-
-void
 Socket::writeAll(const std::string &data)
 {
     std::size_t off = 0;

@@ -67,9 +67,6 @@ class Socket
      */
     bool readLine(std::string &line);
 
-    /** Read until EOF, appending to @p out (same bound as readLine). */
-    void readAll(std::string &out);
-
     /** Write the whole buffer, throwing on any short/failed write. */
     void writeAll(const std::string &data);
 

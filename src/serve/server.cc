@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "core/experiment.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
 #include "serve/journal.hh"
@@ -103,11 +102,6 @@ Server::start()
     listener_ = Listener::listenOn(opts_.endpoint);
     endpoint_ = listener_.endpoint();
 
-    // The reaper reads localCurrent_: allocate it before any thread.
-    localCurrent_ = std::make_unique<std::atomic<JobId>[]>(
-        static_cast<std::size_t>(opts_.localWorkers));
-    for (int i = 0; i < opts_.localWorkers; ++i)
-        localCurrent_[i] = 0;
     acceptThread_ = std::thread([this] { acceptLoop(); });
     reaperThread_ = std::thread([this] { reaperLoop(); });
     for (int i = 0; i < opts_.localWorkers; ++i)
@@ -201,14 +195,6 @@ Server::reaperLoop()
             inform("serve", "requeued " + std::to_string(expired.size()) +
                                 " expired lease(s)");
         publishQueueGauges();
-        // Local workers never die with the server alive; heartbeat on
-        // their behalf so long jobs survive short lease settings.
-        for (int i = 0; i < opts_.localWorkers; ++i) {
-            const JobId id = localCurrent_[i].load();
-            if (id != 0)
-                queue_.heartbeat(id, "local-" + std::to_string(i),
-                                 nowMs());
-        }
         std::this_thread::sleep_for(
             std::chrono::milliseconds(opts_.reaperIntervalMs));
     }
@@ -221,18 +207,17 @@ Server::localWorkerLoop(int index)
     while (!stop_) {
         const std::uint64_t epoch = queue_.readyEpoch();
         LeasedJob job;
-        if (!queue_.lease(name, nowMs(), job)) {
+        // A local worker dies only with the server: its lease never
+        // expires, so it never heartbeats.
+        if (!queue_.lease(name, nowMs(), job, /*expires=*/false)) {
             if (draining_ && queue_.idle())
                 return;
             queue_.waitReady(epoch, 20);
             continue;
         }
         noteLease(name);
-        localCurrent_[index] = job.id;
-        telemetry::ScopedSpan jobSpan("job", "driver");
-        if (queue_.complete(job.id, name, executor_.run(job)))
+        if (runLeasedJob(queue_, executor_, name, job))
             noteDone(name);
-        localCurrent_[index] = 0; // heartbeats ran through the store
     }
 }
 
@@ -427,43 +412,39 @@ Server::submitCampaign(const std::string &name, int priority,
         journalRequest(serializeRequest(rec));
     }
 
-    std::size_t fresh = 0, deduped = 0, cachedHits = 0;
     Campaign campaign;
     campaign.canonical = canonical;
     campaign.priority = priority;
-    telemetry::ScopedSpan enqueueSpan("enqueue", "serve");
-    for (const JobSpec &job : jobs) {
+    campaign.specs = std::move(jobs);
+    std::size_t fresh = 0, deduped = 0, cachedHits = 0;
+    {
         // Submit-time memoization: a job the cache already holds never
         // reaches a worker — this is what turns journal replay into an
         // instant resume for the completed prefix of a campaign.
-        ExperimentLookup lookup = lookupExperiment(cache_.get(), job);
-        const bool cached = lookup.hit;
-        const SubmitOutcome outcome = submitExperiment(
-            queue_, job, std::move(lookup), priority, nowMs());
-        campaign.specs.push_back(job);
-        campaign.ids.push_back(outcome.id);
-        if (outcome.deduped) {
-            ++deduped;
-            continue;
+        telemetry::ScopedSpan enqueueSpan("enqueue", "serve");
+        for (const SubmitOutcome &outcome : submitExperiments(
+                 queue_, cache_.get(), campaign.specs, priority, nowMs(), 1)) {
+            campaign.ids.push_back(outcome.id);
+            if (outcome.deduped) {
+                ++deduped;
+                continue;
+            }
+            ++fresh;
+            if (outcome.cached)
+                ++cachedHits;
         }
-        ++fresh;
-        if (cached)
-            ++cachedHits;
     }
+    response = "ok submitted " + escapeToken(name) + " jobs=" +
+               std::to_string(campaign.specs.size()) + " new=" +
+               std::to_string(fresh) + " deduped=" +
+               std::to_string(deduped) + " cached=" +
+               std::to_string(cachedHits);
     // Store (or refresh) the id mapping even for a known campaign:
     // failed/cancelled twins deliberately don't dedup, so a resubmit
     // enqueues fresh retry jobs whose ids must replace the settled
     // ones — otherwise results would stream the stale failures forever.
-    {
-        std::lock_guard<std::mutex> lock(campaignsMutex_);
-        campaigns_[name] = std::move(campaign);
-    }
-
-    response = "ok submitted " + escapeToken(name) + " jobs=" +
-               std::to_string(jobs.size()) + " new=" +
-               std::to_string(fresh) + " deduped=" +
-               std::to_string(deduped) + " cached=" +
-               std::to_string(cachedHits);
+    std::lock_guard<std::mutex> lock(campaignsMutex_);
+    campaigns_[name] = std::move(campaign);
     return true;
 }
 
@@ -650,13 +631,7 @@ Server::streamResults(Socket &sock, const std::string &name, bool json,
             }
             queue_.waitSettled(ids[i], 200);
         }
-        // The queue holds runs: build the stack for this campaign's spec.
-        JobResult result = queue_.resultFor(ids[i]);
-        SpeedupExperiment &exp = result.exp;
-        if (result.ok())
-            exp = assembleExperiment(specs[i].label(), specs[i].nthreads(),
-                                     specs[i].params, exp.single,
-                                     std::move(exp.parallel));
+        const JobResult result = settledRow(queue_, ids[i], specs[i]);
         sock.writeAll((json ? sweepJsonRow(specs[i], result)
                             : sweepCsvRow(specs[i], result)) +
                       "\n");

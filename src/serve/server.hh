@@ -8,13 +8,17 @@
  * the content-addressed result cache, the rest re-enter the queue.
  *
  * Execution backends:
- *  - local worker threads (`localWorkers > 0`) lease jobs from the
- *    queue in-process and run them on a shared JobExecutor;
+ *  - local worker threads (`localWorkers > 0`) run the batch driver's
+ *    run step (runLeasedJob) on a shared JobExecutor. They die only
+ *    with the server, so their leases never expire;
  *  - external `sst worker --connect` processes lease over the socket.
  *    A reaper thread expires the leases of workers that stopped
  *    heartbeating (killed, wedged, partitioned) and requeues their
  *    jobs with backoff; jobs that exhaust their attempts settle as
  *    failed without poisoning the rest of the campaign.
+ *
+ * A campaign takes the batch driver's path from spec to row:
+ * submitExperiments(), then settledRow() for each streamed row.
  *
  * Each distinct 1-thread baseline is a queue job of its own, leased to
  * either backend like any other job, and an experiment is leased once
@@ -74,17 +78,9 @@ struct ServerOptions
 
     JobQueueOptions queue;
 
-    /** Lease-expiry / local-heartbeat cadence; also how long a `lease`
-     *  request waits for a job before answering `ok none`. */
+    /** Lease-expiry cadence; also how long a `lease` request waits for
+     *  a job before answering `ok none`. */
     std::uint64_t reaperIntervalMs = 200;
-};
-
-/** One accepted campaign: a named, prioritized spec expansion. */
-struct CampaignInfo
-{
-    std::string name;
-    std::size_t jobs = 0;
-    std::size_t settled = 0;
 };
 
 /** The sweep service. See file comment. */
@@ -121,12 +117,12 @@ class Server
 
     /**
      * Accept campaign @p name with @p spec_text at @p priority: parse,
-     * validate, expand, journal, and submit each job (submitExperiment:
-     * fingerprint-deduped, cache hits settled at once, the rest behind
-     * their baseline jobs). Fills @p response with the protocol
-     * reply (`ok submitted ...` / `err ...`); returns response == ok.
-     * This is the submit handler's core, public for direct (in-process)
-     * use and journal replay.
+     * validate, expand, journal, and submit its jobs
+     * (submitExperiments: fingerprint-deduped, cache hits settled at
+     * once, the rest behind their baseline jobs). Fills @p response
+     * with the protocol reply (`ok submitted ...` / `err ...`);
+     * returns response == ok. This is the submit handler's core,
+     * public for direct (in-process) use and journal replay.
      */
     bool submitCampaign(const std::string &name, int priority,
                         const std::string &spec_text,
@@ -213,8 +209,6 @@ class Server
     std::thread acceptThread_;
     std::thread reaperThread_;
     std::vector<std::thread> localWorkers_;
-    /** Job currently held by each local worker (reaper heartbeats). */
-    std::unique_ptr<std::atomic<JobId>[]> localCurrent_;
 
     std::mutex connsMutex_;
     std::vector<Conn> conns_;

@@ -46,15 +46,6 @@ smallBatch()
             makeJob(test::sharingProfile(), 2)};
 }
 
-std::string
-freshTempDir(const char *name)
-{
-    const std::string dir =
-        std::string(::testing::TempDir()) + "sst_driver_" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
-
 // ---- fingerprints ----------------------------------------------------------
 
 TEST(Fingerprint, SensitiveToEveryJobAxis)
@@ -311,7 +302,8 @@ TEST(Driver, MixedDetectorBatchSimulatesOnce)
 
 TEST(Driver, LiStackReplaysATianCacheEntry)
 {
-    const std::string dir = freshTempDir("li_from_tian");
+    const test::TempDir tmp("li_from_tian");
+    const std::string &dir = tmp.path();
     const JobSpec tian = makeJob(test::lockHeavyProfile(), 4);
     JobSpec li = tian;
     li.params.accounting.stackDetector = AccountingParams::Detector::kLi;
@@ -328,7 +320,6 @@ TEST(Driver, LiStackReplaysATianCacheEntry)
     ASSERT_TRUE(warm[0].fromCache());
     test::expectSameSummary(warm[0].exp,
                             runExperiment(li.params, li.workload));
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Driver, ThreadsCappedAtQueuedJobs)
@@ -339,7 +330,8 @@ TEST(Driver, ThreadsCappedAtQueuedJobs)
     const BenchmarkProfile profile = test::computeOnlyProfile();
     const std::vector<JobSpec> specs = {makeJob(profile, 2),
                                         makeJob(profile, 4)};
-    const std::string dir = freshTempDir("threads_capped");
+    const test::TempDir tmp("threads_capped");
+    const std::string &dir = tmp.path();
     DriverOptions opts;
     opts.jobs = 8;
     opts.cacheDir = dir;
@@ -350,7 +342,6 @@ TEST(Driver, ThreadsCappedAtQueuedJobs)
     driver.runBatch(specs);
     EXPECT_EQ(driver.stats().cached, 2u);
     EXPECT_EQ(driver.stats().workers, 1);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Driver, FourJobsSharingOneBaselineComputeItOnce)
@@ -414,7 +405,8 @@ TEST(Driver, EachBaselineIsAJobSpanOfItsOwn)
 
 TEST(Driver, SecondRunReplaysFromCache)
 {
-    const std::string dir = freshTempDir("cache_hit");
+    const test::TempDir tmp("cache_hit");
+    const std::string &dir = tmp.path();
     const std::vector<JobSpec> specs = {
         makeJob(test::computeOnlyProfile(), 2),
         makeJob(test::lockHeavyProfile(), 2)};
@@ -444,12 +436,12 @@ TEST(Driver, SecondRunReplaysFromCache)
         EXPECT_EQ(encodeExperimentRuns(replay[i].exp),
                   encodeExperimentRuns(fresh[i].exp));
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Driver, CacheInvalidatedByParameterChange)
 {
-    const std::string dir = freshTempDir("cache_inval");
+    const test::TempDir tmp("cache_inval");
+    const std::string &dir = tmp.path();
     std::vector<JobSpec> specs = {makeJob(test::computeOnlyProfile(), 2)};
 
     DriverOptions opts;
@@ -469,12 +461,12 @@ TEST(Driver, CacheInvalidatedByParameterChange)
     specs[0].params.cache.llcBytes /= 2;
     runExperimentBatch(specs, opts, &stats);
     EXPECT_EQ(stats.cached, 1u);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Driver, RefreshBypassesCacheHits)
 {
-    const std::string dir = freshTempDir("cache_refresh");
+    const test::TempDir tmp("cache_refresh");
+    const std::string &dir = tmp.path();
     const std::vector<JobSpec> specs = {
         makeJob(test::computeOnlyProfile(), 2)};
 
@@ -488,7 +480,6 @@ TEST(Driver, RefreshBypassesCacheHits)
     runExperimentBatch(specs, opts, &stats);
     EXPECT_EQ(stats.executed, 1u);
     EXPECT_EQ(stats.cached, 0u);
-    std::filesystem::remove_all(dir);
 }
 
 std::string
@@ -542,7 +533,8 @@ runsWithThreads(int nthreads)
 
 TEST(ResultCache, RejectsCorruptAndTruncatedEntries)
 {
-    const std::string dir = freshTempDir("cache_corrupt");
+    const test::TempDir tmp("cache_corrupt");
+    const std::string &dir = tmp.path();
     ResultCache cache(dir);
     const Fingerprint fp =
         fingerprintJob(makeJob(test::computeOnlyProfile(), 2));
@@ -566,7 +558,6 @@ TEST(ResultCache, RejectsCorruptAndTruncatedEntries)
     }
     writeFile(path, entry);
     EXPECT_TRUE(cache.lookup(fp, loaded));
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -662,7 +653,8 @@ TEST(ResultCache, RunsCodecRejectsNonDigitsAndBadThreadCounts)
 
 TEST(ResultCache, OlderVersionEntriesAreHealedMisses)
 {
-    const std::string dir = freshTempDir("cache_old");
+    const test::TempDir tmp("cache_old");
+    const std::string &dir = tmp.path();
     const std::vector<JobSpec> specs = {
         makeJob(test::computeOnlyProfile(), 2)};
     DriverOptions opts;
@@ -697,7 +689,6 @@ TEST(ResultCache, OlderVersionEntriesAreHealedMisses)
         runExperimentBatch(specs, opts, &stats);
         EXPECT_EQ(stats.cached, 1u);
     }
-    std::filesystem::remove_all(dir);
 }
 
 // ---- failure isolation -----------------------------------------------------

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <future>
 #include <sstream>
 #include <string>
@@ -92,6 +93,15 @@ baselineResult(Cycles ts = 1000)
     return r;
 }
 
+/** Submit the experiment of @p spec under its fingerprint, as
+ *  submitExperiments() does. */
+SubmitOutcome
+submitJob(JobQueue &q, const JobSpec &spec, int priority,
+          const std::vector<JobId> &baselines = {})
+{
+    return q.submit(spec, fingerprintJob(spec), priority, 0, baselines);
+}
+
 /** Submit group 0's baseline of @p spec to the idle @p q and settle it
  *  with a run of @p ts cycles; returns its id for experiments to
  *  depend on. */
@@ -106,27 +116,14 @@ settleBaseline(JobQueue &q, const JobSpec &spec, Cycles ts = 1000)
     return base.id;
 }
 
-std::string
-makeTempDir(const std::string &tag)
-{
-    static std::atomic<int> counter{0};
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         ("sst-serve-test-" + tag + "-" + std::to_string(::getpid()) +
-          "-" + std::to_string(counter++)))
-            .string();
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
 // ---- JobQueue ---------------------------------------------------------------
 
 TEST(JobQueue, PriorityThenFifoOrdering)
 {
     JobQueue q;
-    const SubmitOutcome a = q.submit(testJob(2), 0, 0);
-    const SubmitOutcome b = q.submit(testJob(4), 0, 0);
-    const SubmitOutcome c = q.submit(testJob(8), 5, 0);
+    const SubmitOutcome a = submitJob(q, testJob(2), 0);
+    const SubmitOutcome b = submitJob(q, testJob(4), 0);
+    const SubmitOutcome c = submitJob(q, testJob(8), 5);
 
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
@@ -142,10 +139,10 @@ TEST(JobQueue, FingerprintDedup)
 {
     JobQueue q;
     const JobId base = settleBaseline(q, testJob(2));
-    const SubmitOutcome first = q.submit(testJob(2), 0, 0, {base});
+    const SubmitOutcome first = submitJob(q, testJob(2), 0, {base});
     EXPECT_FALSE(first.deduped);
 
-    const SubmitOutcome dup = q.submit(testJob(2), 3, 0, {base});
+    const SubmitOutcome dup = submitJob(q, testJob(2), 3, {base});
     EXPECT_TRUE(dup.deduped);
     EXPECT_EQ(dup.id, first.id);
 
@@ -153,7 +150,7 @@ TEST(JobQueue, FingerprintDedup)
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
     ASSERT_TRUE(q.complete(lease.id, "w", okResult()));
-    const SubmitOutcome after = q.submit(testJob(2), 0, 0, {base});
+    const SubmitOutcome after = submitJob(q, testJob(2), 0, {base});
     EXPECT_TRUE(after.deduped);
     EXPECT_EQ(after.id, first.id);
 
@@ -166,7 +163,7 @@ TEST(JobQueue, FailedJobsDoNotDedup)
     JobQueueOptions opts;
     opts.maxAttempts = 1;
     JobQueue q(opts);
-    const SubmitOutcome first = q.submit(testJob(2), 0, 0);
+    const SubmitOutcome first = submitJob(q, testJob(2), 0);
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
     EXPECT_EQ(q.fail(lease.id, "w", "boom", 0), FailOutcome::kFailed);
@@ -176,7 +173,7 @@ TEST(JobQueue, FailedJobsDoNotDedup)
               std::string::npos);
 
     // Resubmitting a failed job is a retry, not a dedup hit.
-    const SubmitOutcome retry = q.submit(testJob(2), 0, 0);
+    const SubmitOutcome retry = submitJob(q, testJob(2), 0);
     EXPECT_FALSE(retry.deduped);
     EXPECT_NE(retry.id, first.id);
 }
@@ -188,7 +185,7 @@ TEST(JobQueue, RetryBackoffTiming)
     opts.backoffBaseMs = 1000;
     opts.backoffCapMs = 60000;
     JobQueue q(opts);
-    const SubmitOutcome job = q.submit(testJob(2), 0, 0);
+    const SubmitOutcome job = submitJob(q, testJob(2), 0);
 
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
@@ -224,7 +221,7 @@ TEST(JobQueue, LeaseExpiryRequeuesAndRejectsStaleCompletion)
     opts.leaseMs = 100;
     JobQueue q(opts);
     const JobId base = settleBaseline(q, testJob(2));
-    const SubmitOutcome job = q.submit(testJob(2), 0, 0, {base});
+    const SubmitOutcome job = submitJob(q, testJob(2), 0, {base});
 
     LeasedJob lease;
     ASSERT_TRUE(q.lease("dead", 0, lease));
@@ -252,6 +249,39 @@ TEST(JobQueue, LeaseExpiryRequeuesAndRejectsStaleCompletion)
     EXPECT_EQ(q.resultFor(job.id).status, JobStatus::kOk);
 }
 
+TEST(JobQueue, InProcessLeaseNeverExpires)
+{
+    JobQueueOptions opts;
+    opts.leaseMs = 100;
+    JobQueue q(opts);
+    const JobId base = settleBaseline(q, testJob(2));
+    const SubmitOutcome local = submitJob(q, testJob(2), 0, {base});
+    const SubmitOutcome external = submitJob(q, testJob(4), 0, {base});
+
+    LeasedJob in, out;
+    ASSERT_TRUE(q.lease("local-0", 0, in, /*expires=*/false));
+    ASSERT_TRUE(q.lease("w", 0, out));
+    EXPECT_EQ(in.id, local.id);
+    EXPECT_EQ(in.leaseMs, 0u);
+    EXPECT_EQ(out.leaseMs, 100u);
+
+    // Neither heartbeats: the external lease expires at the first
+    // sweep past its expiry, the in-process one at none, however late.
+    std::vector<JobId> expired;
+    EXPECT_EQ(q.expireLeases(100, &expired), 1u);
+    EXPECT_EQ(expired, std::vector<JobId>{external.id});
+    for (const std::uint64_t now :
+         {std::uint64_t{101}, std::uint64_t{1} << 40,
+          std::numeric_limits<std::uint64_t>::max()})
+        EXPECT_EQ(q.expireLeases(now), 0u) << now;
+    EXPECT_EQ(q.stateOf(local.id), QueueJobState::kLeased);
+    EXPECT_EQ(q.stateOf(external.id), QueueJobState::kPending);
+
+    EXPECT_TRUE(q.complete(local.id, "local-0", okResult()));
+    EXPECT_EQ(q.stateOf(local.id), QueueJobState::kDone);
+    EXPECT_EQ(q.stats().requeues, 1u);
+}
+
 TEST(JobQueue, LeaseExpiryExhaustsAttempts)
 {
     JobQueueOptions opts;
@@ -259,7 +289,7 @@ TEST(JobQueue, LeaseExpiryExhaustsAttempts)
     opts.leaseMs = 10;
     opts.backoffBaseMs = 1;
     JobQueue q(opts);
-    const SubmitOutcome job = q.submit(testJob(2), 0, 0);
+    const SubmitOutcome job = submitJob(q, testJob(2), 0);
 
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
@@ -286,15 +316,15 @@ TEST(JobQueue, SettledSubmitAndCancel)
     EXPECT_FALSE(a.deduped);
     EXPECT_EQ(q.stateOf(a.id), QueueJobState::kDone);
     EXPECT_TRUE(q.resultFor(a.id).fromCache());
-    EXPECT_TRUE(q.submit(testJob(2), 0, 0).deduped);
+    EXPECT_TRUE(submitJob(q, testJob(2), 0).deduped);
 
-    const SubmitOutcome b = q.submit(testJob(4), 0, 0);
+    const SubmitOutcome b = submitJob(q, testJob(4), 0);
     EXPECT_TRUE(q.cancel(b.id));
     EXPECT_EQ(q.stateOf(b.id), QueueJobState::kCancelled);
     EXPECT_EQ(q.resultFor(b.id).status, JobStatus::kFailed);
 
     // Leased jobs cannot be cancelled out from under their worker.
-    const SubmitOutcome c = q.submit(testJob(8), 0, 0);
+    const SubmitOutcome c = submitJob(q, testJob(8), 0);
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
     EXPECT_EQ(lease.id, c.id);
@@ -309,12 +339,12 @@ TEST(JobQueue, DependentIsLeasedOnlyAfterItsBaselines)
 {
     JobQueue q;
     const SubmitOutcome base = q.submitBaseline(testJob(4), 0, 0, 0);
-    const SubmitOutcome four = q.submit(testJob(4), 0, 0, {base.id});
+    const SubmitOutcome four = submitJob(q, testJob(4), 0, {base.id});
     // Another thread count shares the baseline job.
     const SubmitOutcome twin = q.submitBaseline(testJob(8), 0, 0, 0);
     EXPECT_TRUE(twin.deduped);
     EXPECT_EQ(twin.id, base.id);
-    const SubmitOutcome eight = q.submit(testJob(8), 0, 0, {base.id});
+    const SubmitOutcome eight = submitJob(q, testJob(8), 0, {base.id});
 
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
@@ -349,14 +379,15 @@ TEST(JobQueue, DependentIsLeasedOnlyAfterItsBaselines)
 
 TEST(JobQueue, CompletedExperimentIsPairedWithTheBaselinesItSettled)
 {
-    const std::string dir = makeTempDir("pairing");
+    const test::TempDir tmp("pairing");
+    const std::string &dir = tmp.path();
     ResultCache cache(dir);
     JobQueue q(JobQueueOptions(), &cache);
 
     // One group: Ts is the settled baseline's run, whatever the
     // completing worker sent as exp.single.
     const JobId base = settleBaseline(q, testJob(2), 1234);
-    const SubmitOutcome two = q.submit(testJob(2), 0, 0, {base});
+    const SubmitOutcome two = submitJob(q, testJob(2), 0, {base});
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
     ASSERT_TRUE(q.complete(two.id, "w", okResult(7, 50, 2)));
@@ -379,7 +410,7 @@ TEST(JobQueue, CompletedExperimentIsPairedWithTheBaselinesItSettled)
     const SubmitOutcome g0 = q.submitBaseline(mix, 0, 0, 0);
     EXPECT_EQ(g0.id, base);
     const SubmitOutcome g1 = q.submitBaseline(mix, 1, 0, 0);
-    const SubmitOutcome four = q.submit(mix, 0, 0, {g0.id, g1.id});
+    const SubmitOutcome four = submitJob(q, mix, 0, {g0.id, g1.id});
     ASSERT_TRUE(q.lease("w", 0, lease));
     ASSERT_TRUE(q.complete(g1.id, "w", baselineResult(1000)));
     ASSERT_TRUE(q.lease("w", 0, lease));
@@ -394,7 +425,7 @@ TEST(JobQueue, CompletedExperimentIsPairedWithTheBaselinesItSettled)
 
     // An experiment with no baseline job has no Ts to pair with: an ok
     // completion settles failed, and nothing is stored.
-    const SubmitOutcome lone = q.submit(testJob(8), 0, 0);
+    const SubmitOutcome lone = submitJob(q, testJob(8), 0);
     ASSERT_TRUE(q.lease("w", 0, lease));
     ASSERT_TRUE(q.complete(lone.id, "w", okResult(7, 50, 8)));
     result = q.resultFor(lone.id);
@@ -402,14 +433,13 @@ TEST(JobQueue, CompletedExperimentIsPairedWithTheBaselinesItSettled)
     EXPECT_NE(result.error.find("no baseline job"), std::string::npos)
         << result.error;
     EXPECT_FALSE(cache.lookup(fingerprintJob(testJob(8)), stored));
-    std::filesystem::remove_all(dir);
 }
 
 TEST(JobQueue, ReadyDependentWakesWaitReady)
 {
     JobQueue q;
     const SubmitOutcome base = q.submitBaseline(testJob(4), 0, 0, 0);
-    q.submit(testJob(4), 0, 0, {base.id});
+    submitJob(q, testJob(4), 0, {base.id});
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
     ASSERT_FALSE(q.lease("w2", 0, lease));
@@ -432,8 +462,8 @@ TEST(JobQueue, FailedBaselineFailsEveryDependentWithItsError)
 {
     JobQueue q;
     const SubmitOutcome base = q.submitBaseline(testJob(2), 0, 0, 0);
-    const SubmitOutcome two = q.submit(testJob(2), 0, 0, {base.id});
-    const SubmitOutcome four = q.submit(testJob(4), 0, 0, {base.id});
+    const SubmitOutcome two = submitJob(q, testJob(2), 0, {base.id});
+    const SubmitOutcome four = submitJob(q, testJob(4), 0, {base.id});
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
     JobResult failed;
@@ -450,7 +480,7 @@ TEST(JobQueue, FailedBaselineFailsEveryDependentWithItsError)
     // later experiment on it fails at submission.
     const SubmitOutcome again = q.submitBaseline(testJob(8), 0, 0, 0);
     EXPECT_TRUE(again.deduped);
-    const SubmitOutcome eight = q.submit(testJob(8), 0, 0, {again.id});
+    const SubmitOutcome eight = submitJob(q, testJob(8), 0, {again.id});
     EXPECT_EQ(q.resultFor(eight.id).error, "baseline exploded");
 
     // Exhausted attempts fail the dependents too.
@@ -458,7 +488,7 @@ TEST(JobQueue, FailedBaselineFailsEveryDependentWithItsError)
     opts.maxAttempts = 1;
     JobQueue q1(opts);
     const SubmitOutcome base1 = q1.submitBaseline(testJob(2), 0, 0, 0);
-    const SubmitOutcome dep = q1.submit(testJob(2), 0, 0, {base1.id});
+    const SubmitOutcome dep = submitJob(q1, testJob(2), 0, {base1.id});
     ASSERT_TRUE(q1.lease("w", 0, lease));
     EXPECT_EQ(q1.fail(base1.id, "w", "disk full", 0), FailOutcome::kFailed);
     EXPECT_EQ(q1.stateOf(dep.id), QueueJobState::kFailed);
@@ -473,8 +503,8 @@ TEST(JobQueue, ExpiredBaselineLeaseIsRequeuedAndDependentsRunOnce)
     opts.backoffBaseMs = 10;
     JobQueue q(opts);
     const SubmitOutcome base = q.submitBaseline(testJob(2), 0, 0, 0);
-    const SubmitOutcome two = q.submit(testJob(2), 0, 0, {base.id});
-    const SubmitOutcome four = q.submit(testJob(4), 0, 0, {base.id});
+    const SubmitOutcome two = submitJob(q, testJob(2), 0, {base.id});
+    const SubmitOutcome four = submitJob(q, testJob(4), 0, {base.id});
 
     LeasedJob lease;
     ASSERT_TRUE(q.lease("dead", 0, lease));
@@ -501,12 +531,12 @@ TEST(JobQueue, ExpiredBaselineLeaseIsRequeuedAndDependentsRunOnce)
 TEST(JobQueue, SharedBaselineSurvivesOneCancelAndRunsAtTheHigherPriority)
 {
     JobQueue q;
-    const SubmitOutcome other = q.submit(testJob(16), 1, 0);
+    const SubmitOutcome other = submitJob(q, testJob(16), 1);
     // Campaigns at priority 0 and 5 share one baseline.
     const SubmitOutcome base = q.submitBaseline(testJob(2), 0, 0, 0);
-    const SubmitOutcome low = q.submit(testJob(2), 0, 0, {base.id});
+    const SubmitOutcome low = submitJob(q, testJob(2), 0, {base.id});
     EXPECT_TRUE(q.submitBaseline(testJob(4), 0, 5, 0).deduped);
-    const SubmitOutcome high = q.submit(testJob(4), 5, 0, {base.id});
+    const SubmitOutcome high = submitJob(q, testJob(4), 5, {base.id});
 
     EXPECT_TRUE(q.cancel(low.id));
     EXPECT_EQ(q.stateOf(base.id), QueueJobState::kPending)
@@ -525,7 +555,7 @@ TEST(JobQueue, SharedBaselineSurvivesOneCancelAndRunsAtTheHigherPriority)
 
     // A pending baseline whose last dependent is cancelled goes too.
     const SubmitOutcome lone = q.submitBaseline(testJob(2, 1), 0, 0, 0);
-    const SubmitOutcome only = q.submit(testJob(2, 1), 0, 0, {lone.id});
+    const SubmitOutcome only = submitJob(q, testJob(2, 1), 0, {lone.id});
     EXPECT_TRUE(q.cancel(only.id));
     EXPECT_EQ(q.stateOf(lone.id), QueueJobState::kCancelled);
 }
@@ -536,10 +566,10 @@ TEST(JobQueue, UnfingerprintableSpecStillQueues)
     // still enqueue (and fail at execution time with a real message)
     // rather than throwing out of submit and killing the batch.
     JobQueue q;
-    JobSpec bad;
-    const SubmitOutcome out = q.submit(bad, 0, 0);
-    EXPECT_FALSE(out.deduped);
-    EXPECT_NE(out.id, 0u);
+    const std::vector<SubmitOutcome> out =
+        submitExperiments(q, nullptr, {JobSpec()}, 0, 0, 1);
+    EXPECT_FALSE(out[0].deduped);
+    EXPECT_NE(out[0].id, 0u);
     LeasedJob lease;
     EXPECT_TRUE(q.lease("w", 0, lease));
 }
@@ -914,7 +944,8 @@ TEST(SpecForJob, MixAndPipelineJobsRoundTrip)
 
 TEST(ResultCacheCorruption, CorruptEntriesAreMissesNotCrashes)
 {
-    const std::string dir = makeTempDir("cache");
+    const test::TempDir tmp("cache");
+    const std::string &dir = tmp.path();
     ResultCache cache(dir);
     const Fingerprint fp = fingerprintJob(testJob(2));
     const std::string path = cache.entryPath(fp);
@@ -973,14 +1004,14 @@ TEST(ResultCacheCorruption, CorruptEntriesAreMissesNotCrashes)
     // store() overwrites the bad entry and the cache heals.
     cache.store(fp, okResult().exp);
     EXPECT_TRUE(cache.lookup(fp, out));
-    std::filesystem::remove_all(dir);
 }
 
 // ---- journal ----------------------------------------------------------------
 
 TEST(Journal, ReplayDropsTornTrailingLine)
 {
-    const std::string dir = makeTempDir("journal");
+    const test::TempDir tmp("journal");
+    const std::string &dir = tmp.path();
     const std::string path = dir + "/journal";
 
     EXPECT_TRUE(serve::Journal::replay(path).empty()); // no file yet
@@ -1000,14 +1031,14 @@ TEST(Journal, ReplayDropsTornTrailingLine)
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0], "submit a 0 spec-a");
     EXPECT_EQ(records[1], "submit b 1 spec-b");
-    std::filesystem::remove_all(dir);
 }
 
 // ---- net (regression) -------------------------------------------------------
 
 TEST(Net, SecondListenerDoesNotUnlinkLiveSocket)
 {
-    const std::string dir = makeTempDir("net");
+    const test::TempDir tmp("net");
+    const std::string &dir = tmp.path();
     serve::Endpoint ep;
     ep.path = dir + "/sock";
 
@@ -1023,7 +1054,6 @@ TEST(Net, SecondListenerDoesNotUnlinkLiveSocket)
     client.close();
     live.close();
     EXPECT_FALSE(std::filesystem::exists(ep.path));
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Heartbeat, StopReturnsWellUnderOneInterval)
@@ -1111,7 +1141,8 @@ waitForSettled(serve::Server &server, std::size_t n)
 
 TEST(ServeEndToEnd, DoneForUnknownJobIsStaleNotFatal)
 {
-    const std::string dir = makeTempDir("bogus-done");
+    const test::TempDir tmp("bogus-done");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.driver.cacheDir = dir + "/cache"; // cache on: the crash path
@@ -1136,12 +1167,12 @@ TEST(ServeEndToEnd, DoneForUnknownJobIsStaleNotFatal)
     const std::string pong = requestLine(server.endpoint(), "ping");
     EXPECT_EQ(pong.rfind("ok pong", 0), 0u) << pong;
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, ResubmitAfterCancelTracksRetryJobs)
 {
-    const std::string dir = makeTempDir("resubmit");
+    const test::TempDir tmp("resubmit");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 0; // jobs stay pending: cancel can reach them
@@ -1165,12 +1196,12 @@ TEST(ServeEndToEnd, ResubmitAfterCancelTracksRetryJobs)
               std::string::npos)
         << server.statusText();
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, CampaignTraceDirMustMatchTheServers)
 {
-    const std::string dir = makeTempDir("trace-dir");
+    const test::TempDir tmp("trace-dir");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 0;
@@ -1202,12 +1233,12 @@ TEST(ServeEndToEnd, CampaignTraceDirMustMatchTheServers)
         "none", 0, "profiles = cholesky\nthreads = 2\n", response))
         << response;
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, LocalWorkersWithoutTraceDirRefuseACampaignTraceDir)
 {
-    const std::string dir = makeTempDir("trace-dir-local");
+    const test::TempDir tmp("trace-dir-local");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     const std::string spec = "profiles = cholesky\nthreads = 4\n"
@@ -1230,12 +1261,12 @@ TEST(ServeEndToEnd, LocalWorkersWithoutTraceDirRefuseACampaignTraceDir)
     EXPECT_EQ(response.rfind("err spec trace-dir 'tr' differs", 0), 0u)
         << response;
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, CampaignMatchesBatchDriverAndDedupes)
 {
-    const std::string dir = makeTempDir("e2e");
+    const test::TempDir tmp("e2e");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.driver.cacheDir = dir + "/cache";
@@ -1300,12 +1331,48 @@ TEST(ServeEndToEnd, CampaignMatchesBatchDriverAndDedupes)
     EXPECT_EQ(workerRc[1], 0);
     EXPECT_TRUE(server.finished());
     server.stop();
-    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEndToEnd, LocalWorkersServeTheBatchDriversRows)
+{
+    const test::TempDir tmp("local");
+    serve::ServerOptions opts;
+    opts.endpoint.path = tmp.path() + "/sock";
+    opts.localWorkers = 2;
+    // Leases far shorter than a job, swept often: a local worker's
+    // lease that expired would requeue its job.
+    opts.queue.leaseMs = 1;
+    opts.reaperIntervalMs = 5;
+    serve::Server server(opts);
+    server.start();
+
+    const std::string specText = "profiles = cholesky, radix\n"
+                                 "threads = 2, 4\n"
+                                 "machine.stack-detector = li\n";
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign("camp", 0, specText, response))
+        << response;
+    const Streamed streamed =
+        streamRequest(server.endpoint(), "results camp csv wait");
+    EXPECT_EQ(streamed.end, "end complete 4/4");
+
+    // Each row is assembled for its spec, exactly as `sst run` does.
+    const std::vector<JobSpec> jobs =
+        expandGrid(specGrid(parseSpec(specText)));
+    EXPECT_EQ(streamed.body, sweepCsv(jobs, runExperimentBatch(jobs, {})));
+    EXPECT_EQ(server.queue().stats().requeues, 0u);
+    const std::string status = server.statusText();
+    EXPECT_NE(status.find("worker local-0 leases="), std::string::npos)
+        << status;
+    EXPECT_NE(status.find("worker local-1 leases="), std::string::npos)
+        << status;
+    server.stop();
 }
 
 TEST(ServeEndToEnd, RestartResumesFromJournalAndCache)
 {
-    const std::string dir = makeTempDir("restart");
+    const test::TempDir tmp("restart");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.driver.cacheDir = dir + "/cache";
@@ -1357,12 +1424,12 @@ TEST(ServeEndToEnd, RestartResumesFromJournalAndCache)
     EXPECT_EQ(response,
               "ok submitted camp jobs=1 new=0 deduped=1 cached=0");
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, KilledWorkerLeaseExpiresAndJobCompletes)
 {
-    const std::string dir = makeTempDir("killed");
+    const test::TempDir tmp("killed");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.driver.cacheDir.clear(); // force real execution
@@ -1418,12 +1485,12 @@ TEST(ServeEndToEnd, KilledWorkerLeaseExpiresAndJobCompletes)
     worker.join();
     EXPECT_EQ(rc, 0);
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, WorkerHeartbeatsKeepALongJobLeased)
 {
-    const std::string dir = makeTempDir("heartbeat");
+    const test::TempDir tmp("heartbeat");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 0;
@@ -1458,7 +1525,6 @@ TEST(ServeEndToEnd, WorkerHeartbeatsKeepALongJobLeased)
     worker.join();
     EXPECT_EQ(rc, 0);
     server.stop();
-    std::filesystem::remove_all(dir);
     if (!outlivedALease)
         GTEST_SKIP() << "the campaign finished within one lease on this "
                         "host, so no beat was needed";
@@ -1466,7 +1532,8 @@ TEST(ServeEndToEnd, WorkerHeartbeatsKeepALongJobLeased)
 
 TEST(ServeEndToEnd, LeaseLongPollWakesOnSubmitAndDrain)
 {
-    const std::string dir = makeTempDir("longpoll");
+    const test::TempDir tmp("longpoll");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 0;
@@ -1518,12 +1585,12 @@ TEST(ServeEndToEnd, LeaseLongPollWakesOnSubmitAndDrain)
     EXPECT_LT(waitedMs(start), 1500);
     EXPECT_EQ(reply, "ok drained");
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, ExternalWorkersComputeEachBaselineOnce)
 {
-    const std::string dir = makeTempDir("baselines");
+    const test::TempDir tmp("baselines");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 0;
@@ -1577,12 +1644,12 @@ TEST(ServeEndToEnd, ExternalWorkersComputeEachBaselineOnce)
     EXPECT_EQ(workerRc[0], 0);
     EXPECT_EQ(workerRc[1], 0);
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, VanishedBaselineHolderIsRequeuedAfterLeaseExpiry)
 {
-    const std::string dir = makeTempDir("vanished");
+    const test::TempDir tmp("vanished");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 0;
@@ -1644,12 +1711,12 @@ TEST(ServeEndToEnd, VanishedBaselineHolderIsRequeuedAfterLeaseExpiry)
     worker.join();
     EXPECT_EQ(rc, 0);
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, DoneFromANonHolderNeverReachesTheCache)
 {
-    const std::string dir = makeTempDir("poison");
+    const test::TempDir tmp("poison");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.driver.cacheDir = dir + "/cache";
@@ -1685,12 +1752,12 @@ TEST(ServeEndToEnd, DoneFromANonHolderNeverReachesTheCache)
         << "a non-holder's done poisoned the result cache";
     EXPECT_EQ(server.queue().stateOf(done.jobId), QueueJobState::kLeased);
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, DoneOfAnotherThreadCountFailsTheJob)
 {
-    const std::string dir = makeTempDir("mismatch");
+    const test::TempDir tmp("mismatch");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.driver.cacheDir = dir + "/cache";
@@ -1735,12 +1802,12 @@ TEST(ServeEndToEnd, DoneOfAnotherThreadCountFailsTheJob)
               std::string::npos)
         << server.statusText();
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, TsIsTheBaselineTheServerSettled)
 {
-    const std::string dir = makeTempDir("served-ts");
+    const test::TempDir tmp("served-ts");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.driver.cacheDir = dir + "/cache";
@@ -1802,7 +1869,6 @@ TEST(ServeEndToEnd, TsIsTheBaselineTheServerSettled)
     EXPECT_EQ(stored.single.executionTime, 3432501u);
     EXPECT_EQ(stored.parallel.executionTime, 2000000u);
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, LiCampaignReusesTheTianCampaignsJobs)
@@ -1810,7 +1876,8 @@ TEST(ServeEndToEnd, LiCampaignReusesTheTianCampaignsJobs)
     // The stack detector is not part of a job: a Li campaign of the
     // grid a Tian campaign ran dedups onto its jobs, simulates nothing,
     // and still streams Li's stacks.
-    const std::string dir = makeTempDir("li-after-tian");
+    const test::TempDir tmp("li-after-tian");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 1;
@@ -1838,12 +1905,12 @@ TEST(ServeEndToEnd, LiCampaignReusesTheTianCampaignsJobs)
     EXPECT_NE(li.body, tian.body) << "the detectors agree here, so the "
                                      "test proves nothing";
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, StopDoesNotWaitForAnExternalBaselineLease)
 {
-    const std::string dir = makeTempDir("stopbaseline");
+    const test::TempDir tmp("stopbaseline");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 1;
@@ -1900,12 +1967,12 @@ TEST(ServeEndToEnd, StopDoesNotWaitForAnExternalBaselineLease)
                   QueueJobState::kLeased)],
               1u);
 
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEndToEnd, MetricsVerbAndWorkerStatusLines)
 {
-    const std::string dir = makeTempDir("metrics");
+    const test::TempDir tmp("metrics");
+    const std::string &dir = tmp.path();
     serve::ServerOptions opts;
     opts.endpoint.path = dir + "/sock";
     opts.localWorkers = 1;
@@ -1947,7 +2014,6 @@ TEST(ServeEndToEnd, MetricsVerbAndWorkerStatusLines)
     EXPECT_NE(status.find("done=2"), std::string::npos) << status;
 
     server.stop();
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -26,15 +26,6 @@
 namespace sst {
 namespace {
 
-std::string
-freshTempDir(const char *name)
-{
-    const std::string dir =
-        std::string(::testing::TempDir()) + "sst_spec_" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
-
 /** A spec with every axis and a few machine overrides populated. */
 ExperimentSpec
 fullyPopulatedSpec()
@@ -506,7 +497,8 @@ TEST(Fingerprint, SpecAndFlagGridsProduceIdenticalFingerprints)
 
 TEST(Driver, SpecDrivenRunReusesFlagDrivenCacheEntries)
 {
-    const std::string dir = freshTempDir("xcache");
+    const test::TempDir tmp("xcache");
+    const std::string &dir = tmp.path();
     DriverOptions opts;
     opts.cacheDir = dir;
     opts.jobs = 2;
@@ -528,15 +520,14 @@ TEST(Driver, SpecDrivenRunReusesFlagDrivenCacheEntries)
     EXPECT_EQ(second.executed, 0u);
     EXPECT_EQ(second.cached, 1u);
     ASSERT_TRUE(replay[0].fromCache());
-    std::filesystem::remove_all(dir);
 }
 
 // ---- spec files -------------------------------------------------------------
 
 TEST(Spec, SpecFileParsesAndReportsPathOnError)
 {
-    const std::string dir = freshTempDir("files");
-    std::filesystem::create_directories(dir);
+    const test::TempDir tmp("files");
+    const std::string &dir = tmp.path();
     const std::string good = dir + "/good.spec";
     {
         std::ofstream out(good);
@@ -559,12 +550,12 @@ TEST(Spec, SpecFileParsesAndReportsPathOnError)
     }
     EXPECT_THROW(parseSpecFile(dir + "/missing.spec"),
                  std::invalid_argument);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Spec, SpecFilePathsAreRelativeToTheSpecFile)
 {
-    const std::string dir = freshTempDir("paths");
+    const test::TempDir tmp("paths");
+    const std::string &dir = tmp.path();
     std::filesystem::create_directories(dir + "/specs");
     const std::string text = "workload-file = ../w/a.wdl, /abs/b.wdl\n"
                              "trace-dir = ./traces\n";
@@ -582,7 +573,6 @@ TEST(Spec, SpecFilePathsAreRelativeToTheSpecFile)
     EXPECT_EQ(inline_spec.workloadFiles,
               (std::vector<std::string>{"../w/a.wdl", "/abs/b.wdl"}));
     EXPECT_EQ(inline_spec.traceDir, "./traces");
-    std::filesystem::remove_all(dir);
 }
 
 // ---- report views -----------------------------------------------------------

@@ -355,12 +355,12 @@ TEST(TraceRun, TracePathUsesLabelAndThreads)
 
 // ---- checks made while a stream decodes -----------------------------------
 
-/** Write @p bytes to a fresh file in the test temp dir; returns it. */
+/** Write @p bytes to file @p name.sstt in @p dir; returns its path. */
 std::string
-writeTempTrace(const std::string &name, const std::string &bytes)
+writeTempTrace(const test::TempDir &dir, const std::string &name,
+               const std::string &bytes)
 {
-    const std::string path =
-        std::string(::testing::TempDir()) + "sst_format_" + name + ".sstt";
+    const std::string path = dir.path() + "/" + name + ".sstt";
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
     return path;
 }
@@ -419,10 +419,11 @@ TEST(TraceValidation, MalformedOpsOpenButFailWhenDecoded)
         {"early_end", std::string(1, static_cast<char>(OpType::kEnd))},
         {"varint_overflow", overflow},
     };
+    const test::TempDir tmp("trace-format-bad-ops");
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
         const std::string bytes = traceWithBadOp(c.bad);
-        const std::string path = writeTempTrace(c.name, bytes);
+        const std::string path = writeTempTrace(tmp, c.name, bytes);
         // The structure is intact, so both kinds of reader open it.
         ASSERT_NO_THROW(TraceReader::fromBytes(bytes));
         ASSERT_NO_THROW(TraceReader{path});
@@ -537,7 +538,8 @@ TEST(TraceValidation, WindowBoundariesDecodeIdentically)
     writer.setStream(0, std::make_shared<const OpEncoder>(enc));
     writer.append(1, Op::end());
     const std::string bytes = writer.serialize();
-    const std::string path = writeTempTrace("windows", bytes);
+    const test::TempDir tmp("trace-format-windows");
+    const std::string path = writeTempTrace(tmp, "windows", bytes);
 
     auto expectSame = [&want](const Op &got, std::size_t i) {
         ASSERT_LT(i, want.size());

@@ -25,16 +25,6 @@
 namespace sst {
 namespace {
 
-std::string
-freshTempDir(const char *name)
-{
-    const std::string dir =
-        std::string(::testing::TempDir()) + "sst_trace_" + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
 /**
  * Record -> replay for one (profile, nthreads) point through the
  * driver and demand bit-identical results everywhere.
@@ -69,26 +59,26 @@ roundTrip(const std::string &dir, const BenchmarkProfile &profile,
 // — the satellite's ">= 3 profiles x {1, 4, 16}" matrix.
 TEST(TraceRoundTrip, CholeskyMatchesLiveBitForBit)
 {
-    const std::string dir = freshTempDir("rt_cholesky");
+    const test::TempDir tmp("rt_cholesky");
+    const std::string &dir = tmp.path();
     for (const int n : {1, 4, 16})
         roundTrip(dir, profileByLabel("cholesky"), n);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceRoundTrip, RadixMatchesLiveBitForBit)
 {
-    const std::string dir = freshTempDir("rt_radix");
+    const test::TempDir tmp("rt_radix");
+    const std::string &dir = tmp.path();
     for (const int n : {1, 4, 16})
         roundTrip(dir, profileByLabel("radix"), n);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceRoundTrip, FftMatchesLiveBitForBit)
 {
-    const std::string dir = freshTempDir("rt_fft");
+    const test::TempDir tmp("rt_fft");
+    const std::string &dir = tmp.path();
     for (const int n : {1, 4, 16})
         roundTrip(dir, profileByLabel("fft"), n);
-    std::filesystem::remove_all(dir);
 }
 
 // ---- driver --trace-dir ----------------------------------------------------
@@ -101,7 +91,8 @@ makeJob(const BenchmarkProfile &profile, int nthreads)
 
 TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
 {
-    const std::string dir = freshTempDir("driver_replay");
+    const test::TempDir tmp("driver_replay");
+    const std::string &dir = tmp.path();
     const std::vector<JobSpec> specs = {
         makeJob(test::computeOnlyProfile(), 2),
         makeJob(test::lockHeavyProfile(), 4),
@@ -127,7 +118,6 @@ TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
         test::expectSameExperiment(fresh[i].exp, reference);
         test::expectSameExperiment(replayed[i].exp, reference);
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(DriverTrace, JobsSharingOneTraceEachReplayIt)
@@ -136,7 +126,8 @@ TEST(DriverTrace, JobsSharingOneTraceEachReplayIt)
     // recording. Whether they read it at the same time (2 workers) or
     // one after the other (1 worker), both must replay it and match
     // their live rows.
-    const std::string dir = freshTempDir("driver_shared");
+    const test::TempDir tmp("driver_shared");
+    const std::string &dir = tmp.path();
     const BenchmarkProfile profile = test::lockHeavyProfile();
     test::recordTraces({makeJob(profile, 4)}, dir);
     JobSpec small = makeJob(profile, 4);
@@ -161,12 +152,12 @@ TEST(DriverTrace, JobsSharingOneTraceEachReplayIt)
             test::expectSameExperiment(replayed[i].exp, live[i].exp);
         }
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(DriverTrace, MissingTraceFallsBackToLiveGeneration)
 {
-    const std::string dir = freshTempDir("driver_fallback");
+    const test::TempDir tmp("driver_fallback");
+    const std::string &dir = tmp.path();
     DriverOptions opts;
     opts.traceDir = dir; // exists but holds no recordings
     BatchStats stats;
@@ -176,14 +167,14 @@ TEST(DriverTrace, MissingTraceFallsBackToLiveGeneration)
     EXPECT_FALSE(results[0].tracedReplay);
     EXPECT_EQ(stats.traceReplays, 0u);
     EXPECT_EQ(stats.executed, 1u);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(DriverTrace, SeedOffsetLooksUpItsOwnRecording)
 {
     // An offset-0 recording must not be picked up by an offset-1 job
     // (different op streams): the job falls back to live generation.
-    const std::string dir = freshTempDir("driver_seed_offset");
+    const test::TempDir tmp("driver_seed_offset");
+    const std::string &dir = tmp.path();
     const BenchmarkProfile profile = test::computeOnlyProfile();
     test::recordTraces({makeJob(profile, 2)}, dir);
 
@@ -197,12 +188,12 @@ TEST(DriverTrace, SeedOffsetLooksUpItsOwnRecording)
     ASSERT_TRUE(results[0].ok()) << results[0].error;
     EXPECT_FALSE(results[0].tracedReplay);
     EXPECT_EQ(stats.traceReplays, 0u);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(DriverTrace, StaleTraceFailsTheJobLoudly)
 {
-    const std::string dir = freshTempDir("driver_stale");
+    const test::TempDir tmp("driver_stale");
+    const std::string &dir = tmp.path();
     BenchmarkProfile profile = test::computeOnlyProfile();
     test::recordTraces({makeJob(profile, 2)}, dir);
 
@@ -215,7 +206,6 @@ TEST(DriverTrace, StaleTraceFailsTheJobLoudly)
     ASSERT_FALSE(results[0].ok());
     EXPECT_NE(results[0].error.find("profile mismatch"),
               std::string::npos);
-    std::filesystem::remove_all(dir);
 }
 
 /** @p src's ops through its end marker, with @p bad spliced into the
@@ -265,7 +255,8 @@ writeCorruptTrace(const std::string &dir, const BenchmarkProfile &profile,
 
 TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
 {
-    const std::string dir = freshTempDir("driver_malformed");
+    const test::TempDir tmp("driver_malformed");
+    const std::string &dir = tmp.path();
     const BenchmarkProfile bad = test::lockHeavyProfile();
     writeCorruptTrace(dir, bad, 2, "\x2a"); // unknown op tag
     writeCorruptTrace(dir, bad, 3,
@@ -314,7 +305,6 @@ TEST(DriverTrace, MalformedTraceFailsOnlyItsJob)
         EXPECT_TRUE(results[3].tracedReplay);
         EXPECT_FALSE(results[5].tracedReplay);
     }
-    std::filesystem::remove_all(dir);
 }
 
 std::string
@@ -333,13 +323,12 @@ TEST(DriverTrace, RecordingIsIdenticalAcrossWorkerCounts)
         for (const int n : {2, 4})
             specs.push_back(makeJob(p, n));
 
-    std::vector<std::string> dirs;
-    for (const int jobs : {1, 4}) {
-        dirs.push_back(freshTempDir(("record_jobs" +
-                                     std::to_string(jobs)).c_str()));
+    const test::TempDir jobs1("record_jobs1"), jobs4("record_jobs4");
+    const std::vector<std::string> dirs = {jobs1.path(), jobs4.path()};
+    for (std::size_t i = 0; i < dirs.size(); ++i) {
         DriverOptions opts;
-        opts.jobs = jobs;
-        opts.recordDir = dirs.back();
+        opts.jobs = i == 0 ? 1 : 4;
+        opts.recordDir = dirs[i];
         BatchStats stats;
         runExperimentBatch(specs, opts, &stats);
         ASSERT_EQ(stats.tracesRecorded, specs.size());
@@ -371,8 +360,6 @@ TEST(DriverTrace, RecordingIsIdenticalAcrossWorkerCounts)
                          "/homogeneous_v2.sstt");
     EXPECT_NO_THROW(v2.validate());
     EXPECT_EQ(replayParallel(SimParams{}, v2).executionTime, 27461u);
-    for (const std::string &dir : dirs)
-        std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -2,15 +2,21 @@
  * @file
  * Shared helpers for the test suite: small controlled benchmark profiles
  * that exercise one mechanism at a time, exact-equality checks of
- * experiments and runs, and trace recording through the driver.
+ * experiments and runs, trace recording through the driver, and
+ * temporary directories that clean up after themselves.
  */
 
 #ifndef SST_TESTS_TEST_UTIL_HH
 #define SST_TESTS_TEST_UTIL_HH
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -22,6 +28,41 @@
 
 namespace sst {
 namespace test {
+
+/**
+ * A fresh, empty directory `sst-test-<tag>-<pid>-<n>` under the system
+ * temp dir ($TMPDIR), removed with everything in it when the object
+ * goes out of scope: also when a failing ASSERT_* returns from the
+ * test early.
+ */
+class TempDir
+{
+  public:
+    explicit TempDir(const std::string &tag)
+    {
+        static std::atomic<int> counter{0};
+        path_ = (std::filesystem::temp_directory_path() /
+                 ("sst-test-" + tag + "-" + std::to_string(::getpid()) +
+                  "-" + std::to_string(counter++)))
+                    .string();
+        std::filesystem::remove_all(path_);
+        std::filesystem::create_directories(path_);
+    }
+
+    ~TempDir()
+    {
+        std::error_code ec; // a destructor must not throw
+        std::filesystem::remove_all(path_, ec);
+    }
+
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 /** Fold @p v into the running order-sensitive hash @p h. */
 inline std::uint64_t

@@ -89,11 +89,12 @@ specFromText(const std::string &text, const std::string &virtual_path)
     return wdl::toWorkloadSpec(prog, virtual_path);
 }
 
+/** Write @p text to file @p name in @p dir; returns its path. */
 std::string
-writeTemp(const std::string &name, const std::string &text)
+writeTemp(const test::TempDir &dir, const std::string &name,
+          const std::string &text)
 {
-    const std::string path =
-        (std::filesystem::temp_directory_path() / name).string();
+    const std::string path = dir.path() + "/" + name;
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << text;
     out.close();
@@ -330,9 +331,8 @@ TEST(WdlDriver, ResultsIdenticalAcrossWorkerCounts)
 
 TEST(WdlTrace, RecordThenReplayIsBitIdentical)
 {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() / "t_wdl_trace").string();
-    std::filesystem::remove_all(dir);
+    const test::TempDir tmp("wdl-trace");
+    const std::string &dir = tmp.path();
     const JobSpec job = wdlJob(kContention);
     const SpeedupExperiment reference =
         runExperiment(job.params, job.effectiveWorkload());
@@ -347,7 +347,6 @@ TEST(WdlTrace, RecordThenReplayIsBitIdentical)
     ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
     EXPECT_TRUE(replayed[0].tracedReplay);
     test::expectSameExperiment(replayed[0].exp, reference);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(WdlDriver, MixExperimentMatchesDriverRow)
@@ -368,8 +367,9 @@ TEST(WdlDriver, MixExperimentMatchesDriverRow)
 
 TEST(WdlFingerprint, HashesContentNotPath)
 {
-    const std::string a = writeTemp("t_wdl_fp_a.wdl", kContention);
-    const std::string b = writeTemp("t_wdl_fp_b.wdl", kContention);
+    const test::TempDir tmp("wdl-fp");
+    const std::string a = writeTemp(tmp, "a.wdl", kContention);
+    const std::string b = writeTemp(tmp, "b.wdl", kContention);
     JobSpec ja, jb;
     ja.workload = wdl::loadWorkloadFile(a);
     jb.workload = wdl::loadWorkloadFile(b);
@@ -378,8 +378,6 @@ TEST(WdlFingerprint, HashesContentNotPath)
                   .canonical,
               fingerprintWorkloadGroupBaseline(jb.params, jb.workload, 0)
                   .canonical);
-    std::remove(a.c_str());
-    std::remove(b.c_str());
 }
 
 /** kContention with the first @p from replaced by @p to. */
@@ -517,7 +515,8 @@ TEST(WdlSpec, SpecErrorsCarryLineAndOffendingText)
 
 TEST(WdlSpec, SpecForJobRoundTripsThroughThePath)
 {
-    const std::string path = writeTemp("t_wdl_spec.wdl", kContention);
+    const test::TempDir tmp("wdl-spec");
+    const std::string path = writeTemp(tmp, "spec.wdl", kContention);
     JobSpec job;
     job.workload = wdl::loadWorkloadFile(path);
     const ExperimentSpec spec = specForJob(job);
@@ -527,7 +526,6 @@ TEST(WdlSpec, SpecForJobRoundTripsThroughThePath)
     ASSERT_EQ(jobs.size(), 1u);
     EXPECT_EQ(fingerprintJob(jobs[0]).canonical,
               fingerprintJob(job).canonical);
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -312,8 +312,8 @@ TEST(WorkloadTrace, V2FixtureReplaysAsHomogeneousBitIdentically)
 
 TEST(WorkloadTrace, RequireCompatibleRejectsPerThreadProfileMismatch)
 {
-    const std::string dir = ::testing::TempDir() + "sst_mix_trace";
-    std::filesystem::remove_all(dir);
+    const test::TempDir tmp("mix-trace");
+    const std::string &dir = tmp.path();
     JobSpec job;
     job.workload = smallMix();
     test::recordTraces({job}, dir);
@@ -357,13 +357,12 @@ TEST(WorkloadTrace, RequireCompatibleRejectsPerThreadProfileMismatch)
         EXPECT_NE(what.find("records 2 program groups"), std::string::npos)
             << what;
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(WorkloadTrace, MixRecordReplayRoundTripsBitIdentically)
 {
-    const std::string dir = ::testing::TempDir() + "sst_mix_rt";
-    std::filesystem::remove_all(dir);
+    const test::TempDir tmp("mix-rt");
+    const std::string &dir = tmp.path();
     JobSpec job;
     job.workload = smallMix();
     const SpeedupExperiment reference =
@@ -379,15 +378,14 @@ TEST(WorkloadTrace, MixRecordReplayRoundTripsBitIdentically)
     ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
     EXPECT_TRUE(replayed[0].tracedReplay);
     test::expectSameExperiment(replayed[0].exp, reference);
-    std::filesystem::remove_all(dir);
 }
 
 // ---- driver integration -----------------------------------------------------
 
 TEST(WorkloadDriver, MixJobsCacheAndReplay)
 {
-    const std::string dir = ::testing::TempDir() + "sst_mix_cache";
-    std::filesystem::remove_all(dir);
+    const test::TempDir tmp("mix-cache");
+    const std::string &dir = tmp.path();
 
     ExperimentSpec grid;
     grid.workloads = {"cholesky:2+fft:2"};
@@ -410,15 +408,13 @@ TEST(WorkloadDriver, MixJobsCacheAndReplay)
     // Heterogeneous jobs carry the v4 workload section.
     EXPECT_NE(fingerprintJob(jobs[0]).canonical.find("workload.role=mix"),
               std::string::npos);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(WorkloadDriver, RecordDirCapturesFreshJobsOnly)
 {
-    const std::string rec = ::testing::TempDir() + "sst_mix_rec";
-    const std::string cache = ::testing::TempDir() + "sst_mix_rec_cache";
-    std::filesystem::remove_all(rec);
-    std::filesystem::remove_all(cache);
+    const test::TempDir recDir("mix-rec"), cacheDir("mix-rec-cache");
+    const std::string &rec = recDir.path();
+    const std::string &cache = cacheDir.path();
 
     ExperimentSpec grid;
     grid.workloads = {"cholesky:2+fft:2"};
@@ -455,8 +451,6 @@ TEST(WorkloadDriver, RecordDirCapturesFreshJobsOnly)
     ASSERT_TRUE(replayed[0].ok()) << replayed[0].error;
     EXPECT_TRUE(replayed[0].tracedReplay);
     test::expectSameExperiment(replayed[0].exp, reference);
-    std::filesystem::remove_all(rec);
-    std::filesystem::remove_all(cache);
 }
 
 TEST(WorkloadDriver, RecordAndReplayDirsAreExclusive)
