@@ -33,7 +33,6 @@
 #include "trace/trace_format.hh"
 #include "sched/policy.hh"
 #include "spec/spec.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "trace/trace_reader.hh"
 #include "util/format.hh"
@@ -85,19 +84,18 @@ struct RunOptions
 };
 
 /** Validate and run @p spec, print, export. A non-empty
- *  RunOptions::traceOut enables telemetry for the batch and writes a
- *  Chrome trace_event JSON of every job/driver span afterwards; results
- *  are bit-identical either way (telemetry is write-only). */
+ *  RunOptions::traceOut enables the span tracer for the batch and writes
+ *  a Chrome trace_event JSON of every job/driver span afterwards; results
+ *  are bit-identical either way (telemetry is write-only). The metrics
+ *  registry stays off: nothing in `sst run` renders it. */
 int
 executeBatch(const ExperimentSpec &spec, RunOptions run)
 {
     validateSpec(spec);
     applySpecToDriverOptions(spec, run.driver);
     const bool tracing = !run.traceOut.empty();
-    if (tracing) {
-        telemetry::Registry::global().setEnabled(true);
+    if (tracing)
         telemetry::SpanTracer::global().setEnabled(true);
-    }
 
     const std::vector<JobSpec> jobs = expandGrid(spec);
     ExperimentDriver driver(run.driver);

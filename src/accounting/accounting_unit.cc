@@ -191,10 +191,4 @@ AccountingUnit::counters(ThreadId tid) const
     return threads_[static_cast<std::size_t>(tid)];
 }
 
-ThreadCounters &
-AccountingUnit::countersMutable(ThreadId tid)
-{
-    return threads_[static_cast<std::size_t>(tid)];
-}
-
 } // namespace sst

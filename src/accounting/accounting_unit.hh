@@ -129,7 +129,6 @@ class AccountingUnit
 
     // ---- access -----------------------------------------------------------
     const ThreadCounters &counters(ThreadId tid) const;
-    ThreadCounters &countersMutable(ThreadId tid);
     int nthreads() const { return static_cast<int>(threads_.size()); }
     const AccountingParams &params() const { return params_; }
 

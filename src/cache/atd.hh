@@ -10,7 +10,7 @@
  *   - shared-LLC hit + ATD miss  -> inter-thread hit (positive
  *     interference: another thread prefetched shared data).
  *
- * To bound hardware cost only every `samplingFactor`-th LLC set is
+ * To bound hardware cost only every sampling-factor-th LLC set is
  * monitored; the accounting software extrapolates sampled penalties by
  * the measured ratio of LLC accesses to sampled ATD accesses.
  */
@@ -52,8 +52,6 @@ class Atd
 
     /** True if @p line maps to a monitored set. */
     bool isSampled(Addr line) const;
-
-    int samplingFactor() const { return sampling_; }
 
     /** Number of sampled accesses observed (denominator of the measured
      *  extrapolation factor). */

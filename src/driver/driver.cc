@@ -5,7 +5,6 @@
 #endif
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <functional>
@@ -181,7 +180,6 @@ onWorkers(int nworkers, const std::function<void(int)> &body)
 struct JobExecutor::Impl
 {
     DriverOptions opts;
-    std::atomic<std::size_t> baselinesComputed{0};
     TraceRecordClaims records;
     BaselineStreams baselineStreams;
 
@@ -199,7 +197,6 @@ JobExecutor::Impl::runBaseline(const JobSpec &spec, int group)
     // Always the generated program: the key is frontend-agnostic, and a
     // recorded baseline stream replays bit-identically to it.
     telemetry::ScopedSpan span("baseline", "driver");
-    baselinesComputed.fetch_add(1, std::memory_order_relaxed);
     JobResult res;
     try {
         RunResult run = simulateSources(
@@ -359,12 +356,6 @@ JobExecutor::run(const LeasedJob &job)
     return res;
 }
 
-std::size_t
-JobExecutor::baselinesComputed() const
-{
-    return impl_->baselinesComputed.load(std::memory_order_relaxed);
-}
-
 std::vector<SubmitOutcome>
 submitExperiments(JobQueue &queue, const ResultCache *cache,
                   const std::vector<JobSpec> &specs, int priority,
@@ -439,12 +430,25 @@ submitExperiments(JobQueue &queue, const ResultCache *cache,
     return outcomes;
 }
 
-bool
-runLeasedJob(JobQueue &queue, JobExecutor &executor,
-             const std::string &worker, const LeasedJob &job)
+void
+runInProcessWorker(JobQueue &queue, JobExecutor &executor,
+                   const std::string &worker,
+                   const std::function<std::uint64_t()> &now,
+                   const std::function<bool()> &stop)
 {
-    telemetry::ScopedSpan jobSpan("job", "driver");
-    return queue.complete(job.id, worker, executor.run(job));
+    for (;;) {
+        // Read before the lease, so a change after it is never missed.
+        const std::uint64_t epoch = queue.readyEpoch();
+        if (stop())
+            return;
+        LeasedJob job;
+        if (!queue.lease(worker, now(), job, /*expires=*/false)) {
+            queue.waitReady(epoch, 20);
+            continue;
+        }
+        telemetry::ScopedSpan jobSpan("job", "driver");
+        queue.complete(job.id, worker, executor.run(job), now());
+    }
 }
 
 JobResult
@@ -482,8 +486,8 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
     JobExecutor executor(opts_);
 
     // The batch runs through the same JobQueue the experiment service
-    // uses (src/serve/), with in-process lease-loop threads as the
-    // backend: their leases never expire, so timestamps stay 0.
+    // uses (src/serve/), with in-process workers as the backend: their
+    // leases never expire, so timestamps stay 0.
     // Fingerprint dedup means a batch that lists the same job twice
     // executes it once and both rows share the result.
     JobQueue queue(JobQueueOptions(), cache_.get());
@@ -500,44 +504,17 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
         queue, opts_.refresh ? nullptr : cache_.get(), specs, 0, 0,
         poolSize(specs.size()));
 
-    // Queue depth gauge: experiment jobs not yet settled. Written per
-    // completion, never read back by the batch itself.
-    telemetry::Registry &registry = telemetry::Registry::global();
-    telemetry::GaugeHandle depthGauge =
-        registry.gauge("sst_driver_queue_depth");
-    auto publishDepth = [&queue, &registry, &depthGauge] {
-        if (registry.enabled()) {
-            const QueueStats s = queue.stats();
-            depthGauge.set(static_cast<double>(s.pending + s.leased));
-        }
-    };
-    publishDepth();
-
     // An experiment becomes leasable only when its baselines are done,
     // so a worker that finds nothing to lease waits for the queue to
     // change (every completion bumps the ready epoch) until it is idle.
-    auto leaseLoop = [&queue, &executor,
-                      &publishDepth](const std::string &worker) {
-        for (;;) {
-            const std::uint64_t epoch = queue.readyEpoch();
-            LeasedJob job;
-            if (queue.lease(worker, 0, job, /*expires=*/false)) {
-                runLeasedJob(queue, executor, worker, job);
-                publishDepth();
-            } else if (queue.idle()) {
-                return;
-            } else {
-                queue.waitReady(epoch, 100);
-            }
-        }
-    };
-
     const QueueStats queued = queue.stats();
     stats_.workers = poolSize(
         queued.pending +
         queued.baselines[static_cast<std::size_t>(QueueJobState::kPending)]);
-    onWorkers(stats_.workers, [&leaseLoop](int w) {
-        leaseLoop("local-" + std::to_string(w));
+    onWorkers(stats_.workers, [&queue, &executor](int w) {
+        runInProcessWorker(
+            queue, executor, "local-" + std::to_string(w),
+            [] { return std::uint64_t{0}; }, [&queue] { return queue.idle(); });
     });
 
     std::vector<JobResult> results;
@@ -569,7 +546,9 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
             break;
         }
     }
-    stats_.baselinesComputed = executor.baselinesComputed();
+    const QueueStats settled = queue.stats();
+    stats_.baselinesComputed =
+        settled.baselines[static_cast<std::size_t>(QueueJobState::kDone)];
     return results;
 }
 

@@ -8,8 +8,9 @@
  * queue), and isolates failures so one bad spec never poisons a batch.
  *
  * The path from spec to row is shared with the experiment service
- * (src/serve/): submitExperiments(), then runLeasedJob() on in-process
- * workers, then settledRow(). runBatch() is those three around a pool.
+ * (src/serve/): submitExperiments(), then runInProcessWorker() on the
+ * in-process workers, then settledRow(). runBatch() is those three
+ * around a pool; a server's local workers run the same worker loop.
  *
  * Determinism contract: a job's result is a pure function of its
  * JobSpec. The simulator keeps all state per-System instance and every
@@ -23,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,7 +92,9 @@ struct BatchStats
     std::size_t cached = 0;   ///< replayed from the result cache
     std::size_t failed = 0;   ///< rejected spec or execution error
     std::size_t deduped = 0;  ///< intra-batch fingerprint duplicates
-    std::size_t baselinesComputed = 0; ///< distinct 1-thread runs
+    /** Distinct 1-thread runs: the baseline jobs the queue settled
+     *  done (each leased once; a failed run settles done too). */
+    std::size_t baselinesComputed = 0;
     std::size_t traceReplays = 0; ///< executed jobs driven from a trace
     std::size_t tracesRecorded = 0; ///< jobs captured via --record-dir
     /** Lease-loop threads: DriverOptions::jobs (0 = hardware threads)
@@ -101,8 +105,9 @@ struct BatchStats
 /**
  * Executes leased queue jobs (driver/job_queue.hh): one group's 1-thread
  * baseline, or an experiment's parallel run (validation, trace
- * replay/record; the queue pairs and caches it). The in-process worker
- * threads and `sst worker` processes (src/serve/) share this code.
+ * replay/record; the queue pairs and caches it). In-process workers
+ * (runInProcessWorker) and `sst worker` processes (src/serve/) share
+ * this code.
  * Thread-safe: concurrent run() calls share the record-path claims and
  * encoded baseline streams of --record-dir.
  */
@@ -120,9 +125,6 @@ class JobExecutor
      * successful experiment's its parallel run (exp.parallel).
      */
     JobResult run(const LeasedJob &job);
-
-    /** 1-thread baseline runs this executor computed so far. */
-    std::size_t baselinesComputed() const;
 
   private:
     struct Impl;
@@ -142,10 +144,19 @@ submitExperiments(JobQueue &queue, const ResultCache *cache,
                   const std::vector<JobSpec> &specs, int priority,
                   std::uint64_t now_ms, int threads);
 
-/** An in-process worker's run step: run @p job on @p executor and
- *  complete it as @p worker, under the `job` span; returns complete(). */
-bool runLeasedJob(JobQueue &queue, JobExecutor &executor,
-                  const std::string &worker, const LeasedJob &job);
+/**
+ * An in-process worker named @p worker: until @p stop() holds, lease a
+ * job from @p queue (the lease never expires), run it on @p executor
+ * and complete it, under the `job` span. With nothing leasable it waits
+ * for the queue to change, or 20 ms, so it also sees a backoff run out.
+ * @p now() is the queue's clock: the batch driver, whose jobs never
+ * back off, passes 0; a server passes its own, because a job that an
+ * external worker failed is requeued with a backoff in that clock.
+ */
+void runInProcessWorker(JobQueue &queue, JobExecutor &executor,
+                        const std::string &worker,
+                        const std::function<std::uint64_t()> &now,
+                        const std::function<bool()> &stop);
 
 /** Settled experiment @p id assembled for @p spec, the spec that
  *  asked (a twin of another stack detector gets its own stack). */

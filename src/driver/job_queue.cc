@@ -1,11 +1,13 @@
 #include "job_queue.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
 #include "core/experiment.hh"
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
+#include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "util/logging.hh"
 
@@ -112,6 +114,7 @@ JobQueue::settleFailed(Job &job, const std::string &error)
 void
 JobQueue::onSettled(Job &job)
 {
+    --unsettled_;
     settledCv_.notify_all();
     wakeLocked(); // the queue may have gone idle
     if (job.group == kExperimentJob)
@@ -180,6 +183,7 @@ JobQueue::insert(Job job)
     }
     job.id = nextId_++;
     job.seq = nextSeq_++;
+    ++unsettled_; // a settled submission leaves through onSettled too
     if (job.key)
         byKey_[job.key->canonical] = job.id;
     const JobId id = job.id;
@@ -272,11 +276,16 @@ bool
 JobQueue::lease(const std::string &worker, std::uint64_t now_ms,
                 LeasedJob &out, bool expires)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = ready_.begin(); it != ready_.end(); ++it) {
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // Entries in backoff are skipped; later ones may still be ready.
+        const auto it =
+            std::find_if(ready_.begin(), ready_.end(), [&](const ReadyKey &k) {
+                return jobAt(std::get<2>(k)).notBeforeMs <= now_ms;
+            });
+        if (it == ready_.end())
+            return false;
         Job &job = jobAt(std::get<2>(*it));
-        if (job.notBeforeMs > now_ms)
-            continue; // in backoff; later entries may still be ready
         ready_.erase(it);
         job.state = QueueJobState::kLeased;
         job.worker = worker;
@@ -288,9 +297,12 @@ JobQueue::lease(const std::string &worker, std::uint64_t now_ms,
         out.group = job.group;
         out.attempt = job.attempts;
         out.leaseMs = expires ? opts_.leaseMs : 0;
-        return true;
+        ++workers_[worker].leases;
     }
-    return false;
+    telemetry::Registry::global()
+        .counter("sst_serve_worker_leases_total", {{"worker", worker}})
+        .inc();
+    return true;
 }
 
 const JobQueue::Job *
@@ -315,7 +327,8 @@ JobQueue::heartbeat(JobId id, const std::string &worker,
 }
 
 bool
-JobQueue::complete(JobId id, const std::string &worker, JobResult result)
+JobQueue::complete(JobId id, const std::string &worker, JobResult result,
+                   std::uint64_t now_ms)
 {
     std::string label;
     std::optional<Fingerprint> key;
@@ -358,17 +371,40 @@ JobQueue::complete(JobId id, const std::string &worker, JobResult result)
             result.error = e.what();
         }
     }
-    // Only the current lease holder settles a job: a worker whose
-    // lease expired (the job may already be running elsewhere) is
-    // rejected, so one job never produces two results.
-    std::lock_guard<std::mutex> lock(mutex_);
-    Job *job = leasedBy(id, worker);
-    if (!job)
-        return false;
-    job->state = QueueJobState::kDone;
-    job->worker.clear();
-    job->result = std::move(result);
-    onSettled(*job);
+    double rate = 0.0;
+    {
+        // Only the current lease holder settles a job: a worker whose
+        // lease expired (the job may already be running elsewhere) is
+        // rejected, so one job never produces two results.
+        std::lock_guard<std::mutex> lock(mutex_);
+        Job *job = leasedBy(id, worker);
+        if (!job)
+            return false;
+        job->state = QueueJobState::kDone;
+        job->worker.clear();
+        job->result = std::move(result);
+        onSettled(*job);
+
+        WorkerStats &w = workers_[worker];
+        ++w.done;
+        if (w.lastDoneMs != 0) {
+            const std::uint64_t delta =
+                now_ms > w.lastDoneMs ? now_ms - w.lastDoneMs : 0;
+            const double inst =
+                1000.0 / static_cast<double>(delta > 0 ? delta : 1);
+            w.jobsPerSec = w.jobsPerSec == 0.0
+                               ? inst
+                               : 0.3 * inst + 0.7 * w.jobsPerSec;
+        }
+        w.lastDoneMs = now_ms;
+        rate = w.jobsPerSec;
+    }
+    telemetry::Registry &registry = telemetry::Registry::global();
+    registry.counter("sst_serve_worker_done_total", {{"worker", worker}})
+        .inc();
+    registry.counter("sst_serve_jobs_done_total").inc();
+    registry.gauge("sst_serve_worker_jobs_per_sec", {{"worker", worker}})
+        .set(rate);
     return true;
 }
 
@@ -376,18 +412,27 @@ FailOutcome
 JobQueue::fail(JobId id, const std::string &worker,
                const std::string &error, std::uint64_t now_ms)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Job *job = leasedBy(id, worker);
-    if (!job)
-        return FailOutcome::kStale;
-    if (job->attempts >= opts_.maxAttempts) {
-        settleFailed(*job, "failed after " + std::to_string(job->attempts) +
-                               " attempts; last error: " + error);
-        return FailOutcome::kFailed;
+    FailOutcome outcome = FailOutcome::kRequeued;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        Job *job = leasedBy(id, worker);
+        if (!job)
+            return FailOutcome::kStale;
+        ++workers_[worker].failed;
+        if (job->attempts >= opts_.maxAttempts) {
+            settleFailed(*job, "failed after " +
+                                   std::to_string(job->attempts) +
+                                   " attempts; last error: " + error);
+            outcome = FailOutcome::kFailed;
+        } else {
+            ++requeues_;
+            makePending(*job, now_ms + backoffFor(job->attempts));
+        }
     }
-    ++requeues_;
-    makePending(*job, now_ms + backoffFor(job->attempts));
-    return FailOutcome::kRequeued;
+    telemetry::Registry::global()
+        .counter("sst_serve_worker_fail_total", {{"worker", worker}})
+        .inc();
+    return outcome;
 }
 
 std::size_t
@@ -514,10 +559,7 @@ bool
 JobQueue::idle() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &entry : jobs_)
-        if (!isSettled(entry.second.state))
-            return false;
-    return true;
+    return unsettled_ == 0;
 }
 
 QueueStats
@@ -542,6 +584,7 @@ JobQueue::stats() const
     s.submitted = submitted_;
     s.deduped = dedupHits_;
     s.requeues = requeues_;
+    s.workers = workers_;
     return s;
 }
 

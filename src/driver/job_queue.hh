@@ -1,8 +1,9 @@
 /**
  * @file
- * The standalone job queue behind every execution backend: the batch
- * driver's in-process thread pool and external worker processes
- * (`sst worker`) are two backends of one queue.
+ * The standalone job queue behind every execution backend: in-process
+ * workers (runInProcessWorker, driver.hh: the batch driver's pool and a
+ * server's local workers) and external worker processes (`sst worker`)
+ * are backends of one queue.
  *
  * A queued job runs either the experiment of a JobSpec or the 1-thread
  * baseline of one workload group of it. Every speedup is Ts/Tp, and Ts
@@ -35,6 +36,10 @@
  *    with a descriptive error — one crashing worker never poisons a
  *    campaign. An in-process worker dies only with its process, so its
  *    lease never expires and needs no heartbeat;
+ *  - the worker ledger: the queue decides whether a lease, a complete()
+ *    or a fail() counts, so it keeps each worker name's counts
+ *    (QueueStats::workers) and bumps the `sst_serve_worker_*` and
+ *    `sst_serve_jobs_done_total` counters where it counts;
  *  - retries are for infrastructure failures only. A job whose spec is
  *    deterministically bad completes with a kFailed JobResult (the
  *    executor never throws); fail() is for worker-side errors that a
@@ -42,9 +47,9 @@
  *    wire payloads, dead processes).
  *
  * All timestamps are injected milliseconds (`now_ms`): the queue never
- * reads a clock, so tests drive lease expiry and backoff directly and
- * the batch driver, whose leases never expire, simply passes 0
- * everywhere.
+ * reads a clock, so tests drive lease expiry, backoff and a worker's
+ * completion rate directly, and the batch driver, whose leases never
+ * expire and whose jobs never back off, simply passes 0 everywhere.
  */
 
 #ifndef SST_DRIVER_JOB_QUEUE_HH
@@ -135,6 +140,18 @@ enum class FailOutcome : std::uint8_t {
     kStale,    ///< caller no longer holds the lease — ignored
 };
 
+/** Lifetime activity of one worker name, as the queue counted it. */
+struct WorkerStats
+{
+    std::uint64_t leases = 0; ///< lease() calls that returned a job
+    std::uint64_t done = 0;   ///< complete() calls that settled a job
+    std::uint64_t failed = 0; ///< fail() calls that were not stale
+    std::uint64_t lastDoneMs = 0; ///< now_ms of the last done (0: none)
+    /** EWMA of the completion rate over done intervals (alpha 0.3;
+     *  intervals under 1 ms count as 1 ms). */
+    double jobsPerSec = 0.0;
+};
+
 /** Aggregate queue counters (point-in-time snapshot). The per-state
  *  counts and submit counters are of experiment jobs. */
 struct QueueStats
@@ -150,6 +167,9 @@ struct QueueStats
 
     /** Baseline jobs per state, indexed by QueueJobState. */
     std::array<std::size_t, kQueueJobStates> baselines{};
+
+    /** The worker ledger, by worker name. */
+    std::map<std::string, WorkerStats> workers;
 };
 
 /** Thread-safe priority/FIFO job queue with leases. See file comment. */
@@ -210,9 +230,11 @@ class JobQueue
      * before it settles. Only the current lease holder may complete a
      * job: a stale worker (its
      * lease expired and the job was reassigned) is rejected so a
-     * requeued job is never settled twice.
+     * requeued job is never settled twice. A settled job counts as
+     * @p worker's done at @p now_ms.
      */
-    bool complete(JobId id, const std::string &worker, JobResult result);
+    bool complete(JobId id, const std::string &worker, JobResult result,
+                  std::uint64_t now_ms);
 
     /**
      * Report a worker-side (infrastructure) failure of @p id: requeue
@@ -274,7 +296,7 @@ class JobQueue
     /** Wake every waitReady() caller (drain, shutdown). */
     void wakeReadyWaiters();
 
-    /** True when no job is pending or leased. */
+    /** True when no job is pending or leased. O(1). */
     bool idle() const;
 
     QueueStats stats() const;
@@ -339,6 +361,8 @@ class JobQueue
     std::size_t submitted_ = 0;
     std::size_t dedupHits_ = 0;
     std::size_t requeues_ = 0;
+    std::size_t unsettled_ = 0; ///< jobs pending or leased
+    std::map<std::string, WorkerStats> workers_;
 };
 
 } // namespace sst

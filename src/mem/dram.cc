@@ -192,13 +192,4 @@ DramModel::resetStats()
         st = DramStats{};
 }
 
-std::uint64_t
-DramModel::oraHardwareBitsPerCore() const
-{
-    // One row number per bank; rows are addressed with up to 28 bits in a
-    // 42-bit physical address space, plus a valid bit.
-    const std::uint64_t row_bits = 28 + 1;
-    return static_cast<std::uint64_t>(params_.nbanks) * row_bits;
-}
-
 } // namespace sst

@@ -148,9 +148,6 @@ class DramModel
     /** Row number within its bank for @p addr (exposed for tests). */
     std::uint64_t rowOf(Addr addr) const;
 
-    /** Hardware bits of one core's ORA (Section 4.7 cost model). */
-    std::uint64_t oraHardwareBitsPerCore() const;
-
   private:
     int ncores_;
     DramParams params_;

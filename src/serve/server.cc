@@ -104,8 +104,16 @@ Server::start()
 
     acceptThread_ = std::thread([this] { acceptLoop(); });
     reaperThread_ = std::thread([this] { reaperLoop(); });
+    // A local worker dies only with the server: its lease never expires,
+    // so it never heartbeats. It runs on the server's clock, in which a
+    // job an external worker failed backs off.
     for (int i = 0; i < opts_.localWorkers; ++i)
-        localWorkers_.emplace_back([this, i] { localWorkerLoop(i); });
+        localWorkers_.emplace_back([this, i] {
+            runInProcessWorker(
+                queue_, executor_, "local-" + std::to_string(i),
+                [this] { return nowMs(); },
+                [this] { return stop_ || (draining_ && queue_.idle()); });
+        });
 }
 
 void
@@ -201,88 +209,10 @@ Server::reaperLoop()
 }
 
 void
-Server::localWorkerLoop(int index)
-{
-    const std::string name = "local-" + std::to_string(index);
-    while (!stop_) {
-        const std::uint64_t epoch = queue_.readyEpoch();
-        LeasedJob job;
-        // A local worker dies only with the server: its lease never
-        // expires, so it never heartbeats.
-        if (!queue_.lease(name, nowMs(), job, /*expires=*/false)) {
-            if (draining_ && queue_.idle())
-                return;
-            queue_.waitReady(epoch, 20);
-            continue;
-        }
-        noteLease(name);
-        if (runLeasedJob(queue_, executor_, name, job))
-            noteDone(name);
-    }
-}
-
-void
 Server::journalRequest(const std::string &line)
 {
     if (journal_)
         journal_->append(line);
-}
-
-void
-Server::noteLease(const std::string &worker)
-{
-    {
-        std::lock_guard<std::mutex> lock(workersMutex_);
-        ++workers_[worker].leases;
-    }
-    telemetry::Registry::global()
-        .counter("sst_serve_worker_leases_total", {{"worker", worker}})
-        .inc();
-}
-
-void
-Server::noteDone(const std::string &worker)
-{
-    const std::uint64_t now = nowMs();
-    double rate = 0.0;
-    {
-        std::lock_guard<std::mutex> lock(workersMutex_);
-        WorkerStats &w = workers_[worker];
-        ++w.done;
-        if (w.lastDoneMs != 0) {
-            // EWMA throughput over completion intervals (alpha 0.3);
-            // sub-millisecond intervals clamp to 1 ms.
-            const std::uint64_t delta =
-                now > w.lastDoneMs ? now - w.lastDoneMs : 0;
-            const double inst =
-                1000.0 / static_cast<double>(delta > 0 ? delta : 1);
-            w.ewmaJobsPerSec = w.ewmaJobsPerSec == 0.0
-                                   ? inst
-                                   : 0.3 * inst + 0.7 * w.ewmaJobsPerSec;
-        }
-        w.lastDoneMs = now;
-        rate = w.ewmaJobsPerSec;
-    }
-    telemetry::Registry &registry = telemetry::Registry::global();
-    registry
-        .counter("sst_serve_worker_done_total", {{"worker", worker}})
-        .inc();
-    registry.counter("sst_serve_jobs_done_total").inc();
-    registry
-        .gauge("sst_serve_worker_jobs_per_sec", {{"worker", worker}})
-        .set(rate);
-}
-
-void
-Server::noteFail(const std::string &worker)
-{
-    {
-        std::lock_guard<std::mutex> lock(workersMutex_);
-        ++workers_[worker].failed;
-    }
-    telemetry::Registry::global()
-        .counter("sst_serve_worker_fail_total", {{"worker", worker}})
-        .inc();
 }
 
 void
@@ -513,12 +443,11 @@ Server::statusText() const
                std::to_string(row.priority) + "\n";
     }
 
-    // Per-worker throughput (std::map order: deterministic).
-    std::lock_guard<std::mutex> lock(workersMutex_);
-    for (const auto &entry : workers_) {
+    // Per-worker throughput from the queue's ledger (std::map order:
+    // deterministic).
+    for (const auto &entry : stats.workers) {
         char rate[32];
-        std::snprintf(rate, sizeof(rate), "%.3f",
-                      entry.second.ewmaJobsPerSec);
+        std::snprintf(rate, sizeof(rate), "%.3f", entry.second.jobsPerSec);
         out += "worker " + escapeToken(entry.first) + " leases=" +
                std::to_string(entry.second.leases) + " done=" +
                std::to_string(entry.second.done) + " failed=" +
@@ -541,7 +470,6 @@ Server::handleLease(Socket &sock, const std::string &worker)
         const std::uint64_t epoch = queue_.readyEpoch();
         LeasedJob job;
         if (queue_.lease(worker, nowMs(), job)) {
-            noteLease(worker);
             sock.writeAll(leaseReply(job) + "\n");
             return;
         }
@@ -587,17 +515,13 @@ Server::handleDone(const std::string &worker, JobId id,
                  " thread(s) for a " + std::to_string(spec.nthreads()) +
                  "-thread job";
     if (!defect.empty()) {
-        if (queue_.fail(id, worker, defect, nowMs()) != FailOutcome::kStale)
-            noteFail(worker);
+        queue_.fail(id, worker, defect, nowMs());
         sock.writeAll("err " + defect + "\n");
         return;
     }
-    if (queue_.complete(id, worker, std::move(result))) {
-        noteDone(worker);
-        sock.writeAll("ok\n");
-    } else {
-        sock.writeAll("err stale\n");
-    }
+    sock.writeAll(queue_.complete(id, worker, std::move(result), nowMs())
+                      ? "ok\n"
+                      : "err stale\n");
 }
 
 void
@@ -692,8 +616,6 @@ Server::handleConnection(Socket sock)
         case Request::Kind::kFail: {
             const FailOutcome outcome = queue_.fail(
                 req.jobId, req.worker, req.payload, nowMs());
-            if (outcome != FailOutcome::kStale)
-                noteFail(req.worker);
             sock.writeAll(outcome == FailOutcome::kRequeued ? "ok requeued\n"
                           : outcome == FailOutcome::kFailed ? "ok failed\n"
                                                             : "err stale\n");

@@ -8,9 +8,10 @@
  * the content-addressed result cache, the rest re-enter the queue.
  *
  * Execution backends:
- *  - local worker threads (`localWorkers > 0`) run the batch driver's
- *    run step (runLeasedJob) on a shared JobExecutor. They die only
- *    with the server, so their leases never expire;
+ *  - local worker threads (`localWorkers > 0`) are the batch driver's
+ *    in-process workers (runInProcessWorker) on a shared JobExecutor,
+ *    on the server's clock. They die only with the server, so their
+ *    leases never expire;
  *  - external `sst worker --connect` processes lease over the socket.
  *    A reaper thread expires the leases of workers that stopped
  *    heartbeating (killed, wedged, partitioned) and requeues their
@@ -18,7 +19,10 @@
  *    failed without poisoning the rest of the campaign.
  *
  * A campaign takes the batch driver's path from spec to row:
- * submitExperiments(), then settledRow() for each streamed row.
+ * submitExperiments(), then settledRow() for each streamed row. The
+ * queue keeps each worker's lease, done and fail counts (the `status`
+ * worker lines and the `sst_serve_worker_*` metrics), whichever backend
+ * the worker is.
  *
  * Each distinct 1-thread baseline is a queue job of its own, leased to
  * either backend like any other job, and an experiment is leased once
@@ -162,19 +166,8 @@ class Server
         std::shared_ptr<std::atomic<bool>> done;
     };
 
-    /** Lifetime per-worker activity, keyed by worker name. */
-    struct WorkerStats
-    {
-        std::uint64_t leases = 0;
-        std::uint64_t done = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t lastDoneMs = 0;
-        double ewmaJobsPerSec = 0.0; ///< EWMA over done intervals
-    };
-
     void acceptLoop();
     void reaperLoop();
-    void localWorkerLoop(int index);
     void handleConnection(Socket sock);
     void handleLease(Socket &sock, const std::string &worker);
     void handleDone(const std::string &worker, JobId id,
@@ -183,9 +176,6 @@ class Server
                        bool wait);
     void journalRequest(const std::string &line);
     void reapConnections(bool join_all);
-    void noteLease(const std::string &worker);
-    void noteDone(const std::string &worker);
-    void noteFail(const std::string &worker);
     void publishQueueGauges() const;
 
     ServerOptions opts_;
@@ -198,9 +188,6 @@ class Server
 
     mutable std::mutex campaignsMutex_;
     std::map<std::string, Campaign> campaigns_;
-
-    mutable std::mutex workersMutex_;
-    std::map<std::string, WorkerStats> workers_;
 
     std::atomic<bool> stop_{false};
     std::atomic<bool> draining_{false};

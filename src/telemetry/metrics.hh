@@ -9,16 +9,17 @@
  *    returns a handle wrapping a raw pointer into registry-owned,
  *    address-stable storage; the hot path (inc/set/observe) is a single
  *    relaxed atomic op behind an inlined null check;
- *  - when the registry is disabled (the default outside `sst serve` /
- *    `--trace-out` runs) acquisition returns a null handle whose
- *    operations compile down to a predictable no-op branch — telemetry
- *    never costs a run that did not ask for it;
+ *  - when the registry is disabled (the default outside `sst serve`)
+ *    acquisition returns a null handle whose operations compile down
+ *    to a predictable no-op branch — telemetry never costs a run that
+ *    did not ask for it;
  *  - exposition is one flat walk over a std::map keyed by
  *    (family name, canonical label string), so the rendered text is
  *    deterministically ordered and golden-diffable;
  *  - telemetry is write-only for the simulation: nothing in sim/ or
  *    driver/ ever reads a metric back, so enabling it cannot perturb
- *    results (CI diffs golden CSVs with telemetry on vs off).
+ *    results (ctest's sst_equivalence_* entries diff the CSV of a
+ *    served campaign, registry on, against `sst run`'s).
  */
 
 #ifndef SST_TELEMETRY_METRICS_HH

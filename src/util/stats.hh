@@ -1,7 +1,7 @@
 /**
  * @file
  * Small statistics helpers used by the validation harness and the bench
- * binaries: running mean/min/max/stddev and simple histograms.
+ * binaries: running mean/min/max/stddev.
  */
 
 #ifndef SST_UTIL_STATS_HH
@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace sst {
 
@@ -57,45 +56,6 @@ class RunningStat
     double min_ = 0.0;
     double max_ = 0.0;
     double sum_ = 0.0;
-};
-
-/**
- * Fixed-width histogram over [lo, hi); samples outside the range clamp to
- * the first/last bucket. Used for miss-penalty and wait-time diagnostics.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, int buckets)
-        : lo_(lo), hi_(hi), counts_(static_cast<std::size_t>(buckets), 0)
-    {
-    }
-
-    void
-    add(double x)
-    {
-        const auto nb = static_cast<double>(counts_.size());
-        int idx = static_cast<int>((x - lo_) / (hi_ - lo_) * nb);
-        if (idx < 0)
-            idx = 0;
-        if (idx >= static_cast<int>(counts_.size()))
-            idx = static_cast<int>(counts_.size()) - 1;
-        ++counts_[static_cast<std::size_t>(idx)];
-        ++total_;
-    }
-
-    std::uint64_t bucket(int i) const
-    {
-        return counts_[static_cast<std::size_t>(i)];
-    }
-    int buckets() const { return static_cast<int>(counts_.size()); }
-    std::uint64_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace sst

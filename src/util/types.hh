@@ -40,13 +40,6 @@ inline constexpr int kInvalidId = -1;
 /** Cache line size used throughout the memory hierarchy (bytes). */
 inline constexpr Addr kLineBytes = 64;
 
-/** Returns the cache-line-aligned address of @p a. */
-constexpr Addr
-lineAddr(Addr a)
-{
-    return a & ~(kLineBytes - 1);
-}
-
 /** Returns the cache line number of byte address @p a. */
 constexpr Addr
 lineNum(Addr a)

@@ -82,12 +82,6 @@ WorkloadSpec::groupOfThread(ThreadId tid) const
     panic("thread id out of the workload's range");
 }
 
-const BenchmarkProfile &
-WorkloadSpec::profileOfThread(ThreadId tid) const
-{
-    return groups[static_cast<std::size_t>(groupOfThread(tid))].profile;
-}
-
 std::string
 WorkloadSpec::descriptor() const
 {

@@ -161,9 +161,6 @@ struct WorkloadSpec
     /** Group index of global thread @p tid (groups are contiguous). */
     int groupOfThread(ThreadId tid) const;
 
-    /** Profile global thread @p tid runs. */
-    const BenchmarkProfile &profileOfThread(ThreadId tid) const;
-
     /**
      * Display label: the profile label for homogeneous workloads
      * (unchanged CSV/table output), the registry name when set, else

@@ -2,13 +2,13 @@
  * @file
  * Tests of the sweep service (src/serve/) and the JobQueue it serves
  * (src/driver/job_queue.hh): ordering, dedup, retry, lease and
- * baseline-dependency semantics; the wire protocol's round-trip guarantee;
+ * baseline-dependency semantics and the worker ledger; the wire protocol's round-trip guarantee;
  * specForJob's fingerprint-preserving spec round trip; result-cache
  * corruption robustness; journal torn-line replay; and end-to-end
  * socket campaigns — server restart resume, worker-pool equivalence
  * with the batch driver, killed-worker lease-expiry requeue, worker
- * heartbeats, the lease long poll, and baseline jobs shared across
- * external workers.
+ * heartbeats, the lease long poll, baseline jobs shared across
+ * external workers, and a local worker on the server's clock.
  */
 
 #include <gtest/gtest.h>
@@ -112,7 +112,7 @@ settleBaseline(JobQueue &q, const JobSpec &spec, Cycles ts = 1000)
     LeasedJob lease;
     EXPECT_TRUE(q.lease("baseliner", 0, lease));
     EXPECT_EQ(lease.id, base.id);
-    EXPECT_TRUE(q.complete(base.id, "baseliner", baselineResult(ts)));
+    EXPECT_TRUE(q.complete(base.id, "baseliner", baselineResult(ts), 0));
     return base.id;
 }
 
@@ -149,7 +149,7 @@ TEST(JobQueue, FingerprintDedup)
     // Completed jobs still dedup: a resubmitted campaign is a no-op.
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
-    ASSERT_TRUE(q.complete(lease.id, "w", okResult()));
+    ASSERT_TRUE(q.complete(lease.id, "w", okResult(), 0));
     const SubmitOutcome after = submitJob(q, testJob(2), 0, {base});
     EXPECT_TRUE(after.deduped);
     EXPECT_EQ(after.id, first.id);
@@ -243,8 +243,8 @@ TEST(JobQueue, LeaseExpiryRequeuesAndRejectsStaleCompletion)
     EXPECT_EQ(release.attempt, 2);
 
     // The dead worker coming back to life cannot settle the job twice.
-    EXPECT_FALSE(q.complete(job.id, "dead", okResult()));
-    EXPECT_TRUE(q.complete(job.id, "alive", okResult()));
+    EXPECT_FALSE(q.complete(job.id, "dead", okResult(), 1300));
+    EXPECT_TRUE(q.complete(job.id, "alive", okResult(), 1300));
     EXPECT_EQ(q.stateOf(job.id), QueueJobState::kDone);
     EXPECT_EQ(q.resultFor(job.id).status, JobStatus::kOk);
 }
@@ -277,9 +277,60 @@ TEST(JobQueue, InProcessLeaseNeverExpires)
     EXPECT_EQ(q.stateOf(local.id), QueueJobState::kLeased);
     EXPECT_EQ(q.stateOf(external.id), QueueJobState::kPending);
 
-    EXPECT_TRUE(q.complete(local.id, "local-0", okResult()));
+    EXPECT_TRUE(q.complete(local.id, "local-0", okResult(), 0));
     EXPECT_EQ(q.stateOf(local.id), QueueJobState::kDone);
     EXPECT_EQ(q.stats().requeues, 1u);
+}
+
+TEST(JobQueue, WorkerLedgerCountsWhatTheQueueDecided)
+{
+    JobQueueOptions opts;
+    opts.backoffBaseMs = 10;
+    JobQueue q(opts);
+    const SubmitOutcome base = q.submitBaseline(testJob(2), 0, 0, 0);
+    const SubmitOutcome first = submitJob(q, testJob(2, 1), 0, {base.id});
+    const SubmitOutcome second = submitJob(q, testJob(2, 2), 0, {base.id});
+
+    LeasedJob lease;
+    ASSERT_TRUE(q.lease("a", 0, lease));
+    ASSERT_EQ(lease.id, base.id);
+    // A worker that does not hold the lease changes nothing.
+    EXPECT_EQ(q.fail(base.id, "c", "not mine", 5), FailOutcome::kStale);
+    EXPECT_FALSE(q.complete(base.id, "c", baselineResult(), 5));
+    EXPECT_EQ(q.fail(base.id, "a", "crashed", 5), FailOutcome::kRequeued);
+    // Once requeued, the old holder is stale too, and a lease that
+    // finds the job in backoff returns nothing.
+    EXPECT_EQ(q.fail(base.id, "a", "again", 6), FailOutcome::kStale);
+    EXPECT_FALSE(q.complete(base.id, "a", baselineResult(), 6));
+    EXPECT_FALSE(q.lease("c", 10, lease));
+
+    // The completion rate follows the injected clock: none after the
+    // first done, 1000 / 250 ms after the second, and an interval under
+    // 1 ms counts as 1 ms (0.3 * 1000 + 0.7 * 4).
+    ASSERT_TRUE(q.lease("b", 15, lease));
+    ASSERT_TRUE(q.complete(lease.id, "b", baselineResult(), 1000));
+    EXPECT_DOUBLE_EQ(q.stats().workers.at("b").jobsPerSec, 0.0);
+    ASSERT_TRUE(q.lease("b", 1000, lease));
+    EXPECT_EQ(lease.id, first.id);
+    ASSERT_TRUE(q.complete(lease.id, "b", okResult(), 1250));
+    EXPECT_DOUBLE_EQ(q.stats().workers.at("b").jobsPerSec, 4.0);
+    ASSERT_TRUE(q.lease("b", 1250, lease));
+    EXPECT_EQ(lease.id, second.id);
+    ASSERT_TRUE(q.complete(lease.id, "b", okResult(), 1250));
+
+    const QueueStats stats = q.stats();
+    ASSERT_EQ(stats.workers.size(), 2u) << "a stale call made a ledger entry";
+    const WorkerStats &a = stats.workers.at("a");
+    EXPECT_EQ(a.leases, 1u);
+    EXPECT_EQ(a.done, 0u);
+    EXPECT_EQ(a.failed, 1u);
+    EXPECT_EQ(a.lastDoneMs, 0u);
+    const WorkerStats &b = stats.workers.at("b");
+    EXPECT_EQ(b.leases, 3u);
+    EXPECT_EQ(b.done, 3u);
+    EXPECT_EQ(b.failed, 0u);
+    EXPECT_EQ(b.lastDoneMs, 1250u);
+    EXPECT_DOUBLE_EQ(b.jobsPerSec, 0.3 * 1000.0 + 0.7 * 4.0);
 }
 
 TEST(JobQueue, LeaseExpiryExhaustsAttempts)
@@ -355,7 +406,7 @@ TEST(JobQueue, DependentIsLeasedOnlyAfterItsBaselines)
         << "no experiment is leased before its baseline is done";
     EXPECT_FALSE(q.idle());
 
-    ASSERT_TRUE(q.complete(base.id, "w", baselineResult(1234)));
+    ASSERT_TRUE(q.complete(base.id, "w", baselineResult(1234), 0));
     for (const JobId id : {four.id, eight.id}) {
         ASSERT_TRUE(q.lease("w", 0, lease));
         EXPECT_EQ(lease.id, id);
@@ -364,7 +415,7 @@ TEST(JobQueue, DependentIsLeasedOnlyAfterItsBaselines)
     // Both experiments are paired with the one baseline run.
     for (const JobId id : {four.id, eight.id}) {
         const int nthreads = id == four.id ? 4 : 8;
-        ASSERT_TRUE(q.complete(id, "w", okResult(1, 50, nthreads)));
+        ASSERT_TRUE(q.complete(id, "w", okResult(1, 50, nthreads), 0));
         EXPECT_EQ(q.resultFor(id).exp.single.executionTime, 1234u);
     }
 
@@ -390,7 +441,7 @@ TEST(JobQueue, CompletedExperimentIsPairedWithTheBaselinesItSettled)
     const SubmitOutcome two = submitJob(q, testJob(2), 0, {base});
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
-    ASSERT_TRUE(q.complete(two.id, "w", okResult(7, 50, 2)));
+    ASSERT_TRUE(q.complete(two.id, "w", okResult(7, 50, 2), 0));
     JobResult result = q.resultFor(two.id);
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_EQ(result.exp.single.executionTime, 1234u);
@@ -412,10 +463,10 @@ TEST(JobQueue, CompletedExperimentIsPairedWithTheBaselinesItSettled)
     const SubmitOutcome g1 = q.submitBaseline(mix, 1, 0, 0);
     const SubmitOutcome four = submitJob(q, mix, 0, {g0.id, g1.id});
     ASSERT_TRUE(q.lease("w", 0, lease));
-    ASSERT_TRUE(q.complete(g1.id, "w", baselineResult(1000)));
+    ASSERT_TRUE(q.complete(g1.id, "w", baselineResult(1000), 0));
     ASSERT_TRUE(q.lease("w", 0, lease));
     EXPECT_EQ(lease.id, four.id);
-    ASSERT_TRUE(q.complete(four.id, "w", okResult(9, 60, 4)));
+    ASSERT_TRUE(q.complete(four.id, "w", okResult(9, 60, 4), 0));
     result = q.resultFor(four.id);
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_EQ(result.exp.single.executionTime, 2234u);
@@ -427,7 +478,7 @@ TEST(JobQueue, CompletedExperimentIsPairedWithTheBaselinesItSettled)
     // completion settles failed, and nothing is stored.
     const SubmitOutcome lone = submitJob(q, testJob(8), 0);
     ASSERT_TRUE(q.lease("w", 0, lease));
-    ASSERT_TRUE(q.complete(lone.id, "w", okResult(7, 50, 8)));
+    ASSERT_TRUE(q.complete(lone.id, "w", okResult(7, 50, 8), 0));
     result = q.resultFor(lone.id);
     EXPECT_FALSE(result.ok());
     EXPECT_NE(result.error.find("no baseline job"), std::string::npos)
@@ -447,7 +498,7 @@ TEST(JobQueue, ReadyDependentWakesWaitReady)
     const std::uint64_t epoch = q.readyEpoch();
     std::thread completer([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        q.complete(base.id, "w", baselineResult());
+        q.complete(base.id, "w", baselineResult(), 0);
     });
     const auto start = std::chrono::steady_clock::now();
     q.waitReady(epoch, 30000);
@@ -469,7 +520,7 @@ TEST(JobQueue, FailedBaselineFailsEveryDependentWithItsError)
     JobResult failed;
     failed.status = JobStatus::kFailed;
     failed.error = "baseline exploded";
-    ASSERT_TRUE(q.complete(base.id, "w", failed));
+    ASSERT_TRUE(q.complete(base.id, "w", failed, 0));
     for (const JobId id : {two.id, four.id}) {
         EXPECT_EQ(q.stateOf(id), QueueJobState::kFailed);
         EXPECT_EQ(q.resultFor(id).error, "baseline exploded");
@@ -515,13 +566,13 @@ TEST(JobQueue, ExpiredBaselineLeaseIsRequeuedAndDependentsRunOnce)
     ASSERT_TRUE(q.lease("alive", 210, lease));
     EXPECT_EQ(lease.id, base.id);
     EXPECT_EQ(lease.attempt, 2);
-    EXPECT_FALSE(q.complete(base.id, "dead", baselineResult()));
-    ASSERT_TRUE(q.complete(base.id, "alive", baselineResult()));
+    EXPECT_FALSE(q.complete(base.id, "dead", baselineResult(), 210));
+    ASSERT_TRUE(q.complete(base.id, "alive", baselineResult(), 210));
 
     std::vector<JobId> ran;
     while (q.lease("alive", 300, lease)) {
         ran.push_back(lease.id);
-        ASSERT_TRUE(q.complete(lease.id, "alive", okResult()));
+        ASSERT_TRUE(q.complete(lease.id, "alive", okResult(), 300));
     }
     EXPECT_EQ(ran, (std::vector<JobId>{two.id, four.id}));
     EXPECT_TRUE(q.idle());
@@ -547,7 +598,7 @@ TEST(JobQueue, SharedBaselineSurvivesOneCancelAndRunsAtTheHigherPriority)
     LeasedJob lease;
     ASSERT_TRUE(q.lease("w", 0, lease));
     EXPECT_EQ(lease.id, base.id);
-    ASSERT_TRUE(q.complete(base.id, "w", baselineResult()));
+    ASSERT_TRUE(q.complete(base.id, "w", baselineResult(), 0));
     ASSERT_TRUE(q.lease("w", 0, lease));
     EXPECT_EQ(lease.id, high.id);
     ASSERT_TRUE(q.lease("w", 0, lease));
@@ -1801,6 +1852,52 @@ TEST(ServeEndToEnd, DoneOfAnotherThreadCountFailsTheJob)
                                        "failed=1"),
               std::string::npos)
         << server.statusText();
+    server.stop();
+}
+
+TEST(ServeEndToEnd, LocalWorkerRunsAJobAnExternalWorkerFailedAfterBackoff)
+{
+    const test::TempDir tmp("local-backoff");
+    serve::ServerOptions opts;
+    opts.endpoint.path = tmp.path() + "/sock";
+    opts.localWorkers = 1;
+    opts.queue.backoffBaseMs = 200;
+    serve::Server server(opts);
+
+    // An external worker holds the campaign's baseline job before the
+    // local worker starts, so the local worker cannot take it first.
+    const std::string specText = "profiles = cholesky\nthreads = 2\n";
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign("camp", 0, specText, response))
+        << response;
+    LeasedJob held;
+    ASSERT_TRUE(server.queue().lease("ext", server.nowMs(), held));
+    ASSERT_TRUE(held.isBaseline());
+    server.start();
+
+    // Its `fail` requeues the job behind a backoff on the server's
+    // clock, which the local worker must see run out.
+    Request fail;
+    fail.kind = Request::Kind::kFail;
+    fail.worker = "ext";
+    fail.jobId = held.id;
+    fail.payload = "worker crashed";
+    ASSERT_EQ(requestLine(server.endpoint(), serve::serializeRequest(fail)),
+              "ok requeued");
+    ASSERT_NO_FATAL_FAILURE(waitForSettled(server, 1));
+    const Streamed streamed =
+        streamRequest(server.endpoint(), "results camp csv wait");
+    EXPECT_EQ(streamed.end, "end complete 1/1");
+    const std::vector<JobSpec> jobs = expandGrid(parseSpec(specText));
+    EXPECT_EQ(streamed.body, sweepCsv(jobs, runExperimentBatch(jobs, {})));
+
+    const std::string status = server.statusText();
+    EXPECT_NE(status.find("worker ext leases=1 done=0 failed=1 "),
+              std::string::npos)
+        << status;
+    EXPECT_NE(status.find("worker local-0 leases=2 done=2 failed=0 "),
+              std::string::npos)
+        << status;
     server.stop();
 }
 

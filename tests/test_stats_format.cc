@@ -42,20 +42,6 @@ TEST(RunningStat, SingleSample)
     EXPECT_DOUBLE_EQ(s.max(), 42.0);
 }
 
-TEST(Histogram, BucketsAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(-1.0);  // clamps to bucket 0
-    h.add(0.5);
-    h.add(3.0);
-    h.add(9.9);
-    h.add(100.0); // clamps to last bucket
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(4), 2u);
-}
-
 TEST(TextTable, AlignsColumns)
 {
     TextTable t;
