@@ -52,12 +52,12 @@ Atd::access(Addr line)
         llc_set / static_cast<std::uint64_t>(sampling_);
     const Addr pseudo = (tag << atdSetBits_) | atd_set;
 
-    if (const Slot s = array_.findValid(pseudo); s != kNoSlot) {
+    const Slot s = array_.findAny(pseudo);
+    if (s != kNoSlot && array_.valid(s)) {
         probe.hit = true;
         array_.touch(s);
     } else {
-        probe.hit = false;
-        array_.insert(pseudo);
+        array_.fill(pseudo, s);
     }
     return probe;
 }

@@ -61,7 +61,7 @@ CacheHierarchy::makeExclusive(Addr line, CoreId writer, Slot dir)
             ++stats_[static_cast<std::size_t>(c)].invalidationsReceived;
     }
     sharers_[dir] = bit(writer);
-    dirtyOwner_[dir] = writer;
+    dirtyOwner_[dir] = static_cast<std::int8_t>(writer);
     llc_.setDirty(dir, true);
 }
 
@@ -77,11 +77,12 @@ CacheHierarchy::dropL1Copy(CoreId core, Slot dir, bool dirty)
 }
 
 void
-CacheHierarchy::insertIntoL1(CoreId core, Addr line, bool dirty, Slot dir)
+CacheHierarchy::insertIntoL1(CoreId core, Addr line, Slot resident,
+                             bool dirty, Slot dir)
 {
     L1Cache &l1 = l1s_[static_cast<std::size_t>(core)];
     SetAssocArray::Victim victim;
-    const Slot s = l1.array.insert(line, &victim);
+    const Slot s = l1.array.fill(line, resident, &victim);
 
     if (victim.valid) {
         // The way still holds the victim's LLC link.
@@ -138,7 +139,9 @@ CacheHierarchy::access(CoreId core, Addr addr, bool is_write)
         oracle = oracleAtds_[static_cast<std::size_t>(core)]->access(line);
     }
 
-    if (const Slot dir = llc_.findValid(line); dir != kNoSlot) {
+    const Slot llc_resident = llc_.findAny(line);
+    if (llc_resident != kNoSlot && llc_.valid(llc_resident)) {
+        const Slot dir = llc_resident;
         out.llcHit = true;
         ++st.llcHits;
         llc_.touch(dir);
@@ -177,7 +180,7 @@ CacheHierarchy::access(CoreId core, Addr addr, bool is_write)
             out.oracleInterThreadHit = true;
             ++st.oracleInterThreadHits;
         }
-        insertIntoL1(core, line, is_write, dir);
+        insertIntoL1(core, line, resident, is_write, dir);
         return out;
     }
 
@@ -193,7 +196,7 @@ CacheHierarchy::access(CoreId core, Addr addr, bool is_write)
     }
 
     SetAssocArray::Victim victim;
-    const Slot dir = llc_.insert(line, &victim);
+    const Slot dir = llc_.fill(line, llc_resident, &victim);
     if (victim.valid) {
         // Inclusive LLC: back-invalidate every L1 copy of the victim.
         for (std::uint64_t rest = sharers_[dir]; rest != 0;
@@ -209,9 +212,9 @@ CacheHierarchy::access(CoreId core, Addr addr, bool is_write)
         }
     }
     sharers_[dir] = bit(core);
-    dirtyOwner_[dir] = is_write ? core : kInvalidId;
+    dirtyOwner_[dir] = static_cast<std::int8_t>(is_write ? core : kInvalidId);
     llc_.setDirty(dir, is_write);
-    insertIntoL1(core, line, is_write, dir);
+    insertIntoL1(core, line, resident, is_write, dir);
     return out;
 }
 

@@ -156,7 +156,10 @@ class CacheHierarchy
      *  at LLC slot @p dir: a clean copy goes silently; a dirty one
      *  writes back, and the LLC then owns the only up-to-date copy. */
     void dropL1Copy(CoreId core, Slot dir, bool dirty);
-    void insertIntoL1(CoreId core, Addr line, bool dirty, Slot dir);
+    /** Fill @p line into @p core's L1, where findAny() found it at
+     *  @p resident, as the copy of LLC slot @p dir. */
+    void insertIntoL1(CoreId core, Addr line, Slot resident, bool dirty,
+                      Slot dir);
 
     int ncores_;
     CacheParams params_;
@@ -164,8 +167,9 @@ class CacheHierarchy
     SetAssocArray llc_;
     /** LLC directory, per LLC slot: bitmap of the L1s holding a copy. */
     std::vector<std::uint64_t> sharers_;
-    /** LLC directory, per LLC slot: core with the modified copy. */
-    std::vector<CoreId> dirtyOwner_;
+    /** LLC directory, per LLC slot: core with the modified copy, in a
+     *  byte (cores are at most kMaxSimCores). */
+    std::vector<std::int8_t> dirtyOwner_;
     std::vector<std::unique_ptr<Atd>> atds_;
     std::vector<std::unique_ptr<Atd>> oracleAtds_;
     std::vector<CacheStats> stats_;

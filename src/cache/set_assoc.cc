@@ -5,20 +5,43 @@
 
 namespace sst {
 
+namespace {
+
+constexpr std::size_t
+roundUp(std::size_t n, std::size_t to)
+{
+    return (n + to - 1) / to * to;
+}
+
+} // namespace
+
 SetAssocArray::SetAssocArray(std::uint64_t size_bytes, int ways)
 {
     sstAssert(ways > 0, "cache needs at least one way");
+    sstAssert(ways <= kMaxWays, "cache has more than 64 ways");
     const std::uint64_t w = static_cast<std::uint64_t>(ways);
     const std::uint64_t sets = size_bytes / kLineBytes / w;
     sstAssert(sets > 0, "cache needs at least one set");
     sstAssert(isPow2(sets), "cache set count must be a power of two");
-    sstAssert(sets * w < kNoSlot, "cache has too many ways to index");
+    wayBits_ = log2i(w);
+    sstAssert(sets << wayBits_ < kNoSlot, "cache has too many ways to index");
     sets_ = static_cast<Slot>(sets);
     ways_ = static_cast<Slot>(w);
-    const std::size_t n = static_cast<std::size_t>(sets * w);
-    tags_.assign(n, kNoTag);
-    stamps_.assign(n, 0);
-    state_.assign(n, 0);
+    setBits_ = log2i(sets);
+    waysMask_ = ways == 64 ? ~std::uint64_t(0)
+                           : (std::uint64_t(1) << ways) - 1;
+
+    // The per-way arrays are sized for the way count rounded up to a
+    // power of two, so a slot's way bits index them directly.
+    const std::size_t n = std::size_t{1} << wayBits_;
+    groups_ = static_cast<unsigned>((n + 7) / 8);
+    stateOff_ = kCheckOff + 8 * groups_;
+    prevOff_ = stateOff_ + n;
+    nextOff_ = prevOff_ + n;
+    tagOff_ = roundUp(nextOff_ + n, 8);
+    stride_ = roundUp(tagOff_ + 8 * n, sizeof(Chunk));
+    blocks_.resize(sets * stride_ / sizeof(Chunk));
+    reset();
 }
 
 SetAssocArray
@@ -30,61 +53,23 @@ SetAssocArray::fromSets(int sets, int ways)
                          ways);
 }
 
-Slot
-SetAssocArray::insert(Addr line, Victim *victim)
-{
-    // Prefer the way where the line is already resident (a
-    // coherence-invalidated tag), then the first free way, then the LRU
-    // way — selected in one pass over the tag and stamp arrays. The LRU
-    // candidate is the first minimum stamp in way order among occupied
-    // ways.
-    const Slot base = static_cast<Slot>(setIndex(line)) * ways_;
-    const Slot end = base + ways_;
-    Slot match = end;
-    Slot free_way = end;
-    Slot lru = end;
-    for (Slot s = base; s < end; ++s) {
-        const Addr tag = tags_[s];
-        if (tag == line) {
-            match = s;
-            break;
-        }
-        if (tag == kNoTag) {
-            if (free_way == end)
-                free_way = s;
-        } else if (lru == end || stamps_[s] < stamps_[lru]) {
-            lru = s;
-        }
-    }
-    const Slot target = match != end ? match : free_way != end ? free_way
-                                                                : lru;
-
-    if (victim) {
-        // A coherence-invalidated resident tag is not a live victim.
-        victim->line = tags_[target];
-        victim->valid = valid(target);
-        victim->dirty = dirty(target);
-    }
-
-    tags_[target] = line;
-    stamps_[target] = ++stamp_;
-    state_[target] = kValid;
-    return target;
-}
-
 bool
 SetAssocArray::invalidate(Addr line, bool keep_tag)
 {
     const Slot s = findValid(line);
     if (s == kNoSlot)
         return false;
+    unsigned char *b = block(s >> wayBits_);
+    const unsigned char w = wayOf(s);
     if (keep_tag) {
-        // Still resident: the tag stays in the probe array.
-        state_[s] = kCohInv;
+        // Still resident, in its place in the recency list.
+        b[stateOff_ + w] = kCohInv;
     } else {
-        tags_[s] = kNoTag;
-        stamps_[s] = 0;
-        state_[s] = 0;
+        unlink(b, w);
+        store64(b + kFreeOff,
+                load64(b + kFreeOff) | (std::uint64_t(1) << w));
+        store64(b + tagOff_ + 8 * std::size_t{w}, kNoTag);
+        b[stateOff_ + w] = 0;
     }
     return true;
 }
@@ -92,17 +77,23 @@ SetAssocArray::invalidate(Addr line, bool keep_tag)
 void
 SetAssocArray::reset()
 {
-    tags_.assign(tags_.size(), kNoTag);
-    stamps_.assign(stamps_.size(), 0);
-    state_.assign(state_.size(), 0);
+    unsigned char *first = blocks_.front().bytes;
+    std::memset(first, 0, stride_);
+    store64(first + kFreeOff, waysMask_);
+    first[kMruOff] = kNil;
+    first[kLruOff] = kNil;
+    for (std::size_t w = 0; w < (std::size_t{1} << wayBits_); ++w)
+        store64(first + tagOff_ + 8 * w, kNoTag);
+    for (Slot set = 1; set < sets_; ++set)
+        std::memcpy(block(set), first, stride_);
 }
 
 std::uint64_t
 SetAssocArray::validCount() const
 {
     std::uint64_t n = 0;
-    for (const std::uint8_t st : state_)
-        n += (st & kValid) != 0;
+    for (Slot s = 0; s < slots(); ++s)
+        n += valid(s);
     return n;
 }
 

@@ -19,6 +19,7 @@
 #include "core/experiment.hh"
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
+#include "sim/machine_keys.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "trace/trace_run.hh"
@@ -37,7 +38,8 @@ namespace {
 
 #if defined(__GLIBC__) && !defined(SST_SANITIZED_MALLOC)
 /**
- * The process's host-memory policy: one glibc malloc arena. By default
+ * The process's host-memory policy: one glibc malloc arena, and a fixed
+ * mmap threshold. By default
  * glibc gives each allocating thread an arena of its own, and an arena
  * keeps the high-water mark of what its threads allocated and freed. A
  * worker allocates and frees each job's cache tag and LRU arrays, LLC
@@ -46,8 +48,17 @@ namespace {
  * live set. Set during static initialization, so it holds before the
  * first thread of any binary that links the driver. Sanitizers bring
  * their own allocator, which this setting would not reach.
+ *
+ * glibc also raises its mmap threshold to the size of each mapped block
+ * a program frees, so after the first job the next jobs' largest arrays
+ * (the LLC's set blocks, 512 KB at the default geometry, and its
+ * directory) would come from the arena and stay there. Fixing the
+ * threshold at glibc's initial 128 KB maps and unmaps them with each
+ * job, so they never raise the arena's high-water mark.
  */
 [[maybe_unused]] const int oneMallocArena = mallopt(M_ARENA_MAX, 1);
+[[maybe_unused]] const int fixedMmapThreshold =
+    mallopt(M_MMAP_THRESHOLD, 128 * 1024);
 #endif
 
 /**
@@ -91,9 +102,11 @@ validateSpec(const JobSpec &spec)
         if (g.profile.name.empty())
             throw std::invalid_argument("job: profile has no name");
     }
-    if (spec.params.cache.llcBytes == 0 || spec.params.cache.l1Bytes == 0)
-        throw std::invalid_argument("job '" + label +
-                                    "': cache sizes must be non-zero");
+    try {
+        validateMachine(spec.params);
+    } catch (const std::invalid_argument &e) {
+        throw std::invalid_argument("job '" + label + "': " + e.what());
+    }
 }
 
 /**
@@ -447,6 +460,27 @@ runInProcessWorker(JobQueue &queue, JobExecutor &executor,
             continue;
         }
         telemetry::ScopedSpan jobSpan("job", "driver");
+        if (jobSpan.active()) {
+            // Names the job in --trace-out, so a trace can say which job
+            // was the long one.
+            const JobSpec &spec = job.spec;
+            if (job.isBaseline()) {
+                jobSpan.arg("label", spec.label() + " baseline " +
+                                         std::to_string(job.group));
+                jobSpan.arg("fingerprint",
+                            fingerprintWorkloadGroupBaseline(
+                                spec.params, spec.effectiveWorkload(),
+                                job.group)
+                                .hex());
+            } else {
+                jobSpan.arg("label",
+                            spec.label() + " " +
+                                std::to_string(spec.nthreads()) + "t " +
+                                std::to_string(spec.ncoresEffective()) +
+                                "c");
+                jobSpan.arg("fingerprint", fingerprintJob(spec).hex());
+            }
+        }
         queue.complete(job.id, worker, executor.run(job), now());
     }
 }

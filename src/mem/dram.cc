@@ -7,62 +7,131 @@
 
 namespace sst {
 
-void
-BusTimeline::pruneBefore(Cycles t)
+namespace {
+
+/** Bus cycles the ring covers before it first grows. */
+constexpr Cycles kInitialRingCycles = 1024;
+
+} // namespace
+
+BusTimeline::BusTimeline()
+    : busy_(kInitialRingCycles / 64), ends_(kInitialRingCycles / 64),
+      owner_(kInitialRingCycles, kInvalidId),
+      mask_(kInitialRingCycles - 1)
 {
-    // Only safe with a watermark no later than any future reserve() time:
-    // callers use the (monotone) request issue time.
-    std::size_t keep = 0;
-    for (std::size_t i = head_; i < busy_.size(); ++i) {
-        if (busy_[i].end > t)
-            busy_[keep++] = busy_[i];
+}
+
+std::uint64_t
+BusTimeline::freeFrom(Cycles c) const
+{
+    if (c >= horizon_)
+        return ~std::uint64_t(0);
+    const Cycles pos = c & mask_;
+    const Cycles shift = pos & 63;
+    const Cycles word = pos >> 6;
+    std::uint64_t busy = busy_[word] >> shift;
+    if (shift != 0)
+        busy |= busy_[(word + 1) & (mask_ >> 6)] << (64 - shift);
+    // Bits from the horizon on belong to wrapped cycles; those cycles
+    // are all free.
+    const Cycles ahead = horizon_ - c;
+    return ahead < 64 ? ~busy | (~std::uint64_t(0) << ahead) : ~busy;
+}
+
+void
+BusTimeline::markRange(std::vector<std::uint64_t> &ring, Cycles from,
+                       Cycles to, bool on)
+{
+    while (from < to) {
+        const Cycles pos = from & mask_;
+        const Cycles bit = pos & 63;
+        const Cycles n = std::min<Cycles>(64 - bit, to - from);
+        const std::uint64_t m =
+            (n == 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << n) - 1)
+            << bit;
+        if (on)
+            ring[pos >> 6] |= m;
+        else
+            ring[pos >> 6] &= ~m;
+        from += n;
     }
-    busy_.resize(keep);
-    head_ = 0;
+}
+
+void
+BusTimeline::grow(Cycles cycles)
+{
+    Cycles size = mask_ + 1;
+    while (size < cycles)
+        size *= 2;
+    std::vector<std::uint64_t> busy(size / 64), ends(size / 64);
+    std::vector<CoreId> owner(size, kInvalidId);
+    for (Cycles c = base_; c < horizon_; ++c) {
+        const Cycles pos = c & (size - 1);
+        busy[pos >> 6] |= std::uint64_t{bitAt(busy_, c)} << (pos & 63);
+        ends[pos >> 6] |= std::uint64_t{bitAt(ends_, c)} << (pos & 63);
+        owner[pos] = owner_[c & mask_];
+    }
+    busy_ = std::move(busy);
+    ends_ = std::move(ends);
+    owner_ = std::move(owner);
+    mask_ = size - 1;
 }
 
 void
 BusTimeline::pruneFront(Cycles t)
 {
-    while (head_ < busy_.size() && busy_[head_].end <= t)
-        ++head_;
-    // Compact once the dead prefix dominates; amortized O(1) per call.
-    if (head_ >= 64 && head_ * 2 >= busy_.size()) {
-        busy_.erase(busy_.begin(),
-                    busy_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-    }
+    if (t <= base_)
+        return;
+    const Cycles stop = std::min(t, horizon_);
+    markRange(busy_, base_, stop, false);
+    markRange(ends_, base_, stop, false);
+    base_ = t;
+    horizon_ = std::max(horizon_, t);
+}
+
+std::size_t
+BusTimeline::liveReservations() const
+{
+    std::size_t n = 0;
+    for (Cycles c = base_; c < horizon_; ++c)
+        n += bitAt(ends_, c);
+    return n;
 }
 
 Cycles
 BusTimeline::reserve(Cycles t, Cycles len, CoreId who, CoreId &blocker)
 {
-    blocker = kInvalidId;
-
-    // First-fit gap search along the sorted busy list.
-    Cycles cur = t;
-    std::size_t pos = head_;
-    for (; pos < busy_.size(); ++pos) {
-        const Interval &iv = busy_[pos];
-        if (iv.end <= cur)
-            continue;
-        if (iv.start >= cur + len)
-            break; // the gap before iv fits
-        if (iv.end > cur) {
-            cur = iv.end;
-            blocker = iv.owner;
+    sstAssert(t >= base_ && len > 0,
+              "bus reservation before the watermark or of no cycles");
+    // First fit. Most requests find the bus free at t; otherwise test
+    // 64 candidate starts at a time: bit i of `fits` says that cycles
+    // start + i .. start + i + len - 1 are all free.
+    Cycles start = t;
+    const std::uint64_t run =
+        len >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << len) - 1;
+    if (len > 64 || (freeFrom(t) & run) != run) {
+        for (;;) {
+            std::uint64_t fits = ~std::uint64_t(0);
+            for (Cycles i = 0; i < len && fits != 0; ++i)
+                fits &= freeFrom(start + i);
+            if (fits != 0) {
+                start += static_cast<Cycles>(__builtin_ctzll(fits));
+                break;
+            }
+            start += 64;
         }
     }
-    if (cur == t)
-        blocker = kInvalidId; // no wait, no blocker
+    // A later start sits right behind a reservation's last cycle.
+    blocker = start > t ? owner_[(start - 1) & mask_] : kInvalidId;
 
-    // Insert keeping the start order.
-    Interval mine{cur, cur + len, who};
-    auto it = busy_.begin() + static_cast<std::ptrdiff_t>(head_);
-    while (it != busy_.end() && it->start < mine.start)
-        ++it;
-    busy_.insert(it, mine);
-    return cur;
+    const Cycles end = start + len;
+    if (end - base_ > mask_ + 1)
+        grow(end - base_);
+    markRange(busy_, start, end, true);
+    ends_[((end - 1) & mask_) >> 6] |= std::uint64_t(1) << ((end - 1) & 63);
+    owner_[(end - 1) & mask_] = who;
+    horizon_ = std::max(horizon_, end);
+    return start;
 }
 
 DramModel::DramModel(int ncores, const DramParams &params)
@@ -71,9 +140,8 @@ DramModel::DramModel(int ncores, const DramParams &params)
       stats_(static_cast<std::size_t>(ncores))
 {
     sstAssert(params.nbanks > 0, "DRAM needs at least one bank");
-    ora_.resize(static_cast<std::size_t>(ncores));
-    for (auto &per_core : ora_)
-        per_core.resize(static_cast<std::size_t>(params.nbanks));
+    ora_.resize(static_cast<std::size_t>(ncores) *
+                static_cast<std::size_t>(params.nbanks));
 
     const std::uint64_t nb = static_cast<std::uint64_t>(params.nbanks);
     if (isPow2(nb)) {
@@ -114,6 +182,9 @@ DramModel::access(CoreId core, Addr addr, Cycles now)
     res.bank = bankOf(addr);
     res.row = rowOf(addr);
     Bank &bank = banks_[static_cast<std::size_t>(res.bank)];
+    const std::size_t ora_slot =
+        static_cast<std::size_t>(core) * banks_.size() +
+        static_cast<std::size_t>(res.bank);
 
     bus_.pruneFront(now);
 
@@ -151,9 +222,7 @@ DramModel::access(CoreId core, Addr addr, Cycles now)
         // needs most recently, and another core has since opened a
         // different one -> the precharge/activate penalty is negative
         // interference caused by that other core.
-        const OraEntry &oe =
-            ora_[static_cast<std::size_t>(core)]
-                [static_cast<std::size_t>(res.bank)];
+        const OraEntry &oe = ora_[ora_slot];
         if (oe.valid && oe.row == res.row && bank.lastOpener != core)
             res.pageConflictByOther = true;
     }
@@ -164,8 +233,7 @@ DramModel::access(CoreId core, Addr addr, Cycles now)
     bank.openRow = res.row;
     bank.anyOpen = true;
     bank.lastOpener = core;
-    ora_[static_cast<std::size_t>(core)]
-        [static_cast<std::size_t>(res.bank)] = {res.row, true};
+    ora_[ora_slot] = {res.row, true};
 
     // ---- data burst back over the shared bus -------------------------------
     const Cycles data_start =

@@ -71,53 +71,71 @@ struct DramStats
 };
 
 /**
- * Busy-interval allocator for the shared bus. The command and the data
+ * Busy-cycle allocator for the shared bus. The command and the data
  * burst of a request occupy the bus separately, and the bank access in
  * between leaves the bus free for other cores — so the allocator must be
- * able to fill gaps between existing reservations. Requests are issued
- * in nondecreasing time order, which lets reserve() prune intervals that
- * ended before the current issue time.
+ * able to fill gaps between existing reservations.
+ *
+ * Reservations never overlap, so they are ordered by start and end
+ * alike, and the ones that ended before the current issue time are
+ * always a prefix. The timeline keeps a ring of per-cycle bits from the
+ * watermark (no later call reserves before it) to the end of the
+ * latest reservation: one bit marks a busy cycle, one marks the last
+ * cycle of a reservation, whose owner is stored beside it. A search
+ * tests 64 candidate start cycles per step with word operations, so its
+ * cost grows with the busy cycles it passes, not with the number of
+ * live reservations, and an insert shifts nothing. The ring doubles
+ * when a reservation lies past it.
  */
 class BusTimeline
 {
   public:
+    BusTimeline();
+
     /**
-     * Reserve @p len bus cycles at the earliest point >= @p t.
-     * @param[out] blocker core whose reservation forced the final wait
-     *             (kInvalidId if none)
+     * Reserve @p len bus cycles at the earliest point >= @p t where they
+     * are all free. @p t must not precede the watermark.
+     * @param len cycles, at least 1
+     * @param[out] blocker owner of the reservation that ends where this
+     *             one starts, when it could not start at @p t
+     *             (kInvalidId otherwise)
      * @return the reservation's start cycle
      */
     Cycles reserve(Cycles t, Cycles len, CoreId who, CoreId &blocker);
 
     /**
-     * Drop reservations that ended before @p t. Callers must pass a
-     * watermark no later than any future reserve() time (the monotone
-     * request issue time qualifies).
-     */
-    void pruneBefore(Cycles t);
-
-    /**
-     * Amortized-O(1) variant for the per-access hot path: drop only the
-     * leading run of expired reservations by advancing a head index
-     * (compacting the backing vector when the dead prefix grows).
-     * Interior expired intervals are left in place — reserve() skips
-     * them anyway, so the computed schedule is identical to pruning
-     * fully on every access.
+     * Raise the watermark to @p t, dropping the reservations that ended
+     * by then. Callers must pass a watermark no later than any future
+     * reserve() time (the monotone request issue time qualifies).
      */
     void pruneFront(Cycles t);
 
-    /** Number of retained reservations (test/diagnostic helper). */
-    std::size_t liveReservations() const { return busy_.size() - head_; }
+    /** Number of reservations ending after the watermark
+     *  (test/diagnostic helper). */
+    std::size_t liveReservations() const;
 
   private:
-    struct Interval
+    /** Bit i set when cycle @p c + i is free, for i in 0 .. 63. */
+    std::uint64_t freeFrom(Cycles c) const;
+    /** Set (@p on) or clear the bits of cycles [from, to) in @p ring. */
+    void markRange(std::vector<std::uint64_t> &ring, Cycles from, Cycles to,
+                   bool on);
+    /** Make the ring span at least @p cycles from the watermark. */
+    void grow(Cycles cycles);
+
+    bool
+    bitAt(const std::vector<std::uint64_t> &ring, Cycles c) const
     {
-        Cycles start;
-        Cycles end;
-        CoreId owner;
-    };
-    std::vector<Interval> busy_; ///< busy_[head_..]: sorted by start
-    std::size_t head_ = 0;       ///< first live slot in busy_
+        const Cycles pos = c & mask_;
+        return (ring[pos >> 6] >> (pos & 63)) & 1;
+    }
+
+    std::vector<std::uint64_t> busy_; ///< per cycle: on the bus
+    std::vector<std::uint64_t> ends_; ///< per cycle: a reservation's last
+    std::vector<CoreId> owner_;       ///< per last cycle: who reserved
+    Cycles mask_ = 0;    ///< ring cycles - 1 (a power of two, >= 63)
+    Cycles base_ = 0;    ///< watermark
+    Cycles horizon_ = 0; ///< every reservation ends by this cycle
 };
 
 /** Shared bus + banked open-page DRAM + per-core ORAs. */
@@ -170,13 +188,14 @@ class DramModel
     };
     std::vector<Bank> banks_;
 
-    /** ORA: per core x bank, the row this core opened most recently. */
+    /** ORA: per core x bank (core * nbanks + bank), the row this core
+     *  opened most recently. */
     struct OraEntry
     {
         std::uint64_t row = 0;
         bool valid = false;
     };
-    std::vector<std::vector<OraEntry>> ora_;
+    std::vector<OraEntry> ora_;
 
     std::vector<DramStats> stats_;
 };

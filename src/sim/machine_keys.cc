@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "util/bits.hh"
 #include "util/parse.hh"
 
 namespace sst {
@@ -158,6 +159,77 @@ setMachineValue(SimParams &params, const MachineKey &key,
         break;
     }
     key.set(params, v);
+}
+
+namespace {
+
+[[noreturn]] void
+refuse(const std::string &key, const std::string &why)
+{
+    throw std::invalid_argument("machine." + key + " " + why);
+}
+
+/** Sets of a cache of @p bytes and @p ways ("l1" or "llc" keys). */
+std::uint64_t
+checkedSets(const std::string &cache, std::uint64_t bytes, int ways)
+{
+    if (ways < 1 || ways > SetAssocArray::kMaxWays)
+        refuse(cache + "-ways", "= " + std::to_string(ways) +
+                                    ": must be 1.." +
+                                    std::to_string(SetAssocArray::kMaxWays));
+    const std::uint64_t w = static_cast<std::uint64_t>(ways);
+    const std::uint64_t sets = bytes / kLineBytes / w;
+    if (!isPow2(sets))
+        refuse(cache + "-bytes",
+               "= " + sizeText(bytes) + " with machine." + cache +
+                   "-ways = " + std::to_string(ways) + " gives " +
+                   std::to_string(sets) +
+                   " sets: the set count must be a power of two");
+    if (sets >= (kNoSlot >> log2i(w)))
+        refuse(cache + "-bytes", "= " + sizeText(bytes) + ": too large");
+    return sets;
+}
+
+template <typename T>
+void
+requirePositive(const char *key, T value)
+{
+    if (value < 1)
+        refuse(key, "= " + std::to_string(value) + ": must be >= 1");
+}
+
+} // namespace
+
+void
+validateMachine(const SimParams &params)
+{
+    const CacheParams &cache = params.cache;
+    checkedSets("l1", cache.l1Bytes, cache.l1Ways);
+    const std::uint64_t llc_sets =
+        checkedSets("llc", cache.llcBytes, cache.llcWays);
+    requirePositive("atd-sampling-factor", cache.atdSamplingFactor);
+    if (llc_sets % static_cast<std::uint64_t>(cache.atdSamplingFactor) != 0)
+        refuse("atd-sampling-factor",
+               "= " + std::to_string(cache.atdSamplingFactor) +
+                   ": must divide the LLC set count " +
+                   std::to_string(llc_sets));
+
+    const DramParams &dram = params.dram;
+    requirePositive("dram-banks", dram.nbanks);
+    requirePositive("dram-bus-cycles", dram.busCycles);
+    requirePositive("dram-data-cycles", dram.dataCycles);
+    if (dram.rowBytes < kLineBytes)
+        refuse("dram-row-bytes", "= " + sizeText(dram.rowBytes) +
+                                     ": must hold a line (64 bytes)");
+
+    requirePositive("dispatch-width", params.dispatchWidth);
+    requirePositive("tian-table-entries",
+                    params.accounting.tian.tableEntries);
+    requirePositive("li-table-entries", params.accounting.li.tableEntries);
+    // A zero poll period or time slice never advances a spinning or
+    // preempted thread: the run would not end.
+    requirePositive("spin-check-cycles", params.spinCheckCycles);
+    requirePositive("time-slice-cycles", params.timeSliceCycles);
 }
 
 void

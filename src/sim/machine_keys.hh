@@ -68,6 +68,17 @@ void setMachineValue(SimParams &params, const MachineKey &key,
                      const std::string &text);
 
 /**
+ * Throw std::invalid_argument, naming the `machine.<key>`, when a value
+ * in @p params is one the simulator cannot run: a cache geometry
+ * without a power-of-two set count or with more than
+ * SetAssocArray::kMaxWays ways, an ATD sampling factor that does not
+ * divide the LLC set count, a DRAM row smaller than a line, or a zero
+ * bank count, bus transfer, dispatch width, detector table, spin poll
+ * period or time slice.
+ */
+void validateMachine(const SimParams &params);
+
+/**
  * Append `machine.<key> = <value>` lines for every table entry, in
  * canonical order. This is both the machine section of a serialized
  * spec and the params section of a job fingerprint.

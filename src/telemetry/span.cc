@@ -47,7 +47,8 @@ SpanTracer::ringForThisThread()
 
 void
 SpanTracer::record(std::string name, const char *category,
-                   std::uint64_t start_ns, std::uint64_t end_ns)
+                   std::uint64_t start_ns, std::uint64_t end_ns,
+                   std::string args)
 {
     Ring &ring = ringForThisThread();
     std::lock_guard<std::mutex> lock(ring.mutex);
@@ -57,6 +58,7 @@ SpanTracer::record(std::string name, const char *category,
     span.startNs = start_ns;
     span.endNs = end_ns;
     span.seq = ring.seq++;
+    span.args = std::move(args);
     if (ring.spans.size() < kRingCapacity) {
         ring.spans.push_back(std::move(span));
     } else {
@@ -147,10 +149,21 @@ appendEvent(std::string &out, bool &first, const Span &span, int lane,
     out += phase;
     out += "\",\"pid\":1,\"tid\":" + std::to_string(lane) +
            ",\"ts\":" +
-           microseconds(phase == 'B' ? span.startNs : span.endNs) + "}";
+           microseconds(phase == 'B' ? span.startNs : span.endNs);
+    if (phase == 'B' && !span.args.empty())
+        out += ",\"args\":{" + span.args + "}";
+    out += "}";
 }
 
 } // namespace
+
+void
+ScopedSpan::arg(const char *key, const std::string &value)
+{
+    if (!args_.empty())
+        args_ += ',';
+    args_ += "\"" + jsonEscape(key) + "\":\"" + jsonEscape(value) + "\"";
+}
 
 std::string
 SpanTracer::chromeTraceJson() const

@@ -44,6 +44,8 @@ struct Span
     std::uint64_t startNs = 0;
     std::uint64_t endNs = 0;
     std::uint64_t seq = 0; ///< per-ring record order (for stable sorts)
+    /** Members of the exported `args` object (`"k":"v",...`), or "". */
+    std::string args;
 };
 
 /** The process-wide span recorder. See file comment. */
@@ -67,16 +69,19 @@ class SpanTracer
     /** Nanoseconds since the epoch set by setEnabled(true). */
     std::uint64_t nowNs() const;
 
-    /** Record a completed span on the calling thread's ring. */
+    /** Record a completed span on the calling thread's ring; @p args
+     *  as in Span::args. */
     void record(std::string name, const char *category,
-                std::uint64_t start_ns, std::uint64_t end_ns);
+                std::uint64_t start_ns, std::uint64_t end_ns,
+                std::string args = {});
 
     /** Spans overwritten because a ring filled, over all rings. */
     std::uint64_t dropped() const;
 
     /**
      * Export every recorded span as Chrome trace_event JSON: B/E pairs
-     * per thread lane, timestamps in microseconds. Spans recorded by a
+     * per thread lane, timestamps in microseconds, a span's args on its
+     * B event. Spans recorded by a
      * thread nest properly (RAII), so the per-lane B/E stream is
      * well-formed.
      */
@@ -127,9 +132,16 @@ class ScopedSpan
     {
         if (active_) {
             SpanTracer &tracer = SpanTracer::global();
-            tracer.record(name_, category_, startNs_, tracer.nowNs());
+            tracer.record(name_, category_, startNs_, tracer.nowNs(),
+                          std::move(args_));
         }
     }
+
+    /** True when this span records: build arguments only then. */
+    bool active() const { return active_; }
+
+    /** Attach string argument @p key = @p value to the exported span. */
+    void arg(const char *key, const std::string &value);
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
@@ -139,6 +151,7 @@ class ScopedSpan
     const char *category_;
     std::uint64_t startNs_ = 0;
     bool active_ = false;
+    std::string args_;
 };
 
 } // namespace telemetry

@@ -2,10 +2,14 @@
  * @file
  * Unit and property tests for the DRAM model: bank/row mapping,
  * open-page timing, bus arbitration, interference attribution, ORA page
- * conflicts and the bus interval allocator.
+ * conflicts and the bus allocator, with a differential test of the bus
+ * allocator against the sorted-interval list it replaced.
  */
 
 #include <gtest/gtest.h>
+
+#include <random>
+#include <vector>
 
 #include "mem/dram.hh"
 
@@ -62,9 +66,142 @@ TEST(BusTimeline, PruneDropsExpired)
     bus.reserve(100, 4, 0, blocker);
     bus.reserve(104, 4, 0, blocker);
     EXPECT_EQ(bus.liveReservations(), 2u);
-    bus.pruneBefore(108);
+    bus.pruneFront(106); // [100,104) has ended, [104,108) has not
+    EXPECT_EQ(bus.liveReservations(), 1u);
+    bus.pruneFront(108);
     EXPECT_EQ(bus.liveReservations(), 0u);
+    // A dropped reservation no longer blocks or names a blocker.
+    EXPECT_EQ(bus.reserve(108, 4, 1, blocker), 108u);
+    EXPECT_EQ(blocker, kInvalidId);
 }
+
+/**
+ * Reference bus allocator: the sorted interval list with a first-fit
+ * scan that BusTimeline replaced, kept verbatim apart from its names. It
+ * scans every live reservation and shifts the tail on every insert.
+ */
+class IntervalListBus
+{
+  public:
+    Cycles
+    reserve(Cycles t, Cycles len, CoreId who, CoreId &blocker)
+    {
+        blocker = kInvalidId;
+        Cycles cur = t;
+        std::size_t pos = head_;
+        for (; pos < busy_.size(); ++pos) {
+            const Interval &iv = busy_[pos];
+            if (iv.end <= cur)
+                continue;
+            if (iv.start >= cur + len)
+                break;
+            if (iv.end > cur) {
+                cur = iv.end;
+                blocker = iv.owner;
+            }
+        }
+        if (cur == t)
+            blocker = kInvalidId;
+        Interval mine{cur, cur + len, who};
+        auto it = busy_.begin() + static_cast<std::ptrdiff_t>(head_);
+        while (it != busy_.end() && it->start < mine.start)
+            ++it;
+        busy_.insert(it, mine);
+        return cur;
+    }
+
+    void
+    pruneFront(Cycles t)
+    {
+        while (head_ < busy_.size() && busy_[head_].end <= t)
+            ++head_;
+        if (head_ >= 64 && head_ * 2 >= busy_.size()) {
+            busy_.erase(busy_.begin(),
+                        busy_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+    }
+
+    std::size_t liveReservations() const { return busy_.size() - head_; }
+
+  private:
+    struct Interval
+    {
+        Cycles start;
+        Cycles end;
+        CoreId owner;
+    };
+    std::vector<Interval> busy_;
+    std::size_t head_ = 0;
+};
+
+/** One random request stream's shape. */
+struct BusStream
+{
+    unsigned seed;
+    Cycles maxGap;      ///< issue times advance by 0 .. maxGap
+    Cycles maxBankWait; ///< data bursts start up to this far ahead
+    Cycles maxLen;      ///< also draw lengths 1 .. maxLen, not just 2/4
+};
+
+class BusTimelineDifferential : public ::testing::TestWithParam<BusStream>
+{
+};
+
+TEST_P(BusTimelineDifferential, MatchesIntervalList)
+{
+    const BusStream p = GetParam();
+    std::mt19937_64 rng(p.seed);
+    BusTimeline bus;
+    IntervalListBus ref;
+    Cycles now = 0;
+    int waits = 0; // requests that could not start when asked
+    for (int op = 0; op < 20000; ++op) {
+        // A request as DramModel issues it: prune at the monotone issue
+        // time, a command at it, then a data burst behind the bank.
+        now += rng() % (p.maxGap + 1);
+        bus.pruneFront(now);
+        ref.pruneFront(now);
+        const CoreId who = static_cast<CoreId>(rng() % 8);
+        const Cycles cmd_len =
+            p.maxLen > 0 && rng() % 4 == 0 ? 1 + rng() % p.maxLen : 2;
+        CoreId got_blocker = 0, want_blocker = 0;
+        const Cycles cmd = bus.reserve(now, cmd_len, who, got_blocker);
+        ASSERT_EQ(cmd, ref.reserve(now, cmd_len, who, want_blocker))
+            << "op " << op;
+        ASSERT_EQ(got_blocker, want_blocker) << "op " << op;
+        waits += cmd > now;
+
+        const Cycles bank_done = cmd + cmd_len + rng() % (p.maxBankWait + 1);
+        const Cycles data_len =
+            p.maxLen > 0 && rng() % 4 == 0 ? 1 + rng() % p.maxLen : 4;
+        const Cycles data =
+            bus.reserve(bank_done, data_len, who, got_blocker);
+        ASSERT_EQ(data, ref.reserve(bank_done, data_len, who, want_blocker))
+            << "op " << op;
+        ASSERT_EQ(got_blocker, want_blocker) << "op " << op;
+        waits += data > bank_done;
+        if (op % 64 == 0) {
+            ASSERT_EQ(bus.liveReservations(), ref.liveReservations())
+                << "op " << op;
+        }
+    }
+    EXPECT_GT(waits, 0) << "the stream never contended for the bus";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, BusTimelineDifferential,
+    ::testing::Values(
+        // A nearly saturated bus: short gaps, short bank waits.
+        BusStream{1, 14, 40, 0},
+        // The DRAM model's shape: 30-70 cycle banks behind a queue.
+        BusStream{2, 12, 400, 0},
+        // Far-future data bursts that grow the ring many times.
+        BusStream{3, 30, 5000, 0},
+        // Idle stretches longer than the ring between requests.
+        BusStream{4, 5000, 3000, 0},
+        // Other lengths, including runs longer than one word.
+        BusStream{5, 64, 300, 100}));
 
 TEST(Dram, BankAndRowMapping)
 {

@@ -21,6 +21,7 @@
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
+#include "sim/machine_keys.hh"
 #include "spec/spec.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
@@ -726,6 +727,61 @@ TEST(Driver, EmptyProfileFailsCleanly)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].ok());
     EXPECT_NE(results[0].error.find("totalIters"), std::string::npos);
+}
+
+/** A machine value the simulator cannot run, and the key to blame. */
+struct BadMachineValue
+{
+    const char *key;
+    const char *value;
+};
+
+class DriverRefusesMachineValue
+    : public ::testing::TestWithParam<BadMachineValue>
+{
+};
+
+// Each of these once ended the whole process (a panic, SIGFPE, SIGSEGV
+// or a livelock), taking every other job of a batch or a server with it.
+TEST_P(DriverRefusesMachineValue, FailsTheJobNamingTheKey)
+{
+    const BadMachineValue bad = GetParam();
+    JobSpec job = makeJob(test::computeOnlyProfile(), 2);
+    setMachineValue(job.params, *findMachineKey(bad.key), bad.value);
+    const std::vector<JobResult> results =
+        runExperimentBatch({job}, DriverOptions{});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0].ok());
+    EXPECT_NE(results[0].error.find(std::string("machine.") + bad.key),
+              std::string::npos)
+        << results[0].error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Keys, DriverRefusesMachineValue,
+    ::testing::Values(BadMachineValue{"llc-ways", "0"},
+                      BadMachineValue{"llc-ways", "65"},
+                      BadMachineValue{"l1-ways", "3"},
+                      BadMachineValue{"llc-bytes", "1000"},
+                      BadMachineValue{"atd-sampling-factor", "3"},
+                      BadMachineValue{"atd-sampling-factor", "0"},
+                      BadMachineValue{"dram-banks", "0"},
+                      BadMachineValue{"dram-bus-cycles", "0"},
+                      BadMachineValue{"dram-data-cycles", "0"},
+                      BadMachineValue{"dram-row-bytes", "32"},
+                      BadMachineValue{"dispatch-width", "0"},
+                      BadMachineValue{"tian-table-entries", "0"},
+                      BadMachineValue{"li-table-entries", "0"},
+                      BadMachineValue{"spin-check-cycles", "0"},
+                      BadMachineValue{"time-slice-cycles", "0"}));
+
+TEST(Driver, AcceptsEveryWayCountUpToTheBound)
+{
+    SimParams params;
+    EXPECT_NO_THROW(validateMachine(params));
+    params.cache.llcWays = 64; // 2M / 64 B / 64 ways = 512 sets
+    params.cache.l1Ways = 1;
+    EXPECT_NO_THROW(validateMachine(params));
 }
 
 // ---- grid expansion and export ---------------------------------------------

@@ -275,7 +275,8 @@ TEST(Hierarchy, TagStateIsCompact)
 #ifdef SST_HAVE_MALLINFO2
     // Default geometry, 64 cores: 64 x (1024 L1 ways + 1024 sampled ATD
     // ways) + 32768 LLC ways. At 64 host bytes per way that was ~10 MB;
-    // the parallel-array layout needs ~21 (L1), 17 (ATD) and 29 (LLC).
+    // the per-set blocks need 20 (L1, with its LLC link), 16 (ATD) and
+    // 25 (LLC, with its directory): ~3.2 MB.
     const std::size_t base = liveHeapBytes();
     auto h = std::make_unique<CacheHierarchy>(kMaxSimCores, CacheParams{});
     const std::size_t now = liveHeapBytes();

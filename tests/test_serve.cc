@@ -1420,6 +1420,36 @@ TEST(ServeEndToEnd, LocalWorkersServeTheBatchDriversRows)
     server.stop();
 }
 
+TEST(ServeEndToEnd, BadMachineValueFailsOnlyItsJob)
+{
+    const test::TempDir tmp("bad-machine");
+    serve::ServerOptions opts;
+    opts.endpoint.path = tmp.path() + "/sock";
+    opts.localWorkers = 2;
+    serve::Server server(opts);
+    server.start();
+
+    // A 1000-byte LLC has no power-of-two set count: that job used to
+    // panic the server and every job on it.
+    std::string response;
+    ASSERT_TRUE(server.submitCampaign("camp", 0,
+                                      "profiles = cholesky\n"
+                                      "threads = 2\n"
+                                      "llc = 2M, 1000\n",
+                                      response))
+        << response;
+    const Streamed streamed =
+        streamRequest(server.endpoint(), "results camp csv wait");
+    EXPECT_EQ(streamed.end, "end complete 2/2") << streamed.body;
+    EXPECT_NE(streamed.body.find(",2097152,0,ok,"), std::string::npos)
+        << streamed.body;
+    EXPECT_NE(streamed.body.find(",1000,0,failed,"), std::string::npos)
+        << streamed.body;
+    const std::string pong = requestLine(server.endpoint(), "ping");
+    EXPECT_EQ(pong.rfind("ok pong", 0), 0u) << pong;
+    server.stop();
+}
+
 TEST(ServeEndToEnd, RestartResumesFromJournalAndCache)
 {
     const test::TempDir tmp("restart");

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/driver.hh"
+#include "driver/fingerprint.hh"
 #include "driver/sweep.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
@@ -243,6 +244,37 @@ TEST(SpanTrace, ScopedSpanRecordsOnlyWhenEnabled)
     EXPECT_NE(json.find("scoped-outer"), std::string::npos);
     EXPECT_NE(json.find("scoped-inner"), std::string::npos);
     tracer.clear();
+}
+
+TEST(SpanTrace, JobSpansNameTheirJob)
+{
+    const JobSpec job = JobSpec::forProfile(test::computeOnlyProfile(), 2);
+    SpanTracer &tracer = SpanTracer::global();
+    tracer.setEnabled(true);
+    tracer.clear();
+    runExperimentBatch({job}, DriverOptions{});
+    {
+        ScopedSpan quoted("quoted", "test");
+        if (quoted.active())
+            quoted.arg("label", "a \"b\"");
+    }
+    tracer.setEnabled(false);
+    const std::string json = tracer.chromeTraceJson();
+    tracer.clear();
+
+    // The experiment, its baseline, and escaped text on the B event.
+    const std::string label = job.label();
+    EXPECT_NE(json.find("\"args\":{\"label\":\"" + label +
+                        " 2t 2c\",\"fingerprint\":\"" +
+                        fingerprintJob(job).hex() + "\"}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"args\":{\"label\":\"" + label + " baseline 0\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"args\":{\"label\":\"a \\\"b\\\"\"}"),
+              std::string::npos)
+        << json;
 }
 
 // ---- determinism: telemetry is write-only ----------------------------------
