@@ -16,26 +16,26 @@ constexpr Cycles kInitialRingCycles = 1024;
 
 BusTimeline::BusTimeline()
     : busy_(kInitialRingCycles / 64), ends_(kInitialRingCycles / 64),
-      owner_(kInitialRingCycles, kInvalidId),
-      mask_(kInitialRingCycles - 1)
+      owner_(kInitialRingCycles), mask_(kInitialRingCycles - 1)
 {
 }
 
 std::uint64_t
-BusTimeline::freeFrom(Cycles c) const
+BusTimeline::bitsFrom(const std::vector<std::uint64_t> &ring,
+                      Cycles c) const
 {
     if (c >= horizon_)
-        return ~std::uint64_t(0);
+        return 0;
     const Cycles pos = c & mask_;
     const Cycles shift = pos & 63;
     const Cycles word = pos >> 6;
-    std::uint64_t busy = busy_[word] >> shift;
+    std::uint64_t bits = ring[word] >> shift;
     if (shift != 0)
-        busy |= busy_[(word + 1) & (mask_ >> 6)] << (64 - shift);
+        bits |= ring[(word + 1) & (mask_ >> 6)] << (64 - shift);
     // Bits from the horizon on belong to wrapped cycles; those cycles
-    // are all free.
+    // hold nothing.
     const Cycles ahead = horizon_ - c;
-    return ahead < 64 ? ~busy | (~std::uint64_t(0) << ahead) : ~busy;
+    return ahead < 64 ? bits & ~(~std::uint64_t(0) << ahead) : bits;
 }
 
 void
@@ -64,7 +64,7 @@ BusTimeline::grow(Cycles cycles)
     while (size < cycles)
         size *= 2;
     std::vector<std::uint64_t> busy(size / 64), ends(size / 64);
-    std::vector<CoreId> owner(size, kInvalidId);
+    std::vector<std::uint8_t> owner(size);
     for (Cycles c = base_; c < horizon_; ++c) {
         const Cycles pos = c & (size - 1);
         busy[pos >> 6] |= std::uint64_t{bitAt(busy_, c)} << (pos & 63);
@@ -82,54 +82,108 @@ BusTimeline::pruneFront(Cycles t)
 {
     if (t <= base_)
         return;
+    baseInside_ = bitAt(busy_, t - 1) && !bitAt(ends_, t - 1);
     const Cycles stop = std::min(t, horizon_);
     markRange(busy_, base_, stop, false);
     markRange(ends_, base_, stop, false);
     base_ = t;
     horizon_ = std::max(horizon_, t);
+    // A point at or before the watermark can neither be straddled nor
+    // end where a later reservation starts.
+    if (!points_.empty())
+        points_.erase(points_.begin(), points_.upper_bound(t));
 }
 
 std::size_t
 BusTimeline::liveReservations() const
 {
-    std::size_t n = 0;
+    std::size_t n = points_.size();
     for (Cycles c = base_; c < horizon_; ++c)
         n += bitAt(ends_, c);
     return n;
 }
 
 Cycles
-BusTimeline::reserve(Cycles t, Cycles len, CoreId who, CoreId &blocker)
+BusTimeline::firstFit(Cycles t, Cycles len) const
 {
-    sstAssert(t >= base_ && len > 0,
-              "bus reservation before the watermark or of no cycles");
-    // First fit. Most requests find the bus free at t; otherwise test
-    // 64 candidate starts at a time: bit i of `fits` says that cycles
-    // start + i .. start + i + len - 1 are all free.
-    Cycles start = t;
-    const std::uint64_t run =
-        len >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << len) - 1;
-    if (len > 64 || (freeFrom(t) & run) != run) {
-        for (;;) {
-            std::uint64_t fits = ~std::uint64_t(0);
-            for (Cycles i = 0; i < len && fits != 0; ++i)
-                fits &= freeFrom(start + i);
-            if (fits != 0) {
-                start += static_cast<Cycles>(__builtin_ctzll(fits));
+    Cycles c = t;
+    for (;;) {
+        // The first free cycle at or after c; cycles past the horizon
+        // are all free.
+        std::uint64_t free = freeFrom(c);
+        while (free == 0) {
+            c += 64;
+            free = freeFrom(c);
+        }
+        c += static_cast<Cycles>(__builtin_ctzll(free));
+        // The first busy cycle, or point, that the run from c reaches.
+        Cycles stop = c + len;
+        for (Cycles d = c; d < stop && d < horizon_; d += 64) {
+            const std::uint64_t busy = bitsFrom(busy_, d);
+            if (busy != 0) {
+                stop = std::min(
+                    stop, d + static_cast<Cycles>(__builtin_ctzll(busy)));
                 break;
             }
-            start += 64;
         }
+        if (!points_.empty()) {
+            const auto p = points_.upper_bound(c);
+            if (p != points_.end() && p->first < stop)
+                stop = p->first;
+        }
+        if (stop == c + len)
+            return c;
+        c = stop;
     }
-    // A later start sits right behind a reservation's last cycle.
-    blocker = start > t ? owner_[(start - 1) & mask_] : kInvalidId;
+}
 
+CoreId
+BusTimeline::ownerEndingAt(Cycles c) const
+{
+    // A reservation that ends at c was passed before any point at c.
+    if (bitAt(ends_, c - 1))
+        return owner_[(c - 1) & mask_];
+    const auto p = points_.find(c);
+    sstAssert(p != points_.end(), "bus reservation start follows nothing");
+    return p->second;
+}
+
+Cycles
+BusTimeline::reserve(Cycles t, Cycles len, CoreId who, CoreId &blocker)
+{
+    sstAssert(t >= base_, "bus reservation before the watermark");
+    sstAssert(who >= 0 && who <= 0xff, "bus owner must fit in a byte");
+    Cycles start = t;
+    if (len > 0) {
+        // Most requests find the bus free at t.
+        const std::uint64_t run =
+            len >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << len) - 1;
+        if (len > 64 || !points_.empty() || (freeFrom(t) & run) != run)
+            start = firstFit(t, len);
+    } else if (bitAt(busy_, t) &&
+               (t > base_ ? bitAt(busy_, t - 1) && !bitAt(ends_, t - 1)
+                          : baseInside_)) {
+        // Strictly inside a reservation: start where it ends.
+        std::uint64_t ends = bitsFrom(ends_, t);
+        while (ends == 0) {
+            start += 64;
+            ends = bitsFrom(ends_, start);
+        }
+        start += static_cast<Cycles>(__builtin_ctzll(ends)) + 1;
+    }
+    blocker = start > t ? ownerEndingAt(start) : kInvalidId;
+
+    if (len == 0) {
+        if (start > base_)
+            points_[start] = who;
+        return start;
+    }
     const Cycles end = start + len;
     if (end - base_ > mask_ + 1)
         grow(end - base_);
     markRange(busy_, start, end, true);
     ends_[((end - 1) & mask_) >> 6] |= std::uint64_t(1) << ((end - 1) & 63);
-    owner_[(end - 1) & mask_] = who;
+    owner_[(end - 1) & mask_] = static_cast<std::uint8_t>(who);
     horizon_ = std::max(horizon_, end);
     return start;
 }

@@ -25,6 +25,7 @@
 #define SST_MEM_DRAM_HH
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "util/types.hh"
@@ -81,11 +82,21 @@ struct DramStats
  * always a prefix. The timeline keeps a ring of per-cycle bits from the
  * watermark (no later call reserves before it) to the end of the
  * latest reservation: one bit marks a busy cycle, one marks the last
- * cycle of a reservation, whose owner is stored beside it. A search
- * tests 64 candidate start cycles per step with word operations, so its
- * cost grows with the busy cycles it passes, not with the number of
- * live reservations, and an insert shifts nothing. The ring doubles
- * when a reservation lies past it.
+ * cycle of a reservation, whose owner (one byte) is stored beside it.
+ * A search skips busy and free runs a 64-bit word at a time, so its
+ * cost grows with the cycles it passes, not with the number of live
+ * reservations, and an insert shifts nothing. The ring doubles when a
+ * reservation lies past it, so it holds about 1.25 host bytes per cycle
+ * of the span; validateMachine bounds the DRAM latencies and transfer
+ * lengths that set the span.
+ *
+ * A zero-length reservation (a bus or data transfer of no cycles)
+ * starts at @p t unless @p t lies strictly inside a reservation, in
+ * which case it starts where that one ends. It is kept as a point that
+ * no later reservation may straddle: one with the point strictly
+ * between its first cycle and its end starts at the point instead.
+ * Points are kept apart from the ring; only a zero-cycle bus key makes
+ * any.
  */
 class BusTimeline
 {
@@ -95,7 +106,8 @@ class BusTimeline
     /**
      * Reserve @p len bus cycles at the earliest point >= @p t where they
      * are all free. @p t must not precede the watermark.
-     * @param len cycles, at least 1
+     * @param len cycles (0 for a point, see above)
+     * @param who owner, 0 .. 255
      * @param[out] blocker owner of the reservation that ends where this
      *             one starts, when it could not start at @p t
      *             (kInvalidId otherwise)
@@ -110,13 +122,22 @@ class BusTimeline
      */
     void pruneFront(Cycles t);
 
-    /** Number of reservations ending after the watermark
+    /** Number of reservations and points ending after the watermark
      *  (test/diagnostic helper). */
     std::size_t liveReservations() const;
 
   private:
+    /** Bit i set when cycle @p c + i is set in @p ring, for i in
+     *  0 .. 63; cycles from the horizon on read as clear. */
+    std::uint64_t bitsFrom(const std::vector<std::uint64_t> &ring,
+                           Cycles c) const;
     /** Bit i set when cycle @p c + i is free, for i in 0 .. 63. */
-    std::uint64_t freeFrom(Cycles c) const;
+    std::uint64_t freeFrom(Cycles c) const { return ~bitsFrom(busy_, c); }
+    /** Earliest start >= @p t of @p len >= 1 free cycles that straddle
+     *  no point (the search when they do not start at @p t). */
+    Cycles firstFit(Cycles t, Cycles len) const;
+    /** Owner of the reservation or point that ends at @p c. */
+    CoreId ownerEndingAt(Cycles c) const;
     /** Set (@p on) or clear the bits of cycles [from, to) in @p ring. */
     void markRange(std::vector<std::uint64_t> &ring, Cycles from, Cycles to,
                    bool on);
@@ -126,16 +147,21 @@ class BusTimeline
     bool
     bitAt(const std::vector<std::uint64_t> &ring, Cycles c) const
     {
-        const Cycles pos = c & mask_;
-        return (ring[pos >> 6] >> (pos & 63)) & 1;
+        return bitsFrom(ring, c) & 1;
     }
 
     std::vector<std::uint64_t> busy_; ///< per cycle: on the bus
     std::vector<std::uint64_t> ends_; ///< per cycle: a reservation's last
-    std::vector<CoreId> owner_;       ///< per last cycle: who reserved
+    std::vector<std::uint8_t> owner_; ///< per last cycle: who reserved
     Cycles mask_ = 0;    ///< ring cycles - 1 (a power of two, >= 63)
     Cycles base_ = 0;    ///< watermark
     Cycles horizon_ = 0; ///< every reservation ends by this cycle
+    /** The watermark lies strictly inside a reservation (whose cycles
+     *  before it the ring no longer holds). */
+    bool baseInside_ = false;
+    /** Zero-length reservations after the watermark: cycle -> owner of
+     *  the latest one there. */
+    std::map<Cycles, CoreId> points_;
 };
 
 /** Shared bus + banked open-page DRAM + per-core ORAs. */

@@ -1,6 +1,7 @@
 #include "machine_keys.hh"
 
 #include <stdexcept>
+#include <utility>
 
 #include "util/bits.hh"
 #include "util/parse.hh"
@@ -216,8 +217,20 @@ validateMachine(const SimParams &params)
 
     const DramParams &dram = params.dram;
     requirePositive("dram-banks", dram.nbanks);
-    requirePositive("dram-bus-cycles", dram.busCycles);
-    requirePositive("dram-data-cycles", dram.dataCycles);
+    // The bus timeline holds every cycle from the issue time to the end
+    // of the latest reservation, so a latency or transfer length sets
+    // its host memory; zero-cycle transfers are fine.
+    const std::pair<const char *, Cycles> dram_cycles[] = {
+        {"dram-bus-cycles", dram.busCycles},
+        {"dram-data-cycles", dram.dataCycles},
+        {"dram-row-hit-cycles", dram.rowHitCycles},
+        {"dram-row-empty-cycles", dram.rowEmptyCycles},
+        {"dram-row-conflict-cycles", dram.rowConflictCycles}};
+    for (const auto &[key, cycles] : dram_cycles) {
+        if (cycles > kMaxDramCycles)
+            refuse(key, "= " + std::to_string(cycles) + ": must be <= " +
+                            std::to_string(kMaxDramCycles));
+    }
     if (dram.rowBytes < kLineBytes)
         refuse("dram-row-bytes", "= " + sizeText(dram.rowBytes) +
                                      ": must hold a line (64 bytes)");

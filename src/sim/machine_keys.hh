@@ -67,14 +67,18 @@ std::string machineValueText(const MachineKey &key, const SimParams &params);
 void setMachineValue(SimParams &params, const MachineKey &key,
                      const std::string &text);
 
+/** Largest DRAM latency or bus transfer, in cycles, validateMachine
+ *  accepts. */
+inline constexpr Cycles kMaxDramCycles = 4096;
+
 /**
  * Throw std::invalid_argument, naming the `machine.<key>`, when a value
  * in @p params is one the simulator cannot run: a cache geometry
  * without a power-of-two set count or with more than
  * SetAssocArray::kMaxWays ways, an ATD sampling factor that does not
- * divide the LLC set count, a DRAM row smaller than a line, or a zero
- * bank count, bus transfer, dispatch width, detector table, spin poll
- * period or time slice.
+ * divide the LLC set count, a DRAM row smaller than a line, a DRAM
+ * latency or bus transfer above kMaxDramCycles, or a zero bank count,
+ * dispatch width, detector table, spin poll period or time slice.
  */
 void validateMachine(const SimParams &params);
 

@@ -5,7 +5,6 @@
 
 #include "sim/phys_map.hh"
 #include "telemetry/metrics.hh"
-#include "util/bits.hh"
 #include "util/logging.hh"
 #include "workload/thread_program.hh"
 
@@ -39,10 +38,6 @@ System::System(const SimParams &params, const OpSourceFactory &sources,
     sstAssert(nthreads >= 1, "System needs at least one thread");
     sstAssert(params.ncores >= 1, "System needs at least one core");
     sstAssert(static_cast<bool>(sources), "System needs an op-source factory");
-    sstAssert(params.dispatchWidth >= 1, "dispatch width must be >= 1");
-    const auto width = static_cast<std::uint64_t>(params.dispatchWidth);
-    if (isPow2(width))
-        dispatchShift_ = log2i(width);
     sched_ = makeScheduler(params.schedPolicy, params.schedSeed,
                            params.ncores, params.timeSliceCycles, nthreads);
 
@@ -186,16 +181,12 @@ void
 System::chargeInstructions(Thread &th, std::uint32_t count, Cycles &now)
 {
     acct_.onInstructions(th.tid, count);
-    const auto width = static_cast<std::uint64_t>(params_.dispatchWidth);
+    const int width = params_.dispatchWidth;
     const std::uint64_t total =
         static_cast<std::uint64_t>(th.pendingSlots) + count;
-    if (dispatchShift_ >= 0) {
-        now += total >> dispatchShift_;
-        th.pendingSlots = static_cast<int>(total & (width - 1));
-    } else {
-        now += total / width;
-        th.pendingSlots = static_cast<int>(total % width);
-    }
+    now += total / static_cast<std::uint64_t>(width);
+    th.pendingSlots = static_cast<int>(
+        total % static_cast<std::uint64_t>(width));
 }
 
 void

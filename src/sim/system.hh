@@ -168,8 +168,6 @@ class System
 
     SimParams params_;
     int nthreads_;
-    /** log2(dispatchWidth) when it is a power of two, else -1. */
-    int dispatchShift_ = -1;
 
     CacheHierarchy hierarchy_;
     DramModel dram_;

@@ -32,20 +32,6 @@ LineWatches::watch(std::uint32_t w, Addr line)
 }
 
 void
-LineWatches::rewatch(std::uint32_t w, Addr line)
-{
-    Watcher &x = watchers_[w];
-    if (bucket(x.line) != bucket(line)) {
-        unwatch(w);
-        watch(w, line);
-        return;
-    }
-    x.line = line;
-    x.stores = 0;
-    x.lastWriter = kInvalidId;
-}
-
-void
 LineWatches::unwatch(std::uint32_t w)
 {
     std::uint32_t *link = &heads_[bucket(watchers_[w].line)];
@@ -78,14 +64,12 @@ TianSpinDetector::TianSpinDetector(const Params &params,
 TianSpinDetector::Entry &
 TianSpinDetector::entryFor(PC pc, bool &hit)
 {
+    Entry *lru = &table_[0];
     for (auto &e : table_) {
         if (e.valid && e.pc == pc) {
             hit = true;
             return e;
         }
-    }
-    Entry *lru = &table_[0];
-    for (auto &e : table_) {
         if (!e.valid || e.lastUse < lru->lastUse)
             lru = &e;
     }
@@ -173,11 +157,8 @@ TianSpinDetector::observeDataLoad(PC pc, Addr line, ThreadId tid,
     e.lastUse = now;
     const std::uint32_t w = watcherOf(e);
     if (!hit || e.addr != line || !e.watching) {
-        // A streaming load re-arms its entry on every new line.
-        if (e.watching)
-            watches_->rewatch(w, line);
-        else
-            watches_->watch(w, line);
+        unwatch(e);
+        watches_->watch(w, line);
         e.watching = true;
         restart(e, line, 0, now);
         return 0;

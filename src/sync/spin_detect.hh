@@ -53,10 +53,6 @@ class LineWatches
      *  with a store count of 0. */
     void watch(std::uint32_t w, Addr line);
 
-    /** Watcher @p w, watching a line, watches line @p line instead,
-     *  with a store count of 0. */
-    void rewatch(std::uint32_t w, Addr line);
-
     /** Watcher @p w stops watching its line. */
     void unwatch(std::uint32_t w);
 

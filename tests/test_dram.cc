@@ -75,6 +75,34 @@ TEST(BusTimeline, PruneDropsExpired)
     EXPECT_EQ(blocker, kInvalidId);
 }
 
+TEST(BusTimeline, ZeroLengthWaitsOnlyInsideAReservation)
+{
+    BusTimeline bus;
+    CoreId blocker;
+    bus.reserve(100, 4, 0, blocker); // [100,104)
+    EXPECT_EQ(bus.reserve(100, 0, 1, blocker), 100u);
+    EXPECT_EQ(blocker, kInvalidId);
+    EXPECT_EQ(bus.reserve(104, 0, 1, blocker), 104u);
+    EXPECT_EQ(bus.reserve(102, 0, 1, blocker), 104u);
+    EXPECT_EQ(blocker, 0);
+    // Also once the watermark has passed the reservation's start.
+    bus.pruneFront(103);
+    EXPECT_EQ(bus.reserve(103, 0, 1, blocker), 104u);
+    EXPECT_EQ(blocker, 0);
+}
+
+TEST(BusTimeline, ReservationDoesNotStraddleAPoint)
+{
+    BusTimeline bus;
+    CoreId blocker;
+    bus.reserve(110, 0, 2, blocker);
+    // [108,112) would straddle the point at 110; [107,110) ends at it.
+    EXPECT_EQ(bus.reserve(108, 4, 1, blocker), 110u);
+    EXPECT_EQ(blocker, 2);
+    EXPECT_EQ(bus.reserve(107, 3, 1, blocker), 107u);
+    EXPECT_EQ(blocker, kInvalidId);
+}
+
 /**
  * Reference bus allocator: the sorted interval list with a first-fit
  * scan that BusTimeline replaced, kept verbatim apart from its names. It
@@ -142,6 +170,7 @@ struct BusStream
     Cycles maxGap;      ///< issue times advance by 0 .. maxGap
     Cycles maxBankWait; ///< data bursts start up to this far ahead
     Cycles maxLen;      ///< also draw lengths 1 .. maxLen, not just 2/4
+    bool zeros;         ///< also draw zero-length requests
 };
 
 class BusTimelineDifferential : public ::testing::TestWithParam<BusStream>
@@ -163,8 +192,10 @@ TEST_P(BusTimelineDifferential, MatchesIntervalList)
         bus.pruneFront(now);
         ref.pruneFront(now);
         const CoreId who = static_cast<CoreId>(rng() % 8);
-        const Cycles cmd_len =
+        Cycles cmd_len =
             p.maxLen > 0 && rng() % 4 == 0 ? 1 + rng() % p.maxLen : 2;
+        if (p.zeros && rng() % 3 == 0)
+            cmd_len = 0;
         CoreId got_blocker = 0, want_blocker = 0;
         const Cycles cmd = bus.reserve(now, cmd_len, who, got_blocker);
         ASSERT_EQ(cmd, ref.reserve(now, cmd_len, who, want_blocker))
@@ -173,15 +204,19 @@ TEST_P(BusTimelineDifferential, MatchesIntervalList)
         waits += cmd > now;
 
         const Cycles bank_done = cmd + cmd_len + rng() % (p.maxBankWait + 1);
-        const Cycles data_len =
+        Cycles data_len =
             p.maxLen > 0 && rng() % 4 == 0 ? 1 + rng() % p.maxLen : 4;
+        if (p.zeros && rng() % 3 == 0)
+            data_len = 0;
         const Cycles data =
             bus.reserve(bank_done, data_len, who, got_blocker);
         ASSERT_EQ(data, ref.reserve(bank_done, data_len, who, want_blocker))
             << "op " << op;
         ASSERT_EQ(got_blocker, want_blocker) << "op " << op;
         waits += data > bank_done;
-        if (op % 64 == 0) {
+        // The list keeps a zero-length entry behind a live one, so only
+        // streams without them have comparable counts.
+        if (!p.zeros && op % 64 == 0) {
             ASSERT_EQ(bus.liveReservations(), ref.liveReservations())
                 << "op " << op;
         }
@@ -193,15 +228,20 @@ INSTANTIATE_TEST_SUITE_P(
     Streams, BusTimelineDifferential,
     ::testing::Values(
         // A nearly saturated bus: short gaps, short bank waits.
-        BusStream{1, 14, 40, 0},
+        BusStream{1, 14, 40, 0, false},
         // The DRAM model's shape: 30-70 cycle banks behind a queue.
-        BusStream{2, 12, 400, 0},
+        BusStream{2, 12, 400, 0, false},
         // Far-future data bursts that grow the ring many times.
-        BusStream{3, 30, 5000, 0},
+        BusStream{3, 30, 5000, 0, false},
         // Idle stretches longer than the ring between requests.
-        BusStream{4, 5000, 3000, 0},
+        BusStream{4, 5000, 3000, 0, false},
         // Other lengths, including runs longer than one word.
-        BusStream{5, 64, 300, 100}));
+        BusStream{5, 64, 300, 100, false},
+        // Zero-cycle transfers: points that later requests must not
+        // straddle, on a busy bus and with long transfers.
+        BusStream{6, 8, 40, 0, true},
+        BusStream{7, 64, 300, 100, true},
+        BusStream{8, 30, 5000, 0, true}));
 
 TEST(Dram, BankAndRowMapping)
 {

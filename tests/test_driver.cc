@@ -741,8 +741,9 @@ class DriverRefusesMachineValue
 {
 };
 
-// Each of these once ended the whole process (a panic, SIGFPE, SIGSEGV
-// or a livelock), taking every other job of a batch or a server with it.
+// Each of these would end the whole process (a panic, SIGFPE, SIGSEGV,
+// a livelock, or gigabytes of bus timeline), taking every other job of
+// a batch or a server with it.
 TEST_P(DriverRefusesMachineValue, FailsTheJobNamingTheKey)
 {
     const BadMachineValue bad = GetParam();
@@ -766,8 +767,9 @@ INSTANTIATE_TEST_SUITE_P(
                       BadMachineValue{"atd-sampling-factor", "3"},
                       BadMachineValue{"atd-sampling-factor", "0"},
                       BadMachineValue{"dram-banks", "0"},
-                      BadMachineValue{"dram-bus-cycles", "0"},
-                      BadMachineValue{"dram-data-cycles", "0"},
+                      BadMachineValue{"dram-data-cycles", "4097"},
+                      BadMachineValue{"dram-row-conflict-cycles",
+                                      "1000000000"},
                       BadMachineValue{"dram-row-bytes", "32"},
                       BadMachineValue{"dispatch-width", "0"},
                       BadMachineValue{"tian-table-entries", "0"},
@@ -782,6 +784,18 @@ TEST(Driver, AcceptsEveryWayCountUpToTheBound)
     params.cache.llcWays = 64; // 2M / 64 B / 64 ways = 512 sets
     params.cache.l1Ways = 1;
     EXPECT_NO_THROW(validateMachine(params));
+}
+
+// A bus that costs nothing is an ablation, not a fault.
+TEST(Driver, RunsZeroCycleBusTransfers)
+{
+    JobSpec job = makeJob(test::memoryHeavyProfile(), 4);
+    setMachineValue(job.params, *findMachineKey("dram-bus-cycles"), "0");
+    setMachineValue(job.params, *findMachineKey("dram-data-cycles"), "0");
+    const std::vector<JobResult> results =
+        runExperimentBatch({job}, DriverOptions{});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].ok()) << results[0].error;
 }
 
 // ---- grid expansion and export ---------------------------------------------
