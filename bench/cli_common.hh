@@ -1,11 +1,9 @@
 /**
  * @file
- * Small helpers shared by the bench/ command-line tools (`sst`,
- * `inspect` and the ablation benches), above all parseFlags(): every
- * `sst` command line is parsed from a Flag table, and its help is
- * generated from the same table. Header-only; CMake builds one
- * executable per bench .cc, so shared code lives here rather than in
- * the sst library.
+ * The `sst` CLI's flag parsing, above all parseFlags(): every `sst`
+ * command line is parsed from a Flag table, and its help is generated
+ * from the same table; specFlag() maps a flag to a spec key.
+ * Header-only, so tests can drive the same mapping.
  */
 
 #ifndef SST_BENCH_CLI_COMMON_HH
@@ -21,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/driver.hh"
 #include "spec/spec.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -221,27 +218,6 @@ specFlag(int argc, char **argv, int &i, std::string &key,
     value = eq != std::string::npos ? kv.substr(eq + 1)
                                     : argValue(argc, argv, i);
     return true;
-}
-
-/**
- * Run @p specs on the experiment driver with @p jobs workers (0 = one
- * per hardware thread) and return the results in input order. No
- * result cache; @p full_runs keeps the per-core stats and region
- * snapshots `inspect` and `abl_region_stacks` read, which a cached or
- * default result drops (DriverOptions::fullRuns). A failed job is
- * fatal: its error goes to stderr and the process exits 1.
- */
-inline std::vector<JobResult>
-runJobs(const std::vector<JobSpec> &specs, int jobs, bool full_runs = false)
-{
-    DriverOptions opts;
-    opts.jobs = jobs;
-    opts.fullRuns = full_runs;
-    std::vector<JobResult> results = runExperimentBatch(specs, opts);
-    for (const JobResult &r : results)
-        if (!r.ok())
-            fatal(r.error);
-    return results;
 }
 
 } // namespace cli

@@ -22,6 +22,9 @@
 #include <vector>
 
 #include "cli_common.hh"
+#include "core/experiment.hh"
+#include "core/region_stacks.hh"
+#include "core/render.hh"
 #include "driver/fingerprint.hh"
 #include "driver/job.hh"
 #include "driver/result_cache.hh"
@@ -77,7 +80,6 @@ printBatchStats(const ExperimentDriver &driver)
 /** How `sst run` executes a spec: none of it changes what a job computes. */
 struct RunOptions
 {
-    std::string specPath;
     DriverOptions driver;
     std::string traceOut;
     bool printSpec = false;
@@ -479,12 +481,16 @@ struct SubmitOptions
 
 // ---- the commands -----------------------------------------------------------
 
-int
-runMain(int argc, char **argv, int first)
+/**
+ * The spec an experiment command line describes: `--spec FILE` or the
+ * defaults, then every spec-key flag in command-line order. @p head
+ * starts the help text; @p flags are the command's own.
+ */
+ExperimentSpec
+parseSpecCommand(int argc, char **argv, int first, const std::string &head,
+                 std::vector<Flag> flags)
 {
-    RunOptions run;
-    run.driver.jobs = 0; // hardware concurrency
-    run.driver.cacheDir = kDefaultCacheDir;
+    std::string specPath;
     // Spec assignments in command-line order, applied once --spec loaded.
     std::vector<std::pair<std::string, std::string>> assignments;
     std::size_t files = std::string::npos; // the --workload-file entry
@@ -495,17 +501,51 @@ runMain(int argc, char **argv, int first)
         keyRows += usageRow(std::string(a.flag) + (a.value ? "" : " V"),
                             std::string("same as --") + a.key + " " +
                                 (a.value ? a.value : "V"));
+    flags.insert(flags.begin(), {"--spec", "FILE",
+                                 "start from this spec file, not the defaults",
+                                 into(specPath)});
 
     parseFlags(
+        argc, argv, first, head + keyRows, flags,
+        [&](int &i) {
+            std::string key, value;
+            if (!specFlag(argc, argv, i, key, value))
+                return false;
+            if (key == "workload-file" && files != std::string::npos) {
+                // --workload-file repeats: each adds to the first's list.
+                assignments[files].second += "," + value;
+                return true;
+            }
+            if (key == "workload-file")
+                files = assignments.size();
+            assignments.emplace_back(key, value);
+            return true;
+        },
+        "--workload-file repeats, each adding files; a machine key given a\n"
+        "list of values is a sweep axis; see `sst list` for names\n"
+        "spec keys: " +
+            specKeyNamesJoined() + "\n");
+
+    ExperimentSpec spec =
+        specPath.empty() ? ExperimentSpec() : parseSpecFile(specPath);
+    for (const auto &kv : assignments)
+        applySpecValue(spec, kv.first, kv.second);
+    return spec;
+}
+
+int
+runMain(int argc, char **argv, int first)
+{
+    RunOptions run;
+    run.driver.jobs = 0; // hardware concurrency
+    run.driver.cacheDir = kDefaultCacheDir;
+    const ExperimentSpec spec = parseSpecCommand(
         argc, argv, first,
         std::string("usage: sst ") + argv[first - 1] +
             " [--spec FILE] [options]   (run and sweep are one command)\n"
             "run an experiment grid: the spec file (or the defaults),\n"
-            "then every spec-key flag in command-line order\n" +
-            keyRows,
+            "then every spec-key flag in command-line order\n",
         {
-            {"--spec", "FILE", "start from this spec file, not the defaults",
-             into(run.specPath)},
             {"--print-spec", nullptr, "print the canonical spec and exit",
              into(run.printSpec)},
             {"--jobs", "N", "worker threads, 0 = one per hardware thread",
@@ -521,36 +561,138 @@ runMain(int argc, char **argv, int first)
             {"--trace-out", "FILE",
              "write a Chrome trace_event JSON of the batch (Perfetto)",
              into(run.traceOut)},
-        },
-        [&](int &i) {
-            std::string key, value;
-            if (!specFlag(argc, argv, i, key, value))
-                return false;
-            if (key == "workload-file" && files != std::string::npos) {
-                // --workload-file repeats: each adds to the first's list.
-                assignments[files].second += "," + value;
-                return true;
-            }
-            if (key == "workload-file")
-                files = assignments.size();
-            assignments.emplace_back(key, value);
-            return true;
-        },
-        "--workload-file repeats, each adding files; see `sst list` for "
-        "names\nspec keys: " +
-            specKeyNamesJoined() + "\n");
-
-    ExperimentSpec spec = run.specPath.empty()
-                              ? ExperimentSpec()
-                              : parseSpecFile(run.specPath);
-    for (const auto &kv : assignments)
-        applySpecValue(spec, kv.first, kv.second);
-
+        });
     if (run.printSpec) {
         std::fputs(serializeSpec(spec).c_str(), stdout);
         return 0;
     }
     return executeBatch(spec, run);
+}
+
+/** Cache and DRAM ground truth per core of @p run (none in the sum of
+ *  a multi-group workload's baselines). */
+void
+printCoreStats(const char *name, const RunResult &run)
+{
+    std::printf("-- %s --\n", name);
+    TextTable t;
+    t.setHeader({"core", "l1acc", "l1hit%", "llcacc", "llchit%", "dram",
+                 "rowhit", "rowconf", "coher", "wb"});
+    const auto rate = [](std::uint64_t hits, std::uint64_t accesses) {
+        return fmtPercent(accesses ? (double)hits / accesses : 0.0);
+    };
+    for (std::size_t c = 0; c < run.cacheStats.size(); ++c) {
+        const auto &cs = run.cacheStats[c];
+        const auto &ds = run.dramStats[c];
+        t.addRow({std::to_string(c), std::to_string(cs.l1Accesses),
+                  rate(cs.l1Hits, cs.l1Accesses),
+                  std::to_string(cs.llcAccesses),
+                  rate(cs.llcHits, cs.llcAccesses),
+                  std::to_string(ds.accesses), std::to_string(ds.rowHits),
+                  std::to_string(ds.rowConflicts),
+                  std::to_string(cs.coherencyMisses),
+                  std::to_string(cs.writebacks)});
+    }
+    std::printf("%s\n", t.render().c_str());
+}
+
+/**
+ * `sst inspect`: the one job of a grid, simulated fresh with its full
+ * runs kept (DriverOptions::fullRuns; a cache entry holds no per-core
+ * stats or region snapshots). Prints the run vitals, per-core cache and
+ * DRAM stats, raw per-thread counters, the stack, and the per-region
+ * stacks (Section 4.6) with their time-weighted yield.
+ */
+int
+inspectMain(int argc, char **argv, int first)
+{
+    const ExperimentSpec spec = parseSpecCommand(
+        argc, argv, first,
+        "usage: sst inspect [--spec FILE] [spec-key flags]\n"
+        "simulate a grid of exactly one job, uncached, and print its\n"
+        "per-core and per-thread counters, stack and per-region stacks\n"
+        "(the output.* keys do not apply)\n",
+        {});
+    validateSpec(spec);
+    const std::vector<JobSpec> jobs = expandGrid(spec);
+    if (jobs.size() != 1)
+        fatal("inspect runs one job; the grid has " +
+              std::to_string(jobs.size()) +
+              " jobs (narrow --profiles, --threads or an axis)");
+    DriverOptions opts;
+    opts.fullRuns = true;
+    applySpecToDriverOptions(spec, opts);
+    const JobResult result = runExperimentBatch(jobs, opts)[0];
+    if (!result.ok())
+        fatal(result.error);
+    const SpeedupExperiment &exp = result.exp;
+
+    std::printf("== %s @ %d threads ==\n", jobs[0].label().c_str(),
+                jobs[0].nthreads());
+    std::printf("Ts=%llu Tp=%llu actual=%.2f estimated=%.2f err=%.1f%%\n",
+                (unsigned long long)exp.ts, (unsigned long long)exp.tp,
+                exp.actualSpeedup, exp.estimatedSpeedup,
+                exp.error * 100.0);
+    std::printf("instr ST=%llu MT=%llu spin=%llu parOv=%.1f%%\n\n",
+                (unsigned long long)exp.single.totalInstructions,
+                (unsigned long long)exp.parallel.totalInstructions,
+                (unsigned long long)exp.parallel.totalSpinInstructions,
+                exp.parOverheadMeasured * 100.0);
+    printCoreStats("single-threaded", exp.single);
+    printCoreStats("parallel", exp.parallel);
+
+    std::printf("-- per-thread counters (parallel) --\n");
+    TextTable threads;
+    threads.setHeader({"tid", "instr", "spinInstr", "missStall", "misses",
+                       "negSampStall", "itHits", "busO", "bankO", "pageO",
+                       "tian", "li", "yield", "gtSpin", "gtYield",
+                       "finish"});
+    for (int i = 0; i < exp.parallel.nthreads; ++i) {
+        const ThreadCounters &c = exp.parallel.threads[(std::size_t)i];
+        std::vector<std::string> row = {std::to_string(i)};
+        for (const std::uint64_t v :
+             {c.instructions, c.spinInstructions, c.llcLoadMissStall,
+              c.llcLoadMisses, c.negLlcSampledStall,
+              c.interThreadHitsSampled, c.busWaitOther, c.bankWaitOther,
+              c.pageConflictOther, c.spinDetectedTian, c.spinDetectedLi,
+              c.yieldCycles, c.gtSpin(), c.gtYield(), c.finishTime})
+            row.push_back(std::to_string(v));
+        threads.addRow(row);
+    }
+    std::printf("%s\n", threads.render().c_str());
+    std::printf("%s\n",
+                renderStackTable(exp.stack, exp.actualSpeedup).c_str());
+
+    // The whole-run stack folds barrier waiting into spin and yield;
+    // per-region stacks localize it, and their time-weighted yield is
+    // the whole run's.
+    const std::vector<RegionStack> regions = buildRegionStacks(
+        exp.parallel, defaultReportOptions(jobs[0].params));
+    std::printf("regions: %zu\n\n", regions.size());
+    TextTable table;
+    table.setHeader({"region", "span (cycles)", "base", "yield", "spin",
+                     "netneg", "mem", "estimated"});
+    double wsum_yield = 0.0, wsum = 0.0;
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+        const RegionStack &r = regions[i];
+        const double span = static_cast<double>(r.end - r.begin);
+        wsum_yield += r.stack.yield * span;
+        wsum += span;
+        if (i >= 8 && i + 1 < regions.size())
+            continue;
+        std::vector<std::string> row = {std::to_string(i),
+                                        std::to_string(r.end - r.begin)};
+        for (const double v : {r.stack.baseSpeedup, r.stack.yield,
+                               r.stack.spin, r.stack.netNegLlc(),
+                               r.stack.negMem, r.stack.estimatedSpeedup})
+            row.push_back(fmtDouble(v, 2));
+        table.addRow(row);
+    }
+    std::printf("%s\n", table.render().c_str());
+    std::printf("time-weighted region yield = %.2f vs whole-run yield = "
+                "%.2f\n",
+                wsum_yield / wsum, exp.stack.yield);
+    return 0;
 }
 
 int
@@ -780,6 +922,8 @@ const std::vector<Command> kCommands = {
     {"run", "run an experiment: a spec file and/or spec-key flags",
      runMain},
     {"sweep", "the same command as run", runMain},
+    {"inspect", "one job in detail: per-core, per-thread, per-region",
+     inspectMain},
     {"trace", "check and describe recorded op traces",
      [](int argc, char **argv, int first) {
          return dispatch(

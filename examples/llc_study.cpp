@@ -27,9 +27,9 @@ main(int argc, char **argv)
     sst::ExperimentSpec grid;
     grid.profiles = {label};
     grid.threads = {16};
-    grid.llcBytes = {1u << 20, 2u << 20, 4u << 20, 8u << 20};
     std::vector<sst::JobSpec> specs;
     try {
+        sst::applySpecValue(grid, "llc", "1M, 2M, 4M, 8M");
         sst::validateSpec(grid);
         specs = sst::expandGrid(grid);
     } catch (const std::invalid_argument &e) {
@@ -53,7 +53,8 @@ main(int argc, char **argv)
         }
         const sst::SpeedupExperiment &exp = results[i].exp;
         const double net = exp.stack.netNegLlc();
-        table.addRow({std::to_string(grid.llcBytes[i] >> 20) + "MB",
+        table.addRow({std::to_string(specs[i].params.cache.llcBytes >> 20) +
+                          "MB",
                       sst::fmtDouble(exp.actualSpeedup, 2),
                       sst::fmtDouble(exp.stack.negLlc, 2),
                       sst::fmtDouble(exp.stack.posLlc, 2),

@@ -78,8 +78,8 @@ struct DriverOptions
      * totals and each thread's counters) and a baseline only its
      * totals: per-core cache/DRAM stats and region snapshots are freed
      * as soon as the job ends, so a batch's, or a server's, memory does
-     * not grow with its runs' barriers. `inspect` and
-     * `abl_region_stacks`, which print them, ask for full runs.
+     * not grow with its runs' barriers. `sst inspect`, which prints
+     * them, asks for full runs.
      */
     bool fullRuns = false;
 };

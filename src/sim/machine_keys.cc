@@ -116,35 +116,38 @@ machineKeyNamesJoined()
 
 
 std::string
-machineValueText(const MachineKey &key, const SimParams &params)
+machineValueText(const MachineKey &key, std::uint64_t value)
 {
-    const std::uint64_t v = key.get(params);
     switch (key.kind) {
     case MachineKey::Kind::kU64:
-        return std::to_string(v);
+        return std::to_string(value);
     case MachineKey::Kind::kSize:
-        return sizeText(v);
+        return sizeText(value);
     case MachineKey::Kind::kBool:
-        return v ? "true" : "false";
+        return value ? "true" : "false";
     case MachineKey::Kind::kDetector:
-        return v == 0 ? "tian" : "li";
+        return value == 0 ? "tian" : "li";
     }
-    return std::to_string(v); // unreachable
+    return std::to_string(value); // unreachable
 }
-
-
 
 void
 setMachineValue(SimParams &params, const MachineKey &key,
                 const std::string &text)
 {
+    const std::string bad =
+        std::string("bad value for ") + key.name + ": '" + text + "'";
     std::uint64_t v = 0;
     switch (key.kind) {
     case MachineKey::Kind::kU64:
         v = parseU64Text(key.name, text);
         break;
     case MachineKey::Kind::kSize:
-        v = parseSize(text);
+        try {
+            v = parseSize(text);
+        } catch (const std::invalid_argument &) {
+            throw std::invalid_argument(bad + " (expected a size: 2M)");
+        }
         break;
     case MachineKey::Kind::kBool:
         v = parseBoolText(key.name, text) ? 1 : 0;
@@ -155,11 +158,22 @@ setMachineValue(SimParams &params, const MachineKey &key,
         else if (text == "li")
             v = 1;
         else
-            throw std::invalid_argument("bad spin detector '" + text +
-                                        "' (expected tian or li)");
+            throw std::invalid_argument(bad + " (expected tian or li)");
         break;
     }
     key.set(params, v);
+}
+
+std::vector<std::uint64_t>
+parseMachineValues(const MachineKey &key, const std::string &text)
+{
+    std::vector<std::uint64_t> values;
+    for (const std::string &item : splitCommas(text)) {
+        SimParams p;
+        setMachineValue(p, key, item);
+        values.push_back(key.get(p));
+    }
+    return values;
 }
 
 namespace {
@@ -252,7 +266,7 @@ encodeMachineParams(std::string &out, const SimParams &params)
         out += "machine.";
         out += k.name;
         out += " = ";
-        out += machineValueText(k, params);
+        out += machineValueText(k, k.get(params));
         out += '\n';
     }
 }

@@ -5,7 +5,7 @@
  * policy/seed, which are spec-level keys of their own) under a stable
  * `machine.<key>` name. One table drives
  *
- *  - spec-file parsing (`machine.llc-bytes = 4M`),
+ *  - spec-file parsing (`machine.llc-bytes = 4M`, or a list: an axis),
  *  - canonical spec serialization (table order = emission order),
  *  - the driver's result-cache fingerprint (fingerprint v3 encodes the
  *    params section through encodeMachineParams, so a spec-driven run
@@ -57,15 +57,19 @@ const MachineKey *findMachineKey(const std::string &name);
 /** All `machine.<name>` keys joined with ", " (for error messages). */
 std::string machineKeyNamesJoined();
 
-/** Canonical text of @p key's current value in @p params. */
-std::string machineValueText(const MachineKey &key, const SimParams &params);
+/** Canonical text of @p value, a value of @p key (MachineKey::get). */
+std::string machineValueText(const MachineKey &key, std::uint64_t value);
 
 /**
  * Parse @p text (canonical or user form) into @p params via @p key.
- * Throws std::invalid_argument on malformed values.
+ * Throws std::invalid_argument, naming the key, on malformed values.
  */
 void setMachineValue(SimParams &params, const MachineKey &key,
                      const std::string &text);
+
+/** Parse `1, 8, 16` into values of @p key like setMachineValue(). */
+std::vector<std::uint64_t> parseMachineValues(const MachineKey &key,
+                                              const std::string &text);
 
 /** Largest DRAM latency or bus transfer, in cycles, validateMachine
  *  accepts. */

@@ -1,7 +1,9 @@
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <stdexcept>
 
+#include "accounting/hw_cost.hh"
 #include "core/classify.hh"
 #include "core/experiment.hh"
 #include "core/render.hh"
@@ -20,20 +22,35 @@ using Results = std::vector<JobResult>;
  *  Section 6); a paper column prints `-` at any other count. */
 constexpr int kPaperThreads = 16;
 
+/** @p job's value of each machine axis of @p spec (sizes as `2MB`),
+ *  appended to @p row; with no job, the axes' names. */
+void
+addAxisCells(const ExperimentSpec &spec, const JobSpec *job,
+             std::vector<std::string> &row)
+{
+    for (const auto &axis : spec.machineAxes) {
+        const MachineKey &key = *axis.first;
+        const std::uint64_t v = job ? key.get(job->params) : 0;
+        row.push_back(!job ? axisName(key)
+                      : key.kind == MachineKey::Kind::kSize
+                          ? fmtBytes(v)
+                          : machineValueText(key, v));
+    }
+}
+
 /** One row per job: speedups, error, top delimiters and stack
- *  components; the cores/LLC columns only when that axis is swept. */
+ *  components; a cores column and a column per machine axis only when
+ *  that axis is swept. */
 std::string
 renderTable(const ExperimentSpec &spec, const Jobs &jobs,
             const Results &results)
 {
     const bool show_cores = !spec.cores.empty();
-    const bool show_llc = !spec.llcBytes.empty();
     TextTable table;
     std::vector<std::string> header = {"benchmark", "threads"};
     if (show_cores)
         header.push_back("cores");
-    if (show_llc)
-        header.push_back("llc");
+    addAxisCells(spec, nullptr, header);
     for (const char *c : {"paper", "actual", "estimated", "err", "1st",
                           "2nd", "3rd", "base", "pos", "netneg", "mem",
                           "spin", "yield"})
@@ -48,8 +65,7 @@ renderTable(const ExperimentSpec &spec, const Jobs &jobs,
                                         std::to_string(s.nthreads())};
         if (show_cores)
             row.push_back(std::to_string(s.ncoresEffective()));
-        if (show_llc)
-            row.push_back(fmtBytes(s.params.cache.llcBytes));
+        addAxisCells(spec, &s, row);
         if (!r.ok()) {
             row.push_back("FAILED: " + r.error);
             row.resize(header.size(), "-");
@@ -333,6 +349,91 @@ renderCoherency(const ExperimentSpec &spec, const Jobs &jobs,
            "\n";
 }
 
+/** Section 4.7: the accounting hardware's bytes per core in the
+ *  paper's configuration (HwCostConfig's defaults, which sample one LLC
+ *  set in 128 where the simulator samples one in 32) next to the
+ *  paper's numbers; then per point of the machine axes (e.g. each ATD
+ *  sampling factor) its cost and the mean and max |error| of its jobs. */
+std::string
+renderHwCost(const ExperimentSpec &spec, const Jobs &jobs,
+             const Results &results)
+{
+    const HwCostBreakdown b = computeHwCost();
+    TextTable table;
+    table.setHeader({"structure", "bytes/core", "paper"});
+    const auto add = [&table](const char *name, std::uint64_t bytes,
+                              const char *paper) {
+        table.addRow({name, std::to_string(bytes), paper});
+    };
+    add("ATD (sampled)", b.atdBytes(), "-");
+    add("ORA", b.oraBytes(), "-");
+    add("event counters", b.counterBytes(), "-");
+    add("interference accounting subtotal", b.interferenceBytesPerCore(),
+        "952");
+    add("spin detection load table", b.spinTableBytes(), "217");
+    table.addRule();
+    add("total per core", b.totalBytesPerCore(), "~1.1KB");
+    add("total 16-core CMP", b.totalBytesChip(16), "~18KB");
+
+    // Each point of the machine axes: its cells, then its jobs.
+    std::vector<std::pair<std::vector<std::string>, std::vector<std::size_t>>>
+        points;
+    std::string labels;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        std::vector<std::string> cells;
+        addAxisCells(spec, &jobs[i], cells);
+        auto p = std::find_if(
+            points.begin(), points.end(),
+            [&cells](const auto &q) { return q.first == cells; });
+        if (p == points.end())
+            p = points.insert(p, {cells, {}});
+        p->second.push_back(i);
+        if (labels.find(" " + jobs[i].label() + ",") == std::string::npos)
+            labels += " " + jobs[i].label() + ",";
+    }
+    TextTable sweep;
+    std::vector<std::string> header;
+    addAxisCells(spec, nullptr, header);
+    for (const char *c : {"monitored sets", "ATD bytes/core",
+                          "total bytes/core", "avg |error|", "max |error|"})
+        header.push_back(c);
+    sweep.setHeader(header);
+    for (const auto &[cells, members] : points) {
+        const SimParams &m = jobs[members[0]].params;
+        std::vector<std::string> row = cells;
+        try {
+            validateMachine(m); // the cost model's geometry checks
+            HwCostConfig cfg;
+            cfg.llcBytes = m.cache.llcBytes;
+            cfg.llcWays = m.cache.llcWays;
+            cfg.atdSamplingFactor = m.cache.atdSamplingFactor;
+            cfg.nbanks = m.dram.nbanks;
+            cfg.tian = m.accounting.tian;
+            const HwCostBreakdown c = computeHwCost(cfg);
+            for (const std::uint64_t v :
+                 {cfg.llcBytes / kLineBytes / cfg.llcWays /
+                      cfg.atdSamplingFactor,
+                  c.atdBytes(), c.totalBytesPerCore()})
+                row.push_back(std::to_string(v));
+        } catch (const std::invalid_argument &) {
+            row.resize(row.size() + 3, "fail");
+        }
+        RunningStat err;
+        for (const std::size_t i : members)
+            if (results[i].ok())
+                err.add(std::fabs(results[i].exp.error));
+        for (const double v : {err.mean(), err.max()})
+            row.push_back(err.count() == members.size() ? fmtPercent(v, 1)
+                                                        : "fail");
+        sweep.addRow(row);
+    }
+    labels.back() = ')';
+    return "Section 4.7: accounting hardware cost\n\n" + table.render() +
+           "\nestimation accuracy vs hardware cost (|error| over the jobs of "
+           "each row:" +
+           labels + "\n\n" + sweep.render() + "\n";
+}
+
 } // namespace
 
 const NamedRegistry<ReportView> &
@@ -361,6 +462,9 @@ reportRegistry()
         r.add("coherency", {"Section 4.5: S^ and error without and with "
                             "coherency-miss accounting",
                             true, true, renderCoherency});
+        r.add("hw-cost", {"Section 4.7: hardware bytes/core; cost and "
+                          "|error| per machine-axis point",
+                          false, false, renderHwCost});
         return r;
     }();
     return registry;

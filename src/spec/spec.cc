@@ -48,12 +48,6 @@ itemText(int count)
     return std::to_string(count);
 }
 
-std::string
-itemText(std::uint64_t bytes)
-{
-    return sizeText(bytes);
-}
-
 /** @p items joined with ", ", each in its spec-value form. */
 template <class Items>
 std::string
@@ -88,6 +82,26 @@ splitPaths(const std::string &text)
             break;
         start = comma + 1;
     }
+    return out;
+}
+
+/** The key whose axis `llc =` sets. */
+const MachineKey *
+llcBytes()
+{
+    static const MachineKey *const key = findMachineKey("llc-bytes");
+    return key;
+}
+
+/** @p key's axis in @p spec as spec text (`1, 8`); "" when unswept. */
+std::string
+axisText(const ExperimentSpec &spec, const MachineKey *key)
+{
+    std::string out;
+    const auto axis = spec.machineAxes.find(key);
+    if (axis != spec.machineAxes.end())
+        for (const std::uint64_t v : axis->second)
+            out += (out.empty() ? "" : ", ") + machineValueText(*key, v);
     return out;
 }
 
@@ -210,14 +224,17 @@ applySpecValue(ExperimentSpec &spec, const std::string &key,
         spec.workloads = {canon};
         spec.frontend = "pipeline";
     } else if (key == "threads") {
+        // 0 is a count; the driver's job validation names the bound.
         spec.threads = value.empty() ? std::vector<int>{}
-                                     : parseIntList(value);
+                                     : parseIntList(value, 0);
     } else if (key == "cores") {
         spec.cores = value.empty() ? std::vector<int>{}
                                    : parseIntList(value);
     } else if (key == "llc") {
-        spec.llcBytes = value.empty() ? std::vector<std::uint64_t>{}
-                                      : parseSizeList(value);
+        spec.machineAxes.erase(llcBytes());
+        if (!value.empty())
+            spec.machineAxes[llcBytes()] =
+                parseMachineValues(*llcBytes(), value);
     } else if (key == "seed-offset") {
         spec.seedOffset = parseU64Text("seed-offset", value);
     } else if (key == "frontend") {
@@ -239,10 +256,16 @@ applySpecValue(ExperimentSpec &spec, const std::string &key,
         reportRegistry().at(value); // throws listing valid views
         spec.report = value;
     } else { // a machine key: requireSpecKey() found it
-        setMachineValue(
-            spec.machine,
-            *findMachineKey(key.substr(std::string(kMachinePrefix).size())),
-            value);
+        const MachineKey *k =
+            findMachineKey(key.substr(std::string(kMachinePrefix).size()));
+        std::vector<std::uint64_t> values = parseMachineValues(*k, value);
+        if (values.size() > 1) {
+            spec.machineAxes[k] = std::move(values);
+        } else {
+            k->set(spec.machine, values[0]);
+            if (k != llcBytes())
+                spec.machineAxes.erase(k);
+        }
     }
 }
 
@@ -328,7 +351,7 @@ std::string
 serializeSpec(const ExperimentSpec &spec)
 {
     std::string out = "# sst experiment spec (canonical form)\n";
-    auto put = [&out](const char *key, const std::string &value) {
+    auto put = [&out](const std::string &key, const std::string &value) {
         // Refuse to emit text that would re-parse differently: a '#'
         // at value start or after whitespace reads back as a comment,
         // and an embedded newline would split the line. Throwing here
@@ -341,7 +364,7 @@ serializeSpec(const ExperimentSpec &spec)
                                value[i - 1])));
             if (comment_start || value[i] == '\n') {
                 throw std::invalid_argument(
-                    std::string("cannot serialize ") + key +
+                    "cannot serialize " + key +
                     " value '" + value +
                     "': it would re-parse as a comment or line break");
             }
@@ -357,13 +380,19 @@ serializeSpec(const ExperimentSpec &spec)
     put("workload-file", joined(spec.workloadFiles));
     put("threads", joined(spec.threads));
     put("cores", joined(spec.cores));
-    put("llc", joined(spec.llcBytes));
+    put("llc", axisText(spec, llcBytes()));
     put("seed-offset", std::to_string(spec.seedOffset));
     put("frontend", spec.frontend);
     put("trace-dir", spec.traceDir);
     put("sched", schedPolicyLabel(spec.machine.schedPolicy));
     put("sched-seed", std::to_string(spec.machine.schedSeed));
-    encodeMachineParams(out, spec.machine);
+    // A job fingerprint's machine section (encodeMachineParams), with
+    // a swept key's values in place of its setting.
+    for (const MachineKey &k : machineKeys())
+        put(kMachinePrefix + std::string(k.name),
+            &k == llcBytes() || !spec.machineAxes.count(&k)
+                ? machineValueText(k, k.get(spec.machine))
+                : axisText(spec, &k));
     put("output.csv", spec.csvPath);
     put("output.json", spec.jsonPath);
     put("output.quiet", spec.quiet ? "true" : "false");
@@ -454,12 +483,14 @@ validateSpec(const ExperimentSpec &spec)
     for (const std::string &label : spec.profiles)
         profileRegistry().at(label); // throws, listing valid names
     const ReportView &view = reportRegistry().at(spec.report);
-    const char *axis = !spec.workloads.empty()       ? "workload"
-                       : !spec.workloadFiles.empty() ? "workload-file"
-                       : !spec.cores.empty()         ? "cores"
-                       : !spec.llcBytes.empty()      ? "llc"
-                                                     : nullptr;
-    if (view.rowPerProfile && axis)
+    const auto &axes = spec.machineAxes;
+    const std::string axis =
+        !spec.workloads.empty()       ? "workload"
+        : !spec.workloadFiles.empty() ? "workload-file"
+        : !spec.cores.empty()         ? "cores"
+        : axes.empty()                ? ""
+                                      : axisName(*axes.begin()->first);
+    if (view.rowPerProfile && !axis.empty())
         throw std::invalid_argument(
             "report '" + spec.report + "' lays out one row per benchmark "
             "of the profiles axis; it cannot lay out the " + axis +
@@ -499,27 +530,40 @@ expandGrid(const ExperimentSpec &spec)
         }
     }
 
-    const std::size_t nllc =
-        spec.llcBytes.empty() ? 1 : spec.llcBytes.size();
+    std::size_t npoints = 1;
+    for (const auto &axis : spec.machineAxes)
+        npoints *= axis.second.size();
     const std::size_t ncores = spec.cores.empty() ? 1 : spec.cores.size();
     std::vector<JobSpec> jobs;
-    jobs.reserve(workloads.size() * nllc * ncores);
+    jobs.reserve(workloads.size() * npoints * ncores);
     for (const WorkloadSpec &workload : workloads) {
-        for (std::size_t l = 0; l < nllc; ++l) {
+        for (std::size_t point = 0; point < npoints; ++point) {
+            // The last axis varies fastest.
+            SimParams params = spec.machine;
+            std::size_t rest = point;
+            for (auto a = spec.machineAxes.rbegin();
+                 a != spec.machineAxes.rend(); ++a) {
+                a->first->set(params, a->second[rest % a->second.size()]);
+                rest /= a->second.size();
+            }
             for (std::size_t c = 0; c < ncores; ++c) {
                 JobSpec job;
                 job.workload = workload;
                 if (!spec.cores.empty())
                     job.ncores = spec.cores[c];
-                job.params = spec.machine;
-                if (!spec.llcBytes.empty())
-                    job.params.cache.llcBytes = spec.llcBytes[l];
+                job.params = params;
                 job.seedOffset = spec.seedOffset;
                 jobs.push_back(std::move(job));
             }
         }
     }
     return jobs;
+}
+
+std::string
+axisName(const MachineKey &key)
+{
+    return &key == llcBytes() ? "llc" : kMachinePrefix + std::string(key.name);
 }
 
 ExperimentSpec

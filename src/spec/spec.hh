@@ -1,12 +1,12 @@
 /**
  * @file
  * ExperimentSpec: a fully declarative description of one speedup-stack
- * study — workload selection, sweep axes (threads, cores, LLC sizes),
- * machine parameters, scheduler policy + seed, workload frontend,
- * recorded-trace directory and output options — that parses from and
- * serializes to a canonical `key = value` text format. `sst run` (alias
- * `sst sweep`) starts from a spec file or the defaults and applies each
- * command-line flag as one more key.
+ * study — workload selection, sweep axes (threads, cores, machine
+ * keys), machine parameters, scheduler policy + seed, workload
+ * frontend, recorded-trace directory and output options — that parses
+ * from and serializes to a canonical `key = value` text format. `sst
+ * run` and `sst inspect` start from a spec file or the defaults and
+ * apply each command-line flag as one more key.
  *
  * Guarantees:
  *  - round trip: parseSpec(serializeSpec(s)) == s for every valid s;
@@ -20,7 +20,9 @@
  *
  * Spec files are plain text: one `key = value` per line, `#` comments
  * (a '#' at line start or after whitespace; `run#1.csv` is a value),
- * blank lines ignored, later keys override earlier ones. All names
+ * blank lines ignored, later keys override earlier ones. A machine key
+ * given a list (`machine.atd-sampling-factor = 1, 8`) is an axis;
+ * `llc = 1M, 2M` spells the llc-bytes one. All names
  * (profiles, scheduler policies, frontends, machine keys) resolve
  * through registries/tables, so every unknown-label error lists the
  * valid names.
@@ -30,10 +32,12 @@
 #define SST_SPEC_SPEC_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "driver/driver.hh"
+#include "sim/machine_keys.hh"
 #include "sim/params.hh"
 #include "util/registry.hh"
 
@@ -93,8 +97,13 @@ struct ExperimentSpec
      */
     std::vector<int> cores;
 
-    /** LLC sizes in bytes (sweep axis); empty keeps machine.llc-bytes. */
-    std::vector<std::uint64_t> llcBytes;
+    /**
+     * Machine-key axes (sweep axes) in table order, each key's values
+     * as MachineKey::set takes them; they override @c machine per job.
+     * A one-value setting replaces a key's axis, except llc-bytes:
+     * `llc =` overrides `machine.llc-bytes`, which prints beside it.
+     */
+    std::map<const MachineKey *, std::vector<std::uint64_t>> machineAxes;
 
     /** Replication RNG stream selector (see JobSpec::seedOffset). */
     std::uint64_t seedOffset = 0;
@@ -135,7 +144,7 @@ struct ReportView
 {
     const char *description; ///< one-line summary for listings
     /** One row per benchmark of the profiles axis: validateSpec()
-     *  rejects the workload, workload-file, cores and llc axes. */
+     *  rejects the workload, workload-file, cores and machine axes. */
     bool rowPerProfile;
     /** One job per benchmark: the threads axis holds one count. */
     bool oneThreadCount;
@@ -149,7 +158,8 @@ struct ReportView
 /** Report-view registry (src/spec/report.cc: "table", "validation",
  *  "stacks", "classify", "overhead" for Figures 4-6 and the Section 6
  *  overhead table, "detectors" and "coherency" for the Section 4.3 and
- *  4.5 ablations): the values of the `output.report` key. */
+ *  4.5 ablations, "hw-cost" for Section 4.7 and the ATD sampling
+ *  trade-off): the values of the `output.report` key. */
 const NamedRegistry<ReportView> &reportRegistry();
 
 /** Equality is canonical-form equality. */
@@ -160,7 +170,7 @@ bool operator!=(const ExperimentSpec &a, const ExperimentSpec &b);
  * Apply one `key = value` assignment to @p spec. This is the single
  * mutation path shared by the file parser and every command-line flag
  * (`sst run --threads 2,4` is applySpecValue(spec, "threads", "2,4"),
- * and the benches' `--sched X` the same), so flags and spec files can
+ * and `sst inspect --sched X` the same), so flags and spec files can
  * never drift apart. Throws std::invalid_argument on an unknown key
  * (listing every valid key) or a malformed value.
  */
@@ -209,12 +219,15 @@ void validateSpec(const ExperimentSpec &spec);
 /** validateSpec(@p spec), then @p spec itself. */
 ExperimentSpec specGrid(const ExperimentSpec &spec);
 
+/** How a spec spells @p key's axis: `llc` or `machine.<key>`. */
+std::string axisName(const MachineKey &key);
+
 /**
  * Expand the axes of a valid @p spec into jobs, profile-major (all of
- * one benchmark's points are adjacent, in the benches' row order),
- * then LLC sizes, then core counts. An empty `profiles` is the whole
- * suite; `.wdl` files are compiled here. Checks nothing validateSpec()
- * checks: run that first.
+ * one benchmark's points are adjacent, in the figures' row order),
+ * then the machine axes in table order, then core counts. An empty
+ * `profiles` is the whole suite; `.wdl` files are compiled here.
+ * Checks nothing validateSpec() checks: run that first.
  */
 std::vector<JobSpec> expandGrid(const ExperimentSpec &spec);
 

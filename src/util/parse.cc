@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 namespace sst {
-namespace {
 
 std::vector<std::string>
 splitCommas(const std::string &text)
@@ -25,10 +24,8 @@ splitCommas(const std::string &text)
     return parts;
 }
 
-} // namespace
-
 std::vector<int>
-parseIntList(const std::string &text)
+parseIntList(const std::string &text, int min)
 {
     std::vector<int> out;
     for (const std::string &part : splitCommas(text)) {
@@ -38,7 +35,7 @@ parseIntList(const std::string &text)
         errno = 0;
         char *end = nullptr;
         const long v = std::strtol(part.c_str(), &end, 10);
-        if (errno != 0 || !end || *end != '\0' || v <= 0 || v > 1 << 20)
+        if (errno != 0 || !end || *end != '\0' || v < min || v > 1 << 20)
             throw std::invalid_argument("bad integer '" + part + "'");
         out.push_back(static_cast<int>(v));
     }
@@ -84,15 +81,6 @@ parseSize(const std::string &text)
     if (errno != 0 || !end || *end != '\0' || v == 0)
         throw std::invalid_argument("bad size '" + text + "'");
     return v * mult;
-}
-
-std::vector<std::uint64_t>
-parseSizeList(const std::string &text)
-{
-    std::vector<std::uint64_t> out;
-    for (const std::string &part : splitCommas(text))
-        out.push_back(parseSize(part));
-    return out;
 }
 
 std::string

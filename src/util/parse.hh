@@ -15,8 +15,12 @@
 
 namespace sst {
 
-/** Parse "2,4,8,16" into integers. Throws std::invalid_argument. */
-std::vector<int> parseIntList(const std::string &text);
+/** Split "a, b,c" at commas, dropping whitespace; empty items stay. */
+std::vector<std::string> splitCommas(const std::string &text);
+
+/** Parse "2,4,8,16" into integers in [@p min, 2^20]. Throws
+ *  std::invalid_argument. */
+std::vector<int> parseIntList(const std::string &text, int min = 1);
 
 /** Parse "a,b,c" into labels. Throws std::invalid_argument on empties. */
 std::vector<std::string> parseLabelList(const std::string &text);
@@ -27,9 +31,6 @@ std::vector<std::string> parseLabelList(const std::string &text);
  * Throws std::invalid_argument.
  */
 std::uint64_t parseSize(const std::string &text);
-
-/** Parse "1M,2M,4M,8M" into byte counts. Throws std::invalid_argument. */
-std::vector<std::uint64_t> parseSizeList(const std::string &text);
 
 /**
  * Render @p bytes in the shortest suffixed form parseSize() round-trips

@@ -33,6 +33,10 @@ for cmd in $commands; do
         expect 1 "unknown spec key 'bogus'" "$cmd" --bogus
         expect 1 "missing value for --jobs" "$cmd" --jobs
         expect 1 "missing value for --threads" "$cmd" --threads ;;
+    inspect)
+        expect 1 "unknown spec key 'bogus'" inspect --bogus
+        expect 1 "missing value for --spec" inspect --spec
+        expect 1 "missing value for --threads" inspect --threads ;;
     trace)
         expect 1 "'--bogus'" trace --bogus
         expect 1 "'--bogus'" trace info --bogus

@@ -145,9 +145,8 @@ TEST(Driver, MatchesRunExperiment)
     // With full runs kept, the in-process reference and the driver agree
     // on everything a fresh result carries: the summary, every
     // per-thread counter, the per-core cache stats and the region
-    // snapshots inspect and abl_region_stacks read. The LLC size and
-    // the ATD sampling factor are the machine settings llc_study and
-    // abl_atd_sampling vary.
+    // snapshots `sst inspect` reads. The LLC size and the ATD sampling
+    // factor are the machine settings llc_study and hw_cost.spec vary.
     std::vector<JobSpec> specs = {makeJob(test::lockHeavyProfile(), 4),
                                   makeJob(test::sharingProfile(), 4),
                                   makeJob(test::memoryHeavyProfile(), 4)};
@@ -777,6 +776,23 @@ INSTANTIATE_TEST_SUITE_P(
                       BadMachineValue{"spin-check-cycles", "0"},
                       BadMachineValue{"time-slice-cycles", "0"}));
 
+// An axis value the simulator cannot run fails its own job only.
+TEST(Driver, RefusesOneValueOfAMachineAxis)
+{
+    ExperimentSpec spec;
+    applySpecValue(spec, "profiles", "cholesky");
+    applySpecValue(spec, "threads", "2");
+    applySpecValue(spec, "machine.llc-ways", "16, 3");
+    const std::vector<JobResult> results =
+        runExperimentBatch(expandGrid(specGrid(spec)), DriverOptions{});
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].ok()) << results[0].error;
+    EXPECT_FALSE(results[1].ok());
+    EXPECT_NE(results[1].error.find("machine.llc-ways = 3"),
+              std::string::npos)
+        << results[1].error;
+}
+
 TEST(Driver, AcceptsEveryWayCountUpToTheBound)
 {
     SimParams params;
@@ -805,7 +821,7 @@ TEST(Sweep, ExpandGridIsProfileMajorCrossProduct)
     ExperimentSpec grid;
     grid.profiles = {"cholesky", "radix"};
     grid.threads = {2, 4};
-    grid.llcBytes = {1u << 20, 2u << 20};
+    applySpecValue(grid, "llc", "1M, 2M");
 
     const std::vector<JobSpec> jobs = expandGrid(grid);
     ASSERT_EQ(jobs.size(), 8u);
@@ -840,6 +856,8 @@ TEST(Sweep, ListParsers)
     EXPECT_EQ(parseIntList("2,4,8,16"), (std::vector<int>{2, 4, 8, 16}));
     EXPECT_THROW(parseIntList("2,,4"), std::invalid_argument);
     EXPECT_THROW(parseIntList("2,x"), std::invalid_argument);
+    EXPECT_THROW(parseIntList("0,2"), std::invalid_argument);
+    EXPECT_EQ(parseIntList("0,2", 0), (std::vector<int>{0, 2}));
 
     EXPECT_EQ(parseSize("4096"), 4096u);
     EXPECT_EQ(parseSize("512K"), 512u * 1024);
@@ -848,7 +866,7 @@ TEST(Sweep, ListParsers)
     EXPECT_THROW(parseSize("M"), std::invalid_argument);
     EXPECT_THROW(parseSize(""), std::invalid_argument);
 
-    EXPECT_EQ(parseSizeList("1M,2M"),
+    EXPECT_EQ(parseMachineValues(*findMachineKey("llc-bytes"), "1M, 2M"),
               (std::vector<std::uint64_t>{1u << 20, 2u << 20}));
 
     EXPECT_EQ(parseLabelList("a,b"), (std::vector<std::string>{"a", "b"}));

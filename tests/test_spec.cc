@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the declarative ExperimentSpec API: canonical-form round
- * trips and stability, the machine-key table, the three named
+ * trips and stability, the machine-key table and its axes, the named
  * registries (enumeration order, aliasing, generated error messages),
  * spec -> grid expansion, the cores oversubscription axis, and
  * fingerprint-v3 result-cache sharing between spec-driven and
@@ -34,7 +34,7 @@ fullyPopulatedSpec()
     spec.profiles = {"cholesky", "facesim_medium"};
     spec.threads = {2, 4, 8, 16};
     spec.cores = {2, 16};
-    spec.llcBytes = {1u << 20, 2u << 20};
+    applySpecValue(spec, "llc", "1M, 2M");
     spec.seedOffset = 7;
     spec.machine.schedPolicy = SchedPolicy::kRandom;
     spec.machine.schedSeed = 99;
@@ -215,7 +215,7 @@ TEST(MachineKeys, EveryKeyRoundTripsItsValue)
     decoded.dispatchWidth = 1;
     decoded.cache.llcBytes = 1;
     for (const MachineKey &k : machineKeys())
-        setMachineValue(decoded, k, machineValueText(k, params));
+        setMachineValue(decoded, k, machineValueText(k, k.get(params)));
     std::string blob2;
     encodeMachineParams(blob2, decoded);
     EXPECT_EQ(blob, blob2);
@@ -607,6 +607,137 @@ validationError(const ExperimentSpec &spec)
     return "";
 }
 
+// ---- machine-key axes -------------------------------------------------------
+
+TEST(MachineAxes, TwoAxesRoundTripAsAFixedPoint)
+{
+    const ExperimentSpec s = parseSpec("profiles = cholesky\n"
+                                       "machine.atd-sampling-factor = 1, 8\n"
+                                       "machine.llc-ways = 8, 16\n"
+                                       "machine.dispatch-width = 2\n");
+    ASSERT_EQ(s.machineAxes.size(), 2u);
+    const std::string text = serializeSpec(s);
+    EXPECT_NE(text.find("\nmachine.llc-ways = 8, 16\n"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\nmachine.atd-sampling-factor = 1, 8\n"),
+              std::string::npos)
+        << text;
+    const ExperimentSpec back = parseSpec(text);
+    EXPECT_EQ(back, s);
+    EXPECT_EQ(serializeSpec(back), text);
+    EXPECT_EQ(back.machineAxes, s.machineAxes);
+    EXPECT_EQ(back.machine.dispatchWidth, 2);
+}
+
+TEST(MachineAxes, FlagsExpandInTableOrderThenCores)
+{
+    // llc-bytes precedes atd-sampling-factor in the machine-key table,
+    // so it is the outer axis whatever order the flags come in.
+    const ExperimentSpec s = specFromFlags(
+        {"--profiles", "cholesky", "--threads", "2", "--cores", "1,2",
+         "--set", "machine.atd-sampling-factor=1,8", "--machine.llc-bytes",
+         "1M,2M"});
+    const std::vector<JobSpec> jobs = expandGrid(specGrid(s));
+    ASSERT_EQ(jobs.size(), 8u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(jobs[i].params.cache.llcBytes, (i < 4 ? 1u : 2u) << 20)
+            << i;
+        EXPECT_EQ(jobs[i].params.cache.atdSamplingFactor,
+                  i % 4 < 2 ? 1 : 8)
+            << i;
+        EXPECT_EQ(jobs[i].ncores, i % 2 ? 2 : 1) << i;
+    }
+}
+
+TEST(MachineAxes, LlcIsTheSpellingOfTheLlcBytesAxis)
+{
+    const ExperimentSpec llc = parseSpec("profiles = cholesky\n"
+                                         "llc = 2M, 4M\n");
+    const ExperimentSpec key = parseSpec("profiles = cholesky\n"
+                                         "machine.llc-bytes = 2M, 4M\n");
+    EXPECT_EQ(serializeSpec(key), serializeSpec(llc));
+    EXPECT_NE(serializeSpec(key).find("\nllc = 2M, 4M\n"), std::string::npos);
+    const std::vector<JobSpec> a = expandGrid(llc), b = expandGrid(key);
+    ASSERT_EQ(a.size(), 2u);
+    ASSERT_EQ(b.size(), 2u);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(fingerprintJob(a[i]).canonical,
+                  fingerprintJob(b[i]).canonical);
+    EXPECT_EQ(a[1].params.cache.llcBytes, 4u << 20);
+}
+
+TEST(MachineAxes, OneValueIsASetting)
+{
+    ExperimentSpec s;
+    applySpecValue(s, "machine.atd-sampling-factor", "1, 8");
+    applySpecValue(s, "machine.atd-sampling-factor", "64");
+    EXPECT_TRUE(s.machineAxes.empty());
+    ExperimentSpec direct;
+    direct.machine.cache.atdSamplingFactor = 64;
+    EXPECT_EQ(serializeSpec(s), serializeSpec(direct));
+    EXPECT_NE(serializeSpec(s).find("\nmachine.atd-sampling-factor = 64\n"),
+              std::string::npos);
+    EXPECT_EQ(expandGrid(s).size(), expandGrid(direct).size());
+
+    // `llc =` overrides the machine.llc-bytes setting per job, so that
+    // setting leaves it in place.
+    applySpecValue(s, "llc", "1M, 2M");
+    applySpecValue(s, "machine.llc-bytes", "4M");
+    ASSERT_EQ(s.machineAxes.size(), 1u);
+    EXPECT_EQ(s.machine.cache.llcBytes, 4u << 20);
+    EXPECT_EQ(parseSpec(serializeSpec(s)), s);
+}
+
+TEST(MachineAxes, BadListElementNamesTheKey)
+{
+    const auto errorFor = [](const std::string &key,
+                             const std::string &value) {
+        ExperimentSpec s;
+        try {
+            applySpecValue(s, key, value);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_NE(errorFor("machine.atd-sampling-factor", "1, x")
+                  .find("atd-sampling-factor: 'x'"),
+              std::string::npos);
+    EXPECT_NE(errorFor("machine.atd-sampling-factor", "1,,8")
+                  .find("atd-sampling-factor: ''"),
+              std::string::npos);
+    EXPECT_NE(errorFor("llc", "1M, 2Q").find("llc-bytes: '2Q'"),
+              std::string::npos);
+    EXPECT_NE(errorFor("machine.stack-detector", "tian, w")
+                  .find("stack-detector: 'w'"),
+              std::string::npos);
+    EXPECT_NE(errorFor("machine.oracle-atds", "true, maybe")
+                  .find("oracle-atds: 'maybe'"),
+              std::string::npos);
+}
+
+// The stack detector never splits a fingerprint: the two jobs of a
+// detector axis run once and give a Tian and a Li row.
+TEST(MachineAxes, StackDetectorAxisIsOneSimulatedRun)
+{
+    ExperimentSpec s;
+    applySpecValue(s, "profiles", "cholesky");
+    applySpecValue(s, "threads", "4");
+    applySpecValue(s, "machine.stack-detector", "tian, li");
+    const std::vector<JobSpec> jobs = expandGrid(specGrid(s));
+    ASSERT_EQ(jobs.size(), 2u);
+    BatchStats stats;
+    const std::vector<JobResult> results =
+        runExperimentBatch(jobs, DriverOptions{}, &stats);
+    EXPECT_EQ(stats.executed, 1u);
+    EXPECT_EQ(stats.deduped, 1u);
+    ASSERT_TRUE(results[0].ok() && results[1].ok());
+    EXPECT_EQ(results[0].exp.tp, results[1].exp.tp);
+    EXPECT_NE(results[0].exp.stack.spin, results[1].exp.stack.spin);
+    EXPECT_EQ(jobs[1].params.accounting.stackDetector,
+              AccountingParams::Detector::kLi);
+}
+
 TEST(Report, DefaultIsTheTableAndEveryViewRoundTrips)
 {
     EXPECT_EQ(ExperimentSpec().report, "table");
@@ -667,6 +798,10 @@ TEST(Report, ViewsRejectAGridTheyCannotLayOutNamingTheAxis)
         EXPECT_NE(errorFor(view, "llc", "1M").find("the llc axis"),
                   std::string::npos)
             << view;
+        EXPECT_NE(errorFor(view, "machine.atd-sampling-factor", "1, 8")
+                      .find("the machine.atd-sampling-factor axis"),
+                  std::string::npos)
+            << view;
     }
     ExperimentSpec mix;
     applySpecValue(mix, "workload", "fig08_cholesky");
@@ -684,6 +819,7 @@ TEST(Report, ViewsRejectAGridTheyCannotLayOutNamingTheAxis)
     EXPECT_EQ(errorFor("validation", "threads", "3, 5"), "");
     EXPECT_EQ(errorFor("overhead", "threads", "8"), "");
     EXPECT_EQ(errorFor("table", "cores", "2"), "");
+    EXPECT_EQ(errorFor("hw-cost", "machine.llc-ways", "8, 16"), "");
     mix.report = "table";
     EXPECT_EQ(validationError(mix), "");
 }
