@@ -21,6 +21,7 @@
 #include "trace/trace_reader.hh"
 #include "trace/trace_writer.hh"
 #include "workload/profile.hh"
+#include "workload/workload_spec.hh"
 
 namespace sst {
 namespace {
@@ -115,6 +116,64 @@ TEST(SchedGolden, OversubscribedEngineCounters)
         EXPECT_EQ(r.enginePreemptions, x.preemptions);
         EXPECT_EQ(r.engineHeapOps, x.heapOps);
     }
+}
+
+/** Every engine counter of one run, pinned exactly. */
+struct EngineGolden
+{
+    Cycles cycles;
+    std::uint64_t instructions, events, wakes, preemptions, heapOps;
+};
+
+void
+expectEngineGolden(const RunResult &r, const EngineGolden &x)
+{
+    EXPECT_EQ(r.executionTime, x.cycles);
+    EXPECT_EQ(r.totalInstructions, x.instructions);
+    EXPECT_EQ(r.engineEvents, x.events);
+    EXPECT_EQ(r.engineWakes, x.wakes);
+    EXPECT_EQ(r.enginePreemptions, x.preemptions);
+    EXPECT_EQ(r.engineHeapOps, x.heapOps);
+}
+
+TEST(SchedGolden, OversubscribedRoundRobinGolden)
+{
+    // Cholesky 16 threads on 4 cores: pins the strict FIFO pick order.
+    SimParams params;
+    params.schedPolicy = SchedPolicy::kRoundRobin;
+    expectEngineGolden(simulateWorkload(params, cholesky(16), 4),
+                       {1577165, 8266846, 359513, 2564, 792, 362117});
+}
+
+TEST(SchedGolden, OversubscribedRandomGolden)
+{
+    // The random policy's RNG draws and pool order, at two seeds.
+    struct Seeded
+    {
+        std::uint64_t seed;
+        EngineGolden expected;
+    };
+    constexpr Seeded kSeeded[] = {
+        {0, {1561138, 8264510, 359238, 2275, 826, 361559}},
+        {3, {1540970, 8265278, 359953, 2371, 804, 362370}},
+    };
+    for (const Seeded &s : kSeeded) {
+        SCOPED_TRACE("seed " + std::to_string(s.seed));
+        SimParams params;
+        params.schedPolicy = SchedPolicy::kRandom;
+        params.schedSeed = s.seed;
+        expectEngineGolden(simulateWorkload(params, cholesky(16), 4),
+                           s.expected);
+    }
+}
+
+TEST(SchedGolden, PipelineAffinityHintsGolden)
+{
+    // ferret16 on 8 cores: the one workload that installs affinity
+    // hints, so the hint scan of the affinity-fifo pick runs.
+    expectEngineGolden(
+        simulateWorkload(SimParams{}, *mixRegistry().find("ferret16"), 8),
+        {795907, 10487024, 308029, 252, 404, 308406});
 }
 
 // ---- preemption-wait accounting (the satellite bugfix) ---------------------
