@@ -33,7 +33,7 @@ computeHwCost(const HwCostConfig &config)
     // ORA: one open-row record per bank (row number + valid bit).
     const int row_bits = config.physAddrBits - log2i(kLineBytes) -
                          log2i(static_cast<std::uint64_t>(config.nbanks)) -
-                         log2i(2048 / kLineBytes);
+                         log2i(config.dramRowBytes / kLineBytes);
     b.oraBits = static_cast<std::uint64_t>(config.nbanks) *
                 static_cast<std::uint64_t>(row_bits + 1);
 

@@ -26,6 +26,7 @@ struct HwCostConfig
     int atdSamplingFactor = 128; ///< the hardware-proposal operating point
     int physAddrBits = 42;
     int nbanks = 8;
+    std::uint64_t dramRowBytes = 2048; ///< DRAM row (open page) size
     int eventCounters = 8;   ///< raw event counter file per core
     int counterBits = 59;    ///< width of each event counter
     TianSpinDetector::Params tian;

@@ -10,27 +10,24 @@ Atd::Atd(std::uint64_t llc_size_bytes, int llc_ways, int sampling_factor)
                                 static_cast<std::uint64_t>(llc_ways))),
       sampling_(sampling_factor),
       atdSets_(llcSets_ / sampling_factor),
-      array_(SetAssocArray::fromSets(atdSets_ > 0 ? atdSets_ : 1,
-                                     llc_ways))
+      samplingMask_(static_cast<std::uint64_t>(sampling_factor) - 1),
+      array_(SetAssocArray::fromSets(atdSets_, llc_ways))
 {
-    sstAssert(sampling_ >= 1, "ATD sampling factor must be >= 1");
+    sstAssert(sampling_ >= 1 &&
+                  isPow2(static_cast<std::uint64_t>(sampling_)),
+              "ATD sampling factor must be a power of two");
     sstAssert(llcSets_ % sampling_ == 0,
               "ATD sampling factor must divide the LLC set count");
     llcSetBits_ = log2i(static_cast<std::uint64_t>(llcSets_));
     atdSetBits_ = log2i(static_cast<std::uint64_t>(array_.sets()));
-    const std::uint64_t f = static_cast<std::uint64_t>(sampling_);
-    if (isPow2(f))
-        samplingMask_ = f - 1;
 }
 
 bool
 Atd::isSampled(Addr line) const
 {
-    const std::uint64_t llc_set =
-        line & (static_cast<std::uint64_t>(llcSets_) - 1);
-    if (samplingMask_ != 0 || sampling_ == 1)
-        return (llc_set & samplingMask_) == 0;
-    return llc_set % static_cast<std::uint64_t>(sampling_) == 0;
+    // The factor divides the power-of-two set count, so the set index's
+    // low bits are the line's.
+    return (line & samplingMask_) == 0;
 }
 
 Atd::Probe
@@ -60,21 +57,6 @@ Atd::access(Addr line)
         array_.fill(pseudo, s);
     }
     return probe;
-}
-
-std::uint64_t
-Atd::hardwareBits() const
-{
-    // Per entry: tag bits for a 48-bit physical address plus 2 status
-    // bits (valid + dirty), matching the cost accounting in [7].
-    const int addr_bits = 48;
-    const int line_off_bits = log2i(kLineBytes);
-    const int set_bits = log2i(static_cast<std::uint64_t>(llcSets_));
-    const int tag_bits = addr_bits - line_off_bits - set_bits;
-    const int entry_bits = tag_bits + 2;
-    return static_cast<std::uint64_t>(array_.sets()) *
-           static_cast<std::uint64_t>(array_.ways()) *
-           static_cast<std::uint64_t>(entry_bits);
 }
 
 } // namespace sst

@@ -57,21 +57,15 @@ class Atd
      *  extrapolation factor). */
     std::uint64_t sampledAccesses() const { return sampledAccesses_; }
 
-    /**
-     * Hardware cost of this ATD in bits: monitored sets x ways x
-     * (tag + status). Used by the hardware cost model (Section 4.7).
-     */
-    std::uint64_t hardwareBits() const;
-
   private:
     int llcSets_;
     int sampling_;
     int atdSets_;
     int llcSetBits_ = 0;  ///< log2(llcSets_), cached off the hot path
     int atdSetBits_ = 0;  ///< log2(array_.sets()), cached likewise
-    /** sampling_ - 1 when sampling_ is a power of two, else 0 (slow
-     *  modulo path); the sampled-set test runs on every LLC access. */
-    std::uint64_t samplingMask_ = 0;
+    /** sampling_ - 1 (a power of two less one); the sampled-set test
+     *  runs on every LLC access. */
+    std::uint64_t samplingMask_;
     SetAssocArray array_;
     std::uint64_t sampledAccesses_ = 0;
 };

@@ -1,45 +1,76 @@
 #include "scheduler.hh"
 
-#include "sched/affinity_fifo.hh"
-#include "sched/random_sched.hh"
-#include "sched/round_robin.hh"
 #include "util/logging.hh"
 
 namespace sst {
 
-Scheduler::Scheduler(int ncores, Cycles time_slice, int nthreads)
-    : ncores_(ncores), timeSlice_(time_slice), nthreads_(nthreads),
+namespace {
+
+/**
+ * Domain-separate the scheduler's RNG stream from the workload streams:
+ * even schedSeed == profile.seed must not correlate the schedule with
+ * the generated address streams.
+ */
+constexpr std::uint64_t kSchedStreamSalt = 0x5c4ed5eed0515ULL;
+
+} // namespace
+
+Scheduler::Scheduler(SchedPolicy policy, std::uint64_t seed, int ncores,
+                     Cycles time_slice, int nthreads)
+    : policy_(policy), ncores_(ncores), timeSlice_(time_slice),
+      nthreads_(nthreads), rng_(seed ^ kSchedStreamSalt),
       idle_(static_cast<std::size_t>(ncores), 1)
 {
     sstAssert(ncores >= 1, "Scheduler needs at least one core");
 }
 
-Scheduler::~Scheduler() = default;
-
 void
-Scheduler::onCoreBusy(CoreId core)
+Scheduler::enqueue(const ReadyThread &t, bool preferred)
 {
-    idle_[static_cast<std::size_t>(core)] = 0;
+    // The random pick ignores pool order, so it has no fast path.
+    if (preferred && policy_ != SchedPolicy::kRandom)
+        ready_.push_front(t);
+    else
+        ready_.push_back(t);
 }
 
-void
-Scheduler::onCoreIdle(CoreId core)
+ThreadId
+Scheduler::take(std::deque<ReadyThread>::iterator it)
 {
-    idle_[static_cast<std::size_t>(core)] = 1;
+    const ThreadId tid = it->tid;
+    ready_.erase(it);
+    return tid;
 }
 
-CoreId
-Scheduler::firstIdleCore(CoreId preferred) const
+ThreadId
+Scheduler::pickNext(CoreId core)
 {
-    if (preferred != kInvalidId &&
-        idle_[static_cast<std::size_t>(preferred)]) {
-        return preferred;
+    if (ready_.empty())
+        return kInvalidId;
+    switch (policy_) {
+      case SchedPolicy::kAffinityFifo:
+        // Prefer a thread that last ran on this core (its L1 state may
+        // still be resident), then one whose workload affinity hint
+        // names it (pipeline stages return to their stage's core
+        // range), then the queue head.
+        for (auto it = ready_.begin(); it != ready_.end(); ++it) {
+            if (it->lastCore == core)
+                return take(it);
+        }
+        if (!hints_.empty()) {
+            for (auto it = ready_.begin(); it != ready_.end(); ++it) {
+                if (affinityHint(it->tid) == core)
+                    return take(it);
+            }
+        }
+        return take(ready_.begin());
+      case SchedPolicy::kRoundRobin:
+        return take(ready_.begin());
+      case SchedPolicy::kRandom:
+        return take(ready_.begin() +
+                    static_cast<std::ptrdiff_t>(rng_.below(ready_.size())));
     }
-    for (std::size_t c = 0; c < idle_.size(); ++c) {
-        if (idle_[c])
-            return static_cast<CoreId>(c);
-    }
-    return kInvalidId;
+    panic("unhandled scheduler policy");
 }
 
 void
@@ -57,35 +88,17 @@ Scheduler::setAffinityHints(std::vector<CoreId> hints)
 CoreId
 Scheduler::placeWoken(ThreadId tid, CoreId last_core) const
 {
-    // Prefer the thread's last core (its L1 state), then its workload
-    // affinity hint (its stage's core range), then any idle core.
     const CoreId preferred =
         last_core != kInvalidId ? last_core : affinityHint(tid);
-    return firstIdleCore(preferred);
-}
-
-bool
-Scheduler::shouldPreempt(Cycles now, Cycles slice_start) const
-{
-    return nthreads_ > ncores_ && now >= slice_start + timeSlice_;
-}
-
-std::unique_ptr<Scheduler>
-makeScheduler(SchedPolicy policy, std::uint64_t seed, int ncores,
-              Cycles time_slice, int nthreads)
-{
-    switch (policy) {
-      case SchedPolicy::kAffinityFifo:
-        return std::make_unique<AffinityFifoScheduler>(ncores, time_slice,
-                                                       nthreads);
-      case SchedPolicy::kRoundRobin:
-        return std::make_unique<RoundRobinScheduler>(ncores, time_slice,
-                                                     nthreads);
-      case SchedPolicy::kRandom:
-        return std::make_unique<RandomScheduler>(ncores, time_slice,
-                                                 nthreads, seed);
+    if (preferred != kInvalidId &&
+        idle_[static_cast<std::size_t>(preferred)]) {
+        return preferred;
     }
-    panic("unhandled scheduler policy");
+    for (std::size_t c = 0; c < idle_.size(); ++c) {
+        if (idle_[c])
+            return static_cast<CoreId>(c);
+    }
+    return kInvalidId;
 }
 
 } // namespace sst

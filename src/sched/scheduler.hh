@@ -1,11 +1,12 @@
 /**
  * @file
- * The pluggable OS scheduler subsystem. A Scheduler owns every policy
- * decision the simulated OS makes — which ready thread a freed core
- * picks up (placement + affinity), where a woken thread lands (wake
- * placement), and when a running thread's time slice expires — while
- * the System keeps the mechanism: thread states, context-switch and
- * wake costs, and the accounting hooks.
+ * The simulated OS scheduler. A Scheduler owns every policy decision
+ * the simulated OS makes — which ready thread a freed core picks up
+ * (placement + affinity), where a woken thread lands (wake placement),
+ * and when a running thread's time slice expires — while the System
+ * keeps the mechanism: thread states, context-switch and wake costs,
+ * and the accounting hooks. The SchedPolicy only changes the pick rule
+ * (pickNext) and whether enqueue() honours the wake fast path.
  *
  * The contract mirrors a real kernel's run queue:
  *
@@ -21,19 +22,20 @@
  *  - shouldPreempt() is the time-slice test, evaluated before each op of
  *    a running thread when other threads are waiting.
  *
- * Policies must be deterministic: given the same event sequence they
- * must make the same decisions, so simulations stay bit-reproducible
- * (the random policy draws from a seeded private RNG stream).
+ * Every policy is deterministic: given the same event sequence it makes
+ * the same decisions, so simulations stay bit-reproducible (the random
+ * policy draws from a seeded private RNG stream).
  */
 
 #ifndef SST_SCHED_SCHEDULER_HH
 #define SST_SCHED_SCHEDULER_HH
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <vector>
 
 #include "sched/policy.hh"
+#include "util/rng.hh"
 #include "util/types.hh"
 
 namespace sst {
@@ -50,44 +52,58 @@ class Scheduler
 {
   public:
     /**
+     * @param policy pick rule of the ready pool
+     * @param seed RNG stream of the random policy (ignored by the others)
      * @param ncores cores of the machine
      * @param time_slice preemption quantum of an oversubscribed run
      * @param nthreads software threads of the run
      */
-    Scheduler(int ncores, Cycles time_slice, int nthreads);
-    virtual ~Scheduler();
-
-    Scheduler(const Scheduler &) = delete;
-    Scheduler &operator=(const Scheduler &) = delete;
-
-    /** Stable policy label (same string the CLI accepts). */
-    virtual const char *name() const = 0;
+    Scheduler(SchedPolicy policy, std::uint64_t seed, int ncores,
+              Cycles time_slice, int nthreads);
 
     // ---- ready pool ------------------------------------------------------
     /** Add a runnable thread; @p preferred marks the wake fast path. */
-    virtual void enqueue(const ReadyThread &t, bool preferred) = 0;
+    void enqueue(const ReadyThread &t, bool preferred);
 
     /** Choose and remove the next thread for @p core (or kInvalidId). */
-    virtual ThreadId pickNext(CoreId core) = 0;
+    ThreadId pickNext(CoreId core);
 
     /** Any thread waiting for a core? */
-    virtual bool hasReady() const = 0;
+    bool hasReady() const { return !ready_.empty(); }
 
     // ---- core occupancy (maintained by the system) -------------------------
-    void onCoreBusy(CoreId core);
-    void onCoreIdle(CoreId core);
+    void onCoreBusy(CoreId core) { idle_[static_cast<std::size_t>(core)] = 0; }
+    void onCoreIdle(CoreId core) { idle_[static_cast<std::size_t>(core)] = 1; }
 
     // ---- workload affinity hints -------------------------------------------
     /**
      * Install per-thread preferred cores. Heterogeneous workloads use
      * this to keep pipeline stages on a stable core range (the stage's
      * working set stays resident); the table is empty for homogeneous
-     * runs, which keeps every historical schedule bit-identical.
-     * Policies consult affinityHint() as a placement tie-breaker after
-     * last-run-core affinity.
+     * runs, which keeps every historical schedule bit-identical. The
+     * affinity-fifo pick and wake placement consult a thread's hint
+     * after its last-run core.
      */
     void setAffinityHints(std::vector<CoreId> hints);
 
+    // ---- wake placement ----------------------------------------------------
+    /**
+     * Idle core for woken thread @p tid (kInvalidId when all cores are
+     * busy): its @p last_core if idle (its affinity hint if it has not
+     * run yet), else the lowest-numbered idle core.
+     */
+    CoreId placeWoken(ThreadId tid, CoreId last_core) const;
+
+    // ---- time slicing ------------------------------------------------------
+    /** Preempt a thread running since @p slice_start? Only when the
+     *  machine is oversubscribed and a time slice has elapsed. */
+    bool
+    shouldPreempt(Cycles now, Cycles slice_start) const
+    {
+        return nthreads_ > ncores_ && now >= slice_start + timeSlice_;
+    }
+
+  private:
     /** Preferred core of @p tid (kInvalidId when no hint installed). */
     CoreId
     affinityHint(ThreadId tid) const
@@ -96,44 +112,18 @@ class Scheduler
                               : hints_[static_cast<std::size_t>(tid)];
     }
 
-    bool hasAffinityHints() const { return !hints_.empty(); }
+    /** Remove the ready thread at @p it and return its id. */
+    ThreadId take(std::deque<ReadyThread>::iterator it);
 
-    // ---- wake placement ----------------------------------------------------
-    /**
-     * Idle core for woken thread @p tid, preferring @p last_core
-     * (kInvalidId when all cores are busy). Default: the thread's last
-     * core if idle, else the lowest-numbered idle core.
-     */
-    virtual CoreId placeWoken(ThreadId tid, CoreId last_core) const;
-
-    // ---- time slicing ------------------------------------------------------
-    /**
-     * Preempt a thread running since @p slice_start? Default: only when
-     * the machine is oversubscribed and a time slice has elapsed.
-     */
-    virtual bool shouldPreempt(Cycles now, Cycles slice_start) const;
-
-  protected:
-    /** Lowest-numbered idle core, preferring @p preferred; kInvalidId
-     *  when every core is busy. */
-    CoreId firstIdleCore(CoreId preferred) const;
-
+    SchedPolicy policy_;
     int ncores_;
     Cycles timeSlice_;
     int nthreads_;
-
-  private:
+    std::deque<ReadyThread> ready_;
+    Rng rng_; ///< the random policy's draws
     std::vector<std::uint8_t> idle_;
     std::vector<CoreId> hints_; ///< per-thread preferred cores (optional)
 };
-
-/**
- * Build the scheduler of @p policy for @p nthreads threads on
- * @p ncores cores; @p seed drives the random policy's RNG stream.
- */
-std::unique_ptr<Scheduler> makeScheduler(SchedPolicy policy,
-                                         std::uint64_t seed, int ncores,
-                                         Cycles time_slice, int nthreads);
 
 } // namespace sst
 

@@ -33,13 +33,13 @@ System::System(const SimParams &params, const OpSourceFactory &sources,
       hierarchy_(params.ncores, params.cache),
       dram_(params.ncores, params.dram),
       acct_(nthreads, params.accounting),
-      events_(params.ncores)
+      events_(params.ncores),
+      sched_(params.schedPolicy, params.schedSeed, params.ncores,
+             params.timeSliceCycles, nthreads)
 {
     sstAssert(nthreads >= 1, "System needs at least one thread");
     sstAssert(params.ncores >= 1, "System needs at least one core");
     sstAssert(static_cast<bool>(sources), "System needs an op-source factory");
-    sched_ = makeScheduler(params.schedPolicy, params.schedSeed,
-                           params.ncores, params.timeSliceCycles, nthreads);
 
     if (topo && !topo->barrierQuorum.empty()) {
         sstAssert(topo->barrierQuorum.size() ==
@@ -49,12 +49,8 @@ System::System(const SimParams &params, const OpSourceFactory &sources,
     } else {
         quorums_.assign(static_cast<std::size_t>(nthreads), nthreads);
     }
-    if (topo && !topo->affinityHint.empty()) {
-        sstAssert(topo->affinityHint.size() ==
-                      static_cast<std::size_t>(nthreads),
-                  "affinity hint table must cover every thread");
-        sched_->setAffinityHints(topo->affinityHint);
-    }
+    if (topo)
+        sched_.setAffinityHints(topo->affinityHint);
 
     threads_.resize(static_cast<std::size_t>(nthreads));
     for (int t = 0; t < nthreads; ++t) {
@@ -86,11 +82,11 @@ System::run()
         Core &core = cores_[static_cast<std::size_t>(t)];
         core.thread = t;
         setCoreNext(core, 0);
-        sched_->onCoreBusy(core.id);
+        sched_.onCoreBusy(core.id);
     }
     for (int t = placed; t < nthreads_; ++t) {
         threads_[static_cast<std::size_t>(t)].state = ThreadState::kReady;
-        sched_->enqueue(ReadyThread{t, kInvalidId}, /*preferred=*/false);
+        sched_.enqueue(ReadyThread{t, kInvalidId}, /*preferred=*/false);
     }
 
     // Telemetry is sampled, never consulted: a null handle (registry
@@ -201,14 +197,14 @@ System::executeFrom(Core &core, Thread &th, Cycles event_time)
         const Op op = th.pending;
 
         // Preemption (only meaningful when oversubscribed).
-        if (op.type != OpType::kEnd && sched_->hasReady() &&
-            sched_->shouldPreempt(now, th.sliceStart)) {
+        if (op.type != OpType::kEnd && sched_.hasReady() &&
+            sched_.shouldPreempt(now, th.sliceStart)) {
             ++enginePreemptions_;
             th.state = ThreadState::kReady;
             th.blockReason = BlockReason::kPreempt;
             th.blockStart = now;
-            sched_->enqueue(ReadyThread{th.tid, th.lastCore},
-                            /*preferred=*/false);
+            sched_.enqueue(ReadyThread{th.tid, th.lastCore},
+                           /*preferred=*/false);
             scheduleNext(core, now);
             return;
         }
@@ -452,7 +448,7 @@ System::spinLockCheck(Core &core, Thread &th, Cycles now)
     }
 
     const bool oversubscribed =
-        nthreads_ > params_.ncores && sched_->hasReady();
+        nthreads_ > params_.ncores && sched_.hasReady();
     if (oversubscribed ||
         now - th.spinStart >= params_.lockSpinThreshold) {
         acct_.gtLockSpin(th.tid, now - th.spinStart);
@@ -487,7 +483,7 @@ System::spinBarrierCheck(Core &core, Thread &th, Cycles now)
     }
 
     const bool oversubscribed =
-        nthreads_ > params_.ncores && sched_->hasReady();
+        nthreads_ > params_.ncores && sched_.hasReady();
     if (oversubscribed ||
         now - th.spinStart >= params_.barrierSpinThreshold) {
         acct_.gtBarrierSpin(th.tid, now - th.spinStart);
@@ -514,12 +510,12 @@ void
 System::scheduleNext(Core &core, Cycles now)
 {
     core.thread = kInvalidId;
-    sched_->onCoreIdle(core.id);
+    sched_.onCoreIdle(core.id);
     // Re-key the core's heap entry once: straight to `resume` when a
     // successor exists, to kNever only when the core actually idles
     // (pickNext/placeWoken never consult the event queue, so deferring
     // is safe and halves the sift work per context switch).
-    const ThreadId next = sched_->pickNext(core.id);
+    const ThreadId next = sched_.pickNext(core.id);
     if (next == kInvalidId) {
         setCoreNext(core, kNever);
         return;
@@ -549,7 +545,7 @@ System::scheduleNext(Core &core, Cycles now)
     th.lastCore = core.id;
     th.sliceStart = resume;
     core.thread = next;
-    sched_->onCoreBusy(core.id);
+    sched_.onCoreBusy(core.id);
     setCoreNext(core, resume);
 }
 
@@ -562,15 +558,15 @@ System::wakeThread(ThreadId tid, Cycles now)
               "wake of a non-blocked thread");
     th.state = ThreadState::kReady;
 
-    const CoreId idle = sched_->placeWoken(tid, th.lastCore);
+    const CoreId idle = sched_.placeWoken(tid, th.lastCore);
     if (idle != kInvalidId) {
         // Fast path: hand the idle core to the woken thread directly.
-        sched_->enqueue(ReadyThread{tid, th.lastCore},
-                        /*preferred=*/true);
+        sched_.enqueue(ReadyThread{tid, th.lastCore},
+                       /*preferred=*/true);
         scheduleNext(cores_[static_cast<std::size_t>(idle)], now);
     } else {
-        sched_->enqueue(ReadyThread{tid, th.lastCore},
-                        /*preferred=*/false);
+        sched_.enqueue(ReadyThread{tid, th.lastCore},
+                       /*preferred=*/false);
     }
 }
 

@@ -14,8 +14,8 @@
  * exact — at O(log ncores) per event instead of a per-event core scan.
  *
  * OS policy decisions (which thread a freed core runs, wake placement,
- * time slicing) are delegated to the pluggable Scheduler subsystem
- * (src/sched/, selected by SimParams::schedPolicy); the system keeps the
+ * time slicing) are delegated to the Scheduler (src/sched/, its pick
+ * rule selected by SimParams::schedPolicy); the system keeps the
  * mechanism: thread states, switch/wake costs, accounting hooks.
  *
  * Synchronization protocol: a failed lock acquire (or non-final barrier
@@ -89,9 +89,6 @@ class System
 
     /** Sync state, exposed for tests. */
     const SyncManager &sync() const { return sync_; }
-
-    /** The scheduler policy driving this run (exposed for tests). */
-    const Scheduler &scheduler() const { return *sched_; }
 
   private:
     static constexpr Cycles kNever = kNeverCycles;
@@ -181,7 +178,7 @@ class System
     std::vector<int> quorums_;
     std::vector<Core> cores_;
     EventQueue events_;
-    std::unique_ptr<Scheduler> sched_;
+    Scheduler sched_;
     std::uint64_t engineEvents_ = 0; ///< events dispatched by run()
     std::uint64_t engineWakes_ = 0;  ///< wake events dispatched
     std::uint64_t enginePreemptions_ = 0; ///< time-slice preemptions

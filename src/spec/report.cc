@@ -408,6 +408,7 @@ renderHwCost(const ExperimentSpec &spec, const Jobs &jobs,
             cfg.llcWays = m.cache.llcWays;
             cfg.atdSamplingFactor = m.cache.atdSamplingFactor;
             cfg.nbanks = m.dram.nbanks;
+            cfg.dramRowBytes = m.dram.rowBytes;
             cfg.tian = m.accounting.tian;
             const HwCostBreakdown c = computeHwCost(cfg);
             for (const std::uint64_t v :

@@ -115,12 +115,5 @@ TEST_P(AtdEquivalence, SampledMatchesFullShadowOnSampledSets)
 INSTANTIATE_TEST_SUITE_P(Factors, AtdEquivalence,
                          ::testing::Values(2, 8, 32, 128));
 
-TEST(Atd, HardwareBitsScaleWithSampling)
-{
-    Atd a32(kLlcBytes, kLlcWays, 32);
-    Atd a64(kLlcBytes, kLlcWays, 64);
-    EXPECT_EQ(a32.hardwareBits(), 2 * a64.hardwareBits());
-}
-
 } // namespace
 } // namespace sst

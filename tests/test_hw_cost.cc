@@ -29,10 +29,13 @@ TEST(HwCost, AtdDominatesInterferenceCost)
 
 TEST(HwCost, AtdBytesScaleInverselyWithSampling)
 {
-    HwCostConfig a, b;
-    a.atdSamplingFactor = 64;
-    b.atdSamplingFactor = 128;
-    EXPECT_EQ(computeHwCost(a).atdBits, 2 * computeHwCost(b).atdBits);
+    for (const int factor : {32, 64}) {
+        HwCostConfig a, b;
+        a.atdSamplingFactor = factor;
+        b.atdSamplingFactor = 2 * factor;
+        EXPECT_EQ(computeHwCost(a).atdBits, 2 * computeHwCost(b).atdBits)
+            << "factor " << factor;
+    }
 }
 
 TEST(HwCost, LargerLlcMeansMoreMonitoredSets)
@@ -52,6 +55,17 @@ TEST(HwCost, OraScalesWithBanks)
     a.nbanks = 8;
     b.nbanks = 16;
     EXPECT_LT(computeHwCost(a).oraBits, computeHwCost(b).oraBits);
+}
+
+TEST(HwCost, OraRowFieldShrinksWithRowSize)
+{
+    // Four times the row bytes is two fewer row-number bits per bank.
+    HwCostConfig a, b;
+    a.dramRowBytes = 1024;
+    b.dramRowBytes = 4096;
+    EXPECT_EQ(computeHwCost(a).oraBits,
+              computeHwCost(b).oraBits + 2 * static_cast<std::uint64_t>(
+                                                 a.nbanks));
 }
 
 } // namespace

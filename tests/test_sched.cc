@@ -4,9 +4,10 @@
  * engine. The load-bearing property is bit-exact reproducibility: the
  * default affinity-fifo policy must reproduce the golden speedup
  * numbers the pre-refactor hard-wired scheduler produced (anchored here
- * as exact Ts/Tp cycle counts), alternative policies must conserve the
- * workload (same committed instructions) and terminate, and the
- * preemption-wait bugfix must account every descheduled cycle.
+ * as exact Ts/Tp cycle counts), every policy's oversubscribed schedule
+ * is pinned exactly, alternative policies must conserve the workload
+ * (same committed instructions) and terminate, and the preemption-wait
+ * bugfix must account every descheduled cycle.
  */
 
 #include <gtest/gtest.h>

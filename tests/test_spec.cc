@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <gtest/gtest.h>
 
 #include "bench/cli_common.hh"
@@ -865,6 +866,30 @@ TEST(Report, FailedJobRendersAsFailInEveryView)
         reportRegistry().at("overhead").render(one, oneJobs, results);
     EXPECT_NE(overhead.find("error) = - (positive"), std::string::npos)
         << overhead;
+}
+
+TEST(Report, HwCostTotalsFollowTheDramRowSize)
+{
+    // The ORA's row-number field loses two bits per bank from 1K to 4K
+    // rows, so the two points of the axis cost different bytes. The
+    // cost columns come from each job's machine, not from its run.
+    ExperimentSpec spec;
+    spec.profiles = {"cholesky"};
+    spec.threads = {2};
+    applySpecValue(spec, "machine.dram-row-bytes", "1K, 4K");
+    const std::vector<JobSpec> jobs = expandGrid(spec);
+    const std::string out = reportRegistry().at("hw-cost").render(
+        spec, jobs, std::vector<JobResult>(jobs.size()));
+    const auto totalOf = [&out](const std::string &row) {
+        const std::size_t at = out.find("\n" + row + " ");
+        EXPECT_NE(at, std::string::npos) << row << ":\n" << out;
+        std::istringstream line(out.substr(at + 1));
+        std::string cell, sets, atd, total;
+        line >> cell >> sets >> atd >> total;
+        return total;
+    };
+    EXPECT_EQ(totalOf("1KB"), "3762");
+    EXPECT_EQ(totalOf("4KB"), "3760");
 }
 
 } // namespace
